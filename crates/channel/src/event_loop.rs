@@ -3,27 +3,50 @@
 //! [`EventLoopTransport`] replaces the thread-per-connection loopback
 //! transport with the structure a production controller would use:
 //!
-//! * one **poller** thread owning a timer wheel (binary heap of due
-//!   deliveries) — the single serialization point, so per-connection
-//!   FIFO holds exactly as it would over TCP;
+//! * one **poller** thread owning a timer wheel (binary heap of
+//!   deliveries that are not due yet, or that must queue behind one
+//!   that is not);
 //! * a small **worker pool** that processes connections the poller
 //!   marks ready: each worker drains that connection's
 //!   [`FrameCodec`], runs the switch logic, and encodes replies into
 //!   the connection's pooled write buffer;
-//! * per-connection state (switch, reassembly codec, write buffer)
-//!   behind its own lock, so thousands of connections share a handful
-//!   of threads instead of owning one each.
+//! * per-connection state (switch, reassembly codec, write buffer, and
+//!   one *lane* per direction) behind its own lock, so thousands of
+//!   connections share a handful of threads instead of owning one each.
+//!
+//! **Ordering invariant: a delivery never overtakes an earlier one of
+//! its connection and direction.** Every delivery is planned and
+//! either handed over or queued under its connection's lock. A copy
+//! that is due the moment it is planned, on a lane with nothing still
+//! in the heap or in the poller's hands, is handed over right there on
+//! the calling thread — fed to the codec and processed, or decoded and
+//! passed to the controller. Everything else goes through the heap,
+//! which pops in `(due, emission order)`; the lane's FIFO high-water
+//! mark keeps `due` monotone per lane, and its in-flight counter —
+//! bumped on push, dropped by the poller under the same connection
+//! lock that covers the hand-over — is what tells a later due-now copy
+//! to queue behind. So per-connection FIFO holds exactly as it would
+//! over TCP.
+//!
+//! Threads are woken only when parked: the poller, the workers (and
+//! the receivers of the controller channel) record that they are about
+//! to wait inside the mutex their condvar releases, so a producer that
+//! finds the flag clear knows the consumer will look at the queue
+//! again before it sleeps, and skips the futex call.
 //!
 //! Fault injection (drop / duplicate / corrupt / delay, with
 //! per-connection overrides via the [`Transport`] trait) happens at
-//! *plan* time under one planner lock, in emission order, so the FIFO
-//! high-water-mark clamp gives the same in-order-per-connection
-//! guarantee the simulator's [`SimChannel`] provides.
+//! *plan* time, one planner critical section per message, in emission
+//! order, so the high-water-mark clamp gives the same
+//! in-order-per-connection guarantee the simulator's [`SimChannel`]
+//! provides and a seed fixes the fault pattern.
 //!
 //! Everything on the wire is real OpenFlow 1.0 bytes: sends are
 //! encoded before faults touch them, corrupted frames are rejected by
 //! the codec at the far end and cost one message, never the
 //! connection.
+//!
+//! Lock order: connection → planner → timers (→ controller channel).
 //!
 //! [`SimChannel`]: crate::sim::SimChannel
 
@@ -44,7 +67,7 @@ use sdn_switch::SoftSwitch;
 use sdn_types::{DetRng, DpId};
 
 use crate::config::ChannelConfig;
-use crate::sim::{ChannelStats, ConnId};
+use crate::sim::{ChannelStats, ConnId, Direction};
 use crate::transport::{FromSwitch, LiveTransport, Transport, TransportError, TransportEvent};
 
 /// Tuning knobs for the event loop.
@@ -72,38 +95,67 @@ const IDLE_PARK: Duration = Duration::from_millis(20);
 /// One delivery copy the planner decided to make.
 struct CopyPlan {
     due: Instant,
+    /// Emission order; breaks `due` ties in the timer heap.
+    seq: u64,
     corrupt_at: Option<usize>,
 }
 
-/// Samples faults and delays in emission order, preserving per-
-/// connection FIFO via a delivery high-water mark (late samples may
-/// not overtake earlier ones on the same connection).
+impl CopyPlan {
+    /// Flip (or flip back) the bit this copy corrupts.
+    fn toggle_corruption(&self, frame: &mut [u8]) {
+        if let Some(i) = self.corrupt_at {
+            frame[i] ^= 1;
+        }
+    }
+}
+
+/// The planner's verdict on one message: no copy (dropped), one, or
+/// two (duplicated).
+type Copies = [Option<CopyPlan>; 2];
+
+/// One direction of one connection: its fault-profile override, its
+/// FIFO high-water mark, and how many of its deliveries are still on
+/// the timer path.
+#[derive(Default)]
+struct Lane {
+    cfg: Option<ChannelConfig>,
+    /// Latest `due` planned so far; later samples may not undercut it.
+    hwm: Option<Instant>,
+    /// Deliveries in the heap, or popped by the poller and not yet
+    /// handed over. Only a lane with none may hand over directly.
+    in_flight: usize,
+}
+
+impl Lane {
+    /// Whether `copy` may be handed over on the planning thread.
+    fn is_due_now(&self, copy: &CopyPlan, now: Instant) -> bool {
+        copy.due <= now && self.in_flight == 0
+    }
+}
+
+/// Samples faults and delays in emission order.
 struct Planner {
     rng: DetRng,
-    overrides: BTreeMap<ConnId, ChannelConfig>,
-    hwm: BTreeMap<ConnId, Instant>,
     stats: ChannelStats,
     seq: u64,
 }
 
 impl Planner {
-    fn config_for<'a>(&'a self, default: &'a ChannelConfig, conn: ConnId) -> &'a ChannelConfig {
-        self.overrides.get(&conn).unwrap_or(default)
-    }
-
+    /// Decide one message's fate. `hwm` is the lane's delivery
+    /// high-water mark: under FIFO a late sample may not overtake an
+    /// earlier one on the same lane.
     fn plan(
         &mut self,
-        default: &ChannelConfig,
-        conn: ConnId,
+        cfg: &ChannelConfig,
+        hwm: &mut Option<Instant>,
         frame_len: usize,
         scale: f64,
         now: Instant,
-    ) -> Vec<CopyPlan> {
-        let cfg = *self.config_for(default, conn);
+    ) -> Copies {
         self.stats.sent += 1;
         if self.rng.chance(cfg.drop_prob) {
             self.stats.dropped += 1;
-            return Vec::new();
+            return [None, None];
         }
         let copies = if self.rng.chance(cfg.duplicate_prob) {
             self.stats.duplicated += 1;
@@ -111,17 +163,14 @@ impl Planner {
         } else {
             1
         };
-        let mut out = Vec::with_capacity(copies);
-        for _ in 0..copies {
+        let mut out = [None, None];
+        for slot in out.iter_mut().take(copies) {
             let nanos = cfg.delay.sample(&mut self.rng).as_nanos();
             let scaled = Duration::from_nanos((nanos as f64 * scale) as u64);
             let mut due = now + scaled;
             if cfg.fifo {
-                let hwm = self.hwm.entry(conn).or_insert(now);
-                if due < *hwm {
-                    due = *hwm;
-                }
-                *hwm = due;
+                due = due.max(hwm.unwrap_or(due));
+                *hwm = Some(due);
             }
             let corrupt_at = if frame_len > 0 && self.rng.chance(cfg.corrupt_prob) {
                 self.stats.corrupted += 1;
@@ -130,25 +179,25 @@ impl Planner {
                 None
             };
             self.stats.delivered += 1;
-            out.push(CopyPlan { due, corrupt_at });
+            self.seq += 1;
+            *slot = Some(CopyPlan {
+                due,
+                seq: self.seq,
+                corrupt_at,
+            });
         }
         out
-    }
-
-    fn next_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
     }
 }
 
 /// Per-connection state: the switch, inbound reassembly, and a pooled
-/// write buffer reused across replies.
+/// write buffer reused across messages in both directions.
 struct ConnState {
     switch: SoftSwitch,
     rx: FrameCodec,
     wbuf: BytesMut,
-    /// Whether a `Process` job for this connection is already queued
-    /// or running — at most one worker touches a connection at a time.
+    /// Whether this connection is already in the work queue or in a
+    /// worker's hands — it is queued at most once.
     queued: bool,
     /// Whether the connection is currently established.
     connected: bool,
@@ -157,21 +206,29 @@ struct ConnState {
     /// die if it no longer matches — exactly how a TCP teardown loses
     /// whatever was in the pipe.
     epoch: u64,
+    to_switch: Lane,
+    to_ctrl: Lane,
+}
+
+impl ConnState {
+    fn lane_mut(&mut self, dir: Direction) -> &mut Lane {
+        match dir {
+            Direction::ToSwitch => &mut self.to_switch,
+            Direction::ToController => &mut self.to_ctrl,
+        }
+    }
 }
 
 /// A byte delivery waiting for its due time.
 struct TimerEntry {
     due: Instant,
     seq: u64,
-    item: TimerItem,
-}
-
-enum TimerItem {
-    /// Bytes arriving at a switch connection: `(conn index, epoch the
-    /// bytes were sent under, frame)`.
-    Inbound(usize, u64, Vec<u8>),
-    /// Bytes arriving back at the controller, same stamping.
-    Outbound(usize, u64, Vec<u8>),
+    /// Connection index and the lane the bytes travel on.
+    idx: usize,
+    dir: Direction,
+    /// The epoch the bytes were sent under.
+    epoch: u64,
+    bytes: Vec<u8>,
 }
 
 impl PartialEq for TimerEntry {
@@ -193,9 +250,26 @@ impl Ord for TimerEntry {
     }
 }
 
-enum Work {
-    /// A connection has buffered inbound bytes to process.
-    Process(usize),
+/// The timer heap and whether its poller is waiting on `timer_cv`.
+#[derive(Default)]
+struct Timers {
+    heap: BinaryHeap<TimerEntry>,
+    poller_parked: bool,
+}
+
+/// Connections with buffered inbound bytes to process, and how many
+/// workers are waiting on `work_cv`.
+#[derive(Default)]
+struct WorkQueue {
+    ready: VecDeque<usize>,
+    parked: usize,
+}
+
+/// The attached observability sink and the live-connection count it
+/// is told about on every churn event.
+struct ChurnSink {
+    obs: Obs,
+    live: i64,
 }
 
 struct Inner {
@@ -205,9 +279,9 @@ struct Inner {
     dpids: Vec<DpId>,
     conns: Vec<Mutex<ConnState>>,
     planner: Mutex<Planner>,
-    work: Mutex<VecDeque<Work>>,
+    work: Mutex<WorkQueue>,
     work_cv: Condvar,
-    timers: Mutex<BinaryHeap<TimerEntry>>,
+    timers: Mutex<Timers>,
     timer_cv: Condvar,
     to_ctrl: Sender<FromSwitch>,
     events: Sender<TransportEvent>,
@@ -215,7 +289,7 @@ struct Inner {
     /// Observability sink (disabled until attached). The transport
     /// runs in wall time with no virtual clock, so it records only
     /// counters and the connection gauge — never timestamped events.
-    obs: Mutex<Obs>,
+    churn: Mutex<ChurnSink>,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -227,84 +301,108 @@ impl Inner {
         self.running.load(AtomicOrdering::Acquire)
     }
 
-    fn push_timer(&self, due: Instant, item: TimerItem) {
-        let seq = lock(&self.planner).next_seq();
-        lock(&self.timers).push(TimerEntry { due, seq, item });
-        self.timer_cv.notify_one();
+    /// Plan one message on `lane`: a single planner critical section.
+    fn plan(&self, lane: &mut Lane, frame_len: usize, now: Instant) -> Copies {
+        let cfg = lane.cfg.unwrap_or(self.default_cfg);
+        lock(&self.planner).plan(&cfg, &mut lane.hwm, frame_len, self.time_scale, now)
     }
 
-    fn push_work(&self, w: Work) {
-        lock(&self.work).push_back(w);
-        self.work_cv.notify_one();
+    /// Queue a copy of the frame in `conn.wbuf` behind its due time, on
+    /// the `dir` lane of the locked connection `idx`.
+    fn push_timer(&self, idx: usize, dir: Direction, conn: &mut ConnState, copy: &CopyPlan) {
+        let mut bytes = conn.wbuf.to_vec();
+        copy.toggle_corruption(&mut bytes);
+        let entry = TimerEntry {
+            due: copy.due,
+            seq: copy.seq,
+            idx,
+            dir,
+            epoch: conn.epoch,
+            bytes,
+        };
+        conn.lane_mut(dir).in_flight += 1;
+        let mut timers = lock(&self.timers);
+        timers.heap.push(entry);
+        let wake = timers.poller_parked;
+        drop(timers);
+        if wake {
+            self.timer_cv.notify_one();
+        }
+    }
+
+    fn push_work(&self, idx: usize) {
+        let mut work = lock(&self.work);
+        work.ready.push_back(idx);
+        let wake = work.parked > 0;
+        drop(work);
+        if wake {
+            self.work_cv.notify_one();
+        }
     }
 
     /// Poller body: fire due deliveries, park until the next one.
     fn run_poller(&self) {
+        let mut fired = Vec::new();
         loop {
             let mut timers = lock(&self.timers);
             if !self.running() {
                 return;
             }
             let now = Instant::now();
-            let mut fired = Vec::new();
-            while timers.peek().is_some_and(|e| e.due <= now) {
-                fired.push(timers.pop().expect("peeked"));
+            while timers.heap.peek().is_some_and(|e| e.due <= now) {
+                fired.push(timers.heap.pop().expect("peeked"));
             }
             if fired.is_empty() {
                 let wait = timers
+                    .heap
                     .peek()
                     .map(|e| e.due.saturating_duration_since(now))
                     .unwrap_or(IDLE_PARK)
                     .min(IDLE_PARK);
-                let (guard, _) = self
+                timers.poller_parked = true;
+                let (mut timers, _) = self
                     .timer_cv
                     .wait_timeout(timers, wait)
                     .unwrap_or_else(PoisonError::into_inner);
-                drop(guard);
+                timers.poller_parked = false;
                 continue;
             }
             drop(timers);
-            for entry in fired {
-                match entry.item {
-                    TimerItem::Inbound(idx, epoch, bytes) => self.feed_conn(idx, epoch, &bytes),
-                    TimerItem::Outbound(idx, epoch, bytes) => {
-                        self.deliver_to_controller(idx, epoch, &bytes)
-                    }
-                }
+            for entry in fired.drain(..) {
+                self.hand_over(entry);
             }
         }
     }
 
-    /// Append arrived bytes to a connection's reassembly buffer and
-    /// mark it ready if no worker already owns it. Bytes stamped with
-    /// a stale epoch died with their connection.
-    fn feed_conn(&self, idx: usize, epoch: u64, bytes: &[u8]) {
-        let mut conn = lock(&self.conns[idx]);
-        if !conn.connected || conn.epoch != epoch {
-            drop(conn);
+    /// Complete one timed delivery. The lane's in-flight count drops
+    /// under the connection lock that covers the hand-over, so a
+    /// planner that then finds the lane clear cannot be overtaking it.
+    /// Bytes stamped with a stale epoch died with their connection.
+    fn hand_over(&self, entry: TimerEntry) {
+        let mut conn = lock(&self.conns[entry.idx]);
+        conn.lane_mut(entry.dir).in_flight -= 1;
+        if !(conn.connected && conn.epoch == entry.epoch) {
             lock(&self.planner).stats.severed += 1;
             return;
         }
-        conn.rx.feed(bytes);
-        if !conn.queued {
-            conn.queued = true;
-            drop(conn);
-            self.push_work(Work::Process(idx));
+        match entry.dir {
+            Direction::ToSwitch => {
+                conn.rx.feed(&entry.bytes);
+                // Mark the connection ready if no worker already owns it.
+                if !conn.queued {
+                    conn.queued = true;
+                    drop(conn);
+                    self.push_work(entry.idx);
+                }
+            }
+            Direction::ToController => self.deliver_to_controller(entry.idx, &entry.bytes),
         }
     }
 
     /// Final hop switch→controller: decode (a corrupted frame dies
     /// here, costing one message) and hand to the controller channel.
-    /// Stale-epoch frames were in the pipe when the connection died.
-    fn deliver_to_controller(&self, idx: usize, epoch: u64, bytes: &[u8]) {
-        {
-            let conn = lock(&self.conns[idx]);
-            if !conn.connected || conn.epoch != epoch {
-                drop(conn);
-                lock(&self.planner).stats.severed += 1;
-                return;
-            }
-        }
+    /// Called with the connection locked.
+    fn deliver_to_controller(&self, idx: usize, bytes: &[u8]) {
         if let Ok(env) = decode(bytes) {
             let dpid = self.dpids[idx];
             let _ = self.to_ctrl.send(FromSwitch { dpid, env });
@@ -314,62 +412,84 @@ impl Inner {
     /// Worker body: take ready connections and process them.
     fn run_worker(&self) {
         loop {
-            let work = {
-                let mut q = lock(&self.work);
+            let idx = {
+                let mut work = lock(&self.work);
                 loop {
-                    if let Some(w) = q.pop_front() {
-                        break Some(w);
+                    if let Some(idx) = work.ready.pop_front() {
+                        break idx;
                     }
                     if !self.running() {
-                        break None;
+                        return;
                     }
+                    work.parked += 1;
                     let (guard, _) = self
                         .work_cv
-                        .wait_timeout(q, IDLE_PARK)
+                        .wait_timeout(work, IDLE_PARK)
                         .unwrap_or_else(PoisonError::into_inner);
-                    q = guard;
+                    work = guard;
+                    work.parked -= 1;
                 }
             };
-            match work {
-                Some(Work::Process(idx)) => self.process_conn(idx),
-                None => return,
+            let mut conn = lock(&self.conns[idx]);
+            conn.queued = false;
+            if conn.connected {
+                self.process(idx, &mut conn);
             }
         }
     }
 
-    /// Drain one connection's complete frames, run the switch, plan
-    /// the reply deliveries. Planning happens under the connection
-    /// lock so reply order fixes delivery order (FIFO per conn).
-    fn process_conn(&self, idx: usize) {
-        let dpid = self.dpids[idx];
-        let conn_id = ConnId::to_controller(dpid);
-        let mut conn = lock(&self.conns[idx]);
-        conn.queued = false;
-        if !conn.connected {
-            return;
+    /// Plan the frame sitting in `conn.wbuf` on the `dir` lane of the
+    /// locked connection `idx`. A copy that is due now, with nothing of
+    /// its lane still on the timer path, is handed over right here;
+    /// every other copy takes the heap. Returns whether any was handed
+    /// over.
+    fn dispatch(&self, idx: usize, dir: Direction, conn: &mut ConnState) -> bool {
+        let now = Instant::now();
+        let frame_len = conn.wbuf.len();
+        let copies = self.plan(conn.lane_mut(dir), frame_len, now);
+        let mut handed_over = false;
+        for copy in copies.into_iter().flatten() {
+            if conn.lane_mut(dir).is_due_now(&copy, now) {
+                copy.toggle_corruption(&mut conn.wbuf);
+                match dir {
+                    Direction::ToSwitch => conn.rx.feed(&conn.wbuf),
+                    Direction::ToController => self.deliver_to_controller(idx, &conn.wbuf),
+                }
+                copy.toggle_corruption(&mut conn.wbuf);
+                handed_over = true;
+            } else {
+                self.push_timer(idx, dir, conn, &copy);
+            }
         }
-        let epoch = conn.epoch;
-        let (frames, _rejected) = conn.rx.drain_lossy();
-        for env in frames {
-            for reply in conn.switch.handle_control(env) {
+        handed_over
+    }
+
+    /// Accept one controller→switch message on a locked, established
+    /// connection: encode once into the pooled buffer and dispatch.
+    fn send_locked(&self, idx: usize, conn: &mut ConnState, env: &Envelope) {
+        conn.wbuf.clear();
+        encode_to(env, &mut conn.wbuf);
+        // Process only after every copy is placed: replies reuse `wbuf`.
+        if self.dispatch(idx, Direction::ToSwitch, conn) {
+            self.process(idx, conn);
+        }
+    }
+
+    /// Drain a locked connection's complete frames, run the switch,
+    /// dispatch the replies. Planning happens under the connection
+    /// lock so reply order fixes delivery order (FIFO per conn). A
+    /// malformed frame is skipped: it costs one message.
+    fn process(&self, idx: usize, conn: &mut ConnState) {
+        loop {
+            let env = match conn.rx.next_frame() {
+                Ok(Some(env)) => env,
+                Ok(None) => return,
+                Err(_) => continue,
+            };
+            if let Some(reply) = conn.switch.respond(env) {
                 conn.wbuf.clear();
                 encode_to(&reply, &mut conn.wbuf);
-                let frame = conn.wbuf.to_vec();
-                let now = Instant::now();
-                let copies = lock(&self.planner).plan(
-                    &self.default_cfg,
-                    conn_id,
-                    frame.len(),
-                    self.time_scale,
-                    now,
-                );
-                for copy in copies {
-                    let mut bytes = frame.clone();
-                    if let Some(i) = copy.corrupt_at {
-                        bytes[i] ^= 1;
-                    }
-                    self.push_timer(copy.due, TimerItem::Outbound(idx, epoch, bytes));
-                }
+                self.dispatch(idx, Direction::ToController, conn);
             }
         }
     }
@@ -426,8 +546,11 @@ impl EventLoopTransport {
                 queued: false,
                 connected: true,
                 epoch: 0,
+                to_switch: Lane::default(),
+                to_ctrl: Lane::default(),
             }));
         }
+        let live = conns.len() as i64;
         let inner = Arc::new(Inner {
             default_cfg: config,
             time_scale: el.time_scale,
@@ -436,19 +559,20 @@ impl EventLoopTransport {
             conns,
             planner: Mutex::new(Planner {
                 rng: DetRng::new(seed).derive("event-loop", 0),
-                overrides: BTreeMap::new(),
-                hwm: BTreeMap::new(),
                 stats: ChannelStats::default(),
                 seq: 0,
             }),
-            work: Mutex::new(VecDeque::new()),
+            work: Mutex::default(),
             work_cv: Condvar::new(),
-            timers: Mutex::new(BinaryHeap::new()),
+            timers: Mutex::default(),
             timer_cv: Condvar::new(),
             to_ctrl,
             events,
             running: AtomicBool::new(true),
-            obs: Mutex::new(Obs::disabled()),
+            churn: Mutex::new(ChurnSink {
+                obs: Obs::disabled(),
+                live,
+            }),
         });
         let mut threads = Vec::new();
         let poller = Arc::clone(&inner);
@@ -485,34 +609,19 @@ impl EventLoopTransport {
     /// [`Ctr::Reconnects`] as sessions churn. Wall-time component, so
     /// counters and gauges only — no timestamped events.
     pub fn attach_obs(&self, obs: Obs) {
-        if obs.is_enabled() {
-            let live = self
-                .inner
-                .conns
-                .iter()
-                .filter(|c| lock(c).connected)
-                .count();
-            obs.set_gauge(Gauge::Connections, live as i64);
-        }
-        *lock(&self.inner.obs) = obs;
+        let mut churn = lock(&self.inner.churn);
+        obs.set_gauge(Gauge::Connections, churn.live);
+        churn.obs = obs;
     }
 
-    fn obs(&self) -> Obs {
-        lock(&self.inner.obs).clone()
-    }
-
-    /// Recompute the live-connection gauge after a churn event.
-    fn refresh_connection_gauge(&self, obs: &Obs) {
-        if !obs.is_enabled() {
-            return;
-        }
-        let live = self
-            .inner
-            .conns
-            .iter()
-            .filter(|c| lock(c).connected)
-            .count();
-        obs.set_gauge(Gauge::Connections, live as i64);
+    /// Record one session going down (`delta` −1) or coming back (+1).
+    /// Called with that connection locked, so the live count moves in
+    /// step with its `connected` flag.
+    fn record_churn(&self, ctr: Ctr, delta: i64) {
+        let mut churn = lock(&self.inner.churn);
+        churn.live += delta;
+        churn.obs.inc(ctr);
+        churn.obs.set_gauge(Gauge::Connections, churn.live);
     }
 
     /// Tear down the connection to `dpid`: subsequent sends fail with
@@ -530,11 +639,9 @@ impl EventLoopTransport {
         conn.epoch += 1;
         conn.rx = FrameCodec::new();
         conn.wbuf = BytesMut::with_capacity(256);
-        drop(conn);
         lock(&self.inner.planner).stats.disconnects += 1;
-        let obs = self.obs();
-        obs.inc(Ctr::Disconnects);
-        self.refresh_connection_gauge(&obs);
+        self.record_churn(Ctr::Disconnects, -1);
+        drop(conn);
         let _ = self.inner.events.send(TransportEvent::Disconnected(dpid));
         Ok(())
     }
@@ -549,15 +656,11 @@ impl EventLoopTransport {
             return Ok(());
         }
         conn.connected = true;
+        conn.to_switch.hwm = None;
+        conn.to_ctrl.hwm = None;
+        lock(&self.inner.planner).stats.reconnects += 1;
+        self.record_churn(Ctr::Reconnects, 1);
         drop(conn);
-        let mut planner = lock(&self.inner.planner);
-        planner.hwm.remove(&ConnId::to_switch(dpid));
-        planner.hwm.remove(&ConnId::to_controller(dpid));
-        planner.stats.reconnects += 1;
-        drop(planner);
-        let obs = self.obs();
-        obs.inc(Ctr::Reconnects);
-        self.refresh_connection_gauge(&obs);
         let _ = self.inner.events.send(TransportEvent::Reconnected(dpid));
         Ok(())
     }
@@ -630,17 +733,27 @@ impl Drop for EventLoopTransport {
     }
 }
 
+/// Overrides live in the connection's lane; a [`ConnId`] naming a
+/// switch this transport does not drive has no lane, so setting it is
+/// a no-op and it reads back as the default profile.
 impl Transport for EventLoopTransport {
     fn set_conn_config(&mut self, conn: ConnId, config: ChannelConfig) {
-        lock(&self.inner.planner).overrides.insert(conn, config);
+        if let Ok(idx) = self.conn_index(conn.dpid) {
+            lock(&self.inner.conns[idx]).lane_mut(conn.dir).cfg = Some(config);
+        }
     }
 
     fn clear_conn_config(&mut self, conn: ConnId) {
-        lock(&self.inner.planner).overrides.remove(&conn);
+        if let Ok(idx) = self.conn_index(conn.dpid) {
+            lock(&self.inner.conns[idx]).lane_mut(conn.dir).cfg = None;
+        }
     }
 
     fn conn_config(&self, conn: ConnId) -> ChannelConfig {
-        *lock(&self.inner.planner).config_for(&self.inner.default_cfg, conn)
+        self.conn_index(conn.dpid)
+            .ok()
+            .and_then(|idx| lock(&self.inner.conns[idx]).lane_mut(conn.dir).cfg)
+            .unwrap_or(self.inner.default_cfg)
     }
 
     fn transport_stats(&self) -> ChannelStats {
@@ -654,31 +767,11 @@ impl LiveTransport for EventLoopTransport {
         if !self.inner.running() {
             return Err(TransportError::ShutDown);
         }
-        let epoch = {
-            let conn = lock(&self.inner.conns[idx]);
-            if !conn.connected {
-                return Err(TransportError::Disconnected(dpid));
-            }
-            conn.epoch
-        };
-        let frame = sdn_openflow::codec::encode(env).to_vec();
-        let conn_id = ConnId::to_switch(dpid);
-        let now = Instant::now();
-        let copies = lock(&self.inner.planner).plan(
-            &self.inner.default_cfg,
-            conn_id,
-            frame.len(),
-            self.inner.time_scale,
-            now,
-        );
-        for copy in copies {
-            let mut bytes = frame.clone();
-            if let Some(i) = copy.corrupt_at {
-                bytes[i] ^= 1;
-            }
-            self.inner
-                .push_timer(copy.due, TimerItem::Inbound(idx, epoch, bytes));
+        let mut conn = lock(&self.inner.conns[idx]);
+        if !conn.connected {
+            return Err(TransportError::Disconnected(dpid));
         }
+        self.inner.send_locked(idx, &mut conn, env);
         Ok(())
     }
 
@@ -1034,5 +1127,235 @@ mod tests {
         assert_eq!(obs.registry().gauge(Gauge::Connections), 3);
         assert_eq!(obs.registry().counter(Ctr::Reconnects), 1);
         t.shutdown();
+    }
+
+    fn echo(xid: u32) -> Envelope {
+        Envelope::new(Xid(xid), OfMessage::EchoRequest(vec![xid as u8]))
+    }
+
+    fn barrier(xid: u32) -> Envelope {
+        Envelope::new(Xid(xid), OfMessage::BarrierRequest)
+    }
+
+    /// One switch, no default delay: every delivery is due when
+    /// planned unless a lane override says otherwise.
+    fn zero_delay_transport(workers: usize) -> EventLoopTransport {
+        EventLoopTransport::spawn_with(
+            vec![SoftSwitch::new(DpId(1), 4)],
+            ChannelConfig::ideal(SimDuration::ZERO),
+            3,
+            EventLoopConfig {
+                workers,
+                time_scale: 1.0,
+            },
+        )
+    }
+
+    fn spin_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            thread::yield_now();
+        }
+    }
+
+    fn reply_xids(t: &EventLoopTransport, n: usize) -> Vec<Xid> {
+        (0..n)
+            .map(|_| {
+                t.recv_timeout(Duration::from_secs(5))
+                    .expect("reply")
+                    .env
+                    .xid
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_due_now_send_queues_behind_a_delivery_the_poller_still_holds() {
+        // The window the in-flight counter exists for: the earlier
+        // delivery has left the heap but is not handed over yet. Pin it
+        // open by holding the connection lock the poller needs.
+        let t = zero_delay_transport(1);
+        let mut conn = lock(&t.inner.conns[0]);
+        conn.to_switch.cfg = Some(ChannelConfig::ideal(SimDuration::from_millis(2)));
+        t.inner.send_locked(0, &mut conn, &echo(1));
+        conn.to_switch.cfg = None;
+        spin_until("the poller popped the echo", || {
+            lock(&t.inner.timers).heap.is_empty()
+        });
+        assert_eq!(conn.to_switch.in_flight, 1, "popped, not handed over");
+        t.inner.send_locked(0, &mut conn, &barrier(9));
+        assert_eq!(conn.to_switch.in_flight, 2, "the barrier took the heap");
+        assert!(t.try_recv().is_none(), "nothing may be processed yet");
+        drop(conn);
+        assert_eq!(reply_xids(&t, 2), [Xid(1), Xid(9)]);
+        t.shutdown();
+    }
+
+    #[test]
+    fn a_due_now_reply_queues_behind_a_reply_the_poller_still_holds() {
+        let t = zero_delay_transport(1);
+        let mut conn = lock(&t.inner.conns[0]);
+        conn.to_ctrl.cfg = Some(ChannelConfig::ideal(SimDuration::from_millis(2)));
+        t.inner.send_locked(0, &mut conn, &echo(1));
+        conn.to_ctrl.cfg = None;
+        spin_until("the poller popped the echo reply", || {
+            lock(&t.inner.timers).heap.is_empty()
+        });
+        assert_eq!(conn.to_ctrl.in_flight, 1, "popped, not handed over");
+        t.inner.send_locked(0, &mut conn, &barrier(9));
+        assert_eq!(conn.to_switch.in_flight, 0, "the request went straight in");
+        assert_eq!(conn.to_ctrl.in_flight, 2, "its reply took the heap");
+        assert!(t.try_recv().is_none(), "the barrier reply must wait");
+        drop(conn);
+        assert_eq!(reply_xids(&t, 2), [Xid(1), Xid(9)]);
+        t.shutdown();
+    }
+
+    #[test]
+    fn a_delayed_delivery_is_never_overtaken_by_a_zero_delay_one() {
+        let slow = ChannelConfig::ideal(SimDuration::from_micros(300));
+        for lane in [ConnId::to_switch(DpId(1)), ConnId::to_controller(DpId(1))] {
+            let mut t = zero_delay_transport(2);
+            for i in 0..50u32 {
+                t.set_conn_config(lane, slow);
+                t.send(DpId(1), &echo(2 * i)).unwrap();
+                t.clear_conn_config(lane);
+                t.send(DpId(1), &barrier(2 * i + 1)).unwrap();
+                assert_eq!(
+                    reply_xids(&t, 2),
+                    [Xid(2 * i), Xid(2 * i + 1)],
+                    "overtaken on {lane:?}"
+                );
+            }
+            t.shutdown();
+        }
+    }
+
+    #[test]
+    fn disconnect_severs_what_either_lane_still_holds() {
+        let slow = ChannelConfig::ideal(SimDuration::from_millis(50));
+        for lane in [ConnId::to_switch(DpId(1)), ConnId::to_controller(DpId(1))] {
+            let mut t = zero_delay_transport(1);
+            t.set_conn_config(lane, slow);
+            t.send(DpId(1), &barrier(1)).unwrap();
+            t.disconnect(DpId(1)).unwrap();
+            t.clear_conn_config(lane);
+            t.reconnect(DpId(1)).unwrap();
+            spin_until("the stale frame was severed", || {
+                t.transport_stats().severed == 1
+            });
+            // The new session works, and the old frame never shows up.
+            t.send(DpId(1), &barrier(2)).unwrap();
+            assert_eq!(reply_xids(&t, 1), [Xid(2)], "on {lane:?}");
+            assert!(t.try_recv().is_none());
+            t.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_seed_fixes_the_fault_pattern() {
+        // Requests ride an ideal lane (no RNG draws), so the planner's
+        // draws are exactly the replies', in order, whichever thread
+        // plans them. The expected counts were taken at the commit
+        // before the fast path existed.
+        let mut t = EventLoopTransport::spawn_with(
+            vec![SoftSwitch::new(DpId(1), 4)],
+            ChannelConfig::ideal(SimDuration::ZERO),
+            29,
+            EventLoopConfig {
+                workers: 1,
+                time_scale: 0.001,
+            },
+        );
+        t.set_conn_config(
+            ConnId::to_controller(DpId(1)),
+            ChannelConfig::lossy(0.1)
+                .with_duplication(0.1)
+                .with_corruption(0.1),
+        );
+        for i in 0..400 {
+            t.send(DpId(1), &barrier(i)).unwrap();
+        }
+        spin_until("every reply was planned", || {
+            t.transport_stats().sent == 800
+        });
+        let s = t.transport_stats();
+        assert_eq!(
+            (s.sent, s.dropped, s.duplicated, s.corrupted, s.delivered),
+            (800, 36, 42, 38, 806)
+        );
+        t.shutdown();
+    }
+
+    /// Several senders against one receiver, every round released by a
+    /// `Barrier` so pushes race the poller, the workers and the
+    /// receiver going to sleep. Half the connections deliver on the
+    /// sender's thread, half through heap, poller and worker pool.
+    fn barrier_storm(workers: usize) {
+        const SENDERS: u64 = 4;
+        const CONNS_EACH: u64 = 4;
+        const ROUNDS: u32 = 300;
+        let switches = (1..=SENDERS * CONNS_EACH)
+            .map(|i| SoftSwitch::new(DpId(i), 4))
+            .collect();
+        let mut t = EventLoopTransport::spawn_with(
+            switches,
+            ChannelConfig::ideal(SimDuration::ZERO),
+            17,
+            EventLoopConfig {
+                workers,
+                time_scale: 1.0,
+            },
+        );
+        let timed = ChannelConfig::ideal(SimDuration::from_micros(1));
+        for i in (1..=SENDERS * CONNS_EACH).step_by(2) {
+            t.set_conn_config(ConnId::to_switch(DpId(i)), timed);
+            t.set_conn_config(ConnId::to_controller(DpId(i)), timed);
+        }
+        let t = &t;
+        let gate = &std::sync::Barrier::new(SENDERS as usize + 1);
+        let mut slow_rounds = 0;
+        thread::scope(|s| {
+            for k in 0..SENDERS {
+                s.spawn(move || {
+                    for round in 0..ROUNDS {
+                        gate.wait();
+                        for c in 1..=CONNS_EACH {
+                            t.send(DpId(k * CONNS_EACH + c), &barrier(round)).unwrap();
+                        }
+                    }
+                });
+            }
+            for round in 0..ROUNDS {
+                gate.wait();
+                let started = Instant::now();
+                for _ in 0..SENDERS * CONNS_EACH {
+                    let r = t
+                        .recv_timeout(Duration::from_secs(5))
+                        .expect("every barrier is answered");
+                    assert_eq!(r.env, Envelope::new(Xid(round), OfMessage::BarrierReply));
+                }
+                // A push that fails to wake a parked poller or worker
+                // is rescued by IDLE_PARK, on average half of it later.
+                if started.elapsed() > IDLE_PARK / 4 {
+                    slow_rounds += 1;
+                }
+            }
+        });
+        assert!(
+            slow_rounds < ROUNDS / 2,
+            "{slow_rounds} of {ROUNDS} rounds waited out an idle park: wake-ups are being lost"
+        );
+    }
+
+    #[test]
+    fn no_wake_up_is_lost_with_one_worker() {
+        barrier_storm(1);
+    }
+
+    #[test]
+    fn no_wake_up_is_lost_with_four_workers() {
+        barrier_storm(4);
     }
 }

@@ -35,13 +35,15 @@ pub use event::{Event, EventKind, SpanId, NO_DP, NO_SPAN};
 pub use metrics::{Ctr, Gauge, HistId, Histogram, Registry};
 pub use recorder::{Dump, DumpReason, Ring, DEFAULT_RING};
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use sdn_types::SimTime;
 
-/// Cap on spans retained for `GET /v1/trace/{job}`; oldest jobs are
-/// evicted first.
+/// Cap on spans retained for `GET /v1/trace/{job}`; the span that was
+/// opened longest ago is evicted first. (Not the smallest id: shard
+/// *i* numbers its jobs from `(i+1) << 32`, so id order would discard
+/// the lowest shard's newest jobs before any other shard's oldest.)
 const MAX_SPANS: usize = 1024;
 /// Cap on events retained per span.
 const MAX_SPAN_EVENTS: usize = 4096;
@@ -52,6 +54,8 @@ struct ObsInner {
     ring_cap: usize,
     rings: BTreeMap<u32, Ring>,
     spans: BTreeMap<u64, Vec<Event>>,
+    /// Keys of `spans` in the order they were opened.
+    span_order: VecDeque<u64>,
     dumps: Vec<Dump>,
 }
 
@@ -83,6 +87,7 @@ impl Obs {
                 ring_cap: cap.max(1),
                 rings: BTreeMap::new(),
                 spans: BTreeMap::new(),
+                span_order: VecDeque::new(),
                 dumps: Vec::new(),
             }))),
             shard: 0,
@@ -125,9 +130,12 @@ impl Obs {
             .or_insert_with(|| Ring::new(cap))
             .push(ev);
         if ev.span != NO_SPAN {
-            if !g.spans.contains_key(&ev.span.0) && g.spans.len() >= MAX_SPANS {
-                let oldest = *g.spans.keys().next().unwrap();
-                g.spans.remove(&oldest);
+            if !g.spans.contains_key(&ev.span.0) {
+                if g.span_order.len() >= MAX_SPANS {
+                    let oldest = g.span_order.pop_front().expect("MAX_SPANS > 0");
+                    g.spans.remove(&oldest);
+                }
+                g.span_order.push_back(ev.span.0);
             }
             let trace = g.spans.entry(ev.span.0).or_default();
             if trace.len() < MAX_SPAN_EVENTS {
@@ -367,11 +375,30 @@ mod tests {
 
     #[test]
     fn span_eviction_keeps_newest() {
+        // Job ids as a 4-shard fabric carves them: shard i counts up
+        // from (i+1) << 32, the shards taking turns.
+        let job = |shard: u64, n: u64| ((shard + 1) << 32) + n;
         let obs = Obs::recording();
-        for job in 0..(MAX_SPANS as u64 + 8) {
-            obs.emit(Event::new(at(job), EventKind::Submit).span(job));
+        let per_shard = MAX_SPANS as u64; // 4x the cap in total
+        for n in 0..per_shard {
+            for shard in 0..4 {
+                obs.emit(Event::new(at(n), EventKind::Submit).span(job(shard, n)));
+            }
         }
-        assert!(obs.span_events(0).is_empty(), "oldest span evicted");
-        assert_eq!(obs.span_events(MAX_SPANS as u64 + 7).len(), 1);
+        for shard in 0..4 {
+            assert_eq!(
+                obs.span_events(job(shard, per_shard - 1)).len(),
+                1,
+                "newest job of shard {shard} is traceable"
+            );
+            assert!(
+                obs.span_events(job(shard, 0)).is_empty(),
+                "oldest job of shard {shard} was evicted"
+            );
+        }
+        // A late event of a live span does not count as a new span.
+        obs.emit(Event::new(at(9), EventKind::Commit).span(job(0, per_shard - 1)));
+        assert_eq!(obs.span_events(job(0, per_shard - 1)).len(), 2);
+        assert_eq!(obs.span_events(job(3, per_shard - 1)).len(), 1);
     }
 }

@@ -118,15 +118,29 @@ pub fn encode(env: &Envelope) -> Bytes {
 
 /// Encode an envelope, surfacing non-representable values as errors.
 pub fn try_encode(env: &Envelope) -> Result<Bytes, CodecError> {
+    let mut buf = BytesMut::new();
+    try_encode_into(env, &mut buf)?;
+    Ok(buf.freeze())
+}
+
+/// Append an envelope's frame to `out` — the allocation-free form of
+/// [`try_encode`] for callers that reuse one buffer across messages.
+/// On error nothing has been appended.
+pub fn try_encode_into(env: &Envelope, out: &mut BytesMut) -> Result<(), CodecError> {
     let frame = WireFrame::try_from(env)?;
     let len = frame.header.length as usize;
     if len > MAX_FRAME_LEN {
         return Err(CodecError::BadLength(len));
     }
-    let mut buf = BytesMut::with_capacity(len);
-    frame.marshal(&mut buf);
-    debug_assert_eq!(buf.len(), len, "header length must match marshaled size");
-    Ok(buf.freeze())
+    let start = out.len();
+    out.reserve(len);
+    frame.marshal(out);
+    debug_assert_eq!(
+        out.len() - start,
+        len,
+        "header length must match marshaled size"
+    );
+    Ok(())
 }
 
 /// Decode one complete frame (header + body, exactly).

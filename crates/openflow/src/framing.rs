@@ -21,7 +21,7 @@
 //! fault-injecting channel — from killing a connection that is
 //! otherwise carrying thousands of healthy frames.
 
-use bytes::BytesMut;
+use bytes::{Buf, BytesMut};
 
 use crate::codec::{decode, CodecError, HEADER_LEN, MAX_FRAME_LEN, OFP_VERSION};
 use crate::messages::Envelope;
@@ -118,7 +118,7 @@ impl FrameCodec {
         if skip == buf.len() {
             skip = fallback.unwrap_or(buf.len());
         }
-        let _ = self.buf.split_to(skip);
+        self.buf.advance(skip);
     }
 
     /// Try to extract the next complete frame.
@@ -147,12 +147,13 @@ impl FrameCodec {
         if self.buf.len() < declared {
             return Ok(None);
         }
-        let frame = self.buf.split_to(declared);
-        match decode(&frame) {
+        let decoded = decode(&self.buf[..declared]);
+        // The declared length was valid, so exactly this frame is
+        // consumed whether or not it decodes: the stream stays in sync.
+        self.buf.advance(declared);
+        match decoded {
             Ok(env) => Ok(Some(env)),
             Err(e) => {
-                // The declared length was valid, so exactly this frame
-                // was consumed: the stream is still in sync.
                 self.errors += 1;
                 Err(e)
             }
@@ -190,9 +191,13 @@ impl FrameCodec {
 }
 
 /// Encode an envelope and append it to an outgoing buffer.
+///
+/// # Panics
+///
+/// Like [`crate::codec::encode`], when the model value is not
+/// representable on the wire.
 pub fn encode_to(env: &Envelope, out: &mut BytesMut) {
-    let frame = crate::codec::encode(env);
-    out.extend_from_slice(&frame);
+    crate::codec::try_encode_into(env, out).expect("model value not representable in OpenFlow 1.0");
 }
 
 #[cfg(test)]

@@ -125,7 +125,7 @@ impl FlowTable {
                     .iter_mut()
                     .find(|e| e.matcher == fm.matcher && e.priority == fm.priority)
                 {
-                    e.actions = fm.actions.clone();
+                    e.actions.clone_from(&fm.actions);
                     e.cookie = fm.cookie;
                     TableChange::Modified(1)
                 } else {
@@ -140,7 +140,7 @@ impl FlowTable {
                     .iter_mut()
                     .filter(|e| e.matcher == fm.matcher && e.priority == fm.priority)
                 {
-                    e.actions = fm.actions.clone();
+                    e.actions.clone_from(&fm.actions);
                     e.cookie = fm.cookie;
                     n += 1;
                 }

@@ -92,19 +92,26 @@ impl SoftSwitch {
     /// Handle one control message, returning the replies to send back
     /// to the controller on the same connection.
     pub fn handle_control(&mut self, env: Envelope) -> Vec<Envelope> {
+        self.respond(env).into_iter().collect()
+    }
+
+    /// [`SoftSwitch::handle_control`] without the `Vec`: no request
+    /// this switch speaks has more than one reply, and the transport's
+    /// per-message path should not allocate to say so.
+    pub fn respond(&mut self, env: Envelope) -> Option<Envelope> {
         let Envelope { xid, msg } = env;
         match msg {
-            OfMessage::Hello => vec![Envelope::new(xid, OfMessage::Hello)],
+            OfMessage::Hello => Some(Envelope::new(xid, OfMessage::Hello)),
             OfMessage::EchoRequest(payload) => {
                 self.stats.echoes += 1;
                 // Digest probe: answer with the ordered rule-hash list
                 // of the current table, for the controller's
                 // audit-and-repair resync after a reconnect.
                 if payload == crate::resync::DIGEST_PROBE {
-                    return vec![Envelope::new(
+                    return Some(Envelope::new(
                         xid,
                         OfMessage::EchoReply(crate::resync::encode_digest_report(&self.table)),
-                    )];
+                    ));
                 }
                 // Echo-carried FlowMod acknowledgement: when the
                 // payload is itself a well-formed FlowMod frame, apply
@@ -120,49 +127,49 @@ impl SoftSwitch {
                         let _: TableChange = self.table.apply(&fm);
                     }
                 }
-                vec![Envelope::new(xid, OfMessage::EchoReply(payload))]
+                Some(Envelope::new(xid, OfMessage::EchoReply(payload)))
             }
-            OfMessage::FeaturesRequest => vec![Envelope::new(
+            OfMessage::FeaturesRequest => Some(Envelope::new(
                 xid,
                 OfMessage::FeaturesReply {
                     dpid: self.dpid,
                     n_ports: self.n_ports,
                 },
-            )],
+            )),
             OfMessage::FlowMod(fm) => {
                 self.stats.flow_mods += 1;
                 let _: TableChange = self.table.apply(&fm);
-                Vec::new()
+                None
             }
             OfMessage::BarrierRequest => {
                 // All earlier messages of this connection are already
                 // processed (strict FIFO), so the barrier contract
                 // holds by construction.
                 self.stats.barriers += 1;
-                vec![Envelope::new(xid, OfMessage::BarrierReply)]
+                Some(Envelope::new(xid, OfMessage::BarrierReply))
             }
-            OfMessage::FlowStatsRequest => vec![Envelope::new(
+            OfMessage::FlowStatsRequest => Some(Envelope::new(
                 xid,
                 OfMessage::FlowStatsReply {
                     entries: self.table.len() as u32,
                     packets: self.table.total_packets(),
                 },
-            )],
+            )),
             OfMessage::PacketOut { data, out_port, .. } => {
                 // The simulator interprets emissions; the switch only
                 // validates the port.
                 if out_port.is_physical() && out_port.raw() > self.n_ports {
                     self.stats.errors += 1;
-                    vec![Envelope::new(
+                    Some(Envelope::new(
                         xid,
                         OfMessage::ErrorMsg {
                             etype: 2, // bad request
                             code: 4,  // bad port
                             data,
                         },
-                    )]
+                    ))
                 } else {
-                    Vec::new()
+                    None
                 }
             }
             // Switch-to-controller message types arriving at a switch
@@ -174,14 +181,14 @@ impl SoftSwitch {
             | OfMessage::ErrorMsg { .. }
             | OfMessage::FlowStatsReply { .. }) => {
                 self.stats.errors += 1;
-                vec![Envelope::new(
+                Some(Envelope::new(
                     xid,
                     OfMessage::ErrorMsg {
                         etype: 1, // bad type
                         code: 0,
                         data: other.kind().as_bytes().to_vec(),
                     },
-                )]
+                ))
             }
         }
     }

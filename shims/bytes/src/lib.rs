@@ -2,10 +2,10 @@
 //!
 //! The build environment has no access to crates.io, so the workspace
 //! vendors a minimal implementation of the small slice of the `bytes`
-//! API it actually uses: [`Bytes`], [`BytesMut`] and the big-endian
-//! `put_*` writers from [`BufMut`]. Semantics match the real crate for
-//! the covered surface; zero-copy sharing is intentionally not
-//! reproduced (clones copy).
+//! API it actually uses: [`Bytes`], [`BytesMut`], the big-endian
+//! `put_*` writers from [`BufMut`] and [`Buf::advance`]. Semantics
+//! match the real crate for the covered surface; zero-copy sharing is
+//! intentionally not reproduced (clones copy).
 
 #![forbid(unsafe_code)]
 
@@ -120,6 +120,11 @@ impl BytesMut {
         self.inner.is_empty()
     }
 
+    /// Make room for at least `additional` more bytes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.inner.reserve(additional);
+    }
+
     /// Drop all contents.
     pub fn clear(&mut self) {
         self.inner.clear();
@@ -170,6 +175,25 @@ impl fmt::Debug for BytesMut {
             write!(f, "\\x{b:02x}")?;
         }
         write!(f, "\"")
+    }
+}
+
+/// Read access to a buffer with a cursor (only the cursor movement the
+/// workspace uses).
+pub trait Buf {
+    /// Discard the first `cnt` bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cnt` exceeds the bytes held.
+    fn advance(&mut self, cnt: usize);
+}
+
+impl Buf for BytesMut {
+    /// Keeps the allocation (unlike [`BytesMut::split_to`], which in
+    /// this stand-in hands it to the returned head).
+    fn advance(&mut self, cnt: usize) {
+        self.inner.drain(..cnt);
     }
 }
 
@@ -230,6 +254,18 @@ mod tests {
         let head = b.split_to(2);
         assert_eq!(&head[..], &[1, 2]);
         assert_eq!(&b[..], &[3, 4, 5]);
+    }
+
+    #[test]
+    fn advance_discards_the_head_and_keeps_the_allocation() {
+        let mut b = BytesMut::with_capacity(64);
+        b.extend_from_slice(&[1, 2, 3, 4, 5]);
+        let cap = b.inner.capacity();
+        b.advance(2);
+        assert_eq!(&b[..], &[3, 4, 5]);
+        b.advance(3);
+        assert!(b.is_empty());
+        assert_eq!(b.inner.capacity(), cap);
     }
 
     #[test]

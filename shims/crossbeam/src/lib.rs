@@ -7,6 +7,14 @@
 //! `Condvar`, so a blocked `recv` parks on the condvar and never holds
 //! the lock across the wait — a concurrent `try_recv` on a clone
 //! returns immediately, matching crossbeam semantics.
+//!
+//! `send` wakes a receiver only when one is parked. The count of
+//! parked receivers lives inside the mutex the condvar waits on: a
+//! receiver bumps it in the same critical section that found the queue
+//! empty and releases the lock only by entering the wait, so a sender
+//! that reads zero knows every receiver will look at the queue again
+//! before it parks — no wake-up can be lost, and a send to a busy
+//! (polling) consumer costs no futex call.
 
 #![forbid(unsafe_code)]
 
@@ -22,6 +30,8 @@ pub mod channel {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Receivers currently waiting on `ready`.
+        parked: usize,
     }
 
     struct Shared<T> {
@@ -64,8 +74,11 @@ pub mod channel {
                 return Err(SendError(value));
             }
             st.queue.push_back(value);
+            let wake = st.parked > 0;
             drop(st);
-            self.0.ready.notify_one();
+            if wake {
+                self.0.ready.notify_one();
+            }
             Ok(())
         }
     }
@@ -97,7 +110,9 @@ pub mod channel {
                 if st.senders == 0 {
                     return Err(RecvError);
                 }
+                st.parked += 1;
                 st = self.0.ready.wait(st).unwrap_or_else(|e| e.into_inner());
+                st.parked -= 1;
             }
         }
 
@@ -116,12 +131,14 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                st.parked += 1;
                 let (guard, _) = self
                     .0
                     .ready
                     .wait_timeout(st, deadline - now)
                     .unwrap_or_else(|e| e.into_inner());
                 st = guard;
+                st.parked -= 1;
             }
         }
 
@@ -145,6 +162,7 @@ pub mod channel {
                 queue: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
+                parked: 0,
             }),
             ready: Condvar::new(),
         });
@@ -235,5 +253,45 @@ mod tests {
         all.extend(mine);
         all.sort_unstable();
         assert_eq!(all, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_send_nobody_was_parked_for_is_still_received() {
+        // No receiver is waiting, so `send` skips the wake-up; the
+        // value must be there for whoever looks next.
+        let (tx, rx) = unbounded();
+        tx.send(5u8).unwrap();
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(5));
+        tx.send(6).unwrap();
+        assert_eq!(rx.recv(), Ok(6));
+    }
+
+    #[test]
+    fn no_wake_up_is_lost_between_parking_and_polling_receivers() {
+        // Each round is released by a barrier, so the sends race the
+        // receiver's transition from draining (not parked, no wake-up
+        // due) to waiting (parked, wake-up due). A lost wake-up shows
+        // as a timeout: nothing else would ever rouse the receiver.
+        const ROUNDS: u32 = 2000;
+        const SENDERS: u32 = 3;
+        let (tx, rx) = unbounded();
+        let gate = &std::sync::Barrier::new(SENDERS as usize + 1);
+        std::thread::scope(|s| {
+            for _ in 0..SENDERS {
+                let tx = tx.clone();
+                s.spawn(move || {
+                    for round in 0..ROUNDS {
+                        gate.wait();
+                        tx.send(round).unwrap();
+                    }
+                });
+            }
+            for round in 0..ROUNDS {
+                gate.wait();
+                for _ in 0..SENDERS {
+                    assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(round));
+                }
+            }
+        });
     }
 }
