@@ -1,7 +1,7 @@
 //! `bench_check` — the CI perf-regression gate.
 //!
 //! Compares a fresh `exp_rounds_scaling` JSON export against a
-//! committed baseline (`BENCH_PR2.json` et seq.) and exits non-zero
+//! committed baseline (`BENCH_PR3.json` et seq.) and exits non-zero
 //! when any per-schedule timing regressed beyond the noise threshold.
 //! Run by the `bench-regression` job in `.github/workflows/ci.yml`:
 //!
@@ -9,7 +9,7 @@
 //! cargo run --release -p sdn-bench --bin exp_rounds_scaling -- \
 //!     --max-n 512 --json-out bench_current.json
 //! cargo run --release -p sdn-bench --bin bench_check -- \
-//!     --baseline BENCH_PR2.json --current bench_current.json
+//!     --baseline BENCH_PR3.json --current bench_current.json
 //! ```
 //!
 //! Flags: `--baseline PATH` (required), `--current PATH` (required),

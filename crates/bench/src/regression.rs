@@ -2,9 +2,8 @@
 //! exports.
 //!
 //! `exp_rounds_scaling --json-out` writes per-schedule timing records
-//! (`BENCH_PR2.json`, `BENCH_PR3.json`, … are committed at the
-//! workspace root). The `bench_check` binary — CI's `bench-regression`
-//! job — re-runs the experiment and compares the fresh records against
+//! (`BENCH_PR3.json`, … are committed at the workspace root). The
+//! `bench_check` binary — CI's `bench-regression` job — re-runs the experiment and compares the fresh records against
 //! a committed baseline through [`compare`]: a record regresses when
 //! its timing exceeds the baseline by more than a noise threshold
 //! (generous, default 3×) *and* an absolute floor that keeps

@@ -10,8 +10,12 @@
 //! structures from the committed round's deltas instead of rebuilding
 //! them — so a full greedy schedule costs O(total probes · amortized
 //! polylog) instead of the former O(rounds × n) session re-opens
-//! (which capped reversal workloads near n ≈ 1024). The decisions are
-//! identical — the stateless
+//! (which capped reversal workloads near n ≈ 1024). A probe costs the
+//! region it affects, and under the static orderings a candidate whose
+//! rejection the session can pin on one uncommitted switch is parked
+//! until that switch commits, so the Θ(n) one-switch rounds strong
+//! loop freedom forces on a reversal take Θ(n) probes in all. The
+//! decisions are identical — the stateless
 //! [`round_admissible`](crate::checker::round_admissible) remains the
 //! cross-validation reference. The conservative (polynomial) oracle is
 //! consulted first; if a whole round would come out empty, the engine
@@ -34,7 +38,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use sdn_types::DpId;
 
-use crate::checker::{AdmissionProbe, OracleMode};
+use crate::checker::{AdmissionProbe, Nodes, OracleMode};
 use crate::config::ConfigState;
 use crate::model::UpdateInstance;
 use crate::properties::PropertySet;
@@ -62,10 +66,12 @@ pub enum CandidateOrdering {
     AlternatingBackward,
 }
 
-/// Order the pending switches for one greedy round.
+/// Order the pending switches for one greedy round (`nodes` is the
+/// instance's dense switch index).
 pub(crate) fn order_candidates(
     ordering: CandidateOrdering,
     inst: &UpdateInstance,
+    nodes: &Nodes<'_>,
     base: &ConfigState<'_>,
     pending: &[DpId],
 ) -> Vec<DpId> {
@@ -86,11 +92,17 @@ pub(crate) fn order_candidates(
             // Position of each switch's *first* visit on the committed
             // walk, indexed once — classifying the pending set was
             // O(n²) when every switch rescanned the walk.
-            let mut walk_pos: BTreeMap<DpId, usize> = BTreeMap::new();
+            let mut walk_pos = vec![usize::MAX; nodes.len()];
             for (p, &y) in walk.visited.iter().enumerate() {
-                walk_pos.entry(y).or_insert(p);
+                let slot = &mut walk_pos[nodes.idx(y).expect("walks stay on the routes") as usize];
+                *slot = (*slot).min(p);
             }
-            let pos_on_walk = |x: DpId| walk_pos.get(&x).copied();
+            let pos_on_walk = |x: DpId| {
+                nodes
+                    .idx(x)
+                    .map(|i| walk_pos[i as usize])
+                    .filter(|&p| p != usize::MAX)
+            };
             let mut off: Vec<DpId> = Vec::new();
             let mut fwd: Vec<(usize, DpId)> = Vec::new();
             let mut back: Vec<(usize, DpId)> = Vec::new();
@@ -165,27 +177,49 @@ pub(crate) fn greedy_rounds(
         CandidateOrdering::NewRouteReverse | CandidateOrdering::OldRoutePosition
     );
     if static_order {
-        pending = order_candidates(ordering, inst, base, &pending);
+        pending = order_candidates(ordering, inst, session.nodes(), base, &pending);
     }
-    while !pending.is_empty() {
-        let reordered;
-        let ordered: &[DpId] = if static_order {
-            &pending
-        } else {
-            reordered = order_candidates(ordering, inst, base, &pending);
-            &reordered
-        };
-        for &v in ordered {
-            session.try_push(RuleOp::Activate(v));
+    // Under a static order, a rejected candidate the session names a
+    // blocker for is parked (blocker → candidate; a switch blocks only
+    // its new-route predecessor) and sits out the rounds until the
+    // blocker is committed — a reversal's Θ(n) one-switch rounds then
+    // cost Θ(n) probes, not Θ(n²). Walk-dependent orderings re-rank
+    // the whole pending set every round and take few rounds: they
+    // keep probing everything.
+    let mut parked: BTreeMap<DpId, DpId> = BTreeMap::new();
+    while !(pending.is_empty() && parked.is_empty()) {
+        let reordered = (!static_order)
+            .then(|| order_candidates(ordering, inst, session.nodes(), base, &pending));
+        // Leaving `pending` this round: activated or newly parked.
+        let mut leaving: BTreeSet<DpId> = BTreeSet::new();
+        for &v in reordered.as_deref().unwrap_or(&pending) {
+            if !session.try_push(RuleOp::Activate(v)) && static_order {
+                if let Some(blocker) = session.blocker(v) {
+                    parked.insert(blocker, v);
+                    leaving.insert(v);
+                }
+            }
         }
         let ops = if !session.is_empty() {
             session.commit_round()
-        } else if prefer_conservative {
-            // Conservative over-rejection emptied the round: retry the
-            // round with a fresh exact probe, then advance the
-            // conservative session past the exactly-decided round.
+        } else {
+            // An empty round ends in the exact retry or in `Stuck`;
+            // both speak for every candidate, parked ones included.
+            if !parked.is_empty() {
+                pending.retain(|v| !leaving.contains(v));
+                pending.extend(parked.values());
+                pending = order_candidates(ordering, inst, session.nodes(), base, &pending);
+                parked.clear();
+                leaving.clear();
+            }
+            if !prefer_conservative {
+                return Err(SchedulerError::Stuck { remaining: pending });
+            }
+            // Conservative over-rejection emptied the round: retry it
+            // with a fresh exact probe, then advance the conservative
+            // session past the exactly-decided round.
             let mut exact = AdmissionProbe::open(inst, base, *props, OracleMode::Exact);
-            for &v in ordered {
+            for &v in reordered.as_deref().unwrap_or(&pending) {
                 exact.try_push(RuleOp::Activate(v));
             }
             if exact.is_empty() {
@@ -194,19 +228,21 @@ pub(crate) fn greedy_rounds(
             let ops = exact.into_ops();
             session.advance(&ops);
             ops
-        } else {
-            return Err(SchedulerError::Stuck { remaining: pending });
         };
         // Remove all of the round's activations in one pass (a retain
-        // per activated op made this quadratic per round).
-        let activated: BTreeSet<DpId> = ops
-            .iter()
-            .filter_map(|op| match op {
-                RuleOp::Activate(v) => Some(*v),
-                _ => None,
-            })
-            .collect();
-        pending.retain(|v| !activated.contains(v));
+        // per activated op made this quadratic per round), then let
+        // the candidates they were blocking back in.
+        let activated = ops.iter().filter_map(|op| match op {
+            RuleOp::Activate(v) => Some(*v),
+            _ => None,
+        });
+        leaving.extend(activated.clone());
+        pending.retain(|v| !leaving.contains(v));
+        let before = pending.len();
+        pending.extend(activated.filter_map(|v| parked.remove(&v)));
+        if pending.len() > before {
+            pending = order_candidates(ordering, inst, session.nodes(), base, &pending);
+        }
         base.apply_all(&ops);
         rounds.push(Round::new(ops));
     }
@@ -268,6 +304,112 @@ mod tests {
         );
     }
 
+    /// The engine without its session reuse and parking: every round
+    /// opens a fresh probe and offers it every pending candidate.
+    fn rounds_probing_everything(
+        i: &UpdateInstance,
+        mut pending: Vec<DpId>,
+        props: &PropertySet,
+        ordering: CandidateOrdering,
+    ) -> Result<Vec<Round>, SchedulerError> {
+        let nodes = Nodes::of(i);
+        let mut base = ConfigState::initial(i);
+        let mut rounds = Vec::new();
+        while !pending.is_empty() {
+            let ordered = order_candidates(ordering, i, &nodes, &base, &pending);
+            let mut ops = Vec::new();
+            for mode in [OracleMode::Conservative, OracleMode::Exact] {
+                let mut probe = AdmissionProbe::open(i, &base, *props, mode);
+                for &v in &ordered {
+                    probe.try_push(RuleOp::Activate(v));
+                }
+                ops = probe.into_ops();
+                if !ops.is_empty() {
+                    break;
+                }
+            }
+            if ops.is_empty() {
+                return Err(SchedulerError::Stuck { remaining: ordered });
+            }
+            pending.retain(|v| !ops.contains(&RuleOp::Activate(*v)));
+            base.apply_all(&ops);
+            rounds.push(Round::new(ops));
+        }
+        Ok(rounds)
+    }
+
+    /// Parking a candidate until its blocker commits must not change a
+    /// single decision: under the static orderings (the ones that
+    /// park), schedules — and `Stuck` verdicts — are op for op those of
+    /// an engine that re-probes every candidate every round.
+    #[test]
+    fn parked_candidates_change_no_decision() {
+        use sdn_topo::gen;
+        let mut rng = sdn_types::DetRng::new(0x9a4c);
+        let mut pairs = vec![
+            gen::reversal(5),
+            gen::reversal(24),
+            gen::comb(17),
+            gen::rotation(20, 9),
+        ];
+        for _ in 0..30 {
+            let n = 4 + rng.index(20) as u64;
+            pairs.push(gen::random_permutation(n, &mut rng));
+            pairs.push(gen::waypointed(n.max(5), rng.chance(0.5), &mut rng));
+        }
+        let mut parked_rounds = 0;
+        for pair in pairs {
+            let i = UpdateInstance::new(pair.old, pair.new, pair.waypoint).unwrap();
+            for props in [PropertySet::loop_free_strong(), PropertySet::all()] {
+                for ordering in [
+                    CandidateOrdering::NewRouteReverse,
+                    CandidateOrdering::OldRoutePosition,
+                ] {
+                    let mut base = ConfigState::initial(&i);
+                    let got =
+                        greedy_rounds(&i, &mut base, pending_shared(&i), &props, ordering, true);
+                    let want = rounds_probing_everything(&i, pending_shared(&i), &props, ordering);
+                    assert_eq!(got, want, "{i} {props:?} {ordering:?}");
+                    parked_rounds += got.map_or(0, |r| r.len().saturating_sub(3));
+                }
+            }
+        }
+        assert!(parked_rounds > 0, "no instance took enough rounds to park");
+    }
+
+    /// Peacock's rounds on a reversal, driven by hand to read the
+    /// session's work counter afterwards.
+    fn peacock_reversal_work(n: u64) -> u64 {
+        let pair = sdn_topo::gen::reversal(n);
+        let i = UpdateInstance::new(pair.old, pair.new, None).unwrap();
+        let mut base = ConfigState::initial(&i);
+        let mut pending = pending_shared(&i);
+        let props = PropertySet::loop_free_relaxed();
+        let mut session = AdmissionProbe::open(&i, &base, props, OracleMode::Conservative);
+        while !pending.is_empty() {
+            let ordering = CandidateOrdering::OffPathFirst;
+            for v in order_candidates(ordering, &i, session.nodes(), &base, &pending) {
+                session.try_push(RuleOp::Activate(v));
+            }
+            let ops = session.commit_round();
+            assert!(!ops.is_empty(), "greedy must make progress");
+            pending.retain(|v| !ops.contains(&RuleOp::Activate(*v)));
+            base.apply_all(&ops);
+        }
+        session.work()
+    }
+
+    /// Scaling without a clock: a probe pays for the region it
+    /// affects, so doubling the reversal may not even triple the
+    /// oracle's work (one traversal of the instance per probe at a
+    /// reachable switch quadruples it).
+    #[test]
+    fn oracle_work_grows_linearly_on_reversals() {
+        let (small, large) = (peacock_reversal_work(1024), peacock_reversal_work(2048));
+        assert!(small >= 1024, "the counter counts: {small}");
+        assert!(large < 3 * small, "work {small} @1024 -> {large} @2048");
+    }
+
     #[test]
     fn ordering_off_path_first_classification() {
         // old 1-2-3-4-5, new 1-4-3-2-5, after committing activate(1):
@@ -278,6 +420,7 @@ mod tests {
         let ordered = order_candidates(
             CandidateOrdering::OffPathFirst,
             &i,
+            &Nodes::of(&i),
             &base,
             &[DpId(2), DpId(3), DpId(4)],
         );
@@ -293,6 +436,7 @@ mod tests {
         let ordered = order_candidates(
             CandidateOrdering::NewRouteReverse,
             &i,
+            &Nodes::of(&i),
             &base,
             &[DpId(1), DpId(2), DpId(3)],
         );

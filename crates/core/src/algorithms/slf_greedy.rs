@@ -11,12 +11,13 @@
 //! (Θ(n) rounds) — the behaviour Peacock's relaxation eliminates
 //! (PODC'15, reproduced in experiment E3).
 //!
-//! Admission runs on the greedy engine's per-round
+//! Admission runs on the greedy engine's
 //! [`AdmissionProbe`](crate::checker::AdmissionProbe) session: the
 //! choice graph's topological order is maintained incrementally across
-//! the round's probes (Pearce–Kelly), so the Θ(n²) probes a reversal
-//! schedule needs stay cheap and n = 1024 instances schedule in
-//! milliseconds (see `exp_rounds_scaling`).
+//! probes and rounds (Pearce–Kelly), and a candidate blocked by one
+//! uncommitted switch is parked until that switch commits, so a
+//! reversal's Θ(n) rounds take Θ(n) probes and n = 1024 instances
+//! schedule in milliseconds (see `exp_rounds_scaling`).
 
 use crate::config::ConfigState;
 use crate::model::UpdateInstance;

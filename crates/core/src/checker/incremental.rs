@@ -19,6 +19,9 @@
 //!   pending-subset union to its fully-applied edge set — a pure
 //!   *narrowing*, handled by [`AdmissionProbe::advance`] as per-switch
 //!   edge deletions in O(round deltas) instead of an O(n) rebuild.
+//!   Both routes are simple paths, so a switch has at most two
+//!   successors and two predecessors: adjacency is two flat arrays of
+//!   fixed-size cells, and a probe never allocates.
 //! * **Strong loop freedom** — incremental cycle detection by
 //!   topological-order maintenance (Pearce–Kelly): an edge insertion
 //!   that would close a cycle is detected during the discovery phase,
@@ -27,12 +30,28 @@
 //!   the region between the edge endpoints. Edge deletions never
 //!   invalidate a topological order, so the maintained order survives
 //!   round commits untouched.
-//! * **Conservative walk safety** — the source-reachable set is
-//!   cached. A candidate at a switch the cached set does not reach
-//!   cannot change any walk-based verdict (its new edges hang off an
-//!   unreachable node), so the probe answers in O(1). Conservative
-//!   verdicts are monotone in the edge set, which also lets a base
-//!   configuration that already fails short-circuit every probe.
+//! * **Conservative walk safety** — patched in place, never
+//!   re-traversed. *Within a round the class graph only grows, so the
+//!   reach sets only grow and the reachable order only gains edges;
+//!   [`AdmissionProbe::advance`] is the only place they shrink, and it
+//!   re-seeds them* with the one full traversal left per round. A push
+//!   at a switch the source does not reach changes no walk verdict and
+//!   answers in O(1). A push at a reachable switch pays for its
+//!   affected region only: the source-reach set grows by a search from
+//!   the switch's *new* targets; blackhole freedom is checked on the
+//!   pushed switch and the newly reached ones; relaxed loop freedom is
+//!   the same Pearce–Kelly order, kept over the *reachable* subgraph —
+//!   an edge between reachable switches is one insertion, newly
+//!   reached switches carried no constraints yet and take a
+//!   topological order among their own slots (a cycle inside the new
+//!   region shows there) before their boundary edges are inserted, and
+//!   the structure is not kept at all under strong loop freedom, whose
+//!   whole-graph order implies it; the waypoint-avoiding reach set
+//!   grows like the first and must never reach the destination. Every
+//!   mutation is logged, so a rejected push restores the exact prior
+//!   state. Conservative verdicts are monotone in the edge set, which
+//!   also lets a base configuration that already fails short-circuit
+//!   every probe.
 //! * **Exact decision walks** — memoized by the *touched set*: the
 //!   switches any explored branch visited. A candidate at an untouched
 //!   switch provably cannot change the verdict or the touched set (no
@@ -48,10 +67,13 @@
 //! authoritative as the cross-validation reference:
 //! `crates/core/tests/checker_cross_validation.rs` asserts decision
 //! equality against [`round_admissible`](super::round_admissible) on
-//! randomized permutation, reversal, waypointed and fat-tree workloads
-//! in both oracle modes, per probe and along full greedy trajectories.
+//! randomized permutation, reversal, rotation, comb, waypointed and
+//! fat-tree workloads in both oracle modes, per probe and along full
+//! greedy trajectories, and that a rejected push leaves no trace in
+//! the patched structures.
 
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 
 use sdn_types::{DpId, VersionTag};
 
@@ -71,7 +93,7 @@ const F_TAG: u8 = 4;
 
 /// Dense switch indexing for one instance, borrowing the instance's
 /// precomputed participant list.
-struct Nodes<'a> {
+pub(crate) struct Nodes<'a> {
     ids: &'a [DpId],
     /// Direct dpid→index table when the id span is compact (generated
     /// workloads use 1..=n); empty means fall back to binary search.
@@ -80,15 +102,19 @@ struct Nodes<'a> {
 }
 
 impl<'a> Nodes<'a> {
-    fn of(inst: &'a UpdateInstance) -> Self {
+    pub(crate) fn of(inst: &'a UpdateInstance) -> Self {
         let ids = inst.participants();
-        let (min, max) = match (ids.first(), ids.last()) {
-            (Some(a), Some(b)) => (a.0, b.0),
-            _ => (0, 0),
-        };
-        let span = (max - min) as usize + 1;
+        let min = ids.first().map_or(0, |v| v.0);
+        // Dpids arrive from requests: the span of two of them can
+        // exceed `usize` (0 and u64::MAX are both valid), in which
+        // case — as for any sparse id set — binary search answers.
+        let span = ids
+            .last()
+            .and_then(|max| (max.0 - min).checked_add(1))
+            .and_then(|span| usize::try_from(span).ok())
+            .filter(|&span| span <= ids.len().saturating_mul(8));
         let mut lookup = Vec::new();
-        if !ids.is_empty() && span <= ids.len().saturating_mul(8) {
+        if let Some(span) = span {
             lookup = vec![u32::MAX; span];
             for (i, v) in ids.iter().enumerate() {
                 lookup[(v.0 - min) as usize] = i as u32;
@@ -97,15 +123,15 @@ impl<'a> Nodes<'a> {
         Nodes { ids, lookup, min }
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ids.len()
     }
 
-    fn idx(&self, v: DpId) -> Option<u32> {
+    pub(crate) fn idx(&self, v: DpId) -> Option<u32> {
         if self.lookup.is_empty() {
             return self.ids.binary_search(&v).ok().map(|i| i as u32);
         }
-        let off = v.0.checked_sub(self.min)? as usize;
+        let off = usize::try_from(v.0.checked_sub(self.min)?).ok()?;
         match self.lookup.get(off) {
             Some(&i) if i != u32::MAX => Some(i),
             _ => None,
@@ -113,164 +139,382 @@ impl<'a> Nodes<'a> {
     }
 }
 
+/// One cell of a flat adjacency array: the neighbours of one switch.
+/// Both routes are simple paths, so a switch has at most one old-route
+/// and one new-route successor, and at most one predecessor on each —
+/// two entries always suffice, in either direction.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+struct Adj {
+    t: [u32; 2],
+    len: u8,
+}
+
+impl Adj {
+    fn push(&mut self, t: u32) {
+        self.t[self.len as usize] = t;
+        self.len += 1;
+    }
+
+    fn pop(&mut self) -> Option<u32> {
+        self.len = self.len.checked_sub(1)?;
+        Some(self.t[self.len as usize])
+    }
+
+    /// Remove `t`, keeping the order of what remains.
+    fn remove(&mut self, t: u32) -> bool {
+        match self.as_slice().iter().position(|&x| x == t) {
+            Some(0) => {
+                self.t[0] = self.t[1];
+                self.len -= 1;
+                true
+            }
+            Some(_) => {
+                self.len -= 1;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn as_slice(&self) -> &[u32] {
+        &self.t[..self.len as usize]
+    }
+
+    fn contains(&self, t: u32) -> bool {
+        self.as_slice().contains(&t)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// By value: the copy lets callers mutate the array the cell came
+    /// from while walking it.
+    fn iter(self) -> impl Iterator<Item = u32> {
+        (0..self.len as usize).map(move |k| self.t[k])
+    }
+}
+
 /// The forwarding targets one switch could expose for a tag class —
 /// at most two distinct successors (old rule, new rule) plus the
-/// possibility of having no rule. Fixed-size so the per-probe hot
-/// path never allocates.
+/// possibility of having no rule.
 #[derive(Clone, Copy, Default)]
 struct LocalNexts {
-    targets: [u32; 2],
-    len: u8,
+    targets: Adj,
     none: bool,
 }
 
 impl LocalNexts {
     fn push(&mut self, t: u32) {
-        if !self.contains(t) {
-            self.targets[self.len as usize] = t;
-            self.len += 1;
+        if !self.targets.contains(t) {
+            self.targets.push(t);
         }
-    }
-
-    fn contains(&self, t: u32) -> bool {
-        self.targets[..self.len as usize].contains(&t)
-    }
-
-    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.targets[..self.len as usize].iter().copied()
     }
 }
 
-/// Pearce–Kelly incremental topological order over one class graph.
+/// Session-owned scratch space, so that neither a probe nor the
+/// per-round seeding allocates.
+struct Scratch {
+    /// Epoch-stamped visit marks.
+    mark: Vec<u64>,
+    epoch: u64,
+    /// Pearce–Kelly discovery: forward and backward regions and the
+    /// order slots they pool.
+    fwd: Vec<u32>,
+    bwd: Vec<u32>,
+    slots: Vec<u32>,
+    /// Search frontier; afterwards, the nodes the search newly marked.
+    queue: Vec<u32>,
+    /// Topological sort (Kahn): remaining in-degrees and output order.
+    indeg: Vec<u32>,
+    topo: Vec<u32>,
+    /// Edges leaving a newly reached region.
+    boundary: Vec<(u32, u32)>,
+    /// Nodes visited by searches plus order slots moved, ever.
+    work: u64,
+}
+
+impl Scratch {
+    fn new(n: usize) -> Self {
+        Scratch {
+            mark: vec![0; n],
+            epoch: 0,
+            fwd: Vec::new(),
+            bwd: Vec::new(),
+            slots: Vec::new(),
+            queue: Vec::with_capacity(n),
+            indeg: vec![0; n],
+            topo: Vec::new(),
+            boundary: Vec::new(),
+            work: 0,
+        }
+    }
+}
+
+/// Mark in `set` everything reachable from `roots` over `out` that is
+/// not marked yet, never entering `skip`. Leaves exactly the newly
+/// marked nodes in `sc.queue` and counts them as work. (The
+/// destination absorbs by itself: it has no out-edges.)
+fn flood(
+    out: &[Adj],
+    set: &mut [bool],
+    skip: Option<u32>,
+    roots: impl Iterator<Item = u32>,
+    sc: &mut Scratch,
+) {
+    let queue = &mut sc.queue;
+    let mut visit = |t: u32, queue: &mut Vec<u32>| {
+        if Some(t) != skip && !set[t as usize] {
+            set[t as usize] = true;
+            queue.push(t);
+        }
+    };
+    queue.clear();
+    for r in roots {
+        visit(r, queue);
+    }
+    let mut qi = 0;
+    while qi < queue.len() {
+        let u = queue[qi];
+        qi += 1;
+        for t in out[u as usize].iter() {
+            visit(t, queue);
+        }
+    }
+    sc.work += qi as u64;
+}
+
+/// Pearce–Kelly incremental topological order over (part of) one class
+/// graph.
 struct Pk {
-    /// Topological position per node (a permutation of 0..n).
+    /// Topological position per node (a permutation of 0..n). Only the
+    /// relative positions of *ordered* edges' endpoints mean anything.
     ord: Vec<u32>,
-    /// Reverse adjacency (needed for the backward discovery pass).
-    ins: Vec<Vec<u32>>,
+    /// Reverse adjacency of the ordered edges (the backward discovery
+    /// pass walks it; it is also the record of which edges are
+    /// ordered).
+    ins: Vec<Adj>,
+    /// Which edges are ordered: all of them (strong loop freedom), or
+    /// only those leaving source-reachable switches (relaxed loop
+    /// freedom — re-seeded every round, patched as the reach set
+    /// grows).
+    whole: bool,
     /// The *base* graph already contained a cycle: no candidate set can
     /// ever be SLF-safe, matching the stateless checker.
     poisoned: bool,
-    /// Epoch-stamped visit marks (scratch for discovery).
-    mark: Vec<u64>,
-    epoch: u64,
 }
 
 impl Pk {
-    fn init(out: &[Vec<u32>]) -> Self {
+    fn new(n: usize, whole: bool) -> Self {
+        Pk {
+            ord: (0..n as u32).collect(),
+            ins: vec![Adj::default(); n],
+            whole,
+            poisoned: false,
+        }
+    }
+
+    /// Order from scratch every edge leaving a switch of `scope` (all
+    /// switches when `None`; otherwise a set closed under `out`).
+    /// Returns `false` when those edges contain a cycle.
+    fn seed(&mut self, out: &[Adj], scope: Option<&[bool]>, sc: &mut Scratch) -> bool {
         let n = out.len();
-        let mut indeg = vec![0u32; n];
-        let mut ins: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (x, targets) in out.iter().enumerate() {
-            for &y in targets {
+        let inside = |v: usize| scope.is_none_or(|s| s[v]);
+        let Scratch { queue, indeg, .. } = sc;
+        self.ins.fill(Adj::default());
+        self.ord.fill(u32::MAX);
+        indeg.fill(0);
+        let mut members = 0;
+        for x in (0..n).filter(|&x| inside(x)) {
+            members += 1;
+            for y in out[x].iter() {
                 indeg[y as usize] += 1;
-                ins[y as usize].push(x as u32);
+                self.ins[y as usize].push(x as u32);
             }
         }
-        let mut ord = vec![u32::MAX; n];
-        let mut queue: Vec<u32> = (0..n as u32).filter(|&v| indeg[v as usize] == 0).collect();
-        let mut next_ord = 0u32;
+        queue.clear();
+        queue.extend((0..n as u32).filter(|&v| inside(v as usize) && indeg[v as usize] == 0));
         let mut qi = 0;
         while qi < queue.len() {
             let v = queue[qi];
+            self.ord[v as usize] = qi as u32;
             qi += 1;
-            ord[v as usize] = next_ord;
-            next_ord += 1;
-            for &t in &out[v as usize] {
+            for t in out[v as usize].iter() {
                 indeg[t as usize] -= 1;
                 if indeg[t as usize] == 0 {
                     queue.push(t);
                 }
             }
         }
-        let poisoned = (next_ord as usize) < n;
-        if poisoned {
-            // Keep `ord` a permutation so later restores stay sane;
-            // the values are never consulted once poisoned.
-            for o in ord.iter_mut().filter(|o| **o == u32::MAX) {
-                *o = next_ord;
-                next_ord += 1;
-            }
+        sc.work += qi as u64;
+        // Everything else (outside the scope, or on a cycle) fills the
+        // remaining slots, keeping `ord` a permutation.
+        let unplaced = self.ord.iter_mut().filter(|o| **o == u32::MAX);
+        for (o, next) in unplaced.zip(qi as u32..) {
+            *o = next;
         }
-        Pk {
-            ord,
-            ins,
-            poisoned,
-            mark: vec![0; n],
-            epoch: 0,
-        }
+        qi == members
     }
 
-    /// Insert edge `x → y` into `out`, maintaining the topological
-    /// order (Pearce–Kelly). Returns `false` — mutating nothing — when
-    /// the edge would close a cycle. Every overwritten topological
-    /// position is appended to `ords` as `(node, previous ord)` so the
-    /// caller can roll the insertion back.
-    fn insert(&mut self, out: &mut [Vec<u32>], x: u32, y: u32, ords: &mut Vec<(u32, u32)>) -> bool {
-        if self.poisoned {
-            return false;
-        }
-        if x == y {
+    /// Enter edge `x → y` (already present in `out`) into the order
+    /// (Pearce–Kelly). Returns `false` — mutating nothing — when the
+    /// edge would close a cycle of ordered edges. The new `ins` entry
+    /// and every overwritten topological position are logged in `undo`
+    /// so the caller can roll the insertion back.
+    fn insert(
+        &mut self,
+        out: &[Adj],
+        (x, y): (u32, u32),
+        sc: &mut Scratch,
+        ci: usize,
+        undo: &mut Undo,
+    ) -> bool {
+        if self.poisoned || x == y {
             return false;
         }
         let (ox, oy) = (self.ord[x as usize], self.ord[y as usize]);
-        if ox < oy {
-            out[x as usize].push(y);
-            self.ins[y as usize].push(x);
+        if ox > oy {
+            // Discovery. Forward from y over nodes ordered before x; if
+            // x itself is a neighbor anywhere in that region the edge
+            // closes a cycle and we abort with zero mutations —
+            // rejection is free.
+            sc.epoch += 2;
+            let (fm, bm) = (sc.epoch - 1, sc.epoch);
+            let Scratch {
+                mark,
+                fwd,
+                bwd,
+                slots,
+                ..
+            } = sc;
+            fwd.clear();
+            fwd.push(y);
+            mark[y as usize] = fm;
+            let mut qi = 0;
+            while qi < fwd.len() {
+                let z = fwd[qi];
+                qi += 1;
+                for w in out[z as usize].iter() {
+                    if !self.ins[w as usize].contains(z) {
+                        continue; // not ordered (yet)
+                    }
+                    if w == x {
+                        sc.work += qi as u64;
+                        return false;
+                    }
+                    if self.ord[w as usize] < ox && mark[w as usize] != fm {
+                        mark[w as usize] = fm;
+                        fwd.push(w);
+                    }
+                }
+            }
+            // Backward from x over nodes ordered after y.
+            bwd.clear();
+            bwd.push(x);
+            mark[x as usize] = bm;
+            qi = 0;
+            while qi < bwd.len() {
+                let z = bwd[qi];
+                qi += 1;
+                for w in self.ins[z as usize].iter() {
+                    if self.ord[w as usize] > oy && mark[w as usize] != bm {
+                        mark[w as usize] = bm;
+                        bwd.push(w);
+                    }
+                }
+            }
+            // Reorder the affected region: everything reaching x moves
+            // before everything reachable from y, preserving relative
+            // order inside each group.
+            fwd.sort_unstable_by_key(|&z| self.ord[z as usize]);
+            bwd.sort_unstable_by_key(|&z| self.ord[z as usize]);
+            slots.clear();
+            slots.extend(bwd.iter().chain(fwd.iter()).map(|&z| self.ord[z as usize]));
+            slots.sort_unstable();
+            for (k, &z) in bwd.iter().chain(fwd.iter()).enumerate() {
+                undo.ords.push((ci, z, self.ord[z as usize]));
+                self.ord[z as usize] = slots[k];
+            }
+            sc.work += 2 * slots.len() as u64;
+        }
+        self.ins[y as usize].push(x);
+        undo.ordered.push((ci, x, y));
+        true
+    }
+
+    /// Bring a newly reached region (`sc.queue`: switches whose
+    /// out-edges were not ordered so far) into the order. None of them
+    /// carries a constraint yet, so a topological order of the edges
+    /// *inside* the region, laid over the region's own slots, is
+    /// consistent with everything already ordered; only the edges
+    /// leaving the region need a real insertion. Returns `false` when
+    /// the region's edges close a cycle, inside it or through the
+    /// boundary.
+    fn adopt(&mut self, out: &[Adj], sc: &mut Scratch, ci: usize, undo: &mut Undo) -> bool {
+        if sc.queue.is_empty() {
             return true;
         }
-        // Discovery. Forward from y over nodes ordered before x; if x
-        // itself is a neighbor anywhere in that region the edge closes
-        // a cycle and we abort with zero mutations — rejection is free.
-        self.epoch += 2;
-        let (fm, bm) = (self.epoch - 1, self.epoch);
-        let mut fwd: Vec<u32> = vec![y];
-        self.mark[y as usize] = fm;
+        sc.epoch += 1;
+        let Scratch {
+            mark,
+            epoch,
+            slots,
+            queue: fresh,
+            indeg,
+            topo,
+            boundary,
+            work,
+            ..
+        } = sc;
+        for &f in fresh.iter() {
+            mark[f as usize] = *epoch;
+            indeg[f as usize] = 0;
+        }
+        let inside = |t: u32| mark[t as usize] == *epoch;
+        for &f in fresh.iter() {
+            for t in out[f as usize].iter().filter(|&t| inside(t)) {
+                indeg[t as usize] += 1;
+            }
+        }
+        topo.clear();
+        topo.extend(fresh.iter().filter(|&&f| indeg[f as usize] == 0));
         let mut qi = 0;
-        while qi < fwd.len() {
-            let z = fwd[qi];
+        while qi < topo.len() {
+            let f = topo[qi];
             qi += 1;
-            for &w in &out[z as usize] {
-                if w == x {
-                    return false;
-                }
-                if self.ord[w as usize] < ox && self.mark[w as usize] != fm {
-                    self.mark[w as usize] = fm;
-                    fwd.push(w);
+            for t in out[f as usize].iter().filter(|&t| inside(t)) {
+                indeg[t as usize] -= 1;
+                if indeg[t as usize] == 0 {
+                    topo.push(t);
                 }
             }
         }
-        // Backward from x over nodes ordered after y.
-        let mut bwd: Vec<u32> = vec![x];
-        self.mark[x as usize] = bm;
-        qi = 0;
-        while qi < bwd.len() {
-            let z = bwd[qi];
-            qi += 1;
-            for &w in &self.ins[z as usize] {
-                if self.ord[w as usize] > oy && self.mark[w as usize] != bm {
-                    self.mark[w as usize] = bm;
-                    bwd.push(w);
-                }
-            }
+        if topo.len() < fresh.len() {
+            return false; // a cycle inside the new region
         }
-        // Reorder the affected region: everything reaching x moves
-        // before everything reachable from y, preserving relative
-        // order inside each group.
-        fwd.sort_unstable_by_key(|&z| self.ord[z as usize]);
-        bwd.sort_unstable_by_key(|&z| self.ord[z as usize]);
-        let mut slots: Vec<u32> = bwd
-            .iter()
-            .chain(fwd.iter())
-            .map(|&z| self.ord[z as usize])
-            .collect();
+        slots.clear();
+        slots.extend(fresh.iter().map(|&f| self.ord[f as usize]));
         slots.sort_unstable();
-        for (k, &z) in bwd.iter().chain(fwd.iter()).enumerate() {
-            ords.push((z, self.ord[z as usize]));
-            self.ord[z as usize] = slots[k];
+        boundary.clear();
+        for (k, &f) in topo.iter().enumerate() {
+            undo.ords.push((ci, f, self.ord[f as usize]));
+            self.ord[f as usize] = slots[k];
+            for t in out[f as usize].iter() {
+                if inside(t) {
+                    self.ins[t as usize].push(f);
+                    undo.ordered.push((ci, f, t));
+                } else {
+                    boundary.push((f, t));
+                }
+            }
         }
-        out[x as usize].push(y);
-        self.ins[y as usize].push(x);
-        true
+        *work += topo.len() as u64;
+        let boundary = std::mem::take(&mut sc.boundary);
+        let ok = boundary
+            .iter()
+            .all(|&edge| self.insert(out, edge, sc, ci, undo));
+        sc.boundary = boundary;
+        ok
     }
 }
 
@@ -278,27 +522,40 @@ impl Pk {
 struct ClassGraph {
     tag: VersionTag,
     /// Forward adjacency: every rule edge a switch could expose given
-    /// the committed base plus the accepted candidate operations.
-    out: Vec<Vec<u32>>,
+    /// the committed base plus the accepted candidate operations (and,
+    /// for the NEW class, the ingress' new-rule edge).
+    out: Vec<Adj>,
     /// Whether a switch could end up with no matching rule.
     may_blackhole: Vec<bool>,
-    /// Present iff strong loop freedom is among the checked properties.
+    /// The order behind loop freedom: whole-graph under strong loop
+    /// freedom, else over the reachable subgraph when the conservative
+    /// oracle checks relaxed loop freedom, else absent.
     pk: Option<Pk>,
-    /// Cached source-reachable set of the *accepted* state
-    /// (conservative mode only; empty otherwise).
+    /// Source-reachable set of the *accepted* state (conservative mode
+    /// with walk properties only; empty otherwise).
     reach: Vec<bool>,
+    /// What the source reaches without entering the waypoint — it must
+    /// never hold the destination (only under conservative waypoint
+    /// enforcement; empty otherwise).
+    avoid: Vec<bool>,
 }
 
 /// Undo log of one tentative push.
 #[derive(Default)]
 struct Undo {
-    /// Edges appended this push, in order: `(class, from, to)`.
+    /// Edges appended to `out` this push, in order: `(class, from, to)`.
     edges: Vec<(usize, u32, u32)>,
+    /// Edges entered into the order this push: `(class, from, to)`.
+    ordered: Vec<(usize, u32, u32)>,
     /// Topological positions overwritten this push: `(class, node,
     /// previous ord)`.
     ords: Vec<(usize, u32, u32)>,
     /// `may_blackhole` bits set this push.
     blackholes: Vec<(usize, u32)>,
+    /// `reach` bits set this push.
+    reached: Vec<(usize, u32)>,
+    /// `avoid` bits set this push.
+    avoided: Vec<(usize, u32)>,
     /// A lazily-built class graph to drop again (flip pushes).
     drop_class: bool,
     /// Previous pending-flag byte of the touched switch.
@@ -307,11 +564,19 @@ struct Undo {
     flip_set: bool,
 }
 
-/// State updates to apply only once a push is accepted.
-#[derive(Default)]
-struct Commit {
-    reaches: Vec<(usize, Vec<bool>)>,
-    memo: Option<(bool, BTreeSet<DpId>)>,
+impl Undo {
+    /// Empty the log, keeping its buffers for the next push.
+    fn clear(&mut self) {
+        self.edges.clear();
+        self.ordered.clear();
+        self.ords.clear();
+        self.blackholes.clear();
+        self.reached.clear();
+        self.avoided.clear();
+        self.drop_class = false;
+        self.flags = None;
+        self.flip_set = false;
+    }
 }
 
 /// Memoized exact decision-walk state.
@@ -329,11 +594,13 @@ struct WalkMemo {
 ///
 /// The certificate is never *trusted* — it is re-proven at each use:
 /// if the flag state is unchanged the push would attempt the same
-/// edge, and if `y` still points back the insertion still closes a
-/// cycle, so the verdict is `reject` without entering discovery. Any
-/// mismatch falls through to the full evaluation. This turns the
-/// dominant probe pattern of reversal-style workloads — the same
-/// blocked candidate re-probed every round — into a few comparisons.
+/// edge, and if `y` still points back (and, where only the reachable
+/// subgraph is ordered, the switch is still reachable) the insertion
+/// still closes a cycle, so the verdict is `reject` without entering
+/// discovery. Any mismatch falls through to the full evaluation. This
+/// turns the dominant probe pattern of reversal-style workloads — the
+/// same blocked candidate re-probed every round — into a few
+/// comparisons.
 #[derive(Clone, Copy)]
 struct RejectCert {
     bit: u8,
@@ -369,8 +636,10 @@ pub struct AdmissionProbe<'a> {
     src: u32,
     dst: u32,
     waypoint: Option<u32>,
-    /// Target of the ingress' new rule (the overlay edge the
-    /// conservative checker adds for the NEW class).
+    /// Target of the ingress' new rule: always exposable to NEW-tagged
+    /// packets, so the NEW class carries it as an edge of its own. (No
+    /// rule ever points at the ingress, so the edge lies on no cycle
+    /// and strong loop freedom cannot tell it is there.)
     src_new_edge: Option<u32>,
     /// Per-switch committed-base flags (activated/removed/tagged).
     base_flags: Vec<u8>,
@@ -393,6 +662,9 @@ pub struct AdmissionProbe<'a> {
     /// An exact decision walk hit its leaf budget at least once.
     budget_hit: bool,
     probes: u64,
+    scratch: Scratch,
+    /// The current push's undo log (buffers reused across pushes).
+    undo: Undo,
 }
 
 impl<'a> AdmissionProbe<'a> {
@@ -455,16 +727,33 @@ impl<'a> AdmissionProbe<'a> {
             certs: vec![None; n],
             budget_hit: false,
             probes: 0,
+            scratch: Scratch::new(0),
+            undo: Undo::default(),
         };
+        // (An exact session without strong loop freedom keeps no class
+        // graph and needs no scratch.)
+        if probe.need_class_graphs() {
+            probe.scratch = Scratch::new(n);
+        }
         probe.rebuild_classes();
         probe.reseed();
         probe
     }
 
+    /// Whether the conservative walk-safety state is maintained.
+    fn walks(&self) -> bool {
+        self.mode == OracleMode::Conservative && !self.walk_props.is_empty()
+    }
+
     /// Whether any choice-graph class state is needed at all.
     fn need_class_graphs(&self) -> bool {
-        self.props.contains(Property::StrongLoopFreedom)
-            || (self.mode == OracleMode::Conservative && !self.walk_props.is_empty())
+        self.props.contains(Property::StrongLoopFreedom) || self.walks()
+    }
+
+    /// The waypoint the conservative oracle must see enforced, if any.
+    fn enforced_waypoint(&self) -> Option<u32> {
+        self.waypoint
+            .filter(|_| self.walks() && self.walk_props.contains(Property::WaypointEnforcement))
     }
 
     /// Operations admitted so far (since the last round commit).
@@ -487,10 +776,24 @@ impl<'a> AdmissionProbe<'a> {
         self.probes
     }
 
+    /// Deterministic work counter of the class-graph structures: nodes
+    /// visited by reachability and order-discovery searches plus
+    /// topological-order slots moved, summed over seeding and every
+    /// probe. Unlike a clock it repeats exactly, so scaling can be
+    /// asserted on it.
+    pub fn work(&self) -> u64 {
+        self.scratch.work
+    }
+
     /// The committed configuration the session currently probes
     /// against.
     pub fn base(&self) -> &ConfigState<'a> {
         &self.base
+    }
+
+    /// The instance's dense switch index.
+    pub(crate) fn nodes(&self) -> &Nodes<'a> {
+        &self.nodes
     }
 
     /// Whether any exact decision walk hit its leaf budget; verdicts
@@ -505,6 +808,50 @@ impl<'a> AdmissionProbe<'a> {
         self.accepted
     }
 
+    /// Test support: a rendering of everything a push may patch — per
+    /// class the adjacency, blackhole bits, reach sets and topological
+    /// order, plus the pending flags and the exact-walk memo. Two
+    /// sessions in the same state render identically; the counters and
+    /// the rejection-certificate cache (which a rejected push
+    /// legitimately writes) are left out.
+    #[doc(hidden)]
+    pub fn state_dump(&self) -> String {
+        fn bits(set: &[bool]) -> String {
+            set.iter().map(|&b| if b { '1' } else { '.' }).collect()
+        }
+        fn cells(adj: &[Adj]) -> Vec<&[u32]> {
+            adj.iter().map(Adj::as_slice).collect()
+        }
+        let mut s = format!(
+            "dead={} flip_pending={} flags={:?} accepted={:?}\n",
+            self.dead, self.flip_pending, self.flags, self.accepted
+        );
+        for cg in &self.classes {
+            let _ = writeln!(
+                s,
+                "class {}: out={:?} blackhole={} reach={} avoid={}",
+                cg.tag,
+                cells(&cg.out),
+                bits(&cg.may_blackhole),
+                bits(&cg.reach),
+                bits(&cg.avoid)
+            );
+            if let Some(pk) = &cg.pk {
+                let _ = writeln!(
+                    s,
+                    "  poisoned={} ord={:?} ins={:?}",
+                    pk.poisoned,
+                    pk.ord,
+                    cells(&pk.ins)
+                );
+            }
+        }
+        if let Some(memo) = &self.memo {
+            let _ = writeln!(s, "memo ok={} touched={:?}", memo.ok, memo.touched);
+        }
+        s
+    }
+
     /// Probe one candidate: commit it if the grown set stays
     /// admissible, otherwise leave the session exactly unchanged.
     pub fn try_push(&mut self, op: RuleOp) -> bool {
@@ -512,23 +859,14 @@ impl<'a> AdmissionProbe<'a> {
         if self.dead {
             return false;
         }
-        let mut undo = Undo::default();
-        match self.eval(op, &mut undo) {
-            Some(commit) => {
-                for (ci, reach) in commit.reaches {
-                    self.classes[ci].reach = reach;
-                }
-                if let Some((ok, touched)) = commit.memo {
-                    self.memo = Some(WalkMemo { ok, touched });
-                }
-                self.accepted.push(op);
-                true
-            }
-            None => {
-                self.rollback(undo);
-                false
-            }
+        let admitted = self.eval(op);
+        if admitted {
+            self.accepted.push(op);
+        } else {
+            self.rollback();
         }
+        self.undo.clear();
+        admitted
     }
 
     /// Fold the accepted round into the committed base and re-seed for
@@ -548,12 +886,15 @@ impl<'a> AdmissionProbe<'a> {
     /// Committing a round *narrows* each touched switch's exposable
     /// edge set (the pending-subset union collapses to the fully
     /// applied state), and edge deletions never invalidate a
-    /// topological order — so the per-class state is patched per
+    /// topological order — so the per-class graph is patched per
     /// touched switch in O(round deltas) instead of rebuilt in O(n).
     /// Only the rare structural breaks (an ingress flip changing the
     /// tag-class set; a poisoned class possibly healed by deletions; a
     /// forced-through inadmissible round re-introducing edges that
-    /// close a cycle) fall back to a full rebuild.
+    /// close a cycle) fall back to a full rebuild. Narrowing is also
+    /// the one thing that can shrink the conservative reach sets, so
+    /// this is where they — and the reachable order — are re-seeded by
+    /// a full traversal.
     ///
     /// `ops` must cover the currently accepted set: use
     /// [`commit_round`](AdmissionProbe::commit_round) to commit what
@@ -635,11 +976,12 @@ impl<'a> AdmissionProbe<'a> {
     }
 
     /// Re-derive switch `i`'s committed edges in class `ci` after a
-    /// round commit: stale edges are deleted (the topological order
-    /// stays valid), `may_blackhole` is refreshed, and — only when a
-    /// round was forced through with inadmissible operations — new
-    /// edges are inserted through Pearce–Kelly. Returns `false` when
-    /// such an insertion would close a cycle (caller rebuilds).
+    /// round commit: stale edges are deleted (a whole-graph order
+    /// stays valid; a reachable one is about to be re-seeded),
+    /// `may_blackhole` is refreshed, and — only when a round was
+    /// forced through with inadmissible operations — new edges are
+    /// inserted through Pearce–Kelly. Returns `false` when such an
+    /// insertion would close a cycle (caller rebuilds).
     fn patch_switch(&mut self, ci: usize, i: u32) -> bool {
         let tag = self.classes[ci].tag;
         let ln = self.local_nexts(i, tag, 0);
@@ -649,31 +991,28 @@ impl<'a> AdmissionProbe<'a> {
             may_blackhole,
             ..
         } = &mut self.classes[ci];
-        let mut k = 0;
-        while k < out[i as usize].len() {
-            let t = out[i as usize][k];
-            if ln.contains(t) {
-                k += 1;
+        let mut pk = pk.as_mut().filter(|pk| pk.whole);
+        for t in out[i as usize].iter() {
+            if ln.targets.contains(t) {
                 continue;
             }
-            out[i as usize].swap_remove(k);
+            out[i as usize].remove(t);
             if let Some(pk) = pk.as_mut() {
-                let ins = &mut pk.ins[t as usize];
-                let pos = ins.iter().position(|&x| x == i).expect("ins mirrors out");
-                ins.swap_remove(pos);
+                let removed = pk.ins[t as usize].remove(i);
+                debug_assert!(removed, "ins mirrors out");
             }
         }
-        for t in ln.iter() {
-            if out[i as usize].contains(&t) {
+        for t in ln.targets.iter() {
+            if out[i as usize].contains(t) {
                 continue;
             }
-            match pk.as_mut() {
-                None => out[i as usize].push(t),
-                Some(pk) => {
-                    let mut ords = Vec::new();
-                    if !pk.insert(out, i, t, &mut ords) {
-                        return false;
-                    }
+            out[i as usize].push(t);
+            if let Some(pk) = pk.as_mut() {
+                // Nothing rolls an advance back: the log is a sink.
+                let inserted = pk.insert(out, (i, t), &mut self.scratch, ci, &mut self.undo);
+                self.undo.clear();
+                if !inserted {
+                    return false;
                 }
             }
         }
@@ -681,8 +1020,8 @@ impl<'a> AdmissionProbe<'a> {
         true
     }
 
-    /// Recompute the derived caches — dead flag, conservative reach
-    /// sets, exact walk memo — for the committed base with no pending
+    /// Recompute the derived caches — dead flag, conservative walk
+    /// state, exact walk memo — for the committed base with no pending
     /// operations. Shared by [`open`](AdmissionProbe::open) and
     /// [`advance`](AdmissionProbe::advance).
     fn reseed(&mut self) {
@@ -690,14 +1029,12 @@ impl<'a> AdmissionProbe<'a> {
             .classes
             .iter()
             .any(|c| c.pk.as_ref().is_some_and(|pk| pk.poisoned));
-        if self.mode == OracleMode::Conservative && !self.walk_props.is_empty() {
+        if self.walks() {
             for ci in 0..self.classes.len() {
-                match self.conservative_check(ci) {
-                    Some(reach) => self.classes[ci].reach = reach,
-                    // Conservative violations are monotone in the edge
-                    // set: the base already fails, so every superset
-                    // fails too.
-                    None => self.dead = true,
+                // Conservative violations are monotone in the edge set:
+                // if the base already fails, every superset fails too.
+                if !self.seed_walk(ci) {
+                    self.dead = true;
                 }
             }
         }
@@ -720,46 +1057,43 @@ impl<'a> AdmissionProbe<'a> {
         }
     }
 
-    /// Evaluate one candidate; `None` means inadmissible (caller rolls
-    /// back whatever `undo` recorded).
-    fn eval(&mut self, op: RuleOp, undo: &mut Undo) -> Option<Commit> {
-        let mut commit = Commit::default();
+    /// Evaluate one candidate; `false` means inadmissible (caller
+    /// rolls back whatever the undo log recorded).
+    fn eval(&mut self, op: RuleOp) -> bool {
         match op {
             RuleOp::FlipIngress => {
                 if self.base.is_flipped() || self.flip_pending {
                     // Duplicate: the candidate set is semantically
                     // unchanged, so the verdict is the current one.
-                    return self.verdict_unchanged(commit);
+                    return self.verdict_unchanged();
                 }
                 self.flip_pending = true;
-                undo.flip_set = true;
+                self.undo.flip_set = true;
                 // The NEW class becomes relevant; build it against the
                 // full current candidate set.
                 if self.need_class_graphs() {
                     let cg = self.build_class(VersionTag::NEW);
                     if cg.pk.as_ref().is_some_and(|pk| pk.poisoned) {
-                        return None;
+                        return false;
                     }
                     self.classes.push(cg);
-                    undo.drop_class = true;
-                    if self.mode == OracleMode::Conservative && !self.walk_props.is_empty() {
-                        let ci = self.classes.len() - 1;
-                        let reach = self.conservative_check(ci)?;
-                        commit.reaches.push((ci, reach));
+                    self.undo.drop_class = true;
+                    if self.walks() && !self.seed_walk(self.classes.len() - 1) {
+                        return false;
                     }
                 }
                 if self.mode == OracleMode::Exact && self.memo.is_some() {
                     // The flip changes the ingress tag class: always
                     // re-explore.
-                    commit.memo = Some(self.recompute_walk(op)?);
+                    return self.recompute_walk(op);
                 }
-                Some(commit)
+                true
             }
             RuleOp::Activate(v) | RuleOp::RemoveOld(v) | RuleOp::InstallTagged(v) => {
                 let Some(i) = self.nodes.idx(v) else {
                     // A switch outside the instance never matches any
                     // rule edge or walk step: semantically a no-op.
-                    return self.verdict_unchanged(commit);
+                    return self.verdict_unchanged();
                 };
                 let bit = match op {
                     RuleOp::Activate(_) => F_ACT,
@@ -769,117 +1103,169 @@ impl<'a> AdmissionProbe<'a> {
                 };
                 let before = self.flags[i as usize];
                 if before & bit != 0 {
-                    return self.verdict_unchanged(commit);
+                    return self.verdict_unchanged();
                 }
-                // Revalidate a cached rejection certificate: identical
-                // flag state means the push would attempt the same
-                // edge, and a still-present back edge still closes the
-                // cycle — reject without re-entering discovery.
-                if let [cg] = &self.classes[..] {
-                    if let Some(cert) = self.certs[i as usize] {
-                        if cert.bit == bit
-                            && cert.before == before
-                            && cert.base == self.base_flags[i as usize]
-                            && cert.tag == cg.tag
-                            && cg.out[cert.y as usize].contains(&i)
-                        {
-                            return None;
-                        }
-                    }
+                if self.certified(i, bit).is_some() {
+                    return false;
                 }
-                undo.flags = Some((i, before));
+                self.undo.flags = Some((i, before));
                 self.flags[i as usize] = before | bit;
 
                 // Structural deltas per relevant class. Adding an
                 // operation only adds exposure combinations, so the
                 // per-switch edge set grows monotonically.
                 for ci in 0..self.classes.len() {
-                    let tag = self.classes[ci].tag;
-                    let old_nexts = self.local_nexts(i, tag, before);
-                    let new_nexts = self.local_nexts(i, tag, before | bit);
-                    let mut changed = false;
-                    for t in new_nexts.iter() {
-                        if old_nexts.contains(t) {
-                            continue;
-                        }
-                        changed = true;
-                        if !self.add_edge(ci, i, t, undo) {
-                            // SLF cycle. Cache the direct 2-cycle case
-                            // as a revalidated rejection certificate.
-                            if self.classes.len() == 1
-                                && self.classes[ci].out[t as usize].contains(&i)
-                            {
-                                self.certs[i as usize] = Some(RejectCert {
-                                    bit,
-                                    before,
-                                    base: self.base_flags[i as usize],
-                                    tag,
-                                    y: t,
-                                });
-                            }
-                            return None;
-                        }
+                    if !self.patch_class(ci, i, bit, before) {
+                        return false;
                     }
-                    if new_nexts.none
-                        && !old_nexts.none
-                        && !self.classes[ci].may_blackhole[i as usize]
-                    {
-                        self.classes[ci].may_blackhole[i as usize] = true;
-                        undo.blackholes.push((ci, i));
-                        changed = true;
-                    }
-                    if changed
-                        && self.mode == OracleMode::Conservative
-                        && !self.walk_props.is_empty()
-                        && self.classes[ci].reach[i as usize]
-                    {
-                        // The switch is reachable: the walk-safety
-                        // verdict may genuinely change — re-traverse.
-                        let reach = self.conservative_check(ci)?;
-                        commit.reaches.push((ci, reach));
-                    }
-                    // Unreachable switch (or no structural change):
-                    // the reachable subgraph is untouched, so every
-                    // walk-based verdict — and the cached reach set —
-                    // carries over.
                 }
 
                 if self.mode == OracleMode::Exact {
-                    let (touches_walk, memo_ok) = match &self.memo {
-                        Some(memo) => (memo.touched.contains(&v), memo.ok),
-                        None => (false, true),
-                    };
-                    if self.memo.is_some() {
-                        if touches_walk {
-                            commit.memo = Some(self.recompute_walk(op)?);
-                        } else if !memo_ok {
-                            // No branch consults v: the verdict stays
-                            // whatever it was.
-                            return None;
+                    if let Some(memo) = &self.memo {
+                        if memo.touched.contains(&v) {
+                            return self.recompute_walk(op);
                         }
+                        // No branch consults v: the verdict stays
+                        // whatever it was.
+                        return memo.ok;
                     }
                 }
-                Some(commit)
+                true
             }
+        }
+    }
+
+    /// Grow class `ci` by what pushing `bit` at switch `i` (pending
+    /// flags `before`) newly exposes, patching every maintained
+    /// structure; `false` means the grown class violates a property.
+    fn patch_class(&mut self, ci: usize, i: u32, bit: u8, before: u8) -> bool {
+        let tag = self.classes[ci].tag;
+        let old_nexts = self.local_nexts(i, tag, before);
+        let new_nexts = self.local_nexts(i, tag, before | bit);
+        let walks = self.walks();
+        let (cg, sc, undo) = (&mut self.classes[ci], &mut self.scratch, &mut self.undo);
+        let mut added = Adj::default();
+        for t in new_nexts.targets.iter() {
+            if !old_nexts.targets.contains(t) {
+                added.push(t);
+                cg.out[i as usize].push(t);
+                undo.edges.push((ci, i, t));
+            }
+        }
+        let newly_none = new_nexts.none && !old_nexts.none && !cg.may_blackhole[i as usize];
+        if newly_none {
+            cg.may_blackhole[i as usize] = true;
+            undo.blackholes.push((ci, i));
+        }
+        if let Some(pk) = cg.pk.as_mut().filter(|pk| pk.whole) {
+            for t in added.iter() {
+                if !pk.insert(&cg.out, (i, t), sc, ci, undo) {
+                    self.note_two_cycle(ci, (i, t), bit, before);
+                    return false;
+                }
+            }
+        }
+        // A switch the source does not reach (or a push that changes
+        // nothing structurally) leaves the reachable subgraph — hence
+        // every walk-based verdict and cache — untouched.
+        if (added.is_empty() && !newly_none) || !walks || !cg.reach[i as usize] {
+            return true;
+        }
+
+        // The switch is reachable: patch the walk-safety state over
+        // the region the new edges affect.
+        let blackhole_free = self.walk_props.contains(Property::BlackholeFreedom);
+        if blackhole_free && newly_none {
+            return false;
+        }
+        flood(&cg.out, &mut cg.reach, None, added.iter(), sc);
+        undo.reached.extend(sc.queue.iter().map(|&f| (ci, f)));
+        if blackhole_free && sc.queue.iter().any(|&f| cg.may_blackhole[f as usize]) {
+            return false;
+        }
+        if let Some(pk) = cg.pk.as_mut().filter(|pk| !pk.whole) {
+            if !pk.adopt(&cg.out, sc, ci, undo) {
+                return false;
+            }
+            for t in added.iter() {
+                if !pk.insert(&cg.out, (i, t), sc, ci, undo) {
+                    self.note_two_cycle(ci, (i, t), bit, before);
+                    return false;
+                }
+            }
+        }
+        if !cg.avoid.is_empty() && cg.avoid[i as usize] {
+            flood(&cg.out, &mut cg.avoid, self.waypoint, added.iter(), sc);
+            undo.avoided.extend(sc.queue.iter().map(|&f| (ci, f)));
+            if cg.avoid[self.dst as usize] {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Revalidate switch `i`'s cached rejection certificate against a
+    /// push of `bit`: identical flag state means the push would
+    /// attempt the same edge, and a still-present back edge still
+    /// closes the cycle — the push is rejected without re-entering
+    /// discovery.
+    fn certified(&self, i: u32, bit: u8) -> Option<RejectCert> {
+        let [cg] = &self.classes[..] else {
+            return None;
+        };
+        let pk = cg.pk.as_ref()?;
+        self.certs[i as usize].filter(|cert| {
+            cert.bit == bit
+                && cert.before == self.flags[i as usize]
+                && cert.base == self.base_flags[i as usize]
+                && cert.tag == cg.tag
+                && cg.out[cert.y as usize].contains(i)
+                && (pk.whole || cg.reach[i as usize])
+        })
+    }
+
+    /// The switch a rejected `Activate(v)` is waiting for, if the
+    /// session can name one: with every edge ordered (strong loop
+    /// freedom), a certified 2-cycle rejection stands — whatever else
+    /// is pushed — until [`advance`](AdmissionProbe::advance) touches
+    /// `v` or the returned switch, so a scheduler may park `v` until
+    /// then. (Where only the reachable subgraph is ordered the
+    /// rejection also hinges on `v` staying reachable, which any round
+    /// can change: no blocker is named.)
+    pub(crate) fn blocker(&self, v: DpId) -> Option<DpId> {
+        let cert = self.certified(self.nodes.idx(v)?, F_ACT)?;
+        let whole = self.classes[0].pk.as_ref().is_some_and(|pk| pk.whole);
+        whole.then(|| self.nodes.ids[cert.y as usize])
+    }
+
+    /// After the order refused edge `i → t`: if `t` points straight
+    /// back, remember the direct 2-cycle as a revalidated rejection
+    /// certificate.
+    fn note_two_cycle(&mut self, ci: usize, (i, t): (u32, u32), bit: u8, before: u8) {
+        let cg = &self.classes[ci];
+        if self.classes.len() == 1 && cg.out[t as usize].contains(i) {
+            self.certs[i as usize] = Some(RejectCert {
+                bit,
+                before,
+                base: self.base_flags[i as usize],
+                tag: cg.tag,
+                y: t,
+            });
         }
     }
 
     /// A semantically empty candidate: admissible iff the current
     /// accepted state is admissible.
-    fn verdict_unchanged(&self, commit: Commit) -> Option<Commit> {
+    fn verdict_unchanged(&self) -> bool {
         // `dead` was already checked; conservative state is safe by
         // invariant. Only the exact walk memo can carry a negative
         // verdict forward.
-        if let Some(memo) = &self.memo {
-            if !memo.ok {
-                return None;
-            }
-        }
-        Some(commit)
+        self.memo.as_ref().is_none_or(|memo| memo.ok)
     }
 
-    /// Re-run the exact decision walk over `accepted ∪ {op}`.
-    fn recompute_walk(&mut self, op: RuleOp) -> Option<(bool, BTreeSet<DpId>)> {
+    /// Re-run the exact decision walk over `accepted ∪ {op}`, keeping
+    /// its touched set when the verdict is positive.
+    fn recompute_walk(&mut self, op: RuleOp) -> bool {
         let mut trial = Vec::with_capacity(self.accepted.len() + 1);
         trial.extend_from_slice(&self.accepted);
         trial.push(op);
@@ -895,16 +1281,16 @@ impl<'a> AdmissionProbe<'a> {
         );
         self.budget_hit |= rep.budget_exhausted;
         if rep.is_ok() {
-            Some((true, touched))
-        } else {
-            None
+            self.memo = Some(WalkMemo { ok: true, touched });
         }
+        rep.is_ok()
     }
 
     /// All forwarding targets switch `i` could expose for `tag`, under
     /// base state plus the given pending flags — the dense,
     /// allocation-free mirror of
-    /// [`choice_graph::possible_nexts`](super::choice_graph).
+    /// [`choice_graph::possible_nexts`](super::choice_graph), plus the
+    /// ingress' new-rule edge in the NEW class.
     fn local_nexts(&self, i: u32, tag: VersionTag, flags: u8) -> LocalNexts {
         let mut nexts = LocalNexts::default();
         if i == self.dst {
@@ -929,196 +1315,121 @@ impl<'a> AdmissionProbe<'a> {
                 None => nexts.none = true,
             }
         }
+        if tag == VersionTag::NEW && i == self.src {
+            if let Some(t) = self.src_new_edge {
+                nexts.push(t);
+            }
+        }
         nexts
     }
 
     /// Build one class graph from the base plus all current flags.
-    fn build_class(&self, tag: VersionTag) -> ClassGraph {
+    fn build_class(&mut self, tag: VersionTag) -> ClassGraph {
         let n = self.nodes.len();
-        let mut out: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut out = vec![Adj::default(); n];
         let mut may_blackhole = vec![false; n];
         for i in 0..n as u32 {
             let ln = self.local_nexts(i, tag, self.flags[i as usize]);
-            out[i as usize] = ln.iter().collect();
-            may_blackhole[i as usize] = ln.none && i != self.dst;
+            out[i as usize] = ln.targets;
+            may_blackhole[i as usize] = ln.none;
         }
-        let pk = self
-            .props
-            .contains(Property::StrongLoopFreedom)
-            .then(|| Pk::init(&out));
+        let walks = self.walks();
+        let pk = if self.props.contains(Property::StrongLoopFreedom) {
+            let mut pk = Pk::new(n, true);
+            pk.poisoned = !pk.seed(&out, None, &mut self.scratch);
+            Some(pk)
+        } else if walks && self.walk_props.contains(Property::RelaxedLoopFreedom) {
+            Some(Pk::new(n, false))
+        } else {
+            None
+        };
+        let set = |on: bool| if on { vec![false; n] } else { Vec::new() };
         ClassGraph {
             tag,
             out,
             may_blackhole,
             pk,
-            reach: Vec::new(),
+            reach: set(walks),
+            avoid: set(self.enforced_waypoint().is_some()),
         }
     }
 
-    /// Insert one choice-graph edge; with SLF enabled this is the
-    /// Pearce–Kelly step ([`Pk::insert`]) and returns `false` when the
-    /// edge would close a cycle (in which case nothing is mutated).
-    fn add_edge(&mut self, ci: usize, x: u32, y: u32, undo: &mut Undo) -> bool {
-        let ClassGraph { out, pk, .. } = &mut self.classes[ci];
-        let Some(pk) = pk else {
-            out[x as usize].push(y);
-            undo.edges.push((ci, x, y));
-            return true;
-        };
-        let mut ords = Vec::new();
-        if !pk.insert(out, x, y, &mut ords) {
-            return false;
-        }
-        undo.ords.extend(ords.into_iter().map(|(z, o)| (ci, z, o)));
-        undo.edges.push((ci, x, y));
-        true
-    }
-
-    /// Full conservative walk-safety check of one class against the
-    /// current (tentatively updated) adjacency; mirrors
+    /// Seed class `ci`'s conservative walk-safety state from its
+    /// current adjacency by full traversal — once per round, and when
+    /// a flip push builds the NEW class. Mirrors
     /// [`round_safe_conservative`](super::choice_graph::round_safe_conservative)
-    /// exactly. Returns the reachable set on success.
-    fn conservative_check(&self, ci: usize) -> Option<Vec<bool>> {
-        let cg = &self.classes[ci];
-        let n = self.nodes.len();
-        // The ingress' new-rule edge is always exposable to NEW-tagged
-        // packets, independent of the candidate set.
-        let overlay = (cg.tag == VersionTag::NEW)
-            .then_some(self.src_new_edge)
-            .flatten();
-        // Out-edges of `u`, including the ingress overlay.
-        let edges = |u: u32, k: usize| -> Option<u32> {
-            let outs = &cg.out[u as usize];
-            if k < outs.len() {
-                Some(outs[k])
-            } else if k == outs.len() && u == self.src {
-                overlay
-            } else {
-                None
-            }
-        };
+    /// exactly; `false` means the class violates a walk property.
+    fn seed_walk(&mut self, ci: usize) -> bool {
+        let (src, dst) = (self.src, self.dst);
+        let waypoint = self.enforced_waypoint();
+        let ClassGraph {
+            out,
+            may_blackhole,
+            pk,
+            reach,
+            avoid,
+            ..
+        } = &mut self.classes[ci];
+        let sc = &mut self.scratch;
 
-        // Reachability from the source (the destination absorbs).
-        let mut reach = vec![false; n];
-        let mut queue = vec![self.src];
-        reach[self.src as usize] = true;
-        let mut qi = 0;
-        while qi < queue.len() {
-            let u = queue[qi];
-            qi += 1;
-            if u == self.dst {
-                continue;
-            }
-            let mut k = 0;
-            while let Some(t) = edges(u, k) {
-                k += 1;
-                if !reach[t as usize] {
-                    reach[t as usize] = true;
-                    queue.push(t);
-                }
-            }
-        }
+        // Reachability from the source.
+        reach.fill(false);
+        flood(out, reach, None, std::iter::once(src), sc);
 
         // Blackhole freedom: no reachable switch may lose its rule.
         if self.walk_props.contains(Property::BlackholeFreedom)
-            && reach
-                .iter()
-                .zip(cg.may_blackhole.iter())
-                .any(|(&r, &b)| r && b)
+            && sc.queue.iter().any(|&v| may_blackhole[v as usize])
         {
-            return None;
+            return false;
         }
 
-        // Relaxed loop freedom: no cycle within the reachable part.
-        if self.walk_props.contains(Property::RelaxedLoopFreedom) {
-            let mut color = vec![0u8; n]; // 0 white, 1 gray, 2 black
-            for start in 0..n as u32 {
-                if !reach[start as usize] || color[start as usize] != 0 {
-                    continue;
-                }
-                // Iterative DFS over the reachable subgraph.
-                let mut stack: Vec<(u32, usize)> = vec![(start, 0)];
-                color[start as usize] = 1;
-                while let Some(&mut (u, ref mut child)) = stack.last_mut() {
-                    let k = *child;
-                    *child += 1;
-                    match edges(u, k) {
-                        Some(t) => {
-                            if !reach[t as usize] {
-                                continue;
-                            }
-                            match color[t as usize] {
-                                0 => {
-                                    color[t as usize] = 1;
-                                    stack.push((t, 0));
-                                }
-                                1 => return None, // reachable cycle
-                                _ => {}
-                            }
-                        }
-                        None => {
-                            color[u as usize] = 2;
-                            stack.pop();
-                        }
-                    }
-                }
+        // Relaxed loop freedom: no cycle within the reachable part (a
+        // whole-graph order has already established more).
+        if let Some(pk) = pk.as_mut().filter(|pk| !pk.whole) {
+            if !pk.seed(out, Some(reach), sc) {
+                return false;
             }
         }
 
         // Waypoint enforcement: with the waypoint removed, the
         // destination must be unreachable.
-        if self.walk_props.contains(Property::WaypointEnforcement) {
-            if let Some(w) = self.waypoint {
-                let mut reach2 = vec![false; n];
-                let mut queue2 = Vec::new();
-                if self.src != w {
-                    reach2[self.src as usize] = true;
-                    queue2.push(self.src);
-                }
-                let mut qi = 0;
-                while qi < queue2.len() {
-                    let u = queue2[qi];
-                    qi += 1;
-                    if u == self.dst {
-                        continue;
-                    }
-                    let mut k = 0;
-                    while let Some(t) = edges(u, k) {
-                        k += 1;
-                        if t != w && !reach2[t as usize] {
-                            reach2[t as usize] = true;
-                            queue2.push(t);
-                        }
-                    }
-                }
-                if reach2[self.dst as usize] {
-                    return None;
-                }
+        if let Some(w) = waypoint {
+            avoid.fill(false);
+            flood(out, avoid, Some(w), std::iter::once(src), sc);
+            if avoid[dst as usize] {
+                return false;
             }
         }
-        Some(reach)
+        true
     }
 
     /// Restore the exact pre-push state.
-    fn rollback(&mut self, undo: Undo) {
-        for &(ci, x, y) in undo.edges.iter().rev() {
-            let ClassGraph { out, pk, .. } = &mut self.classes[ci];
-            let popped = out[x as usize].pop();
-            debug_assert_eq!(popped, Some(y));
-            if let Some(pk) = pk {
-                let popped = pk.ins[y as usize].pop();
-                debug_assert_eq!(popped, Some(x));
-            }
-        }
-        for &(ci, node, old) in undo.ords.iter().rev() {
-            self.classes[ci]
+    fn rollback(&mut self) {
+        let undo = &self.undo;
+        for &(ci, x, y) in undo.ordered.iter().rev() {
+            let pk = self.classes[ci]
                 .pk
                 .as_mut()
-                .expect("ord undo implies pk")
-                .ord[node as usize] = old;
+                .expect("ordered edge implies pk");
+            let popped = pk.ins[y as usize].pop();
+            debug_assert_eq!(popped, Some(x));
         }
-        for &(ci, node) in undo.blackholes.iter().rev() {
+        for &(ci, node, old) in undo.ords.iter().rev() {
+            let pk = self.classes[ci].pk.as_mut().expect("ord undo implies pk");
+            pk.ord[node as usize] = old;
+        }
+        for &(ci, x, y) in undo.edges.iter().rev() {
+            let popped = self.classes[ci].out[x as usize].pop();
+            debug_assert_eq!(popped, Some(y));
+        }
+        for &(ci, node) in &undo.blackholes {
             self.classes[ci].may_blackhole[node as usize] = false;
+        }
+        for &(ci, node) in &undo.reached {
+            self.classes[ci].reach[node as usize] = false;
+        }
+        for &(ci, node) in &undo.avoided {
+            self.classes[ci].avoid[node as usize] = false;
         }
         if undo.drop_class {
             self.classes.pop();
@@ -1148,6 +1459,24 @@ mod tests {
         .unwrap()
     }
 
+    /// The order's invariant: every ordered edge ascends, and — where
+    /// only the reachable subgraph is ordered — the ordered edges are
+    /// exactly those leaving reachable switches.
+    fn assert_ordered_edges_ascend(probe: &AdmissionProbe<'_>) {
+        for cg in &probe.classes {
+            let Some(pk) = cg.pk.as_ref().filter(|pk| !pk.poisoned) else {
+                continue;
+            };
+            for (x, ts) in cg.out.iter().enumerate() {
+                for y in ts.iter() {
+                    let ordered = pk.ins[y as usize].contains(x as u32);
+                    assert_eq!(ordered, pk.whole || cg.reach[x], "edge {x}->{y}");
+                    assert!(!ordered || pk.ord[x] < pk.ord[y as usize], "edge {x}->{y}");
+                }
+            }
+        }
+    }
+
     /// Drive a probe and the stateless oracle side by side.
     fn check_agreement(
         inst: &UpdateInstance,
@@ -1167,6 +1496,7 @@ mod tests {
                 got, expect,
                 "mode {mode:?} props {props:?}: {inst} accepted={accepted:?} op={op:?}"
             );
+            assert_ordered_edges_ascend(&probe);
             if got {
                 accepted.push(op);
             }
@@ -1199,6 +1529,28 @@ mod tests {
         let cands: Vec<RuleOp> = (1..5).map(|v| RuleOp::Activate(DpId(v))).collect();
         for mode in [OracleMode::Conservative, OracleMode::Exact] {
             check_agreement(&i, &base, &cands, PropertySet::transiently_secure(), mode);
+        }
+    }
+
+    #[test]
+    fn adopted_region_keeps_the_order_valid() {
+        // A chain hanging off the walk, numbered against its direction
+        // (6 → 5 → 4 → 3): reaching it has to permute the chain's
+        // order slots, and what is pushed next relies on the result.
+        let i = inst(&[1, 6, 5, 4, 3, 7, 8, 9], &[1, 7, 8, 6, 5, 4, 3, 9], None);
+        let mut base = ConfigState::initial(&i);
+        base.apply_all(&[RuleOp::Activate(DpId(1)), RuleOp::Activate(DpId(3))]);
+        let cands = [
+            RuleOp::Activate(DpId(8)), // reaches 6, 5, 4, 3
+            RuleOp::Activate(DpId(5)),
+            RuleOp::RemoveOld(DpId(4)),
+            RuleOp::Activate(DpId(7)),
+        ];
+        for props in [
+            PropertySet::loop_free_relaxed(),
+            PropertySet::loop_free_strong(),
+        ] {
+            check_agreement(&i, &base, &cands, props, OracleMode::Conservative);
         }
     }
 
@@ -1391,8 +1743,13 @@ mod tests {
                         };
                     }
                     let ln = probe.local_nexts(vi, tag, flags);
-                    let reference = possible_nexts(&i, &base, &ops, v, tag);
+                    let mut reference = possible_nexts(&i, &base, &ops, v, tag);
+                    if tag == VersionTag::NEW && v == i.src() {
+                        // the ingress' new-rule edge rides in the class
+                        reference.insert(i.new_next(v));
+                    }
                     let mut got: BTreeSet<Option<DpId>> = ln
+                        .targets
                         .iter()
                         .map(|t| Some(probe.nodes.ids[t as usize]))
                         .collect();
@@ -1415,44 +1772,59 @@ mod tests {
             &[1, 3_000_000_000],
             None,
         );
-        for i in [&dense, &sparse] {
+        // A span that does not fit `usize` (both ids are valid u64
+        // dpids) must fall back too, not wrap to an empty table.
+        let extreme = inst(&[0, 7, u64::MAX], &[0, u64::MAX], None);
+        assert!(Nodes::of(&extreme).lookup.is_empty());
+        for i in [&dense, &sparse, &extreme] {
             let nodes = Nodes::of(i);
             for (k, &v) in i.participants().iter().enumerate() {
                 assert_eq!(nodes.idx(v), Some(k as u32), "{i} {v}");
             }
             assert_eq!(nodes.idx(DpId(999_999_999_999)), None);
-            assert_eq!(nodes.idx(DpId(0)), None);
+            assert_eq!(nodes.idx(DpId(6)), None);
         }
     }
 
     #[test]
     fn pearce_kelly_matches_naive_cycle_check() {
-        // Random edge insertions over a small node set: PK must accept
-        // exactly the edges that keep the graph acyclic.
+        // Random edge insertions over a small node set (at most two
+        // successors and two predecessors per node, like a class
+        // graph): PK must accept exactly the edges that keep the graph
+        // acyclic, and leave no trace of the ones it refuses.
         let mut rng = DetRng::new(42);
         for trial in 0..50 {
             let n = 8usize;
-            let out: Vec<Vec<u32>> = vec![Vec::new(); n];
-            let mut pk = Pk::init(&out);
-            let mut probe_out = out;
+            let mut out = vec![Adj::default(); n];
+            let mut pk = Pk::new(n, true);
+            let mut sc = Scratch::new(n);
+            let mut undo = Undo::default();
             let mut naive: Vec<Vec<u32>> = vec![Vec::new(); n];
             for _ in 0..20 {
                 let x = rng.index(n) as u32;
                 let y = rng.index(n) as u32;
-                if x == y || probe_out[x as usize].contains(&y) {
+                let indeg = naive.iter().filter(|ts| ts.contains(&y)).count();
+                if x == y || out[x as usize].contains(y) || out[x as usize].len == 2 || indeg == 2 {
                     continue;
                 }
-                let accepted = pk.insert(&mut probe_out, x, y, &mut Vec::new());
+                out[x as usize].push(y);
+                let before = (pk.ord.clone(), pk.ins.clone());
+                undo.clear();
+                let accepted = pk.insert(&out, (x, y), &mut sc, 0, &mut undo);
                 naive[x as usize].push(y);
                 let cyclic = has_cycle(&naive);
                 assert_eq!(accepted, !cyclic, "trial {trial}: edge {x}->{y}");
                 if !accepted {
                     naive[x as usize].pop();
+                    out[x as usize].pop();
+                    assert!(before == (pk.ord.clone(), pk.ins.clone()));
+                    assert!(undo.ords.is_empty() && undo.ordered.is_empty());
                 }
                 // Invariant: accepted edges respect the order.
-                for (a, ts) in probe_out.iter().enumerate() {
-                    for &b in ts {
+                for (a, ts) in out.iter().enumerate() {
+                    for b in ts.iter() {
                         assert!(pk.ord[a] < pk.ord[b as usize]);
+                        assert!(pk.ins[b as usize].contains(a as u32));
                     }
                 }
             }

@@ -40,6 +40,7 @@ pub mod parallel;
 pub mod sampling;
 
 pub use incremental::AdmissionProbe;
+pub(crate) use incremental::Nodes;
 pub use parallel::verify_schedule_parallel;
 
 use std::fmt;

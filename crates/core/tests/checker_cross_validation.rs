@@ -5,10 +5,11 @@
 //! exactly the decisions of the stateless [`round_admissible`] oracle
 //! in both oracle modes — per round *and* carried across rounds
 //! through `commit_round`/`advance` along full greedy trajectories —
-//! and the incremental and parallel whole-schedule verifiers must
-//! report exactly the stateless [`verify_schedule`]'s violations on
-//! permutation, reversal, waypointed and fat-tree workloads,
-//! violating schedules included.
+//! while a rejected push leaves no trace in the structures it patches
+//! in place, and the incremental and parallel whole-schedule verifiers
+//! must report exactly the stateless [`verify_schedule`]'s violations
+//! on permutation, reversal, rotation, comb, waypointed and fat-tree
+//! workloads, violating schedules included.
 
 use proptest::prelude::*;
 
@@ -68,7 +69,7 @@ fn apply_base<'a>(inst: &'a UpdateInstance, base_ops: &[RuleOp]) -> ConfigState<
     c
 }
 
-/// Build an instance from one of the three workload families plus a
+/// Build an instance from one of the six workload families plus a
 /// random (committed base, candidate sequence) split — the candidate
 /// sequence mixes activations with removals, tagged installs and the
 /// occasional ingress flip, so every session code path is exercised.
@@ -77,7 +78,12 @@ fn probe_setup(seed: u64, n: u64, family: u8) -> (UpdateInstance, Vec<RuleOp>, V
     let pair = match family {
         0 => sdn_topo::gen::random_permutation(n, &mut rng),
         1 => sdn_topo::gen::reversal(n),
-        _ => sdn_topo::gen::waypointed(n.max(5), rng.chance(0.5), &mut rng),
+        2 => sdn_topo::gen::waypointed(n.max(5), rng.chance(0.5), &mut rng),
+        3 => sdn_topo::gen::rotation(n.max(6), 1 + rng.index(3) as u64),
+        4 => sdn_topo::gen::comb(n.max(6)),
+        _ => sdn_topo::gen::fat_tree_flows(4, 1, &mut rng)
+            .pop()
+            .expect("one flow"),
     };
     let inst = UpdateInstance::new(pair.old, pair.new, pair.waypoint).unwrap();
     let mut base_ops = Vec::new();
@@ -118,6 +124,23 @@ fn probe_setup(seed: u64, n: u64, family: u8) -> (UpdateInstance, Vec<RuleOp>, V
     }
     rng.shuffle(&mut candidates);
     (inst, base_ops, candidates)
+}
+
+/// A session freshly opened on `base` that admitted exactly `accepted`
+/// — what a session that also saw rejected candidates must be
+/// indistinguishable from.
+fn replayed<'a>(
+    inst: &'a UpdateInstance,
+    base: &ConfigState<'a>,
+    accepted: &[RuleOp],
+    props: PropertySet,
+    mode: OracleMode,
+) -> AdmissionProbe<'a> {
+    let mut fresh = AdmissionProbe::open(inst, base, props, mode);
+    for &op in accepted {
+        assert!(fresh.try_push(op), "replaying an admitted op {op:?}");
+    }
+    fresh
 }
 
 /// One instance from each of the four workload families, paired with
@@ -217,13 +240,16 @@ proptest! {
     }
 
     /// The stateful session oracle makes exactly the stateless
-    /// decisions, in both oracle modes, across the three workload
-    /// families (random permutation, reversal, waypointed).
+    /// decisions, in both oracle modes, across the six workload
+    /// families (random permutation, reversal, waypointed, rotation,
+    /// comb, fat-tree) — and every rejected push rolls its in-place
+    /// patches (reach sets, order, blackhole bits, edges) back to
+    /// exactly the state of a session that never saw the candidate.
     #[test]
     fn admission_probe_matches_stateless_oracle(
         seed in 0u64..1_000_000,
         n in 4u64..9,
-        family in 0u8..3,
+        family in 0u8..6,
     ) {
         let (inst, base_ops, candidates) = probe_setup(seed, n, family);
         prop_assume!(!candidates.is_empty());
@@ -252,6 +278,13 @@ proptest! {
                     );
                     if got {
                         accepted.push(op);
+                    } else {
+                        prop_assert_eq!(
+                            probe.state_dump(),
+                            replayed(&inst, &base, &accepted, props, mode).state_dump(),
+                            "mode {:?} props {:?}: {} base={:?} accepted={:?} rejected {:?} left a trace",
+                            mode, props, inst, base_ops, accepted, op
+                        );
                     }
                 }
                 prop_assert_eq!(probe.ops(), accepted.as_slice());
@@ -415,6 +448,111 @@ fn admission_probe_matches_along_greedy_reversal_schedule() {
             pending.retain(|&v| !accepted.contains(&RuleOp::Activate(v)));
         }
     }
+}
+
+/// Drive `candidates` through a conservative session and the stateless
+/// oracle side by side, returning the admitted set; every rejected
+/// push must leave the session as a replay of the admitted ops.
+fn audited_round(
+    inst: &UpdateInstance,
+    base_ops: &[RuleOp],
+    candidates: &[RuleOp],
+    props: PropertySet,
+) -> Vec<RuleOp> {
+    let mode = OracleMode::Conservative;
+    let base = apply_base(inst, base_ops);
+    let mut probe = AdmissionProbe::open(inst, &base, props, mode);
+    let mut accepted: Vec<RuleOp> = Vec::new();
+    for &op in candidates {
+        let mut trial = accepted.clone();
+        trial.push(op);
+        let expect = round_admissible(inst, &base, &trial, &props, mode);
+        assert_eq!(probe.try_push(op), expect, "{inst} {op:?} on {accepted:?}");
+        if expect {
+            accepted.push(op);
+        } else {
+            assert_eq!(
+                probe.state_dump(),
+                replayed(inst, &base, &accepted, props, mode).state_dump(),
+                "{inst}: rejected {op:?} left a trace"
+            );
+        }
+    }
+    accepted
+}
+
+/// One push makes a long chain newly reachable. On a rotation
+/// ⟨1, 2+k, …, n−1, 2, …, 1+k, n⟩ with the ingress committed, switches
+/// 2..=1+k hang off the walk; activating n−1 reaches all of them at
+/// once. While the chain's last switch may still forward to 2+k, its
+/// way out leads back into the walk and on to n−1 — a cycle closed
+/// *through the boundary* of the new region, internally acyclic; once
+/// that exit is committed the same push is safe and the whole chain
+/// joins the reachable order. Run as generated (the chain ascends in
+/// switch index, so adopting it keeps its order slots where they are)
+/// and with the chain numbered downwards (adopting it permutes them).
+#[test]
+fn growth_region_cycle_through_the_boundary() {
+    let (n, k) = (48u64, 30u64);
+    let walk: Vec<u64> = (2 + k..n).collect();
+    let act = |v: u64| RuleOp::Activate(DpId(v));
+    for chain in [
+        (2..=1 + k).collect::<Vec<u64>>(),
+        (2..=1 + k).rev().collect(),
+    ] {
+        let route = |parts: [&[u64]; 4]| RoutePath::from_raw(&parts.concat()).unwrap();
+        let old = route([&[1], &chain, &walk, &[n]]);
+        let new = route([&[1], &walk, &chain, &[n]]);
+        let inst = UpdateInstance::new(old, new, None).unwrap();
+        let (exit, mid) = (chain[chain.len() - 1], chain[3]);
+        for props in [
+            PropertySet::loop_free_relaxed(),
+            PropertySet::loop_free_strong(),
+        ] {
+            // The chain's exit still points into the walk: rejected,
+            // with or without the exit's own activation pending.
+            for candidates in [vec![act(n - 1)], vec![act(exit), act(n - 1), act(mid)]] {
+                let accepted = audited_round(&inst, &[act(1)], &candidates, props);
+                assert!(!accepted.contains(&act(n - 1)), "{props:?}: {accepted:?}");
+            }
+            // Exit committed: the chain is adopted, and from then on
+            // counts as reachable — a switch on it may no longer lose
+            // its rule, just as a chain holding such a switch cannot
+            // be reached.
+            let committed = [act(1), act(exit)];
+            let drop = RuleOp::RemoveOld(DpId(mid));
+            let accepted = audited_round(&inst, &committed, &[act(n - 1), drop, act(mid)], props);
+            assert_eq!(accepted, vec![act(n - 1), act(mid)], "{props:?}");
+            let accepted = audited_round(&inst, &committed, &[drop, act(n - 1)], props);
+            assert_eq!(accepted, vec![drop], "{props:?}");
+        }
+    }
+}
+
+/// The same growth, with the cycle *inside* the new region: on a
+/// reversal whose first round {1, 2} is committed, the interior hangs
+/// off the walk and its pending activations are free — until n−1 is
+/// offered, which would reach all of them and every k ⇄ k−1 pair with
+/// it.
+#[test]
+fn growth_region_cycle_inside_the_region() {
+    let n = 40u64;
+    let pair = sdn_topo::gen::reversal(n);
+    let inst = UpdateInstance::new(pair.old, pair.new, None).unwrap();
+    let act = |v: u64| RuleOp::Activate(DpId(v));
+    let mut candidates: Vec<RuleOp> = (3..=n - 2).rev().map(act).collect();
+    candidates.push(act(n - 1));
+    candidates.push(RuleOp::RemoveOld(DpId(7)));
+    let accepted = audited_round(
+        &inst,
+        &[act(1), act(2)],
+        &candidates,
+        PropertySet::loop_free_relaxed(),
+    );
+    // Everything off the walk is admitted (7's removal included: no
+    // packet reaches it); n−1 alone is refused.
+    candidates.retain(|&op| op != act(n - 1));
+    assert_eq!(accepted, candidates);
 }
 
 /// Exhaustive-enumeration soundness audit on a fixed reversal

@@ -23,31 +23,51 @@ use sdn_types::{DpId, SimDuration, SimTime, Xid};
 
 use crate::compile::CompiledUpdate;
 
-/// Allocates transaction ids.
-#[derive(Debug, Clone, Default)]
+/// Allocates transaction ids from a range it never leaves.
+#[derive(Debug, Clone)]
 pub struct XidAlloc {
     next: Xid,
+    /// First xid of the range (never 0) and the first one past it.
+    base: u32,
+    end: u64,
+}
+
+impl Default for XidAlloc {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl XidAlloc {
-    /// Start from 1 (0 is reserved for unsolicited messages).
+    /// The whole xid space, from 1 (0 is reserved for unsolicited
+    /// messages).
     pub fn new() -> Self {
-        XidAlloc { next: Xid(1) }
+        Self::with_range(1, u32::MAX)
     }
 
-    /// Start from `base` (clamped to 1). Runtimes sharing a transport —
-    /// the fabric's shards and its coordinator — carve the xid space
-    /// into disjoint ranges so a reply routes to its owner by value.
-    pub fn with_base(base: u32) -> Self {
+    /// Allocate from `[base, base + len)` (clamped to the xid space,
+    /// `base` to at least 1), wrapping back to `base`. Runtimes sharing
+    /// a transport — the fabric's shards and its coordinator — carve
+    /// the xid space into disjoint ranges so a reply routes to its
+    /// owner by value, however long the runtime lives.
+    pub fn with_range(base: u32, len: u32) -> Self {
+        let base = base.max(1);
+        let end = (u64::from(base) + u64::from(len.max(1))).min(1 << 32);
         XidAlloc {
-            next: Xid(base.max(1)),
+            next: Xid(base),
+            base,
+            end,
         }
     }
 
     /// Allocate the next xid.
     pub fn alloc(&mut self) -> Xid {
         let x = self.next;
-        self.next = self.next.next();
+        self.next = if u64::from(x.0) + 1 < self.end {
+            Xid(x.0 + 1)
+        } else {
+            Xid(self.base)
+        };
         x
     }
 }
@@ -557,6 +577,18 @@ mod tests {
             actions: vec![],
             cookie: 0,
         })
+    }
+
+    #[test]
+    fn xids_wrap_inside_their_range_and_skip_zero() {
+        let take =
+            |mut a: XidAlloc, k: usize| -> Vec<u32> { (0..k).map(|_| a.alloc().0).collect() };
+        assert_eq!(take(XidAlloc::with_range(0, 3), 5), [1, 2, 3, 1, 2]);
+        assert_eq!(take(XidAlloc::with_range(16, 2), 5), [16, 17, 16, 17, 16]);
+        // the tail of the xid space ends at u32::MAX, not at 0
+        let (m, tail) = (u32::MAX, XidAlloc::with_range(u32::MAX - 1, 10));
+        assert_eq!(take(tail, 4), [m - 1, m, m - 1, m]);
+        assert_eq!(take(XidAlloc::new(), 2), [1, 2]);
     }
 
     fn update(rounds: Vec<Vec<u64>>) -> CompiledUpdate {

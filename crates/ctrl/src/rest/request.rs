@@ -282,6 +282,30 @@ mod tests {
         assert_eq!(inst.dst(), DpId(12));
     }
 
+    /// Dpids are u64 on the wire and 0 and 2⁶⁴−1 are both valid: the
+    /// schedulers' dense switch index must not size a table by their
+    /// span (it wrapped to 0 and indexed an empty table).
+    #[test]
+    fn extreme_dpid_span_schedules() {
+        use update_core::algorithms::{Peacock, SlfGreedy, UpdateScheduler, WayUp};
+        let r = UpdateRequest::parse(
+            r#"{"oldpath":[0,3,5,18446744073709551615],
+                "newpath":[0,5,3,18446744073709551615],"wp":5}"#,
+        )
+        .unwrap();
+        assert_eq!(r.old_path[3], u64::MAX);
+        let inst = r.to_instance().unwrap();
+        let schedulers: [&dyn UpdateScheduler; 3] = [
+            &Peacock::default(),
+            &SlfGreedy::default(),
+            &WayUp::default(),
+        ];
+        for s in schedulers {
+            let schedule = s.schedule(&inst).unwrap();
+            assert!(schedule.round_count() >= 1, "{}", s.name());
+        }
+    }
+
     #[test]
     fn optional_fields_absent() {
         let r = UpdateRequest::parse(r#"{"oldpath":[1,2],"newpath":[1,2]}"#).unwrap();

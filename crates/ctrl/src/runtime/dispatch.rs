@@ -79,10 +79,11 @@ pub struct RuntimeConfig {
     /// quota enforcement. The fabric layers per-tenant overrides on
     /// top of this uniform cap.
     pub tenant_quota: Option<u32>,
-    /// First transaction id this runtime allocates. Runtimes sharing a
-    /// transport (fabric shards + coordinator) carve disjoint ranges
-    /// so replies route to their owner by xid value alone.
-    pub xid_base: u32,
+    /// The transaction ids this runtime allocates, as `(first, count)`;
+    /// it wraps inside the range. Runtimes sharing a transport (fabric
+    /// shards + coordinator) carve disjoint ranges so replies route to
+    /// their owner by xid value alone.
+    pub xid_range: (u32, u32),
     /// First job id this runtime assigns. Fabric shards carve disjoint
     /// ranges so a ticket's job id is unique fabric-wide and names its
     /// owning runtime by value alone — no translation table to lose in
@@ -102,7 +103,7 @@ impl Default for RuntimeConfig {
             resync_probe_timeout: SimDuration::from_millis(200),
             resync_attempts: 8,
             tenant_quota: None,
-            xid_base: 1,
+            xid_range: (1, u32::MAX),
             job_id_base: 1,
         }
     }
@@ -192,7 +193,7 @@ impl ConcurrentRuntime {
             graph: ConflictGraph::new(),
             active: BTreeMap::new(),
             routes: BTreeMap::new(),
-            xids: XidAlloc::with_base(config.xid_base),
+            xids: XidAlloc::with_range(config.xid_range.0, config.xid_range.1),
             rto,
             reports: Vec::new(),
             stats: RuntimeStats::default(),

@@ -42,9 +42,10 @@ use super::rebalance::RebalanceReport;
 use super::tenant::TenantPolicy;
 use super::ShardId;
 
-/// Shard `i` allocates xids from `(i + 1) << 24`.
+/// Shard `i` allocates xids from `[(i + 1) << 24, (i + 2) << 24)`.
 const SHARD_XID_STRIDE: u32 = 1 << 24;
-/// The coordinator runtime allocates xids from here.
+/// The coordinator runtime allocates xids from here to the end of the
+/// xid space.
 const COORD_XID_BASE: u32 = 0xF000_0000;
 /// Shard `i` assigns job ids from `(i + 1) << 32`.
 const SHARD_JOB_STRIDE: u64 = 1 << 32;
@@ -56,6 +57,11 @@ const COORD_JOB_BASE: u64 = 1 << 57;
 const RESERVE_BASE: u64 = 1 << 62;
 /// Hard cap on shard count (keeps the xid ranges disjoint).
 const MAX_SHARDS: u32 = 128;
+
+/// The xid range shard `i` allocates from, as `(first, count)`.
+fn shard_xid_range(i: u32) -> (u32, u32) {
+    ((i + 1) * SHARD_XID_STRIDE, SHARD_XID_STRIDE)
+}
 
 fn reserve_id(ticket: JobId) -> JobId {
     JobId(RESERVE_BASE | ticket.0)
@@ -221,7 +227,7 @@ impl FabricCoordinator {
         let mut shards = Vec::with_capacity(n as usize);
         for i in 0..n {
             let mut rc = config.runtime;
-            rc.xid_base = (i + 1) * SHARD_XID_STRIDE;
+            rc.xid_range = shard_xid_range(i);
             rc.job_id_base = (i as u64 + 1) * SHARD_JOB_STRIDE;
             rc.tenant_quota = None;
             shards.push(ConcurrentRuntime::with_journal(
@@ -230,7 +236,7 @@ impl FabricCoordinator {
             ));
         }
         let mut cc = config.runtime;
-        cc.xid_base = COORD_XID_BASE;
+        cc.xid_range = (COORD_XID_BASE, u32::MAX - COORD_XID_BASE + 1);
         cc.job_id_base = COORD_JOB_BASE;
         cc.tenant_quota = None;
         FabricCoordinator {
@@ -1116,6 +1122,18 @@ mod tests {
         assert_eq!(fab.reports().len(), 1);
         assert!(fab.reports()[0].completed.is_some());
         assert_eq!(fab.stats().completed, 1);
+    }
+
+    /// A shard that outlives its 2²⁴ xids must wrap inside its own
+    /// range: one step past it the replies would route to shard 1.
+    #[test]
+    fn shard_xids_wrap_inside_the_carve() {
+        let (first, count) = shard_xid_range(0);
+        let mut xids = crate::executor::XidAlloc::with_range(first, count);
+        for k in 0..(1u32 << 24) + 10 {
+            let xid = xids.alloc().0;
+            assert_eq!(xid / SHARD_XID_STRIDE, 1, "allocation {k} = {xid:#x}");
+        }
     }
 
     #[test]

@@ -37,11 +37,11 @@
 //!
 //! Identifier spaces are carved statically so that a value alone names
 //! its owner — nothing to translate, nothing to lose in a crash: shard
-//! `i` allocates xids from `(i+1) << 24` and job ids from
-//! `(i+1) << 32`; the coordinator runtime allocates xids from
-//! `0xF000_0000` and job ids from `1 << 57`; fabric tickets for
-//! cross-shard updates start at `1 << 56`; reservations use
-//! `(1 << 62) | ticket`.
+//! `i` allocates xids from `[(i+1) << 24, (i+2) << 24)`, wrapping
+//! inside that range, and job ids from `(i+1) << 32`; the coordinator
+//! runtime allocates xids from `0xF000_0000` up and job ids from
+//! `1 << 57`; fabric tickets for cross-shard updates start at
+//! `1 << 56`; reservations use `(1 << 62) | ticket`.
 
 pub mod coordinator;
 pub mod rebalance;
