@@ -258,6 +258,17 @@ impl RoundExecutor {
         self.pending.len()
     }
 
+    /// Whether `dp` still owes the current round an acknowledgement.
+    pub fn is_pending(&self, dp: DpId) -> bool {
+        self.pending.contains_key(&dp)
+    }
+
+    /// When the grace wait ends — fixed at the moment the wait begins;
+    /// meaningful in [`ExecState::WaitingGrace`] only.
+    pub fn grace_until(&self) -> SimTime {
+        self.grace_until
+    }
+
     /// Size (in switches) of the round currently in flight — recorded
     /// at dispatch, so this is O(1); zero before the first dispatch
     /// and during a grace wait.

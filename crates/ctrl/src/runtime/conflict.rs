@@ -17,7 +17,17 @@
 //! untagged rule by priority — they do *not* commute with a concurrent
 //! replacement of that rule. A wildcard match conflicts with every
 //! class at that switch.
+//!
+//! A [`Footprint`] is one sorted `Vec` of (switch, class) pairs and the
+//! [`ConflictGraph`] one ordered index of (switch, class, holder)
+//! triples. **Invariant: the index holds exactly the pairs of the
+//! footprints in `active`.** A candidate is therefore checked with one
+//! range probe per class it touches plus one per switch for that
+//! switch's `Wildcard` holders (a wildcard candidate probes the
+//! switch's whole range): it pays for the pairs it touches, never for
+//! the other jobs seated on the same switches.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -39,6 +49,8 @@ impl fmt::Display for JobId {
 /// The flow-table slice a FlowMod touches at one switch: the
 /// destination host it matches, or `Wildcard` for matches that cover
 /// every flow (and therefore conflict with everything at that switch).
+/// `Wildcard` orders after every `Dst`, so it is the last class of its
+/// switch wherever (switch, class) pairs are kept sorted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FlowClass {
     /// Rules matching a specific destination host (tagged or not).
@@ -47,10 +59,16 @@ pub enum FlowClass {
     Wildcard,
 }
 
-/// Per-switch flow classes an update touches.
+impl FlowClass {
+    /// The least class in the ordering (range-probe lower bound).
+    const MIN: FlowClass = FlowClass::Dst(HostId(0));
+}
+
+/// Per-switch flow classes an update touches: the sorted,
+/// deduplicated (switch, class) pairs.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Footprint {
-    classes: BTreeMap<DpId, BTreeSet<FlowClass>>,
+    pairs: Vec<(DpId, FlowClass)>,
 }
 
 impl Footprint {
@@ -59,7 +77,7 @@ impl Footprint {
     /// touch. Non-FlowMod control messages (none are compiled today)
     /// count as wildcard, conservatively.
     pub fn of(update: &CompiledUpdate) -> Footprint {
-        let mut classes: BTreeMap<DpId, BTreeSet<FlowClass>> = BTreeMap::new();
+        let mut pairs = Vec::with_capacity(update.rounds.iter().map(|r| r.msgs.len()).sum());
         for round in &update.rounds {
             for (dp, msg) in &round.msgs {
                 let class = match msg {
@@ -69,50 +87,55 @@ impl Footprint {
                     },
                     _ => FlowClass::Wildcard,
                 };
-                classes.entry(*dp).or_default().insert(class);
+                pairs.push((*dp, class));
             }
         }
-        Footprint { classes }
+        pairs.sort_unstable();
+        pairs.dedup();
+        Footprint { pairs }
+    }
+
+    /// The pairs one switch at a time; a wildcard is its run's last.
+    fn groups(&self) -> impl Iterator<Item = &[(DpId, FlowClass)]> {
+        self.pairs.chunk_by(|x, y| x.0 == y.0)
     }
 
     /// Switches this footprint touches, in dpid order.
     pub fn switches(&self) -> impl Iterator<Item = DpId> + '_ {
-        self.classes.keys().copied()
+        self.groups().map(|g| g[0].0)
     }
 
     /// Number of switches touched.
     pub fn switch_count(&self) -> usize {
-        self.classes.len()
+        self.groups().count()
     }
 
     /// Whether the footprint touches no switch (empty update).
     pub fn is_empty(&self) -> bool {
-        self.classes.is_empty()
-    }
-
-    /// Whether two footprints overlap at `dp`.
-    fn overlaps_at(&self, other: &Footprint, dp: DpId) -> bool {
-        match (self.classes.get(&dp), other.classes.get(&dp)) {
-            (Some(a), Some(b)) => {
-                if a.contains(&FlowClass::Wildcard) || b.contains(&FlowClass::Wildcard) {
-                    return true;
-                }
-                let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-                small.iter().any(|c| large.contains(c))
-            }
-            _ => false,
-        }
+        self.pairs.is_empty()
     }
 
     /// Whether the two updates conflict: some switch carries an
-    /// overlapping flow class in both.
+    /// overlapping flow class in both — either side's wildcard, or a
+    /// shared class. A merge-join over the two sorted pair lists.
     pub fn conflicts(&self, other: &Footprint) -> bool {
-        let (small, large) = if self.classes.len() <= other.classes.len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        small.switches().any(|dp| small.overlaps_at(large, dp))
+        let wild = |g: &[(DpId, FlowClass)]| g[g.len() - 1].1 == FlowClass::Wildcard;
+        let (mut a, mut b) = (self.groups().peekable(), other.groups().peekable());
+        while let (Some(&ga), Some(&gb)) = (a.peek(), b.peek()) {
+            let order = ga[0].0.cmp(&gb[0].0);
+            if order.is_eq()
+                && (wild(ga) || wild(gb) || ga.iter().any(|p| gb.binary_search(p).is_ok()))
+            {
+                return true;
+            }
+            if order.is_le() {
+                a.next();
+            }
+            if order.is_ge() {
+                b.next();
+            }
+        }
+        false
     }
 
     /// Disjointness — the commuting condition.
@@ -124,28 +147,27 @@ impl Footprint {
     /// the fabric slices a cross-shard footprint into one reservation
     /// per owning shard with this.
     pub fn slice(&self, mut keep: impl FnMut(DpId) -> bool) -> Footprint {
+        let kept = self.pairs.iter().copied().filter(|&(dp, _)| keep(dp));
         Footprint {
-            classes: self
-                .classes
-                .iter()
-                .filter(|(dp, _)| keep(**dp))
-                .map(|(dp, cs)| (*dp, cs.clone()))
-                .collect(),
+            pairs: kept.collect(),
         }
     }
 }
 
 /// The dynamic conflict graph over *active* jobs.
 ///
-/// Nodes are executing updates; an implicit edge joins every pair of
-/// conflicting footprints. The runtime never materializes edges — it
-/// only ever asks "which active jobs conflict with this candidate?",
-/// answered through a per-switch index so a candidate pays for the
-/// switches it touches, not for every active job.
+/// Nodes are executing updates (and the fabric's reservations); an
+/// implicit edge joins every pair of conflicting footprints. The
+/// runtime never materializes edges — it only ever asks "which active
+/// jobs conflict with this candidate?", answered from the
+/// (switch, class, holder) index (module docs).
 #[derive(Debug, Clone, Default)]
 pub struct ConflictGraph {
     active: BTreeMap<JobId, Footprint>,
-    by_switch: BTreeMap<DpId, BTreeSet<JobId>>,
+    index: BTreeSet<(DpId, FlowClass, JobId)>,
+    /// Range probes issued plus index entries they yielded (the
+    /// clock-free cost measure behind `dispatch_work`).
+    probed: Cell<u64>,
 }
 
 impl ConflictGraph {
@@ -167,9 +189,8 @@ impl ConflictGraph {
     /// Insert an active job. Panics on id reuse (runtime ids are
     /// allocated monotonically).
     pub fn insert(&mut self, id: JobId, footprint: Footprint) {
-        for dp in footprint.switches() {
-            self.by_switch.entry(dp).or_default().insert(id);
-        }
+        self.index
+            .extend(footprint.pairs.iter().map(|&(dp, class)| (dp, class, id)));
         let prev = self.active.insert(id, footprint);
         assert!(prev.is_none(), "job id {id} inserted twice");
     }
@@ -177,50 +198,61 @@ impl ConflictGraph {
     /// Remove a completed/failed job.
     pub fn remove(&mut self, id: JobId) {
         if let Some(fp) = self.active.remove(&id) {
-            for dp in fp.switches() {
-                if let Some(set) = self.by_switch.get_mut(&dp) {
-                    set.remove(&id);
-                    if set.is_empty() {
-                        self.by_switch.remove(&dp);
-                    }
-                }
+            for &(dp, class) in &fp.pairs {
+                self.index.remove(&(dp, class, id));
             }
         }
     }
 
+    /// Holders of any class in `lo..=hi` at `dp`, counted as probed.
+    fn holders(&self, dp: DpId, lo: FlowClass, hi: FlowClass) -> impl Iterator<Item = JobId> + '_ {
+        self.probed.set(self.probed.get() + 1);
+        self.index
+            .range((dp, lo, JobId(0))..=(dp, hi, JobId(u64::MAX)))
+            .map(|&(_, _, id)| id)
+            .inspect(|_| self.probed.set(self.probed.get() + 1))
+    }
+
+    /// Active jobs overlapping the candidate, found lazily (a job
+    /// overlapping at several pairs appears once per pair).
+    fn overlapping<'a>(&'a self, candidate: &'a Footprint) -> impl Iterator<Item = JobId> + 'a {
+        let mut prev = None;
+        candidate.pairs.iter().flat_map(move |&(dp, class)| {
+            // once per switch: whoever holds its wildcard
+            let wild = (prev.replace(dp) != Some(dp) && class != FlowClass::Wildcard)
+                .then(|| self.holders(dp, FlowClass::Wildcard, FlowClass::Wildcard));
+            let lo = match class {
+                FlowClass::Wildcard => FlowClass::MIN,
+                c => c,
+            };
+            wild.into_iter()
+                .flatten()
+                .chain(self.holders(dp, lo, class))
+        })
+    }
+
     /// Active jobs whose footprint conflicts with the candidate.
     pub fn conflicts_with(&self, candidate: &Footprint) -> BTreeSet<JobId> {
-        let mut out = BTreeSet::new();
-        for dp in candidate.switches() {
-            if let Some(ids) = self.by_switch.get(&dp) {
-                for &id in ids {
-                    if !out.contains(&id) {
-                        let fp = &self.active[&id];
-                        if candidate.overlaps_at(fp, dp) {
-                            out.insert(id);
-                        }
-                    }
-                }
-            }
-        }
-        out
+        self.overlapping(candidate).collect()
     }
 
     /// Whether any active job's footprint covers `dp` — the migration
     /// fence asks this before a seat may leave its shard.
     pub fn touches(&self, dp: DpId) -> bool {
-        self.by_switch.contains_key(&dp)
+        self.holders(dp, FlowClass::MIN, FlowClass::Wildcard)
+            .next()
+            .is_some()
     }
 
     /// Whether the candidate can start now (conflict-free against all
     /// active jobs).
     pub fn admits(&self, candidate: &Footprint) -> bool {
-        candidate.switches().all(|dp| {
-            self.by_switch.get(&dp).is_none_or(|ids| {
-                ids.iter()
-                    .all(|id| !candidate.overlaps_at(&self.active[id], dp))
-            })
-        })
+        self.overlapping(candidate).next().is_none()
+    }
+
+    /// Probes and index entries visited so far.
+    pub(crate) fn probed(&self) -> u64 {
+        self.probed.get()
     }
 }
 
@@ -331,6 +363,39 @@ mod tests {
         assert!(!g.touches(DpId(1)), "released switches untouched");
         g.remove(JobId(2));
         assert!(g.is_empty());
+        assert!(g.index.is_empty(), "the index holds active pairs only");
+    }
+
+    #[test]
+    fn wildcard_holder_blocks_every_class_and_only_at_its_switch() {
+        let mut g = ConflictGraph::new();
+        g.insert(JobId(1), Footprint::of(&update(&[(2, None), (3, Some(5))])));
+        assert!(!g.admits(&Footprint::of(&update(&[(2, Some(9))]))));
+        assert!(!g.admits(&Footprint::of(&update(&[(3, None)]))));
+        assert!(g.admits(&Footprint::of(&update(&[(3, Some(9))]))));
+        assert!(g.admits(&Footprint::of(&update(&[(4, None)]))));
+    }
+
+    #[test]
+    fn footprint_is_sorted_deduplicated_with_wildcard_last() {
+        let fp = Footprint::of(&update(&[
+            (7, None),
+            (7, Some(3)),
+            (2, Some(9)),
+            (7, Some(3)),
+            (7, Some(1)),
+        ]));
+        let d = |h| FlowClass::Dst(HostId(h));
+        assert_eq!(
+            fp.pairs,
+            vec![
+                (DpId(2), d(9)),
+                (DpId(7), d(1)),
+                (DpId(7), d(3)),
+                (DpId(7), FlowClass::Wildcard)
+            ]
+        );
+        assert_eq!(fp.switch_count(), 2);
     }
 
     #[test]

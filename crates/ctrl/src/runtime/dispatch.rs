@@ -9,6 +9,25 @@
 //! no broadcast — and every reply doubles as an RTT sample for the
 //! per-switch adaptive retransmission timers ([`RtoTable`]).
 //!
+//! Bookkeeping costs what an event touches, not what is active, on two
+//! invariants kept at the state transitions themselves:
+//!
+//! * **every terminal transition is pushed to `finished` in the call
+//!   that causes it** (`ex.start` in `launch`, `ex.on_message`, the two
+//!   `force_fail` sites in `poll`), so `reap` drains that list — in
+//!   ascending id, report order is observable — and never scans;
+//! * **a job is in the wake index iff it is in `WaitingGrace` or has a
+//!   round in flight**, so `poll` moves the grace waits that fell due
+//!   over to the in-flight set and walks only that, in ascending id
+//!   (xid allocation and send order feed the channel's RNG draws); an
+//!   idle `poll` touches no job and allocates nothing.
+//!
+//! The in-flight jobs' adaptive timers are walked, not heaped: a
+//! deadline is `latest_sent + rto.backoff(dp, attempts)` against the
+//! switch's *current* estimate, so a heap would either freeze the RTO
+//! at arm time (a behaviour change on every lossy channel) or key on
+//! the 2 ms floor and be hot every tick.
+//!
 //! The runtime and the serial [`Controller`](crate::controller) both
 //! implement [`RuntimeHandle`], so the
 //! simulator, the experiments and the REST layer switch between them
@@ -148,6 +167,36 @@ struct ActiveJob {
     failure: Option<FailReason>,
 }
 
+/// What `poll` and `reap` have to look at (module docs).
+#[derive(Debug, Clone, Default)]
+struct WakeIndex {
+    /// (expiry, job) of every job in `WaitingGrace`; the expiry is
+    /// fixed when the wait begins, so deadline order is exact.
+    grace: BTreeSet<(SimTime, JobId)>,
+    /// Every job with a round in flight.
+    in_flight: BTreeSet<JobId>,
+    /// Jobs that turned `Done`/`Failed` since the last reap.
+    finished: Vec<JobId>,
+}
+
+impl WakeIndex {
+    /// File `id` where its executor's state says it belongs; called
+    /// after every executor call that can change that state.
+    fn file(&mut self, id: JobId, ex: &RoundExecutor) {
+        match ex.state() {
+            ExecState::WaitingGrace => {
+                self.in_flight.remove(&id);
+                self.grace.insert((ex.grace_until(), id));
+            }
+            ExecState::AwaitingBarriers => {
+                self.in_flight.insert(id);
+            }
+            ExecState::Done | ExecState::Failed => self.finished.push(id),
+            ExecState::Idle => {}
+        }
+    }
+}
+
 /// The concurrent update runtime.
 #[derive(Debug, Clone)]
 pub struct ConcurrentRuntime {
@@ -155,6 +204,9 @@ pub struct ConcurrentRuntime {
     queue: AdmissionQueue,
     graph: ConflictGraph,
     active: BTreeMap<JobId, ActiveJob>,
+    wake: WakeIndex,
+    /// Jobs `poll` and `reap` have looked at (see `dispatch_work`).
+    visited: u64,
     /// Latest outstanding barrier (switch, xid) → owning job.
     routes: BTreeMap<(DpId, Xid), JobId>,
     xids: XidAlloc,
@@ -192,6 +244,8 @@ impl ConcurrentRuntime {
             queue: AdmissionQueue::new(config.queue_capacity, config.policy),
             graph: ConflictGraph::new(),
             active: BTreeMap::new(),
+            wake: WakeIndex::default(),
+            visited: 0,
             routes: BTreeMap::new(),
             xids: XidAlloc::with_range(config.xid_range.0, config.xid_range.1),
             rto,
@@ -373,6 +427,13 @@ impl ConcurrentRuntime {
     /// The per-switch RTO table (diagnostics).
     pub fn rto_table(&self) -> &RtoTable {
         &self.rto
+    }
+
+    /// Jobs `poll` and `reap` looked at plus conflict-index entries
+    /// admission probed: clock-free cost, for the scaling tests.
+    #[doc(hidden)]
+    pub fn dispatch_work(&self) -> u64 {
+        self.visited + self.graph.probed()
     }
 
     /// Jobs currently executing, with their current round (diagnostics).
@@ -625,14 +686,14 @@ impl ConcurrentRuntime {
     /// Move finished/failed jobs to the report log and release their
     /// conflict-graph slots and routes.
     fn reap(&mut self, now: SimTime) {
-        let done: Vec<JobId> = self
-            .active
-            .iter()
-            .filter(|(_, j)| matches!(j.ex.state(), ExecState::Done | ExecState::Failed))
-            .map(|(&id, _)| id)
-            .collect();
-        for id in done {
-            let job = self.active.remove(&id).expect("collected above");
+        // ascending id: report order is observable
+        let mut done = std::mem::take(&mut self.wake.finished);
+        done.sort_unstable();
+        done.dedup();
+        for id in done.drain(..) {
+            let job = self.active.remove(&id).expect("finished jobs are active");
+            self.wake.in_flight.remove(&id);
+            self.visited += 1;
             for (dp, t) in &job.barriers {
                 for (xid, _) in &t.outstanding {
                     self.routes.remove(&(*dp, *xid));
@@ -701,6 +762,7 @@ impl ConcurrentRuntime {
                 rounds: job.ex.timings().to_vec(),
             });
         }
+        self.wake.finished = done; // emptied; keeps its capacity
     }
 
     /// Launch queued jobs whose conflict sets are clear, up to the
@@ -788,16 +850,23 @@ impl ConcurrentRuntime {
             );
             Self::record_sent(&mut self.resync, &cmds);
             Self::outputs(cmds, out);
+            self.wake.file(id, &job.ex);
             self.active.insert(id, job);
             self.stats.peak_active = self.stats.peak_active.max(self.active.len() as u64);
         }
         // instantly-done (empty) updates release their slots right away
         self.reap(now);
     }
-}
 
-impl RuntimeHandle for ConcurrentRuntime {
-    fn submit_request(&mut self, req: SubmitRequest, now: SimTime) -> SubmitOutcome {
+    /// [`RuntimeHandle::submit_request`] for a caller that already
+    /// extracted the update's footprint (the fabric routes by it), so
+    /// each update's footprint is built once.
+    pub(crate) fn submit_prepared(
+        &mut self,
+        req: SubmitRequest,
+        footprint: Option<Footprint>,
+        now: SimTime,
+    ) -> SubmitOutcome {
         self.stats.submitted += 1;
         self.obs.inc(Ctr::Submitted);
         // refuse before burning an id: an expired deadline or a spent
@@ -830,7 +899,7 @@ impl RuntimeHandle for ConcurrentRuntime {
         );
         self.obs
             .observe(HistId::QueueDepthAtSubmit, self.queue.len() as u64);
-        let footprint = Footprint::of(&req.update);
+        let footprint = footprint.unwrap_or_else(|| Footprint::of(&req.update));
         // the record clones the whole update: build it only when a
         // journal is actually attached
         let admitted = self.journal.is_enabled().then(|| JournalRecord::Admitted {
@@ -888,6 +957,12 @@ impl RuntimeHandle for ConcurrentRuntime {
             }
         }
     }
+}
+
+impl RuntimeHandle for ConcurrentRuntime {
+    fn submit_request(&mut self, req: SubmitRequest, now: SimTime) -> SubmitOutcome {
+        self.submit_prepared(req, None, now)
+    }
 
     fn poll(&mut self, now: SimTime) -> Vec<CtrlOutput> {
         let mut out = Vec::new();
@@ -896,7 +971,8 @@ impl RuntimeHandle for ConcurrentRuntime {
         // quarantined since their dispatch: fail fast with a typed
         // reason, releasing their conflict reservations.
         if !self.quarantined.is_empty() {
-            for job in self.active.values_mut() {
+            for (&id, job) in self.active.iter_mut() {
+                self.visited += 1;
                 if job.failure.is_some() {
                     continue;
                 }
@@ -907,12 +983,25 @@ impl RuntimeHandle for ConcurrentRuntime {
                 if let Some(dp) = dead {
                     job.failure = Some(FailReason::Quarantined(dp));
                     job.ex.force_fail();
+                    self.wake.finished.push(id);
                 }
             }
         }
-        // Drive every active executor: grace transitions and per-switch
-        // retransmission timers.
-        for (&id, job) in self.active.iter_mut() {
+        // A grace wait that expired has a round in flight from this
+        // tick on: `on_tick` below dispatches it.
+        while let Some(&(at, id)) = self.wake.grace.first() {
+            if at > now {
+                break;
+            }
+            self.wake.grace.pop_first();
+            self.wake.in_flight.insert(id);
+        }
+        // Drive those executors — grace transitions and per-switch
+        // retransmission timers — in ascending id order: xid
+        // allocation and send order are observable.
+        for &id in &self.wake.in_flight {
+            let job = self.active.get_mut(&id).expect("woken jobs are active");
+            self.visited += 1;
             match job.ex.state() {
                 ExecState::WaitingGrace => {
                     let cmds = job.ex.on_tick(now, &mut self.xids);
@@ -961,6 +1050,7 @@ impl RuntimeHandle for ConcurrentRuntime {
                     if let Some(dp) = exhausted {
                         job.failure = Some(FailReason::Exhausted(Some(dp)));
                         job.ex.force_fail();
+                        self.wake.finished.push(id);
                     } else if !due.is_empty() {
                         let cmds = job.ex.retransmit(&mut self.xids, &due);
                         Self::register(
@@ -1068,13 +1158,13 @@ impl RuntimeHandle for ConcurrentRuntime {
             );
             job.ex.on_message(now, from, env, &mut self.xids)
         };
+        self.wake.file(job_id, &job.ex);
         // The switch is done with its round when the round advanced or
         // the executor no longer lists it pending. Otherwise — barrier
         // fenced but payload acks outstanding (or vice versa) — the
         // timer must survive so the RTO machinery keeps driving
         // retransmissions; only the consumed barrier routes retire.
-        let switch_done =
-            job.ex.current_round() != prev_round || !job.ex.pending_switches().any(|d| d == from);
+        let switch_done = job.ex.current_round() != prev_round || !job.ex.is_pending(from);
         if switch_done {
             if let Some(timer) = job.barriers.remove(&from) {
                 for (xid, _) in &timer.outstanding {
@@ -1316,6 +1406,132 @@ mod tests {
 
     fn reply(rt: &mut ConcurrentRuntime, now: SimTime, dp: DpId, xid: Xid) -> Vec<CtrlOutput> {
         rt.on_message(now, dp, &Envelope::new(xid, OfMessage::BarrierReply))
+    }
+
+    impl ConcurrentRuntime {
+        /// The wake-index invariant, checked from scratch: between
+        /// calls every active job is filed exactly where its state
+        /// says, and nothing terminal is left unreaped.
+        fn assert_wake_index_exact(&self) {
+            for (&id, job) in &self.active {
+                let state = job.ex.state();
+                assert_eq!(
+                    self.wake.in_flight.contains(&id),
+                    state == ExecState::AwaitingBarriers,
+                    "{id} is {state:?}"
+                );
+                assert_eq!(
+                    self.wake.grace.contains(&(job.ex.grace_until(), id)),
+                    state == ExecState::WaitingGrace,
+                    "{id} is {state:?}"
+                );
+            }
+            assert_eq!(
+                self.wake.in_flight.len() + self.wake.grace.len(),
+                self.active.len(),
+                "no stale entry, no terminal job left active"
+            );
+            assert!(self.wake.finished.is_empty(), "reaped in the same call");
+            assert_eq!(self.graph.len(), self.active.len());
+        }
+    }
+
+    #[test]
+    fn wake_index_tracks_every_state_transition() {
+        let cfg = RuntimeConfig {
+            exec: ExecConfig {
+                max_attempts: 3,
+                ..ExecConfig::default()
+            },
+            retrans: RetransMode::Adaptive(RtoConfig {
+                initial: SimDuration::from_millis(4),
+                min: SimDuration::from_millis(1),
+                max: SimDuration::from_millis(50),
+                straggler_attempts: 2,
+            }),
+            max_active: 4,
+            quarantine_strikes: 1,
+            ..RuntimeConfig::default()
+        };
+        let mut rt = ConcurrentRuntime::new(cfg);
+        // Eight two-round jobs, the second round behind a 3 ms grace.
+        // Switch 9 never answers: j3 exhausts its budget against it
+        // (one strike quarantines), j7 is aborted while waiting on it.
+        for i in 0..8u32 {
+            let second = if i % 4 == 3 { 9 } else { 2 };
+            let mut u = job(&format!("j{i}"), 10 + i, vec![vec![1, second], vec![3]]);
+            u.rounds[1].pre_delay = SimDuration::from_millis(3);
+            let _ = rt.submit(u, SimTime(0), Priority::Normal);
+        }
+        let answered = |out: &[CtrlOutput]| -> Vec<(DpId, Xid)> {
+            let mut b = barriers_of(out);
+            b.retain(|(dp, _)| *dp != DpId(9));
+            b
+        };
+        let mut inbox = Vec::new();
+        for ms in 0..100 {
+            let now = SimTime(0) + SimDuration::from_millis(ms);
+            for (dp, xid) in std::mem::take(&mut inbox) {
+                let out = reply(&mut rt, now, dp, xid);
+                rt.assert_wake_index_exact();
+                inbox.extend(answered(&out));
+            }
+            let out = rt.poll(now);
+            rt.assert_wake_index_exact();
+            inbox.extend(answered(&out));
+        }
+        assert!(rt.is_idle());
+        assert_eq!((rt.stats().completed, rt.stats().failed), (6, 2));
+        let failure = |label: &str| {
+            let r = rt.reports().iter().find(|r| r.label == label).unwrap();
+            (r.failure, r.rounds.len())
+        };
+        assert_eq!(
+            failure("j3"),
+            (Some(FailReason::Exhausted(Some(DpId(9)))), 1)
+        );
+        assert_eq!(failure("j7"), (Some(FailReason::Quarantined(DpId(9))), 1));
+    }
+
+    /// `n` jobs parked in a one-second grace wait on switch 1 (a flow
+    /// each, so all of them run); returns the bookkeeping work of an
+    /// idle poll beside them, and of admitting, running and reaping
+    /// one more job on the same switch.
+    fn work_beside_grace_waiters(n: u32) -> (u64, u64) {
+        let mut rt = ConcurrentRuntime::new(RuntimeConfig {
+            queue_capacity: n as usize,
+            max_active: n as usize + 1,
+            ..RuntimeConfig::default()
+        });
+        for i in 0..n {
+            let mut u = job(&format!("w{i}"), 10 + i, vec![vec![1]]);
+            u.rounds[0].pre_delay = SimDuration::from_secs(1);
+            let _ = rt.submit(u, SimTime(0), Priority::Normal);
+        }
+        rt.poll(SimTime(0));
+        assert_eq!(rt.active_count(), n as usize, "all parked in grace");
+        let start = rt.dispatch_work();
+        assert!(rt.poll(SimTime(1)).is_empty());
+        let idle = rt.dispatch_work() - start;
+        let _ = rt.submit(job("x", 5, vec![vec![1]]), SimTime(2), Priority::Normal);
+        let cmds = rt.poll(SimTime(2));
+        rt.poll(SimTime(3));
+        for (dp, xid) in barriers_of(&cmds) {
+            reply(&mut rt, SimTime(4), dp, xid);
+        }
+        assert_eq!(rt.reports().len(), 1, "x ran to completion");
+        (idle, rt.dispatch_work() - start - idle)
+    }
+
+    #[test]
+    fn bookkeeping_work_does_not_grow_with_the_active_set() {
+        let (idle_16, one_16) = work_beside_grace_waiters(16);
+        let (idle_1024, one_1024) = work_beside_grace_waiters(1024);
+        assert_eq!((idle_16, idle_1024), (0, 0), "an idle poll touches no job");
+        // two admission probes (x's class, the switch's wildcard), one
+        // poll visit while its round is in flight, one reap
+        assert_eq!(one_16, 4);
+        assert_eq!(one_1024, one_16, "identical beside 16 or 1024 waiters");
     }
 
     #[test]
@@ -1755,6 +1971,46 @@ mod tests {
         assert!(rt.is_idle(), "active job aborted by quarantine");
         let last = rt.reports().last().unwrap();
         assert_eq!(last.failure, Some(FailReason::Quarantined(DpId(1))));
+    }
+
+    #[test]
+    fn jobs_finishing_in_one_poll_are_reported_in_id_order() {
+        // The abort sweep runs before the timer walk, so the aborted
+        // job (higher id) is noted first; reports still come out in
+        // ascending id, as when reap scanned the active set.
+        let cfg = RuntimeConfig {
+            exec: ExecConfig {
+                barrier_timeout: SimDuration::from_millis(20),
+                max_attempts: 1,
+                flowmod_acks: false,
+            },
+            retrans: RetransMode::Fixed,
+            resync_probe_timeout: SimDuration::from_millis(5),
+            resync_attempts: 2,
+            ..RuntimeConfig::default()
+        };
+        let mut rt = ConcurrentRuntime::new(cfg);
+        let _ = rt.submit(job("a", 2, vec![vec![1]]), SimTime(0), Priority::Normal);
+        let cmds = rt.poll(SimTime(0));
+        complete_all(&mut rt, cmds, SimTime(1));
+        // s1's audit is never answered: its probe budget runs out
+        rt.on_reconnect(DpId(1), SimTime(10));
+        let _ = rt.submit(job("low", 2, vec![vec![2]]), SimTime(11), Priority::Normal);
+        let _ = rt.submit(job("high", 4, vec![vec![1]]), SimTime(11), Priority::Normal);
+        rt.poll(SimTime(11));
+        assert_eq!(rt.active_count(), 2);
+        rt.poll(SimTime(10) + SimDuration::from_millis(6)); // probe 2
+        rt.poll(SimTime(10) + SimDuration::from_millis(12)); // s1 quarantined
+        assert!(rt.is_quarantined(DpId(1)));
+        // one poll aborts "high" and exhausts "low"
+        let before = rt.dispatch_work();
+        rt.poll(SimTime(11) + SimDuration::from_millis(21));
+        assert!(rt.is_idle());
+        let last: Vec<_> = rt.reports()[1..].iter().map(|r| &r.label[..]).collect();
+        assert_eq!(last, ["low", "high"]);
+        // the sweep looks at both active jobs, the walk at both
+        // in-flight ones, the reaper at both finished ones
+        assert_eq!(rt.dispatch_work() - before, 6);
     }
 
     #[test]

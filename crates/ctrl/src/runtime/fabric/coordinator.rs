@@ -442,7 +442,10 @@ impl FabricCoordinator {
         if let Some(d) = x.deadline {
             req = req.deadline(d);
         }
-        match self.coord.submit_request(req, now) {
+        match self
+            .coord
+            .submit_prepared(req, Some(x.footprint.clone()), now)
+        {
             Ok(t) => {
                 self.journal.append(&JournalRecord::XCommitted {
                     id: x.id,
@@ -578,7 +581,7 @@ impl RuntimeHandle for FabricCoordinator {
             let s = involved.first().copied().unwrap_or(0);
             let fwd = SubmitRequest { priority, ..req };
             return self.shards[s as usize]
-                .submit_request(fwd, now)
+                .submit_prepared(fwd, Some(footprint), now)
                 .map(|t| SubmitTicket {
                     shard: Some(s),
                     ..t

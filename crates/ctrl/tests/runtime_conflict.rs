@@ -16,12 +16,17 @@
 
 use proptest::prelude::*;
 
-use sdn_ctrl::compile::{compile_schedule, CompiledUpdate, FlowSpec};
-use sdn_ctrl::runtime::Footprint;
-use sdn_openflow::messages::Envelope;
+use std::collections::{BTreeMap, BTreeSet};
+
+use sdn_ctrl::compile::{compile_schedule, CompiledRound, CompiledUpdate, FlowSpec};
+use sdn_ctrl::runtime::{
+    ConcurrentRuntime, ConflictGraph, FlowClass, Footprint, JobId, RuntimeConfig,
+};
+use sdn_openflow::flow::FlowMatch;
+use sdn_openflow::messages::{Envelope, FlowMod, FlowModCommand, OfMessage};
 use sdn_switch::SoftSwitch;
 use sdn_topo::gen::{self, UpdatePair};
-use sdn_types::{DetRng, DpId, Xid};
+use sdn_types::{DetRng, DpId, HostId, SimDuration, Xid};
 use update_core::algorithms::{SlfGreedy, UpdateScheduler};
 use update_core::checker::verify_schedule;
 use update_core::model::UpdateInstance;
@@ -211,6 +216,153 @@ proptest! {
         let fa = Footprint::of(&compiled[0]);
         let fb = Footprint::of(&compiled[1]);
         prop_assert!(fa.conflicts(&fb), "same-flow updates must conflict");
+    }
+}
+
+/// The pairwise reference the flat footprint and the class-keyed
+/// index are checked against: per switch, the set of classes, compared
+/// switch by switch with no index at all.
+type RefFootprint = BTreeMap<DpId, BTreeSet<FlowClass>>;
+
+fn ref_conflicts(a: &RefFootprint, b: &RefFootprint) -> bool {
+    a.iter().any(|(dp, ca)| {
+        b.get(dp).is_some_and(|cb| {
+            ca.contains(&FlowClass::Wildcard)
+                || cb.contains(&FlowClass::Wildcard)
+                || !ca.is_disjoint(cb)
+        })
+    })
+}
+
+/// A random update over a universe small enough (5 switches, 3 hosts,
+/// ≈ 1 wildcard in 7) that shared switches, shared classes and
+/// wildcards all occur, spread over two rounds with repeats.
+fn random_update(rng: &mut DetRng) -> (CompiledUpdate, RefFootprint) {
+    let mut reference = RefFootprint::new();
+    let mut rounds = vec![CompiledRound::default(), CompiledRound::default()];
+    rounds[1].pre_delay = SimDuration::from_millis(1);
+    for k in 0..rng.index(6) {
+        let dp = DpId(1 + rng.index(5) as u64);
+        let (class, matcher) = if rng.chance(0.15) {
+            (FlowClass::Wildcard, FlowMatch::ANY)
+        } else {
+            let h = HostId(1 + rng.index(3) as u32);
+            (FlowClass::Dst(h), FlowMatch::dst_host(h))
+        };
+        reference.entry(dp).or_default().insert(class);
+        let msg = OfMessage::FlowMod(FlowMod {
+            command: FlowModCommand::Add,
+            priority: 100,
+            matcher,
+            actions: vec![],
+            cookie: 0,
+        });
+        // every other message twice, once per round: `of` must dedup
+        rounds[k % 2].msgs.push((dp, msg.clone()));
+        if rng.chance(0.5) {
+            rounds[(k + 1) % 2].msgs.push((dp, msg));
+        }
+    }
+    let update = CompiledUpdate {
+        label: "r".into(),
+        rounds,
+    };
+    (update, reference)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn index_and_flat_footprint_agree_with_the_pairwise_reference(
+        steps in 8usize..48,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = DetRng::new(seed);
+        // two mirrors of the same model: a bare graph taking inserts,
+        // reserves and removes, and a runtime's graph driven through
+        // reserve / release / seat_quiescent
+        let mut graph = ConflictGraph::new();
+        let mut held: BTreeMap<JobId, RefFootprint> = BTreeMap::new();
+        let mut rt = ConcurrentRuntime::new(RuntimeConfig::default());
+        let mut reserved: BTreeMap<JobId, RefFootprint> = BTreeMap::new();
+        let mut seen: Vec<(Footprint, RefFootprint)> = Vec::new();
+        for step in 0..steps {
+            let id = JobId(step as u64 + 1);
+            let (update, reference) = random_update(&mut rng);
+            let fp = Footprint::of(&update);
+
+            // the footprint itself
+            prop_assert_eq!(
+                fp.switches().collect::<Vec<_>>(),
+                reference.keys().copied().collect::<Vec<_>>()
+            );
+            prop_assert_eq!(fp.switch_count(), reference.len());
+            prop_assert_eq!(fp.is_empty(), reference.is_empty());
+            let odd = |dp: DpId| dp.0 % 2 == 1;
+            let mut kept = update.clone();
+            for r in &mut kept.rounds {
+                r.msgs.retain(|(dp, _)| odd(*dp));
+            }
+            prop_assert_eq!(fp.slice(odd), Footprint::of(&kept));
+            for (other, other_ref) in &seen {
+                let want = ref_conflicts(&reference, other_ref);
+                prop_assert_eq!(fp.conflicts(other), want);
+                prop_assert_eq!(other.conflicts(&fp), want);
+            }
+
+            // the graph's answers about it
+            let want: BTreeSet<JobId> = held
+                .iter()
+                .filter(|(_, h)| ref_conflicts(&reference, h))
+                .map(|(&id, _)| id)
+                .collect();
+            prop_assert_eq!(graph.admits(&fp), want.is_empty());
+            prop_assert_eq!(&graph.conflicts_with(&fp), &want);
+            for dp in (1..=6).map(DpId) {
+                let touched = held.values().any(|h| h.contains_key(&dp));
+                prop_assert_eq!(graph.touches(dp), touched, "touches({})", dp);
+            }
+            // insert regardless (overlapping holders coexist: the
+            // graph records, its caller decides) or only if admitted
+            if want.is_empty() || rng.chance(0.5) {
+                graph.insert(id, fp.clone());
+                held.insert(id, reference.clone());
+            }
+
+            // the runtime's three methods over the same index
+            let free = reserved.values().all(|h| !ref_conflicts(&reference, h));
+            prop_assert_eq!(rt.admits_footprint(&fp), free);
+            prop_assert_eq!(rt.reserve(id, &fp), free);
+            if free {
+                reserved.insert(id, reference.clone());
+            }
+            for dp in (1..=6).map(DpId) {
+                let touched = reserved.values().any(|h| h.contains_key(&dp));
+                prop_assert_eq!(rt.seat_quiescent(dp), !touched, "quiescent({})", dp);
+            }
+
+            // drop a random holder from each mirror (sometimes an
+            // unknown id, which both must ignore)
+            if rng.chance(0.4) {
+                let pick = |m: &BTreeMap<JobId, RefFootprint>, rng: &mut DetRng| {
+                    if m.is_empty() || rng.chance(0.1) {
+                        JobId(10_000)
+                    } else {
+                        *m.keys().nth(rng.index(m.len())).unwrap()
+                    }
+                };
+                let victim = pick(&held, &mut rng);
+                graph.remove(victim);
+                held.remove(&victim);
+                let victim = pick(&reserved, &mut rng);
+                rt.release(victim);
+                reserved.remove(&victim);
+            }
+            prop_assert_eq!(graph.len(), held.len());
+            prop_assert_eq!(graph.is_empty(), held.is_empty());
+            seen.push((fp, reference));
+        }
     }
 }
 

@@ -49,7 +49,7 @@ fn push_hist(out: &mut String, name: &str, h: &Histogram) {
 
 /// Render the registry, then `extras` — caller-supplied counters
 /// (name, help, value) appended as their own families. The runtime's
-/// [`RuntimeStats`]-derived counters ride in through `extras` so the
+/// `RuntimeStats`-derived counters ride in through `extras` so the
 /// status report and the metrics endpoint share one source of truth.
 pub fn render_with(reg: &Registry, extras: &[(&str, &str, u64)]) -> String {
     let mut out = String::with_capacity(4096);
