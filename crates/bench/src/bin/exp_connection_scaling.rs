@@ -3,9 +3,12 @@
 //! The thread-per-connection loopback transport topped out where the
 //! OS stopped handing out threads; the readiness-driven
 //! [`EventLoopTransport`] multiplexes every switch connection over one
-//! poller and a small worker pool. This experiment sweeps the number
-//! of concurrent switch connections (100 → 4096) and measures, per
-//! tier, wall-clock barrier round-trip latency through the full stack:
+//! event loop that its caller turns: on this zero-delay channel every
+//! delivery is handed over inside `send`, on this thread, and the
+//! transport's watchdog thread has nothing to do. This experiment
+//! sweeps the number of concurrent switch connections (100 → 4096) and
+//! measures, per tier, wall-clock barrier round-trip latency through
+//! the full stack:
 //! OpenFlow 1.0 wire encoding, per-connection frame reassembly, fault
 //! planning, switch processing, and reply decode.
 //!
@@ -48,21 +51,6 @@ const WINDOW: usize = 64; // in-flight barriers during the probe phase
 const PROBES: usize = 4096; // probe-phase samples per tier
 const BASELINE_TIER: usize = 128;
 
-/// Event-loop worker count: `SDN_BENCH_WORKERS` if set, else sized to
-/// the machine (half the cores, clamped to [2, 8] so a 128-core runner
-/// doesn't drown the poller and a 1-core box still overlaps I/O).
-fn worker_count() -> usize {
-    if let Ok(v) = std::env::var("SDN_BENCH_WORKERS") {
-        return v
-            .parse()
-            .ok()
-            .filter(|&w| w >= 1)
-            .unwrap_or_else(|| panic!("SDN_BENCH_WORKERS must be a positive integer, got {v:?}"));
-    }
-    let cores = std::thread::available_parallelism().map_or(4, usize::from);
-    (cores / 2).clamp(2, 8)
-}
-
 fn flowmod() -> OfMessage {
     OfMessage::FlowMod(FlowMod {
         command: FlowModCommand::Add,
@@ -92,8 +80,8 @@ fn run_tier(n: usize) -> TierResult {
         ChannelConfig::ideal(SimDuration::ZERO),
         42,
         EventLoopConfig {
-            workers: worker_count(),
             time_scale: 0.0,
+            ..EventLoopConfig::default()
         },
     );
     let mut xid = 0u32;

@@ -1,58 +1,59 @@
 //! A readiness-driven in-process transport.
 //!
-//! [`EventLoopTransport`] replaces the thread-per-connection loopback
-//! transport with the structure a production controller would use:
+//! [`EventLoopTransport`] drives every switch connection from one event
+//! loop, and **the loop turns on the thread that waits for it**: no
+//! transport thread sits on the message path.
 //!
-//! * one **poller** thread owning a timer wheel (binary heap of
-//!   deliveries that are not due yet, or that must queue behind one
-//!   that is not);
-//! * a small **worker pool** that processes connections the poller
-//!   marks ready: each worker drains that connection's
-//!   [`FrameCodec`], runs the switch logic, and encodes replies into
-//!   the connection's pooled write buffer;
-//! * per-connection state (switch, reassembly codec, write buffer, and
-//!   one *lane* per direction) behind its own lock, so thousands of
-//!   connections share a handful of threads instead of owning one each.
+//! * per-connection state (switch, reassembly codec, pooled write
+//!   buffer, one *lane* per direction) lives behind its own lock, so
+//!   thousands of connections cost memory, not threads;
+//! * a delivery that is due the moment it is planned is handed over on
+//!   the planning thread: fed to the [`FrameCodec`] and processed, or
+//!   decoded and queued for the controller;
+//! * every other delivery waits in a timer heap until a thread *turns
+//!   the loop* (`Inner::turn`): under the exclusive loop token it pops
+//!   what is due and hands each entry over, to completion, as the direct
+//!   path would have. `send`, `try_recv` and `recv_timeout` turn the loop
+//!   first, and `recv_timeout` sleeps no longer than the next due time.
+//!
+//! **Lateness contract: a timed delivery fires at the controller's next
+//! call into the transport after its due time.** A controller gone silent
+//! (a fire-and-forget sender) is covered by the *watchdog*:
+//! [`EventLoopConfig::workers`] threads that wake every `IDLE_PARK` and
+//! fire what has been due for at least that long, so nothing waits
+//! `2 × IDLE_PARK`. A receiver that keeps looping leaves them no work.
 //!
 //! **Ordering invariant: a delivery never overtakes an earlier one of
 //! its connection and direction.** Every delivery is planned and
-//! either handed over or queued under its connection's lock. A copy
-//! that is due the moment it is planned, on a lane with nothing still
-//! in the heap or in the poller's hands, is handed over right there on
-//! the calling thread — fed to the codec and processed, or decoded and
-//! passed to the controller. Everything else goes through the heap,
-//! which pops in `(due, emission order)`; the lane's FIFO high-water
-//! mark keeps `due` monotone per lane, and its in-flight counter —
-//! bumped on push, dropped by the poller under the same connection
-//! lock that covers the hand-over — is what tells a later due-now copy
-//! to queue behind. So per-connection FIFO holds exactly as it would
-//! over TCP.
+//! either handed over or queued under its connection's lock. The heap
+//! pops in `(due, emission order)` and only the token holder pops; the
+//! lane's FIFO high-water mark keeps `due` monotone per lane, and its
+//! in-flight counter — bumped on push, dropped by the token holder
+//! under the same connection lock that covers the hand-over — is what
+//! tells a later due-now copy to queue behind. So per-connection FIFO
+//! holds exactly as it would over TCP.
 //!
-//! Threads are woken only when parked: the poller, the workers (and
-//! the receivers of the controller channel) record that they are about
-//! to wait inside the mutex their condvar releases, so a producer that
-//! finds the flag clear knows the consumer will look at the queue
-//! again before it sleeps, and skips the futex call.
+//! The one sleeper on the message path is a receiver in `recv_timeout`,
+//! parked on the controller queue's condvar. It registers, with when it
+//! will wake unaided, under the queue's lock while still holding the
+//! timers' lock it read the next due time under. Whoever queues a
+//! message notifies a parked receiver; whoever pushes a timer, or leaves
+//! the loop with one pending, notifies only if they would sleep past it.
 //!
-//! Fault injection (drop / duplicate / corrupt / delay, with
-//! per-connection overrides via the [`Transport`] trait) happens at
-//! *plan* time, one planner critical section per message, in emission
-//! order, so the high-water-mark clamp gives the same
-//! in-order-per-connection guarantee the simulator's [`SimChannel`]
-//! provides and a seed fixes the fault pattern.
+//! Fault injection (drop / duplicate / corrupt / delay, per-connection
+//! overrides via the [`Transport`] trait) happens at *plan* time, one
+//! planner critical section per message, in emission order, so a seed
+//! fixes the fault pattern as it does for [`crate::sim::SimChannel`].
+//! The wire carries real OpenFlow 1.0 bytes: a corrupted frame dies in
+//! the far end's codec and costs one message, never the connection.
 //!
-//! Everything on the wire is real OpenFlow 1.0 bytes: sends are
-//! encoded before faults touch them, corrupted frames are rejected by
-//! the codec at the far end and cost one message, never the
-//! connection.
-//!
-//! Lock order: connection → planner → timers (→ controller channel).
-//!
-//! [`SimChannel`]: crate::sim::SimChannel
+//! Lock order: connection → planner → timers → controller queue; the
+//! token holder never holds the timers' lock while it takes a connection.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -73,7 +74,9 @@ use crate::transport::{FromSwitch, LiveTransport, Transport, TransportError, Tra
 /// Tuning knobs for the event loop.
 #[derive(Debug, Clone, Copy)]
 pub struct EventLoopConfig {
-    /// Worker threads draining ready connections.
+    /// Watchdog threads (at least one runs). Each wakes every
+    /// `IDLE_PARK` and fires what a silent controller has left overdue;
+    /// a controller that keeps receiving leaves them nothing to do.
     pub workers: usize,
     /// Wall-clock compression applied to simulated delays
     /// (`0.001` turns 1 ms into 1 µs; `0.0` disables sleeping).
@@ -83,14 +86,18 @@ pub struct EventLoopConfig {
 impl Default for EventLoopConfig {
     fn default() -> Self {
         EventLoopConfig {
-            workers: 4,
+            workers: 1,
             time_scale: 1.0,
         }
     }
 }
 
-/// How long idle threads park before re-checking for shutdown.
+/// How long a watchdog parks between looks at the heap, and how long a
+/// delivery must have been due before a watchdog fires it.
 const IDLE_PARK: Duration = Duration::from_millis(20);
+
+/// Buffers of fired entries kept for reuse; a deeper backlog allocates.
+const SPARE_BUFS: usize = 64;
 
 /// One delivery copy the planner decided to make.
 struct CopyPlan {
@@ -121,8 +128,8 @@ struct Lane {
     cfg: Option<ChannelConfig>,
     /// Latest `due` planned so far; later samples may not undercut it.
     hwm: Option<Instant>,
-    /// Deliveries in the heap, or popped by the poller and not yet
-    /// handed over. Only a lane with none may hand over directly.
+    /// Deliveries in the heap, or popped by the token holder and not
+    /// yet handed over. Only a lane with none may hand over directly.
     in_flight: usize,
 }
 
@@ -196,9 +203,6 @@ struct ConnState {
     switch: SoftSwitch,
     rx: FrameCodec,
     wbuf: BytesMut,
-    /// Whether this connection is already in the work queue or in a
-    /// worker's hands — it is queued at most once.
-    queued: bool,
     /// Whether the connection is currently established.
     connected: bool,
     /// Incarnation counter, bumped on every disconnect. In-flight
@@ -219,7 +223,10 @@ impl ConnState {
     }
 }
 
-/// A byte delivery waiting for its due time.
+/// A byte delivery waiting for its due time. Ordered by `(due, seq)`,
+/// `seq` breaking ties in emission order: it is unique, so the derived
+/// comparison never reads past it.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct TimerEntry {
     due: Instant,
     seq: u64,
@@ -231,38 +238,25 @@ struct TimerEntry {
     bytes: Vec<u8>,
 }
 
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    /// Reversed so the `BinaryHeap` pops the *earliest* entry first;
-    /// `seq` breaks ties in emission order.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.due, other.seq).cmp(&(self.due, self.seq))
-    }
-}
-
-/// The timer heap and whether its poller is waiting on `timer_cv`.
+/// The timer heap, the loop token, and the buffers of fired entries.
 #[derive(Default)]
 struct Timers {
-    heap: BinaryHeap<TimerEntry>,
-    poller_parked: bool,
+    heap: BinaryHeap<Reverse<TimerEntry>>,
+    /// The loop token: set while some thread is inside [`Inner::turn`]
+    /// handing over what it popped. Nobody else pops meanwhile.
+    turning: bool,
+    spare: Vec<Vec<u8>>,
 }
 
-/// Connections with buffered inbound bytes to process, and how many
-/// workers are waiting on `work_cv`.
+/// Decoded replies waiting for the controller, and the receivers
+/// asleep on `ctrl_cv` waiting for one.
 #[derive(Default)]
-struct WorkQueue {
-    ready: VecDeque<usize>,
+struct CtrlQueue {
+    msgs: VecDeque<FromSwitch>,
     parked: usize,
+    /// The latest time a parked receiver means to wake unaided; `None`
+    /// when none is parked.
+    wake_at: Option<Instant>,
 }
 
 /// The attached observability sink and the live-connection count it
@@ -279,13 +273,17 @@ struct Inner {
     dpids: Vec<DpId>,
     conns: Vec<Mutex<ConnState>>,
     planner: Mutex<Planner>,
-    work: Mutex<WorkQueue>,
-    work_cv: Condvar,
     timers: Mutex<Timers>,
-    timer_cv: Condvar,
-    to_ctrl: Sender<FromSwitch>,
+    /// The heap's length, stored under the timers' lock (`Release`) and
+    /// read without it (`Acquire`): a hint that spares `turn` the lock
+    /// when nothing is pending.
+    pending: AtomicUsize,
+    ctrl: Mutex<CtrlQueue>,
+    ctrl_cv: Condvar,
     events: Sender<TransportEvent>,
     running: AtomicBool,
+    /// Deliveries handed over by a watchdog thread (a statistic).
+    watchdog_fired: AtomicU64,
     /// Observability sink (disabled until attached). The transport
     /// runs in wall time with no virtual clock, so it records only
     /// counters and the connection gauge — never timestamped events.
@@ -297,10 +295,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Inner {
-    fn running(&self) -> bool {
-        self.running.load(AtomicOrdering::Acquire)
-    }
-
     /// Plan one message on `lane`: a single planner critical section.
     fn plan(&self, lane: &mut Lane, frame_len: usize, now: Instant) -> Copies {
         let cfg = lane.cfg.unwrap_or(self.default_cfg);
@@ -310,131 +304,109 @@ impl Inner {
     /// Queue a copy of the frame in `conn.wbuf` behind its due time, on
     /// the `dir` lane of the locked connection `idx`.
     fn push_timer(&self, idx: usize, dir: Direction, conn: &mut ConnState, copy: &CopyPlan) {
-        let mut bytes = conn.wbuf.to_vec();
+        conn.lane_mut(dir).in_flight += 1;
+        let mut timers = lock(&self.timers);
+        let mut bytes = timers.spare.pop().unwrap_or_default();
+        bytes.extend_from_slice(&conn.wbuf);
         copy.toggle_corruption(&mut bytes);
-        let entry = TimerEntry {
+        timers.heap.push(Reverse(TimerEntry {
             due: copy.due,
             seq: copy.seq,
             idx,
             dir,
             epoch: conn.epoch,
             bytes,
-        };
-        conn.lane_mut(dir).in_flight += 1;
+        }));
+        self.pending.store(timers.heap.len(), Release);
+        // A token holder at work tells the sleepers itself as it leaves.
+        if !timers.turning {
+            self.wake_before(copy.due);
+        }
+    }
+
+    /// Wake the parked receivers that would sleep past `due`. Callers
+    /// changed the timers first: a receiver either planned its sleep on
+    /// that change or is registered by the time this lock is granted.
+    fn wake_before(&self, due: Instant) {
+        let wake = lock(&self.ctrl).wake_at.is_some_and(|at| at > due);
+        if wake {
+            self.ctrl_cv.notify_all();
+        }
+    }
+
+    /// One turn of the event loop, on whichever thread calls: take the
+    /// loop token and hand over, each to completion, every entry that
+    /// has been due for `grace` (zero for the controller's own calls).
+    /// A caller that finds the token taken leaves the loop to its holder.
+    fn turn(&self, grace: Duration) {
+        if self.pending.load(Acquire) == 0 {
+            return;
+        }
         let mut timers = lock(&self.timers);
-        timers.heap.push(entry);
-        let wake = timers.poller_parked;
-        drop(timers);
-        if wake {
-            self.timer_cv.notify_one();
+        if timers.turning {
+            return;
         }
-    }
-
-    fn push_work(&self, idx: usize) {
-        let mut work = lock(&self.work);
-        work.ready.push_back(idx);
-        let wake = work.parked > 0;
-        drop(work);
-        if wake {
-            self.work_cv.notify_one();
-        }
-    }
-
-    /// Poller body: fire due deliveries, park until the next one.
-    fn run_poller(&self) {
-        let mut fired = Vec::new();
-        loop {
-            let mut timers = lock(&self.timers);
-            if !self.running() {
-                return;
+        while let Some(Reverse(next)) = timers.heap.peek() {
+            if Instant::now() < next.due + grace {
+                break;
             }
-            let now = Instant::now();
-            while timers.heap.peek().is_some_and(|e| e.due <= now) {
-                fired.push(timers.heap.pop().expect("peeked"));
-            }
-            if fired.is_empty() {
-                let wait = timers
-                    .heap
-                    .peek()
-                    .map(|e| e.due.saturating_duration_since(now))
-                    .unwrap_or(IDLE_PARK)
-                    .min(IDLE_PARK);
-                timers.poller_parked = true;
-                let (mut timers, _) = self
-                    .timer_cv
-                    .wait_timeout(timers, wait)
-                    .unwrap_or_else(PoisonError::into_inner);
-                timers.poller_parked = false;
-                continue;
-            }
+            let Reverse(entry) = timers.heap.pop().expect("peeked");
+            timers.turning = true;
+            self.pending.store(timers.heap.len(), Release);
             drop(timers);
-            for entry in fired.drain(..) {
-                self.hand_over(entry);
+            let bytes = self.hand_over(entry);
+            if !grace.is_zero() {
+                self.watchdog_fired.fetch_add(1, Relaxed);
+            }
+            timers = lock(&self.timers);
+            if timers.spare.len() < SPARE_BUFS {
+                timers.spare.push(bytes);
+            }
+        }
+        if timers.turning {
+            timers.turning = false;
+            // Receivers that saw the token taken sleep to their deadline.
+            if let Some(Reverse(next)) = timers.heap.peek() {
+                self.wake_before(next.due);
             }
         }
     }
 
-    /// Complete one timed delivery. The lane's in-flight count drops
-    /// under the connection lock that covers the hand-over, so a
-    /// planner that then finds the lane clear cannot be overtaking it.
-    /// Bytes stamped with a stale epoch died with their connection.
-    fn hand_over(&self, entry: TimerEntry) {
+    /// Complete one timed delivery and return its buffer, emptied. The
+    /// lane's in-flight count drops under the connection lock that
+    /// covers the hand-over, so a planner that then finds the lane
+    /// clear cannot be overtaking it. Bytes stamped with a stale epoch
+    /// died with their connection.
+    fn hand_over(&self, mut entry: TimerEntry) -> Vec<u8> {
         let mut conn = lock(&self.conns[entry.idx]);
         conn.lane_mut(entry.dir).in_flight -= 1;
         if !(conn.connected && conn.epoch == entry.epoch) {
             lock(&self.planner).stats.severed += 1;
-            return;
-        }
-        match entry.dir {
-            Direction::ToSwitch => {
-                conn.rx.feed(&entry.bytes);
-                // Mark the connection ready if no worker already owns it.
-                if !conn.queued {
-                    conn.queued = true;
-                    drop(conn);
-                    self.push_work(entry.idx);
+        } else {
+            match entry.dir {
+                Direction::ToSwitch => {
+                    conn.rx.feed(&entry.bytes);
+                    self.process(entry.idx, &mut conn);
                 }
+                Direction::ToController => self.deliver_to_controller(entry.idx, &entry.bytes),
             }
-            Direction::ToController => self.deliver_to_controller(entry.idx, &entry.bytes),
         }
+        entry.bytes.clear();
+        entry.bytes
     }
 
     /// Final hop switch→controller: decode (a corrupted frame dies
-    /// here, costing one message) and hand to the controller channel.
-    /// Called with the connection locked.
+    /// here, costing one message) and queue for the controller, waking
+    /// a receiver if one is parked. Called with the connection locked.
     fn deliver_to_controller(&self, idx: usize, bytes: &[u8]) {
-        if let Ok(env) = decode(bytes) {
-            let dpid = self.dpids[idx];
-            let _ = self.to_ctrl.send(FromSwitch { dpid, env });
-        }
-    }
-
-    /// Worker body: take ready connections and process them.
-    fn run_worker(&self) {
-        loop {
-            let idx = {
-                let mut work = lock(&self.work);
-                loop {
-                    if let Some(idx) = work.ready.pop_front() {
-                        break idx;
-                    }
-                    if !self.running() {
-                        return;
-                    }
-                    work.parked += 1;
-                    let (guard, _) = self
-                        .work_cv
-                        .wait_timeout(work, IDLE_PARK)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    work = guard;
-                    work.parked -= 1;
-                }
-            };
-            let mut conn = lock(&self.conns[idx]);
-            conn.queued = false;
-            if conn.connected {
-                self.process(idx, &mut conn);
-            }
+        let Ok(env) = decode(bytes) else { return };
+        let dpid = self.dpids[idx];
+        let mut ctrl = lock(&self.ctrl);
+        ctrl.msgs.push_back(FromSwitch { dpid, env });
+        let wake = ctrl.wake_at.is_some();
+        drop(ctrl);
+        if wake {
+            self.ctrl_cv.notify_one();
         }
     }
 
@@ -495,11 +467,10 @@ impl Inner {
     }
 }
 
-/// The readiness-driven transport: one poller + a small worker pool
-/// driving every switch connection.
+/// The readiness-driven transport: one event loop, turned by its
+/// callers, driving every switch connection.
 pub struct EventLoopTransport {
     inner: Arc<Inner>,
-    from_switches: Receiver<FromSwitch>,
     events: Receiver<TransportEvent>,
     threads: Vec<JoinHandle<()>>,
 }
@@ -531,7 +502,6 @@ impl EventLoopTransport {
         seed: u64,
         el: EventLoopConfig,
     ) -> Self {
-        let (to_ctrl, from_switches) = unbounded::<FromSwitch>();
         let (events, event_rx) = unbounded::<TransportEvent>();
         let mut index = BTreeMap::new();
         let mut dpids = Vec::with_capacity(switches.len());
@@ -543,7 +513,6 @@ impl EventLoopTransport {
                 switch: sw,
                 rx: FrameCodec::new(),
                 wbuf: BytesMut::with_capacity(256),
-                queued: false,
                 connected: true,
                 epoch: 0,
                 to_switch: Lane::default(),
@@ -562,38 +531,34 @@ impl EventLoopTransport {
                 stats: ChannelStats::default(),
                 seq: 0,
             }),
-            work: Mutex::default(),
-            work_cv: Condvar::new(),
             timers: Mutex::default(),
-            timer_cv: Condvar::new(),
-            to_ctrl,
+            pending: AtomicUsize::new(0),
+            ctrl: Mutex::default(),
+            ctrl_cv: Condvar::new(),
             events,
             running: AtomicBool::new(true),
+            watchdog_fired: AtomicU64::new(0),
             churn: Mutex::new(ChurnSink {
                 obs: Obs::disabled(),
                 live,
             }),
         });
-        let mut threads = Vec::new();
-        let poller = Arc::clone(&inner);
-        threads.push(
-            thread::Builder::new()
-                .name("ofp-poller".into())
-                .spawn(move || poller.run_poller())
-                .expect("spawn poller"),
-        );
-        for w in 0..el.workers.max(1) {
-            let worker = Arc::clone(&inner);
-            threads.push(
+        let threads = (0..el.workers.max(1))
+            .map(|w| {
+                let watchdog = Arc::clone(&inner);
                 thread::Builder::new()
-                    .name(format!("ofp-worker-{w}"))
-                    .spawn(move || worker.run_worker())
-                    .expect("spawn worker"),
-            );
-        }
+                    .name(format!("ofp-watchdog-{w}"))
+                    .spawn(move || {
+                        while watchdog.running.load(Acquire) {
+                            thread::park_timeout(IDLE_PARK);
+                            watchdog.turn(IDLE_PARK);
+                        }
+                    })
+                    .expect("spawn watchdog")
+            })
+            .collect();
         EventLoopTransport {
             inner,
-            from_switches,
             events: event_rx,
             threads,
         }
@@ -602,6 +567,12 @@ impl EventLoopTransport {
     /// Connections this transport is driving.
     pub fn connections(&self) -> usize {
         self.inner.conns.len()
+    }
+
+    /// Deliveries a watchdog thread handed over because no controller
+    /// call did within `IDLE_PARK` of their due time (diagnostic).
+    pub fn watchdog_fired(&self) -> u64 {
+        self.inner.watchdog_fired.load(Relaxed)
     }
 
     /// Attach an observability sink: the transport maintains the live
@@ -694,11 +665,6 @@ impl EventLoopTransport {
             .ok_or(TransportError::UnknownSwitch(dpid))
     }
 
-    /// Inject a message as if a switch had sent it (tests).
-    pub fn inject(&self, msg: FromSwitch) {
-        let _ = self.inner.to_ctrl.send(msg);
-    }
-
     /// Stop all threads and return the final switch states (flow
     /// tables inspectable by tests). In-flight delayed deliveries are
     /// discarded, like a connection teardown would.
@@ -722,12 +688,10 @@ impl EventLoopTransport {
 
 impl Drop for EventLoopTransport {
     fn drop(&mut self) {
-        // `shutdown` drains `threads`; a plain drop still signals the
-        // threads to exit so they don't spin forever.
-        self.inner.running.store(false, AtomicOrdering::Release);
-        self.inner.work_cv.notify_all();
-        self.inner.timer_cv.notify_all();
+        // `shutdown` comes through here too: stop the watchdogs.
+        self.inner.running.store(false, Release);
         for h in self.threads.drain(..) {
+            h.thread().unpark();
             let _ = h.join();
         }
     }
@@ -764,9 +728,10 @@ impl Transport for EventLoopTransport {
 impl LiveTransport for EventLoopTransport {
     fn send(&self, dpid: DpId, env: &Envelope) -> Result<(), TransportError> {
         let idx = self.conn_index(dpid)?;
-        if !self.inner.running() {
+        if !self.inner.running.load(Acquire) {
             return Err(TransportError::ShutDown);
         }
+        self.inner.turn(Duration::ZERO);
         let mut conn = lock(&self.inner.conns[idx]);
         if !conn.connected {
             return Err(TransportError::Disconnected(dpid));
@@ -775,12 +740,47 @@ impl LiveTransport for EventLoopTransport {
         Ok(())
     }
 
+    /// Turn the loop and pop the controller queue, else sleep on the
+    /// queue's condvar until a message, the next due time or the
+    /// deadline, whichever comes first.
     fn recv_timeout(&self, timeout: Duration) -> Option<FromSwitch> {
-        self.from_switches.recv_timeout(timeout).ok()
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some(msg) = self.try_recv() {
+                return Some(msg);
+            }
+            let timers = lock(&self.inner.timers);
+            let mut ctrl = lock(&self.inner.ctrl);
+            // A token holder fires what falls due while it is at work,
+            // and wakes us as it leaves if more is pending.
+            let wake = match timers.heap.peek() {
+                Some(Reverse(next)) if !timers.turning => deadline.min(next.due),
+                _ => deadline,
+            };
+            let now = Instant::now();
+            if deadline <= now {
+                return None;
+            }
+            if ctrl.msgs.is_empty() && now < wake {
+                ctrl.parked += 1;
+                ctrl.wake_at = ctrl.wake_at.max(Some(wake));
+                drop(timers);
+                let (mut ctrl, _) = self
+                    .inner
+                    .ctrl_cv
+                    .wait_timeout(ctrl, wake - now)
+                    .unwrap_or_else(PoisonError::into_inner);
+                ctrl.parked -= 1;
+                if ctrl.parked == 0 {
+                    ctrl.wake_at = None;
+                }
+            }
+        }
     }
 
     fn try_recv(&self) -> Option<FromSwitch> {
-        self.from_switches.try_recv().ok()
+        self.inner.turn(Duration::ZERO);
+        lock(&self.inner.ctrl).msgs.pop_front()
     }
 
     fn try_next_event(&self) -> Option<TransportEvent> {
@@ -794,6 +794,18 @@ mod tests {
     use sdn_openflow::flow::FlowMatch;
     use sdn_openflow::messages::{FlowMod, FlowModCommand, OfMessage};
     use sdn_types::{SimDuration, Xid};
+
+    /// A FlowMod that installs one rule.
+    fn add_rule(xid: u32) -> Envelope {
+        let flow_mod = FlowMod {
+            command: FlowModCommand::Add,
+            priority: 5,
+            matcher: FlowMatch::ANY,
+            actions: vec![],
+            cookie: 9,
+        };
+        Envelope::new(Xid(xid), OfMessage::FlowMod(flow_mod))
+    }
 
     fn transport(n: u64) -> EventLoopTransport {
         let switches: Vec<SoftSwitch> = (1..=n).map(|i| SoftSwitch::new(DpId(i), 4)).collect();
@@ -964,20 +976,7 @@ mod tests {
     #[test]
     fn shutdown_returns_switch_state() {
         let t = transport(1);
-        t.send(
-            DpId(1),
-            &Envelope::new(
-                Xid(1),
-                OfMessage::FlowMod(FlowMod {
-                    command: FlowModCommand::Add,
-                    priority: 5,
-                    matcher: FlowMatch::ANY,
-                    actions: vec![],
-                    cookie: 9,
-                }),
-            ),
-        )
-        .unwrap();
+        t.send(DpId(1), &add_rule(1)).unwrap();
         t.send(DpId(1), &Envelope::new(Xid(2), OfMessage::BarrierRequest))
             .unwrap();
         let _ = t.recv_timeout(Duration::from_secs(5)).expect("barrier");
@@ -1043,20 +1042,7 @@ mod tests {
     fn reconnect_resumes_same_dpid_with_fresh_buffers() {
         let t = transport(1);
         // Install a rule, then churn the connection.
-        t.send(
-            DpId(1),
-            &Envelope::new(
-                Xid(1),
-                OfMessage::FlowMod(FlowMod {
-                    command: FlowModCommand::Add,
-                    priority: 5,
-                    matcher: FlowMatch::ANY,
-                    actions: vec![],
-                    cookie: 9,
-                }),
-            ),
-        )
-        .unwrap();
+        t.send(DpId(1), &add_rule(1)).unwrap();
         t.send(DpId(1), &Envelope::new(Xid(2), OfMessage::BarrierRequest))
             .unwrap();
         let _ = t.recv_timeout(Duration::from_secs(5)).expect("barrier");
@@ -1087,20 +1073,7 @@ mod tests {
     #[test]
     fn reboot_wipes_the_flow_table() {
         let t = transport(1);
-        t.send(
-            DpId(1),
-            &Envelope::new(
-                Xid(1),
-                OfMessage::FlowMod(FlowMod {
-                    command: FlowModCommand::Add,
-                    priority: 5,
-                    matcher: FlowMatch::ANY,
-                    actions: vec![],
-                    cookie: 9,
-                }),
-            ),
-        )
-        .unwrap();
+        t.send(DpId(1), &add_rule(1)).unwrap();
         t.send(DpId(1), &Envelope::new(Xid(2), OfMessage::BarrierRequest))
             .unwrap();
         let _ = t.recv_timeout(Duration::from_secs(5)).expect("barrier");
@@ -1170,46 +1143,45 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn a_due_now_send_queues_behind_a_delivery_the_poller_still_holds() {
-        // The window the in-flight counter exists for: the earlier
-        // delivery has left the heap but is not handed over yet. Pin it
-        // open by holding the connection lock the poller needs.
+    /// The window the in-flight counter exists for: an earlier delivery
+    /// of the `dir` lane has left the heap but is not handed over yet.
+    /// Pinned open by holding the connection lock the token holder
+    /// (a second thread turning the loop) needs for the hand-over.
+    fn a_due_now_copy_queues_behind_what_the_token_holder_still_holds(dir: Direction) {
         let t = zero_delay_transport(1);
-        let mut conn = lock(&t.inner.conns[0]);
-        conn.to_switch.cfg = Some(ChannelConfig::ideal(SimDuration::from_millis(2)));
-        t.inner.send_locked(0, &mut conn, &echo(1));
-        conn.to_switch.cfg = None;
-        spin_until("the poller popped the echo", || {
-            lock(&t.inner.timers).heap.is_empty()
+        thread::scope(|s| {
+            let mut conn = lock(&t.inner.conns[0]);
+            conn.lane_mut(dir).cfg = Some(ChannelConfig::ideal(SimDuration::from_millis(2)));
+            t.inner.send_locked(0, &mut conn, &echo(1));
+            conn.lane_mut(dir).cfg = None;
+            s.spawn(|| {
+                spin_until("the loop fired everything", || {
+                    t.inner.turn(Duration::ZERO);
+                    t.inner.pending.load(Acquire) == 0
+                })
+            });
+            spin_until("the token holder popped the echo", || {
+                lock(&t.inner.timers).heap.is_empty()
+            });
+            assert_eq!(conn.lane_mut(dir).in_flight, 1, "popped, not handed over");
+            t.inner.send_locked(0, &mut conn, &barrier(9));
+            assert_eq!(conn.lane_mut(dir).in_flight, 2, "the barrier queued behind");
+            assert_eq!(conn.to_switch.in_flight + conn.to_ctrl.in_flight, 2);
+            assert!(t.try_recv().is_none(), "nothing may be delivered yet");
+            drop(conn);
+            assert_eq!(reply_xids(&t, 2), [Xid(1), Xid(9)]);
         });
-        assert_eq!(conn.to_switch.in_flight, 1, "popped, not handed over");
-        t.inner.send_locked(0, &mut conn, &barrier(9));
-        assert_eq!(conn.to_switch.in_flight, 2, "the barrier took the heap");
-        assert!(t.try_recv().is_none(), "nothing may be processed yet");
-        drop(conn);
-        assert_eq!(reply_xids(&t, 2), [Xid(1), Xid(9)]);
         t.shutdown();
     }
 
     #[test]
-    fn a_due_now_reply_queues_behind_a_reply_the_poller_still_holds() {
-        let t = zero_delay_transport(1);
-        let mut conn = lock(&t.inner.conns[0]);
-        conn.to_ctrl.cfg = Some(ChannelConfig::ideal(SimDuration::from_millis(2)));
-        t.inner.send_locked(0, &mut conn, &echo(1));
-        conn.to_ctrl.cfg = None;
-        spin_until("the poller popped the echo reply", || {
-            lock(&t.inner.timers).heap.is_empty()
-        });
-        assert_eq!(conn.to_ctrl.in_flight, 1, "popped, not handed over");
-        t.inner.send_locked(0, &mut conn, &barrier(9));
-        assert_eq!(conn.to_switch.in_flight, 0, "the request went straight in");
-        assert_eq!(conn.to_ctrl.in_flight, 2, "its reply took the heap");
-        assert!(t.try_recv().is_none(), "the barrier reply must wait");
-        drop(conn);
-        assert_eq!(reply_xids(&t, 2), [Xid(1), Xid(9)]);
-        t.shutdown();
+    fn a_due_now_send_queues_behind_a_delivery_the_token_holder_still_holds() {
+        a_due_now_copy_queues_behind_what_the_token_holder_still_holds(Direction::ToSwitch);
+    }
+
+    #[test]
+    fn a_due_now_reply_queues_behind_a_reply_the_token_holder_still_holds() {
+        a_due_now_copy_queues_behind_what_the_token_holder_still_holds(Direction::ToController);
     }
 
     #[test]
@@ -1289,9 +1261,9 @@ mod tests {
     }
 
     /// Several senders against one receiver, every round released by a
-    /// `Barrier` so pushes race the poller, the workers and the
+    /// `Barrier` so pushes race each other for the loop token and the
     /// receiver going to sleep. Half the connections deliver on the
-    /// sender's thread, half through heap, poller and worker pool.
+    /// sender's thread, half through the heap.
     fn barrier_storm(workers: usize) {
         const SENDERS: u64 = 4;
         const CONNS_EACH: u64 = 4;
@@ -1336,8 +1308,8 @@ mod tests {
                         .expect("every barrier is answered");
                     assert_eq!(r.env, Envelope::new(Xid(round), OfMessage::BarrierReply));
                 }
-                // A push that fails to wake a parked poller or worker
-                // is rescued by IDLE_PARK, on average half of it later.
+                // A push that fails to wake the parked receiver is
+                // rescued by a watchdog, IDLE_PARK or more later.
                 if started.elapsed() > IDLE_PARK / 4 {
                     slow_rounds += 1;
                 }
@@ -1357,5 +1329,169 @@ mod tests {
     #[test]
     fn no_wake_up_is_lost_with_four_workers() {
         barrier_storm(4);
+    }
+
+    /// Drain replies with `recv` until `total` have been counted
+    /// across all drainers; returns the xids this drainer got, in order.
+    fn drain(
+        total: &AtomicUsize,
+        goal: usize,
+        mut recv: impl FnMut() -> Option<FromSwitch>,
+    ) -> Vec<u32> {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut got = Vec::new();
+        while total.load(Acquire) < goal && Instant::now() < deadline {
+            match recv() {
+                Some(msg) => {
+                    got.push(msg.env.xid.0);
+                    total.fetch_add(1, Release);
+                }
+                None => thread::yield_now(),
+            }
+        }
+        got
+    }
+
+    #[test]
+    fn two_drainers_contending_for_the_token_lose_and_reorder_nothing() {
+        const N: u32 = 10_000;
+        let t = EventLoopTransport::spawn_with(
+            vec![SoftSwitch::new(DpId(1), 4)],
+            ChannelConfig::jittery(SimDuration::from_micros(20)),
+            31,
+            EventLoopConfig {
+                workers: 2,
+                time_scale: 1.0,
+            },
+        );
+        let total = AtomicUsize::new(0);
+        let (blocking, polling) = thread::scope(|s| {
+            let blocking = s.spawn(|| {
+                drain(&total, N as usize, || {
+                    t.recv_timeout(Duration::from_millis(1))
+                })
+            });
+            let polling = s.spawn(|| drain(&total, N as usize, || t.try_recv()));
+            for i in 0..N {
+                t.send(DpId(1), &echo(i)).unwrap();
+            }
+            (blocking.join().unwrap(), polling.join().unwrap())
+        });
+        // Each drainer pops in queue order, so a pair handed over out
+        // of order shows in whichever drainer got both.
+        for got in [&blocking, &polling] {
+            assert!(got.windows(2).all(|w| w[0] < w[1]), "reordered: {got:?}");
+        }
+        let mut all = [blocking, polling].concat();
+        all.sort_unstable();
+        assert!(all.into_iter().eq(0..N), "an echo was lost or doubled");
+        t.shutdown();
+    }
+
+    #[test]
+    fn duplicated_and_delayed_copies_never_overtake_across_threads() {
+        // Delays from zero up and duplication on both lanes: due-now
+        // copies keep being planned, by the sender and by whichever
+        // thread holds the token, while earlier timed ones are in the
+        // heap or popped and not yet handed over.
+        const N: u32 = 5_000;
+        let profile = ChannelConfig {
+            delay: crate::config::DelayDist::Uniform {
+                lo: SimDuration::ZERO,
+                hi: SimDuration::from_micros(40),
+            },
+            ..ChannelConfig::ideal(SimDuration::ZERO).with_duplication(0.3)
+        };
+        let t = EventLoopTransport::spawn(vec![SoftSwitch::new(DpId(1), 4)], profile, 37, 1.0);
+        let mut seen = Vec::new();
+        thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..N {
+                    t.send(DpId(1), &echo(i)).unwrap();
+                }
+            });
+            while seen.last() != Some(&(N - 1)) {
+                let reply = t.recv_timeout(Duration::from_secs(10)).expect("reply");
+                seen.push(reply.env.xid.0);
+            }
+        });
+        assert!(seen.windows(2).all(|w| w[0] <= w[1]), "overtaken: {seen:?}");
+        seen.dedup();
+        assert!(seen.into_iter().eq(0..N), "an echo never arrived");
+        assert!(t.transport_stats().duplicated > N as u64 / 4);
+        t.shutdown();
+    }
+
+    #[test]
+    fn a_looping_receiver_leaves_the_watchdog_nothing_and_allocates_no_copies() {
+        let t = EventLoopTransport::spawn(
+            vec![SoftSwitch::new(DpId(1), 4)],
+            ChannelConfig::ideal(SimDuration::from_micros(5)),
+            41,
+            1.0,
+        );
+        // A shared machine now and then returns from a 5 µs sleep tens
+        // of milliseconds late, and the watchdog is right to step in:
+        // only a delivery of a round trip that stalled may be its work.
+        let mut stalls = 0;
+        for i in 0..10_000 {
+            let started = Instant::now();
+            t.send(DpId(1), &echo(i)).unwrap();
+            assert_eq!(reply_xids(&t, 1), [Xid(i)]);
+            stalls += u64::from(started.elapsed() > IDLE_PARK);
+        }
+        assert!(stalls < 100, "{stalls} round trips waited for the watchdog");
+        assert!(t.watchdog_fired() <= 2 * stalls);
+        // One buffer for the request, one for the reply planned while
+        // the request's was still out, both reused ever since.
+        assert_eq!(lock(&t.inner.timers).spare.len(), 2);
+        t.shutdown();
+    }
+
+    #[test]
+    fn the_watchdog_delivers_for_a_sender_that_never_receives() {
+        let t = EventLoopTransport::spawn(
+            vec![SoftSwitch::new(DpId(1), 4)],
+            ChannelConfig::ideal(SimDuration::from_millis(1)),
+            43,
+            1.0,
+        );
+        t.send(DpId(1), &add_rule(1)).unwrap();
+        assert_eq!(t.watchdog_fired(), 0);
+        thread::sleep(3 * IDLE_PARK);
+        // Due after 1 ms, overdue enough at the first tick past
+        // IDLE_PARK + 1 ms: long done unless the machine is starved.
+        spin_until("the watchdog fired", || t.watchdog_fired() > 0);
+        let switches = t.shutdown();
+        assert_eq!(switches[0].table().len(), 1);
+    }
+
+    #[test]
+    fn a_push_from_another_thread_wakes_a_receiver_parked_past_it() {
+        let mut t = EventLoopTransport::spawn_with(
+            (1..=2).map(|i| SoftSwitch::new(DpId(i), 4)).collect(),
+            ChannelConfig::ideal(SimDuration::ZERO),
+            47,
+            EventLoopConfig::default(),
+        );
+        let (far, near) = (SimDuration::from_millis(50), SimDuration::from_micros(100));
+        t.set_conn_config(ConnId::to_switch(DpId(1)), ChannelConfig::ideal(far));
+        t.set_conn_config(ConnId::to_switch(DpId(2)), ChannelConfig::ideal(near));
+        let t = &t;
+        t.send(DpId(1), &barrier(1)).unwrap();
+        thread::scope(|s| {
+            let receiver = s.spawn(|| {
+                let reply = t.recv_timeout(Duration::from_secs(1)).expect("reply");
+                (reply.env.xid, Instant::now())
+            });
+            spin_until("the receiver parked", || lock(&t.inner.ctrl).parked == 1);
+            let pushed = Instant::now();
+            t.send(DpId(2), &barrier(2)).unwrap();
+            let (xid, at) = receiver.join().unwrap();
+            assert_eq!(xid, Xid(2));
+            // Not the 50 ms sleep it had planned, and not the watchdog,
+            // which leaves a delivery alone for IDLE_PARK.
+            assert!(at - pushed < IDLE_PARK, "woken {:?} late", at - pushed);
+        });
     }
 }

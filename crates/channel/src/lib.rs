@@ -19,9 +19,10 @@
 //! * [`sim::SimChannel`] — pure planning: maps a send at time *t* to
 //!   delivery events for the discrete-event simulator;
 //! * [`event_loop::EventLoopTransport`] — a readiness-driven
-//!   in-process transport (single poller + worker pool over real
-//!   OpenFlow byte streams) that drives thousands of concurrent
-//!   switch connections for integration tests and scaling benches.
+//!   in-process transport (one event loop over real OpenFlow byte
+//!   streams, turned by the thread that calls into it) that drives
+//!   thousands of concurrent switch connections for integration
+//!   tests and scaling benches.
 //!
 //! Connections are first-class and mortal: both transports model
 //! scripted disconnects (frames in the pipe die with the session),
