@@ -1,27 +1,31 @@
 #!/usr/bin/env bash
-# Fail CI if the deleted pre-fabric submission API reappears anywhere.
-# The one-PR migration grace is over: the shims are gone, and no file
-# — not even their former defining sites — may mention these names:
+# Fail CI if a deleted controller API reappears anywhere: the
+# pre-fabric submission surface and the stand-alone serial controller.
+# No file — not even their former defining sites — may mention these
+# names:
 #
-#   World::with_runtime        -> World::builder(..).{serial,concurrent,fabric,runtime_handle}
+#   World::with_runtime        -> World::builder(..).{concurrent,fabric,runtime_handle}
 #   World::submit_update       -> World::submit(SubmitRequest::new(update))
 #   World::runtime_stats       -> world.runtime().stats()
 #   World::set_switch_channel  -> World::set_link_profile(dp, Some(profile))
 #   World::clear_switch_channel-> World::set_link_profile(dp, None)
 #   trait UpdateRuntime        -> trait RuntimeHandle
+#   Controller::new(ControllerConfig)
+#                              -> ConcurrentRuntime::new(RuntimeConfig::serial(exec))
+#   WorldBuilder::serial()     -> the builder's default; World::new(topo, cfg)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN='\b(UpdateRuntime|with_runtime|submit_update|runtime_stats|set_switch_channel|clear_switch_channel)\b'
+PATTERN='\b(UpdateRuntime|with_runtime|submit_update|runtime_stats|set_switch_channel|clear_switch_channel)\b|ControllerConfig|Controller::new|\.serial\(\)'
 
 hits=$(find . -name '*.rs' -not -path './target/*' -not -path './shims/*' -print0 |
     xargs -0 grep -nE "$PATTERN" || true)
 
 if [ -n "$hits" ]; then
-    echo "error: the deleted pre-fabric submission API must not come back:" >&2
+    echo "error: a deleted controller API must not come back:" >&2
     echo "$hits" >&2
     echo >&2
-    echo "Use the replacements documented in README.md (API migration)." >&2
+    echo "Use the replacements documented in README.md (Deleted APIs)." >&2
     exit 1
 fi
-echo "lint_deprecated: no trace of the deleted submission API"
+echo "lint_deprecated: no trace of the deleted controller APIs"

@@ -1,7 +1,8 @@
 //! E7 — concurrent-update throughput, latency and backpressure.
 //!
-//! The serial controller executes one compiled update at a time; the
-//! concurrent runtime executes every footprint-disjoint update in
+//! The runtime's serial configuration ([`RuntimeConfig::serial`], the
+//! paper's controller) executes one compiled update at a time; its
+//! default configuration executes every footprint-disjoint update in
 //! flight at once. This experiment quantifies the difference on the
 //! simulated data plane:
 //!
@@ -18,18 +19,18 @@
 //! * **straggler** — retransmissions to one slow switch, fixed
 //!   timeout vs per-switch adaptive RTO.
 //!
-//! All timing is virtual (deterministic), so the exported records are
-//! noise-free and the `bench_check` gate can hold a tight line on
-//! protocol regressions. Self-asserts the PR-5 acceptance bar:
+//! All timing is virtual (deterministic): the output is gated byte
+//! for byte by `ci/exp_digests.sh`. Self-asserts its acceptance bar:
 //! ≥ 2× aggregate throughput at 8 concurrent disjoint updates, and
 //! fewer straggler retransmissions under the adaptive RTO.
 //!
-//! Flags: `--tier small` (CI smoke sizes), `--json` (write
-//! `BENCH_PR5.json`), `--json-out PATH`.
+//! Flags: `--tier small` (CI smoke sizes), `--json-out PATH`.
 
+use sdn_bench::export::tier_and_json_out;
 use sdn_bench::stats::percentile;
 use sdn_bench::table::{f2, Table};
-use sdn_bench::Export;
+use sdn_bench::workload::{disjoint_flows, makespan_ms, FLOW_LEN};
+use sdn_bench::{Export, Record};
 use sdn_channel::config::ChannelConfig;
 use sdn_ctrl::compile::{compile_schedule, initial_flowmods, CompiledUpdate, FlowSpec};
 use sdn_ctrl::executor::ExecConfig;
@@ -42,15 +43,6 @@ use sdn_topo::gen::{self, UpdatePair};
 use sdn_types::{DpId, SimDuration, SimTime};
 use update_core::algorithms::{SlfGreedy, UpdateScheduler};
 use update_core::model::UpdateInstance;
-
-const FLOW_LEN: u64 = 8;
-
-/// `n` switch-disjoint reversal flows.
-fn disjoint_flows(n: usize) -> Vec<UpdatePair> {
-    (0..n)
-        .map(|i| gen::shift(&gen::reversal(FLOW_LEN), (i as u64) * (FLOW_LEN + 2)))
-        .collect()
-}
 
 /// `n` updates of the *same* flow: forward, back, forward, ... — every
 /// pair conflicts, so they must serialize.
@@ -128,15 +120,6 @@ fn run_load(
     }
 }
 
-/// Makespan (first submission → last completion) in virtual ms.
-fn makespan_ms(r: &SimReport) -> f64 {
-    r.updates
-        .iter()
-        .filter_map(|u| u.completed)
-        .map(|t| t.as_millis_f64())
-        .fold(0.0, f64::max)
-}
-
 /// Percentile (0..=100) of submission→completion latency in ms.
 fn latency_percentile(r: &SimReport, p: f64) -> f64 {
     let lats: Vec<f64> = r
@@ -157,38 +140,17 @@ fn concurrent_runtime() -> Box<dyn RuntimeHandle> {
 }
 
 fn serial_runtime() -> Box<dyn RuntimeHandle> {
-    Box::new(sdn_ctrl::Controller::new(
-        sdn_ctrl::ControllerConfig::default(),
-    ))
-}
-
-struct Record {
-    workload: &'static str,
-    algo: &'static str,
-    n: u64,
-    ms: f64,
+    Box::new(ConcurrentRuntime::new(RuntimeConfig::serial(
+        ExecConfig::default(),
+    )))
 }
 
 fn main() {
-    let mut tier_small = false;
-    let mut json_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--tier" => {
-                let t = args.next().expect("--tier needs small|full");
-                tier_small = t == "small";
-            }
-            "--json" => json_path = Some("BENCH_PR5.json".to_string()),
-            "--json-out" => json_path = Some(args.next().expect("--json-out needs a path")),
-            other => {
-                eprintln!(
-                    "unknown flag {other}; usage: exp_concurrent_updates [--tier small|full] [--json | --json-out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    let (tier_small, json_path) =
+        tier_and_json_out("exp_concurrent_updates").unwrap_or_else(|usage| {
+            eprintln!("{usage}");
+            std::process::exit(2);
+        });
 
     println!("E7: concurrent-update runtime vs the serial controller");
     println!("    n switch-disjoint 8-hop reversal flows submitted at t=0; virtual time\n");
@@ -198,7 +160,7 @@ fn main() {
     } else {
         &[2, 4, 8, 16, 32]
     };
-    let mut records: Vec<Record> = Vec::new();
+    let mut export = Export::new("concurrent_updates");
 
     // --- disjoint load: serial vs concurrent ---------------------------
     let mut t = Table::new(
@@ -250,24 +212,14 @@ fn main() {
             f2(latency_percentile(&conc.report, 99.0)),
             conc.stats.peak_active.to_string(),
         ]);
-        records.push(Record {
-            workload: "disjoint",
-            algo: "serial",
-            n: n as u64,
-            ms: s_ms,
-        });
-        records.push(Record {
-            workload: "disjoint",
-            algo: "concurrent",
-            n: n as u64,
-            ms: c_ms,
-        });
-        records.push(Record {
-            workload: "disjoint_p99",
-            algo: "concurrent",
-            n: n as u64,
-            ms: latency_percentile(&conc.report, 99.0),
-        });
+        export.push(Record::new("disjoint", "serial", n as u64, s_ms));
+        export.push(Record::new("disjoint", "concurrent", n as u64, c_ms));
+        export.push(Record::new(
+            "disjoint_p99",
+            "concurrent",
+            n as u64,
+            latency_percentile(&conc.report, 99.0),
+        ));
     }
     println!("{t}");
 
@@ -300,12 +252,7 @@ fn main() {
             f2(c_ms),
             conc.stats.peak_active.to_string(),
         ]);
-        records.push(Record {
-            workload: "overlapping",
-            algo: "concurrent",
-            n: n as u64,
-            ms: c_ms,
-        });
+        export.push(Record::new("overlapping", "concurrent", n as u64, c_ms));
     }
     println!("{to}");
 
@@ -345,12 +292,12 @@ fn main() {
             f2(rate),
             f2(makespan_ms(&out.report)),
         ]);
-        records.push(Record {
-            workload: "rejection_rate_pct",
-            algo: "capacity8",
-            n: n as u64,
-            ms: rate * 100.0,
-        });
+        export.push(Record::new(
+            "rejection_rate_pct",
+            "capacity8",
+            n as u64,
+            rate * 100.0,
+        ));
     }
     println!("{tb}");
 
@@ -406,18 +353,18 @@ fn main() {
         f2(adaptive_ms),
     ]);
     println!("{ts}");
-    records.push(Record {
-        workload: "straggler_retransmissions",
-        algo: "fixed",
-        n: 8,
-        ms: fixed_rtx as f64,
-    });
-    records.push(Record {
-        workload: "straggler_retransmissions",
-        algo: "adaptive",
-        n: 8,
-        ms: adaptive_rtx as f64,
-    });
+    export.push(Record::new(
+        "straggler_retransmissions",
+        "fixed",
+        8,
+        fixed_rtx as f64,
+    ));
+    export.push(Record::new(
+        "straggler_retransmissions",
+        "adaptive",
+        8,
+        adaptive_rtx as f64,
+    ));
 
     // --- acceptance bars ------------------------------------------------
     assert!(
@@ -435,10 +382,6 @@ fn main() {
     );
 
     if let Some(path) = json_path {
-        let mut export = Export::new("concurrent_updates");
-        for r in &records {
-            export.push(sdn_bench::Record::new(r.workload, r.algo, r.n, r.ms));
-        }
         println!("{}", export.write(&path));
     }
 }

@@ -30,15 +30,15 @@
 //! a small floor — these are wall-clock microseconds on shared
 //! runners).
 //!
-//! Flags: `--tier small` (CI smoke sizes), `--json` (write
-//! `BENCH_PR6.json`), `--json-out PATH`.
+//! Flags: `--tier small` (CI smoke sizes), `--json-out PATH`.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
+use sdn_bench::export::tier_and_json_out;
 use sdn_bench::stats::percentile;
 use sdn_bench::table::{f2, Table};
-use sdn_bench::Export;
+use sdn_bench::{Export, Record};
 use sdn_channel::config::ChannelConfig;
 use sdn_channel::{EventLoopConfig, EventLoopTransport, LiveTransport};
 use sdn_openflow::flow::FlowMatch;
@@ -162,32 +162,12 @@ fn run_tier(n: usize) -> TierResult {
     }
 }
 
-struct Record {
-    workload: &'static str,
-    n: u64,
-    ms: f64,
-}
-
 fn main() {
-    let mut tier_small = false;
-    let mut json_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--tier" => {
-                let t = args.next().expect("--tier needs small|full");
-                tier_small = t == "small";
-            }
-            "--json" => json_path = Some("BENCH_PR6.json".to_string()),
-            "--json-out" => json_path = Some(args.next().expect("--json-out needs a path")),
-            other => {
-                eprintln!(
-                    "unknown flag {other}; usage: exp_connection_scaling [--tier small|full] [--json | --json-out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    let (tier_small, json_path) =
+        tier_and_json_out("exp_connection_scaling").unwrap_or_else(|usage| {
+            eprintln!("{usage}");
+            std::process::exit(2);
+        });
 
     println!("E8: connection scaling over the readiness-driven live transport");
     println!("    FlowMod + barrier to every connection per wave; wall-clock RTT\n");
@@ -202,7 +182,7 @@ fn main() {
         "barrier RTT vs concurrent connections",
         &["conns", "p50 ms", "p99 ms", "wave ms"],
     );
-    let mut records: Vec<Record> = Vec::new();
+    let mut export = Export::new("connection_scaling");
     let mut by_tier: BTreeMap<usize, TierResult> = BTreeMap::new();
     for &n in sizes {
         let r = run_tier(n);
@@ -212,21 +192,24 @@ fn main() {
             f2(r.p99_ms),
             f2(r.wave_ms),
         ]);
-        records.push(Record {
-            workload: "barrier_rtt_p50",
-            n: n as u64,
-            ms: r.p50_ms,
-        });
-        records.push(Record {
-            workload: "barrier_rtt_p99",
-            n: n as u64,
-            ms: r.p99_ms,
-        });
-        records.push(Record {
-            workload: "wave_makespan",
-            n: n as u64,
-            ms: r.wave_ms,
-        });
+        export.push(Record::new(
+            "barrier_rtt_p50",
+            "event_loop",
+            n as u64,
+            r.p50_ms,
+        ));
+        export.push(Record::new(
+            "barrier_rtt_p99",
+            "event_loop",
+            n as u64,
+            r.p99_ms,
+        ));
+        export.push(Record::new(
+            "wave_makespan",
+            "event_loop",
+            n as u64,
+            r.wave_ms,
+        ));
         by_tier.insert(n, r);
     }
     println!("{t}");
@@ -252,10 +235,6 @@ fn main() {
     );
 
     if let Some(path) = json_path {
-        let mut export = Export::new("connection_scaling");
-        for r in &records {
-            export.push(sdn_bench::Record::new(r.workload, "event_loop", r.n, r.ms));
-        }
         println!("{}", export.write(&path));
     }
 }

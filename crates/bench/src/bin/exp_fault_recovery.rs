@@ -1,6 +1,6 @@
 //! E9 — fault recovery: convergence under control-plane failure.
 //!
-//! PR-7's acceptance drill, measured. Four chaos scenarios run against
+//! Four chaos scenarios run against
 //! the concurrent runtime (adaptive RTO, resync audits, write-ahead
 //! journal) in deterministic virtual time:
 //!
@@ -16,49 +16,24 @@
 //! Every scenario self-asserts the acceptance bar: all updates
 //! complete, zero transient violations on the probe trace, zero
 //! quarantines, and a rule-for-rule clean [`World::audit`]. All
-//! timing is virtual, so exported records are noise-free and the
-//! `bench_check` gate holds a tight line.
+//! timing is virtual: the output is gated byte for byte by
+//! `ci/exp_digests.sh`.
 //!
-//! Flags: `--tier small` (CI smoke sizes), `--json` (write
-//! `BENCH_PR7.json`), `--json-out PATH`.
+//! Flags: `--tier small` (CI smoke sizes), `--json-out PATH`.
 
+use sdn_bench::export::tier_and_json_out;
 use sdn_bench::table::{f2, Table};
-use sdn_bench::Export;
+use sdn_bench::workload::{
+    disjoint_flows, install_and_compile, makespan_ms, patient_runtime, probe_flows, FLOW_LEN,
+};
+use sdn_bench::{Export, Record};
 use sdn_channel::config::ChannelConfig;
-use sdn_ctrl::compile::{compile_schedule, initial_flowmods, CompiledUpdate, FlowSpec};
-use sdn_ctrl::executor::ExecConfig;
-use sdn_ctrl::runtime::{ConcurrentRuntime, Journal, RuntimeConfig};
+use sdn_ctrl::runtime::{ConcurrentRuntime, Journal};
 use sdn_sim::chaos::{ChaosPlan, FaultKind};
 use sdn_sim::report::SimReport;
 use sdn_sim::world::{World, WorldConfig};
 use sdn_topo::gen::{self, UpdatePair};
 use sdn_types::{DpId, SimDuration, SimTime};
-use update_core::algorithms::{SlfGreedy, UpdateScheduler};
-use update_core::model::UpdateInstance;
-
-const FLOW_LEN: u64 = 8;
-
-fn disjoint_flows(n: usize) -> Vec<UpdatePair> {
-    (0..n)
-        .map(|i| gen::shift(&gen::reversal(FLOW_LEN), (i as u64) * (FLOW_LEN + 2)))
-        .collect()
-}
-
-/// Outage-tolerant runtime: generous attempt budget, quarantine armed.
-fn runtime(journal: Journal) -> ConcurrentRuntime {
-    ConcurrentRuntime::with_journal(
-        RuntimeConfig {
-            exec: ExecConfig {
-                barrier_timeout: SimDuration::from_millis(20),
-                max_attempts: 60,
-                flowmod_acks: false,
-            },
-            max_active: 32,
-            ..RuntimeConfig::default()
-        },
-        journal,
-    )
-}
 
 /// World over `pairs` with old routes installed, all updates submitted
 /// at t=0, probes planned on every flow.
@@ -71,39 +46,17 @@ fn world_for(pairs: &[UpdatePair], seed: u64, journal: Journal, probes: u64) -> 
     };
     let mut world = World::builder(topo.clone())
         .config(cfg)
-        .runtime_handle(Box::new(runtime(journal)))
+        // outage-tolerant: generous attempt budget, quarantine armed
+        .runtime_handle(Box::new(ConcurrentRuntime::with_journal(
+            patient_runtime(32),
+            journal,
+        )))
         .build();
-    let mut compiled: Vec<CompiledUpdate> = Vec::new();
-    for (i, pair) in pairs.iter().enumerate() {
-        let (src, dst) = gen::batch_hosts(i);
-        let spec = FlowSpec { src, dst };
-        let inst = UpdateInstance::new(pair.old.clone(), pair.new.clone(), pair.waypoint).unwrap();
-        let sched = SlfGreedy::default().schedule(&inst).unwrap();
-        world.install_initial(&initial_flowmods(&topo, &pair.old, &spec).unwrap());
-        compiled.push(compile_schedule(&topo, &inst, &sched, &spec).unwrap());
-    }
-    for c in compiled {
+    for c in install_and_compile(&mut world, &topo, pairs) {
         world.enqueue_update(c);
     }
-    for (i, _) in pairs.iter().enumerate() {
-        let (src, dst) = gen::batch_hosts(i);
-        world.plan_injection(
-            src,
-            dst,
-            SimDuration::from_micros(500),
-            probes,
-            SimTime::ZERO,
-        );
-    }
+    probe_flows(&mut world, pairs.len(), probes);
     world
-}
-
-fn makespan_ms(r: &SimReport) -> f64 {
-    r.updates
-        .iter()
-        .filter_map(|u| u.completed)
-        .map(|t| t.as_millis_f64())
-        .fold(0.0, f64::max)
 }
 
 /// The acceptance bar every scenario must clear.
@@ -128,38 +81,16 @@ fn accept(label: &str, w: &World, r: &SimReport) {
     assert_eq!(audit.untracked, 0, "{label}: shadow must cover the fleet");
 }
 
-struct Record {
-    workload: &'static str,
-    algo: &'static str,
-    n: u64,
-    ms: f64,
-}
-
 fn main() {
-    let mut tier_small = false;
-    let mut json_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--tier" => {
-                let t = args.next().expect("--tier needs small|full");
-                tier_small = t == "small";
-            }
-            "--json" => json_path = Some("BENCH_PR7.json".to_string()),
-            "--json-out" => json_path = Some(args.next().expect("--json-out needs a path")),
-            other => {
-                eprintln!(
-                    "unknown flag {other}; usage: exp_fault_recovery [--tier small|full] [--json | --json-out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    let (tier_small, json_path) = tier_and_json_out("exp_fault_recovery").unwrap_or_else(|usage| {
+        eprintln!("{usage}");
+        std::process::exit(2);
+    });
 
     println!("E9: convergence under control-plane failure (virtual time)");
     println!("    8-hop reversal flows, SLF-greedy schedules, LAN channel\n");
 
-    let mut records: Vec<Record> = Vec::new();
+    let mut export = Export::new("fault_recovery");
 
     // --- blip: one connection drops mid-round, varying outage --------
     let outages_ms: &[u64] = if tier_small {
@@ -193,12 +124,7 @@ fn main() {
             stats.retransmissions.to_string(),
             stats.resyncs.to_string(),
         ]);
-        records.push(Record {
-            workload: "blip",
-            algo: "concurrent",
-            n: outage,
-            ms,
-        });
+        export.push(Record::new("blip", "concurrent", outage, ms));
     }
     println!("{t}");
 
@@ -227,12 +153,7 @@ fn main() {
             stats.resynced_rules.to_string(),
             stats.resyncs.to_string(),
         ]);
-        records.push(Record {
-            workload: "reboot",
-            algo: "concurrent",
-            n: 1,
-            ms,
-        });
+        export.push(Record::new("reboot", "concurrent", 1, ms));
     }
     println!("{tr}");
 
@@ -260,12 +181,7 @@ fn main() {
             stats.recoveries.to_string(),
             stats.retransmissions.to_string(),
         ]);
-        records.push(Record {
-            workload: "crash",
-            algo: "concurrent",
-            n: n as u64,
-            ms,
-        });
+        export.push(Record::new("crash", "concurrent", n as u64, ms));
     }
     println!("{tc}");
 
@@ -311,12 +227,7 @@ fn main() {
             stats.reconnects.to_string(),
             stats.resyncs.to_string(),
         ]);
-        records.push(Record {
-            workload: "churn",
-            algo: "concurrent",
-            n: dps.len() as u64,
-            ms,
-        });
+        export.push(Record::new("churn", "concurrent", dps.len() as u64, ms));
     }
     println!("{tf}");
 
@@ -326,10 +237,6 @@ fn main() {
     );
 
     if let Some(path) = json_path {
-        let mut export = Export::new("fault_recovery");
-        for r in &records {
-            export.push(sdn_bench::Record::new(r.workload, r.algo, r.n, r.ms));
-        }
         println!("{}", export.write(&path));
     }
 }

@@ -17,56 +17,33 @@
 //!   migrations vs the identical run without them: the end-to-end tax
 //!   of rebalancing mid-flight.
 //!
-//! All timing is virtual (deterministic), so the exported records are
-//! noise-free. Self-asserts the PR-9 acceptance bar: every requested
+//! All timing is virtual (deterministic): the output is gated byte for
+//! byte by `ci/exp_digests.sh`. Self-asserts its acceptance bar: every requested
 //! migration commits (no aborts), zero transient violations and a
 //! rule-for-rule clean audit in both runs, the final `migrating` list
 //! is empty, and every pause is bounded by one second of virtual
 //! time.
 //!
-//! Flags: `--tier small` (CI smoke sizes), `--json` (write
-//! `BENCH_PR9.json`), `--json-out PATH`.
+//! Flags: `--tier small` (CI smoke sizes), `--json-out PATH`.
 
 use std::collections::BTreeMap;
 
+use sdn_bench::export::tier_and_json_out;
 use sdn_bench::stats::percentile;
 use sdn_bench::table::{f2, f3, Table};
-use sdn_bench::Export;
+use sdn_bench::workload::{
+    disjoint_flows, install_and_compile, makespan_ms, patient_runtime, probe_flows, FLOW_LEN,
+};
+use sdn_bench::{Export, Record};
 use sdn_channel::config::ChannelConfig;
-use sdn_ctrl::compile::{compile_schedule, initial_flowmods, CompiledUpdate, FlowSpec};
-use sdn_ctrl::executor::ExecConfig;
-use sdn_ctrl::runtime::{FabricConfig, RuntimeConfig, SubmitRequest};
+use sdn_ctrl::runtime::{FabricConfig, SubmitRequest};
 use sdn_sim::chaos::FaultKind;
 use sdn_sim::report::SimReport;
 use sdn_sim::world::{World, WorldConfig};
 use sdn_topo::gen::{self, UpdatePair};
 use sdn_types::{DpId, SimDuration, SimTime};
-use update_core::algorithms::{SlfGreedy, UpdateScheduler};
-use update_core::model::UpdateInstance;
 
-const FLOW_LEN: u64 = 8;
 const SLICE_US: u64 = 50;
-
-/// `n` switch-disjoint reversal flows.
-fn disjoint_flows(n: usize) -> Vec<UpdatePair> {
-    (0..n)
-        .map(|i| gen::shift(&gen::reversal(FLOW_LEN), (i as u64) * (FLOW_LEN + 2)))
-        .collect()
-}
-
-/// Outage-tolerant runtime tuning (mirrors the chaos experiments).
-fn patient_runtime() -> RuntimeConfig {
-    RuntimeConfig {
-        exec: ExecConfig {
-            barrier_timeout: SimDuration::from_millis(20),
-            max_attempts: 60,
-            flowmod_acks: false,
-        },
-        max_active: 32,
-        queue_capacity: 64,
-        ..RuntimeConfig::default()
-    }
-}
 
 /// Build the world, submit the whole batch at t=0 and start probes.
 fn loaded_world(pairs: &[UpdatePair], shards: u32) -> World {
@@ -80,29 +57,17 @@ fn loaded_world(pairs: &[UpdatePair], shards: u32) -> World {
         .config(cfg)
         .fabric(FabricConfig {
             shards,
-            runtime: patient_runtime(),
+            runtime: patient_runtime(32),
             journal: true,
             ..FabricConfig::default()
         })
         .build();
-    let mut compiled: Vec<CompiledUpdate> = Vec::new();
-    for (i, pair) in pairs.iter().enumerate() {
-        let (src, dst) = gen::batch_hosts(i);
-        let spec = FlowSpec { src, dst };
-        let inst = UpdateInstance::new(pair.old.clone(), pair.new.clone(), pair.waypoint).unwrap();
-        let sched = SlfGreedy::default().schedule(&inst).expect("schedulable");
-        world.install_initial(&initial_flowmods(&topo, &pair.old, &spec).unwrap());
-        compiled.push(compile_schedule(&topo, &inst, &sched, &spec).unwrap());
-    }
-    for c in compiled {
+    for c in install_and_compile(&mut world, &topo, pairs) {
         world
             .submit(SubmitRequest::new(c))
             .expect("fabric admits the batch");
     }
-    for (i, _) in pairs.iter().enumerate() {
-        let (src, dst) = gen::batch_hosts(i);
-        world.plan_injection(src, dst, SimDuration::from_micros(500), 100, SimTime::ZERO);
-    }
+    probe_flows(&mut world, pairs.len(), 100);
     world
 }
 
@@ -121,15 +86,6 @@ fn migration_targets(pairs: &[UpdatePair], k: usize, shards: u32) -> Vec<(SimTim
             (at, dp, to)
         })
         .collect()
-}
-
-/// Makespan (t=0 submission → last completion) in virtual ms.
-fn makespan_ms(r: &SimReport) -> f64 {
-    r.updates
-        .iter()
-        .filter_map(|u| u.completed)
-        .map(|t| t.as_millis_f64())
-        .fold(0.0, f64::max)
 }
 
 struct RebalanceOutcome {
@@ -190,33 +146,11 @@ fn run_rebalance(
     }
 }
 
-struct Record {
-    workload: &'static str,
-    algo: String,
-    n: u64,
-    ms: f64,
-}
-
 fn main() {
-    let mut tier_small = false;
-    let mut json_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--tier" => {
-                let t = args.next().expect("--tier needs small|full");
-                tier_small = t == "small";
-            }
-            "--json" => json_path = Some("BENCH_PR9.json".to_string()),
-            "--json-out" => json_path = Some(args.next().expect("--json-out needs a path")),
-            other => {
-                eprintln!(
-                    "unknown flag {other}; usage: exp_live_rebalance [--tier small|full] [--json | --json-out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    let (tier_small, json_path) = tier_and_json_out("exp_live_rebalance").unwrap_or_else(|usage| {
+        eprintln!("{usage}");
+        std::process::exit(2);
+    });
 
     let (n, k): (usize, usize) = if tier_small { (8, 4) } else { (16, 8) };
     let shards = 4u32;
@@ -292,40 +226,14 @@ fn main() {
     );
 
     if let Some(path) = json_path {
-        let records = [
-            Record {
-                workload: "live_rebalance",
-                algo: "pause_p50".into(),
-                n: shards as u64,
-                ms: p50,
-            },
-            Record {
-                workload: "live_rebalance",
-                algo: "pause_p99".into(),
-                n: shards as u64,
-                ms: p99,
-            },
-            Record {
-                workload: "live_rebalance",
-                algo: "makespan_base".into(),
-                n: shards as u64,
-                ms: base_ms,
-            },
-            Record {
-                workload: "live_rebalance",
-                algo: "makespan_live".into(),
-                n: shards as u64,
-                ms: live_ms,
-            },
-        ];
         let mut export = Export::new("live_rebalance");
-        for r in &records {
-            export.push(sdn_bench::Record::new(
-                r.workload,
-                r.algo.clone(),
-                r.n,
-                r.ms,
-            ));
+        for (algo, ms) in [
+            ("pause_p50", p50),
+            ("pause_p99", p99),
+            ("makespan_base", base_ms),
+            ("makespan_live", live_ms),
+        ] {
+            export.push(Record::new("live_rebalance", algo, shards as u64, ms));
         }
         println!("{}", export.write(&path));
     }

@@ -25,66 +25,26 @@
 //! events non-empty) — and the whole leg, rerun under the same seed,
 //! must reproduce the dumps byte for byte.
 //!
-//! Flags: `--tier small` (CI smoke sizes), `--json` (write
-//! `BENCH_PR10.json`), `--json-out PATH`.
+//! Flags: `--tier small` (CI smoke sizes), `--json-out PATH`.
 
 use std::time::Instant;
 
+use sdn_bench::export::tier_and_json_out;
 use sdn_bench::table::{f2, Table};
+use sdn_bench::workload::{
+    assignment, disjoint_flows, install_and_compile, makespan_ms, patient_runtime, probe_flows,
+    shard_runtime, FLOW_LEN, PER_SHARD_ACTIVE,
+};
 use sdn_bench::{Export, Json, Record};
 use sdn_channel::config::ChannelConfig;
-use sdn_ctrl::compile::{compile_schedule, initial_flowmods, CompiledUpdate, FlowSpec};
-use sdn_ctrl::executor::ExecConfig;
 use sdn_ctrl::runtime::{FabricConfig, FabricCoordinator, RuntimeConfig, SubmitRequest};
 use sdn_obs::{prometheus, Ctr, DumpReason, HistId, Obs};
 use sdn_sim::chaos::FaultKind;
 use sdn_sim::report::SimReport;
 use sdn_sim::world::{World, WorldConfig};
 use sdn_topo::gen::{self, UpdatePair};
-use sdn_types::{DpId, SimDuration, SimTime};
-use update_core::algorithms::{SlfGreedy, UpdateScheduler};
-use update_core::model::UpdateInstance;
+use sdn_types::{SimDuration, SimTime};
 use update_core::partition::ShardAssignment;
-
-const FLOW_LEN: u64 = 8;
-const PER_SHARD_ACTIVE: usize = 4;
-
-/// `n` switch-disjoint reversal flows (the E10 scaling workload).
-fn disjoint_flows(n: usize) -> Vec<UpdatePair> {
-    (0..n)
-        .map(|i| gen::shift(&gen::reversal(FLOW_LEN), (i as u64) * (FLOW_LEN + 2)))
-        .collect()
-}
-
-/// Every switch of every flow, in flow order.
-fn flow_switches(pairs: &[UpdatePair]) -> Vec<Vec<DpId>> {
-    pairs
-        .iter()
-        .map(|p| {
-            let mut dps: Vec<DpId> = p.old.hops().to_vec();
-            dps.extend(p.new.hops().iter().copied());
-            dps.sort();
-            dps.dedup();
-            dps
-        })
-        .collect()
-}
-
-/// Pin flow `i` to shard `i % shards`; the first `cross` flows
-/// straddle their home shard and its neighbour.
-fn assignment(pairs: &[UpdatePair], shards: u32, cross: usize) -> ShardAssignment {
-    let mut overrides: Vec<(DpId, u32)> = Vec::new();
-    for (i, dps) in flow_switches(pairs).iter().enumerate() {
-        let home = (i as u32) % shards;
-        let away = (home + 1) % shards;
-        let half = dps.len() / 2;
-        for (j, &dp) in dps.iter().enumerate() {
-            let s = if i < cross && j >= half { away } else { home };
-            overrides.push((dp, s));
-        }
-    }
-    ShardAssignment::with_overrides(shards, overrides)
-}
 
 struct RunOutcome {
     report: SimReport,
@@ -126,15 +86,7 @@ fn run_load(
         .runtime_handle(Box::new(fabric))
         .obs(obs.clone())
         .build();
-    let mut compiled: Vec<CompiledUpdate> = Vec::new();
-    for (i, pair) in pairs.iter().enumerate() {
-        let (src, dst) = gen::batch_hosts(i);
-        let spec = FlowSpec { src, dst };
-        let inst = UpdateInstance::new(pair.old.clone(), pair.new.clone(), pair.waypoint).unwrap();
-        let sched = SlfGreedy::default().schedule(&inst).expect("schedulable");
-        world.install_initial(&initial_flowmods(&topo, &pair.old, &spec).unwrap());
-        compiled.push(compile_schedule(&topo, &inst, &sched, &spec).unwrap());
-    }
+    let compiled = install_and_compile(&mut world, &topo, pairs);
     let mut first_job = 0u64;
     for (i, c) in compiled.into_iter().enumerate() {
         let ticket = world
@@ -147,10 +99,7 @@ fn run_load(
     if let Some(at) = crash_at {
         world.schedule_fault(at, FaultKind::CrashController);
     }
-    for (i, _) in pairs.iter().enumerate() {
-        let (src, dst) = gen::batch_hosts(i);
-        world.plan_injection(src, dst, SimDuration::from_micros(500), 100, SimTime::ZERO);
-    }
+    probe_flows(&mut world, pairs.len(), 100);
     let report = world.run(SimTime::ZERO + SimDuration::from_secs(3600));
     RunOutcome {
         report,
@@ -159,37 +108,6 @@ fn run_load(
         wall_ms: wall.elapsed().as_secs_f64() * 1e3,
         crashes: world.controller_crashes(),
         recoveries: world.runtime().stats().recoveries,
-    }
-}
-
-/// Makespan (t=0 submission → last completion) in virtual ms.
-fn makespan_ms(r: &SimReport) -> f64 {
-    r.updates
-        .iter()
-        .filter_map(|u| u.completed)
-        .map(|t| t.as_millis_f64())
-        .fold(0.0, f64::max)
-}
-
-fn shard_runtime() -> RuntimeConfig {
-    RuntimeConfig {
-        queue_capacity: 64,
-        max_active: PER_SHARD_ACTIVE,
-        ..RuntimeConfig::default()
-    }
-}
-
-/// Outage-tolerant tuning for the forced-crash leg.
-fn patient_runtime() -> RuntimeConfig {
-    RuntimeConfig {
-        exec: ExecConfig {
-            barrier_timeout: SimDuration::from_millis(20),
-            max_attempts: 60,
-            flowmod_acks: false,
-        },
-        max_active: PER_SHARD_ACTIVE,
-        queue_capacity: 64,
-        ..RuntimeConfig::default()
     }
 }
 
@@ -218,7 +136,7 @@ fn chaos_dumps(n: usize) -> (RunOutcome, Vec<String>) {
     let out = run_load(
         &pairs,
         assignment(&pairs, 4, n / 2),
-        patient_runtime(),
+        patient_runtime(PER_SHARD_ACTIVE),
         true,
         Some(SimTime::ZERO + SimDuration::from_millis(3)),
         Obs::with_ring(256),
@@ -233,25 +151,10 @@ fn chaos_dumps(n: usize) -> (RunOutcome, Vec<String>) {
 }
 
 fn main() {
-    let mut tier_small = false;
-    let mut json_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--tier" => {
-                let t = args.next().expect("--tier needs small|full");
-                tier_small = t == "small";
-            }
-            "--json" => json_path = Some("BENCH_PR10.json".to_string()),
-            "--json-out" => json_path = Some(args.next().expect("--json-out needs a path")),
-            other => {
-                eprintln!(
-                    "unknown flag {other}; usage: exp_observability [--tier small|full] [--json | --json-out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    let (tier_small, json_path) = tier_and_json_out("exp_observability").unwrap_or_else(|usage| {
+        eprintln!("{usage}");
+        std::process::exit(2);
+    });
 
     let n: usize = if tier_small { 16 } else { 32 };
     let shard_counts: &[u32] = if tier_small {

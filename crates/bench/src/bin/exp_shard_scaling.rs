@@ -19,70 +19,29 @@
 //!   and leave a rule-for-rule clean audit with zero transient
 //!   violations under live probing.
 //!
-//! All timing is virtual (deterministic), so the exported records are
-//! noise-free and the `bench_check` gate can hold a tight line.
-//! Self-asserts the PR-8 acceptance bar: ≥ 2× aggregate throughput at
-//! 4 shards vs 1 shard on the switch-disjoint workload, and the chaos
-//! leg converges violation-free with a clean audit.
+//! All timing is virtual (deterministic): the output is gated byte
+//! for byte by `ci/exp_digests.sh`. Self-asserts its acceptance bar:
+//! ≥ 2× aggregate throughput at 4 shards vs 1 shard on the
+//! switch-disjoint workload, and the chaos leg converges
+//! violation-free with a clean audit.
 //!
-//! Flags: `--tier small` (CI smoke sizes), `--json` (write
-//! `BENCH_PR8.json`), `--json-out PATH`.
+//! Flags: `--tier small` (CI smoke sizes), `--json-out PATH`.
 
+use sdn_bench::export::tier_and_json_out;
 use sdn_bench::table::{f2, Table};
-use sdn_bench::Export;
+use sdn_bench::workload::{
+    assignment, disjoint_flows, install_and_compile, makespan_ms, patient_runtime, probe_flows,
+    shard_runtime, FLOW_LEN, PER_SHARD_ACTIVE,
+};
+use sdn_bench::{Export, Record};
 use sdn_channel::config::ChannelConfig;
-use sdn_ctrl::compile::{compile_schedule, initial_flowmods, CompiledUpdate, FlowSpec};
-use sdn_ctrl::executor::ExecConfig;
 use sdn_ctrl::runtime::{FabricConfig, FabricCoordinator, RuntimeConfig, SubmitRequest};
 use sdn_sim::chaos::FaultKind;
 use sdn_sim::report::SimReport;
 use sdn_sim::world::{World, WorldConfig};
 use sdn_topo::gen::{self, UpdatePair};
-use sdn_types::{DpId, SimDuration, SimTime};
-use update_core::algorithms::{SlfGreedy, UpdateScheduler};
-use update_core::model::UpdateInstance;
+use sdn_types::{SimDuration, SimTime};
 use update_core::partition::ShardAssignment;
-
-const FLOW_LEN: u64 = 8;
-const PER_SHARD_ACTIVE: usize = 4;
-
-/// `n` switch-disjoint reversal flows.
-fn disjoint_flows(n: usize) -> Vec<UpdatePair> {
-    (0..n)
-        .map(|i| gen::shift(&gen::reversal(FLOW_LEN), (i as u64) * (FLOW_LEN + 2)))
-        .collect()
-}
-
-/// Every switch of every flow, in flow order.
-fn flow_switches(pairs: &[UpdatePair]) -> Vec<Vec<DpId>> {
-    pairs
-        .iter()
-        .map(|p| {
-            let mut dps: Vec<DpId> = p.old.hops().to_vec();
-            dps.extend(p.new.hops().iter().copied());
-            dps.sort();
-            dps.dedup();
-            dps
-        })
-        .collect()
-}
-
-/// Pin flow `i` to shard `i % shards`; the first `cross` flows instead
-/// straddle their home shard and its neighbour (half the hops each),
-/// forcing the two-phase path whenever `shards > 1`.
-fn assignment(pairs: &[UpdatePair], shards: u32, cross: usize) -> ShardAssignment {
-    let mut overrides: Vec<(DpId, u32)> = Vec::new();
-    for (i, dps) in flow_switches(pairs).iter().enumerate() {
-        let home = (i as u32) % shards;
-        let away = (home + 1) % shards;
-        let half = dps.len() / 2;
-        for (j, &dp) in dps.iter().enumerate() {
-            let s = if i < cross && j >= half { away } else { home };
-            overrides.push((dp, s));
-        }
-    }
-    ShardAssignment::with_overrides(shards, overrides)
-}
 
 struct RunOutcome {
     report: SimReport,
@@ -120,17 +79,8 @@ fn run_load(
         .config(cfg)
         .runtime_handle(Box::new(fabric))
         .build();
-    let mut compiled: Vec<CompiledUpdate> = Vec::new();
-    for (i, pair) in pairs.iter().enumerate() {
-        let (src, dst) = gen::batch_hosts(i);
-        let spec = FlowSpec { src, dst };
-        let inst = UpdateInstance::new(pair.old.clone(), pair.new.clone(), pair.waypoint).unwrap();
-        let sched = SlfGreedy::default().schedule(&inst).expect("schedulable");
-        world.install_initial(&initial_flowmods(&topo, &pair.old, &spec).unwrap());
-        compiled.push(compile_schedule(&topo, &inst, &sched, &spec).unwrap());
-    }
     let mut cross_shard = 0;
-    for c in compiled {
+    for c in install_and_compile(&mut world, &topo, pairs) {
         let ticket = world
             .submit(SubmitRequest::new(c))
             .expect("fabric admits the batch");
@@ -139,10 +89,7 @@ fn run_load(
     if let Some(at) = crash_at {
         world.schedule_fault(at, FaultKind::CrashController);
     }
-    for (i, _) in pairs.iter().enumerate() {
-        let (src, dst) = gen::batch_hosts(i);
-        world.plan_injection(src, dst, SimDuration::from_micros(500), 100, SimTime::ZERO);
-    }
+    probe_flows(&mut world, pairs.len(), 100);
     let report = world.run(SimTime::ZERO + SimDuration::from_secs(3600));
     RunOutcome {
         report,
@@ -153,64 +100,11 @@ fn run_load(
     }
 }
 
-/// Makespan (t=0 submission → last completion) in virtual ms.
-fn makespan_ms(r: &SimReport) -> f64 {
-    r.updates
-        .iter()
-        .filter_map(|u| u.completed)
-        .map(|t| t.as_millis_f64())
-        .fold(0.0, f64::max)
-}
-
-fn shard_runtime() -> RuntimeConfig {
-    RuntimeConfig {
-        queue_capacity: 64,
-        max_active: PER_SHARD_ACTIVE,
-        ..RuntimeConfig::default()
-    }
-}
-
-/// Outage-tolerant tuning for the chaos leg.
-fn patient_runtime() -> RuntimeConfig {
-    RuntimeConfig {
-        exec: ExecConfig {
-            barrier_timeout: SimDuration::from_millis(20),
-            max_attempts: 60,
-            flowmod_acks: false,
-        },
-        max_active: PER_SHARD_ACTIVE,
-        queue_capacity: 64,
-        ..RuntimeConfig::default()
-    }
-}
-
-struct Record {
-    workload: &'static str,
-    algo: String,
-    n: u64,
-    ms: f64,
-}
-
 fn main() {
-    let mut tier_small = false;
-    let mut json_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--tier" => {
-                let t = args.next().expect("--tier needs small|full");
-                tier_small = t == "small";
-            }
-            "--json" => json_path = Some("BENCH_PR8.json".to_string()),
-            "--json-out" => json_path = Some(args.next().expect("--json-out needs a path")),
-            other => {
-                eprintln!(
-                    "unknown flag {other}; usage: exp_shard_scaling [--tier small|full] [--json | --json-out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    let (tier_small, json_path) = tier_and_json_out("exp_shard_scaling").unwrap_or_else(|usage| {
+        eprintln!("{usage}");
+        std::process::exit(2);
+    });
 
     let n: usize = if tier_small { 16 } else { 32 };
     let shard_counts: &[u32] = if tier_small {
@@ -226,7 +120,7 @@ fn main() {
          (max_active {PER_SHARD_ACTIVE} each); virtual time\n"
     );
 
-    let mut records: Vec<Record> = Vec::new();
+    let mut export = Export::new("shard_scaling");
     let mut t = Table::new(
         "aggregate throughput vs shard count x cross-shard fraction",
         &[
@@ -286,12 +180,12 @@ fn main() {
                 f2(n as f64 / (ms / 1e3)),
                 f2(speedup),
             ]);
-            records.push(Record {
-                workload: "shard_scaling",
-                algo: format!("xfrac{:02}", (frac * 100.0) as u32),
-                n: shards as u64,
+            export.push(Record::new(
+                "shard_scaling",
+                format!("xfrac{:02}", (frac * 100.0) as u32),
+                shards as u64,
                 ms,
-            });
+            ));
         }
     }
     println!("{t}");
@@ -302,7 +196,7 @@ fn main() {
     let out = run_load(
         &pairs,
         assignment(&pairs, 4, chaos_n / 2),
-        patient_runtime(),
+        patient_runtime(PER_SHARD_ACTIVE),
         true,
         Some(SimTime::ZERO + SimDuration::from_millis(3)),
     );
@@ -339,18 +233,13 @@ fn main() {
         out.report.violations
     );
     assert!(out.audit_clean, "chaos leg must end with a clean audit");
-    records.push(Record {
-        workload: "chaos_recoveries",
-        algo: "fabric".into(),
-        n: 4,
-        ms: out.recoveries as f64,
-    });
-    records.push(Record {
-        workload: "chaos_completed",
-        algo: "fabric".into(),
-        n: 4,
-        ms: done as f64,
-    });
+    export.push(Record::new(
+        "chaos_recoveries",
+        "fabric",
+        4,
+        out.recoveries as f64,
+    ));
+    export.push(Record::new("chaos_completed", "fabric", 4, done as f64));
 
     // --- acceptance bar -------------------------------------------------
     assert!(
@@ -365,15 +254,6 @@ fn main() {
     );
 
     if let Some(path) = json_path {
-        let mut export = Export::new("shard_scaling");
-        for r in &records {
-            export.push(sdn_bench::Record::new(
-                r.workload,
-                r.algo.clone(),
-                r.n,
-                r.ms,
-            ));
-        }
         println!("{}", export.write(&path));
     }
 }

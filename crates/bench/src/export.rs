@@ -122,6 +122,29 @@ impl Export {
     }
 }
 
+/// The flags the tiered experiments (E7–E12) share: `--tier
+/// small|full` picks CI-smoke or full sizes, `--json-out PATH` also
+/// writes the records as an [`Export`] document. Returns `(small tier,
+/// export path)`, or the usage line for the CLI to print and exit on
+/// (library code never prints).
+pub fn tier_and_json_out(bin: &str) -> Result<(bool, Option<String>), String> {
+    let mut tier_small = false;
+    let mut json_path = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        match (a.as_str(), args.next()) {
+            ("--tier", Some(t)) => tier_small = t == "small",
+            ("--json-out", Some(path)) => json_path = Some(path),
+            _ => {
+                return Err(format!(
+                    "bad flag {a}; usage: {bin} [--tier small|full] [--json-out PATH]"
+                ))
+            }
+        }
+    }
+    Ok((tier_small, json_path))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,8 +19,11 @@
 //! | `exp_observability`   | E12 — observability overhead and flight-recorder fidelity |
 //! | `bench_check`         | CI perf-regression gate over the JSON exports |
 //!
-//! Machine-readable exports (`BENCH_PR*.json`) all flow through
-//! [`export::Export`] — one shared schema for the `bench_check` gate.
+//! Machine-readable exports all flow through [`export::Export`] — one
+//! shared schema, read by the `bench_check` gate on E3's wall-clock
+//! baseline. The virtual-time experiments are deterministic and are
+//! gated byte for byte instead (`ci/exp_digests.sh`). The workload E7
+//! and E9–E12 share lives in [`workload`].
 //!
 //! Criterion micro-benchmarks live in `benches/`.
 
@@ -32,6 +35,7 @@ pub mod json;
 pub mod regression;
 pub mod stats;
 pub mod table;
+pub mod workload;
 
 pub use export::{Export, Record};
 pub use json::Json;

@@ -6,8 +6,8 @@
 //! override knobs, but grew separate entry points: `set_override` on
 //! the simulator, constructor-only configuration on the threaded
 //! transport. The [`Transport`] trait collapses those into one surface
-//! so `World`, `Controller` and `ConcurrentRuntime` can configure a
-//! flaky switch without knowing which transport carries it.
+//! so `World` and the experiments can configure a flaky switch without
+//! knowing which transport carries it.
 //!
 //! [`LiveTransport`] extends [`Transport`] with actual message motion
 //! (`send`/`recv`); the simulator does not implement it because its

@@ -1,4 +1,5 @@
-//! The controller: a queue of update jobs processed one at a time.
+//! What a controller core hands back: transport commands and
+//! completion reports.
 //!
 //! From the paper: *"create a message queue at the SDN controller side
 //! to enqueue the REST messages in a message queue for each round of
@@ -6,23 +7,16 @@
 //! it begins with the first round... If the message object does not
 //! have a next round, the SDN controller deletes the message from the
 //! queue and starts processing the next message."*
-
-use std::collections::VecDeque;
+//!
+//! That one-at-a-time queue is not a type of its own: it is
+//! [`RuntimeConfig::serial`](crate::runtime::RuntimeConfig::serial), the
+//! runtime with one execution slot. The tests below hold that
+//! configuration to the paper's wording.
 
 use sdn_openflow::messages::Envelope;
 use sdn_types::{DpId, SimDuration, SimTime};
 
-use crate::compile::CompiledUpdate;
-use crate::executor::{ExecConfig, ExecState, RoundExecutor, RoundTiming, XidAlloc};
-use crate::runtime::submit::{SubmitOutcome, SubmitRequest, SubmitTicket};
-use crate::runtime::{JobId, Priority, RuntimeHandle, RuntimeStats};
-
-/// Controller configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ControllerConfig {
-    /// Round executor tuning.
-    pub exec: ExecConfig,
-}
+use crate::executor::RoundTiming;
 
 /// A command the controller wants carried out by the transport.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,9 +28,8 @@ pub enum CtrlOutput {
 /// Why an update failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailReason {
-    /// A switch exhausted its transmission budget; the culprit, when
-    /// the runtime tracked one (the serial controller does not).
-    Exhausted(Option<DpId>),
+    /// This switch exhausted its transmission budget.
+    Exhausted(DpId),
     /// The update touched a quarantined switch — refused (or aborted)
     /// rather than burning a retransmission budget against a switch
     /// already known dead.
@@ -77,172 +70,12 @@ impl UpdateReport {
     }
 }
 
-/// The controller.
-#[derive(Debug, Clone)]
-pub struct Controller {
-    config: ControllerConfig,
-    queue: VecDeque<(CompiledUpdate, SimTime)>,
-    active: Option<(RoundExecutor, SimTime, SimTime)>,
-    xids: XidAlloc,
-    reports: Vec<UpdateReport>,
-    stats: RuntimeStats,
-}
-
-impl Controller {
-    /// A controller with the given configuration.
-    pub fn new(config: ControllerConfig) -> Self {
-        Controller {
-            config,
-            queue: VecDeque::new(),
-            active: None,
-            xids: XidAlloc::new(),
-            reports: Vec::new(),
-            stats: RuntimeStats::default(),
-        }
-    }
-
-    /// Enqueue an update job (submission time unknown: reported as the
-    /// simulation epoch). Prefer [`RuntimeHandle::submit`].
-    pub fn enqueue(&mut self, update: CompiledUpdate) {
-        let _ = self.submit(update, SimTime::ZERO, Priority::Normal);
-    }
-
-    /// Jobs waiting behind the active one.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether no job is active and the queue is empty.
-    pub fn is_idle(&self) -> bool {
-        self.active.is_none() && self.queue.is_empty()
-    }
-
-    /// Completed (or failed) job reports.
-    pub fn reports(&self) -> &[UpdateReport] {
-        &self.reports
-    }
-
-    /// Access to the active executor (diagnostics).
-    pub fn active_executor(&self) -> Option<&RoundExecutor> {
-        self.active.as_ref().map(|(e, _, _)| e)
-    }
-
-    /// Drive the controller: start the next job when idle, enforce
-    /// timeouts on the active one. Call regularly (each simulator step
-    /// or timer tick).
-    pub fn poll(&mut self, now: SimTime) -> Vec<CtrlOutput> {
-        let mut out = Vec::new();
-        // finish bookkeeping of a completed/failed job
-        self.reap(now);
-        if self.active.is_none() {
-            if let Some((update, submitted)) = self.queue.pop_front() {
-                let mut ex = RoundExecutor::new(update, self.config.exec);
-                for (dp, env) in ex.start(now, &mut self.xids) {
-                    out.push(CtrlOutput::Send(dp, env));
-                }
-                self.active = Some((ex, now, submitted));
-                self.stats.peak_active = self.stats.peak_active.max(1);
-                // an empty update may complete instantly
-                self.reap(now);
-            }
-        } else if let Some((ex, _, _)) = &mut self.active {
-            for (dp, env) in ex.on_tick(now, &mut self.xids) {
-                out.push(CtrlOutput::Send(dp, env));
-            }
-            self.reap(now);
-        }
-        out
-    }
-
-    /// Feed a message arriving from a switch.
-    pub fn on_message(&mut self, now: SimTime, from: DpId, env: &Envelope) -> Vec<CtrlOutput> {
-        let mut out = Vec::new();
-        if let Some((ex, _, _)) = &mut self.active {
-            for (dp, e) in ex.on_message(now, from, env, &mut self.xids) {
-                out.push(CtrlOutput::Send(dp, e));
-            }
-        }
-        self.reap(now);
-        out
-    }
-
-    fn reap(&mut self, now: SimTime) {
-        let done = matches!(
-            self.active.as_ref().map(|(e, _, _)| e.state()),
-            Some(ExecState::Done | ExecState::Failed)
-        );
-        if done {
-            let (ex, started, submitted) = self.active.take().expect("checked");
-            let completed = match ex.state() {
-                ExecState::Done => {
-                    self.stats.completed += 1;
-                    Some(ex.timings().last().and_then(|t| t.completed).unwrap_or(now))
-                }
-                _ => {
-                    self.stats.failed += 1;
-                    None
-                }
-            };
-            // same unit as the concurrent runtime: one per resent
-            // per-switch barrier
-            self.stats.retransmissions += ex.retransmissions();
-            self.reports.push(UpdateReport {
-                label: ex.label().to_string(),
-                submitted,
-                started,
-                failure: completed.is_none().then_some(FailReason::Exhausted(None)),
-                completed,
-                rounds: ex.timings().to_vec(),
-            });
-        }
-    }
-}
-
-impl RuntimeHandle for Controller {
-    /// The serial controller accepts everything: the unbounded queue
-    /// is exactly the paper's behaviour, kept as the baseline the
-    /// bounded runtime is measured against. Tenant and deadline are
-    /// ignored — the baseline predates both.
-    fn submit_request(&mut self, req: SubmitRequest, now: SimTime) -> SubmitOutcome {
-        self.stats.submitted += 1;
-        self.stats.accepted += 1;
-        let id = JobId(self.stats.submitted);
-        self.queue.push_back((req.update, now));
-        Ok(SubmitTicket::local(id, self.queue.len()))
-    }
-
-    fn poll(&mut self, now: SimTime) -> Vec<CtrlOutput> {
-        Controller::poll(self, now)
-    }
-
-    fn on_message(&mut self, now: SimTime, from: DpId, env: &Envelope) -> Vec<CtrlOutput> {
-        Controller::on_message(self, now, from, env)
-    }
-
-    fn is_idle(&self) -> bool {
-        Controller::is_idle(self)
-    }
-
-    fn reports(&self) -> &[UpdateReport] {
-        Controller::reports(self)
-    }
-
-    fn queued(&self) -> usize {
-        Controller::queued(self)
-    }
-
-    fn active_count(&self) -> usize {
-        usize::from(self.active.is_some())
-    }
-
-    fn stats(&self) -> RuntimeStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::CompiledUpdate;
+    use crate::executor::ExecConfig;
+    use crate::runtime::{ConcurrentRuntime, Priority, RuntimeConfig, RuntimeHandle};
     use sdn_openflow::flow::FlowMatch;
     use sdn_openflow::messages::{FlowMod, FlowModCommand, OfMessage};
     use sdn_types::HostId;
@@ -270,7 +103,16 @@ mod tests {
         }
     }
 
-    fn ack_all(ctrl: &mut Controller, now: SimTime, cmds: &[CtrlOutput]) -> Vec<CtrlOutput> {
+    fn serial(exec: ExecConfig) -> ConcurrentRuntime {
+        ConcurrentRuntime::new(RuntimeConfig::serial(exec))
+    }
+
+    fn enqueue(ctrl: &mut ConcurrentRuntime, update: CompiledUpdate) {
+        ctrl.submit(update, SimTime::ZERO, Priority::Normal)
+            .expect("the serial queue never refuses");
+    }
+
+    fn ack_all(ctrl: &mut ConcurrentRuntime, now: SimTime, cmds: &[CtrlOutput]) -> Vec<CtrlOutput> {
         let mut follow = Vec::new();
         for c in cmds {
             let CtrlOutput::Send(dp, env) = c;
@@ -287,32 +129,34 @@ mod tests {
 
     #[test]
     fn queue_processed_in_order() {
-        let mut ctrl = Controller::new(ControllerConfig::default());
-        ctrl.enqueue(job("first", vec![vec![1]]));
-        ctrl.enqueue(job("second", vec![vec![2]]));
+        let mut ctrl = serial(ExecConfig::default());
+        // same switch or not, same flow or not: one at a time
+        enqueue(&mut ctrl, job("first", vec![vec![1]]));
+        enqueue(&mut ctrl, job("second", vec![vec![2]]));
         assert_eq!(ctrl.queued(), 2);
 
         let cmds = ctrl.poll(SimTime(0));
         assert!(!cmds.is_empty());
-        assert_eq!(ctrl.queued(), 1);
-        // finish job 1
-        let follow = ack_all(&mut ctrl, SimTime(1), &cmds);
-        assert!(follow.is_empty());
+        assert_eq!((ctrl.queued(), ctrl.active_count()), (1, 1));
+        // the reply that finishes job 1 "starts processing the next
+        // message": job 2's round goes out in the same call
+        let cmds2 = ack_all(&mut ctrl, SimTime(1), &cmds);
         assert_eq!(ctrl.reports().len(), 1);
         assert_eq!(ctrl.reports()[0].label, "first");
+        assert!(cmds2.iter().all(|CtrlOutput::Send(dp, _)| *dp == DpId(2)));
+        assert_eq!((ctrl.queued(), ctrl.active_count()), (0, 1));
 
-        // poll starts job 2
-        let cmds2 = ctrl.poll(SimTime(2));
-        assert!(!cmds2.is_empty());
         ack_all(&mut ctrl, SimTime(3), &cmds2);
         assert_eq!(ctrl.reports().len(), 2);
+        assert_eq!(ctrl.reports()[1].started, SimTime(1));
         assert!(ctrl.is_idle());
+        assert_eq!(ctrl.stats().peak_active, 1);
     }
 
     #[test]
     fn multi_round_jobs_chain_rounds() {
-        let mut ctrl = Controller::new(ControllerConfig::default());
-        ctrl.enqueue(job("j", vec![vec![1], vec![2], vec![3]]));
+        let mut ctrl = serial(ExecConfig::default());
+        enqueue(&mut ctrl, job("j", vec![vec![1], vec![2], vec![3]]));
         let mut cmds = ctrl.poll(SimTime(0));
         let mut hops = 0;
         while !cmds.is_empty() && hops < 5 {
@@ -327,27 +171,34 @@ mod tests {
 
     #[test]
     fn failed_job_reports_none_completed() {
-        let cfg = ControllerConfig {
-            exec: ExecConfig {
-                barrier_timeout: SimDuration::from_millis(1),
-                max_attempts: 1,
-                flowmod_acks: false,
-            },
-        };
-        let mut ctrl = Controller::new(cfg);
-        ctrl.enqueue(job("doomed", vec![vec![1]]));
+        let mut ctrl = serial(ExecConfig {
+            barrier_timeout: SimDuration::from_millis(1),
+            max_attempts: 1,
+            flowmod_acks: false,
+        });
+        enqueue(&mut ctrl, job("doomed", vec![vec![1]]));
         ctrl.poll(SimTime(0));
         // no replies ever; tick past the deadline
         ctrl.poll(SimTime(0) + SimDuration::from_millis(10));
         assert_eq!(ctrl.reports().len(), 1);
         assert_eq!(ctrl.reports()[0].completed, None);
+        assert_eq!(
+            ctrl.reports()[0].failure,
+            Some(FailReason::Exhausted(DpId(1)))
+        );
         assert!(ctrl.is_idle());
+        // no quarantine in the serial configuration: the next job for
+        // the same switch is dispatched, not failed fast
+        enqueue(&mut ctrl, job("next", vec![vec![1]]));
+        assert!(!ctrl
+            .poll(SimTime(0) + SimDuration::from_millis(11))
+            .is_empty());
     }
 
     #[test]
     fn empty_job_completes_without_traffic() {
-        let mut ctrl = Controller::new(ControllerConfig::default());
-        ctrl.enqueue(job("noop", vec![]));
+        let mut ctrl = serial(ExecConfig::default());
+        enqueue(&mut ctrl, job("noop", vec![]));
         let cmds = ctrl.poll(SimTime(7));
         assert!(cmds.is_empty());
         assert_eq!(ctrl.reports().len(), 1);
@@ -356,7 +207,7 @@ mod tests {
 
     #[test]
     fn messages_while_idle_are_ignored() {
-        let mut ctrl = Controller::new(ControllerConfig::default());
+        let mut ctrl = serial(ExecConfig::default());
         let out = ctrl.on_message(
             SimTime(0),
             DpId(1),

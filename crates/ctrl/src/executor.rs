@@ -10,11 +10,17 @@
 //! from the set of switches of the current round... If the set is
 //! empty, the current round finishes."*
 //!
-//! On top of the paper's logic, the executor retries a round when
-//! barrier replies do not arrive within a timeout — FlowMods are
-//! idempotent (Add-replace / exact Delete), so resending to the
-//! unacknowledged switches is safe and makes updates reliable over a
-//! lossy channel.
+//! The executor is that state machine and nothing else. It owns no
+//! clock and no barrier xid: **time belongs to the runtime** — its
+//! per-switch timers decide when [`RoundExecutor::retransmit`] resends
+//! (FlowMods are idempotent, Add-replace / exact Delete, so resending
+//! to the unacknowledged switches is safe) and when the budget is gone
+//! ([`RoundExecutor::force_fail`]) — and **a barrier reply is matched
+//! to a transmission in exactly one place**, the runtime's
+//! `(switch, xid)` route table, which then tells the executor *which
+//! switch fenced* ([`RoundExecutor::on_barrier`]). Only the payload-ack
+//! echo keeps an xid and a byte comparison here: that one is a
+//! corruption check, not bookkeeping.
 
 use std::collections::BTreeMap;
 
@@ -75,10 +81,12 @@ impl XidAlloc {
 /// Executor configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// How long to wait for a round's barrier replies before
-    /// retransmitting.
+    /// How long the runtime waits for a switch's barrier reply before
+    /// retransmitting to it, under
+    /// [`RetransMode::Fixed`](crate::runtime::RetransMode).
     pub barrier_timeout: SimDuration,
-    /// Attempts per round before giving up (1 = no retries).
+    /// Transmissions per switch and round before the runtime gives the
+    /// update up (1 = no retries).
     pub max_attempts: u32,
     /// Require a per-FlowMod acknowledgement in addition to the round
     /// barrier. Each FlowMod is paired with an [`OfMessage::EchoRequest`]
@@ -115,7 +123,8 @@ pub enum ExecState {
     AwaitingBarriers,
     /// All rounds acknowledged.
     Done,
-    /// A round exceeded its attempt budget.
+    /// Aborted by the runtime ([`RoundExecutor::force_fail`]): a
+    /// switch exhausted its transmission budget or was quarantined.
     Failed,
 }
 
@@ -155,8 +164,8 @@ struct AckEntry {
 /// Outstanding work for one switch of the current round.
 #[derive(Debug, Clone, Default)]
 struct SwitchPending {
-    /// Latest barrier xid; `None` once the barrier is acknowledged.
-    barrier: Option<Xid>,
+    /// Whether the switch's barrier has been answered.
+    fenced: bool,
     /// Outstanding payload-ack (echo) transmissions by xid. Every
     /// transmission stays valid until the payload is acknowledged: the
     /// echo payload is the FlowMod itself, so a late reply to an older
@@ -166,7 +175,7 @@ struct SwitchPending {
 
 impl SwitchPending {
     fn done(&self) -> bool {
-        self.barrier.is_none() && self.acks.is_empty()
+        self.fenced && self.acks.is_empty()
     }
 }
 
@@ -180,15 +189,11 @@ pub struct RoundExecutor {
     /// Outstanding barrier/payload acknowledgements per switch for the
     /// current round.
     pending: BTreeMap<DpId, SwitchPending>,
-    round_started: SimTime,
     grace_until: SimTime,
     attempts: u32,
     /// Barrier set size of the round currently in flight (recorded at
     /// dispatch so width queries stay O(1)).
     current_width: usize,
-    /// Per-switch barrier retransmissions over the whole update (one
-    /// per resent barrier, the unit the runtime stats use).
-    retransmissions: u64,
     timings: Vec<RoundTiming>,
 }
 
@@ -201,11 +206,9 @@ impl RoundExecutor {
             state: ExecState::Idle,
             current: 0,
             pending: BTreeMap::new(),
-            round_started: SimTime::ZERO,
             grace_until: SimTime::ZERO,
             attempts: 0,
             current_width: 0,
-            retransmissions: 0,
             timings: Vec::new(),
         }
     }
@@ -226,11 +229,6 @@ impl RoundExecutor {
     /// Lifecycle state.
     pub fn state(&self) -> ExecState {
         self.state
-    }
-
-    /// The compiled update being executed (recovery journalling).
-    pub fn update(&self) -> &CompiledUpdate {
-        &self.update
     }
 
     /// The update's label.
@@ -280,57 +278,30 @@ impl RoundExecutor {
         }
     }
 
-    /// Per-switch barrier retransmissions so far (one per resent
-    /// barrier, whether round-level timeout or targeted).
-    pub fn retransmissions(&self) -> u64 {
-        self.retransmissions
-    }
-
     /// Total outstanding payload acknowledgements in the current
     /// round (0 unless [`ExecConfig::flowmod_acks`] is on).
     pub fn pending_acks(&self) -> usize {
         self.pending.values().map(|p| p.acks.len()).sum()
     }
 
-    /// Re-dispatch the current round's unacknowledged payloads and a
-    /// *fresh* barrier to a subset of the still-pending switches. This
-    /// is the per-switch retransmission hook the concurrent runtime
-    /// drives from its adaptive RTO timers — unlike
-    /// [`RoundExecutor::on_tick`] it never consults the fixed round
-    /// timeout. Bumps the round's attempt counter once per call that
+    /// Resend the current round's outstanding work to those of
+    /// `targets` that are still pending: unacknowledged payloads (with
+    /// fresh payload-ack echoes in ack mode — older xids stay valid),
+    /// then a fresh barrier unless the switch's barrier is already
+    /// answered. With acks off that is all of the switch's FlowMods
+    /// plus a re-keyed barrier. The runtime calls this when a
+    /// per-switch timer of its own fires; the executor consults no
+    /// clock. Bumps the round's attempt counter once per call that
     /// actually resends.
     pub fn retransmit(&mut self, xids: &mut XidAlloc, targets: &[DpId]) -> Vec<(DpId, Envelope)> {
         if self.state != ExecState::AwaitingBarriers {
             return Vec::new();
         }
-        let out = self.resend_to(xids, |dp| targets.contains(&dp));
-        let resent: std::collections::BTreeSet<DpId> = out.iter().map(|(d, _)| *d).collect();
-        if !resent.is_empty() {
-            self.retransmissions += resent.len() as u64;
-            self.attempts += 1;
-            if let Some(t) = self.timings.last_mut() {
-                t.attempts = self.attempts;
-            }
-        }
-        out
-    }
-
-    /// Resend outstanding work to every pending switch accepted by
-    /// `want`: unacknowledged payloads (with fresh payload-ack echoes
-    /// in ack mode — older xids stay valid), then a fresh barrier
-    /// unless the switch's barrier is already acknowledged. With acks
-    /// off this degenerates to the classic behaviour: all of the
-    /// switch's FlowMods plus a re-keyed barrier.
-    fn resend_to(
-        &mut self,
-        xids: &mut XidAlloc,
-        want: impl Fn(DpId) -> bool,
-    ) -> Vec<(DpId, Envelope)> {
         let acks_on = self.config.flowmod_acks;
         let round = &self.update.rounds[self.current].msgs;
         let mut out = Vec::new();
         for (j, (dp, msg)) in round.iter().enumerate() {
-            if !want(*dp) {
+            if !targets.contains(dp) {
                 continue;
             }
             let Some(entry) = self.pending.get_mut(dp) else {
@@ -340,45 +311,51 @@ impl RoundExecutor {
             if tracked && !entry.acks.values().any(|a| a.covered == j) {
                 continue; // payload already acknowledged
             }
-            let fm_xid = xids.alloc();
-            out.push((*dp, Envelope::new(fm_xid, msg.clone())));
-            if tracked {
-                let payload =
-                    sdn_openflow::codec::encode(&Envelope::new(fm_xid, msg.clone())).to_vec();
-                let echo_xid = xids.alloc();
-                entry.acks.insert(
-                    echo_xid,
-                    AckEntry {
-                        covered: j,
-                        payload: payload.clone(),
-                    },
-                );
-                out.push((
-                    *dp,
-                    Envelope::new(echo_xid, OfMessage::EchoRequest(payload)),
-                ));
-            }
+            Self::push_payload(&mut out, entry, xids, tracked, j, *dp, msg);
         }
-        let targets: Vec<DpId> = self
-            .pending
-            .keys()
-            .copied()
-            .filter(|dp| want(*dp))
-            .collect();
-        for dp in targets {
-            let entry = self.pending.get_mut(&dp).expect("filtered on keys");
-            if entry.barrier.is_none() && acks_on {
-                continue; // barrier acked; only payload acks are missing
+        for (dp, entry) in self.pending.iter_mut() {
+            if !targets.contains(dp) || entry.fenced {
+                continue; // fenced: only payload acks are missing
             }
-            let xid = xids.alloc();
-            entry.barrier = Some(xid);
-            out.push((dp, Envelope::new(xid, OfMessage::BarrierRequest)));
+            out.push((*dp, Envelope::new(xids.alloc(), OfMessage::BarrierRequest)));
+        }
+        if !out.is_empty() {
+            self.attempts += 1;
+            if let Some(t) = self.timings.last_mut() {
+                t.attempts = self.attempts;
+            }
         }
         out
     }
 
-    /// Abort the update (the runtime's per-switch attempt budget was
-    /// exhausted). The job reports as failed.
+    /// Emit round message `j` to `dp`, paired in ack mode (`tracked`)
+    /// with the echo that carries its encoded frame.
+    fn push_payload(
+        out: &mut Vec<(DpId, Envelope)>,
+        entry: &mut SwitchPending,
+        xids: &mut XidAlloc,
+        tracked: bool,
+        j: usize,
+        dp: DpId,
+        msg: &OfMessage,
+    ) {
+        let env = Envelope::new(xids.alloc(), msg.clone());
+        let payload = tracked.then(|| sdn_openflow::codec::encode(&env).to_vec());
+        out.push((dp, env));
+        if let Some(payload) = payload {
+            let echo_xid = xids.alloc();
+            let ack = AckEntry {
+                covered: j,
+                payload: payload.clone(),
+            };
+            entry.acks.insert(echo_xid, ack);
+            out.push((dp, Envelope::new(echo_xid, OfMessage::EchoRequest(payload))));
+        }
+    }
+
+    /// Abort the update: the runtime's per-switch transmission budget
+    /// ran out, or a switch it waits on was quarantined. The only way
+    /// an executor fails; the job reports as failed.
     pub fn force_fail(&mut self) {
         self.state = ExecState::Failed;
     }
@@ -396,82 +373,38 @@ impl RoundExecutor {
     /// Enter the current round: honour its drain grace, then dispatch.
     fn begin_round(&mut self, now: SimTime, xids: &mut XidAlloc) -> Vec<(DpId, Envelope)> {
         let delay = self.update.rounds[self.current].pre_delay;
-        if delay > sdn_types::SimDuration::ZERO {
+        if delay > SimDuration::ZERO {
             self.state = ExecState::WaitingGrace;
             self.grace_until = now + delay;
             Vec::new()
         } else {
-            self.state = ExecState::AwaitingBarriers;
-            self.dispatch_current(now, xids, false)
+            self.dispatch_current(now, xids)
         }
     }
 
-    /// Dispatch (or re-dispatch) the current round. With
-    /// `only_pending`, restrict to switches that have not acknowledged
-    /// (retransmission).
-    fn dispatch_current(
-        &mut self,
-        now: SimTime,
-        xids: &mut XidAlloc,
-        only_pending: bool,
-    ) -> Vec<(DpId, Envelope)> {
-        if only_pending {
-            // Round-timeout retransmission: resend outstanding work to
-            // every still-pending switch.
-            let out = self.resend_to(xids, |_| true);
-            let resent: std::collections::BTreeSet<DpId> = out.iter().map(|(d, _)| *d).collect();
-            self.retransmissions += resent.len() as u64;
-            self.attempts += 1;
-            if let Some(t) = self.timings.last_mut() {
-                t.attempts = self.attempts;
-            }
-            return out;
-        }
+    /// Dispatch the current round to every switch it addresses.
+    fn dispatch_current(&mut self, now: SimTime, xids: &mut XidAlloc) -> Vec<(DpId, Envelope)> {
+        self.state = ExecState::AwaitingBarriers;
         let acks_on = self.config.flowmod_acks;
         let round = &self.update.rounds[self.current].msgs;
-        let targets: Vec<DpId> = {
-            let mut t: Vec<DpId> = round.iter().map(|(dp, _)| *dp).collect();
-            t.sort();
-            t.dedup();
-            t
-        };
         self.pending.clear();
-        for dp in &targets {
-            self.pending.insert(*dp, SwitchPending::default());
+        for (dp, _) in round {
+            self.pending.entry(*dp).or_default();
         }
         let mut out = Vec::new();
         // Payloads first (each paired with its ack echo in ack mode)...
         for (j, (dp, msg)) in round.iter().enumerate() {
             let entry = self.pending.get_mut(dp).expect("inserted above");
-            let fm_xid = xids.alloc();
-            out.push((*dp, Envelope::new(fm_xid, msg.clone())));
-            if acks_on && ack_eligible(msg) {
-                let payload =
-                    sdn_openflow::codec::encode(&Envelope::new(fm_xid, msg.clone())).to_vec();
-                let echo_xid = xids.alloc();
-                entry.acks.insert(
-                    echo_xid,
-                    AckEntry {
-                        covered: j,
-                        payload: payload.clone(),
-                    },
-                );
-                out.push((
-                    *dp,
-                    Envelope::new(echo_xid, OfMessage::EchoRequest(payload)),
-                ));
-            }
+            let tracked = acks_on && ack_eligible(msg);
+            Self::push_payload(&mut out, entry, xids, tracked, j, *dp, msg);
         }
         // ...then one barrier per switch (FIFO connection ⇒ the barrier
         // fences everything above).
-        for dp in &targets {
-            let xid = xids.alloc();
-            self.pending.get_mut(dp).expect("inserted above").barrier = Some(xid);
-            out.push((*dp, Envelope::new(xid, OfMessage::BarrierRequest)));
+        for dp in self.pending.keys() {
+            out.push((*dp, Envelope::new(xids.alloc(), OfMessage::BarrierRequest)));
         }
-        self.current_width = targets.len();
+        self.current_width = self.pending.len();
         self.attempts = 1;
-        self.round_started = now;
         self.timings.push(RoundTiming {
             round: self.current,
             started: now,
@@ -481,13 +414,41 @@ impl RoundExecutor {
         out
     }
 
-    /// Feed a message from a switch. Returns follow-up commands (the
-    /// next round's dispatch when this one completes).
-    pub fn on_message(
+    /// The runtime matched a barrier reply to an outstanding
+    /// transmission of the current round to `from` — any of them, since
+    /// every transmission carries the round's identical FlowMods — so
+    /// the round's content is fenced there. Returns follow-up commands
+    /// (the next round's dispatch when this one completes). A switch
+    /// that already fenced, or is not pending, changes nothing.
+    pub fn on_barrier(
         &mut self,
         now: SimTime,
         from: DpId,
-        env: &Envelope,
+        xids: &mut XidAlloc,
+    ) -> Vec<(DpId, Envelope)> {
+        if self.state != ExecState::AwaitingBarriers {
+            return Vec::new();
+        }
+        match self.pending.get_mut(&from) {
+            Some(entry) if !entry.fenced => entry.fenced = true,
+            _ => return Vec::new(),
+        }
+        self.switch_progressed(now, from, xids)
+    }
+
+    /// A payload acknowledgement: the echo payload was the FlowMod
+    /// itself, so the reply proves installation of the message it
+    /// covers — retire every outstanding transmission of that payload.
+    /// The proof is only as good as the round trip: a payload
+    /// corrupted in either direction comes back altered (the switch
+    /// echoes what it received and could not apply), so a mismatch is
+    /// ignored and the retransmission timer takes over.
+    pub fn on_echo(
+        &mut self,
+        now: SimTime,
+        from: DpId,
+        xid: Xid,
+        echoed: &[u8],
         xids: &mut XidAlloc,
     ) -> Vec<(DpId, Envelope)> {
         if self.state != ExecState::AwaitingBarriers {
@@ -496,43 +457,33 @@ impl RoundExecutor {
         let Some(entry) = self.pending.get_mut(&from) else {
             return Vec::new(); // switch already completed this round
         };
-        match &env.msg {
-            OfMessage::BarrierReply => {
-                if entry.barrier != Some(env.xid) {
-                    return Vec::new(); // stale/duplicate barrier reply
-                }
-                entry.barrier = None;
-            }
-            OfMessage::EchoReply(echoed) => {
-                // A payload acknowledgement: the echo payload was the
-                // FlowMod itself, so this reply proves installation of
-                // the message it covers — retire every outstanding
-                // transmission of that payload. The proof is only as
-                // good as the round trip: a payload corrupted in either
-                // direction comes back altered (the switch echoes what
-                // it received and could not apply), so a mismatch is
-                // ignored and the retransmission timer takes over.
-                let Some(ack) = entry.acks.get(&env.xid) else {
-                    return Vec::new(); // unsolicited or already-retired echo
-                };
-                if *echoed != ack.payload {
-                    return Vec::new(); // corrupted round trip: no proof
-                }
-                let covered = ack.covered;
-                entry.acks.retain(|_, a| a.covered != covered);
-            }
-            _ => return Vec::new(), // errors, stats: ignored here
+        let Some(ack) = entry.acks.get(&xid) else {
+            return Vec::new(); // unsolicited or already-retired echo
+        };
+        if echoed != ack.payload {
+            return Vec::new(); // corrupted round trip: no proof
         }
-        // "it determines the source switch. This switch is removed
-        // from the set of switches of the current round"
-        if !entry.done() {
+        let covered = ack.covered;
+        entry.acks.retain(|_, a| a.covered != covered);
+        self.switch_progressed(now, from, xids)
+    }
+
+    /// "it determines the source switch. This switch is removed from
+    /// the set of switches of the current round... If the set is empty,
+    /// the current round finishes."
+    fn switch_progressed(
+        &mut self,
+        now: SimTime,
+        from: DpId,
+        xids: &mut XidAlloc,
+    ) -> Vec<(DpId, Envelope)> {
+        if !self.pending[&from].done() {
             return Vec::new();
         }
         self.pending.remove(&from);
         if !self.pending.is_empty() {
             return Vec::new();
         }
-        // round complete
         if let Some(t) = self.timings.last_mut() {
             t.completed = Some(now);
         }
@@ -544,32 +495,13 @@ impl RoundExecutor {
         self.begin_round(now, xids)
     }
 
-    /// Clock tick: end grace waits, retransmit on timeout, fail when
-    /// out of attempts.
-    pub fn on_tick(&mut self, now: SimTime, xids: &mut XidAlloc) -> Vec<(DpId, Envelope)> {
-        if self.state == ExecState::WaitingGrace {
-            if now >= self.grace_until {
-                self.state = ExecState::AwaitingBarriers;
-                return self.dispatch_current(now, xids, false);
-            }
+    /// Dispatch the round whose grace wait is over; a no-op before
+    /// [`RoundExecutor::grace_until`] and in every other state.
+    pub fn end_grace(&mut self, now: SimTime, xids: &mut XidAlloc) -> Vec<(DpId, Envelope)> {
+        if self.state != ExecState::WaitingGrace || now < self.grace_until {
             return Vec::new();
         }
-        if self.state != ExecState::AwaitingBarriers {
-            return Vec::new();
-        }
-        if now.saturating_since(self.round_started)
-            < self
-                .config
-                .barrier_timeout
-                .saturating_mul(self.attempts as u64)
-        {
-            return Vec::new();
-        }
-        if self.attempts >= self.config.max_attempts {
-            self.state = ExecState::Failed;
-            return Vec::new();
-        }
-        self.dispatch_current(now, xids, true)
+        self.dispatch_current(now, xids)
     }
 }
 
@@ -615,10 +547,10 @@ mod tests {
         }
     }
 
-    fn barriers_of(cmds: &[(DpId, Envelope)]) -> Vec<(DpId, Xid)> {
+    fn barriers_of(cmds: &[(DpId, Envelope)]) -> Vec<DpId> {
         cmds.iter()
             .filter(|(_, e)| e.msg == OfMessage::BarrierRequest)
-            .map(|(d, e)| (*d, e.xid))
+            .map(|(d, _)| *d)
             .collect()
     }
 
@@ -629,29 +561,17 @@ mod tests {
         let cmds = ex.start(SimTime::ZERO, &mut xids);
         // round 1: flowmod to s5 + barrier to s5
         assert_eq!(cmds.len(), 2);
-        let b = barriers_of(&cmds);
-        assert_eq!(b.len(), 1);
+        assert_eq!(barriers_of(&cmds), [DpId(5)]);
         assert_eq!(ex.state(), ExecState::AwaitingBarriers);
 
-        // barrier reply completes round 1 and dispatches round 2
-        let next = ex.on_message(
-            SimTime(1),
-            b[0].0,
-            &Envelope::new(b[0].1, OfMessage::BarrierReply),
-            &mut xids,
-        );
+        // its fence completes round 1 and dispatches round 2
+        let next = ex.on_barrier(SimTime(1), DpId(5), &mut xids);
         assert_eq!(ex.current_round(), 1);
-        let b2 = barriers_of(&next);
-        assert_eq!(b2.len(), 2, "round 2 barriers to s1 and s3");
+        assert_eq!(barriers_of(&next), [DpId(1), DpId(3)]);
 
-        // both replies finish the update
-        for (dp, xid) in b2 {
-            ex.on_message(
-                SimTime(2),
-                dp,
-                &Envelope::new(xid, OfMessage::BarrierReply),
-                &mut xids,
-            );
+        // both fences finish the update
+        for dp in barriers_of(&next) {
+            ex.on_barrier(SimTime(2), dp, &mut xids);
         }
         assert_eq!(ex.state(), ExecState::Done);
         assert_eq!(ex.timings().len(), 2);
@@ -662,117 +582,87 @@ mod tests {
     fn one_switch_acks_round_waits_for_other() {
         let mut xids = XidAlloc::new();
         let mut ex = RoundExecutor::new(update(vec![vec![1, 3]]), ExecConfig::default());
-        let cmds = ex.start(SimTime::ZERO, &mut xids);
-        let b = barriers_of(&cmds);
-        let out = ex.on_message(
-            SimTime(1),
-            b[0].0,
-            &Envelope::new(b[0].1, OfMessage::BarrierReply),
-            &mut xids,
-        );
+        ex.start(SimTime::ZERO, &mut xids);
+        let out = ex.on_barrier(SimTime(1), DpId(1), &mut xids);
         assert!(out.is_empty());
         assert_eq!(ex.state(), ExecState::AwaitingBarriers);
-    }
-
-    #[test]
-    fn stale_xid_is_ignored() {
-        let mut xids = XidAlloc::new();
-        let mut ex = RoundExecutor::new(update(vec![vec![1]]), ExecConfig::default());
-        let cmds = ex.start(SimTime::ZERO, &mut xids);
-        let b = barriers_of(&cmds);
-        // wrong xid
-        ex.on_message(
-            SimTime(1),
-            b[0].0,
-            &Envelope::new(Xid(9999), OfMessage::BarrierReply),
-            &mut xids,
-        );
-        assert_eq!(ex.state(), ExecState::AwaitingBarriers);
-        // duplicate correct reply after completion is also ignored
-        ex.on_message(
-            SimTime(2),
-            b[0].0,
-            &Envelope::new(b[0].1, OfMessage::BarrierReply),
-            &mut xids,
-        );
-        assert_eq!(ex.state(), ExecState::Done);
-        let out = ex.on_message(
-            SimTime(3),
-            b[0].0,
-            &Envelope::new(b[0].1, OfMessage::BarrierReply),
-            &mut xids,
-        );
-        assert!(out.is_empty());
+        assert!(!ex.is_pending(DpId(1)) && ex.is_pending(DpId(3)));
     }
 
     #[test]
     fn replies_from_unrelated_switch_ignored() {
         let mut xids = XidAlloc::new();
         let mut ex = RoundExecutor::new(update(vec![vec![1]]), ExecConfig::default());
-        let cmds = ex.start(SimTime::ZERO, &mut xids);
-        let b = barriers_of(&cmds);
-        ex.on_message(
-            SimTime(1),
-            DpId(42),
-            &Envelope::new(b[0].1, OfMessage::BarrierReply),
-            &mut xids,
-        );
+        ex.start(SimTime::ZERO, &mut xids);
+        ex.on_barrier(SimTime(1), DpId(42), &mut xids);
         assert_eq!(ex.state(), ExecState::AwaitingBarriers);
     }
 
     #[test]
-    fn timeout_retransmits_to_pending_only() {
+    fn fence_of_a_finished_switch_changes_nothing() {
         let mut xids = XidAlloc::new();
-        let cfg = ExecConfig {
-            barrier_timeout: SimDuration::from_millis(10),
-            max_attempts: 3,
-            flowmod_acks: false,
-        };
-        let mut ex = RoundExecutor::new(update(vec![vec![1, 3]]), cfg);
-        let cmds = ex.start(SimTime::ZERO, &mut xids);
-        let b = barriers_of(&cmds);
-        // s1 acks, s3 does not
-        ex.on_message(
-            SimTime(1),
-            b[0].0,
-            &Envelope::new(b[0].1, OfMessage::BarrierReply),
-            &mut xids,
-        );
-        // before timeout: nothing
-        assert!(ex
-            .on_tick(SimTime::ZERO + SimDuration::from_millis(5), &mut xids)
-            .is_empty());
-        // after timeout: resend only to s3
-        let re = ex.on_tick(SimTime::ZERO + SimDuration::from_millis(11), &mut xids);
-        assert!(!re.is_empty());
-        assert!(re.iter().all(|(dp, _)| *dp == b[1].0));
-        let rb = barriers_of(&re);
-        assert_eq!(rb.len(), 1);
-        // reply to the *new* barrier xid completes
-        ex.on_message(
-            SimTime::ZERO + SimDuration::from_millis(12),
-            rb[0].0,
-            &Envelope::new(rb[0].1, OfMessage::BarrierReply),
-            &mut xids,
-        );
+        let mut ex = RoundExecutor::new(update(vec![vec![1, 3], vec![1]]), ExecConfig::default());
+        ex.start(SimTime::ZERO, &mut xids);
+        ex.on_barrier(SimTime(1), DpId(1), &mut xids);
+        // a duplicate while the round still waits for s3
+        assert!(ex.on_barrier(SimTime(2), DpId(1), &mut xids).is_empty());
+        assert_eq!((ex.current_round(), ex.pending_count()), (0, 1));
+        ex.on_barrier(SimTime(3), DpId(3), &mut xids);
+        ex.on_barrier(SimTime(4), DpId(1), &mut xids);
+        assert_eq!(ex.state(), ExecState::Done);
+        // ...and one after the update finished
+        assert!(ex.on_barrier(SimTime(5), DpId(1), &mut xids).is_empty());
+        assert_eq!(ex.timings()[1].completed, Some(SimTime(4)));
+    }
+
+    #[test]
+    fn retransmit_resends_to_pending_targets_only() {
+        let mut xids = XidAlloc::new();
+        let mut ex = RoundExecutor::new(update(vec![vec![1, 3]]), ExecConfig::default());
+        ex.start(SimTime::ZERO, &mut xids);
+        // s1 fences, s3 does not
+        ex.on_barrier(SimTime(1), DpId(1), &mut xids);
+        // nothing due: nothing sent, no attempt counted
+        assert!(ex.retransmit(&mut xids, &[]).is_empty());
+        assert_eq!(ex.timings()[0].attempts, 1);
+        // both named: only s3 still owes the round anything
+        let re = ex.retransmit(&mut xids, &[DpId(1), DpId(3)]);
+        assert_eq!(re.len(), 2, "its FlowMod and a fresh barrier");
+        assert!(re.iter().all(|(dp, _)| *dp == DpId(3)));
+        assert_eq!(barriers_of(&re), [DpId(3)]);
+        ex.on_barrier(SimTime(12), DpId(3), &mut xids);
         assert_eq!(ex.state(), ExecState::Done);
         assert_eq!(ex.timings()[0].attempts, 2);
     }
 
     #[test]
-    fn attempt_budget_exhaustion_fails() {
+    fn force_fail_is_terminal() {
         let mut xids = XidAlloc::new();
-        let cfg = ExecConfig {
-            barrier_timeout: SimDuration::from_millis(10),
-            max_attempts: 2,
-            flowmod_acks: false,
-        };
-        let mut ex = RoundExecutor::new(update(vec![vec![1]]), cfg);
+        let mut ex = RoundExecutor::new(update(vec![vec![1]]), ExecConfig::default());
         ex.start(SimTime::ZERO, &mut xids);
-        ex.on_tick(SimTime::ZERO + SimDuration::from_millis(11), &mut xids);
-        assert_eq!(ex.state(), ExecState::AwaitingBarriers);
-        ex.on_tick(SimTime::ZERO + SimDuration::from_millis(40), &mut xids);
+        ex.force_fail();
         assert_eq!(ex.state(), ExecState::Failed);
+        assert!(ex.retransmit(&mut xids, &[DpId(1)]).is_empty());
+        assert!(ex.on_barrier(SimTime(1), DpId(1), &mut xids).is_empty());
+        assert_eq!(ex.state(), ExecState::Failed);
+        assert_eq!(ex.timings()[0].completed, None);
+    }
+
+    #[test]
+    fn grace_wait_dispatches_once_it_is_over() {
+        let mut xids = XidAlloc::new();
+        let mut u = update(vec![vec![1], vec![2]]);
+        u.rounds[1].pre_delay = SimDuration::from_millis(5);
+        let mut ex = RoundExecutor::new(u, ExecConfig::default());
+        ex.start(SimTime::ZERO, &mut xids);
+        assert!(ex.on_barrier(SimTime(1), DpId(1), &mut xids).is_empty());
+        assert_eq!(ex.state(), ExecState::WaitingGrace);
+        let due = SimTime(1) + SimDuration::from_millis(5);
+        assert_eq!(ex.grace_until(), due);
+        assert!(ex.end_grace(SimTime(2), &mut xids).is_empty());
+        assert_eq!(barriers_of(&ex.end_grace(due, &mut xids)), [DpId(2)]);
+        assert_eq!(ex.state(), ExecState::AwaitingBarriers);
+        assert!(ex.end_grace(due, &mut xids).is_empty(), "dispatched once");
     }
 
     #[test]
@@ -805,9 +695,8 @@ mod tests {
 
     fn ack_cfg() -> ExecConfig {
         ExecConfig {
-            barrier_timeout: SimDuration::from_millis(10),
-            max_attempts: 10,
             flowmod_acks: true,
+            ..ExecConfig::default()
         }
     }
 
@@ -827,25 +716,33 @@ mod tests {
         let mut xids = XidAlloc::new();
         let mut ex = RoundExecutor::new(update(vec![vec![1]]), ack_cfg());
         let cmds = ex.start(SimTime::ZERO, &mut xids);
-        let b = barriers_of(&cmds);
         let e = echoes_of(&cmds);
         assert_eq!(e.len(), 1, "each FlowMod pairs with one ack echo");
-        ex.on_message(
-            SimTime(1),
-            b[0].0,
-            &Envelope::new(b[0].1, OfMessage::BarrierReply),
-            &mut xids,
-        );
+        ex.on_barrier(SimTime(1), DpId(1), &mut xids);
         assert_eq!(ex.state(), ExecState::AwaitingBarriers);
         assert_eq!(ex.pending_acks(), 1);
         // the payload ack arrives: now the round completes
-        ex.on_message(
-            SimTime(2),
-            e[0].0,
-            &Envelope::new(e[0].1, OfMessage::EchoReply(e[0].2.clone())),
-            &mut xids,
-        );
+        ex.on_echo(SimTime(2), e[0].0, e[0].1, &e[0].2, &mut xids);
         assert_eq!(ex.state(), ExecState::Done);
+    }
+
+    #[test]
+    fn stale_xid_is_ignored() {
+        // The echo path still matches its xid exactly: the right bytes
+        // under an xid this round never sent prove nothing.
+        let mut xids = XidAlloc::new();
+        let mut ex = RoundExecutor::new(update(vec![vec![1]]), ack_cfg());
+        let cmds = ex.start(SimTime::ZERO, &mut xids);
+        let e = echoes_of(&cmds);
+        ex.on_barrier(SimTime(1), DpId(1), &mut xids);
+        ex.on_echo(SimTime(2), e[0].0, Xid(9999), &e[0].2, &mut xids);
+        assert_eq!(ex.pending_acks(), 1);
+        ex.on_echo(SimTime(3), e[0].0, e[0].1, &e[0].2, &mut xids);
+        assert_eq!(ex.state(), ExecState::Done);
+        // a duplicate of the genuine reply after completion is ignored
+        let out = ex.on_echo(SimTime(4), e[0].0, e[0].1, &e[0].2, &mut xids);
+        assert!(out.is_empty());
+        assert_eq!(ex.timings()[0].completed, Some(SimTime(3)));
     }
 
     #[test]
@@ -853,59 +750,32 @@ mod tests {
         let mut xids = XidAlloc::new();
         let mut ex = RoundExecutor::new(update(vec![vec![1]]), ack_cfg());
         let cmds = ex.start(SimTime::ZERO, &mut xids);
-        let b = barriers_of(&cmds);
         let e = echoes_of(&cmds);
-        ex.on_message(
-            SimTime(1),
-            b[0].0,
-            &Envelope::new(b[0].1, OfMessage::BarrierReply),
-            &mut xids,
-        );
+        ex.on_barrier(SimTime(1), DpId(1), &mut xids);
         // an echoed payload with one bit flipped proves nothing
         let mut bad = e[0].2.clone();
         bad[0] ^= 1;
-        ex.on_message(
-            SimTime(2),
-            e[0].0,
-            &Envelope::new(e[0].1, OfMessage::EchoReply(bad)),
-            &mut xids,
-        );
+        ex.on_echo(SimTime(2), e[0].0, e[0].1, &bad, &mut xids);
         assert_eq!(ex.state(), ExecState::AwaitingBarriers);
         assert_eq!(ex.pending_acks(), 1);
         // the intact round trip still completes the round
-        ex.on_message(
-            SimTime(3),
-            e[0].0,
-            &Envelope::new(e[0].1, OfMessage::EchoReply(e[0].2.clone())),
-            &mut xids,
-        );
+        ex.on_echo(SimTime(3), e[0].0, e[0].1, &e[0].2, &mut xids);
         assert_eq!(ex.state(), ExecState::Done);
     }
 
     #[test]
     fn ack_mode_retransmits_unacked_payloads_without_barrier() {
         // Two FlowMods to one switch; the barrier and one payload are
-        // acknowledged. The timeout must resend only the missing
+        // acknowledged. A retransmission must resend only the missing
         // payload — no barrier re-key, no duplicate of the acked one.
         let mut xids = XidAlloc::new();
         let mut ex = RoundExecutor::new(update(vec![vec![1, 1]]), ack_cfg());
         let cmds = ex.start(SimTime::ZERO, &mut xids);
-        let b = barriers_of(&cmds);
         let e = echoes_of(&cmds);
         assert_eq!(e.len(), 2);
-        ex.on_message(
-            SimTime(1),
-            b[0].0,
-            &Envelope::new(b[0].1, OfMessage::BarrierReply),
-            &mut xids,
-        );
-        ex.on_message(
-            SimTime(2),
-            e[0].0,
-            &Envelope::new(e[0].1, OfMessage::EchoReply(e[0].2.clone())),
-            &mut xids,
-        );
-        let re = ex.on_tick(SimTime::ZERO + SimDuration::from_millis(11), &mut xids);
+        ex.on_barrier(SimTime(1), DpId(1), &mut xids);
+        ex.on_echo(SimTime(2), e[0].0, e[0].1, &e[0].2, &mut xids);
+        let re = ex.retransmit(&mut xids, &[DpId(1)]);
         assert!(barriers_of(&re).is_empty(), "acked barrier is not re-sent");
         let re_echo = echoes_of(&re);
         assert_eq!(re_echo.len(), 1, "only the unacked payload is resent");
@@ -914,12 +784,8 @@ mod tests {
             2,
             "exactly one FlowMod + its ack echo retransmitted"
         );
-        ex.on_message(
-            SimTime::ZERO + SimDuration::from_millis(12),
-            re_echo[0].0,
-            &Envelope::new(re_echo[0].1, OfMessage::EchoReply(re_echo[0].2.clone())),
-            &mut xids,
-        );
+        let (dp, xid, payload) = &re_echo[0];
+        ex.on_echo(SimTime(12), *dp, *xid, payload, &mut xids);
         assert_eq!(ex.state(), ExecState::Done);
     }
 
@@ -932,23 +798,12 @@ mod tests {
         let mut ex = RoundExecutor::new(update(vec![vec![1]]), ack_cfg());
         let cmds = ex.start(SimTime::ZERO, &mut xids);
         let e1 = echoes_of(&cmds);
-        let re = ex.on_tick(SimTime::ZERO + SimDuration::from_millis(11), &mut xids);
-        let b2 = barriers_of(&re);
-        assert_eq!(b2.len(), 1, "unacked barrier re-keys on retransmit");
+        let re = ex.retransmit(&mut xids, &[DpId(1)]);
+        assert_eq!(barriers_of(&re), [DpId(1)], "unanswered barrier is re-sent");
         assert_eq!(ex.pending_acks(), 2, "both transmissions outstanding");
-        ex.on_message(
-            SimTime::ZERO + SimDuration::from_millis(12),
-            e1[0].0,
-            &Envelope::new(e1[0].1, OfMessage::EchoReply(e1[0].2.clone())),
-            &mut xids,
-        );
+        ex.on_echo(SimTime(12), e1[0].0, e1[0].1, &e1[0].2, &mut xids);
         assert_eq!(ex.pending_acks(), 0, "old ack retires every copy");
-        ex.on_message(
-            SimTime::ZERO + SimDuration::from_millis(13),
-            b2[0].0,
-            &Envelope::new(b2[0].1, OfMessage::BarrierReply),
-            &mut xids,
-        );
+        ex.on_barrier(SimTime(13), DpId(1), &mut xids);
         assert_eq!(ex.state(), ExecState::Done);
     }
 

@@ -9,20 +9,24 @@
 //! * [`compile`] — turns an abstract round [`Schedule`] into concrete
 //!   per-round FlowMods against a topology (ports, priorities,
 //!   version-tag rules for two-phase commit);
-//! * [`executor`] — the round state machine: dispatch the FlowMods of
-//!   the current round, send barrier requests, collect barrier
-//!   replies, advance; resend on timeout so lossy channels still
-//!   converge ("the barrier messages are utilized to ensure reliable
-//!   network updates");
-//! * [`controller`] — the message queue of update jobs, processed one
-//!   at a time exactly as the paper describes;
-//! * [`runtime`] — the concurrent multi-update runtime: conflict-aware
-//!   admission over a bounded queue, many executors in flight at once,
-//!   per-switch adaptive retransmission (EWMA RTT + variance), and a
-//!   write-ahead journal for crash recovery; its [`runtime::fabric`]
-//!   submodule shards switches across runtimes behind one
-//!   [`FabricCoordinator`] with a two-phase protocol for cross-shard
-//!   updates and per-tenant admission quotas;
+//! * [`executor`] — the round state machine, clock-free: dispatch the
+//!   FlowMods of the current round, send barrier requests, take note
+//!   of which switches fenced, advance; resend to the switches the
+//!   runtime names ("the barrier messages are utilized to ensure
+//!   reliable network updates");
+//! * [`runtime`] — the one controller core: conflict-aware admission
+//!   over a bounded queue, many executors in flight at once, the
+//!   per-switch timers (fixed, or adaptive EWMA RTT + variance) that
+//!   are the only retransmission engine, the `(switch, xid)` route
+//!   table that is the only reply matcher, and a write-ahead journal
+//!   for crash recovery. The paper's message queue of update jobs,
+//!   "processed one at a time", is its [`RuntimeConfig::serial`]
+//!   configuration; its [`runtime::fabric`] submodule shards switches
+//!   across runtimes behind one [`FabricCoordinator`] with a
+//!   two-phase protocol for cross-shard updates and per-tenant
+//!   admission quotas;
+//! * [`controller`] — what every core hands back: transport commands
+//!   ([`CtrlOutput`]) and completion reports ([`UpdateReport`]);
 //! * [`resync`] — controller-side switch resynchronization: shadow
 //!   flow tables plus the digest-probe audit that replays exactly the
 //!   rules a reconnected switch is missing.
@@ -41,7 +45,7 @@ pub mod resync;
 pub mod runtime;
 
 pub use compile::{compile_schedule, initial_flowmods, CompiledUpdate, FlowSpec};
-pub use controller::{Controller, ControllerConfig, CtrlOutput, FailReason, UpdateReport};
+pub use controller::{CtrlOutput, FailReason, UpdateReport};
 pub use executor::{ExecState, RoundExecutor};
 pub use handshake::Handshake;
 pub use rest::request::UpdateRequest;

@@ -1,9 +1,11 @@
 //! Bounded admission with explicit shedding policies.
 //!
-//! The serial controller queued updates without limit — under heavy
-//! offered load that is an unbounded-memory denial of service and an
-//! unbounded-latency guarantee for every request behind the backlog.
-//! The runtime instead admits through a bounded two-lane queue
+//! The paper's controller queues updates without limit (and
+//! [`RuntimeConfig::serial`](super::RuntimeConfig::serial) reproduces
+//! that with an unreachable capacity) — under heavy offered load that
+//! is an unbounded-memory denial of service and an unbounded-latency
+//! guarantee for every request behind the backlog. By default the
+//! runtime instead admits through a bounded two-lane queue
 //! ([`AdmissionQueue`]) whose behaviour when full is an explicit
 //! [`AdmissionPolicy`]:
 //!

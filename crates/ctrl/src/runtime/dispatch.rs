@@ -1,21 +1,36 @@
-//! The multi-executor dispatcher.
+//! The dispatcher: the one controller core.
 //!
-//! [`ConcurrentRuntime`] replaces the serial controller's one-job loop:
-//! every footprint-disjoint update in the admission queue executes
+//! [`ConcurrentRuntime`] drives every update the controller executes.
+//! Every footprint-disjoint update in the admission queue executes
 //! **concurrently**, each behind its own [`RoundExecutor`], over the
-//! shared control channel. Conflicting updates wait in the bounded
-//! [`AdmissionQueue`] until their conflict set drains. Barrier replies
-//! are routed to the owning executor through a `(switch, xid)` table —
-//! no broadcast — and every reply doubles as an RTT sample for the
-//! per-switch adaptive retransmission timers ([`RtoTable`]).
+//! shared control channel; conflicting updates wait in the bounded
+//! [`AdmissionQueue`] until their conflict set drains. The paper's
+//! one-at-a-time message queue is the same machine with one execution
+//! slot ([`RuntimeConfig::serial`]), and the sharded
+//! [`FabricCoordinator`](super::FabricCoordinator) is several of these
+//! behind one [`RuntimeHandle`].
+//!
+//! Two things live here and nowhere else:
+//!
+//! * **time belongs to the runtime** — the executors are clock-free
+//!   state machines; the per-switch timers in `poll` are the only
+//!   retransmission engine ([`RoundExecutor::retransmit`] when one
+//!   fires, [`RoundExecutor::force_fail`] when a switch's budget is
+//!   gone), under a fixed timeout or the adaptive [`RtoTable`];
+//! * **a reply is matched to a transmission in exactly one place** —
+//!   the `(switch, xid)` route table. A hit proves the reply answers an
+//!   outstanding transmission of that job's current round to that
+//!   switch, so the executor is told *which switch fenced*, never an
+//!   xid; every reply doubles as an RTT sample for the timers.
 //!
 //! Bookkeeping costs what an event touches, not what is active, on two
 //! invariants kept at the state transitions themselves:
 //!
 //! * **every terminal transition is pushed to `finished` in the call
-//!   that causes it** (`ex.start` in `launch`, `ex.on_message`, the two
-//!   `force_fail` sites in `poll`), so `reap` drains that list — in
-//!   ascending id, report order is observable — and never scans;
+//!   that causes it** (`ex.start` in `launch`, the executor calls in
+//!   `on_message`, the two `force_fail` sites in `poll`), so `reap`
+//!   drains that list — in ascending id, report order is observable —
+//!   and never scans;
 //! * **a job is in the wake index iff it is in `WaitingGrace` or has a
 //!   round in flight**, so `poll` moves the grace waits that fell due
 //!   over to the in-flight set and walks only that, in ascending id
@@ -27,11 +42,6 @@
 //! switch's *current* estimate, so a heap would either freeze the RTO
 //! at arm time (a behaviour change on every lossy channel) or key on
 //! the 2 ms floor and be hot every tick.
-//!
-//! The runtime and the serial [`Controller`](crate::controller) both
-//! implement [`RuntimeHandle`], so the
-//! simulator, the experiments and the REST layer switch between them
-//! with one constructor argument.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -58,8 +68,8 @@ use crate::runtime::{RuntimeHandle, RuntimeStats, StatusReport, SwitchStatus, Te
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetransMode {
     /// One fixed per-switch timeout ([`ExecConfig::barrier_timeout`])
-    /// per transmission — the serial executor's policy, kept as the
-    /// comparison baseline.
+    /// per transmission — the serial configuration's policy, and the
+    /// baseline the adaptive timers are compared against.
     Fixed,
     /// Per-switch EWMA RTT + variance with exponential backoff.
     Adaptive(RtoConfig),
@@ -128,6 +138,23 @@ impl Default for RuntimeConfig {
     }
 }
 
+impl RuntimeConfig {
+    /// The paper's controller — "a message queue … processed one at a
+    /// time" — as a configuration of this runtime: one execution slot,
+    /// the fixed [`ExecConfig::barrier_timeout`] per transmission, no
+    /// quarantine, and a queue that never refuses.
+    pub fn serial(exec: ExecConfig) -> Self {
+        RuntimeConfig {
+            exec,
+            queue_capacity: usize::MAX,
+            max_active: 1,
+            retrans: RetransMode::Fixed,
+            quarantine_strikes: 0,
+            ..RuntimeConfig::default()
+        }
+    }
+}
+
 /// Outstanding barrier transmissions for one pending switch of one
 /// round. *Every* transmission stays valid until the switch answers:
 /// retransmissions resend identical FlowMods, so a reply to an older
@@ -138,8 +165,6 @@ impl Default for RuntimeConfig {
 /// each reply would arrive already superseded.
 #[derive(Debug, Clone)]
 struct BarrierTimer {
-    /// The newest barrier xid (the one the executor tracks).
-    latest: Xid,
     /// When the newest transmission went out (timer base).
     latest_sent: SimTime,
     /// Transmissions so far (1 = no retransmissions).
@@ -272,9 +297,9 @@ impl ConcurrentRuntime {
     /// resync shadow (not the network); a round the journal
     /// under-reported is simply re-sent — FlowMods are idempotent, so
     /// over-sending is correct and only costs messages. Xids restart
-    /// from 1: replies to pre-crash transmissions no longer route and
-    /// are ignored, and the retransmission timers re-drive anything
-    /// lost in the gap.
+    /// at the base of [`RuntimeConfig::xid_range`]: replies to
+    /// pre-crash transmissions no longer route and are ignored, and the
+    /// retransmission timers re-drive anything lost in the gap.
     pub fn recover(config: RuntimeConfig, journal: Journal) -> Self {
         struct Recovered {
             update: CompiledUpdate,
@@ -630,7 +655,6 @@ impl ConcurrentRuntime {
                     timer.attempts += 1;
                     timer.latest_sent = now;
                     if let Some(xid) = barrier {
-                        timer.latest = xid;
                         timer.outstanding.push((xid, now));
                     }
                 }
@@ -642,7 +666,6 @@ impl ConcurrentRuntime {
                     job.barriers.insert(
                         dp,
                         BarrierTimer {
-                            latest: xid,
                             latest_sent: now,
                             attempts: 1,
                             straggler: false,
@@ -740,7 +763,7 @@ impl ConcurrentRuntime {
                     // against it; enough strikes quarantine the switch
                     // so later jobs fail fast instead of burning their
                     // budgets against a peer known dead.
-                    if let Some(FailReason::Exhausted(Some(dp))) = job.failure {
+                    if let Some(FailReason::Exhausted(dp)) = job.failure {
                         let strikes = self.strikes.entry(dp).or_insert(0);
                         *strikes += 1;
                         if self.config.quarantine_strikes > 0
@@ -756,9 +779,9 @@ impl ConcurrentRuntime {
                 submitted: job.submitted,
                 started: job.started,
                 completed,
-                failure: completed
-                    .is_none()
-                    .then(|| job.failure.unwrap_or(FailReason::Exhausted(None))),
+                // an executor fails only through `force_fail`, and both
+                // call sites name the reason first
+                failure: job.failure,
                 rounds: job.ex.timings().to_vec(),
             });
         }
@@ -988,7 +1011,7 @@ impl RuntimeHandle for ConcurrentRuntime {
             }
         }
         // A grace wait that expired has a round in flight from this
-        // tick on: `on_tick` below dispatches it.
+        // tick on: `end_grace` below dispatches it.
         while let Some(&(at, id)) = self.wake.grace.first() {
             if at > now {
                 break;
@@ -1004,7 +1027,7 @@ impl RuntimeHandle for ConcurrentRuntime {
             self.visited += 1;
             match job.ex.state() {
                 ExecState::WaitingGrace => {
-                    let cmds = job.ex.on_tick(now, &mut self.xids);
+                    let cmds = job.ex.end_grace(now, &mut self.xids);
                     Self::register(
                         &mut self.routes,
                         &mut self.stats,
@@ -1048,7 +1071,7 @@ impl RuntimeHandle for ConcurrentRuntime {
                         due.push(dp);
                     }
                     if let Some(dp) = exhausted {
-                        job.failure = Some(FailReason::Exhausted(Some(dp)));
+                        job.failure = Some(FailReason::Exhausted(dp));
                         job.ex.force_fail();
                         self.wake.finished.push(id);
                     } else if !due.is_empty() {
@@ -1090,15 +1113,16 @@ impl RuntimeHandle for ConcurrentRuntime {
 
     fn on_message(&mut self, now: SimTime, from: DpId, env: &Envelope) -> Vec<CtrlOutput> {
         let mut out = Vec::new();
-        let is_barrier = env.msg == OfMessage::BarrierReply;
-        let is_ack = matches!(env.msg, OfMessage::EchoReply(_));
-        if !is_barrier && !is_ack {
-            return out; // errors, stats: not routed
-        }
+        // `None`: a barrier reply; `Some`: an echo reply's payload.
+        let echoed = match &env.msg {
+            OfMessage::BarrierReply => None,
+            OfMessage::EchoReply(payload) => Some(payload),
+            _ => return out, // errors, stats: not routed
+        };
         // Digest-probe replies belong to the resync state machine, not
         // to any job. The repair FlowMods come straight from the shadow
         // (recording them again would be a no-op).
-        if let OfMessage::EchoReply(payload) = &env.msg {
+        if let Some(payload) = echoed {
             if self.resync.owns(from, env.xid) {
                 let repairs = self.resync.on_report(from, payload, now, &mut self.xids);
                 out.extend(repairs.into_iter().map(|e| CtrlOutput::Send(from, e)));
@@ -1120,7 +1144,18 @@ impl RuntimeHandle for ConcurrentRuntime {
             return out;
         };
         let prev_round = job.ex.current_round();
-        let cmds = if is_barrier {
+        let cmds = if let Some(echoed) = echoed {
+            // Payload (echo) acks match by exact xid and bytes — every
+            // transmission's echo stays valid.
+            self.routes.remove(&(from, env.xid));
+            self.obs.emit(
+                Event::new(now, EventKind::FlowModAck)
+                    .span(job_id.0)
+                    .dp(from.0)
+                    .round(prev_round),
+            );
+            job.ex.on_echo(now, from, env.xid, echoed, &mut self.xids)
+        } else {
             let Some(timer) = job.barriers.get(&from) else {
                 return out;
             };
@@ -1140,23 +1175,10 @@ impl RuntimeHandle for ConcurrentRuntime {
                 );
             }
             self.obs.inc(Ctr::BarrierFences);
-            // A reply to ANY outstanding transmission fences the round's
-            // content at this switch (identical FlowMods precede every
-            // barrier); translate older xids to the one the executor
-            // tracks.
-            let translated = Envelope::new(timer.latest, OfMessage::BarrierReply);
-            job.ex.on_message(now, from, &translated, &mut self.xids)
-        } else {
-            // Payload (echo) acks match by exact xid — every
-            // transmission's echo stays valid, so no translation.
-            self.routes.remove(&(from, env.xid));
-            self.obs.emit(
-                Event::new(now, EventKind::FlowModAck)
-                    .span(job_id.0)
-                    .dp(from.0)
-                    .round(prev_round),
-            );
-            job.ex.on_message(now, from, env, &mut self.xids)
+            // The route hit is the match: a reply to ANY outstanding
+            // transmission fences the round's content at this switch
+            // (identical FlowMods precede every barrier).
+            job.ex.on_barrier(now, from, &mut self.xids)
         };
         self.wake.file(job_id, &job.ex);
         // The switch is done with its round when the round advanced or
@@ -1171,7 +1193,7 @@ impl RuntimeHandle for ConcurrentRuntime {
                     self.routes.remove(&(from, *xid));
                 }
             }
-        } else if is_barrier {
+        } else if echoed.is_none() {
             let timer = job.barriers.get_mut(&from).expect("present above");
             for (xid, _) in timer.outstanding.drain(..) {
                 self.routes.remove(&(from, xid));
@@ -1486,10 +1508,7 @@ mod tests {
             let r = rt.reports().iter().find(|r| r.label == label).unwrap();
             (r.failure, r.rounds.len())
         };
-        assert_eq!(
-            failure("j3"),
-            (Some(FailReason::Exhausted(Some(DpId(9)))), 1)
-        );
+        assert_eq!(failure("j3"), (Some(FailReason::Exhausted(DpId(9))), 1));
         assert_eq!(failure("j7"), (Some(FailReason::Quarantined(DpId(9))), 1));
     }
 
@@ -1715,6 +1734,51 @@ mod tests {
     }
 
     #[test]
+    fn superseded_barrier_xid_fences_and_later_replies_change_nothing() {
+        // The route table is the only reply matcher: the executor is
+        // told which switch fenced and never sees an xid.
+        let mut rt = ConcurrentRuntime::new(RuntimeConfig::serial(ExecConfig {
+            barrier_timeout: SimDuration::from_millis(5),
+            ..ExecConfig::default()
+        }));
+        let _ = rt.submit(
+            job("a", 2, vec![vec![1, 2], vec![1]]),
+            SimTime(0),
+            Priority::Normal,
+        );
+        let first = barriers_of(&rt.poll(SimTime(0)));
+        let (old1, old2) = (first[0], first[1]);
+        assert_eq!((old1.0, old2.0), (DpId(1), DpId(2)));
+        // both time out: each gets a fresh xid, the old ones stay valid
+        let re = barriers_of(&rt.poll(SimTime(0) + SimDuration::from_millis(6)));
+        let (new1, new2) = (re[0], re[1]);
+        assert!(old1.1 != new1.1 && old2.1 != new2.1);
+        // s1 answers its SUPERSEDED barrier: fenced, round still open
+        assert!(reply(&mut rt, SimTime(7_000_000), old1.0, old1.1).is_empty());
+        let (_, _, round) = rt.active_jobs().next().expect("still active");
+        assert_eq!(round, 0);
+        // the reply to s1's newer barrier arrives after s1 is done: no
+        // output, no progress, no second RTT sample
+        let samples = rt.rto_table().sampled();
+        assert!(reply(&mut rt, SimTime(7_500_000), new1.0, new1.1).is_empty());
+        assert_eq!(rt.rto_table().sampled(), samples);
+        assert_eq!(rt.active_jobs().next().map(|j| j.2), Some(0));
+        // s2's fence (newest xid) completes round 0 and dispatches round 1
+        let next = barriers_of(&reply(&mut rt, SimTime(8_000_000), new2.0, new2.1));
+        assert_eq!(next.len(), 1);
+        assert_eq!(next[0].0, DpId(1));
+        // round 0's leftovers cannot fence round 1
+        assert!(reply(&mut rt, SimTime(8_500_000), old2.0, old2.1).is_empty());
+        assert!(reply(&mut rt, SimTime(8_600_000), new1.0, new1.1).is_empty());
+        assert_eq!(rt.active_count(), 1);
+        reply(&mut rt, SimTime(9_000_000), next[0].0, next[0].1);
+        assert!(rt.is_idle());
+        let r = &rt.reports()[0];
+        assert_eq!(r.rounds[0].completed, Some(SimTime(8_000_000)));
+        assert_eq!((r.rounds[0].attempts, r.rounds[1].attempts), (2, 1));
+    }
+
+    #[test]
     fn straggler_detection_counts_slow_switch() {
         let cfg = RuntimeConfig {
             retrans: RetransMode::Adaptive(RtoConfig {
@@ -1919,7 +1983,7 @@ mod tests {
         assert_eq!(rt.stats().quarantined, 1);
         assert_eq!(
             rt.reports()[1].failure,
-            Some(FailReason::Exhausted(Some(DpId(1))))
+            Some(FailReason::Exhausted(DpId(1)))
         );
         // the third job fails fast at launch — no budget burned
         let before = rt.stats().retransmissions;

@@ -493,8 +493,17 @@ impl FabricCoordinator {
     }
 
     /// Release reservations of finished coordinator jobs and pull
-    /// freshly completed reports into the merged log.
+    /// freshly completed reports into the merged log. Called after
+    /// every message, so the common case — no job finished, nothing
+    /// cross-shard in flight — must touch nothing.
     fn settle(&mut self) {
+        let subs = self.shards.iter().chain(std::iter::once(&self.coord));
+        let grew = subs
+            .zip(&self.harvested)
+            .any(|(src, &seen)| src.reports().len() > seen);
+        if !grew && self.xactive.is_empty() {
+            return;
+        }
         let done: Vec<JobId> = self
             .xactive
             .iter()
@@ -508,16 +517,18 @@ impl FabricCoordinator {
                 }
             }
         }
-        self.harvest();
+        if grew {
+            self.harvest();
+        }
     }
 
     fn harvest(&mut self) {
         let n = self.shards.len();
         for i in 0..=n {
             let src = if i < n { &self.shards[i] } else { &self.coord };
-            let fresh: Vec<UpdateReport> = src.reports()[self.harvested[i]..].to_vec();
-            self.harvested[i] += fresh.len();
-            self.reports.extend(fresh);
+            self.reports
+                .extend_from_slice(&src.reports()[self.harvested[i]..]);
+            self.harvested[i] = src.reports().len();
         }
     }
 

@@ -1,8 +1,7 @@
-//! The concurrent multi-update runtime.
+//! The controller runtime: one core, two configurations.
 //!
-//! The paper's controller processes one REST update at a time; this
-//! subsystem removes that last single-lane bottleneck. It is built
-//! from four parts:
+//! Every update the controller executes is driven by a
+//! [`ConcurrentRuntime`]. It is built from four parts:
 //!
 //! * [`conflict`] — footprint extraction from compiled updates and the
 //!   dynamic conflict graph: footprint-disjoint updates commute, so
@@ -13,21 +12,26 @@
 //!   policies (reject-new / drop-oldest, High/Normal priority lanes),
 //!   surfaced through the REST layer as structured backpressure;
 //! * [`rto`] — per-switch adaptive retransmission timeouts (EWMA
-//!   RTT + variance, exponential backoff, straggler detection),
-//!   replacing the serial executor's fixed round timer;
-//! * [`dispatch`] — the multi-executor scheduler driving many
+//!   RTT + variance, exponential backoff, straggler detection);
+//! * [`dispatch`] — the scheduler driving many clock-free
 //!   [`RoundExecutor`](crate::executor::RoundExecutor)s over the
-//!   shared channel, routing barrier replies by `(switch, xid)`.
+//!   shared channel. It owns the two things no other layer may
+//!   duplicate: *time* (the per-switch timers are the only
+//!   retransmission engine) and *reply matching* (a barrier reply is
+//!   matched to a transmission in exactly one place, the
+//!   `(switch, xid)` route table).
 //!
-//! [`RuntimeHandle`] abstracts over the serial
-//! [`Controller`](crate::controller::Controller), the concurrent
-//! [`ConcurrentRuntime`], and the sharded
-//! [`FabricCoordinator`],
-//! so the simulator and the experiments flip between them with a
-//! constructor argument. Submissions go through the [`submit`] module's
-//! [`SubmitRequest`] → [`SubmitTicket`] surface; the positional
-//! `submit(update, now, priority)` form survives as a convenience
-//! wrapper.
+//! The two configurations are values of [`RuntimeConfig`]: the default
+//! (many updates in flight, adaptive timers, quarantine, a bounded
+//! queue) and [`RuntimeConfig::serial`] — the paper's "message queue …
+//! processed one at a time": one execution slot, a fixed timeout, no
+//! quarantine, a queue that never refuses. The sharded
+//! [`FabricCoordinator`] composes several runtimes behind the same
+//! [`RuntimeHandle`], which is what the simulator, the experiments, the
+//! REST layer and the benchmark driver hold. Submissions go through
+//! the [`submit`] module's [`SubmitRequest`] → [`SubmitTicket`]
+//! surface; the positional `submit(update, now, priority)` form
+//! survives as a convenience wrapper.
 
 pub mod admission;
 pub mod conflict;
@@ -158,9 +162,8 @@ pub struct StatusReport {
     pub pending_acks: usize,
     /// Aggregate counters.
     pub stats: RuntimeStats,
-    /// Per-switch RTO estimates and straggler flags. Empty for
-    /// runtimes without adaptive retransmission (the serial
-    /// controller).
+    /// Per-switch RTO estimates and straggler flags (every switch a
+    /// barrier reply has sampled or a timer currently runs for).
     pub switches: Vec<SwitchStatus>,
     /// Records in the write-ahead journal (0 when journalling is
     /// disabled or the runtime has none).
@@ -183,10 +186,10 @@ pub struct StatusReport {
 }
 
 /// A controller core that accepts compiled updates and drives them to
-/// completion over a message transport. Implemented by the serial
-/// [`Controller`](crate::controller::Controller) (the paper's
-/// one-at-a-time queue), by [`ConcurrentRuntime`], and by the sharded
-/// [`FabricCoordinator`].
+/// completion over a message transport. Implemented by
+/// [`ConcurrentRuntime`] — the paper's one-at-a-time queue is its
+/// [`RuntimeConfig::serial`] configuration — and by the sharded
+/// [`FabricCoordinator`] over several of them.
 pub trait RuntimeHandle {
     /// Offer an update for execution. Admission may refuse it (bounded
     /// queue, tenant quota, expired deadline); an accepted request
@@ -228,74 +231,47 @@ pub trait RuntimeHandle {
     /// Counter snapshot.
     fn stats(&self) -> RuntimeStats;
 
-    /// Live snapshot for the `GET /status` endpoint. The default
-    /// covers every runtime from the trait's own accessors; runtimes
-    /// with richer diagnostics (per-switch RTOs, straggler flags,
-    /// payload acks) override it.
-    fn status_report(&self) -> StatusReport {
-        StatusReport {
-            queued: self.queued(),
-            active: self.active_count(),
-            pending_acks: 0,
-            stats: self.stats(),
-            switches: Vec::new(),
-            journal_len: 0,
-            quarantined: Vec::new(),
-            shards: Vec::new(),
-            tenants: Vec::new(),
-            xshard_queued: 0,
-            xshard_active: 0,
-            migrating: Vec::new(),
-        }
-    }
+    /// Live snapshot for the `GET /status` endpoint: queue and active
+    /// depths, counters, per-switch RTOs and straggler flags, payload
+    /// acks, quarantine and (for a fabric) per-shard rows.
+    fn status_report(&self) -> StatusReport;
 
     /// The transport reports `dp`'s connection died. In-flight
-    /// messages to and from it are gone; a resync-capable runtime
-    /// aborts any audit in progress. Default: ignore (retransmission
-    /// timers already cover lost messages).
-    fn on_disconnect(&mut self, _dp: DpId, _now: SimTime) {}
+    /// messages to and from it are gone (the retransmission timers
+    /// cover those); any resync audit in progress is aborted.
+    fn on_disconnect(&mut self, dp: DpId, now: SimTime);
 
     /// The transport reports `dp` reconnected (same datapath id,
     /// fresh connection — possibly a reboot with an empty table).
-    /// A resync-capable runtime starts the audit-and-repair handshake
-    /// and lifts any quarantine; the commands returned open the audit.
-    /// Default: do nothing.
-    fn on_reconnect(&mut self, _dp: DpId, _now: SimTime) -> Vec<CtrlOutput> {
-        Vec::new()
-    }
+    /// Lifts any quarantine and starts the audit-and-repair handshake;
+    /// the commands returned open the audit.
+    fn on_reconnect(&mut self, dp: DpId, now: SimTime) -> Vec<CtrlOutput>;
 
     /// A rule was installed at `dp` outside any update job (initial
-    /// table population). Runtimes that keep shadow tables record it
-    /// so a later audit knows the baseline. Default: ignore.
-    fn note_installed(&mut self, _dp: DpId, _msg: &OfMessage) {}
+    /// table population). Recorded in the shadow tables (and the
+    /// journal) so a later audit knows the baseline.
+    fn note_installed(&mut self, dp: DpId, msg: &OfMessage);
 
-    /// The intended rule-hash list for `dp` (ascending), when this
-    /// runtime tracks one — what the switch must converge to. The
-    /// simulator's auditor compares tables against this. Default:
-    /// unknown.
-    fn intended_hashes(&self, _dp: DpId) -> Option<Vec<u64>> {
-        None
-    }
+    /// The intended rule-hash list for `dp` (ascending) — what the
+    /// switch must converge to; `None` for a switch the runtime never
+    /// sent or was told of a rule for. The simulator's auditor compares
+    /// tables against this.
+    fn intended_hashes(&self, dp: DpId) -> Option<Vec<u64>>;
 
-    /// Rebuild state after a controller crash, from whatever durable
-    /// log the runtime keeps. Returns whether a recovery happened
-    /// (`false` for runtimes without a journal — their in-flight work
-    /// is simply lost, the paper's baseline behaviour).
-    fn recover_from_crash(&mut self, _now: SimTime) -> bool {
-        false
-    }
+    /// Rebuild state after a controller crash from the write-ahead
+    /// journal. Returns whether a recovery happened: `false` without a
+    /// journal, and then nothing is discarded.
+    fn recover_from_crash(&mut self, now: SimTime) -> bool;
 
     /// Attach an observability sink: lifecycle events, metrics and
-    /// flight-recorder rings flow into `obs` from here on. Runtimes
-    /// without instrumentation ignore it (the serial controller — the
-    /// paper's baseline — stays unmeasured on purpose).
-    fn attach_obs(&mut self, _obs: Obs) {}
+    /// flight-recorder rings flow into `obs` from here on.
+    fn attach_obs(&mut self, obs: Obs);
 
     /// Start moving the per-switch seat of `dp` to shard `to`, when
     /// this runtime is a sharded fabric. Returns whether a migration
-    /// actually began; runtimes without shards (and fabrics that
-    /// refuse the move — unknown switch, same shard, already
-    /// migrating) answer `false`. Default: not supported.
+    /// actually began; a fabric that refuses the move (unknown switch,
+    /// same shard, already migrating) answers `false`, and so does the
+    /// default, for the unsharded runtime.
     fn begin_seat_migration(&mut self, _dp: DpId, _to: u32, _now: SimTime) -> bool {
         false
     }

@@ -7,7 +7,9 @@
 //! final `stats()`. The expected digests were recorded by running this
 //! file at commit `044785c`, before the dispatcher's bookkeeping was
 //! re-indexed; a change that reorders a launch, a reap, a
-//! retransmission or an xid allocation moves them.
+//! retransmission or an xid allocation moves them. (One spelling is
+//! folded back, see `recorded_spelling`: a type in the reports'
+//! `Debug` text changed since, no decision did.)
 //!
 //! The script: 120 jobs over 24 switches in two priority lanes, drawn
 //! from five destination hosts (plus a few wildcard matches) so jobs
@@ -28,7 +30,7 @@ use sdn_ctrl::executor::ExecConfig;
 use sdn_ctrl::runtime::{
     ConcurrentRuntime, RetransMode, RtoConfig, RuntimeConfig, RuntimeHandle, SubmitRequest,
 };
-use sdn_ctrl::{CtrlOutput, FailReason};
+use sdn_ctrl::{CtrlOutput, FailReason, UpdateReport};
 use sdn_openflow::codec;
 use sdn_openflow::flow::{Action, FlowMatch};
 use sdn_openflow::messages::{Envelope, FlowMod, FlowModCommand, OfMessage};
@@ -176,6 +178,21 @@ impl Net {
     }
 }
 
+/// A report's `Debug` text as it read when the digests were recorded:
+/// `FailReason::Exhausted` then carried an `Option<DpId>` (`None` was
+/// the serial controller's, which is gone), so the culprit is folded in
+/// as `Some(..)`. The type changed; no dispatch decision did.
+fn recorded_spelling(r: &UpdateReport) -> String {
+    let text = format!("{r:?}");
+    match text.split_once("Exhausted(") {
+        Some((head, tail)) => {
+            let (dp, rest) = tail.split_once("))").expect("Exhausted(DpId(..))");
+            format!("{head}Exhausted(Some({dp}))){rest}")
+        }
+        None => text,
+    }
+}
+
 fn run_script(flowmod_acks: bool) -> u64 {
     let mut rt = ConcurrentRuntime::new(RuntimeConfig {
         exec: ExecConfig {
@@ -261,7 +278,7 @@ fn run_script(flowmod_acks: bool) -> u64 {
             .filter(|r| r.failure == Some(want) && r.rounds.is_empty() != launched)
             .count()
     };
-    assert!(failed_with(FailReason::Exhausted(Some(DEAD)), true) >= 2);
+    assert!(failed_with(FailReason::Exhausted(DEAD), true) >= 2);
     assert!(
         failed_with(FailReason::Quarantined(DEAD), true) >= 1,
         "a job waiting on the quarantined switch was aborted"
@@ -278,7 +295,7 @@ fn run_script(flowmod_acks: bool) -> u64 {
             >= 20,
         "blocked jobs waited"
     );
-    let revived = |r: &&sdn_ctrl::UpdateReport| r.label[1..].parse::<u64>().unwrap() >= 112;
+    let revived = |r: &&UpdateReport| r.label[1..].parse::<u64>().unwrap() >= 112;
     assert!(
         reports
             .iter()
@@ -288,7 +305,7 @@ fn run_script(flowmod_acks: bool) -> u64 {
     );
 
     for r in reports {
-        net.digest.bytes(format!("{r:?}").as_bytes());
+        net.digest.bytes(recorded_spelling(r).as_bytes());
     }
     net.digest.bytes(format!("{stats:?}").as_bytes());
     net.digest.0

@@ -36,8 +36,9 @@ pub use metrics::{Ctr, Gauge, HistId, Histogram, Registry};
 pub use recorder::{Dump, DumpReason, Ring, DEFAULT_RING};
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
+use parking_lot::Mutex;
 use sdn_types::SimTime;
 
 /// Cap on spans retained for `GET /v1/trace/{job}`; the span that was
@@ -123,7 +124,7 @@ impl Obs {
         if ev.shard == 0 {
             ev.shard = self.shard;
         }
-        let mut g = inner.lock().unwrap();
+        let mut g = inner.lock();
         let cap = g.ring_cap;
         g.rings
             .entry(ev.shard)
@@ -152,21 +153,21 @@ impl Obs {
     /// Bump a counter.
     pub fn add(&self, c: Ctr, n: u64) {
         if let Some(i) = &self.inner {
-            i.lock().unwrap().registry.add(c, n);
+            i.lock().registry.add(c, n);
         }
     }
 
     /// Set a gauge.
     pub fn set_gauge(&self, g: Gauge, v: i64) {
         if let Some(i) = &self.inner {
-            i.lock().unwrap().registry.set(g, v);
+            i.lock().registry.set(g, v);
         }
     }
 
     /// Record a histogram observation.
     pub fn observe(&self, h: HistId, v: u64) {
         if let Some(i) = &self.inner {
-            i.lock().unwrap().registry.observe(h, v);
+            i.lock().registry.observe(h, v);
         }
     }
 
@@ -175,7 +176,7 @@ impl Obs {
     /// or `None` when disabled or the ring has never seen an event.
     pub fn dump_shard(&self, reason: DumpReason, shard: u32, at: SimTime) -> Option<String> {
         let inner = self.inner.as_ref()?;
-        let mut g = inner.lock().unwrap();
+        let mut g = inner.lock();
         let json = {
             let ring = g.rings.get(&shard)?;
             if ring.is_empty() {
@@ -201,7 +202,7 @@ impl Obs {
     /// All dumps taken so far, in trigger order.
     pub fn dumps(&self) -> Vec<Dump> {
         match &self.inner {
-            Some(i) => i.lock().unwrap().dumps.clone(),
+            Some(i) => i.lock().dumps.clone(),
             None => Vec::new(),
         }
     }
@@ -210,7 +211,7 @@ impl Obs {
     /// the empty registry).
     pub fn registry(&self) -> Registry {
         match &self.inner {
-            Some(i) => i.lock().unwrap().registry.clone(),
+            Some(i) => i.lock().registry.clone(),
             None => Registry::default(),
         }
     }
@@ -229,13 +230,7 @@ impl Obs {
     /// The raw event trace of one job, in emission order.
     pub fn span_events(&self, job: u64) -> Vec<Event> {
         match &self.inner {
-            Some(i) => i
-                .lock()
-                .unwrap()
-                .spans
-                .get(&job)
-                .cloned()
-                .unwrap_or_default(),
+            Some(i) => i.lock().spans.get(&job).cloned().unwrap_or_default(),
             None => Vec::new(),
         }
     }
@@ -400,5 +395,22 @@ mod tests {
         obs.emit(Event::new(at(9), EventKind::Commit).span(job(0, per_shard - 1)));
         assert_eq!(obs.span_events(job(0, per_shard - 1)).len(), 2);
         assert_eq!(obs.span_events(job(3, per_shard - 1)).len(), 1);
+    }
+
+    #[test]
+    fn a_panic_under_the_sink_lock_does_not_poison_it() {
+        let obs = Obs::recording();
+        let held = obs.for_shard(3);
+        let died = std::thread::spawn(move || {
+            let _sink = held.inner.as_ref().expect("recording").lock();
+            panic!("an emitter dies holding the sink");
+        })
+        .join();
+        assert!(died.is_err());
+        // every clone, on every shard, still works from another thread
+        obs.inc(Ctr::Submitted);
+        obs.emit(Event::new(at(1), EventKind::Submit).span(1));
+        assert_eq!(obs.registry().counter(Ctr::Submitted), 1);
+        assert!(obs.dump(DumpReason::Quarantine, at(2)).is_some());
     }
 }

@@ -12,7 +12,8 @@ use sdn_channel::config::ChannelConfig;
 use sdn_channel::sim::{ConnId, SimChannel};
 use sdn_channel::transport::Transport;
 use sdn_ctrl::compile::CompiledUpdate;
-use sdn_ctrl::controller::{Controller, ControllerConfig, CtrlOutput};
+use sdn_ctrl::controller::CtrlOutput;
+use sdn_ctrl::executor::ExecConfig;
 use sdn_ctrl::runtime::{
     ConcurrentRuntime, FabricConfig, FabricCoordinator, RuntimeConfig, RuntimeHandle, StatusReport,
     SubmitOutcome, SubmitRequest,
@@ -34,8 +35,10 @@ use crate::report::{AuditReport, PacketOutcome, PacketRecord, SimReport};
 pub struct WorldConfig {
     /// Control channel behaviour.
     pub channel: ChannelConfig,
-    /// Controller behaviour (barrier timeout, retries).
-    pub ctrl: ControllerConfig,
+    /// Round execution (barrier timeout, retries, payload acks) of
+    /// the serial controller core [`World::new`] builds; a core handed
+    /// to the builder carries its own.
+    pub exec: ExecConfig,
     /// Serial processing time per control message at a switch — the
     /// flow-table update time the demo measures.
     pub flowmod_proc_delay: SimDuration,
@@ -53,7 +56,7 @@ impl Default for WorldConfig {
     fn default() -> Self {
         WorldConfig {
             channel: ChannelConfig::lan(),
-            ctrl: ControllerConfig::default(),
+            exec: ExecConfig::default(),
             flowmod_proc_delay: SimDuration::from_micros(100),
             packet_proc_delay: SimDuration::from_micros(10),
             poll_interval: SimDuration::from_millis(10),
@@ -125,9 +128,11 @@ pub struct World {
     violation_flushed: BTreeSet<usize>,
 }
 
-/// Step-by-step [`World`] construction: pick the controller core
-/// (serial, concurrent, or the sharded fabric) and the configuration
-/// fluently, then [`build`](WorldBuilder::build).
+/// Step-by-step [`World`] construction: pick the controller core (a
+/// [`ConcurrentRuntime`] or the sharded fabric) and the configuration
+/// fluently, then [`build`](WorldBuilder::build). Until a core is
+/// picked the builder holds the paper's one-at-a-time controller,
+/// [`RuntimeConfig::serial`] over the default [`ExecConfig`].
 ///
 /// ```ignore
 /// let world = World::builder(topo)
@@ -138,7 +143,7 @@ pub struct World {
 pub struct WorldBuilder {
     topo: Topology,
     cfg: WorldConfig,
-    runtime: Option<Box<dyn RuntimeHandle>>,
+    runtime: Box<dyn RuntimeHandle>,
     obs: Obs,
 }
 
@@ -147,13 +152,6 @@ impl WorldBuilder {
     /// [`WorldConfig::default`]).
     pub fn config(mut self, cfg: WorldConfig) -> Self {
         self.cfg = cfg;
-        self
-    }
-
-    /// Drive the world with the paper's serial controller (the
-    /// default; its config comes from [`WorldConfig::ctrl`]).
-    pub fn serial(mut self) -> Self {
-        self.runtime = None;
         self
     }
 
@@ -169,7 +167,7 @@ impl WorldBuilder {
 
     /// Drive the world with an explicit controller core.
     pub fn runtime_handle(mut self, runtime: Box<dyn RuntimeHandle>) -> Self {
-        self.runtime = Some(runtime);
+        self.runtime = runtime;
         self
     }
 
@@ -183,9 +181,7 @@ impl WorldBuilder {
 
     /// Construct the world.
     pub fn build(self) -> World {
-        let mut runtime = self
-            .runtime
-            .unwrap_or_else(|| Box::new(Controller::new(self.cfg.ctrl)));
+        let mut runtime = self.runtime;
         if self.obs.is_enabled() {
             runtime.attach_obs(self.obs.clone());
         }
@@ -198,19 +194,21 @@ impl WorldBuilder {
 impl World {
     /// Start building a world over a topology.
     pub fn builder(topo: Topology) -> WorldBuilder {
+        let cfg = WorldConfig::default();
         WorldBuilder {
             topo,
-            cfg: WorldConfig::default(),
-            runtime: None,
+            runtime: Box::new(ConcurrentRuntime::new(RuntimeConfig::serial(cfg.exec))),
+            cfg,
             obs: Obs::disabled(),
         }
     }
 
-    /// Build a world over a topology, driven by the paper's serial
-    /// controller.
+    /// Build a world over a topology, driven by the paper's
+    /// one-at-a-time controller: [`RuntimeConfig::serial`] over
+    /// [`WorldConfig::exec`].
     pub fn new(topo: Topology, cfg: WorldConfig) -> Self {
-        let ctrl = Controller::new(cfg.ctrl);
-        World::over(topo, cfg, Box::new(ctrl))
+        let serial = ConcurrentRuntime::new(RuntimeConfig::serial(cfg.exec));
+        World::over(topo, cfg, Box::new(serial))
     }
 
     fn over(topo: Topology, cfg: WorldConfig, runtime: Box<dyn RuntimeHandle>) -> Self {

@@ -1,7 +1,7 @@
-//! Live mode: the round executor driving *real threads* — one per
-//! switch — over the readiness-driven event-loop transport, with genuine
-//! (scaled) channel delays. Same protocol, true concurrency instead of
-//! simulated time.
+//! Live mode: the serial controller core driving *real switches* over
+//! the readiness-driven event-loop transport, with genuine (scaled)
+//! channel delays. Same protocol, wall-clock time instead of simulated
+//! time.
 //!
 //! ```sh
 //! cargo run --example live_threads
@@ -12,7 +12,9 @@ use std::time::Duration;
 use sdn_channel::config::ChannelConfig;
 use sdn_channel::{EventLoopTransport, LiveTransport};
 use sdn_ctrl::compile::{compile_schedule, initial_flowmods, FlowSpec};
-use sdn_ctrl::executor::{ExecConfig, ExecState, RoundExecutor, XidAlloc};
+use sdn_ctrl::executor::ExecConfig;
+use sdn_ctrl::runtime::{ConcurrentRuntime, RuntimeConfig, RuntimeHandle, SubmitRequest};
+use sdn_ctrl::CtrlOutput;
 use sdn_switch::SoftSwitch;
 use sdn_topo::builders::figure1;
 use sdn_types::{SimDuration, SimTime};
@@ -54,16 +56,20 @@ fn main() {
     let schedule = WayUp::default().schedule(&inst).expect("schedulable");
     println!("{schedule}");
     let compiled = compile_schedule(&f.topo, &inst, &schedule, &spec).unwrap();
-    let mut xids = XidAlloc::new();
-    let mut executor = RoundExecutor::new(compiled, ExecConfig::default());
+    let mut runtime = ConcurrentRuntime::new(RuntimeConfig::serial(ExecConfig::default()));
 
     let wall_start = std::time::Instant::now();
-    let mut virtual_now = SimTime::ZERO;
-    for (dp, env) in executor.start(virtual_now, &mut xids) {
-        transport.send(dp, &env).unwrap();
-    }
-    while !matches!(executor.state(), ExecState::Done | ExecState::Failed) {
-        virtual_now = SimTime(wall_start.elapsed().as_nanos() as u64);
+    let now = || SimTime(wall_start.elapsed().as_nanos() as u64);
+    let send = |outs: Vec<CtrlOutput>| {
+        for CtrlOutput::Send(dp, env) in outs {
+            transport.send(dp, &env).unwrap();
+        }
+    };
+    runtime
+        .submit_request(SubmitRequest::new(compiled), now())
+        .expect("the serial queue never refuses");
+    while runtime.reports().is_empty() {
+        send(runtime.poll(now()));
         if let Some(reply) = transport.recv_timeout(Duration::from_millis(50)) {
             println!(
                 "  [{:>9?}] {} from {}",
@@ -71,17 +77,13 @@ fn main() {
                 reply.env.msg.kind(),
                 reply.dpid
             );
-            for (dp, env) in executor.on_message(virtual_now, reply.dpid, &reply.env, &mut xids) {
-                transport.send(dp, &env).unwrap();
-            }
-        }
-        for (dp, env) in executor.on_tick(virtual_now, &mut xids) {
-            transport.send(dp, &env).unwrap();
+            send(runtime.on_message(now(), reply.dpid, &reply.env));
         }
     }
+    let report = &runtime.reports()[0];
     println!(
-        "\nexecutor state: {:?} after {:?} wall time",
-        executor.state(),
+        "\nupdate completed: {} after {:?} wall time",
+        report.completed.is_some(),
         wall_start.elapsed()
     );
 
@@ -92,5 +94,5 @@ fn main() {
         .filter(|s| s.stats().flow_mods > 0)
         .count();
     println!("switches touched by the update: {updated}");
-    assert_eq!(executor.state(), ExecState::Done);
+    assert!(report.completed.is_some(), "{:?}", report.failure);
 }

@@ -1,14 +1,16 @@
 //! Stress the threaded live transport: hundreds of real switch
 //! threads, loss + corruption + duplication enabled *simultaneously*,
 //! duplicated replies racing reordered ones, and sub-RTT timeout
-//! storms — the executor must converge through all of it.
+//! storms — the serial controller core must converge through all of it.
 
 use std::time::{Duration, Instant};
 
 use sdn_channel::config::ChannelConfig;
 use sdn_channel::{EventLoopTransport, LiveTransport};
 use sdn_ctrl::compile::{CompiledRound, CompiledUpdate};
-use sdn_ctrl::executor::{ExecConfig, ExecState, RoundExecutor, XidAlloc};
+use sdn_ctrl::executor::ExecConfig;
+use sdn_ctrl::runtime::{ConcurrentRuntime, RuntimeConfig, RuntimeHandle, SubmitRequest};
+use sdn_ctrl::{CtrlOutput, UpdateReport};
 use sdn_openflow::flow::FlowMatch;
 use sdn_openflow::messages::{FlowMod, FlowModCommand, OfMessage};
 use sdn_switch::SoftSwitch;
@@ -37,31 +39,35 @@ fn wide_update(n: u64, rounds: usize) -> CompiledUpdate {
     }
 }
 
+/// Run one update through the serial configuration of the runtime,
+/// wall clock as its time, and hand back its report.
 fn drive_to_completion(
     transport: &impl LiveTransport,
-    executor: &mut RoundExecutor,
-    xids: &mut XidAlloc,
+    update: CompiledUpdate,
+    exec: ExecConfig,
     deadline: Duration,
-) {
+) -> UpdateReport {
     let start = Instant::now();
     let now = || SimTime(start.elapsed().as_nanos() as u64);
-    for (dp, env) in executor.start(now(), xids) {
-        transport.send(dp, &env).unwrap();
-    }
-    while !matches!(executor.state(), ExecState::Done | ExecState::Failed) {
+    let send = |outs: Vec<CtrlOutput>| {
+        for CtrlOutput::Send(dp, env) in outs {
+            transport.send(dp, &env).unwrap();
+        }
+    };
+    let mut rt = ConcurrentRuntime::new(RuntimeConfig::serial(exec));
+    rt.submit_request(SubmitRequest::new(update), now())
+        .expect("the serial queue never refuses");
+    while rt.reports().is_empty() {
         assert!(
             start.elapsed() < deadline,
             "live execution did not converge within {deadline:?}"
         );
+        send(rt.poll(now()));
         if let Some(reply) = transport.recv_timeout(Duration::from_millis(2)) {
-            for (dp, env) in executor.on_message(now(), reply.dpid, &reply.env, xids) {
-                transport.send(dp, &env).unwrap();
-            }
-        }
-        for (dp, env) in executor.on_tick(now(), xids) {
-            transport.send(dp, &env).unwrap();
+            send(rt.on_message(now(), reply.dpid, &reply.env));
         }
     }
+    rt.reports()[0].clone()
 }
 
 #[test]
@@ -75,22 +81,17 @@ fn hundreds_of_switches_converge_under_combined_faults() {
         .with_corruption(0.05)
         .with_duplication(0.2);
     let transport = EventLoopTransport::spawn(switches, cfg, 2024, 0.001);
-    let mut xids = XidAlloc::new();
-    let mut executor = RoundExecutor::new(
+    let report = drive_to_completion(
+        &transport,
         wide_update(n, 2),
         ExecConfig {
             barrier_timeout: SimDuration::from_millis(60),
             max_attempts: 60,
             flowmod_acks: true,
         },
-    );
-    drive_to_completion(
-        &transport,
-        &mut executor,
-        &mut xids,
         Duration::from_secs(120),
     );
-    assert_eq!(executor.state(), ExecState::Done);
+    assert!(report.completed.is_some(), "{:?}", report.failure);
     let finals = transport.shutdown();
     assert_eq!(finals.len(), n as usize);
     // With payload acks on, EVERY switch ends with the intended rule:
@@ -124,17 +125,15 @@ fn reordering_under_duplication_converges() {
     let switches: Vec<SoftSwitch> = (1..=n).map(|i| SoftSwitch::new(DpId(i), 4)).collect();
     let cfg = ChannelConfig::jittery(SimDuration::from_millis(4)).with_duplication(1.0);
     let transport = EventLoopTransport::spawn(switches, cfg, 99, 0.01);
-    let mut xids = XidAlloc::new();
-    let mut executor = RoundExecutor::new(wide_update(n, 4), ExecConfig::default());
-    drive_to_completion(
+    let report = drive_to_completion(
         &transport,
-        &mut executor,
-        &mut xids,
+        wide_update(n, 4),
+        ExecConfig::default(),
         Duration::from_secs(60),
     );
-    assert_eq!(executor.state(), ExecState::Done);
+    assert!(report.completed.is_some(), "{:?}", report.failure);
     assert_eq!(
-        executor.timings().len(),
+        report.rounds.len(),
         4,
         "each round recorded exactly once despite duplicate replies"
     );
@@ -143,36 +142,29 @@ fn reordering_under_duplication_converges() {
 
 #[test]
 fn timeout_storm_over_threads_converges() {
-    // Barrier timeout inside the channel's jitter tail: rounds
-    // routinely retransmit, and replies often answer barriers that
-    // have already been re-sent. Convergence must survive it. (A
-    // timeout far *below* the whole RTT distribution diverges on the
-    // serial executor — each retransmission adds more switch work than
-    // the timeout allows to drain, which is precisely why the
-    // concurrent runtime adapts its RTO per switch instead.)
+    // Barrier timeout inside the channel's jitter tail: switches
+    // routinely get retransmissions, and replies often answer barriers
+    // that have already been re-sent. Every outstanding transmission
+    // stays valid, so the late replies fence their switches and the
+    // update converges through the storm.
     let n = 40u64;
     let switches: Vec<SoftSwitch> = (1..=n).map(|i| SoftSwitch::new(DpId(i), 4)).collect();
     // exp(mean 100 ms) one-way scaled by 0.01 -> ~1 ms wall, long tail
     let cfg = ChannelConfig::jittery(SimDuration::from_millis(100));
     let transport = EventLoopTransport::spawn(switches, cfg, 5, 0.01);
-    let mut xids = XidAlloc::new();
-    let mut executor = RoundExecutor::new(
+    let report = drive_to_completion(
+        &transport,
         wide_update(n, 3),
         ExecConfig {
             barrier_timeout: SimDuration::from_millis(4),
             max_attempts: 200,
             flowmod_acks: true,
         },
-    );
-    drive_to_completion(
-        &transport,
-        &mut executor,
-        &mut xids,
         Duration::from_secs(60),
     );
-    assert_eq!(executor.state(), ExecState::Done);
+    assert!(report.completed.is_some(), "{:?}", report.failure);
     assert!(
-        executor.timings().iter().any(|t| t.attempts > 1),
+        report.rounds.iter().any(|t| t.attempts > 1),
         "sub-RTT timeout must force retransmissions"
     );
     transport.shutdown();

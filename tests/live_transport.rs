@@ -1,12 +1,14 @@
-//! The round executor over real threads: true concurrency, genuine
-//! races on the reply channel, scaled wall-clock delays.
+//! The serial controller core over real threads: true concurrency,
+//! genuine races on the reply channel, scaled wall-clock delays.
 
 use std::time::{Duration, Instant};
 
 use sdn_channel::config::ChannelConfig;
 use sdn_channel::{EventLoopTransport, LiveTransport};
 use sdn_ctrl::compile::{compile_schedule, initial_flowmods, FlowSpec};
-use sdn_ctrl::executor::{ExecConfig, ExecState, RoundExecutor, XidAlloc};
+use sdn_ctrl::executor::ExecConfig;
+use sdn_ctrl::runtime::{ConcurrentRuntime, RuntimeConfig, RuntimeHandle, SubmitRequest};
+use sdn_ctrl::{CompiledUpdate, CtrlOutput, UpdateReport};
 use sdn_openflow::messages::Envelope;
 use sdn_switch::SoftSwitch;
 use sdn_topo::builders::figure1;
@@ -14,31 +16,35 @@ use sdn_types::{SimDuration, SimTime, Xid};
 use update_core::algorithms::{UpdateScheduler, WayUp};
 use update_core::model::UpdateInstance;
 
+/// Run one update through the serial configuration of the runtime,
+/// wall clock as its time, and hand back its report.
 fn drive_to_completion(
     transport: &impl LiveTransport,
-    executor: &mut RoundExecutor,
-    xids: &mut XidAlloc,
+    update: CompiledUpdate,
+    exec: ExecConfig,
     deadline: Duration,
-) {
+) -> UpdateReport {
     let start = Instant::now();
     let now = || SimTime(start.elapsed().as_nanos() as u64);
-    for (dp, env) in executor.start(now(), xids) {
-        transport.send(dp, &env).unwrap();
-    }
-    while !matches!(executor.state(), ExecState::Done | ExecState::Failed) {
+    let send = |outs: Vec<CtrlOutput>| {
+        for CtrlOutput::Send(dp, env) in outs {
+            transport.send(dp, &env).unwrap();
+        }
+    };
+    let mut rt = ConcurrentRuntime::new(RuntimeConfig::serial(exec));
+    rt.submit_request(SubmitRequest::new(update), now())
+        .expect("the serial queue never refuses");
+    while rt.reports().is_empty() {
         assert!(
             start.elapsed() < deadline,
             "live execution did not converge within {deadline:?}"
         );
+        send(rt.poll(now()));
         if let Some(reply) = transport.recv_timeout(Duration::from_millis(20)) {
-            for (dp, env) in executor.on_message(now(), reply.dpid, &reply.env, xids) {
-                transport.send(dp, &env).unwrap();
-            }
-        }
-        for (dp, env) in executor.on_tick(now(), xids) {
-            transport.send(dp, &env).unwrap();
+            send(rt.on_message(now(), reply.dpid, &reply.env));
         }
     }
+    rt.reports()[0].clone()
 }
 
 fn boot_figure1() -> (Vec<SoftSwitch>, UpdateInstance, FlowSpec) {
@@ -76,16 +82,13 @@ fn wayup_rounds_complete_over_threads() {
     );
     let schedule = WayUp::default().schedule(&inst).unwrap();
     let compiled = compile_schedule(&f.topo, &inst, &schedule, &spec).unwrap();
-    let mut xids = XidAlloc::new();
-    let mut executor = RoundExecutor::new(compiled, ExecConfig::default());
-
-    drive_to_completion(
+    let report = drive_to_completion(
         &transport,
-        &mut executor,
-        &mut xids,
+        compiled,
+        ExecConfig::default(),
         Duration::from_secs(30),
     );
-    assert_eq!(executor.state(), ExecState::Done);
+    assert!(report.completed.is_some(), "{report:?}");
 
     // Final flow tables: the new-route switches have rules, and they
     // route toward their new next hops.
@@ -106,25 +109,20 @@ fn lossy_live_channel_retries_until_done() {
     let transport = EventLoopTransport::spawn(switches, ChannelConfig::lossy(0.25), 777, 0.01);
     let schedule = WayUp::default().schedule(&inst).unwrap();
     let compiled = compile_schedule(&f.topo, &inst, &schedule, &spec).unwrap();
-    let mut xids = XidAlloc::new();
     // tight timeout so wall-clock retries kick in quickly
-    let mut executor = RoundExecutor::new(
+    let report = drive_to_completion(
+        &transport,
         compiled,
         ExecConfig {
             barrier_timeout: SimDuration::from_millis(40),
             max_attempts: 50,
             flowmod_acks: true,
         },
-    );
-    drive_to_completion(
-        &transport,
-        &mut executor,
-        &mut xids,
         Duration::from_secs(60),
     );
-    assert_eq!(executor.state(), ExecState::Done);
+    assert!(report.completed.is_some(), "{report:?}");
     assert!(
-        executor.timings().iter().any(|t| t.attempts > 1),
+        report.rounds.iter().any(|t| t.attempts > 1),
         "25% loss should force at least one retransmission"
     );
     transport.shutdown();
