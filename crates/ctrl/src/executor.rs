@@ -10,73 +10,28 @@
 //! from the set of switches of the current round... If the set is
 //! empty, the current round finishes."*
 //!
-//! The executor is that state machine and nothing else. It owns no
-//! clock and no barrier xid: **time belongs to the runtime** — its
-//! per-switch timers decide when [`RoundExecutor::retransmit`] resends
-//! (FlowMods are idempotent, Add-replace / exact Delete, so resending
-//! to the unacknowledged switches is safe) and when the budget is gone
-//! ([`RoundExecutor::force_fail`]) — and **a barrier reply is matched
-//! to a transmission in exactly one place**, the runtime's
-//! `(switch, xid)` route table, which then tells the executor *which
-//! switch fenced* ([`RoundExecutor::on_barrier`]). Only the payload-ack
-//! echo keeps an xid and a byte comparison here: that one is a
-//! corruption check, not bookkeeping.
+//! The executor is that state machine and nothing else; the set is one
+//! **slot** per switch, in ascending dpid, computed once per dispatch.
+//! **Time belongs to the runtime**: its walk over the slots' timers
+//! decides when [`RoundExecutor::retransmit`] resends (FlowMods are
+//! idempotent, so resending to unacknowledged switches is safe) and when
+//! the budget is gone ([`RoundExecutor::force_fail`]). **A reply is
+//! matched in exactly one place**, the route table in [`XidAlloc`]: each
+//! barrier and echo is routed to its slot as it is emitted, and the
+//! runtime hands a matched reply's slot back. Only the payload-ack echo
+//! keeps a byte comparison here: a corruption check, not bookkeeping.
 
-use std::collections::BTreeMap;
-
+use sdn_openflow::codec;
 use sdn_openflow::messages::{Envelope, OfMessage};
 use sdn_types::{DpId, SimDuration, SimTime, Xid};
 
 use crate::compile::CompiledUpdate;
+use crate::controller::CtrlOutput;
+use crate::runtime::routes::Route;
+use crate::runtime::timers::SlotTimer;
+use crate::runtime::JobId;
 
-/// Allocates transaction ids from a range it never leaves.
-#[derive(Debug, Clone)]
-pub struct XidAlloc {
-    next: Xid,
-    /// First xid of the range (never 0) and the first one past it.
-    base: u32,
-    end: u64,
-}
-
-impl Default for XidAlloc {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl XidAlloc {
-    /// The whole xid space, from 1 (0 is reserved for unsolicited
-    /// messages).
-    pub fn new() -> Self {
-        Self::with_range(1, u32::MAX)
-    }
-
-    /// Allocate from `[base, base + len)` (clamped to the xid space,
-    /// `base` to at least 1), wrapping back to `base`. Runtimes sharing
-    /// a transport — the fabric's shards and its coordinator — carve
-    /// the xid space into disjoint ranges so a reply routes to its
-    /// owner by value, however long the runtime lives.
-    pub fn with_range(base: u32, len: u32) -> Self {
-        let base = base.max(1);
-        let end = (u64::from(base) + u64::from(len.max(1))).min(1 << 32);
-        XidAlloc {
-            next: Xid(base),
-            base,
-            end,
-        }
-    }
-
-    /// Allocate the next xid.
-    pub fn alloc(&mut self) -> Xid {
-        let x = self.next;
-        self.next = if u64::from(x.0) + 1 < self.end {
-            Xid(x.0 + 1)
-        } else {
-            Xid(self.base)
-        };
-        x
-    }
-}
+pub use crate::runtime::routes::XidAlloc;
 
 /// Executor configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,16 +43,11 @@ pub struct ExecConfig {
     /// Transmissions per switch and round before the runtime gives the
     /// update up (1 = no retries).
     pub max_attempts: u32,
-    /// Require a per-FlowMod acknowledgement in addition to the round
-    /// barrier. Each FlowMod is paired with an [`OfMessage::EchoRequest`]
-    /// whose payload is the encoded FlowMod frame; the switch applies
-    /// the payload before echoing, so the echo reply *proves* the rule
-    /// is installed. This closes the reliable-delivery hole where a
-    /// dropped FlowMod's barrier survives: the barrier fences only
-    /// what *arrived*, so a barrier reply alone cannot confirm
-    /// installation on a lossy channel. Off by default to keep the
-    /// barrier-only baseline comparable; the live transport suites
-    /// turn it on.
+    /// Require a per-FlowMod acknowledgement beside the round barrier:
+    /// each FlowMod is paired with an [`OfMessage::EchoRequest`] carrying
+    /// its encoded frame, which the switch applies before echoing, so
+    /// the reply *proves* installation — a barrier fences only what
+    /// arrived. Off by default (the barrier-only baseline).
     pub flowmod_acks: bool,
 }
 
@@ -141,89 +91,83 @@ pub struct RoundTiming {
     pub attempts: u32,
 }
 
-/// Whether a round message participates in per-payload
-/// acknowledgement (only FlowMods carry installation state worth
-/// verifying; anything else rides the barrier as before).
-fn ack_eligible(msg: &OfMessage) -> bool {
-    matches!(msg, OfMessage::FlowMod(_))
-}
-
 /// One outstanding payload-ack (echo) transmission.
 #[derive(Debug, Clone)]
 struct AckEntry {
+    xid: Xid,
     /// Index of the round message this echo covers.
     covered: usize,
-    /// The exact bytes sent as the echo payload (the encoded FlowMod
-    /// envelope). A reply only counts as an acknowledgement if it
-    /// returns these bytes verbatim: a corrupted payload still gets
-    /// echoed by a compliant switch, but proves nothing about
-    /// installation.
+    /// The exact bytes sent (the encoded FlowMod envelope): a corrupted
+    /// payload still gets echoed, but proves nothing about installation.
     payload: Vec<u8>,
 }
 
-/// Outstanding work for one switch of the current round.
-#[derive(Debug, Clone, Default)]
-struct SwitchPending {
+/// One switch of the round in flight: what it still owes the round, and
+/// its retransmission timer.
+#[derive(Debug, Clone)]
+pub(crate) struct Slot {
+    pub(crate) dp: DpId,
     /// Whether the switch's barrier has been answered.
     fenced: bool,
-    /// Outstanding payload-ack (echo) transmissions by xid. Every
-    /// transmission stays valid until the payload is acknowledged: the
-    /// echo payload is the FlowMod itself, so a late reply to an older
-    /// xid still proves installation.
-    acks: BTreeMap<Xid, AckEntry>,
-}
-
-impl SwitchPending {
-    fn done(&self) -> bool {
-        self.fenced && self.acks.is_empty()
-    }
+    /// Whether it owes the round nothing more.
+    pub(crate) done: bool,
+    /// Outstanding payload-ack transmissions, each valid until its
+    /// payload is acknowledged (a late reply to an older one still
+    /// proves installation: the payload is the FlowMod itself).
+    acks: Vec<AckEntry>,
+    /// The newest outstanding barrier; its route chains the older ones.
+    barrier: Xid,
+    pub(crate) timer: SlotTimer,
 }
 
 /// The per-update round executor.
 #[derive(Debug, Clone)]
 pub struct RoundExecutor {
+    /// Whose transmissions the routes name.
+    id: JobId,
     update: CompiledUpdate,
     config: ExecConfig,
     state: ExecState,
     current: usize,
-    /// Outstanding barrier/payload acknowledgements per switch for the
-    /// current round.
-    pending: BTreeMap<DpId, SwitchPending>,
+    /// The current round's switches, ascending dpid.
+    pub(crate) slots: Vec<Slot>,
+    /// Slots not yet done.
+    pending: usize,
     grace_until: SimTime,
     attempts: u32,
-    /// Barrier set size of the round currently in flight (recorded at
-    /// dispatch so width queries stay O(1)).
-    current_width: usize,
     timings: Vec<RoundTiming>,
+    /// Every echo routed, so the routes can retire with the job.
+    echoes: Vec<Xid>,
+    /// Encoding buffer for echo payloads.
+    frame: codec::BytesMut,
 }
 
 impl RoundExecutor {
     /// New executor for a compiled update.
     pub fn new(update: CompiledUpdate, config: ExecConfig) -> Self {
+        Self::resume(JobId(0), update, config, 0)
+    }
+
+    /// Job `id`'s executor, resuming a recovered update at `round`
+    /// (0-based): earlier rounds are taken as committed — crash recovery
+    /// trusts the journal's round-commit records — and never
+    /// re-dispatched. `start` then dispatches from `round`, or reports
+    /// `Done` at once when every round had committed.
+    pub fn resume(id: JobId, update: CompiledUpdate, config: ExecConfig, round: usize) -> Self {
         RoundExecutor {
+            id,
             update,
             config,
             state: ExecState::Idle,
-            current: 0,
-            pending: BTreeMap::new(),
+            current: round,
+            slots: Vec::new(),
+            pending: 0,
             grace_until: SimTime::ZERO,
             attempts: 0,
-            current_width: 0,
             timings: Vec::new(),
+            echoes: Vec::new(),
+            frame: codec::BytesMut::new(),
         }
-    }
-
-    /// An executor that resumes a recovered update at `round`
-    /// (0-based): earlier rounds are taken as committed and never
-    /// re-dispatched. Replaying them would be *safe* (FlowMods are
-    /// idempotent) but wasteful; crash recovery trusts the journal's
-    /// round-commit records instead. `start` then dispatches from
-    /// `round`, or reports `Done` immediately when every round had
-    /// committed before the crash.
-    pub fn resume(update: CompiledUpdate, config: ExecConfig, round: usize) -> Self {
-        let mut ex = Self::new(update, config);
-        ex.current = round;
-        ex
     }
 
     /// Lifecycle state.
@@ -236,9 +180,9 @@ impl RoundExecutor {
         &self.update.label
     }
 
-    /// Per-round timing log.
-    pub fn timings(&self) -> &[RoundTiming] {
-        &self.timings
+    /// The label and timing log, by move (the report of a reaped job).
+    pub(crate) fn finish(self) -> (String, Vec<RoundTiming>) {
+        (self.update.label, self.timings)
     }
 
     /// Index of the in-flight round.
@@ -246,19 +190,19 @@ impl RoundExecutor {
         self.current
     }
 
-    /// Switches of the current round still awaiting a barrier reply.
+    /// Switches of the current round still owing it an acknowledgement.
     pub fn pending_switches(&self) -> impl Iterator<Item = DpId> + '_ {
-        self.pending.keys().copied()
+        self.slots.iter().filter(|s| !s.done).map(|s| s.dp)
     }
 
     /// Number of switches still pending in the current round.
     pub fn pending_count(&self) -> usize {
-        self.pending.len()
+        self.pending
     }
 
-    /// Whether `dp` still owes the current round an acknowledgement.
-    pub fn is_pending(&self, dp: DpId) -> bool {
-        self.pending.contains_key(&dp)
+    /// `dp`'s slot in the current round.
+    pub fn slot_of(&self, dp: DpId) -> Option<usize> {
+        self.slots.binary_search_by_key(&dp, |s| s.dp).ok()
     }
 
     /// When the grace wait ends — fixed at the moment the wait begins;
@@ -267,12 +211,11 @@ impl RoundExecutor {
         self.grace_until
     }
 
-    /// Size (in switches) of the round currently in flight — recorded
-    /// at dispatch, so this is O(1); zero before the first dispatch
-    /// and during a grace wait.
+    /// Size (in switches) of the round currently in flight; zero before
+    /// the first dispatch and during a grace wait.
     pub fn current_round_width(&self) -> usize {
         if self.state == ExecState::AwaitingBarriers {
-            self.current_width
+            self.slots.len()
         } else {
             0
         }
@@ -281,75 +224,88 @@ impl RoundExecutor {
     /// Total outstanding payload acknowledgements in the current
     /// round (0 unless [`ExecConfig::flowmod_acks`] is on).
     pub fn pending_acks(&self) -> usize {
-        self.pending.values().map(|p| p.acks.len()).sum()
+        self.slots.iter().map(|s| s.acks.len()).sum()
     }
 
-    /// Resend the current round's outstanding work to those of
-    /// `targets` that are still pending: unacknowledged payloads (with
-    /// fresh payload-ack echoes in ack mode — older xids stay valid),
-    /// then a fresh barrier unless the switch's barrier is already
-    /// answered. With acks off that is all of the switch's FlowMods
-    /// plus a re-keyed barrier. The runtime calls this when a
-    /// per-switch timer of its own fires; the executor consults no
-    /// clock. Bumps the round's attempt counter once per call that
-    /// actually resends.
-    pub fn retransmit(&mut self, xids: &mut XidAlloc, targets: &[DpId]) -> Vec<(DpId, Envelope)> {
+    /// Retire every route this executor's transmissions still hold.
+    pub(crate) fn retire_routes(&self, xids: &mut XidAlloc) {
+        for s in &self.slots {
+            xids.retire_chain(s.barrier, self.id);
+        }
+        for &x in &self.echoes {
+            xids.retire(x, self.id);
+        }
+    }
+
+    /// Resend the current round's outstanding work to the slots the
+    /// runtime's timer walk marked due (the unacknowledged payloads, and a
+    /// fresh barrier unless the switch already fenced); bumps
+    /// the round's attempt counter once per call that actually resends.
+    pub fn retransmit(&mut self, now: SimTime, xids: &mut XidAlloc, out: &mut Vec<CtrlOutput>) {
         if self.state != ExecState::AwaitingBarriers {
-            return Vec::new();
+            return;
         }
-        let acks_on = self.config.flowmod_acks;
-        let round = &self.update.rounds[self.current].msgs;
-        let mut out = Vec::new();
-        for (j, (dp, msg)) in round.iter().enumerate() {
-            if !targets.contains(dp) {
-                continue;
-            }
-            let Some(entry) = self.pending.get_mut(dp) else {
-                continue;
-            };
-            let tracked = acks_on && ack_eligible(msg);
-            if tracked && !entry.acks.values().any(|a| a.covered == j) {
-                continue; // payload already acknowledged
-            }
-            Self::push_payload(&mut out, entry, xids, tracked, j, *dp, msg);
-        }
-        for (dp, entry) in self.pending.iter_mut() {
-            if !targets.contains(dp) || entry.fenced {
-                continue; // fenced: only payload acks are missing
-            }
-            out.push((*dp, Envelope::new(xids.alloc(), OfMessage::BarrierRequest)));
-        }
-        if !out.is_empty() {
+        let start = out.len();
+        self.emit(now, false, xids, out);
+        if out.len() > start {
             self.attempts += 1;
             if let Some(t) = self.timings.last_mut() {
                 t.attempts = self.attempts;
             }
         }
-        out
     }
 
-    /// Emit round message `j` to `dp`, paired in ack mode (`tracked`)
-    /// with the echo that carries its encoded frame.
-    fn push_payload(
-        out: &mut Vec<(DpId, Envelope)>,
-        entry: &mut SwitchPending,
-        xids: &mut XidAlloc,
-        tracked: bool,
-        j: usize,
-        dp: DpId,
-        msg: &OfMessage,
-    ) {
-        let env = Envelope::new(xids.alloc(), msg.clone());
-        let payload = tracked.then(|| sdn_openflow::codec::encode(&env).to_vec());
-        out.push((dp, env));
-        if let Some(payload) = payload {
-            let echo_xid = xids.alloc();
-            let ack = AckEntry {
+    /// Append the round's work for the due slots: their payloads in round
+    /// order — each paired in ack mode with the echo that carries its
+    /// encoded frame; on a retransmission only the unacknowledged ones,
+    /// older echo xids staying valid — then, in ascending dpid, a barrier
+    /// to each slot not yet fenced (FIFO connection ⇒ it fences
+    /// everything above), routed and chained to the slot's older ones.
+    fn emit(&mut self, now: SimTime, fresh: bool, xids: &mut XidAlloc, out: &mut Vec<CtrlOutput>) {
+        let acks_on = self.config.flowmod_acks;
+        for (j, (dp, msg)) in self.update.rounds[self.current].msgs.iter().enumerate() {
+            let tracked = acks_on && matches!(msg, OfMessage::FlowMod(_));
+            if !fresh {
+                let s = &self.slots[self.slot_of(*dp).expect("a slot per switch")];
+                if !s.timer.due || tracked && !s.acks.iter().any(|a| a.covered == j) {
+                    continue; // not due, or its payload already acknowledged
+                }
+            }
+            let env = Envelope::new(xids.alloc(), msg.clone());
+            if !tracked {
+                out.push(CtrlOutput::Send(*dp, env));
+                continue;
+            }
+            let slot = self.slot_of(*dp).expect("a slot per switch");
+            self.frame.clear();
+            codec::try_encode_into(&env, &mut self.frame).expect("round messages encode");
+            let xid = xids.routed(Route::new(*dp, self.id, slot, now, Xid(0)));
+            let echo = Envelope::new(xid, OfMessage::EchoRequest(self.frame.to_vec()));
+            let payload = self.frame.to_vec();
+            self.slots[slot].acks.push(AckEntry {
+                xid,
                 covered: j,
-                payload: payload.clone(),
-            };
-            entry.acks.insert(echo_xid, ack);
-            out.push((dp, Envelope::new(echo_xid, OfMessage::EchoRequest(payload))));
+                payload,
+            });
+            self.echoes.push(xid);
+            out.extend([CtrlOutput::Send(*dp, env), CtrlOutput::Send(*dp, echo)]);
+        }
+        for (i, s) in self
+            .slots
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, s)| s.timer.due)
+        {
+            if !fresh {
+                s.timer.attempts += 1;
+                s.timer.latest_sent = now;
+            }
+            s.timer.due = false;
+            if !s.fenced {
+                s.barrier = xids.routed(Route::new(s.dp, self.id, i, now, s.barrier));
+                let barrier = Envelope::new(s.barrier, OfMessage::BarrierRequest);
+                out.push(CtrlOutput::Send(s.dp, barrier));
+            }
         }
     }
 
@@ -361,49 +317,52 @@ impl RoundExecutor {
     }
 
     /// Begin execution: dispatch round 0 (or start its grace wait).
-    pub fn start(&mut self, now: SimTime, xids: &mut XidAlloc) -> Vec<(DpId, Envelope)> {
+    pub fn start(&mut self, now: SimTime, xids: &mut XidAlloc, out: &mut Vec<CtrlOutput>) {
         assert_eq!(self.state, ExecState::Idle, "start() called twice");
         if self.current >= self.update.rounds.len() {
             self.state = ExecState::Done;
-            return Vec::new();
+            return;
         }
-        self.begin_round(now, xids)
+        self.begin_round(now, xids, out)
     }
 
     /// Enter the current round: honour its drain grace, then dispatch.
-    fn begin_round(&mut self, now: SimTime, xids: &mut XidAlloc) -> Vec<(DpId, Envelope)> {
+    fn begin_round(&mut self, now: SimTime, xids: &mut XidAlloc, out: &mut Vec<CtrlOutput>) {
         let delay = self.update.rounds[self.current].pre_delay;
         if delay > SimDuration::ZERO {
             self.state = ExecState::WaitingGrace;
             self.grace_until = now + delay;
-            Vec::new()
         } else {
-            self.dispatch_current(now, xids)
+            self.dispatch_current(now, xids, out)
         }
     }
 
-    /// Dispatch the current round to every switch it addresses.
-    fn dispatch_current(&mut self, now: SimTime, xids: &mut XidAlloc) -> Vec<(DpId, Envelope)> {
+    /// Dispatch the current round to every switch it addresses, one
+    /// slot per switch in ascending dpid, each fresh timer due at once.
+    fn dispatch_current(&mut self, now: SimTime, xids: &mut XidAlloc, out: &mut Vec<CtrlOutput>) {
         self.state = ExecState::AwaitingBarriers;
-        let acks_on = self.config.flowmod_acks;
         let round = &self.update.rounds[self.current].msgs;
-        self.pending.clear();
-        for (dp, _) in round {
-            self.pending.entry(*dp).or_default();
-        }
-        let mut out = Vec::new();
-        // Payloads first (each paired with its ack echo in ack mode)...
-        for (j, (dp, msg)) in round.iter().enumerate() {
-            let entry = self.pending.get_mut(dp).expect("inserted above");
-            let tracked = acks_on && ack_eligible(msg);
-            Self::push_payload(&mut out, entry, xids, tracked, j, *dp, msg);
-        }
-        // ...then one barrier per switch (FIFO connection ⇒ the barrier
-        // fences everything above).
-        for dp in self.pending.keys() {
-            out.push((*dp, Envelope::new(xids.alloc(), OfMessage::BarrierRequest)));
-        }
-        self.current_width = self.pending.len();
+        let timer = SlotTimer {
+            latest_sent: now,
+            attempts: 1,
+            straggler: false,
+            due: true,
+        };
+        self.slots.clear();
+        self.slots.extend(round.iter().map(|&(dp, _)| Slot {
+            dp,
+            fenced: false,
+            done: false,
+            acks: Vec::new(),
+            barrier: Xid(0),
+            timer,
+        }));
+        self.slots.sort_unstable_by_key(|s| s.dp);
+        self.slots.dedup_by_key(|s| s.dp);
+        self.pending = self.slots.len();
+        let echoes = round.len() * usize::from(self.config.flowmod_acks);
+        out.reserve(round.len() + echoes + self.slots.len());
+        self.emit(now, true, xids, out);
         self.attempts = 1;
         self.timings.push(RoundTiming {
             round: self.current,
@@ -411,61 +370,73 @@ impl RoundExecutor {
             completed: None,
             attempts: 1,
         });
-        out
     }
 
-    /// The runtime matched a barrier reply to an outstanding
-    /// transmission of the current round to `from` — any of them, since
-    /// every transmission carries the round's identical FlowMods — so
-    /// the round's content is fenced there. Returns follow-up commands
-    /// (the next round's dispatch when this one completes). A switch
-    /// that already fenced, or is not pending, changes nothing.
+    /// The runtime matched a barrier reply from `from` to an outstanding
+    /// transmission of `slot` — any of them, since every transmission
+    /// carries the round's identical FlowMods — so the round's content
+    /// is fenced there and every barrier route of the slot retires.
+    /// Appends follow-up commands (the next round's dispatch when this
+    /// one completes). A slot that already fenced, or is not `from`'s,
+    /// changes nothing.
     pub fn on_barrier(
         &mut self,
         now: SimTime,
         from: DpId,
+        slot: usize,
         xids: &mut XidAlloc,
-    ) -> Vec<(DpId, Envelope)> {
+        out: &mut Vec<CtrlOutput>,
+    ) {
         if self.state != ExecState::AwaitingBarriers {
-            return Vec::new();
+            return;
         }
-        match self.pending.get_mut(&from) {
-            Some(entry) if !entry.fenced => entry.fenced = true,
-            _ => return Vec::new(),
-        }
-        self.switch_progressed(now, from, xids)
+        let Some(s) = self
+            .slots
+            .get_mut(slot)
+            .filter(|s| s.dp == from && !s.fenced)
+        else {
+            return;
+        };
+        s.fenced = true;
+        xids.retire_chain(std::mem::take(&mut s.barrier), self.id);
+        self.switch_progressed(now, slot, xids, out)
     }
 
     /// A payload acknowledgement: the echo payload was the FlowMod
     /// itself, so the reply proves installation of the message it
-    /// covers — retire every outstanding transmission of that payload.
-    /// The proof is only as good as the round trip: a payload
-    /// corrupted in either direction comes back altered (the switch
-    /// echoes what it received and could not apply), so a mismatch is
-    /// ignored and the retransmission timer takes over.
+    /// covers — retire every outstanding transmission of that payload
+    /// from the round, and this echo's route. The proof is only as good
+    /// as the round trip: a payload corrupted in either direction comes
+    /// back altered (the switch echoes what it received and could not
+    /// apply), so a mismatch is ignored — its route stays live for an
+    /// intact duplicate — and the retransmission timer takes over.
+    #[allow(clippy::too_many_arguments)]
     pub fn on_echo(
         &mut self,
         now: SimTime,
         from: DpId,
+        slot: usize,
         xid: Xid,
         echoed: &[u8],
         xids: &mut XidAlloc,
-    ) -> Vec<(DpId, Envelope)> {
+        out: &mut Vec<CtrlOutput>,
+    ) {
         if self.state != ExecState::AwaitingBarriers {
-            return Vec::new();
+            return;
         }
-        let Some(entry) = self.pending.get_mut(&from) else {
-            return Vec::new(); // switch already completed this round
+        let Some(s) = self.slots.get_mut(slot).filter(|s| s.dp == from && !s.done) else {
+            return; // switch already completed this round
         };
-        let Some(ack) = entry.acks.get(&xid) else {
-            return Vec::new(); // unsolicited or already-retired echo
+        let Some(ack) = s.acks.iter().find(|a| a.xid == xid) else {
+            return; // unsolicited or already-retired echo
         };
         if echoed != ack.payload {
-            return Vec::new(); // corrupted round trip: no proof
+            return; // corrupted round trip: no proof
         }
         let covered = ack.covered;
-        entry.acks.retain(|_, a| a.covered != covered);
-        self.switch_progressed(now, from, xids)
+        s.acks.retain(|a| a.covered != covered);
+        xids.retire(xid, self.id);
+        self.switch_progressed(now, slot, xids, out)
     }
 
     /// "it determines the source switch. This switch is removed from
@@ -474,15 +445,18 @@ impl RoundExecutor {
     fn switch_progressed(
         &mut self,
         now: SimTime,
-        from: DpId,
+        slot: usize,
         xids: &mut XidAlloc,
-    ) -> Vec<(DpId, Envelope)> {
-        if !self.pending[&from].done() {
-            return Vec::new();
+        out: &mut Vec<CtrlOutput>,
+    ) {
+        let s = &mut self.slots[slot];
+        if !s.fenced || !s.acks.is_empty() {
+            return;
         }
-        self.pending.remove(&from);
-        if !self.pending.is_empty() {
-            return Vec::new();
+        s.done = true;
+        self.pending -= 1;
+        if self.pending > 0 {
+            return;
         }
         if let Some(t) = self.timings.last_mut() {
             t.completed = Some(now);
@@ -490,18 +464,17 @@ impl RoundExecutor {
         self.current += 1;
         if self.current >= self.update.rounds.len() {
             self.state = ExecState::Done;
-            return Vec::new();
+            return;
         }
-        self.begin_round(now, xids)
+        self.begin_round(now, xids, out)
     }
 
     /// Dispatch the round whose grace wait is over; a no-op before
     /// [`RoundExecutor::grace_until`] and in every other state.
-    pub fn end_grace(&mut self, now: SimTime, xids: &mut XidAlloc) -> Vec<(DpId, Envelope)> {
-        if self.state != ExecState::WaitingGrace || now < self.grace_until {
-            return Vec::new();
+    pub fn end_grace(&mut self, now: SimTime, xids: &mut XidAlloc, out: &mut Vec<CtrlOutput>) {
+        if self.state == ExecState::WaitingGrace && now >= self.grace_until {
+            self.dispatch_current(now, xids, out)
         }
-        self.dispatch_current(now, xids)
     }
 }
 
@@ -520,6 +493,71 @@ mod tests {
             actions: vec![],
             cookie: 0,
         })
+    }
+
+    fn sends(out: Vec<CtrlOutput>) -> Vec<(DpId, Envelope)> {
+        out.into_iter()
+            .map(|CtrlOutput::Send(dp, env)| (dp, env))
+            .collect()
+    }
+
+    fn start(ex: &mut RoundExecutor, now: SimTime, xids: &mut XidAlloc) -> Vec<(DpId, Envelope)> {
+        let mut out = Vec::new();
+        ex.start(now, xids, &mut out);
+        sends(out)
+    }
+
+    /// A barrier reply from `dp`, routed to its slot as the runtime
+    /// routes it (an unknown switch gets no slot).
+    fn fence(
+        ex: &mut RoundExecutor,
+        now: SimTime,
+        dp: DpId,
+        xids: &mut XidAlloc,
+    ) -> Vec<(DpId, Envelope)> {
+        let mut out = Vec::new();
+        let slot = ex.slot_of(dp).unwrap_or(usize::MAX);
+        ex.on_barrier(now, dp, slot, xids, &mut out);
+        sends(out)
+    }
+
+    fn echo(
+        ex: &mut RoundExecutor,
+        now: SimTime,
+        dp: DpId,
+        xid: Xid,
+        echoed: &[u8],
+        xids: &mut XidAlloc,
+    ) -> Vec<(DpId, Envelope)> {
+        let mut out = Vec::new();
+        let slot = ex.slot_of(dp).unwrap_or(usize::MAX);
+        ex.on_echo(now, dp, slot, xid, echoed, xids, &mut out);
+        sends(out)
+    }
+
+    /// Fire the timers of `targets` as the runtime's walk would (pending
+    /// slots only), then retransmit.
+    fn resend(
+        ex: &mut RoundExecutor,
+        xids: &mut XidAlloc,
+        targets: &[DpId],
+    ) -> Vec<(DpId, Envelope)> {
+        for s in &mut ex.slots {
+            s.timer.due = !s.done && targets.contains(&s.dp);
+        }
+        let mut out = Vec::new();
+        ex.retransmit(SimTime::ZERO, xids, &mut out);
+        sends(out)
+    }
+
+    fn grace_over(
+        ex: &mut RoundExecutor,
+        now: SimTime,
+        xids: &mut XidAlloc,
+    ) -> Vec<(DpId, Envelope)> {
+        let mut out = Vec::new();
+        ex.end_grace(now, xids, &mut out);
+        sends(out)
     }
 
     #[test]
@@ -558,43 +596,43 @@ mod tests {
     fn happy_path_two_rounds() {
         let mut xids = XidAlloc::new();
         let mut ex = RoundExecutor::new(update(vec![vec![5], vec![1, 3]]), ExecConfig::default());
-        let cmds = ex.start(SimTime::ZERO, &mut xids);
+        let cmds = start(&mut ex, SimTime::ZERO, &mut xids);
         // round 1: flowmod to s5 + barrier to s5
         assert_eq!(cmds.len(), 2);
         assert_eq!(barriers_of(&cmds), [DpId(5)]);
         assert_eq!(ex.state(), ExecState::AwaitingBarriers);
 
         // its fence completes round 1 and dispatches round 2
-        let next = ex.on_barrier(SimTime(1), DpId(5), &mut xids);
+        let next = fence(&mut ex, SimTime(1), DpId(5), &mut xids);
         assert_eq!(ex.current_round(), 1);
         assert_eq!(barriers_of(&next), [DpId(1), DpId(3)]);
 
         // both fences finish the update
         for dp in barriers_of(&next) {
-            ex.on_barrier(SimTime(2), dp, &mut xids);
+            fence(&mut ex, SimTime(2), dp, &mut xids);
         }
         assert_eq!(ex.state(), ExecState::Done);
-        assert_eq!(ex.timings().len(), 2);
-        assert!(ex.timings().iter().all(|t| t.completed.is_some()));
+        assert_eq!(ex.timings.len(), 2);
+        assert!(ex.timings.iter().all(|t| t.completed.is_some()));
     }
 
     #[test]
     fn one_switch_acks_round_waits_for_other() {
         let mut xids = XidAlloc::new();
         let mut ex = RoundExecutor::new(update(vec![vec![1, 3]]), ExecConfig::default());
-        ex.start(SimTime::ZERO, &mut xids);
-        let out = ex.on_barrier(SimTime(1), DpId(1), &mut xids);
+        start(&mut ex, SimTime::ZERO, &mut xids);
+        let out = fence(&mut ex, SimTime(1), DpId(1), &mut xids);
         assert!(out.is_empty());
         assert_eq!(ex.state(), ExecState::AwaitingBarriers);
-        assert!(!ex.is_pending(DpId(1)) && ex.is_pending(DpId(3)));
+        assert_eq!(ex.pending_switches().collect::<Vec<_>>(), [DpId(3)]);
     }
 
     #[test]
     fn replies_from_unrelated_switch_ignored() {
         let mut xids = XidAlloc::new();
         let mut ex = RoundExecutor::new(update(vec![vec![1]]), ExecConfig::default());
-        ex.start(SimTime::ZERO, &mut xids);
-        ex.on_barrier(SimTime(1), DpId(42), &mut xids);
+        start(&mut ex, SimTime::ZERO, &mut xids);
+        fence(&mut ex, SimTime(1), DpId(42), &mut xids);
         assert_eq!(ex.state(), ExecState::AwaitingBarriers);
     }
 
@@ -602,50 +640,50 @@ mod tests {
     fn fence_of_a_finished_switch_changes_nothing() {
         let mut xids = XidAlloc::new();
         let mut ex = RoundExecutor::new(update(vec![vec![1, 3], vec![1]]), ExecConfig::default());
-        ex.start(SimTime::ZERO, &mut xids);
-        ex.on_barrier(SimTime(1), DpId(1), &mut xids);
+        start(&mut ex, SimTime::ZERO, &mut xids);
+        fence(&mut ex, SimTime(1), DpId(1), &mut xids);
         // a duplicate while the round still waits for s3
-        assert!(ex.on_barrier(SimTime(2), DpId(1), &mut xids).is_empty());
+        assert!(fence(&mut ex, SimTime(2), DpId(1), &mut xids).is_empty());
         assert_eq!((ex.current_round(), ex.pending_count()), (0, 1));
-        ex.on_barrier(SimTime(3), DpId(3), &mut xids);
-        ex.on_barrier(SimTime(4), DpId(1), &mut xids);
+        fence(&mut ex, SimTime(3), DpId(3), &mut xids);
+        fence(&mut ex, SimTime(4), DpId(1), &mut xids);
         assert_eq!(ex.state(), ExecState::Done);
         // ...and one after the update finished
-        assert!(ex.on_barrier(SimTime(5), DpId(1), &mut xids).is_empty());
-        assert_eq!(ex.timings()[1].completed, Some(SimTime(4)));
+        assert!(fence(&mut ex, SimTime(5), DpId(1), &mut xids).is_empty());
+        assert_eq!(ex.timings[1].completed, Some(SimTime(4)));
     }
 
     #[test]
     fn retransmit_resends_to_pending_targets_only() {
         let mut xids = XidAlloc::new();
         let mut ex = RoundExecutor::new(update(vec![vec![1, 3]]), ExecConfig::default());
-        ex.start(SimTime::ZERO, &mut xids);
+        start(&mut ex, SimTime::ZERO, &mut xids);
         // s1 fences, s3 does not
-        ex.on_barrier(SimTime(1), DpId(1), &mut xids);
+        fence(&mut ex, SimTime(1), DpId(1), &mut xids);
         // nothing due: nothing sent, no attempt counted
-        assert!(ex.retransmit(&mut xids, &[]).is_empty());
-        assert_eq!(ex.timings()[0].attempts, 1);
+        assert!(resend(&mut ex, &mut xids, &[]).is_empty());
+        assert_eq!(ex.timings[0].attempts, 1);
         // both named: only s3 still owes the round anything
-        let re = ex.retransmit(&mut xids, &[DpId(1), DpId(3)]);
+        let re = resend(&mut ex, &mut xids, &[DpId(1), DpId(3)]);
         assert_eq!(re.len(), 2, "its FlowMod and a fresh barrier");
         assert!(re.iter().all(|(dp, _)| *dp == DpId(3)));
         assert_eq!(barriers_of(&re), [DpId(3)]);
-        ex.on_barrier(SimTime(12), DpId(3), &mut xids);
+        fence(&mut ex, SimTime(12), DpId(3), &mut xids);
         assert_eq!(ex.state(), ExecState::Done);
-        assert_eq!(ex.timings()[0].attempts, 2);
+        assert_eq!(ex.timings[0].attempts, 2);
     }
 
     #[test]
     fn force_fail_is_terminal() {
         let mut xids = XidAlloc::new();
         let mut ex = RoundExecutor::new(update(vec![vec![1]]), ExecConfig::default());
-        ex.start(SimTime::ZERO, &mut xids);
+        start(&mut ex, SimTime::ZERO, &mut xids);
         ex.force_fail();
         assert_eq!(ex.state(), ExecState::Failed);
-        assert!(ex.retransmit(&mut xids, &[DpId(1)]).is_empty());
-        assert!(ex.on_barrier(SimTime(1), DpId(1), &mut xids).is_empty());
+        assert!(resend(&mut ex, &mut xids, &[DpId(1)]).is_empty());
+        assert!(fence(&mut ex, SimTime(1), DpId(1), &mut xids).is_empty());
         assert_eq!(ex.state(), ExecState::Failed);
-        assert_eq!(ex.timings()[0].completed, None);
+        assert_eq!(ex.timings[0].completed, None);
     }
 
     #[test]
@@ -654,22 +692,25 @@ mod tests {
         let mut u = update(vec![vec![1], vec![2]]);
         u.rounds[1].pre_delay = SimDuration::from_millis(5);
         let mut ex = RoundExecutor::new(u, ExecConfig::default());
-        ex.start(SimTime::ZERO, &mut xids);
-        assert!(ex.on_barrier(SimTime(1), DpId(1), &mut xids).is_empty());
+        start(&mut ex, SimTime::ZERO, &mut xids);
+        assert!(fence(&mut ex, SimTime(1), DpId(1), &mut xids).is_empty());
         assert_eq!(ex.state(), ExecState::WaitingGrace);
         let due = SimTime(1) + SimDuration::from_millis(5);
         assert_eq!(ex.grace_until(), due);
-        assert!(ex.end_grace(SimTime(2), &mut xids).is_empty());
-        assert_eq!(barriers_of(&ex.end_grace(due, &mut xids)), [DpId(2)]);
+        assert!(grace_over(&mut ex, SimTime(2), &mut xids).is_empty());
+        assert_eq!(barriers_of(&grace_over(&mut ex, due, &mut xids)), [DpId(2)]);
         assert_eq!(ex.state(), ExecState::AwaitingBarriers);
-        assert!(ex.end_grace(due, &mut xids).is_empty(), "dispatched once");
+        assert!(
+            grace_over(&mut ex, due, &mut xids).is_empty(),
+            "dispatched once"
+        );
     }
 
     #[test]
     fn empty_update_is_immediately_done() {
         let mut xids = XidAlloc::new();
         let mut ex = RoundExecutor::new(update(vec![]), ExecConfig::default());
-        assert!(ex.start(SimTime::ZERO, &mut xids).is_empty());
+        assert!(start(&mut ex, SimTime::ZERO, &mut xids).is_empty());
         assert_eq!(ex.state(), ExecState::Done);
     }
 
@@ -677,7 +718,7 @@ mod tests {
     fn flowmods_precede_barriers_in_dispatch_order() {
         let mut xids = XidAlloc::new();
         let mut ex = RoundExecutor::new(update(vec![vec![1, 1, 3]]), ExecConfig::default());
-        let cmds = ex.start(SimTime::ZERO, &mut xids);
+        let cmds = start(&mut ex, SimTime::ZERO, &mut xids);
         // per switch: all flowmods before its barrier
         for dp in [DpId(1), DpId(3)] {
             let msgs: Vec<&OfMessage> = cmds
@@ -715,14 +756,14 @@ mod tests {
         // reply without the payload ack leaves the round open.
         let mut xids = XidAlloc::new();
         let mut ex = RoundExecutor::new(update(vec![vec![1]]), ack_cfg());
-        let cmds = ex.start(SimTime::ZERO, &mut xids);
+        let cmds = start(&mut ex, SimTime::ZERO, &mut xids);
         let e = echoes_of(&cmds);
         assert_eq!(e.len(), 1, "each FlowMod pairs with one ack echo");
-        ex.on_barrier(SimTime(1), DpId(1), &mut xids);
+        fence(&mut ex, SimTime(1), DpId(1), &mut xids);
         assert_eq!(ex.state(), ExecState::AwaitingBarriers);
         assert_eq!(ex.pending_acks(), 1);
         // the payload ack arrives: now the round completes
-        ex.on_echo(SimTime(2), e[0].0, e[0].1, &e[0].2, &mut xids);
+        echo(&mut ex, SimTime(2), e[0].0, e[0].1, &e[0].2, &mut xids);
         assert_eq!(ex.state(), ExecState::Done);
     }
 
@@ -732,34 +773,34 @@ mod tests {
         // under an xid this round never sent prove nothing.
         let mut xids = XidAlloc::new();
         let mut ex = RoundExecutor::new(update(vec![vec![1]]), ack_cfg());
-        let cmds = ex.start(SimTime::ZERO, &mut xids);
+        let cmds = start(&mut ex, SimTime::ZERO, &mut xids);
         let e = echoes_of(&cmds);
-        ex.on_barrier(SimTime(1), DpId(1), &mut xids);
-        ex.on_echo(SimTime(2), e[0].0, Xid(9999), &e[0].2, &mut xids);
+        fence(&mut ex, SimTime(1), DpId(1), &mut xids);
+        echo(&mut ex, SimTime(2), e[0].0, Xid(9999), &e[0].2, &mut xids);
         assert_eq!(ex.pending_acks(), 1);
-        ex.on_echo(SimTime(3), e[0].0, e[0].1, &e[0].2, &mut xids);
+        echo(&mut ex, SimTime(3), e[0].0, e[0].1, &e[0].2, &mut xids);
         assert_eq!(ex.state(), ExecState::Done);
         // a duplicate of the genuine reply after completion is ignored
-        let out = ex.on_echo(SimTime(4), e[0].0, e[0].1, &e[0].2, &mut xids);
+        let out = echo(&mut ex, SimTime(4), e[0].0, e[0].1, &e[0].2, &mut xids);
         assert!(out.is_empty());
-        assert_eq!(ex.timings()[0].completed, Some(SimTime(3)));
+        assert_eq!(ex.timings[0].completed, Some(SimTime(3)));
     }
 
     #[test]
     fn ack_mode_corrupted_echo_payload_is_rejected() {
         let mut xids = XidAlloc::new();
         let mut ex = RoundExecutor::new(update(vec![vec![1]]), ack_cfg());
-        let cmds = ex.start(SimTime::ZERO, &mut xids);
+        let cmds = start(&mut ex, SimTime::ZERO, &mut xids);
         let e = echoes_of(&cmds);
-        ex.on_barrier(SimTime(1), DpId(1), &mut xids);
+        fence(&mut ex, SimTime(1), DpId(1), &mut xids);
         // an echoed payload with one bit flipped proves nothing
         let mut bad = e[0].2.clone();
         bad[0] ^= 1;
-        ex.on_echo(SimTime(2), e[0].0, e[0].1, &bad, &mut xids);
+        echo(&mut ex, SimTime(2), e[0].0, e[0].1, &bad, &mut xids);
         assert_eq!(ex.state(), ExecState::AwaitingBarriers);
         assert_eq!(ex.pending_acks(), 1);
         // the intact round trip still completes the round
-        ex.on_echo(SimTime(3), e[0].0, e[0].1, &e[0].2, &mut xids);
+        echo(&mut ex, SimTime(3), e[0].0, e[0].1, &e[0].2, &mut xids);
         assert_eq!(ex.state(), ExecState::Done);
     }
 
@@ -770,12 +811,12 @@ mod tests {
         // payload — no barrier re-key, no duplicate of the acked one.
         let mut xids = XidAlloc::new();
         let mut ex = RoundExecutor::new(update(vec![vec![1, 1]]), ack_cfg());
-        let cmds = ex.start(SimTime::ZERO, &mut xids);
+        let cmds = start(&mut ex, SimTime::ZERO, &mut xids);
         let e = echoes_of(&cmds);
         assert_eq!(e.len(), 2);
-        ex.on_barrier(SimTime(1), DpId(1), &mut xids);
-        ex.on_echo(SimTime(2), e[0].0, e[0].1, &e[0].2, &mut xids);
-        let re = ex.retransmit(&mut xids, &[DpId(1)]);
+        fence(&mut ex, SimTime(1), DpId(1), &mut xids);
+        echo(&mut ex, SimTime(2), e[0].0, e[0].1, &e[0].2, &mut xids);
+        let re = resend(&mut ex, &mut xids, &[DpId(1)]);
         assert!(barriers_of(&re).is_empty(), "acked barrier is not re-sent");
         let re_echo = echoes_of(&re);
         assert_eq!(re_echo.len(), 1, "only the unacked payload is resent");
@@ -785,7 +826,7 @@ mod tests {
             "exactly one FlowMod + its ack echo retransmitted"
         );
         let (dp, xid, payload) = &re_echo[0];
-        ex.on_echo(SimTime(12), *dp, *xid, payload, &mut xids);
+        echo(&mut ex, SimTime(12), *dp, *xid, payload, &mut xids);
         assert_eq!(ex.state(), ExecState::Done);
     }
 
@@ -796,14 +837,14 @@ mod tests {
         // still proves installation and retires every outstanding copy.
         let mut xids = XidAlloc::new();
         let mut ex = RoundExecutor::new(update(vec![vec![1]]), ack_cfg());
-        let cmds = ex.start(SimTime::ZERO, &mut xids);
+        let cmds = start(&mut ex, SimTime::ZERO, &mut xids);
         let e1 = echoes_of(&cmds);
-        let re = ex.retransmit(&mut xids, &[DpId(1)]);
+        let re = resend(&mut ex, &mut xids, &[DpId(1)]);
         assert_eq!(barriers_of(&re), [DpId(1)], "unanswered barrier is re-sent");
         assert_eq!(ex.pending_acks(), 2, "both transmissions outstanding");
-        ex.on_echo(SimTime(12), e1[0].0, e1[0].1, &e1[0].2, &mut xids);
+        echo(&mut ex, SimTime(12), e1[0].0, e1[0].1, &e1[0].2, &mut xids);
         assert_eq!(ex.pending_acks(), 0, "old ack retires every copy");
-        ex.on_barrier(SimTime(13), DpId(1), &mut xids);
+        fence(&mut ex, SimTime(13), DpId(1), &mut xids);
         assert_eq!(ex.state(), ExecState::Done);
     }
 
@@ -811,7 +852,7 @@ mod tests {
     fn acks_off_sends_no_echoes() {
         let mut xids = XidAlloc::new();
         let mut ex = RoundExecutor::new(update(vec![vec![1, 3]]), ExecConfig::default());
-        let cmds = ex.start(SimTime::ZERO, &mut xids);
+        let cmds = start(&mut ex, SimTime::ZERO, &mut xids);
         assert!(echoes_of(&cmds).is_empty());
         assert_eq!(ex.pending_acks(), 0);
     }

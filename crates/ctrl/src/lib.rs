@@ -17,8 +17,8 @@
 //! * [`runtime`] — the one controller core: conflict-aware admission
 //!   over a bounded queue, many executors in flight at once, the
 //!   per-switch timers (fixed, or adaptive EWMA RTT + variance) that
-//!   are the only retransmission engine, the `(switch, xid)` route
-//!   table that is the only reply matcher, and a write-ahead journal
+//!   are the only retransmission engine, the xid-indexed route table
+//!   that is the only reply matcher, and a write-ahead journal
 //!   for crash recovery. The paper's message queue of update jobs,
 //!   "processed one at a time", is its [`RuntimeConfig::serial`]
 //!   configuration; its [`runtime::fabric`] submodule shards switches

@@ -10,38 +10,35 @@
 //! [`FabricCoordinator`](super::FabricCoordinator) is several of these
 //! behind one [`RuntimeHandle`].
 //!
-//! Two things live here and nowhere else:
+//! Two things live here and nowhere else: **time** — the executors are
+//! clock-free; the per-slot timers `poll` walks are the only
+//! retransmission engine ([`RoundExecutor::retransmit`] when one fires,
+//! [`RoundExecutor::force_fail`] when a switch's budget is gone) — and
+//! **reply matching**, in the route table of [`XidAlloc`]. A route hit
+//! proves the reply answers an outstanding transmission of that job's
+//! current round to that switch, so the executor is handed *which slot
+//! fenced*, never an xid; every barrier reply is an RTT sample.
 //!
-//! * **time belongs to the runtime** — the executors are clock-free
-//!   state machines; the per-switch timers in `poll` are the only
-//!   retransmission engine ([`RoundExecutor::retransmit`] when one
-//!   fires, [`RoundExecutor::force_fail`] when a switch's budget is
-//!   gone), under a fixed timeout or the adaptive [`RtoTable`];
-//! * **a reply is matched to a transmission in exactly one place** —
-//!   the `(switch, xid)` route table. A hit proves the reply answers an
-//!   outstanding transmission of that job's current round to that
-//!   switch, so the executor is told *which switch fenced*, never an
-//!   xid; every reply doubles as an RTT sample for the timers.
+//! What one message touches is flat: one ring cell indexed by xid (live
+//! exactly while the transmission counts — a barrier's until its switch
+//! fences, an echo's until the executor accepts it — so a wrapped
+//! allocator skips it), one job lookup, one slot of the executor's
+//! round, and the caller's one output buffer. Two invariants, kept at
+//! the state transitions themselves, make bookkeeping cost what an event
+//! touches rather than what is active:
 //!
-//! Bookkeeping costs what an event touches, not what is active, on two
-//! invariants kept at the state transitions themselves:
-//!
-//! * **every terminal transition is pushed to `finished` in the call
-//!   that causes it** (`ex.start` in `launch`, the executor calls in
-//!   `on_message`, the two `force_fail` sites in `poll`), so `reap`
-//!   drains that list — in ascending id, report order is observable —
-//!   and never scans;
+//! * **every terminal transition is filed in the call that causes it**,
+//!   so `reap` drains that list (in ascending id: report order is
+//!   observable) and never scans;
 //! * **a job is in the wake index iff it is in `WaitingGrace` or has a
-//!   round in flight**, so `poll` moves the grace waits that fell due
-//!   over to the in-flight set and walks only that, in ascending id
-//!   (xid allocation and send order feed the channel's RNG draws); an
-//!   idle `poll` touches no job and allocates nothing.
-//!
-//! The in-flight jobs' adaptive timers are walked, not heaped: a
-//! deadline is `latest_sent + rto.backoff(dp, attempts)` against the
-//! switch's *current* estimate, so a heap would either freeze the RTO
-//! at arm time (a behaviour change on every lossy channel) or key on
-//! the 2 ms floor and be hot every tick.
+//!   round in flight**, under its grace expiry or under a *bound* no
+//!   deadline of its timers can precede however the RTO estimates move
+//!   (`runtime/timers.rs`). `poll` wakes only the jobs whose
+//!   expiry or bound has passed and runs the exact deadline test over
+//!   their slots, in ascending id (xid allocation and send order feed
+//!   the channel's RNG draws): a skipped job has no due timer, so every
+//!   timer fires at the poll a walk over all of them would fire it at,
+//!   and an idle `poll` touches no job and allocates nothing.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -62,6 +59,7 @@ use crate::runtime::journal::{Journal, JournalRecord};
 use crate::runtime::rto::{RtoConfig, RtoTable};
 use crate::runtime::seat::SwitchSeat;
 use crate::runtime::submit::{SubmitError, SubmitOutcome, SubmitRequest, SubmitTicket, TenantId};
+use crate::runtime::timers::WakeIndex;
 use crate::runtime::{RuntimeHandle, RuntimeStats, StatusReport, SwitchStatus, TenantStatus};
 
 /// How the runtime times retransmissions.
@@ -155,26 +153,6 @@ impl RuntimeConfig {
     }
 }
 
-/// Outstanding barrier transmissions for one pending switch of one
-/// round. *Every* transmission stays valid until the switch answers:
-/// retransmissions resend identical FlowMods, so a reply to an older
-/// barrier still proves the round's content is fenced at that switch
-/// (and, because retransmissions re-key, identifies its exact
-/// transmission — a clean RTT sample with no Karn ambiguity). Without
-/// this, a fixed timeout shorter than a straggler's RTT would livelock:
-/// each reply would arrive already superseded.
-#[derive(Debug, Clone)]
-struct BarrierTimer {
-    /// When the newest transmission went out (timer base).
-    latest_sent: SimTime,
-    /// Transmissions so far (1 = no retransmissions).
-    attempts: u32,
-    /// Flagged slow while the rest of its round had acknowledged.
-    straggler: bool,
-    /// All in-flight (xid, sent-at) transmissions, oldest first.
-    outstanding: Vec<(Xid, SimTime)>,
-}
-
 /// One executing update.
 #[derive(Debug, Clone)]
 struct ActiveJob {
@@ -183,43 +161,10 @@ struct ActiveJob {
     started: SimTime,
     /// Whose budget this job occupies until reaped.
     tenant: TenantId,
-    /// Outstanding barrier per pending switch of the current round.
-    barriers: BTreeMap<DpId, BarrierTimer>,
-    /// Every payload-ack (echo) route this job has registered, so the
-    /// reaper can retire them without scanning the whole route table.
-    ack_routes: Vec<(DpId, Xid)>,
     /// Why the job was force-failed, when it was.
     failure: Option<FailReason>,
-}
-
-/// What `poll` and `reap` have to look at (module docs).
-#[derive(Debug, Clone, Default)]
-struct WakeIndex {
-    /// (expiry, job) of every job in `WaitingGrace`; the expiry is
-    /// fixed when the wait begins, so deadline order is exact.
-    grace: BTreeSet<(SimTime, JobId)>,
-    /// Every job with a round in flight.
-    in_flight: BTreeSet<JobId>,
-    /// Jobs that turned `Done`/`Failed` since the last reap.
-    finished: Vec<JobId>,
-}
-
-impl WakeIndex {
-    /// File `id` where its executor's state says it belongs; called
-    /// after every executor call that can change that state.
-    fn file(&mut self, id: JobId, ex: &RoundExecutor) {
-        match ex.state() {
-            ExecState::WaitingGrace => {
-                self.in_flight.remove(&id);
-                self.grace.insert((ex.grace_until(), id));
-            }
-            ExecState::AwaitingBarriers => {
-                self.in_flight.insert(id);
-            }
-            ExecState::Done | ExecState::Failed => self.finished.push(id),
-            ExecState::Idle => {}
-        }
-    }
+    /// Its key in the wake index's timer bounds, while filed there.
+    bound: Option<SimTime>,
 }
 
 /// The concurrent update runtime.
@@ -232,8 +177,7 @@ pub struct ConcurrentRuntime {
     wake: WakeIndex,
     /// Jobs `poll` and `reap` have looked at (see `dispatch_work`).
     visited: u64,
-    /// Latest outstanding barrier (switch, xid) → owning job.
-    routes: BTreeMap<(DpId, Xid), JobId>,
+    /// The xid allocator and the route table.
     xids: XidAlloc,
     rto: RtoTable,
     reports: Vec<UpdateReport>,
@@ -269,9 +213,8 @@ impl ConcurrentRuntime {
             queue: AdmissionQueue::new(config.queue_capacity, config.policy),
             graph: ConflictGraph::new(),
             active: BTreeMap::new(),
-            wake: WakeIndex::default(),
+            wake: WakeIndex::new(config),
             visited: 0,
-            routes: BTreeMap::new(),
             xids: XidAlloc::with_range(config.xid_range.0, config.xid_range.1),
             rto,
             reports: Vec::new(),
@@ -314,6 +257,7 @@ impl ConcurrentRuntime {
         let mut rt = Self::new(config);
         let mut jobs: BTreeMap<u64, Recovered> = BTreeMap::new();
         for rec in journal.records() {
+            let completed = matches!(rec, JournalRecord::Completed { .. });
             match rec {
                 JournalRecord::Baseline { dp, frame } => {
                     if let Ok(env) = codec::decode(&frame) {
@@ -354,30 +298,20 @@ impl ConcurrentRuntime {
                         j.committed = Some(j.committed.map_or(round, |c| c.max(round)));
                     }
                 }
-                JournalRecord::Completed { id, at } => {
+                JournalRecord::Completed { id, at } | JournalRecord::Failed { id, at } => {
                     if let Some(j) = jobs.get_mut(&id.0) {
                         j.terminal = true;
-                        j.committed = Some(j.update.rounds.len().saturating_sub(1));
-                        rt.stats.completed += 1;
+                        if completed {
+                            j.committed = Some(j.update.rounds.len().saturating_sub(1));
+                            rt.stats.completed += 1;
+                        } else {
+                            rt.stats.failed += 1;
+                        }
                         rt.reports.push(UpdateReport {
                             label: j.update.label.clone(),
                             submitted: j.submitted,
                             started: j.started.unwrap_or(j.submitted),
-                            completed: Some(at),
-                            failure: None,
-                            rounds: Vec::new(),
-                        });
-                    }
-                }
-                JournalRecord::Failed { id, .. } => {
-                    if let Some(j) = jobs.get_mut(&id.0) {
-                        j.terminal = true;
-                        rt.stats.failed += 1;
-                        rt.reports.push(UpdateReport {
-                            label: j.update.label.clone(),
-                            submitted: j.submitted,
-                            started: j.started.unwrap_or(j.submitted),
-                            completed: None,
+                            completed: completed.then_some(at),
                             failure: None,
                             rounds: Vec::new(),
                         });
@@ -400,6 +334,20 @@ impl ConcurrentRuntime {
                 | JournalRecord::MigrateAborted { .. } => {}
             }
         }
+        // Rounds up to the commit cursor are fenced: their rules are on
+        // the switches, so the shadow must know them.
+        let replay = |resync: &mut ResyncManager, job: &Recovered| {
+            let fenced = job
+                .update
+                .rounds
+                .iter()
+                .take(job.committed.map_or(0, |c| c + 1));
+            for (dp, msg) in fenced.flat_map(|r| &r.msgs) {
+                if let OfMessage::FlowMod(fm) = msg {
+                    resync.record(*dp, fm);
+                }
+            }
+        };
         for (&id, job) in &jobs {
             rt.stats.submitted += 1;
             rt.stats.accepted += 1;
@@ -407,16 +355,8 @@ impl ConcurrentRuntime {
             if job.terminal {
                 continue;
             }
-            // Rounds up to the commit cursor are fenced: their rules
-            // are on the switches, so the shadow must know them.
+            replay(&mut rt.resync, job);
             let resume_round = job.committed.map_or(0, |c| c + 1);
-            for round in job.update.rounds.iter().take(resume_round) {
-                for (dp, msg) in &round.msgs {
-                    if let OfMessage::FlowMod(fm) = msg {
-                        rt.resync.record(*dp, fm);
-                    }
-                }
-            }
             let footprint = Footprint::of(&job.update);
             rt.queue.offer(QueuedJob {
                 id: JobId(id),
@@ -431,18 +371,7 @@ impl ConcurrentRuntime {
         }
         // Completed jobs' rules are on the switches too.
         for job in jobs.values().filter(|j| j.terminal) {
-            for round in job
-                .update
-                .rounds
-                .iter()
-                .take(job.committed.map_or(0, |c| c + 1))
-            {
-                for (dp, msg) in &round.msgs {
-                    if let OfMessage::FlowMod(fm) = msg {
-                        rt.resync.record(*dp, fm);
-                    }
-                }
-            }
+            replay(&mut rt.resync, job);
         }
         rt.stats.recoveries = 1;
         rt.journal = journal;
@@ -597,98 +526,17 @@ impl ConcurrentRuntime {
         }
     }
 
-    fn straggler_attempts(&self) -> u32 {
-        match self.config.retrans {
-            RetransMode::Adaptive(cfg) => cfg.straggler_attempts,
-            RetransMode::Fixed => RtoConfig::default().straggler_attempts,
-        }
-    }
-
-    /// Record the barrier and payload-ack requests of freshly produced
-    /// commands into the routing and timer tables. Barriers key the
-    /// per-switch timers; echo (payload-ack) requests are routed too,
-    /// and a payload-only retransmission still re-arms its switch's
-    /// timer so the RTO machinery keeps driving payloads, not just
-    /// barriers.
-    fn register(
-        routes: &mut BTreeMap<(DpId, Xid), JobId>,
-        stats: &mut RuntimeStats,
-        obs: &Obs,
-        job_id: JobId,
-        job: &mut ActiveJob,
-        now: SimTime,
-        cmds: &[(DpId, Envelope)],
-    ) {
-        let round = job.ex.current_round();
-        // Per switch: the barrier xid (if one went out) and whether
-        // any ack-tracked payload went out.
-        let mut per_dp: BTreeMap<DpId, Option<Xid>> = BTreeMap::new();
-        for (dp, env) in cmds {
-            match &env.msg {
-                OfMessage::BarrierRequest => {
-                    routes.insert((*dp, env.xid), job_id);
-                    per_dp.insert(*dp, Some(env.xid));
-                }
-                OfMessage::EchoRequest(_) => {
-                    routes.insert((*dp, env.xid), job_id);
-                    job.ack_routes.push((*dp, env.xid));
-                    per_dp.entry(*dp).or_insert(None);
-                }
-                OfMessage::FlowMod(_) => {
-                    obs.inc(Ctr::FlowModsSent);
-                    obs.emit(
-                        Event::new(now, EventKind::FlowModSend)
-                            .span(job_id.0)
-                            .dp(dp.0)
-                            .round(round),
-                    );
-                }
-                _ => {}
-            }
-        }
-        for (dp, barrier) in per_dp {
-            match job.barriers.get_mut(&dp) {
-                Some(timer) => {
-                    // A retransmission: the older transmissions stay
-                    // outstanding (see [`BarrierTimer`]).
-                    stats.retransmissions += 1;
-                    timer.attempts += 1;
-                    timer.latest_sent = now;
-                    if let Some(xid) = barrier {
-                        timer.outstanding.push((xid, now));
-                    }
-                }
-                None => {
-                    // A fresh round dispatch always fences with a
-                    // barrier; payload-only commands cannot start a
-                    // timer.
-                    let Some(xid) = barrier else { continue };
-                    job.barriers.insert(
-                        dp,
-                        BarrierTimer {
-                            latest_sent: now,
-                            attempts: 1,
-                            straggler: false,
-                            outstanding: vec![(xid, now)],
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    fn outputs(cmds: Vec<(DpId, Envelope)>, out: &mut Vec<CtrlOutput>) {
-        out.extend(cmds.into_iter().map(|(dp, env)| CtrlOutput::Send(dp, env)));
-    }
-
-    /// Mirror outgoing FlowMods into the resync shadow, keeping the
-    /// controller's picture of every switch in lock-step with what it
-    /// sent. Called at every send site (retransmissions included —
-    /// recording an identical rule twice is a no-op).
-    fn record_sent(resync: &mut ResyncManager, cmds: &[(DpId, Envelope)]) {
-        for (dp, env) in cmds {
+    /// What every send site does with the commands it appended: mirror
+    /// the FlowMods into the resync shadow — the controller's picture of
+    /// every switch stays in lock-step with what it sent (recording a
+    /// retransmitted rule again is a no-op) — and trace them.
+    fn sent(&mut self, id: JobId, round: usize, now: SimTime, cmds: &[CtrlOutput]) {
+        for CtrlOutput::Send(dp, env) in cmds {
             if let OfMessage::FlowMod(fm) = &env.msg {
-                resync.record(*dp, fm);
+                self.resync.record(*dp, fm);
+                self.obs.inc(Ctr::FlowModsSent);
+                let event = Event::new(now, EventKind::FlowModSend).span(id.0);
+                self.obs.emit(event.dp(dp.0).round(round));
             }
         }
     }
@@ -715,32 +563,17 @@ impl ConcurrentRuntime {
         done.dedup();
         for id in done.drain(..) {
             let job = self.active.remove(&id).expect("finished jobs are active");
-            self.wake.in_flight.remove(&id);
             self.visited += 1;
-            for (dp, t) in &job.barriers {
-                for (xid, _) in &t.outstanding {
-                    self.routes.remove(&(*dp, *xid));
-                }
-            }
-            for (dp, xid) in &job.ack_routes {
-                self.routes.remove(&(*dp, *xid));
-            }
+            job.ex.retire_routes(&mut self.xids);
             self.graph.remove(id);
-            let completed = match job.ex.state() {
-                ExecState::Done => {
-                    self.stats.completed += 1;
-                    Some(
-                        job.ex
-                            .timings()
-                            .last()
-                            .and_then(|t| t.completed)
-                            .unwrap_or(now),
-                    )
-                }
-                _ => {
-                    self.stats.failed += 1;
-                    None
-                }
+            let done = job.ex.state() == ExecState::Done;
+            let (label, rounds) = job.ex.finish();
+            let completed = if done {
+                self.stats.completed += 1;
+                Some(rounds.last().and_then(|t| t.completed).unwrap_or(now))
+            } else {
+                self.stats.failed += 1;
+                None
             };
             match completed {
                 Some(at) => {
@@ -775,14 +608,14 @@ impl ConcurrentRuntime {
                 }
             }
             self.reports.push(UpdateReport {
-                label: job.ex.label().to_string(),
+                label,
                 submitted: job.submitted,
                 started: job.started,
                 completed,
                 // an executor fails only through `force_fail`, and both
                 // call sites name the reason first
                 failure: job.failure,
-                rounds: job.ex.timings().to_vec(),
+                rounds,
             });
         }
         self.wake.finished = done; // emptied; keeps its capacity
@@ -806,53 +639,46 @@ impl ConcurrentRuntime {
                 resume_round,
                 ..
             } = qj;
-            // a deadline that lapsed while queued: stale intent is not
-            // worth the network churn
-            if deadline.is_some_and(|d| now > d) {
-                self.stats.failed += 1;
-                self.journal.append(&JournalRecord::Failed { id, at: now });
-                self.obs.inc(Ctr::Aborts);
-                self.obs.emit(Event::new(now, EventKind::Abort).span(id.0));
-                self.reports.push(UpdateReport {
-                    label: update.label,
-                    submitted,
-                    started: now,
-                    completed: None,
-                    failure: Some(FailReason::DeadlineExpired),
-                    rounds: Vec::new(),
-                });
-                continue;
-            }
-            if let Some(dp) = footprint
+            // a deadline that lapsed while queued (stale intent is not
+            // worth the network churn) or a quarantined switch
+            let dead = footprint
                 .switches()
-                .find(|dp| self.quarantined.contains(dp))
-            {
+                .find(|dp| self.quarantined.contains(dp));
+            let failure = match dead {
+                _ if deadline.is_some_and(|d| now > d) => Some(FailReason::DeadlineExpired),
+                Some(dp) => Some(FailReason::Quarantined(dp)),
+                None => None,
+            };
+            if let Some(failure) = failure {
                 self.stats.failed += 1;
                 self.journal.append(&JournalRecord::Failed { id, at: now });
                 self.obs.inc(Ctr::Aborts);
-                self.obs
-                    .emit(Event::new(now, EventKind::Abort).span(id.0).dp(dp.0));
+                let abort = Event::new(now, EventKind::Abort).span(id.0);
+                self.obs.emit(match failure {
+                    FailReason::Quarantined(dp) => abort.dp(dp.0),
+                    _ => abort,
+                });
                 self.reports.push(UpdateReport {
                     label: update.label,
                     submitted,
                     started: now,
                     completed: None,
-                    failure: Some(FailReason::Quarantined(dp)),
+                    failure: Some(failure),
                     rounds: Vec::new(),
                 });
                 continue;
             }
-            let mut ex = RoundExecutor::resume(update, self.config.exec, resume_round);
-            let cmds = ex.start(now, &mut self.xids);
+            let mut ex = RoundExecutor::resume(id, update, self.config.exec, resume_round);
+            let start = out.len();
+            ex.start(now, &mut self.xids, out);
             self.graph.insert(id, footprint);
             let mut job = ActiveJob {
                 ex,
                 submitted,
                 started: now,
                 tenant,
-                barriers: BTreeMap::new(),
-                ack_routes: Vec::new(),
                 failure: None,
+                bound: None,
             };
             self.journal.append(&JournalRecord::Started { id, at: now });
             self.obs.inc(Ctr::RoundsDispatched);
@@ -862,19 +688,10 @@ impl ConcurrentRuntime {
                     .round(job.ex.current_round())
                     .aux(job.ex.current_round_width() as u64),
             );
-            Self::register(
-                &mut self.routes,
-                &mut self.stats,
-                &self.obs,
-                id,
-                &mut job,
-                now,
-                &cmds,
-            );
-            Self::record_sent(&mut self.resync, &cmds);
-            Self::outputs(cmds, out);
-            self.wake.file(id, &job.ex);
+            let round = job.ex.current_round();
+            self.wake.file(id, &job.ex, &mut job.bound);
             self.active.insert(id, job);
+            self.sent(id, round, now, &out[start..]);
             self.stats.peak_active = self.stats.peak_active.max(self.active.len() as u64);
         }
         // instantly-done (empty) updates release their slots right away
@@ -943,53 +760,41 @@ impl ConcurrentRuntime {
             deadline: req.deadline,
             resume_round: 0,
         });
-        match outcome {
-            AdmitOutcome::Queued { .. } => {
-                self.stats.accepted += 1;
-                self.obs.inc(Ctr::Admitted);
-                self.obs.emit(Event::new(now, EventKind::Admit).span(id.0));
-                if let Some(rec) = &admitted {
-                    self.journal.append(rec);
-                }
-                Ok(SubmitTicket::local(id, self.queue.len()))
-            }
-            AdmitOutcome::QueuedDisplacing { dropped, .. } => {
-                self.stats.accepted += 1;
-                self.stats.displaced += 1;
-                self.obs.inc(Ctr::Admitted);
-                self.obs.emit(Event::new(now, EventKind::Admit).span(id.0));
-                if let Some(rec) = &admitted {
-                    self.journal.append(rec);
-                }
-                // the shed job is terminal: recovery must not revive it
-                self.journal.append(&JournalRecord::Shed {
-                    id: dropped.0,
-                    at: now,
-                });
-                Ok(SubmitTicket {
-                    displaced: Some(dropped),
-                    ..SubmitTicket::local(id, self.queue.len())
-                })
-            }
+        let displaced = match outcome {
+            AdmitOutcome::Queued { .. } => None,
+            AdmitOutcome::QueuedDisplacing { dropped, .. } => Some(dropped),
             AdmitOutcome::Rejected(_) => {
                 self.stats.rejected += 1;
                 self.obs.inc(Ctr::Rejected);
                 self.obs
                     .emit(Event::new(now, EventKind::Reject).span(id.0).aux(3));
-                Err(SubmitError::QueueFull)
+                return Err(SubmitError::QueueFull);
             }
+        };
+        self.stats.accepted += 1;
+        self.obs.inc(Ctr::Admitted);
+        self.obs.emit(Event::new(now, EventKind::Admit).span(id.0));
+        if let Some(rec) = &admitted {
+            self.journal.append(rec);
         }
+        if let Some(dropped) = &displaced {
+            self.stats.displaced += 1;
+            // the shed job is terminal: recovery must not revive it
+            let at = now;
+            self.journal
+                .append(&JournalRecord::Shed { id: dropped.0, at });
+        }
+        let queued = self.queue.len();
+        Ok(SubmitTicket {
+            displaced,
+            ..SubmitTicket::local(id, queued)
+        })
     }
 }
 
-impl RuntimeHandle for ConcurrentRuntime {
-    fn submit_request(&mut self, req: SubmitRequest, now: SimTime) -> SubmitOutcome {
-        self.submit_prepared(req, None, now)
-    }
-
-    fn poll(&mut self, now: SimTime) -> Vec<CtrlOutput> {
-        let mut out = Vec::new();
-        let straggler_attempts = self.straggler_attempts();
+impl ConcurrentRuntime {
+    /// [`RuntimeHandle::poll`], appending to the caller's buffer.
+    pub(crate) fn poll_into(&mut self, now: SimTime, out: &mut Vec<CtrlOutput>) {
         // Abort active jobs still waiting on a switch that was
         // quarantined since their dispatch: fail fast with a typed
         // reason, releasing their conflict reservations.
@@ -1006,92 +811,39 @@ impl RuntimeHandle for ConcurrentRuntime {
                 if let Some(dp) = dead {
                     job.failure = Some(FailReason::Quarantined(dp));
                     job.ex.force_fail();
-                    self.wake.finished.push(id);
+                    self.wake.file(id, &job.ex, &mut job.bound);
                 }
             }
         }
-        // A grace wait that expired has a round in flight from this
-        // tick on: `end_grace` below dispatches it.
-        while let Some(&(at, id)) = self.wake.grace.first() {
-            if at > now {
-                break;
-            }
-            self.wake.grace.pop_first();
-            self.wake.in_flight.insert(id);
-        }
-        // Drive those executors — grace transitions and per-switch
-        // retransmission timers — in ascending id order: xid
-        // allocation and send order are observable.
-        for &id in &self.wake.in_flight {
+        // Drive the executors whose grace ended or one of whose timers
+        // may be due — grace transitions and per-switch retransmission
+        // timers — in ascending id order: xid allocation and send
+        // order are observable.
+        let woken = self.wake.wake(now);
+        for &id in &woken {
             let job = self.active.get_mut(&id).expect("woken jobs are active");
             self.visited += 1;
-            match job.ex.state() {
-                ExecState::WaitingGrace => {
-                    let cmds = job.ex.end_grace(now, &mut self.xids);
-                    Self::register(
-                        &mut self.routes,
-                        &mut self.stats,
-                        &self.obs,
-                        id,
-                        job,
-                        now,
-                        &cmds,
-                    );
-                    Self::record_sent(&mut self.resync, &cmds);
-                    Self::outputs(cmds, &mut out);
+            job.bound = None; // unfiled by `wake`
+            let start = out.len();
+            // woken jobs are waiting out a grace or have a round in flight
+            let fired = match job.ex.state() {
+                ExecState::WaitingGrace => Ok(false),
+                _ => self.wake.fire(&mut job.ex, &self.rto, now, &mut self.stats),
+            };
+            match fired {
+                Err(dp) => {
+                    job.failure = Some(FailReason::Exhausted(dp));
+                    job.ex.force_fail();
                 }
-                ExecState::AwaitingBarriers => {
-                    let width = job.ex.current_round_width();
-                    let pending = job.ex.pending_count();
-                    let mut due: Vec<DpId> = Vec::new();
-                    let mut exhausted: Option<DpId> = None;
-                    for (&dp, timer) in job.barriers.iter_mut() {
-                        let deadline = match self.config.retrans {
-                            RetransMode::Fixed => {
-                                timer.latest_sent + self.config.exec.barrier_timeout
-                            }
-                            RetransMode::Adaptive(_) => {
-                                timer.latest_sent + self.rto.backoff(dp, timer.attempts)
-                            }
-                        };
-                        if now < deadline {
-                            continue;
-                        }
-                        if timer.attempts >= self.config.exec.max_attempts {
-                            exhausted = Some(dp);
-                            break;
-                        }
-                        if !timer.straggler
-                            && timer.attempts + 1 >= straggler_attempts
-                            && pending * 2 <= width
-                        {
-                            timer.straggler = true;
-                            self.stats.stragglers += 1;
-                        }
-                        due.push(dp);
-                    }
-                    if let Some(dp) = exhausted {
-                        job.failure = Some(FailReason::Exhausted(dp));
-                        job.ex.force_fail();
-                        self.wake.finished.push(id);
-                    } else if !due.is_empty() {
-                        let cmds = job.ex.retransmit(&mut self.xids, &due);
-                        Self::register(
-                            &mut self.routes,
-                            &mut self.stats,
-                            &self.obs,
-                            id,
-                            job,
-                            now,
-                            &cmds,
-                        );
-                        Self::record_sent(&mut self.resync, &cmds);
-                        Self::outputs(cmds, &mut out);
-                    }
-                }
-                _ => {}
+                Ok(true) => job.ex.retransmit(now, &mut self.xids, out),
+                Ok(false) => job.ex.end_grace(now, &mut self.xids, out),
             }
+            let round = job.ex.current_round();
+            self.wake.file(id, &job.ex, &mut job.bound);
+            self.sent(id, round, now, &out[start..]);
         }
+        self.wake.woken = woken;
+        self.wake.woken.clear();
         // Re-probe unanswered audits; switches that exhaust the probe
         // budget are quarantined (reconnect lifts it and re-audits).
         let (reprobes, give_up) = self.resync.on_tick(
@@ -1100,24 +852,31 @@ impl RuntimeHandle for ConcurrentRuntime {
             self.config.resync_attempts,
             &mut self.xids,
         );
-        for (dp, env) in reprobes {
-            out.push(CtrlOutput::Send(dp, env));
-        }
+        out.extend(
+            reprobes
+                .into_iter()
+                .map(|(dp, env)| CtrlOutput::Send(dp, env)),
+        );
         for dp in give_up {
             self.quarantine(dp, now);
         }
         self.reap(now);
-        self.launch(now, &mut out);
-        out
+        self.launch(now, out);
     }
 
-    fn on_message(&mut self, now: SimTime, from: DpId, env: &Envelope) -> Vec<CtrlOutput> {
-        let mut out = Vec::new();
+    /// [`RuntimeHandle::on_message`], appending to the caller's buffer.
+    pub(crate) fn on_message_into(
+        &mut self,
+        now: SimTime,
+        from: DpId,
+        env: &Envelope,
+        out: &mut Vec<CtrlOutput>,
+    ) {
         // `None`: a barrier reply; `Some`: an echo reply's payload.
         let echoed = match &env.msg {
             OfMessage::BarrierReply => None,
             OfMessage::EchoReply(payload) => Some(payload),
-            _ => return out, // errors, stats: not routed
+            _ => return, // errors, stats: not routed
         };
         // Digest-probe replies belong to the resync state machine, not
         // to any job. The repair FlowMods come straight from the shadow
@@ -1134,111 +893,98 @@ impl RuntimeHandle for ConcurrentRuntime {
                             .aux(self.resync.stats().rules_replayed),
                     );
                 }
-                return out;
+                return;
             }
         }
-        let Some(&job_id) = self.routes.get(&(from, env.xid)) else {
-            return out; // stale xid (superseded transmission) or unknown
+        let Some(route) = self.xids.route(from, env.xid) else {
+            return; // retired (superseded, fenced, accepted) or unknown
         };
-        let Some(job) = self.active.get_mut(&job_id) else {
-            return out;
+        let (id, slot) = (route.job, route.slot as usize);
+        let Some(job) = self.active.get_mut(&id) else {
+            return;
         };
-        let prev_round = job.ex.current_round();
-        let cmds = if let Some(echoed) = echoed {
+        let (before, prev_round) = (job.ex.state(), job.ex.current_round());
+        let start = out.len();
+        if let Some(echoed) = echoed {
             // Payload (echo) acks match by exact xid and bytes — every
-            // transmission's echo stays valid.
-            self.routes.remove(&(from, env.xid));
+            // transmission's echo stays valid until one is accepted.
             self.obs.emit(
                 Event::new(now, EventKind::FlowModAck)
-                    .span(job_id.0)
+                    .span(id.0)
                     .dp(from.0)
                     .round(prev_round),
             );
-            job.ex.on_echo(now, from, env.xid, echoed, &mut self.xids)
+            job.ex
+                .on_echo(now, from, slot, env.xid, echoed, &mut self.xids, out);
         } else {
-            let Some(timer) = job.barriers.get(&from) else {
-                return out;
-            };
-            // The (switch, xid) pair identifies the exact transmission,
-            // so this difference is always a clean RTT sample (no Karn
-            // ambiguity — retransmissions re-key).
-            if let Some(&(_, sent)) = timer.outstanding.iter().find(|(x, _)| *x == env.xid) {
-                let rtt = now.saturating_since(sent);
-                self.rto.observe(from, rtt);
-                self.obs.observe(HistId::BarrierRttNs, rtt.as_nanos());
-                self.obs.emit(
-                    Event::new(now, EventKind::BarrierFence)
-                        .span(job_id.0)
-                        .dp(from.0)
-                        .round(prev_round)
-                        .aux(rtt.as_nanos()),
-                );
-            }
+            // Retransmissions re-key, so the route names the exact
+            // transmission: a clean RTT sample, no Karn ambiguity.
+            let rtt = now.saturating_since(route.sent_at);
+            self.rto.observe(from, rtt);
+            self.obs.observe(HistId::BarrierRttNs, rtt.as_nanos());
+            self.obs.emit(
+                Event::new(now, EventKind::BarrierFence)
+                    .span(id.0)
+                    .dp(from.0)
+                    .round(prev_round)
+                    .aux(rtt.as_nanos()),
+            );
             self.obs.inc(Ctr::BarrierFences);
             // The route hit is the match: a reply to ANY outstanding
             // transmission fences the round's content at this switch
             // (identical FlowMods precede every barrier).
-            job.ex.on_barrier(now, from, &mut self.xids)
-        };
-        self.wake.file(job_id, &job.ex);
-        // The switch is done with its round when the round advanced or
-        // the executor no longer lists it pending. Otherwise — barrier
-        // fenced but payload acks outstanding (or vice versa) — the
-        // timer must survive so the RTO machinery keeps driving
-        // retransmissions; only the consumed barrier routes retire.
-        let switch_done = job.ex.current_round() != prev_round || !job.ex.is_pending(from);
-        if switch_done {
-            if let Some(timer) = job.barriers.remove(&from) {
-                for (xid, _) in &timer.outstanding {
-                    self.routes.remove(&(from, *xid));
-                }
-            }
-        } else if echoed.is_none() {
-            let timer = job.barriers.get_mut(&from).expect("present above");
-            for (xid, _) in timer.outstanding.drain(..) {
-                self.routes.remove(&(from, xid));
-            }
+            job.ex.on_barrier(now, from, slot, &mut self.xids, out);
+        }
+        let round = job.ex.current_round();
+        if (job.ex.state(), round) != (before, prev_round) {
+            self.wake.file(id, &job.ex, &mut job.bound);
         }
         // Every round crossed by this message is fenced network-wide:
-        // journal the commits so recovery resumes past them. (A chain
-        // of empty rounds can advance more than one at a time.)
-        for round in prev_round..job.ex.current_round() {
+        // journal the commits so recovery resumes past them.
+        for r in prev_round..round {
             self.journal.append(&JournalRecord::RoundCommitted {
-                id: job_id,
-                round,
+                id,
+                round: r,
                 at: now,
             });
-            self.obs.emit(
-                Event::new(now, EventKind::RoundCommit)
-                    .span(job_id.0)
-                    .round(round),
-            );
+            self.obs
+                .emit(Event::new(now, EventKind::RoundCommit).span(id.0).round(r));
         }
-        if job.ex.current_round() != prev_round
-            && !matches!(job.ex.state(), ExecState::Done | ExecState::Failed)
-        {
+        if round != prev_round && !matches!(job.ex.state(), ExecState::Done | ExecState::Failed) {
             self.obs.inc(Ctr::RoundsDispatched);
             self.obs.emit(
                 Event::new(now, EventKind::RoundDispatch)
-                    .span(job_id.0)
-                    .round(job.ex.current_round())
+                    .span(id.0)
+                    .round(round)
                     .aux(job.ex.current_round_width() as u64),
             );
         }
-        Self::register(
-            &mut self.routes,
-            &mut self.stats,
-            &self.obs,
-            job_id,
-            job,
-            now,
-            &cmds,
-        );
-        Self::record_sent(&mut self.resync, &cmds);
-        Self::outputs(cmds, &mut out);
+        self.sent(id, round, now, &out[start..]);
         self.reap(now);
         // a completed job may unblock queued conflicting jobs
-        self.launch(now, &mut out);
+        self.launch(now, out);
+    }
+
+    /// Drain the report log by move (the fabric merges it into its own).
+    pub(crate) fn take_reports(&mut self) -> std::vec::Drain<'_, UpdateReport> {
+        self.reports.drain(..)
+    }
+}
+
+impl RuntimeHandle for ConcurrentRuntime {
+    fn submit_request(&mut self, req: SubmitRequest, now: SimTime) -> SubmitOutcome {
+        self.submit_prepared(req, None, now)
+    }
+
+    fn poll(&mut self, now: SimTime) -> Vec<CtrlOutput> {
+        let mut out = Vec::new();
+        self.poll_into(now, &mut out);
+        out
+    }
+
+    fn on_message(&mut self, now: SimTime, from: DpId, env: &Envelope) -> Vec<CtrlOutput> {
+        let mut out = Vec::new();
+        self.on_message_into(now, from, env, &mut out);
         out
     }
 
@@ -1337,30 +1083,17 @@ impl RuntimeHandle for ConcurrentRuntime {
     fn status_report(&self) -> StatusReport {
         // Every sampled switch, plus any unsampled one that currently
         // carries a timer (it may already be flagged a straggler).
-        let mut switches: BTreeMap<DpId, SwitchStatus> = self
-            .rto
-            .switches()
-            .map(|dp| {
-                (
-                    dp,
-                    SwitchStatus {
-                        dp,
-                        srtt: self.rto.srtt(dp),
-                        rto: self.rto.rto(dp),
-                        straggler: false,
-                    },
-                )
-            })
-            .collect();
-        for job in self.active.values() {
-            for (&dp, timer) in &job.barriers {
-                let entry = switches.entry(dp).or_insert(SwitchStatus {
-                    dp,
-                    srtt: self.rto.srtt(dp),
-                    rto: self.rto.rto(dp),
-                    straggler: false,
-                });
-                entry.straggler |= timer.straggler;
+        let row = |dp| SwitchStatus {
+            dp,
+            srtt: self.rto.srtt(dp),
+            rto: self.rto.rto(dp),
+            straggler: false,
+        };
+        let mut switches: BTreeMap<DpId, SwitchStatus> =
+            self.rto.switches().map(|dp| (dp, row(dp))).collect();
+        for s in self.active.values().flat_map(|j| &j.ex.slots) {
+            if !s.done {
+                switches.entry(s.dp).or_insert_with(|| row(s.dp)).straggler |= s.timer.straggler;
             }
         }
         StatusReport {
@@ -1433,12 +1166,16 @@ mod tests {
     impl ConcurrentRuntime {
         /// The wake-index invariant, checked from scratch: between
         /// calls every active job is filed exactly where its state
-        /// says, and nothing terminal is left unreaped.
+        /// says, under a bound no deadline of its timers precedes, and
+        /// nothing terminal is left unreaped.
         fn assert_wake_index_exact(&self) {
             for (&id, job) in &self.active {
                 let state = job.ex.state();
+                let filed = job
+                    .bound
+                    .is_some_and(|b| self.wake.timers.contains(&(b, id)));
                 assert_eq!(
-                    self.wake.in_flight.contains(&id),
+                    filed,
                     state == ExecState::AwaitingBarriers,
                     "{id} is {state:?}"
                 );
@@ -1447,9 +1184,20 @@ mod tests {
                     state == ExecState::WaitingGrace,
                     "{id} is {state:?}"
                 );
+                let Some(bound) = job.bound else { continue };
+                for s in job.ex.slots.iter().filter(|s| !s.done) {
+                    let t = s.timer;
+                    let deadline = match self.config.retrans {
+                        RetransMode::Fixed => t.latest_sent + self.config.exec.barrier_timeout,
+                        RetransMode::Adaptive(_) => {
+                            t.latest_sent + self.rto.backoff(s.dp, t.attempts)
+                        }
+                    };
+                    assert!(bound <= deadline, "{id}: bound {bound:?} past {deadline:?}");
+                }
             }
             assert_eq!(
-                self.wake.in_flight.len() + self.wake.grace.len(),
+                self.wake.timers.len() + self.wake.grace.len(),
                 self.active.len(),
                 "no stale entry, no terminal job left active"
             );
@@ -1547,9 +1295,10 @@ mod tests {
         let (idle_16, one_16) = work_beside_grace_waiters(16);
         let (idle_1024, one_1024) = work_beside_grace_waiters(1024);
         assert_eq!((idle_16, idle_1024), (0, 0), "an idle poll touches no job");
-        // two admission probes (x's class, the switch's wildcard), one
-        // poll visit while its round is in flight, one reap
-        assert_eq!(one_16, 4);
+        // two admission probes (x's class, the switch's wildcard) and
+        // one reap; `poll` does not visit x while its round is in flight,
+        // because no timer of it can be due before the 2 ms RTO floor
+        assert_eq!(one_16, 3);
         assert_eq!(one_1024, one_16, "identical beside 16 or 1024 waiters");
     }
 
@@ -2072,9 +1821,10 @@ mod tests {
         assert!(rt.is_idle());
         let last: Vec<_> = rt.reports()[1..].iter().map(|r| &r.label[..]).collect();
         assert_eq!(last, ["low", "high"]);
-        // the sweep looks at both active jobs, the walk at both
-        // in-flight ones, the reaper at both finished ones
-        assert_eq!(rt.dispatch_work() - before, 6);
+        // the sweep looks at both active jobs, the walk at the one still
+        // in flight (the aborted one left the wake index), the reaper at
+        // both finished ones
+        assert_eq!(rt.dispatch_work() - before, 5);
     }
 
     #[test]
@@ -2222,7 +1972,7 @@ mod tests {
 
     #[test]
     fn ack_mode_echo_reply_routes_to_owning_job() {
-        // Echo acks route by exact (switch, xid) with no translation;
+        // Echo acks route by exact xid and switch, with no translation;
         // a barrier-only runtime ignores stray echo replies entirely.
         let cfg = RuntimeConfig {
             exec: ExecConfig {
@@ -2254,5 +2004,80 @@ mod tests {
         reply(&mut rt, SimTime(3), b[0].0, b[0].1);
         assert!(rt.is_idle());
         assert!(rt.reports()[0].completed.is_some());
+    }
+
+    #[test]
+    fn corrupted_echo_then_intact_duplicate_acks_without_retransmission() {
+        // Every transmission's echo stays valid until one is accepted: a
+        // corrupted reply must not retire the route its intact duplicate
+        // (the channel duplicated the frame) still answers.
+        let mut rt = ConcurrentRuntime::new(RuntimeConfig {
+            retrans: RetransMode::Fixed,
+            exec: ExecConfig {
+                barrier_timeout: SimDuration::from_millis(10),
+                max_attempts: 8,
+                flowmod_acks: true,
+            },
+            ..RuntimeConfig::default()
+        });
+        let _ = rt.submit(job("a", 2, vec![vec![1]]), SimTime(0), Priority::Normal);
+        let cmds = rt.poll(SimTime(0));
+        let (b, e) = (barriers_of(&cmds)[0], echoes_of(&cmds).remove(0));
+        reply(&mut rt, SimTime(1), b.0, b.1);
+        let echo = |payload| Envelope::new(e.1, OfMessage::EchoReply(payload));
+        let mut bad = e.2.clone();
+        bad[0] ^= 1;
+        assert!(rt.on_message(SimTime(2), e.0, &echo(bad)).is_empty());
+        assert_eq!(
+            rt.active_count(),
+            1,
+            "a corrupted round trip proves nothing"
+        );
+        rt.on_message(SimTime(3), e.0, &echo(e.2.clone()));
+        assert!(rt.is_idle(), "the intact duplicate is the acknowledgement");
+        assert!(rt.reports()[0].completed.is_some());
+        assert_eq!(rt.stats().retransmissions, 0);
+    }
+
+    #[test]
+    fn a_wrapped_xid_range_skips_the_live_xid_and_the_late_reply_fences_its_own_job() {
+        // 32 xids; switch 9 delays one barrier reply while forty other
+        // jobs on the same switch (other flows) wrap the range twice.
+        let mut rt = ConcurrentRuntime::new(RuntimeConfig {
+            xid_range: (100, 32),
+            retrans: RetransMode::Fixed,
+            exec: ExecConfig {
+                barrier_timeout: SimDuration::from_secs(10),
+                ..ExecConfig::default()
+            },
+            ..RuntimeConfig::default()
+        });
+        let _ = rt.submit(job("late", 1, vec![vec![9]]), SimTime(0), Priority::Normal);
+        let late = barriers_of(&rt.poll(SimTime(0)))[0];
+        let mut handed = Vec::new();
+        for i in 0..40u32 {
+            let now = SimTime(u64::from(i) + 1);
+            let _ = rt.submit(
+                job(&format!("f{i}"), 2 + i, vec![vec![9]]),
+                now,
+                Priority::Normal,
+            );
+            let cmds = rt.poll(now);
+            handed.extend(cmds.iter().map(|CtrlOutput::Send(_, env)| env.xid));
+            for (dp, xid) in barriers_of(&cmds) {
+                assert!(reply(&mut rt, now, dp, xid).is_empty());
+            }
+        }
+        assert_eq!(handed.len(), 80, "the range wrapped twice");
+        assert!(
+            !handed.contains(&late.1),
+            "the live xid is never handed out"
+        );
+        assert_eq!((rt.active_count(), rt.reports().len()), (1, 40));
+        reply(&mut rt, SimTime(100), late.0, late.1);
+        assert!(rt.is_idle(), "the late reply fenced the job that sent it");
+        assert_eq!(rt.reports()[40].label, "late");
+        assert!(rt.reports().iter().all(|r| r.completed.is_some()));
+        assert_eq!(rt.stats().retransmissions, 0);
     }
 }

@@ -187,10 +187,9 @@ pub struct FabricCoordinator {
     xqueue: VecDeque<XPending>,
     xqueue_capacity: usize,
     xactive: BTreeMap<JobId, XActive>,
-    /// Merged completion reports, fabric order; `harvested[i]` is the
-    /// copy cursor into shard `i`'s report log (last slot: coordinator).
+    /// Merged completion reports, fabric order, moved out of the
+    /// sub-runtimes' logs as they appear.
     reports: Vec<UpdateReport>,
-    harvested: Vec<usize>,
     /// Per-switch footprint touches since boot (rebalance advice).
     touch: BTreeMap<DpId, u64>,
     /// Seat migrations in flight: `dp → (from, to, begun)`. A switch
@@ -249,7 +248,6 @@ impl FabricCoordinator {
             xqueue_capacity: config.xqueue_capacity,
             xactive: BTreeMap::new(),
             reports: Vec::new(),
-            harvested: vec![0; n as usize + 1],
             touch: BTreeMap::new(),
             migrations: BTreeMap::new(),
             overlay: RuntimeStats::default(),
@@ -273,7 +271,9 @@ impl FabricCoordinator {
         &self.assign
     }
 
-    /// Shard `i`'s runtime (diagnostics).
+    /// Shard `i`'s runtime (diagnostics). Its `reports()` holds only
+    /// reports the fabric has not merged yet — the fabric moves them into
+    /// its own log after every call, so no caller reads it.
     pub fn shard(&self, i: u32) -> Option<&ConcurrentRuntime> {
         self.shards.get(i as usize)
     }
@@ -297,30 +297,23 @@ impl FabricCoordinator {
         to: ShardId,
         now: SimTime,
     ) -> Result<(), MigrateError> {
-        if to.0 >= self.shard_count() {
-            self.overlay.migration_aborts += 1;
-            self.obs.inc(Ctr::MigrationsAborted);
-            return Err(MigrateError::BadShard(to));
-        }
-        if self.migrations.contains_key(&dp) {
-            self.overlay.migration_aborts += 1;
-            self.obs.inc(Ctr::MigrationsAborted);
-            return Err(MigrateError::AlreadyMigrating(dp));
-        }
         let from = self.assign.shard_of(dp);
-        if !self.touch.contains_key(&dp) && self.shards[from as usize].intended_hashes(dp).is_none()
+        let refusal = if to.0 >= self.shard_count() {
+            Some(MigrateError::BadShard(to))
+        } else if self.migrations.contains_key(&dp) {
+            Some(MigrateError::AlreadyMigrating(dp))
+        } else if !self.touch.contains_key(&dp)
+            && self.shards[from as usize].intended_hashes(dp).is_none()
         {
+            Some(MigrateError::UnknownSwitch(dp))
+        } else {
+            let shard = ShardId(from);
+            (from == to.0).then_some(MigrateError::SameShard { dp, shard })
+        };
+        if let Some(e) = refusal {
             self.overlay.migration_aborts += 1;
             self.obs.inc(Ctr::MigrationsAborted);
-            return Err(MigrateError::UnknownSwitch(dp));
-        }
-        if from == to.0 {
-            self.overlay.migration_aborts += 1;
-            self.obs.inc(Ctr::MigrationsAborted);
-            return Err(MigrateError::SameShard {
-                dp,
-                shard: ShardId(from),
-            });
+            return Err(e);
         }
         self.journal.append(&JournalRecord::MigrateBegin {
             dp,
@@ -395,6 +388,12 @@ impl FabricCoordinator {
             .map(|r| r.tenant_usage(tenant))
             .sum::<u32>()
             + queued
+    }
+
+    /// The shards owning `footprint`'s switches, ascending.
+    fn involved(&self, footprint: &Footprint) -> Vec<u32> {
+        let shards = footprint.switches().map(|dp| self.assign.shard_of(dp));
+        shards.collect::<BTreeSet<u32>>().into_iter().collect()
     }
 
     /// One prepare-and-commit attempt for `x`.
@@ -497,10 +496,11 @@ impl FabricCoordinator {
     /// every message, so the common case — no job finished, nothing
     /// cross-shard in flight — must touch nothing.
     fn settle(&mut self) {
-        let subs = self.shards.iter().chain(std::iter::once(&self.coord));
-        let grew = subs
-            .zip(&self.harvested)
-            .any(|(src, &seen)| src.reports().len() > seen);
+        let grew = self
+            .shards
+            .iter()
+            .chain(std::iter::once(&self.coord))
+            .any(|src| !src.reports().is_empty());
         if !grew && self.xactive.is_empty() {
             return;
         }
@@ -523,12 +523,12 @@ impl FabricCoordinator {
     }
 
     fn harvest(&mut self) {
-        let n = self.shards.len();
-        for i in 0..=n {
-            let src = if i < n { &self.shards[i] } else { &self.coord };
-            self.reports
-                .extend_from_slice(&src.reports()[self.harvested[i]..]);
-            self.harvested[i] = src.reports().len();
+        for src in self
+            .shards
+            .iter_mut()
+            .chain(std::iter::once(&mut self.coord))
+        {
+            self.reports.extend(src.take_reports());
         }
     }
 
@@ -575,12 +575,7 @@ impl RuntimeHandle for FabricCoordinator {
         for dp in footprint.switches() {
             *self.touch.entry(dp).or_insert(0) += 1;
         }
-        let involved: Vec<u32> = footprint
-            .switches()
-            .map(|dp| self.assign.shard_of(dp))
-            .collect::<BTreeSet<u32>>()
-            .into_iter()
-            .collect();
+        let involved = self.involved(&footprint);
         let migrating = footprint
             .switches()
             .any(|dp| self.migrations.contains_key(&dp));
@@ -658,7 +653,7 @@ impl RuntimeHandle for FabricCoordinator {
     fn poll(&mut self, now: SimTime) -> Vec<CtrlOutput> {
         let mut out = Vec::new();
         for s in &mut self.shards {
-            out.extend(s.poll(now));
+            s.poll_into(now, &mut out);
         }
         // commit any migration whose source shard just drained, so the
         // retries below land on the new owner
@@ -668,13 +663,7 @@ impl RuntimeHandle for FabricCoordinator {
         for mut x in parked {
             // a committed migration may have rehomed part of the
             // footprint while this update was parked
-            x.involved = x
-                .footprint
-                .switches()
-                .map(|dp| self.assign.shard_of(dp))
-                .collect::<BTreeSet<u32>>()
-                .into_iter()
-                .collect();
+            x.involved = self.involved(&x.footprint);
             if x.deadline.is_some_and(|d| now > d) {
                 self.journal
                     .append(&JournalRecord::Aborted { id: x.id, at: now });
@@ -698,20 +687,19 @@ impl RuntimeHandle for FabricCoordinator {
                 Attempt::Blocked => self.xqueue.push_back(x),
             }
         }
-        let coord_out = self.coord.poll(now);
-        self.mirror(&coord_out);
-        out.extend(coord_out);
+        let start = out.len();
+        self.coord.poll_into(now, &mut out);
+        self.mirror(&out[start..]);
         self.settle();
         out
     }
 
     fn on_message(&mut self, now: SimTime, from: DpId, env: &Envelope) -> Vec<CtrlOutput> {
         // xids name their owning runtime by range
-        let xid = env.xid.0;
-        let out = if xid >= COORD_XID_BASE {
-            let o = self.coord.on_message(now, from, env);
-            self.mirror(&o);
-            o
+        let (xid, mut out) = (env.xid.0, Vec::new());
+        if xid >= COORD_XID_BASE {
+            self.coord.on_message_into(now, from, env, &mut out);
+            self.mirror(&out);
         } else {
             let idx = (xid / SHARD_XID_STRIDE) as usize;
             let i = if idx >= 1 && idx - 1 < self.shards.len() {
@@ -721,8 +709,8 @@ impl RuntimeHandle for FabricCoordinator {
                 // of the sending switch decides what to do with it
                 self.assign.shard_of(from) as usize
             };
-            self.shards[i].on_message(now, from, env)
-        };
+            self.shards[i].on_message_into(now, from, env, &mut out);
+        }
         self.settle();
         out
     }
@@ -777,7 +765,8 @@ impl RuntimeHandle for FabricCoordinator {
         let mut pending_acks = 0;
         let mut journal_len = self.journal.len();
         let mut shard_rows = Vec::with_capacity(self.shards.len());
-        for (i, sub) in self.shards.iter().enumerate() {
+        // the shards, then the coordinator runtime (no shard row)
+        for (i, sub) in self.shards.iter().chain([&self.coord]).enumerate() {
             let r = sub.status_report();
             pending_acks += r.pending_acks;
             journal_len += r.journal_len;
@@ -785,24 +774,18 @@ impl RuntimeHandle for FabricCoordinator {
             for sw in r.switches {
                 switches.entry(sw.dp).or_insert(sw);
             }
-            let owned = self
-                .touch
-                .keys()
-                .filter(|&&dp| self.assign.shard_of(dp) as usize == i)
-                .count();
-            shard_rows.push(ShardStatus {
-                shard: i as u32,
-                queued: r.queued,
-                active: r.active,
-                switches: owned,
-            });
-        }
-        let rc = self.coord.status_report();
-        pending_acks += rc.pending_acks;
-        journal_len += rc.journal_len;
-        quarantined.extend(rc.quarantined.iter().copied());
-        for sw in rc.switches {
-            switches.entry(sw.dp).or_insert(sw);
+            if i < self.shards.len() {
+                let owned = self
+                    .touch
+                    .keys()
+                    .filter(|&&dp| self.assign.shard_of(dp) as usize == i);
+                shard_rows.push(ShardStatus {
+                    shard: i as u32,
+                    queued: r.queued,
+                    active: r.active,
+                    switches: owned.count(),
+                });
+            }
         }
         let mut usage: BTreeMap<TenantId, u32> = BTreeMap::new();
         for sub in self.shards.iter().chain(std::iter::once(&self.coord)) {
@@ -890,7 +873,6 @@ impl RuntimeHandle for FabricCoordinator {
         self.xqueue.clear();
         self.xactive.clear();
         self.reports.clear();
-        self.harvested.iter_mut().for_each(|c| *c = 0);
         self.touch.clear();
         self.migrations.clear();
         self.overlay = RuntimeStats::default();
@@ -967,12 +949,7 @@ impl RuntimeHandle for FabricCoordinator {
                 continue;
             }
             let footprint = Footprint::of(&update);
-            let involved: Vec<u32> = footprint
-                .switches()
-                .map(|dp| self.assign.shard_of(dp))
-                .collect::<BTreeSet<u32>>()
-                .into_iter()
-                .collect();
+            let involved = self.involved(&footprint);
             match x.coord {
                 Some(cid) => {
                     if self.coord.job_in_flight(cid) {

@@ -1,46 +1,39 @@
 //! The controller runtime: one core, two configurations.
 //!
 //! Every update the controller executes is driven by a
-//! [`ConcurrentRuntime`]. It is built from four parts:
+//! [`ConcurrentRuntime`], built from:
 //!
-//! * [`conflict`] — footprint extraction from compiled updates and the
-//!   dynamic conflict graph: footprint-disjoint updates commute, so
-//!   they execute concurrently; overlapping ones queue behind their
-//!   conflict set (ez-Segway's independence insight at flow
-//!   granularity);
+//! * [`conflict`] — footprint extraction and the dynamic conflict
+//!   graph: footprint-disjoint updates commute, so they execute
+//!   concurrently; overlapping ones queue behind their conflict set
+//!   (ez-Segway's independence insight at flow granularity);
 //! * [`admission`] — a bounded two-lane queue with explicit shedding
-//!   policies (reject-new / drop-oldest, High/Normal priority lanes),
-//!   surfaced through the REST layer as structured backpressure;
-//! * [`rto`] — per-switch adaptive retransmission timeouts (EWMA
-//!   RTT + variance, exponential backoff, straggler detection);
+//!   policies, surfaced through the REST layer as backpressure;
+//! * [`rto`] — per-switch adaptive retransmission timeouts;
 //! * [`dispatch`] — the scheduler driving many clock-free
-//!   [`RoundExecutor`](crate::executor::RoundExecutor)s over the
-//!   shared channel. It owns the two things no other layer may
-//!   duplicate: *time* (the per-switch timers are the only
-//!   retransmission engine) and *reply matching* (a barrier reply is
-//!   matched to a transmission in exactly one place, the
-//!   `(switch, xid)` route table).
+//!   [`RoundExecutor`](crate::executor::RoundExecutor)s over the shared
+//!   channel. It owns what no other layer may duplicate: *time* (the
+//!   per-slot timers, `timers.rs`) and *reply matching* (the xid-indexed
+//!   route table, `routes.rs`).
 //!
 //! The two configurations are values of [`RuntimeConfig`]: the default
 //! (many updates in flight, adaptive timers, quarantine, a bounded
 //! queue) and [`RuntimeConfig::serial`] — the paper's "message queue …
-//! processed one at a time": one execution slot, a fixed timeout, no
-//! quarantine, a queue that never refuses. The sharded
-//! [`FabricCoordinator`] composes several runtimes behind the same
-//! [`RuntimeHandle`], which is what the simulator, the experiments, the
-//! REST layer and the benchmark driver hold. Submissions go through
-//! the [`submit`] module's [`SubmitRequest`] → [`SubmitTicket`]
-//! surface; the positional `submit(update, now, priority)` form
-//! survives as a convenience wrapper.
+//! processed one at a time". The sharded [`FabricCoordinator`] composes
+//! several runtimes behind the same [`RuntimeHandle`], which is what the
+//! simulator, the experiments, the REST layer and the benchmark driver
+//! hold. Submissions go through [`SubmitRequest`] → [`SubmitTicket`].
 
 pub mod admission;
 pub mod conflict;
 pub mod dispatch;
 pub mod fabric;
 pub mod journal;
+pub(crate) mod routes;
 pub mod rto;
 pub mod seat;
 pub mod submit;
+pub(crate) mod timers;
 
 pub use admission::{AdmissionPolicy, AdmitOutcome, Priority, RejectReason};
 pub use conflict::{ConflictGraph, FlowClass, Footprint, JobId};

@@ -53,6 +53,13 @@ impl Default for RtoConfig {
     }
 }
 
+/// `base` doubled per retransmission after the first transmission,
+/// capped at `max` — monotone in `base`.
+pub(crate) fn backoff(base: SimDuration, attempts: u32, max: SimDuration) -> SimDuration {
+    let shift = attempts.saturating_sub(1).min(16);
+    base.saturating_mul(1u64 << shift).min(max)
+}
+
 /// One switch's estimator state (integer nanosecond arithmetic; the
 /// shifts are the classic 1/8 and 1/4 gains).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,12 +131,7 @@ impl RtoTable {
     /// RTO after `attempts` transmissions of the same barrier:
     /// exponential backoff, capped at [`RtoConfig::max`].
     pub fn backoff(&self, dp: DpId, attempts: u32) -> SimDuration {
-        let base = self.rto(dp).as_nanos();
-        let shift = attempts.saturating_sub(1).min(16);
-        SimDuration::from_nanos(
-            base.saturating_mul(1u64 << shift)
-                .min(self.config.max.as_nanos()),
-        )
+        backoff(self.rto(dp), attempts, self.config.max)
     }
 
     /// Remove and return a switch's raw estimator state

@@ -22,7 +22,9 @@
 //! frames injected by the fault-injecting channel must never panic or
 //! be silently misparsed.
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
+/// The buffer [`try_encode_into`] appends to.
+pub use bytes::BytesMut;
 use std::fmt;
 
 use crate::messages::Envelope;
