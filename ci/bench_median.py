@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Merge several exports of one experiment into their per-record medians.
 
-    ci/bench_median.py run1.json run2.json ... > BENCH_PR3.json
+    ci/bench_median.py run1.json run2.json ... > BENCH_E3.json
 
 Records are matched by position (every run of a deterministic sweep
 emits the same records in the same order); `ms` becomes the median

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Fail CI if a deleted controller API reappears anywhere: the
-# pre-fabric submission surface and the stand-alone serial controller.
-# No file — not even their former defining sites — may mention these
-# names:
+# Fail CI if a deleted API reappears in any Rust source: the
+# pre-fabric submission surface, the stand-alone serial controller and
+# the schedule verifiers nothing called. No file — not even their
+# former defining sites — may mention these names:
 #
 #   World::with_runtime        -> World::builder(..).{concurrent,fabric,runtime_handle}
 #   World::submit_update       -> World::submit(SubmitRequest::new(update))
@@ -13,19 +13,26 @@
 #   Controller::new(ControllerConfig)
 #                              -> ConcurrentRuntime::new(RuntimeConfig::serial(exec))
 #   WorldBuilder::serial()     -> the builder's default; World::new(topo, cfg)
+#   the parallel, sharded and sampled schedule verifiers —
+#   verify_schedule_{parallel,sharded}, check_round_{sampled}, the
+#   shard split ({split_,Split}{s,S}chedule, {round_o,RoundO}wner) and
+#   Sharded{Report}
+#                              -> checker::verify_schedule before submit
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PATTERN='\b(UpdateRuntime|with_runtime|submit_update|runtime_stats|set_switch_channel|clear_switch_channel)\b|ControllerConfig|Controller::new|\.serial\(\)'
+PATTERN+='|\bverify_schedule_(parallel|sharded)\b|\bcheck_round_(sampled)\b'
+PATTERN+='|\b(split_s|SplitS)chedule\b|\b(round_o|RoundO)wner\b|\bSharded(Report)\b'
 
 hits=$(find . -name '*.rs' -not -path './target/*' -not -path './shims/*' -print0 |
     xargs -0 grep -nE "$PATTERN" || true)
 
 if [ -n "$hits" ]; then
-    echo "error: a deleted controller API must not come back:" >&2
+    echo "error: a deleted API must not come back:" >&2
     echo "$hits" >&2
     echo >&2
     echo "Use the replacements documented in README.md (Deleted APIs)." >&2
     exit 1
 fi
-echo "lint_deprecated: no trace of the deleted controller APIs"
+echo "lint_deprecated: no trace of the deleted APIs"

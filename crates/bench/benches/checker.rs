@@ -1,14 +1,12 @@
 //! Micro-benchmark: transient verification cost — the stateless
-//! verifier against the incremental (cross-round session) and
-//! parallel engines on the same schedules.
+//! verifier against the incremental (cross-round session) engine on
+//! the same schedules.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use sdn_topo::builders::figure1;
 use update_core::algorithms::{Peacock, SlfGreedy, UpdateScheduler, WayUp};
-use update_core::checker::{
-    verify_schedule, verify_schedule_incremental, verify_schedule_parallel,
-};
+use update_core::checker::{verify_schedule, verify_schedule_incremental};
 use update_core::model::UpdateInstance;
 use update_core::properties::PropertySet;
 
@@ -72,16 +70,6 @@ fn bench_checker(c: &mut Criterion) {
                 black_box(&big_inst),
                 black_box(&big_sched),
                 PropertySet::loop_free_strong(),
-            )
-        })
-    });
-    c.bench_function("checker/verify_reversal256_slf_parallel2", |b| {
-        b.iter(|| {
-            verify_schedule_parallel(
-                black_box(&big_inst),
-                black_box(&big_sched),
-                PropertySet::loop_free_strong(),
-                2,
             )
         })
     });

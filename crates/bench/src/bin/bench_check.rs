@@ -1,23 +1,23 @@
 //! `bench_check` — the CI perf-regression gate.
 //!
 //! Compares a fresh `exp_rounds_scaling` JSON export against a
-//! committed baseline (`BENCH_PR3.json` et seq.) and exits non-zero
-//! when any per-schedule timing regressed beyond the noise threshold.
-//! Run by the `bench-regression` job in `.github/workflows/ci.yml`:
+//! committed baseline (`BENCH_E3.json`) and exits non-zero when any
+//! per-schedule timing regressed beyond the noise threshold. Run by
+//! the `bench-smoke` job in `.github/workflows/ci.yml`:
 //!
 //! ```text
 //! cargo run --release -p sdn-bench --bin exp_rounds_scaling -- \
 //!     --max-n 512 --json-out bench_current.json
 //! cargo run --release -p sdn-bench --bin bench_check -- \
-//!     --baseline BENCH_PR3.json --current bench_current.json
+//!     --baseline BENCH_E3.json --current bench_current.json
 //! ```
 //!
 //! Flags: `--baseline PATH` (required), `--current PATH` (required),
 //! `--threshold X` (default 3.0 — generous, CI runners are noisy),
 //! `--floor-ms MS` (default 5.0 — sub-floor rows never fail).
 
-use sdn_bench::json::Json;
 use sdn_bench::regression::{compare, records_of, Verdict};
+use sdn_ctrl::rest::json;
 
 fn die(msg: &str) -> ! {
     eprintln!("bench_check: {msg}");
@@ -28,7 +28,7 @@ fn die(msg: &str) -> ! {
 fn load(path: &str) -> Vec<sdn_bench::regression::BenchRecord> {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-    let doc = Json::parse(&text).unwrap_or_else(|e| die(&format!("cannot parse {path}: {e}")));
+    let doc = json::parse(&text).unwrap_or_else(|e| die(&format!("cannot parse {path}: {e}")));
     records_of(&doc).unwrap_or_else(|e| die(&format!("bad export {path}: {e}")))
 }
 

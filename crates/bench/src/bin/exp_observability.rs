@@ -35,8 +35,9 @@ use sdn_bench::workload::{
     assignment, disjoint_flows, install_and_compile, makespan_ms, patient_runtime, probe_flows,
     shard_runtime, FLOW_LEN, PER_SHARD_ACTIVE,
 };
-use sdn_bench::{Export, Json, Record};
+use sdn_bench::{Export, Record};
 use sdn_channel::config::ChannelConfig;
+use sdn_ctrl::rest::json::{self, Json};
 use sdn_ctrl::runtime::{FabricConfig, FabricCoordinator, RuntimeConfig, SubmitRequest};
 use sdn_obs::{prometheus, Ctr, DumpReason, HistId, Obs};
 use sdn_sim::chaos::FaultKind;
@@ -112,10 +113,10 @@ fn run_load(
 }
 
 /// Parse one dump document and check the documented schema.
-fn check_dump_schema(json: &str) {
-    let doc = Json::parse(json).expect("dump must be valid JSON");
+fn check_dump_schema(dump: &str) {
+    let doc = json::parse(dump).expect("dump must be valid JSON");
     for key in ["reason", "shard", "at_ns", "dropped", "events"] {
-        assert!(doc.get(key).is_some(), "dump missing key {key:?}: {json}");
+        assert!(doc.get(key).is_some(), "dump missing key {key:?}: {dump}");
     }
     match doc.get("events") {
         Some(Json::Arr(events)) => {

@@ -25,17 +25,17 @@
 //! * `--max-n <N>` — cap the workload sizes (CI smoke uses 256, the
 //!   CI regression gate 512; default 4096).
 //! * `--json` — additionally write machine-readable records to
-//!   `BENCH_PR3.json`; `--json-out <PATH>` writes them to PATH
-//!   instead. CI's `bench-regression` job compares such records
-//!   against the committed `BENCH_PR3.json` (per-record medians of
+//!   `BENCH_E3.json`; `--json-out <PATH>` writes them to PATH
+//!   instead. CI's `bench-smoke` job compares such records
+//!   against the committed `BENCH_E3.json` (per-record medians of
 //!   five runs, see EXPERIMENTS.md) via the `bench_check` binary.
 
 use std::time::Instant;
 
-use sdn_bench::json::Json;
 use sdn_bench::stats::Summary;
 use sdn_bench::table::{f2, Table};
 use sdn_bench::Export;
+use sdn_ctrl::rest::json::Json;
 use sdn_types::DetRng;
 use update_core::algorithms::{Peacock, SlfGreedy, TwoPhaseCommit, UpdateScheduler, WayUp};
 use update_core::checker::verify_schedule_incremental;
@@ -108,7 +108,7 @@ fn main() {
                     .expect("--max-n needs a number");
             }
             "--json" => {
-                json_path = Some("BENCH_PR3.json".to_string());
+                json_path = Some("BENCH_E3.json".to_string());
             }
             "--json-out" => {
                 json_path = Some(args.next().expect("--json-out needs a path"));
@@ -399,8 +399,8 @@ fn main() {
 
     // The acceptance bar this experiment guards: every schedule — and
     // every whole-schedule verification — within its scale-aware
-    // budget, including the full n=4096 reversal. The CI bench smoke
-    // and the bench-regression gate run this binary in release mode,
+    // budget, including the full n=4096 reversal. CI's regression gate
+    // (in the bench smoke) runs this binary in release mode,
     // so a scaling regression in the cross-round session or the
     // incremental verifier fails the build; debug builds assert the
     // same budgets, widened 40×.
@@ -430,7 +430,7 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let mut export = Export::new("rounds_scaling").header("max_n", Json::Int(max_n as i64));
+        let mut export = Export::new("rounds_scaling").header("max_n", Json::Num(max_n as f64));
         for r in &records {
             export.push(
                 sdn_bench::Record::new(r.workload, r.algo, r.n, r.ms)

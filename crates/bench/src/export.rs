@@ -7,11 +7,14 @@
 //! — the key the `bench_check` regression gate joins on), carries the
 //! value in its unit (`ms`), and takes experiment-specific extras as
 //! ride-along fields the gate ignores. [`Export`] assembles the
-//! document (`experiment`, `source`, `unit`, headers, `records`) and
-//! writes it; the gate reads fields by key, so the committed
-//! `BENCH_PR*.json` baselines stay comparable unchanged.
+//! document (`experiment`, `source`, `unit`, headers, `records`) as a
+//! REST [`Json`] value, whose objects render with their keys sorted,
+//! and writes it; the gate reads fields by key, so the committed
+//! `BENCH_E3.json` baseline stays comparable unchanged.
 
-use crate::json::Json;
+use std::collections::BTreeMap;
+
+use sdn_ctrl::rest::json::Json;
 
 /// One measurement in the shared export schema.
 #[derive(Debug, Clone)]
@@ -26,7 +29,7 @@ pub struct Record {
     /// The measured *value*, in the export's unit (milliseconds —
     /// virtual or wall, per experiment; see its `unit` header).
     pub ms: f64,
-    /// Experiment-specific extra fields, appended after the shared
+    /// Experiment-specific extra fields, rendered beside the shared
     /// ones; the regression gate never reads them.
     pub extras: Vec<(String, Json)>,
 }
@@ -51,12 +54,12 @@ impl Record {
 
     /// Render to the shared JSON shape.
     pub fn json(&self) -> Json {
-        let mut fields = vec![
-            ("workload".to_string(), Json::str(self.workload.clone())),
-            ("algo".to_string(), Json::str(self.algo.clone())),
-            ("n".to_string(), Json::Int(self.n as i64)),
+        let mut fields = BTreeMap::from([
+            ("workload".to_string(), Json::Str(self.workload.clone())),
+            ("algo".to_string(), Json::Str(self.algo.clone())),
+            ("n".to_string(), Json::Num(self.n as f64)),
             ("ms".to_string(), Json::Num(self.ms)),
-        ];
+        ]);
         fields.extend(self.extras.iter().cloned());
         Json::Obj(fields)
     }
@@ -96,19 +99,19 @@ impl Export {
 
     /// The assembled document.
     pub fn doc(&self) -> Json {
-        let mut fields = vec![
-            ("experiment".to_string(), Json::str(self.experiment.clone())),
+        let mut fields = BTreeMap::from([
+            ("experiment".to_string(), Json::Str(self.experiment.clone())),
             (
                 "source".to_string(),
-                Json::str(format!("exp_{} --json", self.experiment)),
+                Json::Str(format!("exp_{} --json", self.experiment)),
             ),
-            ("unit".to_string(), Json::str("ms")),
-        ];
+            ("unit".to_string(), Json::Str("ms".to_string())),
+        ]);
         fields.extend(self.headers.iter().cloned());
-        fields.push((
+        fields.insert(
             "records".to_string(),
             Json::Arr(self.records.iter().map(Record::json).collect()),
-        ));
+        );
         Json::Obj(fields)
     }
 
@@ -117,7 +120,7 @@ impl Export {
     /// print — library code never prints (`ci/lint_prints.sh`).
     #[must_use = "print the summary so the CLI reports what it wrote"]
     pub fn write(&self, path: &str) -> String {
-        std::fs::write(path, format!("{}\n", self.doc())).expect("write json export");
+        std::fs::write(path, format!("{}\n", self.doc().render())).expect("write json export");
         format!("wrote {} records to {path}", self.records.len())
     }
 }
@@ -149,10 +152,11 @@ pub fn tier_and_json_out(bin: &str) -> Result<(bool, Option<String>), String> {
 mod tests {
     use super::*;
     use crate::regression::records_of;
+    use sdn_ctrl::rest::json;
 
     #[test]
     fn document_carries_provenance_and_unit() {
-        let mut e = Export::new("rounds_scaling").header("max_n", Json::Int(512));
+        let mut e = Export::new("rounds_scaling").header("max_n", Json::Num(512.0));
         e.push(Record::new("reversal", "peacock", 64, 0.25).with("rounds", Json::Num(3.0)));
         let doc = e.doc();
         assert_eq!(
@@ -171,7 +175,7 @@ mod tests {
     fn regression_gate_reads_the_shared_shape() {
         let mut e = Export::new("shard_scaling");
         e.push(Record::new("disjoint", "fabric", 4, 12.5));
-        let parsed = Json::parse(&e.doc().to_string()).unwrap();
+        let parsed = json::parse(&e.doc().render()).unwrap();
         let rs = records_of(&parsed).unwrap();
         assert_eq!(rs.len(), 1);
         assert_eq!(rs[0].workload, "disjoint");
@@ -181,13 +185,13 @@ mod tests {
     }
 
     #[test]
-    fn extras_ride_after_the_shared_fields() {
+    fn extras_ride_beside_the_shared_fields() {
         let r = Record::new("w", "a", 1, 2.0)
             .with("budget_ms", Json::Num(40.0))
             .json();
         assert_eq!(
-            r.to_string(),
-            r#"{"workload":"w","algo":"a","n":1,"ms":2,"budget_ms":40}"#
+            r.render(),
+            r#"{"algo":"a","budget_ms":40,"ms":2,"n":1,"workload":"w"}"#
         );
     }
 }

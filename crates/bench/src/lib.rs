@@ -31,13 +31,11 @@
 #![warn(missing_docs)]
 
 pub mod export;
-pub mod json;
 pub mod regression;
 pub mod stats;
 pub mod table;
 pub mod workload;
 
 pub use export::{Export, Record};
-pub use json::Json;
 pub use stats::Summary;
 pub use table::Table;

@@ -2,11 +2,12 @@
 //! exports.
 //!
 //! `exp_rounds_scaling --json-out` writes per-schedule timing records
-//! (`BENCH_PR3.json`, … are committed at the workspace root). The
-//! `bench_check` binary — CI's `bench-regression` job — re-runs the experiment and compares the fresh records against
-//! a committed baseline through [`compare`]: a record regresses when
-//! its timing exceeds the baseline by more than a noise threshold
-//! (generous, default 3×) *and* an absolute floor that keeps
+//! (`BENCH_E3.json` is committed at the workspace root). The
+//! `bench_check` binary — run by CI's `bench-smoke` job — compares a
+//! fresh run's records against a committed baseline through
+//! [`compare`]: a record regresses when its timing exceeds the
+//! baseline by more than a noise threshold (generous, default 3×)
+//! *and* an absolute floor that keeps
 //! microsecond-scale jitter from failing builds. Records without a
 //! baseline counterpart (new workloads, larger n) are reported as
 //! skipped, never failed — the gate only defends numbers that were
@@ -15,7 +16,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::json::Json;
+use sdn_ctrl::rest::json::Json;
 
 /// One timing record from a bench export.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,7 +41,7 @@ impl BenchRecord {
 pub fn records_of(doc: &Json) -> Result<Vec<BenchRecord>, String> {
     let arr = doc
         .get("records")
-        .and_then(Json::as_arr)
+        .and_then(Json::as_array)
         .ok_or("document has no 'records' array")?;
     let mut out = Vec::with_capacity(arr.len());
     for (i, r) in arr.iter().enumerate() {
@@ -156,6 +157,7 @@ pub fn compare(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdn_ctrl::rest::json::parse;
 
     fn rec(workload: &str, algo: &str, n: u64, ms: f64) -> BenchRecord {
         BenchRecord {
@@ -168,14 +170,14 @@ mod tests {
 
     #[test]
     fn extracts_records_from_export() {
-        let doc = Json::parse(
+        let doc = parse(
             r#"{"experiment":"rounds_scaling","records":[
                 {"workload":"reversal","algo":"peacock","n":64,"rounds":3,"ms":0.16}]}"#,
         )
         .unwrap();
         let rs = records_of(&doc).unwrap();
         assert_eq!(rs, vec![rec("reversal", "peacock", 64, 0.16)]);
-        assert!(records_of(&Json::parse("{}").unwrap()).is_err());
+        assert!(records_of(&parse("{}").unwrap()).is_err());
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub fn check_round(
 }
 
 /// [`check_round`] with an explicit leaf budget.
-pub fn check_round_with_budget(
+fn check_round_with_budget(
     inst: &UpdateInstance,
     base: &ConfigState<'_>,
     ops: &[RuleOp],

@@ -19,16 +19,21 @@
 //!   both rule states of a pending switch the first time the walk
 //!   reaches it, so the cost is exponential only in the number of
 //!   *choices actually on the walk*.
-//! * [`exhaustive`] — brute force over all `2^|round|` subsets; used to
-//!   cross-validate the other two in tests and for small rounds.
+//! * [`exhaustive`] — brute force over all `2^|round|` subsets; the
+//!   reference the other two are cross-validated against in tests.
 //!
-//! [`verify_schedule`] orchestrates them; [`round_admissible`] exposes
-//! the same machinery as a *stateless* safety oracle, and
-//! [`incremental::AdmissionProbe`] is its stateful per-round session
-//! form: the greedy schedulers open one probe per round and grow the
-//! candidate set one operation at a time against incrementally
-//! maintained choice-graph, cycle-detection and walk state — the
-//! decisions are identical (cross-validated in
+//! Two whole-schedule verifiers run the exact per-round check (SLF
+//! through the choice graph, then the walk properties through the
+//! decision walk) and the final-configuration check:
+//! [`verify_schedule`] on every round, from scratch;
+//! [`verify_schedule_incremental`] only on the rounds a cross-round
+//! [`AdmissionProbe`] session rejects, so the two report identical
+//! violations. [`round_admissible`] exposes the per-round machinery as
+//! a *stateless* safety oracle, and [`incremental::AdmissionProbe`] is
+//! its stateful session form: the greedy schedulers open one probe per
+//! round and grow the candidate set one operation at a time against
+//! incrementally maintained choice-graph, cycle-detection and walk
+//! state — the decisions are identical (cross-validated in
 //! `tests/checker_cross_validation.rs`), the cost per probe drops from
 //! a full re-verification to amortized polylogarithmic work.
 
@@ -36,19 +41,16 @@ pub mod choice_graph;
 pub mod decision_walk;
 pub mod exhaustive;
 pub mod incremental;
-pub mod parallel;
-pub mod sampling;
 
 pub use incremental::AdmissionProbe;
 pub(crate) use incremental::Nodes;
-pub use parallel::verify_schedule_parallel;
 
 use std::fmt;
 
 use crate::config::ConfigState;
 use crate::model::UpdateInstance;
 use crate::properties::{check_config, Property, PropertySet, PropertyViolation};
-use crate::schedule::{Round, RuleOp, Schedule};
+use crate::schedule::{RuleOp, Schedule};
 
 pub use crate::properties::ViolationKind;
 
@@ -160,24 +162,7 @@ pub fn verify_schedule(
     let mut base = ConfigState::initial(inst);
     for (ri, round) in schedule.rounds.iter().enumerate() {
         report.rounds_checked += 1;
-
-        if props.contains(Property::StrongLoopFreedom) {
-            let mut sub = choice_graph::check_round_slf(inst, &base, &round.ops);
-            for v in &mut sub.violations {
-                v.round = Some(ri);
-            }
-            report.merge(sub);
-        }
-
-        let walk_props = props.without(Property::StrongLoopFreedom);
-        if !walk_props.is_empty() {
-            let mut sub = decision_walk::check_round(inst, &base, &round.ops, &walk_props);
-            for v in &mut sub.violations {
-                v.round = Some(ri);
-            }
-            report.merge(sub);
-        }
-
+        check_round_exact(inst, &base, &round.ops, ri, &props, &mut report);
         base.apply_all(&round.ops);
     }
 
@@ -185,7 +170,34 @@ pub fn verify_schedule(
     report
 }
 
-/// Final-configuration checks shared by every whole-schedule verifier:
+/// The exact check of round `ri` on `base`, merged into `report`:
+/// strong loop freedom through [`choice_graph::check_round_slf`], then
+/// the walk properties through [`decision_walk::check_round`], every
+/// violation stamped with the round index.
+fn check_round_exact(
+    inst: &UpdateInstance,
+    base: &ConfigState<'_>,
+    ops: &[RuleOp],
+    ri: usize,
+    props: &PropertySet,
+    report: &mut CheckReport,
+) {
+    let mut merge = |mut sub: CheckReport| {
+        for v in &mut sub.violations {
+            v.round = Some(ri);
+        }
+        report.merge(sub);
+    };
+    if props.contains(Property::StrongLoopFreedom) {
+        merge(choice_graph::check_round_slf(inst, base, ops));
+    }
+    let walk_props = props.without(Property::StrongLoopFreedom);
+    if !walk_props.is_empty() {
+        merge(decision_walk::check_round(inst, base, ops, &walk_props));
+    }
+}
+
+/// Final-configuration checks shared by both whole-schedule verifiers:
 /// all properties must hold, and the packet must follow the *new*
 /// route (policy conformance).
 fn final_config_checks(
@@ -216,79 +228,25 @@ fn final_config_checks(
     }
 }
 
-/// Verify a contiguous run of rounds through one cross-round
-/// [`AdmissionProbe`] session opened on `base`, reporting violations
-/// with round indices offset by `first_round`.
-///
-/// Each round's operations are pushed into the session one by one. If
-/// every push is admitted, the round as a whole is exactly safe (the
-/// admitted set *is* the round). If any push is rejected, the round is
-/// provably unsafe — a round's transient states are all subsets of its
-/// operation set, so the subset that made the push inadmissible is a
-/// transient state of the full round too — and the stateless engines
-/// re-check that round from scratch to reconstruct the exact violation
-/// witnesses. Either way the session then advances past the *full*
-/// round (violating schedules apply their rounds regardless), reusing
-/// the maintained topological order, touched sets and reach caches.
-pub(crate) fn check_rounds_incremental(
-    inst: &UpdateInstance,
-    rounds: &[Round],
-    first_round: usize,
-    base: &ConfigState<'_>,
-    props: &PropertySet,
-) -> CheckReport {
-    let mut report = CheckReport::default();
-    let mut session = AdmissionProbe::open(inst, base, *props, OracleMode::Exact);
-    for (k, round) in rounds.iter().enumerate() {
-        let ri = first_round + k;
-        report.rounds_checked += 1;
-        let mut admitted = true;
-        for &op in &round.ops {
-            if !session.try_push(op) {
-                admitted = false;
-                break;
-            }
-        }
-        if !admitted {
-            // Slow path (violating round): reconstruct exact witnesses
-            // with the stateless engines, exactly as `verify_schedule`
-            // would.
-            if props.contains(Property::StrongLoopFreedom) {
-                let mut sub = choice_graph::check_round_slf(inst, session.base(), &round.ops);
-                for v in &mut sub.violations {
-                    v.round = Some(ri);
-                }
-                report.merge(sub);
-            }
-            let walk_props = props.without(Property::StrongLoopFreedom);
-            if !walk_props.is_empty() {
-                let mut sub =
-                    decision_walk::check_round(inst, session.base(), &round.ops, &walk_props);
-                for v in &mut sub.violations {
-                    v.round = Some(ri);
-                }
-                report.merge(sub);
-            }
-        }
-        session.advance(&round.ops);
-    }
-    // Probes are the incremental analogue of examined configurations.
-    report.configs_checked += session.probes();
-    report.budget_exhausted |= session.walk_budget_exhausted();
-    report
-}
-
 /// Incremental whole-schedule verification: round-to-round state reuse
 /// instead of `verify_schedule`'s per-round rebuilds.
 ///
 /// One exact-mode [`AdmissionProbe`] session is carried across the
-/// whole schedule; the per-round cost is proportional to the round's
-/// deltas (plus walk re-exploration where the round actually touches
-/// the walk), so verifying an n-round schedule costs O(total deltas ·
-/// polylog) instead of O(rounds × n). Violating rounds fall back to
-/// the stateless engines for exact witness reconstruction, which makes
-/// the reported violations **identical** to [`verify_schedule`]'s —
-/// the stateless verifier remains the cross-validation reference
+/// whole schedule. Each round's operations are pushed into it one by
+/// one. If every push is admitted, the round as a whole is exactly safe
+/// (the admitted set *is* the round). If any push is rejected, the
+/// round is provably unsafe — a round's transient states are all
+/// subsets of its operation set, so the subset that made the push
+/// inadmissible is a transient state of the full round too — and the
+/// round is re-checked by the stateless engines to reconstruct the
+/// exact violation witnesses, which makes the reported violations
+/// **identical** to [`verify_schedule`]'s. Either way the session then
+/// advances past the *full* round (violating schedules apply their
+/// rounds regardless), reusing the maintained topological order,
+/// touched sets and reach caches, so verifying an n-round schedule
+/// costs O(total deltas · polylog) instead of O(rounds × n).
+///
+/// The stateless verifier remains the cross-validation reference
 /// (`checker_cross_validation.rs`). `configs_checked` counts probe
 /// evaluations rather than explored leaves, so only the verdict and
 /// violations are comparable between the two verifiers.
@@ -302,15 +260,19 @@ pub fn verify_schedule_incremental(
         report.structural_error = Some(e.to_string());
         return report;
     }
-    let base = ConfigState::initial(inst);
-    let sub = check_rounds_incremental(inst, &schedule.rounds, 0, &base, &props);
-    report.rounds_checked = sub.rounds_checked;
-    report.merge(sub);
-    let mut final_base = base;
-    for round in &schedule.rounds {
-        final_base.apply_all(&round.ops);
+    let initial = ConfigState::initial(inst);
+    let mut session = AdmissionProbe::open(inst, &initial, props, OracleMode::Exact);
+    for (ri, round) in schedule.rounds.iter().enumerate() {
+        report.rounds_checked += 1;
+        if !round.ops.iter().all(|&op| session.try_push(op)) {
+            check_round_exact(inst, session.base(), &round.ops, ri, &props, &mut report);
+        }
+        session.advance(&round.ops);
     }
-    final_config_checks(inst, &final_base, &props, &mut report);
+    // Probes are the incremental analogue of examined configurations.
+    report.configs_checked += session.probes();
+    report.budget_exhausted |= session.walk_budget_exhausted();
+    final_config_checks(inst, session.base(), &props, &mut report);
     report
 }
 
@@ -474,5 +436,80 @@ mod tests {
         );
         let r = verify_schedule(&i, &s, PropertySet::transiently_secure());
         assert!(r.to_string().starts_with("OK"));
+    }
+
+    /// Every scheduler's schedule on two instances, verified by both
+    /// whole-schedule verifiers: rounds, configurations, budget flag
+    /// (stateless/incremental) and the text of every violation.
+    fn golden_report() -> String {
+        use crate::algorithms::{
+            OneShot, Peacock, SlfGreedy, TwoPhaseCommit, UpdateScheduler, WayUp,
+        };
+        use std::fmt::Write;
+
+        let rev = sdn_topo::gen::reversal(8);
+        let rev = UpdateInstance::new(rev.old, rev.new, None).unwrap();
+        let wp = sdn_topo::gen::waypointed(11, true, &mut sdn_types::DetRng::new(0x77));
+        let wp = UpdateInstance::new(wp.old, wp.new, wp.waypoint).unwrap();
+        let relaxed = ("relaxed", PropertySet::loop_free_relaxed());
+        let strong = ("strong", PropertySet::loop_free_strong());
+        let secure = ("secure", PropertySet::transiently_secure());
+        let all = ("all", PropertySet::all());
+        type Case<'a> = (
+            &'a str,
+            &'a dyn UpdateScheduler,
+            &'a [(&'a str, PropertySet)],
+        );
+        let schedulers: [Case<'_>; 5] = [
+            ("oneshot", &OneShot, &[relaxed, all]),
+            ("two-phase", &TwoPhaseCommit, &[all]),
+            ("slf-greedy", &SlfGreedy::default(), &[strong]),
+            ("peacock", &Peacock::default(), &[relaxed]),
+            ("wayup", &WayUp::default(), &[secure, all]),
+        ];
+        let mut out = String::new();
+        for (iname, inst) in [("reversal8", &rev), ("waypointed11", &wp)] {
+            for (sname, scheduler, prop_sets) in schedulers {
+                let s = match scheduler.schedule(inst) {
+                    Ok(s) => s,
+                    Err(e) => {
+                        writeln!(out, "{iname} {sname}: {e}").unwrap();
+                        continue;
+                    }
+                };
+                for &(pname, props) in prop_sets {
+                    let a = verify_schedule(inst, &s, props);
+                    let b = verify_schedule_incremental(inst, &s, props);
+                    assert_eq!(a.violations, b.violations, "{iname} {sname} {pname}");
+                    writeln!(
+                        out,
+                        "{iname} {sname} {pname}: rounds {}/{} configs {}/{} budget {}/{}",
+                        a.rounds_checked,
+                        b.rounds_checked,
+                        a.configs_checked,
+                        b.configs_checked,
+                        a.budget_exhausted,
+                        b.budget_exhausted
+                    )
+                    .unwrap();
+                    for v in &a.violations {
+                        writeln!(out, "  {v}").unwrap();
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Recorded before the checker's entry points were consolidated;
+    /// a refactor of either verifier must leave every line alone.
+    #[test]
+    fn golden_verifier_counts() {
+        let got = golden_report();
+        let want = include_str!("verifier_golden.txt");
+        for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+            assert_eq!(g, w, "verifier_golden.txt line {}", i + 1);
+        }
+        assert_eq!(got.lines().count(), want.lines().count());
     }
 }

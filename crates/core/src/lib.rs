@@ -49,9 +49,6 @@ pub mod schedule;
 pub use algorithms::{OneShot, Peacock, SlfGreedy, TwoPhaseCommit, UpdateScheduler, WayUp};
 pub use checker::{verify_schedule, CheckReport, Violation};
 pub use model::{InstanceError, NodeRole, UpdateInstance};
-pub use partition::{
-    round_owner, split_schedule, verify_schedule_sharded, RoundOwner, ShardAssignment,
-    ShardedReport, SplitSchedule,
-};
+pub use partition::ShardAssignment;
 pub use properties::{Property, PropertySet};
 pub use schedule::{Round, RuleOp, Schedule, ScheduleKind};

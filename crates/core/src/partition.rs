@@ -1,45 +1,14 @@
-//! Shard partitioning of schedules and compositional verification.
+//! The switch → shard map of the sharded controller fabric
+//! (`sdn_ctrl::fabric`).
 //!
-//! The sharded controller fabric (`sdn_ctrl::fabric`) splits the
-//! switch set into shards, each with its own runtime. A round-based
-//! schedule then decomposes into **shard-pure** rounds (every
-//! operation owned by one shard) and **boundary** rounds (operations
-//! spanning shards). This module supplies the core-side half of that
-//! story:
-//!
-//! * [`ShardAssignment`] — the switch → shard map (modulo by default,
-//!   with explicit overrides for rebalancing);
-//! * [`split_schedule`] — the decomposition plus the boundary
-//!   invariant: which rounds are shard-pure, which are mixed;
-//! * [`verify_schedule_sharded`] — compositional verification in the
-//!   *Local Verification for Global Guarantees* style (Foerster &
-//!   Schmid): each shard runs its own incremental
-//!   [`AdmissionProbe`] session that exactly checks the shard's own
-//!   rounds and merely *advances* through foreign rounds (the
-//!   commit barrier guarantees those are fenced before the shard's
-//!   next round dispatches), while mixed rounds — the only places a
-//!   transient subset can span shards — are checked globally by the
-//!   stateless engines.
-//!
-//! Soundness: every per-shard session advances through **all** rounds
-//! in global order, so its base configuration entering a shard-pure
-//! round equals the global committed configuration — the local check
-//! is exactly the global check for that round. The union of per-shard
-//! violations and mixed-round violations therefore equals
-//! [`verify_schedule`](crate::checker::verify_schedule)'s verdict
-//! (cross-validated in `tests/checker_cross_validation.rs`).
+//! [`ShardAssignment`] splits the switch set into shards, each driven
+//! by its own runtime: modulo over the shard count by default, with
+//! explicit per-switch overrides layered on top for rebalancing and
+//! online migration.
 
 use std::collections::BTreeMap;
 
 use sdn_types::DpId;
-
-use crate::checker::{
-    choice_graph, decision_walk, AdmissionProbe, CheckReport, OracleMode, Violation, ViolationKind,
-};
-use crate::config::ConfigState;
-use crate::model::UpdateInstance;
-use crate::properties::{check_config, Property, PropertySet, PropertyViolation};
-use crate::schedule::{Round, Schedule};
 
 /// The switch → shard map: modulo over the shard count, with explicit
 /// per-switch overrides layered on top (the rebalancer's output).
@@ -93,226 +62,9 @@ impl ShardAssignment {
     }
 }
 
-/// Who owns a round under a [`ShardAssignment`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoundOwner {
-    /// No operations — owned by nobody, fenced by everybody.
-    Empty,
-    /// Every operation touches switches of one shard.
-    Shard(u32),
-    /// Operations span shards — a boundary round.
-    Mixed,
-}
-
-/// Classify a round: shard-pure, mixed (boundary), or empty.
-/// `FlipIngress` is owned by the shard of the instance's ingress
-/// switch.
-pub fn round_owner(inst: &UpdateInstance, round: &Round, assign: &ShardAssignment) -> RoundOwner {
-    let mut owner: Option<u32> = None;
-    for op in &round.ops {
-        let s = assign.shard_of(op.switch_on(inst));
-        match owner {
-            None => owner = Some(s),
-            Some(prev) if prev != s => return RoundOwner::Mixed,
-            Some(_) => {}
-        }
-    }
-    match owner {
-        None => RoundOwner::Empty,
-        Some(s) => RoundOwner::Shard(s),
-    }
-}
-
-/// A schedule decomposed along shard boundaries. Global round order is
-/// preserved: each entry keeps its global round index, so the fabric
-/// can re-fence sub-schedules against the coordinator's barriers.
-#[derive(Debug, Clone, Default)]
-pub struct SplitSchedule {
-    /// Per shard: the (global round index, round) pairs it owns.
-    pub per_shard: Vec<Vec<(usize, Round)>>,
-    /// Global indices of mixed (boundary) rounds, ascending.
-    pub mixed: Vec<usize>,
-    /// Global indices of empty rounds, ascending.
-    pub empty: Vec<usize>,
-}
-
-impl SplitSchedule {
-    /// Whether the schedule is confined to a single shard (no
-    /// boundary rounds and at most one shard with work).
-    pub fn single_shard(&self) -> Option<u32> {
-        if !self.mixed.is_empty() {
-            return None;
-        }
-        let mut owner = None;
-        for (s, rounds) in self.per_shard.iter().enumerate() {
-            if !rounds.is_empty() {
-                if owner.is_some() {
-                    return None;
-                }
-                owner = Some(s as u32);
-            }
-        }
-        owner
-    }
-}
-
-/// Split a schedule's rounds by owning shard (the boundary invariant:
-/// every round is either shard-pure, mixed, or empty — the three lists
-/// partition the round indices).
-pub fn split_schedule(
-    inst: &UpdateInstance,
-    schedule: &Schedule,
-    assign: &ShardAssignment,
-) -> SplitSchedule {
-    let mut out = SplitSchedule {
-        per_shard: vec![Vec::new(); assign.shards() as usize],
-        ..SplitSchedule::default()
-    };
-    for (ri, round) in schedule.rounds.iter().enumerate() {
-        match round_owner(inst, round, assign) {
-            RoundOwner::Empty => out.empty.push(ri),
-            RoundOwner::Shard(s) => out.per_shard[s as usize].push((ri, round.clone())),
-            RoundOwner::Mixed => out.mixed.push(ri),
-        }
-    }
-    out
-}
-
-/// Outcome of [`verify_schedule_sharded`]: the merged verdict plus the
-/// decomposition accounting.
-#[derive(Debug, Clone, Default)]
-pub struct ShardedReport {
-    /// The merged check report (violations carry global round indices,
-    /// identical to `verify_schedule`'s).
-    pub report: CheckReport,
-    /// Shard-pure rounds checked locally, per shard.
-    pub shard_rounds: Vec<usize>,
-    /// Boundary rounds checked globally.
-    pub mixed_rounds: usize,
-}
-
-/// Compositional verification: one exact [`AdmissionProbe`] session
-/// per shard checks that shard's pure rounds locally; mixed rounds are
-/// checked by the stateless engines against the global committed
-/// configuration; every session advances through every round in global
-/// order (the commit-barrier discipline).
-pub fn verify_schedule_sharded(
-    inst: &UpdateInstance,
-    schedule: &Schedule,
-    assign: &ShardAssignment,
-    props: PropertySet,
-) -> ShardedReport {
-    let mut out = ShardedReport {
-        shard_rounds: vec![0; assign.shards() as usize],
-        ..ShardedReport::default()
-    };
-    if let Err(e) = schedule.validate(inst) {
-        out.report.structural_error = Some(e.to_string());
-        return out;
-    }
-    let mut gbase = ConfigState::initial(inst);
-    let mut sessions: Vec<AdmissionProbe<'_>> = (0..assign.shards())
-        .map(|_| AdmissionProbe::open(inst, &gbase, props, OracleMode::Exact))
-        .collect();
-    for (ri, round) in schedule.rounds.iter().enumerate() {
-        out.report.rounds_checked += 1;
-        match round_owner(inst, round, assign) {
-            RoundOwner::Empty => {}
-            RoundOwner::Shard(s) => {
-                out.shard_rounds[s as usize] += 1;
-                let session = &mut sessions[s as usize];
-                let admitted = round.ops.iter().all(|&op| session.try_push(op));
-                if !admitted {
-                    check_round_stateless(inst, session.base(), round, ri, &props, &mut out.report);
-                }
-            }
-            RoundOwner::Mixed => {
-                out.mixed_rounds += 1;
-                check_round_stateless(inst, &gbase, round, ri, &props, &mut out.report);
-            }
-        }
-        for session in &mut sessions {
-            session.advance(&round.ops);
-        }
-        gbase.apply_all(&round.ops);
-    }
-    for session in &sessions {
-        out.report.configs_checked += session.probes();
-        out.report.budget_exhausted |= session.walk_budget_exhausted();
-    }
-    // Final-configuration checks: all properties hold, and the packet
-    // follows the new route (policy conformance) — same bar as
-    // `verify_schedule`.
-    out.report.configs_checked += 1;
-    for pv in check_config(&gbase, &props) {
-        out.report.violations.push(Violation {
-            round: None,
-            witness: Vec::new(),
-            violation: pv,
-        });
-    }
-    let final_walk = gbase.walk();
-    let expected: Vec<_> = inst.new_route().hops().to_vec();
-    if final_walk.visited != expected {
-        out.report.violations.push(Violation {
-            round: None,
-            witness: Vec::new(),
-            violation: PropertyViolation {
-                property: Property::RelaxedLoopFreedom,
-                kind: ViolationKind::BadWalk(final_walk),
-            },
-        });
-    }
-    out
-}
-
-/// Exact witness reconstruction with the stateless engines — the same
-/// fallback `verify_schedule_incremental` uses for violating rounds.
-fn check_round_stateless(
-    inst: &UpdateInstance,
-    base: &ConfigState<'_>,
-    round: &Round,
-    ri: usize,
-    props: &PropertySet,
-    report: &mut CheckReport,
-) {
-    if props.contains(Property::StrongLoopFreedom) {
-        let mut sub = choice_graph::check_round_slf(inst, base, &round.ops);
-        for v in &mut sub.violations {
-            v.round = Some(ri);
-        }
-        report.violations.extend(sub.violations);
-        report.configs_checked += sub.configs_checked;
-        report.budget_exhausted |= sub.budget_exhausted;
-    }
-    let walk_props = props.without(Property::StrongLoopFreedom);
-    if !walk_props.is_empty() {
-        let mut sub = decision_walk::check_round(inst, base, &round.ops, &walk_props);
-        for v in &mut sub.violations {
-            v.round = Some(ri);
-        }
-        report.violations.extend(sub.violations);
-        report.configs_checked += sub.configs_checked;
-        report.budget_exhausted |= sub.budget_exhausted;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{OneShot, UpdateScheduler, WayUp};
-    use crate::checker::verify_schedule;
-    use crate::schedule::RuleOp;
-    use sdn_topo::route::RoutePath;
-
-    fn inst(old: &[u64], new: &[u64], wp: Option<u64>) -> UpdateInstance {
-        UpdateInstance::new(
-            RoutePath::from_raw(old).unwrap(),
-            RoutePath::from_raw(new).unwrap(),
-            wp.map(DpId),
-        )
-        .unwrap()
-    }
 
     #[test]
     fn modulo_assignment_with_overrides() {
@@ -337,120 +89,5 @@ mod tests {
         a.set_override(DpId(6), 2);
         assert_eq!(a.shard_of(DpId(6)), 2);
         assert_eq!(a.shard_of(DpId(7)), 3, "others still modulo");
-    }
-
-    #[test]
-    fn round_owner_classifies_pure_mixed_empty() {
-        let i = inst(&[1, 2, 3], &[1, 4, 3], None);
-        let a = ShardAssignment::with_overrides(2, [(DpId(1), 0), (DpId(4), 0), (DpId(2), 1)]);
-        let pure = Round::new(vec![RuleOp::Activate(DpId(4)), RuleOp::Activate(DpId(1))]);
-        let mixed = Round::new(vec![RuleOp::Activate(DpId(4)), RuleOp::RemoveOld(DpId(2))]);
-        assert_eq!(round_owner(&i, &pure, &a), RoundOwner::Shard(0));
-        assert_eq!(round_owner(&i, &mixed, &a), RoundOwner::Mixed);
-        assert_eq!(round_owner(&i, &Round::default(), &a), RoundOwner::Empty);
-    }
-
-    #[test]
-    fn flip_ingress_is_owned_by_the_ingress_shard() {
-        let i = inst(&[1, 2, 3], &[1, 4, 3], None);
-        let a = ShardAssignment::with_overrides(2, [(DpId(1), 1)]);
-        let r = Round::new(vec![RuleOp::FlipIngress]);
-        assert_eq!(round_owner(&i, &r, &a), RoundOwner::Shard(1));
-    }
-
-    #[test]
-    fn split_partitions_every_round_exactly_once() {
-        let i = inst(&[1, 2, 3, 5], &[1, 4, 3, 5], Some(3));
-        let s = WayUp::default().schedule(&i).unwrap();
-        let a = ShardAssignment::modulo(3);
-        let split = split_schedule(&i, &s, &a);
-        let assigned: usize = split.per_shard.iter().map(Vec::len).sum();
-        assert_eq!(
-            assigned + split.mixed.len() + split.empty.len(),
-            s.rounds.len(),
-            "the three lists partition the rounds"
-        );
-        // global indices survive the split
-        for (shard, rounds) in split.per_shard.iter().enumerate() {
-            for (ri, round) in rounds {
-                assert_eq!(round_owner(&i, round, &a), RoundOwner::Shard(shard as u32));
-                assert_eq!(&s.rounds[*ri], round);
-            }
-        }
-    }
-
-    #[test]
-    fn single_shard_detection() {
-        let i = inst(&[1, 2, 3, 5], &[1, 4, 3, 5], Some(3));
-        let s = WayUp::default().schedule(&i).unwrap();
-        // everything on one shard
-        let all_one = ShardAssignment::modulo(1);
-        assert_eq!(split_schedule(&i, &s, &all_one).single_shard(), Some(0));
-        // spread across shards: not single (either mixed or multi)
-        let spread = ShardAssignment::modulo(2);
-        assert_eq!(split_schedule(&i, &s, &spread).single_shard(), None);
-    }
-
-    #[test]
-    fn sharded_verification_accepts_what_global_accepts() {
-        let i = inst(&[1, 2, 3, 5], &[1, 4, 3, 5], Some(3));
-        let s = WayUp::default().schedule(&i).unwrap();
-        let props = PropertySet::transiently_secure();
-        let global = verify_schedule(&i, &s, props);
-        assert!(global.is_ok(), "{global}");
-        for shards in [1, 2, 3] {
-            let a = ShardAssignment::modulo(shards);
-            let sharded = verify_schedule_sharded(&i, &s, &a, props);
-            assert!(
-                sharded.report.is_ok(),
-                "shards={shards}: {}",
-                sharded.report
-            );
-            assert_eq!(
-                sharded.report.rounds_checked,
-                s.rounds.len(),
-                "every round fenced"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_verification_rejects_what_global_rejects() {
-        let i = inst(&[1, 2, 3], &[1, 4, 3], None);
-        let s = OneShot.schedule(&i).unwrap();
-        let props = PropertySet::all();
-        let global = verify_schedule(&i, &s, props);
-        assert!(!global.is_ok());
-        for shards in [1, 2, 4] {
-            let a = ShardAssignment::modulo(shards);
-            let sharded = verify_schedule_sharded(&i, &s, &a, props);
-            assert!(!sharded.report.is_ok(), "shards={shards}");
-            // identical verdicts, violation for violation
-            let mut want: Vec<String> = global.violations.iter().map(|v| v.to_string()).collect();
-            let mut got: Vec<String> = sharded
-                .report
-                .violations
-                .iter()
-                .map(|v| v.to_string())
-                .collect();
-            want.sort();
-            got.sort();
-            assert_eq!(want, got, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn structural_errors_short_circuit() {
-        let i = inst(&[1, 2, 3], &[1, 4, 3], None);
-        let s = Schedule::replacement(
-            "dup",
-            vec![Round::new(vec![
-                RuleOp::Activate(DpId(4)),
-                RuleOp::Activate(DpId(4)),
-            ])],
-        );
-        let a = ShardAssignment::modulo(2);
-        let r = verify_schedule_sharded(&i, &s, &a, PropertySet::all());
-        assert!(r.report.structural_error.is_some());
     }
 }

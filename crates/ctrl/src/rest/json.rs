@@ -146,6 +146,9 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
+            // `fract()` of a non-finite value is NaN: test finiteness
+            // first, or NaN and infinity fall through as `NaN`/`inf`.
+            Json::Num(n) if !n.is_finite() => out.push_str("null"),
             Json::Num(n) => {
                 if n.fract() == 0.0 && n.abs() < 1e15 {
                     out.push_str(&format!("{}", *n as i64));
@@ -540,6 +543,7 @@ mod tests {
             parse(r#""a\"b\\c\nd\t/""#).unwrap(),
             Json::Str("a\"b\\c\nd\t/".into())
         );
+        assert_eq!(parse(r#""\u0041\tb""#).unwrap(), Json::Str("A\tb".into()));
     }
 
     #[test]
@@ -638,7 +642,7 @@ mod tests {
 
     #[test]
     fn render_roundtrip() {
-        let doc = r#"{"b":[1,2,{"c":null}],"a":"x\ny","n":-2.5,"t":true}"#;
+        let doc = r#"{"b":[1,2,{"c":null}],"a":"x\ny\"z\\","n":-2.5,"t":true}"#;
         let v = parse(doc).unwrap();
         let rendered = v.render();
         let reparsed = parse(&rendered).unwrap();
@@ -649,6 +653,13 @@ mod tests {
     fn render_integers_without_fraction() {
         assert_eq!(Json::Num(100.0).render(), "100");
         assert_eq!(Json::Num(0.5).render(), "0.5");
+    }
+
+    #[test]
+    fn render_non_finite_as_null() {
+        assert_eq!(Json::Num(f64::NAN).render(), "null");
+        assert_eq!(Json::Num(f64::INFINITY).render(), "null");
+        assert_eq!(Json::Num(f64::NEG_INFINITY).render(), "null");
     }
 
     #[test]

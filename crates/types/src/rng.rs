@@ -1,7 +1,7 @@
 //! Deterministic randomness.
 //!
 //! Every stochastic component in the workspace — channel delays, fault
-//! injection, workload generators, the sampling verifier — draws from a
+//! injection, workload generators — draws from a
 //! [`DetRng`] seeded explicitly by the experiment configuration. The
 //! same seed always reproduces the same trace, which is essential when
 //! a test asserts that a particular interleaving violates (or upholds)
