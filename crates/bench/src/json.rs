@@ -1,396 +1,65 @@
-//! Minimal JSON emission *and parsing* for machine-readable bench
-//! exports.
-//!
-//! The workspace builds offline (no serde); experiments that need to
-//! persist timings for cross-PR tracking (`exp_rounds_scaling
-//! --json`, written to `BENCH_PR3.json`) assemble a [`Json`] value and
-//! `Display` it, and the `bench_check` regression gate reads the
-//! committed baselines back through [`Json::parse`]. Only the
-//! constructs the exports use are implemented: objects, arrays,
-//! strings, numbers, booleans and null.
+//! What the bench exports need from [`sdn_ctrl::rest::json`]: export
+//! documents render as compact JSON with sorted keys, non-finite
+//! timings render as `null`, and `bench_check` reads committed
+//! baselines back through the same parser.
 
-use std::fmt;
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
 
-/// A JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// A string (escaped on output).
-    Str(String),
-    /// A finite number; NaN/infinity render as `null`.
-    Num(f64),
-    /// An integer, rendered without a decimal point.
-    Int(i64),
-    /// A boolean.
-    Bool(bool),
-    /// The null literal.
-    Null,
-    /// An ordered array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
+    use sdn_ctrl::rest::json::{parse, Json};
 
-impl Json {
-    /// Convenience string constructor.
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-
-    /// Convenience object constructor from key/value pairs.
-    pub fn obj(fields: Vec<(&str, Json)>) -> Json {
+    fn obj(fields: Vec<(&str, Json)>) -> Json {
         Json::Obj(
             fields
                 .into_iter()
                 .map(|(k, v)| (k.to_string(), v))
-                .collect(),
+                .collect::<BTreeMap<_, _>>(),
         )
     }
 
-    /// Parse a JSON document (strict enough for the bench exports;
-    /// rejects trailing garbage).
-    pub fn parse(text: &str) -> Result<Json, ParseError> {
-        let mut p = Parser {
-            text,
-            bytes: text.as_bytes(),
-            at: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.at != p.bytes.len() {
-            return Err(p.error("trailing characters after document"));
-        }
-        Ok(v)
+    fn s(v: &str) -> Json {
+        Json::Str(v.to_string())
     }
-
-    /// Object field lookup (first match; `None` on non-objects).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Numeric coercion: `Num` or `Int`.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            Json::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
-    /// String access.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Array access.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// A parse failure: byte offset plus message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Byte offset in the input.
-    pub at: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "json parse error at byte {}: {}", self.at, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-struct Parser<'a> {
-    text: &'a str,
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Parser<'_> {
-    fn error(&self, message: impl Into<String>) -> ParseError {
-        ParseError {
-            at: self.at,
-            message: message.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.at).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.at += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(self.error(format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.at..].starts_with(word.as_bytes()) {
-            self.at += word.len();
-            Ok(value)
-        } else {
-            Err(self.error(format!("expected '{word}'")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, ParseError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.error("expected a value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            fields.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b'}') => {
-                    self.at += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.error("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.at += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b']') => {
-                    self.at += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.error("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.at += 1;
-                    let esc = self.peek().ok_or_else(|| self.error("bad escape"))?;
-                    self.at += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.at..self.at + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.error("bad \\u escape"))?;
-                            self.at += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.error("unknown escape")),
-                    }
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar; `at` is always on a char
-                    // boundary by construction.
-                    let c = self.text[self.at..].chars().next().expect("non-empty");
-                    out.push(c);
-                    self.at += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, ParseError> {
-        let start = self.at;
-        if self.peek() == Some(b'-') {
-            self.at += 1;
-        }
-        let mut float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.at += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.at += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.at]).expect("ascii");
-        if !float {
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Json::Int(i));
-            }
-        }
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.error(format!("bad number '{text}'")))
-    }
-}
-
-fn escape(s: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
-    }
-    f.write_str("\"")
-}
-
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Str(s) => escape(s, f),
-            Json::Num(x) if x.is_finite() => write!(f, "{x}"),
-            Json::Num(_) => f.write_str("null"),
-            Json::Int(i) => write!(f, "{i}"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Null => f.write_str("null"),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(fields) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    escape(k, f)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn renders_nested_structure() {
-        let j = Json::obj(vec![
-            ("name", Json::str("slf-greedy")),
-            ("n", Json::Int(1024)),
+        let j = obj(vec![
+            ("name", s("slf-greedy")),
+            ("n", Json::Num(1024.0)),
             ("ms", Json::Num(12.5)),
             ("ok", Json::Bool(true)),
-            ("tags", Json::Arr(vec![Json::str("a"), Json::str("b")])),
+            ("tags", Json::Arr(vec![s("a"), s("b")])),
         ]);
         assert_eq!(
-            j.to_string(),
-            r#"{"name":"slf-greedy","n":1024,"ms":12.5,"ok":true,"tags":["a","b"]}"#
+            j.render(),
+            r#"{"ms":12.5,"n":1024,"name":"slf-greedy","ok":true,"tags":["a","b"]}"#
         );
     }
 
     #[test]
     fn escapes_strings() {
-        assert_eq!(
-            Json::str("a\"b\\c\nd").to_string(),
-            r#""a\"b\\c\nd""#.to_string()
-        );
+        assert_eq!(s("a\"b\\c\nd").render(), r#""a\"b\\c\nd""#);
     }
 
     #[test]
     fn non_finite_numbers_become_null() {
-        assert_eq!(Json::Num(f64::NAN).to_string(), "null");
-        assert_eq!(Json::Num(f64::INFINITY).to_string(), "null");
+        assert_eq!(Json::Num(f64::NAN).render(), "null");
+        assert_eq!(Json::Num(f64::INFINITY).render(), "null");
     }
 
     #[test]
     fn parse_round_trips_emitted_documents() {
-        let j = Json::obj(vec![
-            ("name", Json::str("slf-greedy")),
-            ("n", Json::Int(1024)),
+        let j = obj(vec![
+            ("name", s("slf-greedy")),
+            ("n", Json::Num(1024.0)),
             ("ms", Json::Num(12.5)),
             ("neg", Json::Num(-0.25)),
             ("ok", Json::Bool(true)),
             ("nil", Json::Null),
-            (
-                "tags",
-                Json::Arr(vec![Json::str("a\n\"b\""), Json::str("ü")]),
-            ),
+            ("tags", Json::Arr(vec![s("a\n\"b\""), s("ü")])),
         ]);
-        let parsed = Json::parse(&j.to_string()).unwrap();
+        let parsed = parse(&j.render()).unwrap();
         assert_eq!(parsed, j);
     }
 
@@ -398,29 +67,29 @@ mod tests {
     fn parse_real_export_shape() {
         let doc = r#" {"experiment":"rounds_scaling","max_n":512,
             "records":[{"workload":"reversal","algo":"peacock","n":4,"rounds":2,"ms":0.010225}]} "#;
-        let j = Json::parse(doc).unwrap();
+        let j = parse(doc).unwrap();
         assert_eq!(
             j.get("experiment").and_then(Json::as_str),
             Some("rounds_scaling")
         );
         assert_eq!(j.get("max_n").and_then(Json::as_f64), Some(512.0));
-        let recs = j.get("records").and_then(Json::as_arr).unwrap();
+        let recs = j.get("records").and_then(Json::as_array).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].get("ms").and_then(Json::as_f64), Some(0.010225));
     }
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(Json::parse("").is_err());
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("{}{}").is_err());
-        assert!(Json::parse("\"unterminated").is_err());
-        assert!(Json::parse("truth").is_err());
+        assert!(parse("").is_err());
+        assert!(parse("{").is_err());
+        assert!(parse("[1,]").is_err());
+        assert!(parse("{}{}").is_err());
+        assert!(parse("\"unterminated").is_err());
+        assert!(parse("truth").is_err());
     }
 
     #[test]
     fn parse_unicode_escapes() {
-        assert_eq!(Json::parse(r#""\u0041\tb""#).unwrap(), Json::str("A\tb"));
+        assert_eq!(parse(r#""\u0041\tb""#).unwrap(), s("A\tb"));
     }
 }

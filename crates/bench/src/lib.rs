@@ -31,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod export;
+mod json;
 pub mod regression;
 pub mod stats;
 pub mod table;
