@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Fail CI if a deleted API reappears in any Rust source: the
-# pre-fabric submission surface, the stand-alone serial controller and
-# the schedule verifiers nothing called. No file — not even their
-# former defining sites — may mention these names:
+# pre-fabric submission surface, the stand-alone serial controller, the
+# schedule verifiers nothing called and the codec's second message
+# representation. No file — not even their former defining sites — may
+# mention these names:
 #
 #   World::with_runtime        -> World::builder(..).{concurrent,fabric,runtime_handle}
 #   World::submit_update       -> World::submit(SubmitRequest::new(update))
@@ -18,12 +19,21 @@
 #   shard split ({split_,Split}{s,S}chedule, {round_o,RoundO}wner) and
 #   Sharded{Report}
 #                              -> checker::verify_schedule before submit
+#   the OpenFlow mirror types Wire{Message,Frame,FlowMod,Match,Action,
+#   PhyPort,SwitchFeatures}    -> the message model, written and read
+#                                 directly by codec::{try_encode_into,decode}
+#   codec::try_encode          -> codec::try_encode_into
+#   framing::encode_to         -> codec::try_encode_into(..).expect(..)
+#   FrameCodec::drain{,_lossy} -> loop on FrameCodec::next_frame
+#   FrameCodec::is_poisoned    -> (always false; framing errors never poison)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PATTERN='\b(UpdateRuntime|with_runtime|submit_update|runtime_stats|set_switch_channel|clear_switch_channel)\b|ControllerConfig|Controller::new|\.serial\(\)'
 PATTERN+='|\bverify_schedule_(parallel|sharded)\b|\bcheck_round_(sampled)\b'
 PATTERN+='|\b(split_s|SplitS)chedule\b|\b(round_o|RoundO)wner\b|\bSharded(Report)\b'
+PATTERN+='|\bWire(Message|Frame|FlowMod|Match|Action|PhyPort|SwitchFeatures)\b'
+PATTERN+='|\b(encode_to|is_poisoned|drain_lossy|try_encode)\b'
 
 hits=$(find . -name '*.rs' -not -path './target/*' -not -path './shims/*' -print0 |
     xargs -0 grep -nE "$PATTERN" || true)

@@ -45,7 +45,7 @@ fn bench_codec(c: &mut Criterion) {
         b.iter(|| {
             let mut fc = FrameCodec::new();
             fc.feed(black_box(&stream));
-            fc.drain().unwrap().len()
+            std::iter::from_fn(|| fc.next_frame().unwrap()).count()
         })
     });
 }

@@ -61,8 +61,8 @@ use std::time::{Duration, Instant};
 use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use sdn_obs::{Ctr, Gauge, Obs};
-use sdn_openflow::codec::decode;
-use sdn_openflow::framing::{encode_to, FrameCodec};
+use sdn_openflow::codec::{decode, try_encode_into};
+use sdn_openflow::framing::FrameCodec;
 use sdn_openflow::messages::Envelope;
 use sdn_switch::SoftSwitch;
 use sdn_types::{DetRng, DpId};
@@ -440,7 +440,8 @@ impl Inner {
     /// connection: encode once into the pooled buffer and dispatch.
     fn send_locked(&self, idx: usize, conn: &mut ConnState, env: &Envelope) {
         conn.wbuf.clear();
-        encode_to(env, &mut conn.wbuf);
+        try_encode_into(env, &mut conn.wbuf)
+            .expect("model value not representable in OpenFlow 1.0");
         // Process only after every copy is placed: replies reuse `wbuf`.
         if self.dispatch(idx, Direction::ToSwitch, conn) {
             self.process(idx, conn);
@@ -460,7 +461,8 @@ impl Inner {
             };
             if let Some(reply) = conn.switch.respond(env) {
                 conn.wbuf.clear();
-                encode_to(&reply, &mut conn.wbuf);
+                try_encode_into(&reply, &mut conn.wbuf)
+                    .expect("model value not representable in OpenFlow 1.0");
                 self.dispatch(idx, Direction::ToController, conn);
             }
         }

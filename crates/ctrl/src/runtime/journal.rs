@@ -235,14 +235,21 @@ impl Journal {
     }
 
     /// All records, oldest first. For the file backend this re-reads
-    /// the log, skipping unparseable lines (a torn final write from a
-    /// crash mid-append loses that record, never the log).
+    /// the log, skipping unparseable lines — including lines that are
+    /// not UTF-8 — so a torn final write from a crash mid-append, or a
+    /// damaged byte, loses that record, never the log.
     pub fn records(&self) -> Vec<JournalRecord> {
         match self {
             Journal::Disabled => Vec::new(),
             Journal::Mem(recs) => recs.clone(),
-            Journal::File { path, .. } => std::fs::read_to_string(path)
-                .map(|s| s.lines().filter_map(parse).collect())
+            Journal::File { path, .. } => std::fs::read(path)
+                .map(|bytes| {
+                    bytes
+                        .split(|&b| b == b'\n')
+                        .filter_map(|line| std::str::from_utf8(line).ok())
+                        .filter_map(parse)
+                        .collect()
+                })
                 .unwrap_or_default(),
         }
     }
@@ -272,7 +279,7 @@ fn hex(bytes: &[u8]) -> String {
 }
 
 fn unhex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
+    if !s.is_ascii() || !s.len().is_multiple_of(2) {
         return None;
     }
     (0..s.len())
@@ -642,6 +649,31 @@ mod tests {
         let j2 = Journal::file(&path);
         assert_eq!(j2.records(), all_records(), "torn tail dropped, log kept");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn file_journal_skips_a_non_utf8_line_and_keeps_the_rest() {
+        let dir = std::env::temp_dir().join(format!("sdn-journal-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal-non-utf8.log");
+        let recs = &all_records()[2..4];
+        let mut log = serialize(&recs[0]).into_bytes();
+        log.extend_from_slice(b"\nstarted id=\xff at=1\n");
+        log.extend_from_slice(serialize(&recs[1]).as_bytes());
+        log.push(b'\n');
+        std::fs::write(&path, log).unwrap();
+        assert_eq!(
+            Journal::file(&path).records(),
+            recs,
+            "one bad byte, one record"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn non_ascii_hex_is_rejected_not_a_panic() {
+        assert_eq!(unhex("aé0"), None);
+        assert_eq!(parse("baseline dp=1 frame=aé0"), None);
     }
 
     #[test]

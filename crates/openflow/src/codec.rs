@@ -11,11 +11,13 @@
 //! ```
 //!
 //! `length` covers the whole frame including the 8-byte header, and the
-//! bodies use the exact OpenFlow 1.0 struct layouts defined in
-//! [`crate::wire`] — a 40-byte `ofp_match`, a 72-byte `ofp_flow_mod`,
-//! 8-byte-aligned action TLVs. Encoding is `model → wire → bytes` and
-//! decoding is `bytes → wire → model`, both through the explicit
-//! `TryFrom` conversions in [`crate::wire`].
+//! bodies use the exact OpenFlow 1.0 struct layouts — a 40-byte
+//! `ofp_match`, a 72-byte `ofp_flow_mod`, 8-byte-aligned action TLVs.
+//! There is one representation, the message model in
+//! [`crate::messages`]: encoding writes its fields straight into the
+//! caller's buffer and decoding reads a frame straight back into it.
+//! The private `wire` module holds the layouts, the model ↔ wire
+//! mapping and the order in which errors are reported.
 //!
 //! Decoding is strict: unknown types, bad versions, truncated bodies
 //! and trailing bytes all yield a typed [`CodecError`] — corrupted
@@ -28,13 +30,13 @@ pub use bytes::BytesMut;
 use std::fmt;
 
 use crate::messages::Envelope;
-use crate::wire::{Header, WireFrame, WireMessage};
+use crate::wire;
 
 /// Protocol version byte (OpenFlow 1.0 uses 0x01).
-pub const OFP_VERSION: u8 = crate::wire::OFP_VERSION;
+pub const OFP_VERSION: u8 = wire::OFP_VERSION;
 
 /// Frame header length in bytes.
-pub const HEADER_LEN: usize = crate::wire::HEADER_LEN;
+pub const HEADER_LEN: usize = wire::HEADER_LEN;
 
 /// Upper bound on a frame (guards the framer against corrupted
 /// lengths). Deliberately below `u16::MAX` so flipped high bits in the
@@ -113,62 +115,26 @@ impl std::error::Error for CodecError {}
 /// Panics if the model value is not representable on the wire (a port
 /// above `OFPP_MAX`, or a features reply with more ports than a frame
 /// holds). Every value the stack produces is representable; use
-/// [`try_encode`] when handling untrusted model values.
+/// [`try_encode_into`] when handling untrusted model values.
 pub fn encode(env: &Envelope) -> Bytes {
-    try_encode(env).expect("model value not representable in OpenFlow 1.0")
-}
-
-/// Encode an envelope, surfacing non-representable values as errors.
-pub fn try_encode(env: &Envelope) -> Result<Bytes, CodecError> {
     let mut buf = BytesMut::new();
-    try_encode_into(env, &mut buf)?;
-    Ok(buf.freeze())
+    try_encode_into(env, &mut buf).expect("model value not representable in OpenFlow 1.0");
+    buf.freeze()
 }
 
-/// Append an envelope's frame to `out` — the allocation-free form of
-/// [`try_encode`] for callers that reuse one buffer across messages.
-/// On error nothing has been appended.
+/// Append an envelope's frame to `out`, reserving its length once —
+/// allocation-free for callers that reuse one buffer across messages.
+/// A value the wire cannot carry is reported before a frame over
+/// [`MAX_FRAME_LEN`]; on error nothing has been appended.
 pub fn try_encode_into(env: &Envelope, out: &mut BytesMut) -> Result<(), CodecError> {
-    let frame = WireFrame::try_from(env)?;
-    let len = frame.header.length as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(CodecError::BadLength(len));
-    }
     let start = out.len();
-    out.reserve(len);
-    frame.marshal(out);
-    debug_assert_eq!(
-        out.len() - start,
-        len,
-        "header length must match marshaled size"
-    );
-    Ok(())
+    // on error, keep only what preceded the partial frame
+    wire::put_frame(env, out).inspect_err(|_| *out = out.split_to(start))
 }
 
 /// Decode one complete frame (header + body, exactly).
 pub fn decode(frame: &[u8]) -> Result<Envelope, CodecError> {
-    if frame.len() < HEADER_LEN {
-        return Err(CodecError::Truncated {
-            expected: HEADER_LEN,
-            got: frame.len(),
-        });
-    }
-    let header = Header::parse(frame);
-    if header.version != OFP_VERSION {
-        return Err(CodecError::BadVersion(header.version));
-    }
-    let declared = header.length as usize;
-    if !(HEADER_LEN..=MAX_FRAME_LEN).contains(&declared) {
-        return Err(CodecError::BadLength(declared));
-    }
-    if declared != frame.len() {
-        return Err(CodecError::Truncated {
-            expected: declared,
-            got: frame.len(),
-        });
-    }
-    let message = WireMessage::parse_body(header.typ, &frame[HEADER_LEN..])?;
-    Envelope::try_from(&WireFrame { header, message })
+    wire::parse_frame(frame)
 }
 
 #[cfg(test)]
@@ -378,7 +344,13 @@ mod tests {
                 data: vec![],
             },
         );
-        assert_eq!(try_encode(&env), Err(CodecError::PortOutOfRange(0x10000)));
+        let mut buf = BytesMut::new();
+        buf.extend_from_slice(b"kept");
+        assert_eq!(
+            try_encode_into(&env, &mut buf),
+            Err(CodecError::PortOutOfRange(0x10000))
+        );
+        assert_eq!(&buf[..], b"kept", "a failed encode appends nothing");
     }
 
     #[test]

@@ -20,6 +20,11 @@
 //! This keeps one corrupted message — the common case under the
 //! fault-injecting channel — from killing a connection that is
 //! otherwise carrying thousands of healthy frames.
+//!
+//! A reader loops on [`FrameCodec::next_frame`] until it returns
+//! `Ok(None)`, skipping or counting the `Err`s it wants to. The sending
+//! side needs no framer: [`crate::codec::try_encode_into`] appends
+//! frames to one outgoing buffer, and they delimit themselves.
 
 use bytes::{Buf, BytesMut};
 
@@ -59,15 +64,6 @@ impl FrameCodec {
     /// garbage header.
     pub fn resyncs(&self) -> u64 {
         self.resyncs
-    }
-
-    /// Whether a framing error poisoned the stream.
-    #[deprecated(
-        since = "0.1.0",
-        note = "framing errors no longer poison the stream; always false"
-    )]
-    pub fn is_poisoned(&self) -> bool {
-        false
     }
 
     /// Drop all buffered state (reconnect).
@@ -159,55 +155,29 @@ impl FrameCodec {
             }
         }
     }
-
-    /// Drain every complete frame currently buffered, stopping at the
-    /// first malformed one (which is consumed; calling again yields the
-    /// frames after it).
-    pub fn drain(&mut self) -> Result<Vec<Envelope>, CodecError> {
-        let mut out = Vec::new();
-        while let Some(env) = self.next_frame()? {
-            out.push(env);
-        }
-        Ok(out)
-    }
-
-    /// Drain every complete frame currently buffered, skipping
-    /// malformed ones. Returns the good frames and how many were
-    /// rejected — the shape the event-loop transport wants, where a
-    /// corrupted frame must cost exactly one message, not the
-    /// connection.
-    pub fn drain_lossy(&mut self) -> (Vec<Envelope>, u64) {
-        let mut out = Vec::new();
-        let mut rejected = 0;
-        loop {
-            match self.next_frame() {
-                Ok(Some(env)) => out.push(env),
-                Ok(None) => break,
-                Err(_) => rejected += 1,
-            }
-        }
-        (out, rejected)
-    }
-}
-
-/// Encode an envelope and append it to an outgoing buffer.
-///
-/// # Panics
-///
-/// Like [`crate::codec::encode`], when the model value is not
-/// representable on the wire.
-pub fn encode_to(env: &Envelope, out: &mut BytesMut) {
-    crate::codec::try_encode_into(env, out).expect("model value not representable in OpenFlow 1.0");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::try_encode_into;
     use crate::messages::OfMessage;
     use sdn_types::Xid;
 
     fn env(x: u32, msg: OfMessage) -> Envelope {
         Envelope::new(Xid(x), msg)
+    }
+
+    /// Every complete frame buffered, and how many were rejected.
+    fn frames(c: &mut FrameCodec) -> (Vec<Envelope>, u64) {
+        let (mut good, mut rejected) = (Vec::new(), 0);
+        loop {
+            match c.next_frame() {
+                Ok(Some(env)) => good.push(env),
+                Ok(None) => return (good, rejected),
+                Err(_) => rejected += 1,
+            }
+        }
     }
 
     #[test]
@@ -247,7 +217,7 @@ mod tests {
             all.extend_from_slice(&crate::codec::encode(e));
         }
         c.feed(&all);
-        assert_eq!(c.drain().unwrap(), vec![e1, e2, e3]);
+        assert_eq!(frames(&mut c), (vec![e1, e2, e3], 0));
         assert_eq!(c.buffered(), 0);
     }
 
@@ -299,8 +269,8 @@ mod tests {
         let good = env(9, OfMessage::EchoReply(vec![5, 6]));
         c.feed(&[0x47, 0x41, 0x52, 0x42]); // pure garbage
         c.feed(&crate::codec::encode(&good));
-        let (frames, rejected) = c.drain_lossy();
-        assert_eq!(frames, vec![good]);
+        let (good_frames, rejected) = frames(&mut c);
+        assert_eq!(good_frames, vec![good]);
         assert!(rejected >= 1);
         assert_eq!(c.buffered(), 0);
     }
@@ -319,11 +289,12 @@ mod tests {
 
     #[test]
     fn encode_to_appends() {
+        let (e1, e2) = (env(1, OfMessage::Hello), env(2, OfMessage::BarrierRequest));
         let mut out = BytesMut::new();
-        encode_to(&env(1, OfMessage::Hello), &mut out);
-        encode_to(&env(2, OfMessage::BarrierRequest), &mut out);
+        try_encode_into(&e1, &mut out).unwrap();
+        try_encode_into(&e2, &mut out).unwrap();
         let mut c = FrameCodec::new();
         c.feed(&out);
-        assert_eq!(c.drain().unwrap().len(), 2);
+        assert_eq!(frames(&mut c), (vec![e1, e2], 0));
     }
 }

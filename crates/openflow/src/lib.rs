@@ -4,7 +4,9 @@
 //! workspace: typed messages ([`messages`]), a match/action model
 //! ([`flow`]), a binary wire codec with the classic
 //! version/type/length/xid header ([`codec`]) and incremental framing
-//! over byte streams ([`framing`]).
+//! over byte streams ([`framing`]). The codec writes the message model
+//! straight into exact OpenFlow 1.0 byte layouts and reads it straight
+//! back.
 //!
 //! The subset mirrors what the demo's controller actually uses —
 //! FlowMod (add/modify/delete), BarrierRequest/BarrierReply for round
@@ -22,9 +24,9 @@ pub mod codec;
 pub mod flow;
 pub mod framing;
 pub mod messages;
-pub mod wire;
+mod wire;
 
-pub use codec::{decode, encode, try_encode, CodecError, OFP_VERSION};
+pub use codec::{decode, encode, CodecError, OFP_VERSION};
 pub use flow::{Action, FlowMatch, PacketMeta};
 pub use framing::FrameCodec;
 pub use messages::{Envelope, FlowMod, FlowModCommand, OfMessage};

@@ -1,12 +1,11 @@
-//! Exact OpenFlow 1.0 wire layouts.
+//! Exact OpenFlow 1.0 wire layouts, written from and read into the
+//! message model directly.
 //!
-//! This module holds the wire-facing types — structs whose fields map
-//! one-to-one onto the byte layouts of `ofp_header`, `ofp_match`,
-//! `ofp_flow_mod`, the action TLVs and the rest of the OpenFlow 1.0
-//! messages the stack uses — plus explicit [`TryFrom`] conversions
-//! between them and the internal model in [`crate::messages`]. The
-//! codec in [`crate::codec`] is a thin composition of the two: encode
-//! is `model → wire → bytes`, decode is `bytes → wire → model`.
+//! [`put_frame`] appends an [`Envelope`]'s frame to the caller's buffer
+//! field by field, the way `rust_ofp`'s `OfpHeader::marshal` writes into
+//! the caller's `Vec`; [`parse_frame`] reads one frame back into an
+//! [`Envelope`] through the bounds-checked [`Reader`]. The layouts and
+//! the mapping below are the whole contract.
 //!
 //! All integers are big-endian (network order), lengths include the
 //! 8-byte header, and the layouts mirror `ofp_header.rs` /
@@ -28,8 +27,8 @@
 //!
 //! ## Model ↔ wire mapping
 //!
-//! The internal model is a semantic subset; the conversions pin down
-//! how its fields ride on real OpenFlow 1.0:
+//! The internal model is a semantic subset; the codec pins down how its
+//! fields ride on real OpenFlow 1.0:
 //!
 //! * `FlowMatch.in_port` → `ofp_match.in_port` (wildcard bit
 //!   `OFPFW_IN_PORT` when absent);
@@ -46,18 +45,33 @@
 //!   lossless when `Drop` appears alongside other actions.
 //! * `FlowModCommand::{Add, Modify, Delete}` →
 //!   `OFPFC_{ADD, MODIFY, DELETE_STRICT}` (the model's delete is
-//!   exact-match + priority, i.e. strict).
+//!   exact-match + priority, i.e. strict);
+//! * `FeaturesReply{n_ports}` → `ofp_switch_features` with one stub
+//!   48-byte `ofp_phy_port` per port (`port{n}`, MAC
+//!   `02:00:00:00:hi:lo`); `PacketOut` → one `OFPAT_OUTPUT` action;
+//!   `FlowStats*` → `OFPST_AGGREGATE` bodies.
 //!
 //! Ports are `u16` on the 1.0 wire while the model uses 32-bit
 //! [`PortNo`]; physical ports below [`OFPP_MAX`] pass through, the
 //! `CONTROLLER`/`LOCAL` pseudo-ports map onto their 16-bit codes, and
-//! anything else is a conversion error (never a panic).
+//! anything else is [`CodecError::PortOutOfRange`] (never a panic).
+//!
+//! ## Which error wins
+//!
+//! Encoding reports a value the wire cannot carry (`PortOutOfRange`,
+//! `TooManyPorts`) before a frame over `MAX_FRAME_LEN` (`BadLength`).
+//! Decoding reports parse errors first, in byte order; then a FlowMod's
+//! `UnknownCommand`, then its first foreign `UnknownVendor`; a
+//! packet-out whose actions are not one output (a vendor action
+//! included) is `BadPacketOutActions(n)`.
+
+use std::io::Write;
 
 use bytes::{BufMut, BytesMut};
 
 use sdn_types::{DpId, HostId, PortNo, VersionTag, Xid};
 
-use crate::codec::CodecError;
+use crate::codec::{CodecError, MAX_FRAME_LEN};
 use crate::flow::{Action, FlowMatch};
 use crate::messages::{Envelope, FlowMod, FlowModCommand, OfMessage};
 
@@ -68,156 +82,77 @@ pub const OFP_VERSION: u8 = 0x01;
 pub const HEADER_LEN: usize = 8;
 
 /// `ofp_match` size in bytes.
-pub const MATCH_LEN: usize = 40;
+const MATCH_LEN: usize = 40;
 
 /// `ofp_phy_port` size in bytes (features-reply port descriptor).
-pub const PHY_PORT_LEN: usize = 48;
+const PHY_PORT_LEN: usize = 48;
 
 /// Maximum valid physical port number (`OFPP_MAX`).
-pub const OFPP_MAX: u16 = 0xff00;
+const OFPP_MAX: u16 = 0xff00;
 /// The `OFPP_CONTROLLER` pseudo-port.
-pub const OFPP_CONTROLLER: u16 = 0xfffd;
+const OFPP_CONTROLLER: u16 = 0xfffd;
 /// The `OFPP_LOCAL` pseudo-port.
-pub const OFPP_LOCAL: u16 = 0xfffe;
+const OFPP_LOCAL: u16 = 0xfffe;
 /// The `OFPP_NONE` pseudo-port.
-pub const OFPP_NONE: u16 = 0xffff;
+const OFPP_NONE: u16 = 0xffff;
 
 /// Vendor id used for the drop-marker vendor action.
-pub const VENDOR_ID: u32 = 0x5eed_0f10;
+const VENDOR_ID: u32 = 0x5eed_0f10;
 
-/// `ofp_type` codes (OpenFlow 1.0 numbering).
-pub mod type_code {
-    /// OFPT_HELLO
+/// `ofp_type` codes (OpenFlow 1.0 numbering, `OFPT_*`).
+mod type_code {
     pub const HELLO: u8 = 0;
-    /// OFPT_ERROR
     pub const ERROR: u8 = 1;
-    /// OFPT_ECHO_REQUEST
     pub const ECHO_REQUEST: u8 = 2;
-    /// OFPT_ECHO_REPLY
     pub const ECHO_REPLY: u8 = 3;
-    /// OFPT_FEATURES_REQUEST
     pub const FEATURES_REQUEST: u8 = 5;
-    /// OFPT_FEATURES_REPLY
     pub const FEATURES_REPLY: u8 = 6;
-    /// OFPT_PACKET_IN
     pub const PACKET_IN: u8 = 10;
-    /// OFPT_PACKET_OUT
     pub const PACKET_OUT: u8 = 13;
-    /// OFPT_FLOW_MOD
     pub const FLOW_MOD: u8 = 14;
-    /// OFPT_STATS_REQUEST
     pub const STATS_REQUEST: u8 = 16;
-    /// OFPT_STATS_REPLY
     pub const STATS_REPLY: u8 = 17;
-    /// OFPT_BARRIER_REQUEST
     pub const BARRIER_REQUEST: u8 = 18;
-    /// OFPT_BARRIER_REPLY
     pub const BARRIER_REPLY: u8 = 19;
 }
 
-/// `ofp_flow_wildcards` bits.
-pub mod wildcards {
+/// The `ofp_flow_wildcards` bits the model uses (`OFPFW_*`).
+mod wildcards {
     /// Wildcard the ingress port.
     pub const IN_PORT: u32 = 1 << 0;
     /// Wildcard the VLAN id.
     pub const DL_VLAN: u32 = 1 << 1;
-    /// Wildcard the Ethernet source.
-    pub const DL_SRC: u32 = 1 << 2;
-    /// Wildcard the Ethernet destination.
-    pub const DL_DST: u32 = 1 << 3;
-    /// Wildcard the Ethernet type.
-    pub const DL_TYPE: u32 = 1 << 4;
-    /// Wildcard the IP protocol.
-    pub const NW_PROTO: u32 = 1 << 5;
-    /// Wildcard the transport source port.
-    pub const TP_SRC: u32 = 1 << 6;
-    /// Wildcard the transport destination port.
-    pub const TP_DST: u32 = 1 << 7;
     /// Bit offset of the nw_src CIDR wildcard count.
     pub const NW_SRC_SHIFT: u32 = 8;
-    /// Fully-wildcarded nw_src (≥ 32 ignored bits).
-    pub const NW_SRC_ALL: u32 = 32 << NW_SRC_SHIFT;
     /// Mask of the nw_src CIDR field.
     pub const NW_SRC_MASK: u32 = 0x3f << NW_SRC_SHIFT;
     /// Bit offset of the nw_dst CIDR wildcard count.
     pub const NW_DST_SHIFT: u32 = 14;
-    /// Fully-wildcarded nw_dst.
-    pub const NW_DST_ALL: u32 = 32 << NW_DST_SHIFT;
     /// Mask of the nw_dst CIDR field.
     pub const NW_DST_MASK: u32 = 0x3f << NW_DST_SHIFT;
-    /// Wildcard the VLAN priority.
-    pub const DL_VLAN_PCP: u32 = 1 << 20;
-    /// Wildcard the IP ToS bits.
-    pub const NW_TOS: u32 = 1 << 21;
-    /// Everything wildcarded.
+    /// Everything wildcarded: all 22 bits.
     pub const ALL: u32 = (1 << 22) - 1;
 }
 
-/// `ofp_flow_mod_command` codes.
-pub mod fm_command {
-    /// OFPFC_ADD
+/// `ofp_flow_mod_command` codes (`OFPFC_*`).
+mod fm_command {
     pub const ADD: u16 = 0;
-    /// OFPFC_MODIFY
     pub const MODIFY: u16 = 1;
-    /// OFPFC_MODIFY_STRICT
     pub const MODIFY_STRICT: u16 = 2;
-    /// OFPFC_DELETE
     pub const DELETE: u16 = 3;
-    /// OFPFC_DELETE_STRICT
     pub const DELETE_STRICT: u16 = 4;
 }
 
-/// `ofp_action_type` codes.
-pub mod action_type {
-    /// OFPAT_OUTPUT
+/// `ofp_action_type` codes (`OFPAT_*`).
+mod action_type {
     pub const OUTPUT: u16 = 0;
-    /// OFPAT_SET_VLAN_VID
     pub const SET_VLAN_VID: u16 = 1;
-    /// OFPAT_STRIP_VLAN
     pub const STRIP_VLAN: u16 = 3;
-    /// OFPAT_VENDOR
     pub const VENDOR: u16 = 0xffff;
 }
 
-/// `ofp_stats_types` codes.
-pub mod stats_type {
-    /// OFPST_AGGREGATE
-    pub const AGGREGATE: u16 = 2;
-}
-
-/// The classic 8-byte `ofp_header`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Header {
-    /// Protocol version (0x01).
-    pub version: u8,
-    /// Message type code.
-    pub typ: u8,
-    /// Total frame length including this header.
-    pub length: u16,
-    /// Transaction id.
-    pub xid: u32,
-}
-
-impl Header {
-    /// Serialize in network order.
-    pub fn marshal(&self, buf: &mut BytesMut) {
-        buf.put_u8(self.version);
-        buf.put_u8(self.typ);
-        buf.put_u16(self.length);
-        buf.put_u32(self.xid);
-    }
-
-    /// Parse from the first [`HEADER_LEN`] bytes (caller guarantees
-    /// length).
-    pub fn parse(bytes: &[u8]) -> Header {
-        Header {
-            version: bytes[0],
-            typ: bytes[1],
-            length: u16::from_be_bytes([bytes[2], bytes[3]]),
-            xid: u32::from_be_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]),
-        }
-    }
-}
+/// `OFPST_AGGREGATE`, the one `ofp_stats_types` code spoken.
+const STATS_AGGREGATE: u16 = 2;
 
 /// Cursor over a body slice; every read is bounds-checked and yields a
 /// typed [`CodecError`] on underflow.
@@ -235,64 +170,46 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn need(&self, n: usize) -> Result<(), CodecError> {
-        if self.pos + n > self.buf.len() {
-            Err(CodecError::Truncated {
-                expected: self.pos + n,
+    /// The next `n` bytes; `Truncated` reports this read's end.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        let end = self.pos + n;
+        if end > self.buf.len() {
+            return Err(CodecError::Truncated {
+                expected: end,
                 got: self.buf.len(),
-            })
-        } else {
-            Ok(())
+            });
         }
+        let bytes = &self.buf[self.pos..end];
+        self.pos = end;
+        Ok(bytes)
     }
 
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        self.need(1)?;
-        let v = self.buf[self.pos];
-        self.pos += 1;
-        Ok(v)
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        Ok(self.take(N)?.try_into().expect("take yields N bytes"))
     }
 
     fn u16(&mut self) -> Result<u16, CodecError> {
-        self.need(2)?;
-        let v = u16::from_be_bytes([self.buf[self.pos], self.buf[self.pos + 1]]);
-        self.pos += 2;
-        Ok(v)
+        self.array().map(u16::from_be_bytes)
     }
 
     fn u32(&mut self) -> Result<u32, CodecError> {
-        self.need(4)?;
-        let mut b = [0u8; 4];
-        b.copy_from_slice(&self.buf[self.pos..self.pos + 4]);
-        self.pos += 4;
-        Ok(u32::from_be_bytes(b))
+        self.array().map(u32::from_be_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, CodecError> {
-        self.need(8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&self.buf[self.pos..self.pos + 8]);
-        self.pos += 8;
-        Ok(u64::from_be_bytes(b))
+        self.array().map(u64::from_be_bytes)
     }
 
-    fn skip(&mut self, n: usize) -> Result<(), CodecError> {
-        self.need(n)?;
-        self.pos += n;
-        Ok(())
+    /// Skip fields of these sizes, one read each, so a truncation is
+    /// reported at the field it cuts.
+    fn skip(&mut self, fields: &[usize]) -> Result<(), CodecError> {
+        fields.iter().try_for_each(|&n| self.take(n).map(drop))
     }
 
-    fn bytes(&mut self, n: usize) -> Result<Vec<u8>, CodecError> {
-        self.need(n)?;
-        let v = self.buf[self.pos..self.pos + n].to_vec();
-        self.pos += n;
-        Ok(v)
-    }
-
-    fn rest(&mut self) -> Vec<u8> {
-        let v = self.buf[self.pos..].to_vec();
+    fn rest(&mut self) -> &'a [u8] {
+        let bytes = &self.buf[self.pos..];
         self.pos = self.buf.len();
-        v
+        bytes
     }
 
     fn finish(&self) -> Result<(), CodecError> {
@@ -320,1029 +237,480 @@ fn port_from_wire(p: u16) -> PortNo {
     }
 }
 
-/// The 40-byte `ofp_match`, fields exactly as on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireMatch {
-    /// Wildcard bitmap ([`wildcards`]).
-    pub wildcards: u32,
-    /// Ingress port.
-    pub in_port: u16,
-    /// Ethernet source address.
-    pub dl_src: [u8; 6],
-    /// Ethernet destination address.
-    pub dl_dst: [u8; 6],
-    /// VLAN id (carries the model's version tag).
-    pub dl_vlan: u16,
-    /// VLAN priority.
-    pub dl_vlan_pcp: u8,
-    /// Ethernet frame type.
-    pub dl_type: u16,
-    /// IP ToS bits.
-    pub nw_tos: u8,
-    /// IP protocol.
-    pub nw_proto: u8,
-    /// IP source (carries the model's source host id).
-    pub nw_src: u32,
-    /// IP destination (carries the model's destination host id).
-    pub nw_dst: u32,
-    /// Transport source port.
-    pub tp_src: u16,
-    /// Transport destination port.
-    pub tp_dst: u16,
-}
-
-impl WireMatch {
-    /// Everything-wildcarded match.
-    pub const ALL: WireMatch = WireMatch {
-        wildcards: wildcards::ALL,
-        in_port: 0,
-        dl_src: [0; 6],
-        dl_dst: [0; 6],
-        dl_vlan: 0,
-        dl_vlan_pcp: 0,
-        dl_type: 0,
-        nw_tos: 0,
-        nw_proto: 0,
-        nw_src: 0,
-        nw_dst: 0,
-        tp_src: 0,
-        tp_dst: 0,
-    };
-
-    /// Serialize the 40-byte layout.
-    pub fn marshal(&self, buf: &mut BytesMut) {
-        buf.put_u32(self.wildcards);
-        buf.put_u16(self.in_port);
-        buf.put_slice(&self.dl_src);
-        buf.put_slice(&self.dl_dst);
-        buf.put_u16(self.dl_vlan);
-        buf.put_u8(self.dl_vlan_pcp);
-        buf.put_u8(0); // pad
-        buf.put_u16(self.dl_type);
-        buf.put_u8(self.nw_tos);
-        buf.put_u8(self.nw_proto);
-        buf.put_slice(&[0u8; 2]); // pad
-        buf.put_u32(self.nw_src);
-        buf.put_u32(self.nw_dst);
-        buf.put_u16(self.tp_src);
-        buf.put_u16(self.tp_dst);
-    }
-
-    fn parse(r: &mut Reader<'_>) -> Result<WireMatch, CodecError> {
-        let wc = r.u32()?;
-        let in_port = r.u16()?;
-        let mut dl_src = [0u8; 6];
-        dl_src.copy_from_slice(&r.bytes(6)?);
-        let mut dl_dst = [0u8; 6];
-        dl_dst.copy_from_slice(&r.bytes(6)?);
-        let dl_vlan = r.u16()?;
-        let dl_vlan_pcp = r.u8()?;
-        r.skip(1)?;
-        let dl_type = r.u16()?;
-        let nw_tos = r.u8()?;
-        let nw_proto = r.u8()?;
-        r.skip(2)?;
-        let nw_src = r.u32()?;
-        let nw_dst = r.u32()?;
-        let tp_src = r.u16()?;
-        let tp_dst = r.u16()?;
-        Ok(WireMatch {
-            wildcards: wc,
-            in_port,
-            dl_src,
-            dl_dst,
-            dl_vlan,
-            dl_vlan_pcp,
-            dl_type,
-            nw_tos,
-            nw_proto,
-            nw_src,
-            nw_dst,
-            tp_src,
-            tp_dst,
-        })
+fn action_len(a: &Action) -> usize {
+    match a {
+        Action::Drop => 16,
+        _ => 8,
     }
 }
 
-impl TryFrom<&FlowMatch> for WireMatch {
-    type Error = CodecError;
-
-    fn try_from(m: &FlowMatch) -> Result<WireMatch, CodecError> {
-        let mut w = WireMatch::ALL;
-        if let Some(p) = m.in_port {
-            w.wildcards &= !wildcards::IN_PORT;
-            w.in_port = port_to_wire(p)?;
-        }
-        if let Some(s) = m.src {
-            w.wildcards &= !wildcards::NW_SRC_MASK;
-            w.nw_src = s.0;
-        }
-        if let Some(d) = m.dst {
-            w.wildcards &= !wildcards::NW_DST_MASK;
-            w.nw_dst = d.0;
-        }
-        if let Some(t) = m.tag {
-            w.wildcards &= !wildcards::DL_VLAN;
-            w.dl_vlan = t.0;
-        }
-        Ok(w)
-    }
-}
-
-impl TryFrom<&WireMatch> for FlowMatch {
-    type Error = CodecError;
-
-    fn try_from(w: &WireMatch) -> Result<FlowMatch, CodecError> {
-        let mut m = FlowMatch::ANY;
-        if w.wildcards & wildcards::IN_PORT == 0 {
-            m.in_port = Some(port_from_wire(w.in_port));
-        }
-        if (w.wildcards & wildcards::NW_SRC_MASK) >> wildcards::NW_SRC_SHIFT < 32 {
-            m.src = Some(HostId(w.nw_src));
-        }
-        if (w.wildcards & wildcards::NW_DST_MASK) >> wildcards::NW_DST_SHIFT < 32 {
-            m.dst = Some(HostId(w.nw_dst));
-        }
-        if w.wildcards & wildcards::DL_VLAN == 0 {
-            m.tag = Some(VersionTag(w.dl_vlan));
-        }
-        Ok(m)
-    }
-}
-
-/// An OpenFlow 1.0 action TLV (8-byte aligned structs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireAction {
-    /// `ofp_action_output`: type 0, len 8, port u16, max_len u16.
-    Output {
-        /// Output port (u16 on the 1.0 wire).
-        port: u16,
-        /// Bytes to send to the controller when `port` is
-        /// `OFPP_CONTROLLER`.
-        max_len: u16,
-    },
-    /// `ofp_action_vlan_vid`: type 1, len 8, vlan_vid u16, pad\[2\].
-    SetVlanVid(u16),
-    /// `ofp_action_header`: type 3, len 8, pad\[4\].
-    StripVlan,
-    /// `ofp_action_vendor_header`: type 0xffff, len 16, vendor u32,
-    /// subtype u32, pad\[4\]. Subtype 0 under [`VENDOR_ID`] is the
-    /// explicit drop marker.
-    Vendor {
-        /// Vendor id.
-        vendor: u32,
-        /// Vendor-defined subtype.
-        subtype: u32,
-    },
-}
-
-impl WireAction {
-    /// Encoded length in bytes (always a multiple of 8).
-    pub fn len(&self) -> usize {
-        match self {
-            WireAction::Output { .. } | WireAction::SetVlanVid(_) | WireAction::StripVlan => 8,
-            WireAction::Vendor { .. } => 16,
-        }
-    }
-
-    /// Whether the TLV is zero-sized — never true; present to satisfy
-    /// the `len`/`is_empty` convention.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Serialize the TLV.
-    pub fn marshal(&self, buf: &mut BytesMut) {
-        match *self {
-            WireAction::Output { port, max_len } => {
-                buf.put_u16(action_type::OUTPUT);
-                buf.put_u16(8);
-                buf.put_u16(port);
-                buf.put_u16(max_len);
+/// Length of `msg`'s frame, header included, when it is representable.
+fn frame_len(msg: &OfMessage) -> usize {
+    HEADER_LEN
+        + match msg {
+            OfMessage::Hello
+            | OfMessage::FeaturesRequest
+            | OfMessage::BarrierRequest
+            | OfMessage::BarrierReply => 0,
+            OfMessage::EchoRequest(p) | OfMessage::EchoReply(p) => p.len(),
+            OfMessage::ErrorMsg { data, .. } => 4 + data.len(),
+            OfMessage::FeaturesReply { n_ports, .. } => {
+                24 + (*n_ports as usize).saturating_mul(PHY_PORT_LEN)
             }
-            WireAction::SetVlanVid(vid) => {
-                buf.put_u16(action_type::SET_VLAN_VID);
-                buf.put_u16(8);
-                buf.put_u16(vid);
-                buf.put_slice(&[0u8; 2]);
+            OfMessage::FlowMod(fm) => {
+                MATCH_LEN + 24 + fm.actions.iter().map(action_len).sum::<usize>()
             }
-            WireAction::StripVlan => {
-                buf.put_u16(action_type::STRIP_VLAN);
-                buf.put_u16(8);
-                buf.put_slice(&[0u8; 4]);
+            OfMessage::PacketIn { data, .. } => 10 + data.len(),
+            OfMessage::PacketOut { data, .. } => 16 + data.len(),
+            OfMessage::FlowStatsRequest => 4 + MATCH_LEN + 4,
+            OfMessage::FlowStatsReply { .. } => 4 + 24,
+        }
+}
+
+fn type_code(msg: &OfMessage) -> u8 {
+    match msg {
+        OfMessage::Hello => type_code::HELLO,
+        OfMessage::ErrorMsg { .. } => type_code::ERROR,
+        OfMessage::EchoRequest(_) => type_code::ECHO_REQUEST,
+        OfMessage::EchoReply(_) => type_code::ECHO_REPLY,
+        OfMessage::FeaturesRequest => type_code::FEATURES_REQUEST,
+        OfMessage::FeaturesReply { .. } => type_code::FEATURES_REPLY,
+        OfMessage::PacketIn { .. } => type_code::PACKET_IN,
+        OfMessage::PacketOut { .. } => type_code::PACKET_OUT,
+        OfMessage::FlowMod(_) => type_code::FLOW_MOD,
+        OfMessage::FlowStatsRequest => type_code::STATS_REQUEST,
+        OfMessage::FlowStatsReply { .. } => type_code::STATS_REPLY,
+        OfMessage::BarrierRequest => type_code::BARRIER_REQUEST,
+        OfMessage::BarrierReply => type_code::BARRIER_REPLY,
+    }
+}
+
+/// Append `env`'s frame to `out`, reserving its length once. On error
+/// `out` may end in a partial frame; the caller cuts it off.
+pub fn put_frame(env: &Envelope, out: &mut BytesMut) -> Result<(), CodecError> {
+    let len = frame_len(&env.msg);
+    if len <= MAX_FRAME_LEN {
+        out.reserve(len);
+    }
+    let start = out.len();
+    out.put_u8(OFP_VERSION);
+    out.put_u8(type_code(&env.msg));
+    out.put_u16(len as u16);
+    out.put_u32(env.xid.0);
+    put_body(&env.msg, out)?;
+    debug_assert_eq!(
+        out.len() - start,
+        len,
+        "frame_len must match the bytes written"
+    );
+    if len > MAX_FRAME_LEN {
+        return Err(CodecError::BadLength(len));
+    }
+    Ok(())
+}
+
+fn put_body(msg: &OfMessage, out: &mut BytesMut) -> Result<(), CodecError> {
+    match msg {
+        OfMessage::Hello
+        | OfMessage::FeaturesRequest
+        | OfMessage::BarrierRequest
+        | OfMessage::BarrierReply => {}
+        OfMessage::EchoRequest(p) | OfMessage::EchoReply(p) => out.put_slice(p),
+        OfMessage::ErrorMsg { etype, code, data } => {
+            out.put_u16(*etype);
+            out.put_u16(*code);
+            out.put_slice(data);
+        }
+        OfMessage::FeaturesReply { dpid, n_ports } => {
+            if *n_ports > 255 {
+                return Err(CodecError::TooManyPorts(*n_ports));
             }
-            WireAction::Vendor { vendor, subtype } => {
-                buf.put_u16(action_type::VENDOR);
-                buf.put_u16(16);
-                buf.put_u32(vendor);
-                buf.put_u32(subtype);
-                buf.put_slice(&[0u8; 4]);
+            out.put_u64(dpid.raw());
+            out.put_u32(256); // n_buffers
+            out.put_u8(1); // n_tables
+            out.put_slice(&[0; 3]); // pad
+            out.put_u32(1); // capabilities: OFPC_FLOW_STATS
+            out.put_u32(
+                (1 << action_type::OUTPUT)
+                    | (1 << action_type::SET_VLAN_VID)
+                    | (1 << action_type::STRIP_VLAN),
+            );
+            for n in 1..=*n_ports as u16 {
+                put_phy_port(n, out);
             }
         }
-    }
-
-    fn parse(r: &mut Reader<'_>) -> Result<WireAction, CodecError> {
-        let typ = r.u16()?;
-        let len = r.u16()? as usize;
-        if len < 8 || !len.is_multiple_of(8) {
-            return Err(CodecError::BadActionLength(len));
-        }
-        match typ {
-            action_type::OUTPUT => {
-                if len != 8 {
-                    return Err(CodecError::BadActionLength(len));
-                }
-                let port = r.u16()?;
-                let max_len = r.u16()?;
-                Ok(WireAction::Output { port, max_len })
-            }
-            action_type::SET_VLAN_VID => {
-                if len != 8 {
-                    return Err(CodecError::BadActionLength(len));
-                }
-                let vid = r.u16()?;
-                r.skip(2)?;
-                Ok(WireAction::SetVlanVid(vid))
-            }
-            action_type::STRIP_VLAN => {
-                if len != 8 {
-                    return Err(CodecError::BadActionLength(len));
-                }
-                r.skip(4)?;
-                Ok(WireAction::StripVlan)
-            }
-            action_type::VENDOR => {
-                if len != 16 {
-                    return Err(CodecError::BadActionLength(len));
-                }
-                let vendor = r.u32()?;
-                let subtype = r.u32()?;
-                r.skip(4)?;
-                Ok(WireAction::Vendor { vendor, subtype })
-            }
-            t => Err(CodecError::UnknownAction(t)),
-        }
-    }
-}
-
-impl TryFrom<&Action> for WireAction {
-    type Error = CodecError;
-
-    fn try_from(a: &Action) -> Result<WireAction, CodecError> {
-        Ok(match a {
-            Action::Output(p) => WireAction::Output {
-                port: port_to_wire(*p)?,
-                max_len: 0,
-            },
-            Action::ToController => WireAction::Output {
-                port: OFPP_CONTROLLER,
-                max_len: 0xffff,
-            },
-            Action::SetTag(t) => WireAction::SetVlanVid(t.0),
-            Action::StripTag => WireAction::StripVlan,
-            Action::Drop => WireAction::Vendor {
-                vendor: VENDOR_ID,
-                subtype: 0,
-            },
-        })
-    }
-}
-
-impl TryFrom<&WireAction> for Action {
-    type Error = CodecError;
-
-    fn try_from(w: &WireAction) -> Result<Action, CodecError> {
-        Ok(match *w {
-            WireAction::Output {
-                port: OFPP_CONTROLLER,
-                ..
-            } => Action::ToController,
-            WireAction::Output { port, .. } => Action::Output(port_from_wire(port)),
-            WireAction::SetVlanVid(vid) => Action::SetTag(VersionTag(vid)),
-            WireAction::StripVlan => Action::StripTag,
-            WireAction::Vendor {
-                vendor: VENDOR_ID,
-                subtype: 0,
-            } => Action::Drop,
-            WireAction::Vendor { vendor, .. } => return Err(CodecError::UnknownVendor(vendor)),
-        })
-    }
-}
-
-/// `ofp_flow_mod` minus the header: 64 fixed bytes plus action TLVs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireFlowMod {
-    /// The 40-byte match.
-    pub matcher: WireMatch,
-    /// Opaque controller cookie.
-    pub cookie: u64,
-    /// [`fm_command`] code.
-    pub command: u16,
-    /// Idle timeout in seconds (0 = permanent).
-    pub idle_timeout: u16,
-    /// Hard timeout in seconds (0 = permanent).
-    pub hard_timeout: u16,
-    /// Entry priority.
-    pub priority: u16,
-    /// Buffered-packet id (`0xffff_ffff` = none).
-    pub buffer_id: u32,
-    /// Output-port filter for delete commands (`OFPP_NONE` = any).
-    pub out_port: u16,
-    /// `ofp_flow_mod_flags` bitmap.
-    pub flags: u16,
-    /// Action TLVs.
-    pub actions: Vec<WireAction>,
-}
-
-impl WireFlowMod {
-    fn body_len(&self) -> usize {
-        MATCH_LEN + 24 + self.actions.iter().map(WireAction::len).sum::<usize>()
-    }
-
-    fn marshal(&self, buf: &mut BytesMut) {
-        self.matcher.marshal(buf);
-        buf.put_u64(self.cookie);
-        buf.put_u16(self.command);
-        buf.put_u16(self.idle_timeout);
-        buf.put_u16(self.hard_timeout);
-        buf.put_u16(self.priority);
-        buf.put_u32(self.buffer_id);
-        buf.put_u16(self.out_port);
-        buf.put_u16(self.flags);
-        for a in &self.actions {
-            a.marshal(buf);
-        }
-    }
-
-    fn parse(r: &mut Reader<'_>) -> Result<WireFlowMod, CodecError> {
-        let matcher = WireMatch::parse(r)?;
-        let cookie = r.u64()?;
-        let command = r.u16()?;
-        let idle_timeout = r.u16()?;
-        let hard_timeout = r.u16()?;
-        let priority = r.u16()?;
-        let buffer_id = r.u32()?;
-        let out_port = r.u16()?;
-        let flags = r.u16()?;
-        let mut actions = Vec::new();
-        while r.remaining() > 0 {
-            actions.push(WireAction::parse(r)?);
-        }
-        Ok(WireFlowMod {
-            matcher,
-            cookie,
-            command,
-            idle_timeout,
-            hard_timeout,
-            priority,
-            buffer_id,
-            out_port,
-            flags,
-            actions,
-        })
-    }
-}
-
-impl TryFrom<&FlowMod> for WireFlowMod {
-    type Error = CodecError;
-
-    fn try_from(fm: &FlowMod) -> Result<WireFlowMod, CodecError> {
-        Ok(WireFlowMod {
-            matcher: WireMatch::try_from(&fm.matcher)?,
-            cookie: fm.cookie,
-            command: match fm.command {
+        OfMessage::FlowMod(fm) => {
+            put_match(&fm.matcher, out)?;
+            out.put_u64(fm.cookie);
+            out.put_u16(match fm.command {
                 FlowModCommand::Add => fm_command::ADD,
                 FlowModCommand::Modify => fm_command::MODIFY,
                 FlowModCommand::Delete => fm_command::DELETE_STRICT,
-            },
-            idle_timeout: 0,
-            hard_timeout: 0,
-            priority: fm.priority,
-            buffer_id: u32::MAX,
-            out_port: OFPP_NONE,
-            flags: 0,
-            actions: fm
-                .actions
-                .iter()
-                .map(WireAction::try_from)
-                .collect::<Result<_, _>>()?,
-        })
-    }
-}
-
-impl TryFrom<&WireFlowMod> for FlowMod {
-    type Error = CodecError;
-
-    fn try_from(w: &WireFlowMod) -> Result<FlowMod, CodecError> {
-        Ok(FlowMod {
-            command: match w.command {
-                fm_command::ADD => FlowModCommand::Add,
-                fm_command::MODIFY | fm_command::MODIFY_STRICT => FlowModCommand::Modify,
-                fm_command::DELETE | fm_command::DELETE_STRICT => FlowModCommand::Delete,
-                c => return Err(CodecError::UnknownCommand(c)),
-            },
-            priority: w.priority,
-            matcher: FlowMatch::try_from(&w.matcher)?,
-            actions: w
-                .actions
-                .iter()
-                .map(Action::try_from)
-                .collect::<Result<_, _>>()?,
-            cookie: w.cookie,
-        })
-    }
-}
-
-/// `ofp_phy_port` (48 bytes): one physical-port descriptor inside a
-/// features reply.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WirePhyPort {
-    /// Port number.
-    pub port_no: u16,
-    /// MAC address.
-    pub hw_addr: [u8; 6],
-    /// Null-padded interface name (16 bytes).
-    pub name: [u8; 16],
-    /// `ofp_port_config` bitmap.
-    pub config: u32,
-    /// `ofp_port_state` bitmap.
-    pub state: u32,
-    /// Current features bitmap.
-    pub curr: u32,
-    /// Advertised features bitmap.
-    pub advertised: u32,
-    /// Supported features bitmap.
-    pub supported: u32,
-    /// Peer-advertised features bitmap.
-    pub peer: u32,
-}
-
-impl WirePhyPort {
-    /// A stub descriptor for simulated port `n` (1-based).
-    pub fn stub(n: u16) -> WirePhyPort {
-        let mut name = [0u8; 16];
-        let label = format!("port{n}");
-        name[..label.len().min(16)].copy_from_slice(&label.as_bytes()[..label.len().min(16)]);
-        WirePhyPort {
-            port_no: n,
-            hw_addr: [0x02, 0, 0, 0, (n >> 8) as u8, n as u8],
-            name,
-            config: 0,
-            state: 0,
-            curr: 0,
-            advertised: 0,
-            supported: 0,
-            peer: 0,
-        }
-    }
-
-    fn marshal(&self, buf: &mut BytesMut) {
-        buf.put_u16(self.port_no);
-        buf.put_slice(&self.hw_addr);
-        buf.put_slice(&self.name);
-        buf.put_u32(self.config);
-        buf.put_u32(self.state);
-        buf.put_u32(self.curr);
-        buf.put_u32(self.advertised);
-        buf.put_u32(self.supported);
-        buf.put_u32(self.peer);
-    }
-
-    fn parse(r: &mut Reader<'_>) -> Result<WirePhyPort, CodecError> {
-        let port_no = r.u16()?;
-        let mut hw_addr = [0u8; 6];
-        hw_addr.copy_from_slice(&r.bytes(6)?);
-        let mut name = [0u8; 16];
-        name.copy_from_slice(&r.bytes(16)?);
-        Ok(WirePhyPort {
-            port_no,
-            hw_addr,
-            name,
-            config: r.u32()?,
-            state: r.u32()?,
-            curr: r.u32()?,
-            advertised: r.u32()?,
-            supported: r.u32()?,
-            peer: r.u32()?,
-        })
-    }
-}
-
-/// `ofp_switch_features` (features reply body).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireSwitchFeatures {
-    /// Datapath id.
-    pub datapath_id: u64,
-    /// Packets the switch can buffer.
-    pub n_buffers: u32,
-    /// Number of flow tables.
-    pub n_tables: u8,
-    /// `ofp_capabilities` bitmap.
-    pub capabilities: u32,
-    /// Supported-actions bitmap.
-    pub actions: u32,
-    /// Port descriptors.
-    pub ports: Vec<WirePhyPort>,
-}
-
-impl WireSwitchFeatures {
-    fn body_len(&self) -> usize {
-        24 + self.ports.len() * PHY_PORT_LEN
-    }
-
-    fn marshal(&self, buf: &mut BytesMut) {
-        buf.put_u64(self.datapath_id);
-        buf.put_u32(self.n_buffers);
-        buf.put_u8(self.n_tables);
-        buf.put_slice(&[0u8; 3]); // pad
-        buf.put_u32(self.capabilities);
-        buf.put_u32(self.actions);
-        for p in &self.ports {
-            p.marshal(buf);
-        }
-    }
-
-    fn parse(r: &mut Reader<'_>) -> Result<WireSwitchFeatures, CodecError> {
-        let datapath_id = r.u64()?;
-        let n_buffers = r.u32()?;
-        let n_tables = r.u8()?;
-        r.skip(3)?;
-        let capabilities = r.u32()?;
-        let actions = r.u32()?;
-        let mut ports = Vec::new();
-        while r.remaining() > 0 {
-            ports.push(WirePhyPort::parse(r)?);
-        }
-        Ok(WireSwitchFeatures {
-            datapath_id,
-            n_buffers,
-            n_tables,
-            capabilities,
-            actions,
-            ports,
-        })
-    }
-}
-
-/// A parsed OpenFlow 1.0 message body, one variant per supported
-/// `ofp_type`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireMessage {
-    /// OFPT_HELLO (header only).
-    Hello,
-    /// OFPT_ERROR: type u16, code u16, data.
-    Error {
-        /// `ofp_error_type` class.
-        etype: u16,
-        /// Code within the class.
-        code: u16,
-        /// Offending-message prefix.
-        data: Vec<u8>,
-    },
-    /// OFPT_ECHO_REQUEST with opaque payload.
-    EchoRequest(Vec<u8>),
-    /// OFPT_ECHO_REPLY echoing the request payload.
-    EchoReply(Vec<u8>),
-    /// OFPT_FEATURES_REQUEST (header only).
-    FeaturesRequest,
-    /// OFPT_FEATURES_REPLY.
-    FeaturesReply(WireSwitchFeatures),
-    /// OFPT_PACKET_IN: buffer_id u32, total_len u16, in_port u16,
-    /// reason u8, pad, data.
-    PacketIn {
-        /// Switch buffer reference.
-        buffer_id: u32,
-        /// Ingress port.
-        in_port: u16,
-        /// `ofp_packet_in_reason` code.
-        reason: u8,
-        /// Raw packet bytes.
-        data: Vec<u8>,
-    },
-    /// OFPT_PACKET_OUT: buffer_id u32, in_port u16, actions_len u16,
-    /// actions, data.
-    PacketOut {
-        /// Switch buffer reference (`0xffff_ffff` = data inline).
-        buffer_id: u32,
-        /// Nominal ingress port (`OFPP_NONE` when controller-sourced).
-        in_port: u16,
-        /// Actions applied to the packet.
-        actions: Vec<WireAction>,
-        /// Raw packet bytes.
-        data: Vec<u8>,
-    },
-    /// OFPT_FLOW_MOD.
-    FlowMod(WireFlowMod),
-    /// OFPT_STATS_REQUEST carrying an OFPST_AGGREGATE body:
-    /// match(40) + table_id u8 + pad + out_port u16.
-    AggregateStatsRequest {
-        /// Flows to aggregate over.
-        matcher: WireMatch,
-        /// Table to read (0xff = all).
-        table_id: u8,
-        /// Output-port filter (`OFPP_NONE` = any).
-        out_port: u16,
-    },
-    /// OFPT_STATS_REPLY carrying an OFPST_AGGREGATE body:
-    /// packet_count u64 + byte_count u64 + flow_count u32 + pad\[4\].
-    AggregateStatsReply {
-        /// Packets matched by the aggregated flows.
-        packet_count: u64,
-        /// Bytes matched.
-        byte_count: u64,
-        /// Number of flows aggregated.
-        flow_count: u32,
-    },
-    /// OFPT_BARRIER_REQUEST (header only).
-    BarrierRequest,
-    /// OFPT_BARRIER_REPLY (header only).
-    BarrierReply,
-}
-
-impl WireMessage {
-    /// The `ofp_type` code of this message.
-    pub fn type_code(&self) -> u8 {
-        match self {
-            WireMessage::Hello => type_code::HELLO,
-            WireMessage::Error { .. } => type_code::ERROR,
-            WireMessage::EchoRequest(_) => type_code::ECHO_REQUEST,
-            WireMessage::EchoReply(_) => type_code::ECHO_REPLY,
-            WireMessage::FeaturesRequest => type_code::FEATURES_REQUEST,
-            WireMessage::FeaturesReply(_) => type_code::FEATURES_REPLY,
-            WireMessage::PacketIn { .. } => type_code::PACKET_IN,
-            WireMessage::PacketOut { .. } => type_code::PACKET_OUT,
-            WireMessage::FlowMod(_) => type_code::FLOW_MOD,
-            WireMessage::AggregateStatsRequest { .. } => type_code::STATS_REQUEST,
-            WireMessage::AggregateStatsReply { .. } => type_code::STATS_REPLY,
-            WireMessage::BarrierRequest => type_code::BARRIER_REQUEST,
-            WireMessage::BarrierReply => type_code::BARRIER_REPLY,
-        }
-    }
-
-    /// Body length in bytes (frame length minus the header).
-    pub fn body_len(&self) -> usize {
-        match self {
-            WireMessage::Hello
-            | WireMessage::FeaturesRequest
-            | WireMessage::BarrierRequest
-            | WireMessage::BarrierReply => 0,
-            WireMessage::Error { data, .. } => 4 + data.len(),
-            WireMessage::EchoRequest(p) | WireMessage::EchoReply(p) => p.len(),
-            WireMessage::FeaturesReply(f) => f.body_len(),
-            WireMessage::PacketIn { data, .. } => 10 + data.len(),
-            WireMessage::PacketOut { actions, data, .. } => {
-                8 + actions.iter().map(WireAction::len).sum::<usize>() + data.len()
-            }
-            WireMessage::FlowMod(fm) => fm.body_len(),
-            WireMessage::AggregateStatsRequest { .. } => 4 + MATCH_LEN + 4,
-            WireMessage::AggregateStatsReply { .. } => 4 + 24,
-        }
-    }
-
-    /// Serialize the body (everything after the header).
-    pub fn marshal_body(&self, buf: &mut BytesMut) {
-        match self {
-            WireMessage::Hello
-            | WireMessage::FeaturesRequest
-            | WireMessage::BarrierRequest
-            | WireMessage::BarrierReply => {}
-            WireMessage::Error { etype, code, data } => {
-                buf.put_u16(*etype);
-                buf.put_u16(*code);
-                buf.put_slice(data);
-            }
-            WireMessage::EchoRequest(p) | WireMessage::EchoReply(p) => buf.put_slice(p),
-            WireMessage::FeaturesReply(f) => f.marshal(buf),
-            WireMessage::PacketIn {
-                buffer_id,
-                in_port,
-                reason,
-                data,
-            } => {
-                buf.put_u32(*buffer_id);
-                buf.put_u16(data.len() as u16);
-                buf.put_u16(*in_port);
-                buf.put_u8(*reason);
-                buf.put_u8(0); // pad
-                buf.put_slice(data);
-            }
-            WireMessage::PacketOut {
-                buffer_id,
-                in_port,
-                actions,
-                data,
-            } => {
-                buf.put_u32(*buffer_id);
-                buf.put_u16(*in_port);
-                buf.put_u16(actions.iter().map(WireAction::len).sum::<usize>() as u16);
-                for a in actions {
-                    a.marshal(buf);
-                }
-                buf.put_slice(data);
-            }
-            WireMessage::FlowMod(fm) => fm.marshal(buf),
-            WireMessage::AggregateStatsRequest {
-                matcher,
-                table_id,
-                out_port,
-            } => {
-                buf.put_u16(stats_type::AGGREGATE);
-                buf.put_u16(0); // flags
-                matcher.marshal(buf);
-                buf.put_u8(*table_id);
-                buf.put_u8(0); // pad
-                buf.put_u16(*out_port);
-            }
-            WireMessage::AggregateStatsReply {
-                packet_count,
-                byte_count,
-                flow_count,
-            } => {
-                buf.put_u16(stats_type::AGGREGATE);
-                buf.put_u16(0); // flags
-                buf.put_u64(*packet_count);
-                buf.put_u64(*byte_count);
-                buf.put_u32(*flow_count);
-                buf.put_slice(&[0u8; 4]); // pad
+            });
+            out.put_u32(0); // idle_timeout, hard_timeout: permanent
+            out.put_u16(fm.priority);
+            out.put_u32(u32::MAX); // buffer_id: none
+            out.put_u16(OFPP_NONE); // out_port: any
+            out.put_u16(0); // flags
+            for a in &fm.actions {
+                put_action(a, out)?;
             }
         }
+        OfMessage::PacketIn {
+            buffer_id,
+            in_port,
+            data,
+        } => {
+            out.put_u32(*buffer_id);
+            out.put_u16(data.len() as u16); // total_len
+            out.put_u16(port_to_wire(*in_port)?);
+            out.put_u8(0); // reason: OFPR_NO_MATCH
+            out.put_u8(0); // pad
+            out.put_slice(data);
+        }
+        OfMessage::PacketOut {
+            buffer_id,
+            out_port,
+            data,
+        } => {
+            out.put_u32(*buffer_id);
+            out.put_u16(OFPP_NONE); // in_port: controller-sourced
+            out.put_u16(8); // actions_len
+            put_action(&Action::Output(*out_port), out)?;
+            out.put_slice(data);
+        }
+        OfMessage::FlowStatsRequest => {
+            out.put_u16(STATS_AGGREGATE);
+            out.put_u16(0); // flags
+            out.put_u32(wildcards::ALL);
+            out.put_slice(&[0; MATCH_LEN - 4]);
+            out.put_u8(0xff); // table_id: all
+            out.put_u8(0); // pad
+            out.put_u16(OFPP_NONE); // out_port: any
+        }
+        OfMessage::FlowStatsReply { entries, packets } => {
+            out.put_u16(STATS_AGGREGATE);
+            out.put_u16(0); // flags
+            out.put_u64(*packets);
+            out.put_u64(0); // byte_count
+            out.put_u32(*entries);
+            out.put_u32(0); // pad
+        }
     }
-
-    /// Parse a body given its `ofp_type` code.
-    pub fn parse_body(tcode: u8, body: &[u8]) -> Result<WireMessage, CodecError> {
-        let mut r = Reader::new(body);
-        let msg = match tcode {
-            type_code::HELLO => WireMessage::Hello,
-            type_code::FEATURES_REQUEST => WireMessage::FeaturesRequest,
-            type_code::BARRIER_REQUEST => WireMessage::BarrierRequest,
-            type_code::BARRIER_REPLY => WireMessage::BarrierReply,
-            type_code::ECHO_REQUEST => WireMessage::EchoRequest(r.rest()),
-            type_code::ECHO_REPLY => WireMessage::EchoReply(r.rest()),
-            type_code::ERROR => {
-                let etype = r.u16()?;
-                let code = r.u16()?;
-                WireMessage::Error {
-                    etype,
-                    code,
-                    data: r.rest(),
-                }
-            }
-            type_code::FEATURES_REPLY => {
-                WireMessage::FeaturesReply(WireSwitchFeatures::parse(&mut r)?)
-            }
-            type_code::PACKET_IN => {
-                let buffer_id = r.u32()?;
-                let total_len = r.u16()? as usize;
-                let in_port = r.u16()?;
-                let reason = r.u8()?;
-                r.skip(1)?;
-                let data = r.bytes(total_len)?;
-                WireMessage::PacketIn {
-                    buffer_id,
-                    in_port,
-                    reason,
-                    data,
-                }
-            }
-            type_code::PACKET_OUT => {
-                let buffer_id = r.u32()?;
-                let in_port = r.u16()?;
-                let actions_len = r.u16()? as usize;
-                let action_bytes = r.bytes(actions_len)?;
-                let mut ar = Reader::new(&action_bytes);
-                let mut actions = Vec::new();
-                while ar.remaining() > 0 {
-                    actions.push(WireAction::parse(&mut ar)?);
-                }
-                WireMessage::PacketOut {
-                    buffer_id,
-                    in_port,
-                    actions,
-                    data: r.rest(),
-                }
-            }
-            type_code::FLOW_MOD => WireMessage::FlowMod(WireFlowMod::parse(&mut r)?),
-            type_code::STATS_REQUEST => {
-                let st = r.u16()?;
-                if st != stats_type::AGGREGATE {
-                    return Err(CodecError::UnknownStatsType(st));
-                }
-                r.skip(2)?; // flags
-                let matcher = WireMatch::parse(&mut r)?;
-                let table_id = r.u8()?;
-                r.skip(1)?;
-                let out_port = r.u16()?;
-                WireMessage::AggregateStatsRequest {
-                    matcher,
-                    table_id,
-                    out_port,
-                }
-            }
-            type_code::STATS_REPLY => {
-                let st = r.u16()?;
-                if st != stats_type::AGGREGATE {
-                    return Err(CodecError::UnknownStatsType(st));
-                }
-                r.skip(2)?; // flags
-                let packet_count = r.u64()?;
-                let byte_count = r.u64()?;
-                let flow_count = r.u32()?;
-                r.skip(4)?;
-                WireMessage::AggregateStatsReply {
-                    packet_count,
-                    byte_count,
-                    flow_count,
-                }
-            }
-            t => return Err(CodecError::UnknownType(t)),
-        };
-        r.finish()?;
-        Ok(msg)
-    }
+    Ok(())
 }
 
-impl TryFrom<&OfMessage> for WireMessage {
-    type Error = CodecError;
+fn put_match(m: &FlowMatch, out: &mut BytesMut) -> Result<(), CodecError> {
+    let mut wc = wildcards::ALL;
+    for (present, bits) in [
+        (m.in_port.is_some(), wildcards::IN_PORT),
+        (m.src.is_some(), wildcards::NW_SRC_MASK),
+        (m.dst.is_some(), wildcards::NW_DST_MASK),
+        (m.tag.is_some(), wildcards::DL_VLAN),
+    ] {
+        if present {
+            wc &= !bits;
+        }
+    }
+    out.put_u32(wc);
+    out.put_u16(m.in_port.map_or(Ok(0), port_to_wire)?);
+    out.put_slice(&[0; 12]); // dl_src, dl_dst
+    out.put_u16(m.tag.map_or(0, |t| t.0)); // dl_vlan
+    out.put_slice(&[0; 8]); // dl_vlan_pcp, pad, dl_type, nw_tos, nw_proto, pad
+    out.put_u32(m.src.map_or(0, |h| h.0));
+    out.put_u32(m.dst.map_or(0, |h| h.0));
+    out.put_u32(0); // tp_src, tp_dst
+    Ok(())
+}
 
-    fn try_from(msg: &OfMessage) -> Result<WireMessage, CodecError> {
-        Ok(match msg {
-            OfMessage::Hello => WireMessage::Hello,
-            OfMessage::EchoRequest(p) => WireMessage::EchoRequest(p.clone()),
-            OfMessage::EchoReply(p) => WireMessage::EchoReply(p.clone()),
-            OfMessage::FeaturesRequest => WireMessage::FeaturesRequest,
-            OfMessage::FeaturesReply { dpid, n_ports } => {
-                if *n_ports > 255 {
-                    return Err(CodecError::TooManyPorts(*n_ports));
-                }
-                WireMessage::FeaturesReply(WireSwitchFeatures {
-                    datapath_id: dpid.raw(),
-                    n_buffers: 256,
-                    n_tables: 1,
-                    capabilities: 1, // OFPC_FLOW_STATS
-                    actions: (1 << action_type::OUTPUT)
-                        | (1 << action_type::SET_VLAN_VID)
-                        | (1 << action_type::STRIP_VLAN),
-                    ports: (1..=*n_ports as u16).map(WirePhyPort::stub).collect(),
-                })
+fn put_action(a: &Action, out: &mut BytesMut) -> Result<(), CodecError> {
+    out.put_u16(match a {
+        Action::Output(_) | Action::ToController => action_type::OUTPUT,
+        Action::SetTag(_) => action_type::SET_VLAN_VID,
+        Action::StripTag => action_type::STRIP_VLAN,
+        Action::Drop => action_type::VENDOR,
+    });
+    out.put_u16(action_len(a) as u16);
+    match *a {
+        Action::Output(p) => {
+            out.put_u16(port_to_wire(p)?);
+            out.put_u16(0); // max_len
+        }
+        Action::ToController => {
+            out.put_u16(OFPP_CONTROLLER);
+            out.put_u16(0xffff); // max_len: the whole packet
+        }
+        Action::SetTag(t) => {
+            out.put_u16(t.0);
+            out.put_u16(0); // pad
+        }
+        Action::StripTag => out.put_u32(0), // pad
+        Action::Drop => {
+            out.put_u32(VENDOR_ID);
+            out.put_u32(0); // subtype
+            out.put_u32(0); // pad
+        }
+    }
+    Ok(())
+}
+
+/// A stub descriptor for simulated port `n` (1-based).
+fn put_phy_port(n: u16, out: &mut BytesMut) {
+    out.put_u16(n);
+    out.put_slice(&[0x02, 0, 0, 0]);
+    out.put_u16(n); // hw_addr 02:00:00:00:hi:lo
+    let mut name = [0u8; 16];
+    write!(&mut name[..], "port{n}").expect("a port name fits 16 bytes");
+    out.put_slice(&name);
+    out.put_slice(&[0; 24]); // config, state and the four feature bitmaps
+}
+
+/// Parse exactly one frame, header and body.
+pub fn parse_frame(frame: &[u8]) -> Result<Envelope, CodecError> {
+    if frame.len() < HEADER_LEN {
+        return Err(CodecError::Truncated {
+            expected: HEADER_LEN,
+            got: frame.len(),
+        });
+    }
+    if frame[0] != OFP_VERSION {
+        return Err(CodecError::BadVersion(frame[0]));
+    }
+    let declared = u16::from_be_bytes([frame[2], frame[3]]) as usize;
+    if !(HEADER_LEN..=MAX_FRAME_LEN).contains(&declared) {
+        return Err(CodecError::BadLength(declared));
+    }
+    if declared != frame.len() {
+        return Err(CodecError::Truncated {
+            expected: declared,
+            got: frame.len(),
+        });
+    }
+    let xid = Xid(u32::from_be_bytes([frame[4], frame[5], frame[6], frame[7]]));
+    let mut r = Reader::new(&frame[HEADER_LEN..]);
+    let msg = match frame[1] {
+        type_code::HELLO => OfMessage::Hello,
+        type_code::FEATURES_REQUEST => OfMessage::FeaturesRequest,
+        type_code::BARRIER_REQUEST => OfMessage::BarrierRequest,
+        type_code::BARRIER_REPLY => OfMessage::BarrierReply,
+        type_code::ECHO_REQUEST => OfMessage::EchoRequest(r.rest().to_vec()),
+        type_code::ECHO_REPLY => OfMessage::EchoReply(r.rest().to_vec()),
+        type_code::ERROR => OfMessage::ErrorMsg {
+            etype: r.u16()?,
+            code: r.u16()?,
+            data: r.rest().to_vec(),
+        },
+        type_code::FEATURES_REPLY => {
+            let dpid = DpId(r.u64()?);
+            // n_buffers, n_tables, pad, capabilities, actions
+            r.skip(&[4, 1, 3, 4, 4])?;
+            let mut n_ports = 0;
+            while r.remaining() > 0 {
+                // ofp_phy_port: port_no, hw_addr, name, then the config,
+                // state, curr, advertised, supported and peer bitmaps
+                r.skip(&[2, 6, 16, 4, 4, 4, 4, 4, 4])?;
+                n_ports += 1;
             }
-            OfMessage::FlowMod(fm) => WireMessage::FlowMod(WireFlowMod::try_from(fm)?),
-            OfMessage::BarrierRequest => WireMessage::BarrierRequest,
-            OfMessage::BarrierReply => WireMessage::BarrierReply,
+            OfMessage::FeaturesReply { dpid, n_ports }
+        }
+        type_code::PACKET_IN => {
+            let buffer_id = r.u32()?;
+            let total_len = r.u16()? as usize;
+            let in_port = port_from_wire(r.u16()?);
+            r.skip(&[1, 1])?; // reason, pad
+            let data = r.take(total_len)?.to_vec();
             OfMessage::PacketIn {
                 buffer_id,
                 in_port,
                 data,
-            } => WireMessage::PacketIn {
-                buffer_id: *buffer_id,
-                in_port: port_to_wire(*in_port)?,
-                reason: 0, // OFPR_NO_MATCH
-                data: data.clone(),
-            },
-            OfMessage::PacketOut {
-                buffer_id,
-                out_port,
-                data,
-            } => WireMessage::PacketOut {
-                buffer_id: *buffer_id,
-                in_port: OFPP_NONE,
-                actions: vec![WireAction::Output {
-                    port: port_to_wire(*out_port)?,
-                    max_len: 0,
-                }],
-                data: data.clone(),
-            },
-            OfMessage::ErrorMsg { etype, code, data } => WireMessage::Error {
-                etype: *etype,
-                code: *code,
-                data: data.clone(),
-            },
-            OfMessage::FlowStatsRequest => WireMessage::AggregateStatsRequest {
-                matcher: WireMatch::ALL,
-                table_id: 0xff,
-                out_port: OFPP_NONE,
-            },
-            OfMessage::FlowStatsReply { entries, packets } => WireMessage::AggregateStatsReply {
-                packet_count: *packets,
-                byte_count: 0,
-                flow_count: *entries,
-            },
-        })
-    }
-}
-
-impl TryFrom<&WireMessage> for OfMessage {
-    type Error = CodecError;
-
-    fn try_from(w: &WireMessage) -> Result<OfMessage, CodecError> {
-        Ok(match w {
-            WireMessage::Hello => OfMessage::Hello,
-            WireMessage::EchoRequest(p) => OfMessage::EchoRequest(p.clone()),
-            WireMessage::EchoReply(p) => OfMessage::EchoReply(p.clone()),
-            WireMessage::FeaturesRequest => OfMessage::FeaturesRequest,
-            WireMessage::FeaturesReply(f) => OfMessage::FeaturesReply {
-                dpid: DpId(f.datapath_id),
-                n_ports: f.ports.len() as u32,
-            },
-            WireMessage::FlowMod(fm) => OfMessage::FlowMod(FlowMod::try_from(fm)?),
-            WireMessage::BarrierRequest => OfMessage::BarrierRequest,
-            WireMessage::BarrierReply => OfMessage::BarrierReply,
-            WireMessage::PacketIn {
-                buffer_id,
-                in_port,
-                data,
-                ..
-            } => OfMessage::PacketIn {
-                buffer_id: *buffer_id,
-                in_port: port_from_wire(*in_port),
-                data: data.clone(),
-            },
-            WireMessage::PacketOut {
-                buffer_id,
-                actions,
-                data,
-                ..
-            } => match actions.as_slice() {
-                [WireAction::Output { port, .. }] => OfMessage::PacketOut {
-                    buffer_id: *buffer_id,
-                    out_port: port_from_wire(*port),
-                    data: data.clone(),
+            }
+        }
+        type_code::PACKET_OUT => {
+            let buffer_id = r.u32()?;
+            r.skip(&[2])?; // in_port
+            let actions_len = r.u16()? as usize;
+            let mut actions = Reader::new(r.take(actions_len)?);
+            let (mut n, mut out_port) = (0, None);
+            while actions.remaining() > 0 {
+                out_port = match action(&mut actions) {
+                    Ok(Action::Output(p)) => Some(p),
+                    Ok(Action::ToController) => Some(PortNo::CONTROLLER),
+                    Ok(_) | Err(CodecError::UnknownVendor(_)) => None,
+                    Err(e) => return Err(e),
+                };
+                n += 1;
+            }
+            match (n, out_port) {
+                (1, Some(out_port)) => OfMessage::PacketOut {
+                    buffer_id,
+                    out_port,
+                    data: r.rest().to_vec(),
                 },
-                _ => return Err(CodecError::BadPacketOutActions(actions.len())),
-            },
-            WireMessage::Error { etype, code, data } => OfMessage::ErrorMsg {
-                etype: *etype,
-                code: *code,
-                data: data.clone(),
-            },
-            WireMessage::AggregateStatsRequest { .. } => OfMessage::FlowStatsRequest,
-            WireMessage::AggregateStatsReply {
-                packet_count,
-                flow_count,
-                ..
-            } => OfMessage::FlowStatsReply {
-                entries: *flow_count,
-                packets: *packet_count,
-            },
-        })
+                _ => return Err(CodecError::BadPacketOutActions(n)),
+            }
+        }
+        type_code::FLOW_MOD => OfMessage::FlowMod(flow_mod(&mut r)?),
+        type_code::STATS_REQUEST => {
+            aggregate_header(&mut r)?;
+            flow_match(&mut r)?;
+            r.skip(&[1, 1, 2])?; // table_id, pad, out_port
+            OfMessage::FlowStatsRequest
+        }
+        type_code::STATS_REPLY => {
+            aggregate_header(&mut r)?;
+            let packets = r.u64()?;
+            r.skip(&[8])?; // byte_count
+            let entries = r.u32()?;
+            r.skip(&[4])?; // pad
+            OfMessage::FlowStatsReply { entries, packets }
+        }
+        t => return Err(CodecError::UnknownType(t)),
+    };
+    r.finish()?;
+    Ok(Envelope::new(xid, msg))
+}
+
+/// A stats body's type (which must be `OFPST_AGGREGATE`) and flags.
+fn aggregate_header(r: &mut Reader<'_>) -> Result<(), CodecError> {
+    match r.u16()? {
+        STATS_AGGREGATE => r.skip(&[2]),
+        st => Err(CodecError::UnknownStatsType(st)),
     }
 }
 
-/// A fully-parsed frame: header plus typed body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireFrame {
-    /// The 8-byte header (length is authoritative at parse time and
-    /// recomputed at marshal time).
-    pub header: Header,
-    /// The typed body.
-    pub message: WireMessage,
+fn flow_match(r: &mut Reader<'_>) -> Result<FlowMatch, CodecError> {
+    let wc = r.u32()?;
+    let in_port = r.u16()?;
+    r.skip(&[6, 6])?; // dl_src, dl_dst
+    let dl_vlan = r.u16()?;
+    // dl_vlan_pcp, pad, dl_type, nw_tos, nw_proto, pad
+    r.skip(&[1, 1, 2, 1, 1, 2])?;
+    let nw_src = r.u32()?;
+    let nw_dst = r.u32()?;
+    r.skip(&[2, 2])?; // tp_src, tp_dst
+    let cidr = |mask, shift| (wc & mask) >> shift < 32;
+    Ok(FlowMatch {
+        in_port: (wc & wildcards::IN_PORT == 0).then(|| port_from_wire(in_port)),
+        src: cidr(wildcards::NW_SRC_MASK, wildcards::NW_SRC_SHIFT).then_some(HostId(nw_src)),
+        dst: cidr(wildcards::NW_DST_MASK, wildcards::NW_DST_SHIFT).then_some(HostId(nw_dst)),
+        tag: (wc & wildcards::DL_VLAN == 0).then_some(VersionTag(dl_vlan)),
+    })
 }
 
-impl WireFrame {
-    /// Build a frame for `message` with the given xid; the header's
-    /// version/type/length fields are derived.
-    pub fn new(xid: Xid, message: WireMessage) -> WireFrame {
-        let length = (HEADER_LEN + message.body_len()) as u16;
-        WireFrame {
-            header: Header {
-                version: OFP_VERSION,
-                typ: message.type_code(),
-                length,
-                xid: xid.0,
-            },
-            message,
+/// A FlowMod body. Every action is parsed before the command code and
+/// foreign vendors are judged, so a later parse error wins over both.
+fn flow_mod(r: &mut Reader<'_>) -> Result<FlowMod, CodecError> {
+    let matcher = flow_match(r)?;
+    let cookie = r.u64()?;
+    let command = r.u16()?;
+    r.skip(&[2, 2])?; // idle_timeout, hard_timeout
+    let priority = r.u16()?;
+    r.skip(&[4, 2, 2])?; // buffer_id, out_port, flags
+                         // every action TLV is at least 8 bytes: one allocation at most
+    let mut actions = Vec::with_capacity(r.remaining() / 8);
+    let mut foreign = None;
+    while r.remaining() > 0 {
+        match action(r) {
+            Ok(a) => actions.push(a),
+            Err(CodecError::UnknownVendor(v)) => {
+                foreign.get_or_insert(v);
+            }
+            Err(e) => return Err(e),
         }
     }
-
-    /// Serialize header + body into `buf`.
-    pub fn marshal(&self, buf: &mut BytesMut) {
-        self.header.marshal(buf);
-        self.message.marshal_body(buf);
+    let command = match command {
+        fm_command::ADD => FlowModCommand::Add,
+        fm_command::MODIFY | fm_command::MODIFY_STRICT => FlowModCommand::Modify,
+        fm_command::DELETE | fm_command::DELETE_STRICT => FlowModCommand::Delete,
+        c => return Err(CodecError::UnknownCommand(c)),
+    };
+    if let Some(v) = foreign {
+        return Err(CodecError::UnknownVendor(v));
     }
+    Ok(FlowMod {
+        command,
+        priority,
+        matcher,
+        actions,
+        cookie,
+    })
 }
 
-impl TryFrom<&Envelope> for WireFrame {
-    type Error = CodecError;
-
-    fn try_from(env: &Envelope) -> Result<WireFrame, CodecError> {
-        Ok(WireFrame::new(env.xid, WireMessage::try_from(&env.msg)?))
+/// One action TLV. A vendor action this codec does not speak is
+/// consumed whole and reported as `UnknownVendor`, so the caller can
+/// read on.
+fn action(r: &mut Reader<'_>) -> Result<Action, CodecError> {
+    let typ = r.u16()?;
+    let len = r.u16()? as usize;
+    let exact = |want: usize| match len == want {
+        true => Ok(()),
+        false => Err(CodecError::BadActionLength(len)),
+    };
+    if len < 8 || !len.is_multiple_of(8) {
+        return Err(CodecError::BadActionLength(len));
     }
-}
-
-impl TryFrom<&WireFrame> for Envelope {
-    type Error = CodecError;
-
-    fn try_from(f: &WireFrame) -> Result<Envelope, CodecError> {
-        Ok(Envelope::new(
-            Xid(f.header.xid),
-            OfMessage::try_from(&f.message)?,
-        ))
+    match typ {
+        action_type::OUTPUT => {
+            exact(8)?;
+            let port = r.u16()?;
+            r.skip(&[2])?; // max_len
+            Ok(match port {
+                OFPP_CONTROLLER => Action::ToController,
+                p => Action::Output(port_from_wire(p)),
+            })
+        }
+        action_type::SET_VLAN_VID => {
+            exact(8)?;
+            let vid = r.u16()?;
+            r.skip(&[2])?; // pad
+            Ok(Action::SetTag(VersionTag(vid)))
+        }
+        action_type::STRIP_VLAN => {
+            exact(8)?;
+            r.skip(&[4])?; // pad
+            Ok(Action::StripTag)
+        }
+        action_type::VENDOR => {
+            exact(16)?;
+            let vendor = r.u32()?;
+            let subtype = r.u32()?;
+            r.skip(&[4])?; // pad
+            match (vendor, subtype) {
+                (VENDOR_ID, 0) => Ok(Action::Drop),
+                _ => Err(CodecError::UnknownVendor(vendor)),
+            }
+        }
+        t => Err(CodecError::UnknownAction(t)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::encode;
+    use crate::codec::{decode, encode, try_encode_into};
+
+    /// Offset of the first action TLV in a FlowMod frame.
+    const ACTIONS_AT: usize = HEADER_LEN + MATCH_LEN + 24;
+
+    fn flow_mod_env(matcher: FlowMatch, actions: Vec<Action>) -> Envelope {
+        Envelope::new(
+            Xid(1),
+            OfMessage::FlowMod(FlowMod {
+                command: FlowModCommand::Add,
+                priority: 1,
+                matcher,
+                actions,
+                cookie: 0,
+            }),
+        )
+    }
+
+    fn decoded_flow_mod(bytes: &[u8]) -> FlowMod {
+        match decode(bytes).map(|e| e.msg) {
+            Ok(OfMessage::FlowMod(fm)) => fm,
+            other => panic!("not a FlowMod: {other:?}"),
+        }
+    }
 
     /// Fixed vectors mirroring rust_ofp's `ofp_header` marshaling:
     /// version 0x01, type, big-endian length and xid.
@@ -1399,7 +767,6 @@ mod tests {
 
     #[test]
     fn flow_mod_vector_is_72_bytes_with_exact_layout() {
-        use sdn_types::HostId;
         // FlowMod{Add, prio 100, dst=h2 + tag v1, [Output(3)], cookie 7}
         let env = Envelope::new(
             Xid(0x10),
@@ -1430,8 +797,7 @@ mod tests {
         assert_eq!(&bytes[64..68], &[0xff, 0xff, 0xff, 0xff]); // buffer_id
         assert_eq!(&bytes[68..70], &[0xff, 0xff]); // out_port NONE
         assert_eq!(&bytes[70..72], &[0x00, 0x00]); // flags
-                                                   // OFPAT_OUTPUT{port 3, max_len 0}
-        assert_eq!(&bytes[72..80], &[0, 0, 0, 8, 0, 3, 0, 0]);
+        assert_eq!(&bytes[72..80], &[0, 0, 0, 8, 0, 3, 0, 0]); // OFPAT_OUTPUT{port 3}
     }
 
     #[test]
@@ -1443,25 +809,20 @@ mod tests {
             Action::Drop,
             Action::ToController,
         ] {
-            let w = WireAction::try_from(&a).unwrap();
-            assert_eq!(w.len() % 8, 0, "{a:?}");
-            let mut buf = BytesMut::new();
-            w.marshal(&mut buf);
-            assert_eq!(buf.len(), w.len(), "{a:?}");
+            let bytes = encode(&flow_mod_env(FlowMatch::ANY, vec![a]));
+            let tlv = &bytes[ACTIONS_AT..];
+            assert_eq!(tlv.len() % 8, 0, "{a:?}");
+            let declared = u16::from_be_bytes([tlv[2], tlv[3]]) as usize;
+            assert_eq!(declared, tlv.len(), "{a:?}");
         }
     }
 
     #[test]
     fn to_controller_maps_to_controller_pseudo_port() {
-        let w = WireAction::try_from(&Action::ToController).unwrap();
-        assert_eq!(
-            w,
-            WireAction::Output {
-                port: OFPP_CONTROLLER,
-                max_len: 0xffff
-            }
-        );
-        assert_eq!(Action::try_from(&w).unwrap(), Action::ToController);
+        let bytes = encode(&flow_mod_env(FlowMatch::ANY, vec![Action::ToController]));
+        // OFPAT_OUTPUT, len 8, port OFPP_CONTROLLER, max_len 0xffff
+        assert_eq!(&bytes[ACTIONS_AT..], &[0, 0, 0, 8, 0xff, 0xfd, 0xff, 0xff]);
+        assert_eq!(decoded_flow_mod(&bytes).actions, vec![Action::ToController]);
     }
 
     #[test]
@@ -1470,22 +831,23 @@ mod tests {
             in_port: Some(PortNo(0x12345)),
             ..FlowMatch::ANY
         };
-        assert!(matches!(
-            WireMatch::try_from(&bad),
+        let mut buf = BytesMut::new();
+        assert_eq!(
+            try_encode_into(&flow_mod_env(bad, vec![]), &mut buf),
             Err(CodecError::PortOutOfRange(0x12345))
-        ));
+        );
+        assert!(buf.is_empty(), "a failed encode appends nothing");
     }
 
     #[test]
     fn foreign_vendor_action_is_rejected() {
-        let w = WireAction::Vendor {
-            vendor: 0xdead_beef,
-            subtype: 0,
-        };
-        assert!(matches!(
-            Action::try_from(&w),
-            Err(CodecError::UnknownVendor(0xdead_beef))
-        ));
+        let mut bytes = encode(&flow_mod_env(FlowMatch::ANY, vec![Action::Drop])).to_vec();
+        // OFPAT_VENDOR, len 16, then the vendor id
+        let vendor = ACTIONS_AT + 4;
+        assert_eq!(&bytes[ACTIONS_AT..vendor], &[0xff, 0xff, 0x00, 0x10]);
+        assert_eq!(&bytes[vendor..vendor + 4], &VENDOR_ID.to_be_bytes());
+        bytes[vendor..vendor + 4].copy_from_slice(&0xdead_beef_u32.to_be_bytes());
+        assert_eq!(decode(&bytes), Err(CodecError::UnknownVendor(0xdead_beef)));
     }
 
     #[test]
@@ -1501,14 +863,22 @@ mod tests {
                 tag: Some(VersionTag::OLD),
             },
         ];
+        let be16 = |b: &[u8], at: usize| u16::from_be_bytes([b[at], b[at + 1]]);
+        let be32 =
+            |b: &[u8], at: usize| u32::from_be_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]]);
         for m in cases {
-            let w = WireMatch::try_from(&m).unwrap();
-            let mut buf = BytesMut::new();
-            w.marshal(&mut buf);
-            assert_eq!(buf.len(), MATCH_LEN);
-            let parsed = WireMatch::parse(&mut Reader::new(&buf)).unwrap();
-            assert_eq!(parsed, w);
-            assert_eq!(FlowMatch::try_from(&parsed).unwrap(), m);
+            let bytes = encode(&flow_mod_env(m, vec![]));
+            assert_eq!(bytes.len(), ACTIONS_AT, "a {MATCH_LEN}-byte ofp_match");
+            let wc = be32(&bytes, 8);
+            assert_eq!(wc & wildcards::IN_PORT == 0, m.in_port.is_some());
+            assert_eq!(wc & wildcards::NW_SRC_MASK == 0, m.src.is_some());
+            assert_eq!(wc & wildcards::NW_DST_MASK == 0, m.dst.is_some());
+            assert_eq!(wc & wildcards::DL_VLAN == 0, m.tag.is_some());
+            assert_eq!(be16(&bytes, 12), m.in_port.map_or(0, |p| p.0 as u16));
+            assert_eq!(be16(&bytes, 26), m.tag.map_or(0, |t| t.0));
+            assert_eq!(be32(&bytes, 36), m.src.map_or(0, |h| h.0));
+            assert_eq!(be32(&bytes, 40), m.dst.map_or(0, |h| h.0));
+            assert_eq!(decoded_flow_mod(&bytes).matcher, m);
         }
     }
 
@@ -1529,8 +899,14 @@ mod tests {
             &[0, 0, 0, 0, 0, 0, 0x11, 0x22],
             "dpid big-endian"
         );
-        let back = crate::codec::decode(&bytes).unwrap();
-        assert_eq!(back, env);
+        // the second port: number, MAC, then its null-padded name
+        let port2 = HEADER_LEN + 24 + PHY_PORT_LEN;
+        assert_eq!(&bytes[port2..port2 + 8], &[0, 2, 0x02, 0, 0, 0, 0, 2]);
+        assert_eq!(
+            &bytes[port2 + 8..port2 + 24],
+            b"port2\0\0\0\0\0\0\0\0\0\0\0"
+        );
+        assert_eq!(decode(&bytes).unwrap(), env);
     }
 
     #[test]
