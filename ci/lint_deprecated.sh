@@ -26,6 +26,13 @@
 #   framing::encode_to         -> codec::try_encode_into(..).expect(..)
 #   FrameCodec::drain{,_lossy} -> loop on FrameCodec::next_frame
 #   FrameCodec::is_poisoned    -> (always false; framing errors never poison)
+#   checker::incremental::Nodes (struct Nodes, Nodes::of)
+#                              -> UpdateInstance's own dense switch index
+#
+# The update model keeps one switch index: the code of
+# crates/core/src/{model,config}.rs (not their tests, which hold ordered
+# references to compare against) may not key an ordered map or set by
+# DpId again.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,9 +41,14 @@ PATTERN+='|\bverify_schedule_(parallel|sharded)\b|\bcheck_round_(sampled)\b'
 PATTERN+='|\b(split_s|SplitS)chedule\b|\b(round_o|RoundO)wner\b|\bSharded(Report)\b'
 PATTERN+='|\bWire(Message|Frame|FlowMod|Match|Action|PhyPort|SwitchFeatures)\b'
 PATTERN+='|\b(encode_to|is_poisoned|drain_lossy|try_encode)\b'
+PATTERN+='|\bNodes::of\b|\bstruct Nodes\b'
 
 hits=$(find . -name '*.rs' -not -path './target/*' -not -path './shims/*' -print0 |
     xargs -0 grep -nE "$PATTERN" || true)
+for f in crates/core/src/model.rs crates/core/src/config.rs; do
+    hits+=$(awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+        /BTree(Map|Set)<DpId/ { printf "\n%s:%d:%s", f, FNR, $0 }' "$f")
+done
 
 if [ -n "$hits" ]; then
     echo "error: a deleted API must not come back:" >&2

@@ -38,7 +38,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use sdn_types::DpId;
 
-use crate::checker::{AdmissionProbe, Nodes, OracleMode};
+use crate::checker::{AdmissionProbe, OracleMode};
 use crate::config::ConfigState;
 use crate::model::UpdateInstance;
 use crate::properties::PropertySet;
@@ -66,12 +66,10 @@ pub enum CandidateOrdering {
     AlternatingBackward,
 }
 
-/// Order the pending switches for one greedy round (`nodes` is the
-/// instance's dense switch index).
+/// Order the pending switches for one greedy round.
 pub(crate) fn order_candidates(
     ordering: CandidateOrdering,
     inst: &UpdateInstance,
-    nodes: &Nodes<'_>,
     base: &ConfigState<'_>,
     pending: &[DpId],
 ) -> Vec<DpId> {
@@ -92,15 +90,14 @@ pub(crate) fn order_candidates(
             // Position of each switch's *first* visit on the committed
             // walk, indexed once — classifying the pending set was
             // O(n²) when every switch rescanned the walk.
-            let mut walk_pos = vec![usize::MAX; nodes.len()];
+            let mut walk_pos = vec![usize::MAX; inst.node_count()];
             for (p, &y) in walk.visited.iter().enumerate() {
-                let slot = &mut walk_pos[nodes.idx(y).expect("walks stay on the routes") as usize];
+                let slot = &mut walk_pos[inst.index(y).expect("walks stay on the routes")];
                 *slot = (*slot).min(p);
             }
             let pos_on_walk = |x: DpId| {
-                nodes
-                    .idx(x)
-                    .map(|i| walk_pos[i as usize])
+                inst.index(x)
+                    .map(|i| walk_pos[i])
                     .filter(|&p| p != usize::MAX)
             };
             let mut off: Vec<DpId> = Vec::new();
@@ -177,7 +174,7 @@ pub(crate) fn greedy_rounds(
         CandidateOrdering::NewRouteReverse | CandidateOrdering::OldRoutePosition
     );
     if static_order {
-        pending = order_candidates(ordering, inst, session.nodes(), base, &pending);
+        pending = order_candidates(ordering, inst, base, &pending);
     }
     // Under a static order, a rejected candidate the session names a
     // blocker for is parked (blocker → candidate; a switch blocks only
@@ -188,8 +185,7 @@ pub(crate) fn greedy_rounds(
     // keep probing everything.
     let mut parked: BTreeMap<DpId, DpId> = BTreeMap::new();
     while !(pending.is_empty() && parked.is_empty()) {
-        let reordered = (!static_order)
-            .then(|| order_candidates(ordering, inst, session.nodes(), base, &pending));
+        let reordered = (!static_order).then(|| order_candidates(ordering, inst, base, &pending));
         // Leaving `pending` this round: activated or newly parked.
         let mut leaving: BTreeSet<DpId> = BTreeSet::new();
         for &v in reordered.as_deref().unwrap_or(&pending) {
@@ -208,7 +204,7 @@ pub(crate) fn greedy_rounds(
             if !parked.is_empty() {
                 pending.retain(|v| !leaving.contains(v));
                 pending.extend(parked.values());
-                pending = order_candidates(ordering, inst, session.nodes(), base, &pending);
+                pending = order_candidates(ordering, inst, base, &pending);
                 parked.clear();
                 leaving.clear();
             }
@@ -241,7 +237,7 @@ pub(crate) fn greedy_rounds(
         let before = pending.len();
         pending.extend(activated.filter_map(|v| parked.remove(&v)));
         if pending.len() > before {
-            pending = order_candidates(ordering, inst, session.nodes(), base, &pending);
+            pending = order_candidates(ordering, inst, base, &pending);
         }
         base.apply_all(&ops);
         rounds.push(Round::new(ops));
@@ -312,11 +308,10 @@ mod tests {
         props: &PropertySet,
         ordering: CandidateOrdering,
     ) -> Result<Vec<Round>, SchedulerError> {
-        let nodes = Nodes::of(i);
         let mut base = ConfigState::initial(i);
         let mut rounds = Vec::new();
         while !pending.is_empty() {
-            let ordered = order_candidates(ordering, i, &nodes, &base, &pending);
+            let ordered = order_candidates(ordering, i, &base, &pending);
             let mut ops = Vec::new();
             for mode in [OracleMode::Conservative, OracleMode::Exact] {
                 let mut probe = AdmissionProbe::open(i, &base, *props, mode);
@@ -388,7 +383,7 @@ mod tests {
         let mut session = AdmissionProbe::open(&i, &base, props, OracleMode::Conservative);
         while !pending.is_empty() {
             let ordering = CandidateOrdering::OffPathFirst;
-            for v in order_candidates(ordering, &i, session.nodes(), &base, &pending) {
+            for v in order_candidates(ordering, &i, &base, &pending) {
                 session.try_push(RuleOp::Activate(v));
             }
             let ops = session.commit_round();
@@ -420,7 +415,6 @@ mod tests {
         let ordered = order_candidates(
             CandidateOrdering::OffPathFirst,
             &i,
-            &Nodes::of(&i),
             &base,
             &[DpId(2), DpId(3), DpId(4)],
         );
@@ -436,7 +430,6 @@ mod tests {
         let ordered = order_candidates(
             CandidateOrdering::NewRouteReverse,
             &i,
-            &Nodes::of(&i),
             &base,
             &[DpId(1), DpId(2), DpId(3)],
         );

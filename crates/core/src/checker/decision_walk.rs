@@ -16,13 +16,16 @@
 //! switches on the walk* — typically far smaller than the round. A
 //! configurable leaf budget guards against adversarial blowup; the
 //! report flags when it is hit.
+//!
+//! Every per-switch question indexes the instance's dense switch
+//! index: the round's operations are chained per switch in one table,
+//! "already on the walk" is an O(1) mark, and a walk's switch list and
+//! witness are materialised only when a violation is recorded — a
+//! round costs four allocations, however many leaves it explores.
 
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
+use sdn_types::VersionTag;
 
-use sdn_types::{DpId, VersionTag};
-
-use crate::config::{ConfigState, Walk, WalkOutcome};
+use crate::config::{forward, ConfigState, Walk, WalkOutcome};
 use crate::model::UpdateInstance;
 use crate::properties::{Property, PropertySet, PropertyViolation, ViolationKind};
 use crate::schedule::RuleOp;
@@ -34,6 +37,9 @@ pub const DEFAULT_LEAF_BUDGET: u64 = 1 << 20;
 
 /// Maximum violation witnesses recorded per round.
 const MAX_WITNESSES: usize = 16;
+
+/// End of an op chain / no op of a kind.
+const NONE: u32 = u32::MAX;
 
 /// Exact check of one round for the walk-based properties in `props`
 /// (StrongLoopFreedom is ignored here; see
@@ -58,8 +64,9 @@ fn check_round_with_budget(
     explore(inst, base, ops, props, leaf_budget, false, None)
 }
 
-/// [`check_round_with_budget`] that additionally records, into
-/// `touched`, every switch any explored branch visited. The stateful
+/// [`check_round_with_budget`] that additionally marks, in `touched`
+/// (indexed by the instance's dense switch index), every switch any
+/// explored branch visited. The stateful
 /// [`super::incremental::AdmissionProbe`] uses this set to skip
 /// re-exploration for candidate operations at switches no walk can
 /// reach: behaviour at unvisited switches cannot influence any branch,
@@ -78,7 +85,7 @@ pub(crate) fn check_round_collecting(
     props: &PropertySet,
     leaf_budget: u64,
     fail_fast: bool,
-    touched: &mut BTreeSet<DpId>,
+    touched: &mut [bool],
 ) -> CheckReport {
     explore(
         inst,
@@ -91,46 +98,17 @@ pub(crate) fn check_round_collecting(
     )
 }
 
-/// Per-switch index of the round's operations, preserving ops order,
-/// so the walk resolves "which pending ops matter at `v`" in O(log n)
-/// instead of rescanning the whole round per step.
-struct OpIndex {
-    by_switch: BTreeMap<DpId, SwitchOps>,
-}
-
-#[derive(Default, Clone)]
+/// The round's operations at one switch, and the walk's mark on it.
+#[derive(Clone, Copy)]
 struct SwitchOps {
-    /// Indices into `ops` touching this switch, ascending.
-    list: Vec<usize>,
-    /// First index of each op kind at this switch, if present.
-    activate: Option<usize>,
-    remove: Option<usize>,
-    tagged: Option<usize>,
-}
-
-impl OpIndex {
-    fn build(ops: &[RuleOp]) -> Self {
-        let mut by_switch: BTreeMap<DpId, SwitchOps> = BTreeMap::new();
-        for (i, op) in ops.iter().enumerate() {
-            let Some(v) = op.switch() else { continue };
-            let entry = by_switch.entry(v).or_default();
-            entry.list.push(i);
-            let slot = match op {
-                RuleOp::Activate(_) => &mut entry.activate,
-                RuleOp::RemoveOld(_) => &mut entry.remove,
-                RuleOp::InstallTagged(_) => &mut entry.tagged,
-                RuleOp::FlipIngress => unreachable!("has no switch"),
-            };
-            if slot.is_none() {
-                *slot = Some(i);
-            }
-        }
-        OpIndex { by_switch }
-    }
-
-    fn at(&self, v: DpId) -> Option<&SwitchOps> {
-        self.by_switch.get(&v)
-    }
+    /// First op index at this switch of each kind, by flag bit
+    /// position (activate, remove-old, install-tagged).
+    first: [u32; 3],
+    /// First op index at this switch; `Explorer::chain` continues it
+    /// in round order.
+    head: u32,
+    /// The switch is on the current walk.
+    on_path: bool,
 }
 
 fn explore(
@@ -140,32 +118,59 @@ fn explore(
     props: &PropertySet,
     leaf_budget: u64,
     fail_fast: bool,
-    touched: Option<&mut BTreeSet<DpId>>,
+    touched: Option<&mut [bool]>,
 ) -> CheckReport {
+    let n = inst.node_count();
+    let idx = |v| inst.index(v).expect("route switches participate");
+    let mut at = vec![
+        SwitchOps {
+            first: [NONE; 3],
+            head: NONE,
+            on_path: false,
+        };
+        n
+    ];
+    let mut chain = vec![NONE; ops.len()];
+    // Backwards, so every chain and first-of-kind ends up in round
+    // order. An op at a switch outside the instance is never walked.
+    for (i, op) in ops.iter().enumerate().rev() {
+        let Some((v, bit)) = op.flag() else { continue };
+        let Some(sw) = inst.index(v).map(|s| &mut at[s]) else {
+            continue;
+        };
+        chain[i] = sw.head;
+        sw.head = i as u32;
+        sw.first[bit.trailing_zeros() as usize] = i as u32;
+    }
     let mut ex = Explorer {
         inst,
         base,
         ops,
-        index: OpIndex::build(ops),
+        at,
+        chain,
+        src: idx(inst.src()),
+        dst: idx(inst.dst()),
+        waypoint: inst.waypoint().map(idx),
+        decisions: vec![None; ops.len()],
+        path: Vec::with_capacity(n + 1),
         props,
         report: CheckReport::default(),
         leaves_left: leaf_budget,
         fail_fast,
         touched,
     };
-    let mut decisions: Vec<Option<bool>> = vec![None; ops.len()];
 
     // The ingress flip (if pending) is the first decision: it selects
     // the packet's tag class.
     match ops.iter().position(|o| matches!(o, RuleOp::FlipIngress)) {
         Some(fi) if !ex.base.is_flipped() => {
             for applied in [false, true] {
-                decisions[fi] = Some(applied);
-                ex.start_walk(&mut decisions);
+                ex.decisions[fi] = Some(applied);
+                ex.start_walk(applied);
             }
-            decisions[fi] = None;
+            ex.decisions[fi] = None;
         }
-        _ => ex.start_walk(&mut decisions),
+        _ => ex.start_walk(ex.base.is_flipped()),
     }
     ex.report
 }
@@ -174,224 +179,171 @@ struct Explorer<'a, 'b, 'c> {
     inst: &'a UpdateInstance,
     base: &'b ConfigState<'a>,
     ops: &'b [RuleOp],
-    index: OpIndex,
+    /// Per participant (dense index).
+    at: Vec<SwitchOps>,
+    /// Per op: the next op index at the same switch, or `NONE`.
+    chain: Vec<u32>,
+    src: usize,
+    dst: usize,
+    waypoint: Option<usize>,
+    /// Per op: undecided, or whether the branch applied it.
+    decisions: Vec<Option<bool>>,
+    /// The walk so far, as dense indices, source first.
+    path: Vec<usize>,
     props: &'b PropertySet,
     report: CheckReport,
     leaves_left: u64,
     fail_fast: bool,
-    touched: Option<&'c mut BTreeSet<DpId>>,
+    touched: Option<&'c mut [bool]>,
 }
 
 impl Explorer<'_, '_, '_> {
-    fn decided(&self, decisions: &[Option<bool>], op: RuleOp) -> Option<bool> {
-        if let RuleOp::FlipIngress = op {
-            return self
-                .ops
-                .iter()
-                .position(|o| matches!(o, RuleOp::FlipIngress))
-                .and_then(|i| decisions[i]);
-        }
-        let v = op.switch().expect("non-flip op names a switch");
-        let sw = self.index.at(v)?;
-        let first = match op {
-            RuleOp::Activate(_) => sw.activate,
-            RuleOp::RemoveOld(_) => sw.remove,
-            RuleOp::InstallTagged(_) => sw.tagged,
-            RuleOp::FlipIngress => unreachable!(),
-        };
-        first.and_then(|i| decisions[i])
-    }
-
     /// First pending, undecided op (in round order) that influences
     /// forwarding at `v` for tag class `tag`.
-    fn first_relevant_undecided(
-        &self,
-        decisions: &[Option<bool>],
-        v: DpId,
-        tag: VersionTag,
-    ) -> Option<usize> {
-        let sw = self.index.at(v)?;
-        sw.list.iter().copied().find(|&i| {
-            decisions[i].is_none()
-                && match self.ops[i] {
-                    RuleOp::Activate(_) | RuleOp::RemoveOld(_) => true,
-                    RuleOp::InstallTagged(_) => tag == VersionTag::NEW,
-                    RuleOp::FlipIngress => false, // decided up front
-                }
-        })
+    fn first_relevant_undecided(&self, v: usize, tag: VersionTag) -> Option<usize> {
+        let mut i = self.at[v].head;
+        while i != NONE {
+            let k = i as usize;
+            let relevant = match self.ops[k] {
+                RuleOp::Activate(_) | RuleOp::RemoveOld(_) => true,
+                RuleOp::InstallTagged(_) => tag == VersionTag::NEW,
+                RuleOp::FlipIngress => false, // decided up front
+            };
+            if relevant && self.decisions[k].is_none() {
+                return Some(k);
+            }
+            i = self.chain[k];
+        }
+        None
     }
 
     /// Forwarding at `v` once every relevant op is decided.
-    fn effective_next(
-        &self,
-        decisions: &[Option<bool>],
-        v: DpId,
-        tag: VersionTag,
-        flipped: bool,
-    ) -> Option<DpId> {
-        if v == self.inst.dst() {
+    fn effective_next(&self, v: usize, tag: VersionTag, flipped: bool) -> Option<usize> {
+        if v == self.dst {
             return None;
         }
-        if v == self.inst.src() && flipped {
-            return self.inst.new_next(v);
+        if v == self.src && flipped {
+            return self.inst.new_next_at(v);
         }
-        let activated =
-            self.base.is_activated(v) || self.decided(decisions, RuleOp::Activate(v)) == Some(true);
-        let removed = self.base.is_old_removed(v)
-            || self.decided(decisions, RuleOp::RemoveOld(v)) == Some(true);
-        let tagged = self.base.is_tagged_installed(v)
-            || self.decided(decisions, RuleOp::InstallTagged(v)) == Some(true);
-        if tag == VersionTag::NEW && tagged {
-            return self.inst.new_next(v);
+        let mut flags = self.base.flags_at(v);
+        for (kind, &first) in self.at[v].first.iter().enumerate() {
+            if first != NONE && self.decisions[first as usize] == Some(true) {
+                flags |= 1 << kind;
+            }
         }
-        if activated {
-            return self.inst.new_next(v);
-        }
-        if removed {
-            return None;
-        }
-        self.inst.old_next(v)
+        forward(self.inst, v, flags, tag)
     }
 
-    fn start_walk(&mut self, decisions: &mut Vec<Option<bool>>) {
-        let src = self.inst.src();
-        let flipped =
-            self.base.is_flipped() || self.decided(decisions, RuleOp::FlipIngress) == Some(true);
+    fn start_walk(&mut self, flipped: bool) {
         let tag = if flipped {
             VersionTag::NEW
         } else {
             VersionTag::OLD
         };
-        let mut visited = vec![src];
-        self.walk(src, tag, flipped, &mut visited, decisions);
+        let src = self.src;
+        self.path.push(src);
+        self.at[src].on_path = true;
+        self.walk(src, tag, flipped);
+        self.at[src].on_path = false;
+        self.path.pop();
     }
 
-    fn walk(
-        &mut self,
-        v: DpId,
-        tag: VersionTag,
-        flipped: bool,
-        visited: &mut Vec<DpId>,
-        decisions: &mut Vec<Option<bool>>,
-    ) {
+    fn walk(&mut self, v: usize, tag: VersionTag, flipped: bool) {
         if self.fail_fast && !self.report.violations.is_empty() {
             return;
         }
         if let Some(t) = self.touched.as_deref_mut() {
-            t.insert(v);
+            t[v] = true;
         }
         if self.leaves_left == 0 {
             self.report.budget_exhausted = true;
             return;
         }
         // Branch on the first relevant undecided op, if any.
-        if let Some(i) = self.first_relevant_undecided(decisions, v, tag) {
+        if let Some(i) = self.first_relevant_undecided(v, tag) {
             for applied in [false, true] {
-                decisions[i] = Some(applied);
-                self.walk(v, tag, flipped, visited, decisions);
+                self.decisions[i] = Some(applied);
+                self.walk(v, tag, flipped);
             }
-            decisions[i] = None;
+            self.decisions[i] = None;
             return;
         }
         // Deterministic step.
-        match self.effective_next(decisions, v, tag, flipped) {
-            None => {
-                self.leaf(decisions, visited, WalkEnd::Blackhole(v), visited.clone());
-            }
-            Some(t) => {
-                visited.push(t);
-                if t == self.inst.dst() {
-                    let via_wp = self
-                        .inst
-                        .waypoint()
-                        .map(|w| visited.contains(&w))
-                        .unwrap_or(true);
-                    let snapshot = visited.clone();
-                    self.leaf(decisions, visited, WalkEnd::Delivered { via_wp }, snapshot);
-                } else if visited[..visited.len() - 1].contains(&t) {
-                    let snapshot = visited.clone();
-                    self.leaf(decisions, visited, WalkEnd::Looped(t), snapshot);
-                } else {
-                    self.walk(t, tag, flipped, visited, decisions);
-                }
-                visited.pop();
-            }
+        let Some(t) = self.effective_next(v, tag, flipped) else {
+            return self.leaf(WalkEnd::Blackhole(v));
+        };
+        self.path.push(t);
+        if t == self.dst {
+            let via_wp = self.waypoint.is_none_or(|w| self.at[w].on_path);
+            self.leaf(WalkEnd::Delivered { via_wp });
+        } else if self.at[t].on_path {
+            self.leaf(WalkEnd::Looped(t));
+        } else {
+            self.at[t].on_path = true;
+            self.walk(t, tag, flipped);
+            self.at[t].on_path = false;
         }
+        self.path.pop();
     }
 
-    fn leaf(
-        &mut self,
-        decisions: &[Option<bool>],
-        _visited: &mut Vec<DpId>,
-        end: WalkEnd,
-        snapshot: Vec<DpId>,
-    ) {
+    fn leaf(&mut self, end: WalkEnd) {
         self.leaves_left = self.leaves_left.saturating_sub(1);
         self.report.configs_checked += 1;
         if self.report.violations.len() >= MAX_WITNESSES {
             return;
         }
-        let witness: Vec<RuleOp> = self
-            .ops
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| decisions[*i] == Some(true))
-            .map(|(_, op)| *op)
-            .collect();
-        let violation = match end {
-            WalkEnd::Blackhole(at) if self.props.contains(Property::BlackholeFreedom) => {
-                Some(PropertyViolation {
-                    property: Property::BlackholeFreedom,
-                    kind: ViolationKind::BadWalk(Walk {
-                        visited: snapshot,
-                        outcome: WalkOutcome::Blackhole { at },
-                    }),
-                })
-            }
-            WalkEnd::Looped(at) if self.props.contains(Property::RelaxedLoopFreedom) => {
-                Some(PropertyViolation {
-                    property: Property::RelaxedLoopFreedom,
-                    kind: ViolationKind::BadWalk(Walk {
-                        visited: snapshot,
-                        outcome: WalkOutcome::Looped { at },
-                    }),
-                })
-            }
+        let ids = self.inst.participants();
+        let (property, outcome) = match end {
+            WalkEnd::Blackhole(at) if self.props.contains(Property::BlackholeFreedom) => (
+                Property::BlackholeFreedom,
+                WalkOutcome::Blackhole { at: ids[at] },
+            ),
+            WalkEnd::Looped(at) if self.props.contains(Property::RelaxedLoopFreedom) => (
+                Property::RelaxedLoopFreedom,
+                WalkOutcome::Looped { at: ids[at] },
+            ),
             WalkEnd::Delivered { via_wp: false }
                 if self.props.contains(Property::WaypointEnforcement) =>
             {
-                Some(PropertyViolation {
-                    property: Property::WaypointEnforcement,
-                    kind: ViolationKind::BadWalk(Walk {
-                        visited: snapshot,
-                        outcome: WalkOutcome::Delivered {
-                            via_waypoint: false,
-                        },
-                    }),
-                })
+                (
+                    Property::WaypointEnforcement,
+                    WalkOutcome::Delivered {
+                        via_waypoint: false,
+                    },
+                )
             }
-            _ => None,
+            _ => return,
         };
-        if let Some(violation) = violation {
-            self.report.violations.push(Violation {
-                round: None,
-                witness,
-                violation,
-            });
-        }
+        let witness = self
+            .ops
+            .iter()
+            .zip(&self.decisions)
+            .filter(|(_, d)| **d == Some(true))
+            .map(|(op, _)| *op)
+            .collect();
+        let visited = self.path.iter().map(|&i| ids[i]).collect();
+        self.report.violations.push(Violation {
+            round: None,
+            witness,
+            violation: PropertyViolation {
+                property,
+                kind: ViolationKind::BadWalk(Walk { visited, outcome }),
+            },
+        });
     }
 }
 
 enum WalkEnd {
     Delivered { via_wp: bool },
-    Looped(DpId),
-    Blackhole(DpId),
+    Looped(usize),
+    Blackhole(usize),
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sdn_topo::route::RoutePath;
+    use sdn_types::DpId;
 
     fn inst(old: &[u64], new: &[u64], wp: Option<u64>) -> UpdateInstance {
         UpdateInstance::new(
@@ -515,7 +467,7 @@ mod tests {
         let i = inst(&[1, 2, 3], &[1, 4, 3], None);
         let base = ConfigState::initial(&i);
         let ops = [RuleOp::Activate(DpId(4))];
-        let mut touched = BTreeSet::new();
+        let mut touched = vec![false; i.node_count()];
         let rep = check_round_collecting(
             &i,
             &base,
@@ -526,9 +478,10 @@ mod tests {
             &mut touched,
         );
         assert!(rep.is_ok());
-        assert!(touched.contains(&DpId(1)));
-        assert!(touched.contains(&DpId(2)));
-        assert!(!touched.contains(&DpId(4)));
+        let was_touched = |v| touched[i.index(DpId(v)).unwrap()];
+        assert!(was_touched(1));
+        assert!(was_touched(2));
+        assert!(!was_touched(4));
     }
 
     #[test]

@@ -58,6 +58,11 @@
 //!   branch consults its rules), so only candidates on — or newly
 //!   reachable from — the walk frontier pay for re-exploration.
 //!
+//! Every per-switch array here is indexed by the instance's dense
+//! switch index ([`UpdateInstance::participants`] order): the session
+//! reads successors from the instance and committed rule flags from
+//! its own [`ConfigState`], and keeps no switch index of its own.
+//!
 //! Every [`AdmissionProbe::try_push`] either commits (the candidate
 //! joins the round) or rolls back to the exact prior state through an
 //! undo log; [`AdmissionProbe::commit_round`] folds the admitted round
@@ -72,72 +77,17 @@
 //! greedy trajectories, and that a rejected push leaves no trace in
 //! the patched structures.
 
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use sdn_types::{DpId, VersionTag};
 
-use crate::config::ConfigState;
+use crate::config::{forward, ConfigState, ACTIVATED};
 use crate::model::UpdateInstance;
 use crate::properties::{Property, PropertySet};
 use crate::schedule::RuleOp;
 
 use super::decision_walk;
 use super::OracleMode;
-
-/// Pending-operation bit flags per switch (mirrors the three local op
-/// kinds [`possible_nexts`](super::choice_graph) enumerates).
-const F_ACT: u8 = 1;
-const F_REM: u8 = 2;
-const F_TAG: u8 = 4;
-
-/// Dense switch indexing for one instance, borrowing the instance's
-/// precomputed participant list.
-pub(crate) struct Nodes<'a> {
-    ids: &'a [DpId],
-    /// Direct dpid→index table when the id span is compact (generated
-    /// workloads use 1..=n); empty means fall back to binary search.
-    lookup: Vec<u32>,
-    min: u64,
-}
-
-impl<'a> Nodes<'a> {
-    pub(crate) fn of(inst: &'a UpdateInstance) -> Self {
-        let ids = inst.participants();
-        let min = ids.first().map_or(0, |v| v.0);
-        // Dpids arrive from requests: the span of two of them can
-        // exceed `usize` (0 and u64::MAX are both valid), in which
-        // case — as for any sparse id set — binary search answers.
-        let span = ids
-            .last()
-            .and_then(|max| (max.0 - min).checked_add(1))
-            .and_then(|span| usize::try_from(span).ok())
-            .filter(|&span| span <= ids.len().saturating_mul(8));
-        let mut lookup = Vec::new();
-        if let Some(span) = span {
-            lookup = vec![u32::MAX; span];
-            for (i, v) in ids.iter().enumerate() {
-                lookup[(v.0 - min) as usize] = i as u32;
-            }
-        }
-        Nodes { ids, lookup, min }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    pub(crate) fn idx(&self, v: DpId) -> Option<u32> {
-        if self.lookup.is_empty() {
-            return self.ids.binary_search(&v).ok().map(|i| i as u32);
-        }
-        let off = usize::try_from(v.0.checked_sub(self.min)?).ok()?;
-        match self.lookup.get(off) {
-            Some(&i) if i != u32::MAX => Some(i),
-            _ => None,
-        }
-    }
-}
 
 /// One cell of a flat adjacency array: the neighbours of one switch.
 /// Both routes are simple paths, so a switch has at most one old-route
@@ -583,8 +533,8 @@ impl Undo {
 struct WalkMemo {
     /// Verdict of the accepted candidate set.
     ok: bool,
-    /// Every switch some explored branch visited.
-    touched: BTreeSet<DpId>,
+    /// Every switch some explored branch visited, by dense index.
+    touched: Vec<bool>,
 }
 
 /// A cached rejection certificate for one switch: pushing the `bit`
@@ -632,7 +582,6 @@ pub struct AdmissionProbe<'a> {
     props: PropertySet,
     walk_props: PropertySet,
     mode: OracleMode,
-    nodes: Nodes<'a>,
     src: u32,
     dst: u32,
     waypoint: Option<u32>,
@@ -641,12 +590,7 @@ pub struct AdmissionProbe<'a> {
     /// rule ever points at the ingress, so the edge lies on no cycle
     /// and strong loop freedom cannot tell it is there.)
     src_new_edge: Option<u32>,
-    /// Per-switch committed-base flags (activated/removed/tagged).
-    base_flags: Vec<u8>,
-    /// Dense successor tables.
-    old_nexts: Vec<Option<u32>>,
-    new_nexts: Vec<Option<u32>>,
-    /// Per-switch accepted pending-op flags.
+    /// Per-switch accepted pending-op flags (the [`ConfigState`] bits).
     flags: Vec<u8>,
     flip_pending: bool,
     accepted: Vec<RuleOp>,
@@ -677,32 +621,11 @@ impl<'a> AdmissionProbe<'a> {
         props: PropertySet,
         mode: OracleMode,
     ) -> Self {
-        let nodes = Nodes::of(inst);
-        let n = nodes.len();
-        let idx = |v: DpId| nodes.idx(v).expect("route switch is a participant");
+        let n = inst.node_count();
+        let idx = |v: DpId| inst.index(v).expect("route switch is a participant") as u32;
         let src = idx(inst.src());
-        let dst = idx(inst.dst());
         let waypoint = inst.waypoint().map(idx);
-        let src_new_edge = inst.new_next(inst.src()).map(idx);
-        let mut base_flags = vec![0u8; n];
-        let mut old_nexts = vec![None; n];
-        let mut new_nexts = vec![None; n];
-        for (i, &v) in nodes.ids.iter().enumerate() {
-            let mut f = 0u8;
-            if base.is_activated(v) {
-                f |= F_ACT;
-            }
-            if base.is_old_removed(v) {
-                f |= F_REM;
-            }
-            if base.is_tagged_installed(v) {
-                f |= F_TAG;
-            }
-            base_flags[i] = f;
-            old_nexts[i] = inst.old_next(v).map(idx);
-            new_nexts[i] = inst.new_next(v).map(idx);
-        }
-
+        let src_new_edge = inst.new_next_at(src as usize).map(|t| t as u32);
         let walk_props = props.without(Property::StrongLoopFreedom);
         let mut probe = AdmissionProbe {
             inst,
@@ -710,14 +633,10 @@ impl<'a> AdmissionProbe<'a> {
             props,
             walk_props,
             mode,
-            nodes,
             src,
-            dst,
+            dst: idx(inst.dst()),
             waypoint,
             src_new_edge,
-            base_flags,
-            old_nexts,
-            new_nexts,
             flags: vec![0u8; n],
             flip_pending: false,
             accepted: Vec::new(),
@@ -791,11 +710,6 @@ impl<'a> AdmissionProbe<'a> {
         &self.base
     }
 
-    /// The instance's dense switch index.
-    pub(crate) fn nodes(&self) -> &Nodes<'a> {
-        &self.nodes
-    }
-
     /// Whether any exact decision walk hit its leaf budget; verdicts
     /// are then only exact up to the budget (the session-side mirror
     /// of [`CheckReport::budget_exhausted`](super::CheckReport)).
@@ -847,7 +761,7 @@ impl<'a> AdmissionProbe<'a> {
             }
         }
         if let Some(memo) = &self.memo {
-            let _ = writeln!(s, "memo ok={} touched={:?}", memo.ok, memo.touched);
+            let _ = writeln!(s, "memo ok={} touched={}", memo.ok, bits(&memo.touched));
         }
         s
     }
@@ -911,18 +825,9 @@ impl<'a> AdmissionProbe<'a> {
         let mut touched: Vec<u32> = Vec::with_capacity(ops.len());
         for op in ops {
             self.base.apply(op);
-            if let Some(v) = op.switch() {
-                if let Some(i) = self.nodes.idx(v) {
-                    let bit = match op {
-                        RuleOp::Activate(_) => F_ACT,
-                        RuleOp::RemoveOld(_) => F_REM,
-                        RuleOp::InstallTagged(_) => F_TAG,
-                        RuleOp::FlipIngress => unreachable!("flip has no switch"),
-                    };
-                    self.base_flags[i as usize] |= bit;
-                    self.flags[i as usize] = 0;
-                    touched.push(i);
-                }
+            if let Some(i) = op.switch().and_then(|v| self.inst.index(v)) {
+                self.flags[i] = 0;
+                touched.push(i as u32);
             }
         }
         touched.sort_unstable();
@@ -1039,7 +944,7 @@ impl<'a> AdmissionProbe<'a> {
             }
         }
         if self.mode == OracleMode::Exact && !self.walk_props.is_empty() {
-            let mut touched = BTreeSet::new();
+            let mut touched = vec![false; self.inst.node_count()];
             let rep = decision_walk::check_round_collecting(
                 self.inst,
                 &self.base,
@@ -1090,17 +995,12 @@ impl<'a> AdmissionProbe<'a> {
                 true
             }
             RuleOp::Activate(v) | RuleOp::RemoveOld(v) | RuleOp::InstallTagged(v) => {
-                let Some(i) = self.nodes.idx(v) else {
+                let (Some(i), Some((_, bit))) = (self.inst.index(v), op.flag()) else {
                     // A switch outside the instance never matches any
                     // rule edge or walk step: semantically a no-op.
                     return self.verdict_unchanged();
                 };
-                let bit = match op {
-                    RuleOp::Activate(_) => F_ACT,
-                    RuleOp::RemoveOld(_) => F_REM,
-                    RuleOp::InstallTagged(_) => F_TAG,
-                    RuleOp::FlipIngress => unreachable!(),
-                };
+                let i = i as u32;
                 let before = self.flags[i as usize];
                 if before & bit != 0 {
                     return self.verdict_unchanged();
@@ -1122,7 +1022,7 @@ impl<'a> AdmissionProbe<'a> {
 
                 if self.mode == OracleMode::Exact {
                     if let Some(memo) = &self.memo {
-                        if memo.touched.contains(&v) {
+                        if memo.touched[i as usize] {
                             return self.recompute_walk(op);
                         }
                         // No branch consults v: the verdict stays
@@ -1217,7 +1117,7 @@ impl<'a> AdmissionProbe<'a> {
         self.certs[i as usize].filter(|cert| {
             cert.bit == bit
                 && cert.before == self.flags[i as usize]
-                && cert.base == self.base_flags[i as usize]
+                && cert.base == self.base.flags_at(i as usize)
                 && cert.tag == cg.tag
                 && cg.out[cert.y as usize].contains(i)
                 && (pk.whole || cg.reach[i as usize])
@@ -1233,9 +1133,9 @@ impl<'a> AdmissionProbe<'a> {
     /// rejection also hinges on `v` staying reachable, which any round
     /// can change: no blocker is named.)
     pub(crate) fn blocker(&self, v: DpId) -> Option<DpId> {
-        let cert = self.certified(self.nodes.idx(v)?, F_ACT)?;
+        let cert = self.certified(self.inst.index(v)? as u32, ACTIVATED)?;
         let whole = self.classes[0].pk.as_ref().is_some_and(|pk| pk.whole);
-        whole.then(|| self.nodes.ids[cert.y as usize])
+        whole.then(|| self.inst.participants()[cert.y as usize])
     }
 
     /// After the order refused edge `i → t`: if `t` points straight
@@ -1247,7 +1147,7 @@ impl<'a> AdmissionProbe<'a> {
             self.certs[i as usize] = Some(RejectCert {
                 bit,
                 before,
-                base: self.base_flags[i as usize],
+                base: self.base.flags_at(i as usize),
                 tag: cg.tag,
                 y: t,
             });
@@ -1269,7 +1169,7 @@ impl<'a> AdmissionProbe<'a> {
         let mut trial = Vec::with_capacity(self.accepted.len() + 1);
         trial.extend_from_slice(&self.accepted);
         trial.push(op);
-        let mut touched = BTreeSet::new();
+        let mut touched = vec![false; self.inst.node_count()];
         let rep = decision_walk::check_round_collecting(
             self.inst,
             &self.base,
@@ -1296,22 +1196,14 @@ impl<'a> AdmissionProbe<'a> {
         if i == self.dst {
             return nexts;
         }
-        let base = self.base_flags[i as usize];
+        let base = self.base.flags_at(i as usize);
         for mask in 0u8..8 {
             // Enumerate only applied-subsets of the pending flags.
             if mask & !flags != 0 {
                 continue;
             }
-            let eff = base | mask;
-            let next = if (tag == VersionTag::NEW && eff & F_TAG != 0) || eff & F_ACT != 0 {
-                self.new_nexts[i as usize]
-            } else if eff & F_REM != 0 {
-                None
-            } else {
-                self.old_nexts[i as usize]
-            };
-            match next {
-                Some(t) => nexts.push(t),
+            match forward(self.inst, i as usize, base | mask, tag) {
+                Some(t) => nexts.push(t as u32),
                 None => nexts.none = true,
             }
         }
@@ -1325,7 +1217,7 @@ impl<'a> AdmissionProbe<'a> {
 
     /// Build one class graph from the base plus all current flags.
     fn build_class(&mut self, tag: VersionTag) -> ClassGraph {
-        let n = self.nodes.len();
+        let n = self.inst.node_count();
         let mut out = vec![Adj::default(); n];
         let mut may_blackhole = vec![false; n];
         for i in 0..n as u32 {
@@ -1449,6 +1341,7 @@ mod tests {
     use crate::checker::round_admissible;
     use sdn_topo::route::RoutePath;
     use sdn_types::DetRng;
+    use std::collections::BTreeSet;
 
     fn inst(old: &[u64], new: &[u64], wp: Option<u64>) -> UpdateInstance {
         UpdateInstance::new(
@@ -1732,16 +1625,12 @@ mod tests {
                 AdmissionProbe::open(&i, &base, PropertySet::all(), OracleMode::Conservative);
             for tag in [VersionTag::OLD, VersionTag::NEW] {
                 for (v, _) in i.nodes() {
-                    let vi = probe.nodes.idx(v).unwrap();
-                    let mut flags = 0u8;
-                    for op in &ops {
-                        flags |= match op {
-                            RuleOp::Activate(x) if *x == v => F_ACT,
-                            RuleOp::RemoveOld(x) if *x == v => F_REM,
-                            RuleOp::InstallTagged(x) if *x == v => F_TAG,
-                            _ => 0,
-                        };
-                    }
+                    let vi = i.index(v).unwrap() as u32;
+                    let flags = ops
+                        .iter()
+                        .filter_map(RuleOp::flag)
+                        .filter(|&(x, _)| x == v)
+                        .fold(0u8, |f, (_, bit)| f | bit);
                     let ln = probe.local_nexts(vi, tag, flags);
                     let mut reference = possible_nexts(&i, &base, &ops, v, tag);
                     if tag == VersionTag::NEW && v == i.src() {
@@ -1751,7 +1640,7 @@ mod tests {
                     let mut got: BTreeSet<Option<DpId>> = ln
                         .targets
                         .iter()
-                        .map(|t| Some(probe.nodes.ids[t as usize]))
+                        .map(|t| Some(i.participants()[t as usize]))
                         .collect();
                     if ln.none {
                         got.insert(None);
@@ -1759,30 +1648,6 @@ mod tests {
                     assert_eq!(got, reference, "{i} v={v} tag={tag}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn dense_and_sparse_node_indexing_agree() {
-        // Sparse dpids force the binary-search fallback; dense ones use
-        // the direct table. Both must answer identically.
-        let dense = inst(&[1, 2, 3, 4, 5], &[1, 4, 3, 2, 5], None);
-        let sparse = inst(
-            &[1, 1000, 2_000_000, 3_000_000_000],
-            &[1, 3_000_000_000],
-            None,
-        );
-        // A span that does not fit `usize` (both ids are valid u64
-        // dpids) must fall back too, not wrap to an empty table.
-        let extreme = inst(&[0, 7, u64::MAX], &[0, u64::MAX], None);
-        assert!(Nodes::of(&extreme).lookup.is_empty());
-        for i in [&dense, &sparse, &extreme] {
-            let nodes = Nodes::of(i);
-            for (k, &v) in i.participants().iter().enumerate() {
-                assert_eq!(nodes.idx(v), Some(k as u32), "{i} {v}");
-            }
-            assert_eq!(nodes.idx(DpId(999_999_999_999)), None);
-            assert_eq!(nodes.idx(DpId(6)), None);
         }
     }
 

@@ -43,7 +43,6 @@ pub mod exhaustive;
 pub mod incremental;
 
 pub use incremental::AdmissionProbe;
-pub(crate) use incremental::Nodes;
 
 use std::fmt;
 

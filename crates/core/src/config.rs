@@ -13,7 +13,6 @@
 //!   otherwise (tagged rules have higher priority, as in Reitblatt et
 //!   al.). Untagged packets use untagged rules only.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use sdn_types::{DpId, VersionTag};
@@ -84,13 +83,38 @@ impl fmt::Display for Walk {
     }
 }
 
+/// Flag bits of one switch's rule state in a [`ConfigState`]; a
+/// [`RuleOp`] other than the ingress flip sets exactly one of them.
+pub(crate) const ACTIVATED: u8 = 1;
+pub(crate) const OLD_REMOVED: u8 = 2;
+pub(crate) const TAGGED: u8 = 4;
+
+/// Where switch `i` (a dense index of `inst`) forwards a packet of
+/// class `tag` when its rule state is `flags`: a NEW-tagged packet
+/// matches an installed tagged rule first; otherwise the new rule once
+/// activated, else the old rule unless removed. The destination has no
+/// rule on either route, so it never forwards.
+pub(crate) fn forward(
+    inst: &UpdateInstance,
+    i: usize,
+    flags: u8,
+    tag: VersionTag,
+) -> Option<usize> {
+    if (tag == VersionTag::NEW && flags & TAGGED != 0) || flags & ACTIVATED != 0 {
+        inst.new_next_at(i)
+    } else if flags & OLD_REMOVED != 0 {
+        None
+    } else {
+        inst.old_next_at(i)
+    }
+}
+
 /// The data-plane state reached after some set of operations applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigState<'a> {
     inst: &'a UpdateInstance,
-    activated: BTreeSet<DpId>,
-    old_removed: BTreeSet<DpId>,
-    tagged_installed: BTreeSet<DpId>,
+    /// One flag byte per participant, by the instance's dense index.
+    flags: Vec<u8>,
     ingress_flipped: bool,
 }
 
@@ -99,9 +123,7 @@ impl<'a> ConfigState<'a> {
     pub fn initial(inst: &'a UpdateInstance) -> Self {
         ConfigState {
             inst,
-            activated: BTreeSet::new(),
-            old_removed: BTreeSet::new(),
-            tagged_installed: BTreeSet::new(),
+            flags: vec![0; inst.node_count()],
             ingress_flipped: false,
         }
     }
@@ -111,21 +133,16 @@ impl<'a> ConfigState<'a> {
         self.inst
     }
 
-    /// Apply one operation.
+    /// Apply one operation. An operation at a switch outside the
+    /// instance cannot affect any walk, and is ignored.
     pub fn apply(&mut self, op: &RuleOp) {
-        match op {
-            RuleOp::Activate(v) => {
-                self.activated.insert(*v);
+        match op.flag() {
+            Some((v, bit)) => {
+                if let Some(i) = self.inst.index(v) {
+                    self.flags[i] |= bit;
+                }
             }
-            RuleOp::RemoveOld(v) => {
-                self.old_removed.insert(*v);
-            }
-            RuleOp::InstallTagged(v) => {
-                self.tagged_installed.insert(*v);
-            }
-            RuleOp::FlipIngress => {
-                self.ingress_flipped = true;
-            }
+            None => self.ingress_flipped = true,
         }
     }
 
@@ -136,19 +153,28 @@ impl<'a> ConfigState<'a> {
         }
     }
 
+    /// The flag byte of the participant with dense index `i`.
+    pub(crate) fn flags_at(&self, i: usize) -> u8 {
+        self.flags[i]
+    }
+
+    fn has(&self, v: DpId, bit: u8) -> bool {
+        self.inst.index(v).is_some_and(|i| self.flags[i] & bit != 0)
+    }
+
     /// Whether a switch has been activated (replacement semantics).
     pub fn is_activated(&self, v: DpId) -> bool {
-        self.activated.contains(&v)
+        self.has(v, ACTIVATED)
     }
 
     /// Whether a switch's old rule has been removed.
     pub fn is_old_removed(&self, v: DpId) -> bool {
-        self.old_removed.contains(&v)
+        self.has(v, OLD_REMOVED)
     }
 
     /// Whether a switch has its NEW-tagged rule installed.
     pub fn is_tagged_installed(&self, v: DpId) -> bool {
-        self.tagged_installed.contains(&v)
+        self.has(v, TAGGED)
     }
 
     /// Whether the ingress has flipped to the new tagged policy.
@@ -156,83 +182,67 @@ impl<'a> ConfigState<'a> {
         self.ingress_flipped
     }
 
-    /// The *untagged* rule at `v`: new rule if activated, else the old
-    /// rule if present and not removed.
-    fn untagged_next(&self, v: DpId) -> Option<DpId> {
-        if self.activated.contains(&v) {
-            self.inst.new_next(v)
-        } else if self.old_removed.contains(&v) {
-            None
-        } else {
-            self.inst.old_next(v)
-        }
+    fn next_at(&self, i: usize, tag: VersionTag) -> Option<usize> {
+        forward(self.inst, i, self.flags[i], tag)
     }
 
     /// Where a packet with tag `tag` is forwarded at `v`, or `None`
     /// when no rule matches (blackhole). The destination never
     /// forwards.
     pub fn next_hop(&self, v: DpId, tag: VersionTag) -> Option<DpId> {
-        if v == self.inst.dst() {
-            return None;
-        }
-        if tag == VersionTag::NEW && self.tagged_installed.contains(&v) {
-            return self.inst.new_next(v);
-        }
-        self.untagged_next(v)
-    }
-
-    /// The tag stamped on packets entering at the source, and the
-    /// source's forwarding decision.
-    fn ingress(&self) -> (VersionTag, Option<DpId>) {
-        let src = self.inst.src();
-        if self.ingress_flipped {
-            (VersionTag::NEW, self.inst.new_next(src))
-        } else {
-            (VersionTag::OLD, self.untagged_next(src))
-        }
+        let t = self.next_at(self.inst.index(v)?, tag)?;
+        Some(self.inst.participants()[t])
     }
 
     /// Walk a packet from the source until delivery, loop or blackhole.
     pub fn walk(&self) -> Walk {
-        let src = self.inst.src();
-        let dst = self.inst.dst();
+        let ids = self.inst.participants();
+        let src = self
+            .inst
+            .index(self.inst.src())
+            .expect("the source participates");
         let wp = self.inst.waypoint();
-        let mut visited = vec![src];
-        let mut seen: BTreeSet<DpId> = BTreeSet::new();
-        seen.insert(src);
-        let mut via_waypoint = wp.is_none_or(|w| w == src);
+        // A walk visits each switch at most once, plus the revisit.
+        let mut visited = Vec::with_capacity(ids.len() + 1);
+        visited.push(ids[src]);
+        let mut seen = vec![false; ids.len()];
+        seen[src] = true;
+        let mut via_waypoint = wp.is_none_or(|w| w == ids[src]);
 
-        let (tag, mut next) = self.ingress();
+        // The ingress stamps the packet's tag class and, once flipped,
+        // forwards by its new rule.
+        let (tag, mut next) = if self.ingress_flipped {
+            (VersionTag::NEW, self.inst.new_next_at(src))
+        } else {
+            (VersionTag::OLD, self.next_at(src, VersionTag::OLD))
+        };
         let mut current = src;
         loop {
-            match next {
-                None => {
-                    return Walk {
-                        visited,
-                        outcome: WalkOutcome::Blackhole { at: current },
-                    }
-                }
-                Some(v) => {
-                    visited.push(v);
-                    if wp == Some(v) {
-                        via_waypoint = true;
-                    }
-                    if v == dst {
-                        return Walk {
-                            visited,
-                            outcome: WalkOutcome::Delivered { via_waypoint },
-                        };
-                    }
-                    if !seen.insert(v) {
-                        return Walk {
-                            visited,
-                            outcome: WalkOutcome::Looped { at: v },
-                        };
-                    }
-                    current = v;
-                    next = self.next_hop(v, tag);
-                }
+            let Some(i) = next else {
+                return Walk {
+                    visited,
+                    outcome: WalkOutcome::Blackhole { at: ids[current] },
+                };
+            };
+            let v = ids[i];
+            visited.push(v);
+            if wp == Some(v) {
+                via_waypoint = true;
             }
+            if v == self.inst.dst() {
+                return Walk {
+                    visited,
+                    outcome: WalkOutcome::Delivered { via_waypoint },
+                };
+            }
+            if std::mem::replace(&mut seen[i], true) {
+                return Walk {
+                    visited,
+                    outcome: WalkOutcome::Looped { at: v },
+                };
+            }
+            current = i;
+            next = self.next_at(i, tag);
         }
     }
 
@@ -258,58 +268,47 @@ impl<'a> ConfigState<'a> {
     /// rule when installed, else its untagged rule (the fall-through a
     /// NEW-tagged packet would take).
     pub fn class_edges(&self, tag: VersionTag) -> Vec<(DpId, DpId)> {
-        let mut edges = Vec::new();
-        for (v, _) in self.inst.nodes() {
-            if v == self.inst.dst() {
-                continue;
-            }
-            if let Some(t) = self.next_hop(v, tag) {
-                edges.push((v, t));
-            }
-        }
-        edges
+        let ids = self.inst.participants();
+        (0..ids.len())
+            .filter_map(|i| self.next_at(i, tag).map(|t| (ids[i], ids[t])))
+            .collect()
     }
 
     /// Whether the per-class rule graph contains a directed cycle
     /// (strong-loop-freedom violation for that class).
     pub fn class_has_cycle(&self, tag: VersionTag) -> Option<Vec<DpId>> {
         // Functional graph: each node has at most one out-edge, so
-        // cycle detection is pointer chasing with three colors.
-        use std::collections::BTreeMap;
-        let mut next: BTreeMap<DpId, DpId> = BTreeMap::new();
-        for (a, b) in self.class_edges(tag) {
-            next.insert(a, b);
-        }
-        let mut color: BTreeMap<DpId, u8> = BTreeMap::new(); // 0 white 1 gray 2 black
-        for &start in next.keys() {
-            if color.get(&start).copied().unwrap_or(0) != 0 {
+        // cycle detection is pointer chasing with three colors, started
+        // from every switch with a rule edge in dpid order.
+        let ids = self.inst.participants();
+        let mut color = vec![0u8; ids.len()]; // 0 white 1 gray 2 black
+        let mut path = Vec::new();
+        for start in 0..ids.len() {
+            if color[start] != 0 || self.next_at(start, tag).is_none() {
                 continue;
             }
-            let mut path = Vec::new();
+            path.clear();
             let mut v = start;
             loop {
-                match color.get(&v).copied().unwrap_or(0) {
+                match color[v] {
                     1 => {
                         // found a cycle: the portion of `path` from v
                         let pos = path.iter().position(|&x| x == v).expect("on path");
-                        for &n in &path {
-                            color.insert(n, 2);
-                        }
-                        return Some(path[pos..].to_vec());
+                        return Some(path[pos..].iter().map(|&x| ids[x]).collect());
                     }
                     2 => break,
                     _ => {
-                        color.insert(v, 1);
+                        color[v] = 1;
                         path.push(v);
-                        match next.get(&v) {
-                            Some(&t) => v = t,
+                        match self.next_at(v, tag) {
+                            Some(t) => v = t,
                             None => break,
                         }
                     }
                 }
             }
-            for n in path {
-                color.insert(n, 2);
+            for &n in &path {
+                color[n] = 2;
             }
         }
         None

@@ -14,8 +14,6 @@
 //! contracted view is used by analysis, experiments (round-count
 //! scaling vs. number of backward edges) and tests.
 
-use std::collections::BTreeMap;
-
 use sdn_types::DpId;
 
 use crate::model::{NodeRole, UpdateInstance};
@@ -60,8 +58,6 @@ impl Contracted {
     /// Contract an instance.
     pub fn of(inst: &UpdateInstance) -> Self {
         let old_nodes: Vec<DpId> = inst.old().hops().to_vec();
-        let pos: BTreeMap<DpId, usize> =
-            old_nodes.iter().enumerate().map(|(i, &v)| (v, i)).collect();
 
         let mut new_positions = Vec::new();
         let mut jumps = Vec::new();
@@ -72,7 +68,9 @@ impl Contracted {
             match inst.role(v) {
                 Some(NodeRole::NewOnly) => pending_via.push(v),
                 _ => {
-                    let p = pos[&v];
+                    let p = inst
+                        .old_position(v)
+                        .expect("a shared switch is on the old route");
                     if let Some(lp) = last_pos {
                         jumps.push(Jump {
                             from_pos: lp,

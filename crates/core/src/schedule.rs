@@ -19,6 +19,7 @@ use std::fmt;
 
 use sdn_types::DpId;
 
+use crate::config::{ACTIVATED, OLD_REMOVED, TAGGED};
 use crate::model::{NodeRole, UpdateInstance};
 
 /// One rule operation at one switch.
@@ -44,6 +45,19 @@ impl RuleOp {
     pub fn switch(&self) -> Option<DpId> {
         match self {
             RuleOp::Activate(v) | RuleOp::RemoveOld(v) | RuleOp::InstallTagged(v) => Some(*v),
+            RuleOp::FlipIngress => None,
+        }
+    }
+
+    /// The switch this operation names and the [`ConfigState`] flag it
+    /// sets there; `None` for `FlipIngress`.
+    ///
+    /// [`ConfigState`]: crate::config::ConfigState
+    pub(crate) fn flag(&self) -> Option<(DpId, u8)> {
+        match *self {
+            RuleOp::Activate(v) => Some((v, ACTIVATED)),
+            RuleOp::RemoveOld(v) => Some((v, OLD_REMOVED)),
+            RuleOp::InstallTagged(v) => Some((v, TAGGED)),
             RuleOp::FlipIngress => None,
         }
     }
@@ -203,13 +217,24 @@ impl Schedule {
     /// participating switch with the right role, no op repeats, and op
     /// kinds match the schedule kind.
     pub fn validate(&self, inst: &UpdateInstance) -> Result<(), ScheduleError> {
-        let mut seen: BTreeSet<RuleOp> = BTreeSet::new();
+        // Ops seen so far: per participant, the flag bit of each op
+        // kind (an op at a foreign switch is rejected on first sight).
+        let mut seen = vec![0u8; inst.node_count()];
+        let mut flip_seen = false;
         for (i, round) in self.rounds.iter().enumerate() {
             if round.is_empty() {
                 return Err(ScheduleError::EmptyRound(i));
             }
             for op in &round.ops {
-                if !seen.insert(*op) {
+                let repeated = match op.flag() {
+                    Some((v, bit)) => inst.index(v).is_some_and(|k| {
+                        let before = seen[k];
+                        seen[k] |= bit;
+                        before & bit != 0
+                    }),
+                    None => std::mem::replace(&mut flip_seen, true),
+                };
+                if repeated {
                     return Err(ScheduleError::DuplicateOp(*op));
                 }
                 match (self.kind, op) {

@@ -92,12 +92,14 @@ impl Json {
         }
     }
 
-    /// Value as u64 if it is a non-negative integral number.
+    /// Value as u64 if it is a non-negative integer an `f64` holds
+    /// exactly (at most 2⁵³ − 1). A larger literal was already rounded
+    /// by parsing, so it names some other integer — rejected, never
+    /// rounded or saturated.
     pub fn as_u64(&self) -> Option<u64> {
+        const MAX_EXACT: f64 = ((1u64 << 53) - 1) as f64;
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT => Some(*n as u64),
             _ => None,
         }
     }
@@ -674,5 +676,7 @@ mod tests {
         assert_eq!(v.get("x").unwrap().as_f64(), Some(1.0));
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(1.5).as_u64(), None);
+        assert_eq!(Json::Num(9007199254740991.0).as_u64(), Some((1 << 53) - 1));
+        assert_eq!(Json::Num(9007199254740992.0).as_u64(), None);
     }
 }

@@ -282,18 +282,29 @@ mod tests {
         assert_eq!(inst.dst(), DpId(12));
     }
 
-    /// Dpids are u64 on the wire and 0 and 2⁶⁴−1 are both valid: the
-    /// schedulers' dense switch index must not size a table by their
-    /// span (it wrapped to 0 and indexed an empty table).
+    /// Dpids are u64 and 0 and 2⁶⁴−1 are both valid: the instance's
+    /// dense switch index must not size a table by their span (it
+    /// wrapped to 0 and indexed an empty table). JSON numbers carry
+    /// only 53 bits, so such a request reaches the model built here,
+    /// not through `parse`, which refuses the literal.
     #[test]
     fn extreme_dpid_span_schedules() {
         use update_core::algorithms::{Peacock, SlfGreedy, UpdateScheduler, WayUp};
-        let r = UpdateRequest::parse(
+        assert!(UpdateRequest::parse(
             r#"{"oldpath":[0,3,5,18446744073709551615],
                 "newpath":[0,5,3,18446744073709551615],"wp":5}"#,
         )
-        .unwrap();
-        assert_eq!(r.old_path[3], u64::MAX);
+        .is_err());
+        let r = UpdateRequest {
+            old_path: vec![0, 3, 5, u64::MAX],
+            new_path: vec![0, 5, 3, u64::MAX],
+            waypoint: Some(5),
+            interval_ms: None,
+            algorithm: None,
+            tenant: None,
+            priority: None,
+            deadline_ms: None,
+        };
         let inst = r.to_instance().unwrap();
         let schedulers: [&dyn UpdateScheduler; 3] = [
             &Peacock::default(),
@@ -304,6 +315,32 @@ mod tests {
             let schedule = s.schedule(&inst).unwrap();
             assert!(schedule.round_count() >= 1, "{}", s.name());
         }
+    }
+
+    /// 2⁵³ + 1 is the first integer an `f64` cannot hold: it parsed
+    /// as 2⁵³, and the update addressed a different switch.
+    #[test]
+    fn dpid_beyond_f64_precision_rejected() {
+        assert_eq!(
+            UpdateRequest::parse(r#"{"oldpath":[1,9007199254740993,3],"newpath":[1,3]}"#),
+            Err(RequestError::BadField("oldpath"))
+        );
+        let r =
+            UpdateRequest::parse(r#"{"oldpath":[1,9007199254740991,3],"newpath":[1,3]}"#).unwrap();
+        assert_eq!(r.old_path[1], (1 << 53) - 1);
+    }
+
+    /// 2⁶⁴ does not fit a dpid at all: it saturated to `u64::MAX`.
+    #[test]
+    fn dpid_beyond_u64_rejected() {
+        assert_eq!(
+            UpdateRequest::parse(r#"{"oldpath":[1,2],"newpath":[1,18446744073709551616,2]}"#),
+            Err(RequestError::BadField("newpath"))
+        );
+        assert_eq!(
+            UpdateRequest::parse(r#"{"oldpath":[1,2],"newpath":[1,2],"wp":18446744073709551616}"#),
+            Err(RequestError::BadField("wp"))
+        );
     }
 
     #[test]
