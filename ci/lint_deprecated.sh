@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Fail CI if a deleted API reappears in any Rust source: the
 # pre-fabric submission surface, the stand-alone serial controller, the
-# schedule verifiers nothing called and the codec's second message
-# representation. No file — not even their former defining sites — may
+# schedule verifiers nothing called, the codec's second message
+# representation and the admission, scheduler and simulator modes no
+# caller selected. No file — not even their former defining sites — may
 # mention these names:
 #
 #   World::with_runtime        -> World::builder(..).{concurrent,fabric,runtime_handle}
@@ -28,6 +29,16 @@
 #   FrameCodec::is_poisoned    -> (always false; framing errors never poison)
 #   checker::incremental::Nodes (struct Nodes, Nodes::of)
 #                              -> UpdateInstance's own dense switch index
+#   AdmissionPolicy, DropOldest, QueuedDisplacing, AdmitOutcome,
+#   RejectReason, JournalRecord::Shed
+#                              -> a bounded queue that refuses:
+#                                 SubmitError::QueueFull
+#   admission_response         -> rest::response::submit_response
+#   tenant_quota               -> FabricConfig::tenants (TenantPolicy)
+#   enforce_waypoint           -> WayUp
+#   allow_fallback             -> (WayUp always falls back)
+#   flowmod_proc_delay, packet_proc_delay
+#                              -> (private constants of sim/world.rs)
 #
 # The update model keeps one switch index: the code of
 # crates/core/src/{model,config}.rs (not their tests, which hold ordered
@@ -42,6 +53,9 @@ PATTERN+='|\b(split_s|SplitS)chedule\b|\b(round_o|RoundO)wner\b|\bSharded(Report
 PATTERN+='|\bWire(Message|Frame|FlowMod|Match|Action|PhyPort|SwitchFeatures)\b'
 PATTERN+='|\b(encode_to|is_poisoned|drain_lossy|try_encode)\b'
 PATTERN+='|\bNodes::of\b|\bstruct Nodes\b'
+PATTERN+='|\b(AdmissionPolicy|DropOldest|QueuedDisplacing|AdmitOutcome|RejectReason)\b'
+PATTERN+='|\b(admission_response|tenant_quota|enforce_waypoint|allow_fallback)\b'
+PATTERN+='|\b(flowmod_proc_delay|packet_proc_delay)\b|\bJournalRecord::Shed\b'
 
 hits=$(find . -name '*.rs' -not -path './target/*' -not -path './shims/*' -print0 |
     xargs -0 grep -nE "$PATTERN" || true)

@@ -35,7 +35,7 @@ use sdn_channel::config::ChannelConfig;
 use sdn_ctrl::compile::{compile_schedule, initial_flowmods, CompiledUpdate, FlowSpec};
 use sdn_ctrl::executor::ExecConfig;
 use sdn_ctrl::runtime::{
-    AdmissionPolicy, ConcurrentRuntime, RetransMode, RuntimeConfig, RuntimeHandle, SubmitRequest,
+    ConcurrentRuntime, RetransMode, RuntimeConfig, RuntimeHandle, SubmitRequest,
 };
 use sdn_sim::report::SimReport;
 use sdn_sim::world::{World, WorldConfig};
@@ -278,7 +278,6 @@ fn main() {
         let runtime = Box::new(ConcurrentRuntime::new(RuntimeConfig {
             queue_capacity: capacity,
             max_active: 4,
-            policy: AdmissionPolicy::RejectNew,
             ..RuntimeConfig::default()
         }));
         let out = run_load(&pairs, true, runtime);

@@ -34,27 +34,12 @@ pub struct SlfGreedy {
     /// Candidate ordering (default: reverse new-route order, which is
     /// always safe and performs well for SLF).
     pub ordering: CandidateOrdering,
-    /// Also preserve waypoint enforcement (off by default; use
-    /// [`super::WayUp`] when the instance has a waypoint to protect).
-    pub enforce_waypoint: bool,
 }
 
 impl Default for SlfGreedy {
     fn default() -> Self {
         SlfGreedy {
             ordering: CandidateOrdering::NewRouteReverse,
-            enforce_waypoint: false,
-        }
-    }
-}
-
-impl SlfGreedy {
-    fn props(&self) -> PropertySet {
-        let p = PropertySet::loop_free_strong();
-        if self.enforce_waypoint {
-            p.with(crate::properties::Property::WaypointEnforcement)
-        } else {
-            p
         }
     }
 }
@@ -73,7 +58,7 @@ impl UpdateScheduler for SlfGreedy {
             inst,
             &mut base,
             pending_shared(inst),
-            &self.props(),
+            &PropertySet::loop_free_strong(),
             self.ordering,
             true,
         )?;

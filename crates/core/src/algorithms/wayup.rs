@@ -49,10 +49,6 @@ pub struct WayUp {
     /// relaxed loop freedom (the demo's pairing with \[4\]); `true`
     /// additionally enforces strong loop freedom.
     pub strong_loop_freedom: bool,
-    /// Fall back to two-phase commit when rule replacement cannot
-    /// preserve waypoint enforcement (default true). With `false`,
-    /// such instances return [`SchedulerError::Stuck`].
-    pub allow_fallback: bool,
     /// Candidate ordering inside phases.
     pub ordering: CandidateOrdering,
 }
@@ -61,7 +57,6 @@ impl Default for WayUp {
     fn default() -> Self {
         WayUp {
             strong_loop_freedom: false,
-            allow_fallback: true,
             ordering: CandidateOrdering::OffPathFirst,
         }
     }
@@ -113,11 +108,10 @@ impl UpdateScheduler for WayUp {
     fn schedule(&self, inst: &UpdateInstance) -> Result<Schedule, SchedulerError> {
         match self.try_replacement(inst) {
             Ok(s) => Ok(s),
-            Err(SchedulerError::Stuck { remaining }) if self.allow_fallback => {
+            Err(SchedulerError::Stuck { .. }) => {
                 let mut s = TwoPhaseCommit.schedule(inst)?;
                 s.algorithm = "wayup+2pc-fallback".to_string();
                 s.fallback = true;
-                let _ = remaining;
                 Ok(s)
             }
             Err(e) => Err(e),
@@ -190,17 +184,6 @@ mod tests {
         assert_eq!(s.kind, crate::schedule::ScheduleKind::Tagged);
         let r = verify_schedule(&i, &s, PropertySet::transiently_secure());
         assert!(r.is_ok(), "{r}");
-    }
-
-    #[test]
-    fn crossing_instance_without_fallback_reports_stuck() {
-        let i = inst(&[1, 2, 3, 4, 5], &[1, 4, 3, 2, 5], 3);
-        let res = WayUp {
-            allow_fallback: false,
-            ..WayUp::default()
-        }
-        .schedule(&i);
-        assert!(matches!(res, Err(SchedulerError::Stuck { .. })));
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use handshake::Handshake;
 pub use rest::request::UpdateRequest;
 pub use resync::ResyncManager;
 pub use runtime::{
-    AdmissionPolicy, AdmitOutcome, ConcurrentRuntime, FabricConfig, FabricCoordinator, Footprint,
-    Journal, MigrateError, Priority, RetransMode, RuntimeConfig, RuntimeHandle, RuntimeStats,
-    ShardId, SubmitError, SubmitOutcome, SubmitRequest, SubmitTicket, SwitchSeat, TenantId,
+    ConcurrentRuntime, FabricConfig, FabricCoordinator, Footprint, Journal, MigrateError, Priority,
+    RetransMode, RuntimeConfig, RuntimeHandle, RuntimeStats, ShardId, SubmitError, SubmitOutcome,
+    SubmitRequest, SubmitTicket, SwitchSeat, TenantId,
 };

@@ -1,23 +1,21 @@
-//! Structured REST responses: admission outcomes and request errors.
+//! Structured REST responses: submission outcomes and request errors.
 //!
 //! The demo's Ryu app answered every request `200 OK`; with a bounded
 //! admission queue the controller must be able to say *no* — and say
 //! it in a form clients can act on. Responses are `(status code,
 //! JSON body)` pairs in the demo's own JSON dialect:
 //!
-//! * `202 {"status":"queued","job":7,"queued":3}` — accepted;
-//! * `202 {"status":"queued","job":8,"displaced":"u5 (...)"}` —
-//!   accepted by shedding an older waiting job (drop-oldest policy);
-//! * `503 {"status":"rejected","reason":"queue full","retry":true}` —
-//!   backpressure; the client should retry later;
-//! * `400/413 {"status":"error",...}` — malformed or over-limit
-//!   request, with the parser's byte offset when available.
+//! * [`submit_response`] — `202` with the job id for an accepted
+//!   update, `429`, `503` or `422` for a typed refusal;
+//! * [`error_response`] — `400/413 {"status":"error",...}` for a
+//!   malformed or over-limit request, with the parser's byte offset
+//!   when available.
 
 use std::collections::BTreeMap;
 
 use crate::rest::json::Json;
 use crate::rest::request::RequestError;
-use crate::runtime::{AdmitOutcome, SubmitError, SubmitOutcome};
+use crate::runtime::{SubmitError, SubmitOutcome};
 
 /// An HTTP-ish status code plus a JSON body.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,45 +34,14 @@ fn render(fields: Vec<(&str, Json)>) -> String {
     Json::Obj(map).render()
 }
 
-/// The response for an admission outcome. `queued` is the runtime's
-/// current queue depth (lets clients observe backlog).
-pub fn admission_response(outcome: &AdmitOutcome, queued: usize) -> Response {
-    match outcome {
-        AdmitOutcome::Queued { id } => Response {
-            status: 202,
-            body: render(vec![
-                ("status", Json::Str("queued".into())),
-                ("job", Json::Num(id.0 as f64)),
-                ("queued", Json::Num(queued as f64)),
-            ]),
-        },
-        AdmitOutcome::QueuedDisplacing { id, dropped } => Response {
-            status: 202,
-            body: render(vec![
-                ("status", Json::Str("queued".into())),
-                ("job", Json::Num(id.0 as f64)),
-                ("queued", Json::Num(queued as f64)),
-                ("displaced", Json::Str(dropped.1.clone())),
-            ]),
-        },
-        AdmitOutcome::Rejected(reason) => Response {
-            status: 503,
-            body: render(vec![
-                ("status", Json::Str("rejected".into())),
-                ("reason", Json::Str(reason.to_string())),
-                ("retry", Json::Bool(true)),
-            ]),
-        },
-    }
-}
-
 /// The v1 response for a [`SubmitOutcome`]. Tickets answer `202` with
 /// the job id and placement; refusals are typed:
 ///
 /// * `429 {"status":"rejected","reason":"quota exceeded","tenant":3,
 ///   "limit":2,"in_flight":2,"retry":true}` — the tenant's in-flight
 ///   budget is spent; retrying after a completion is sound;
-/// * `503` — queue backpressure, exactly as the legacy endpoint;
+/// * `503 {"status":"rejected","reason":"queue full","retry":true}` —
+///   queue backpressure; the client should retry later;
 /// * `422 {"retry":false}` — the deadline had already passed at
 ///   submission, so the identical request can never succeed.
 pub fn submit_response(outcome: &SubmitOutcome) -> Response {
@@ -88,9 +55,6 @@ pub fn submit_response(outcome: &SubmitOutcome) -> Response {
             ];
             if let Some(shard) = ticket.shard {
                 fields.push(("shard", Json::Num(shard as f64)));
-            }
-            if let Some((_, label)) = &ticket.displaced {
-                fields.push(("displaced", Json::Str(label.clone())));
             }
             Response {
                 status: 202,
@@ -155,40 +119,6 @@ mod tests {
     use crate::rest::json;
     use crate::rest::request::UpdateRequest;
     use crate::runtime::conflict::JobId;
-    use crate::runtime::RejectReason;
-
-    #[test]
-    fn queued_response_shape() {
-        let r = admission_response(&AdmitOutcome::Queued { id: JobId(7) }, 3);
-        assert_eq!(r.status, 202);
-        let v = json::parse(&r.body).unwrap();
-        assert_eq!(v.get("status").unwrap().as_str(), Some("queued"));
-        assert_eq!(v.get("job").unwrap().as_u64(), Some(7));
-        assert_eq!(v.get("queued").unwrap().as_u64(), Some(3));
-    }
-
-    #[test]
-    fn displacing_response_names_the_victim() {
-        let r = admission_response(
-            &AdmitOutcome::QueuedDisplacing {
-                id: JobId(8),
-                dropped: (JobId(5), "old-job".into()),
-            },
-            2,
-        );
-        assert_eq!(r.status, 202);
-        let v = json::parse(&r.body).unwrap();
-        assert_eq!(v.get("displaced").unwrap().as_str(), Some("old-job"));
-    }
-
-    #[test]
-    fn rejected_response_is_backpressure() {
-        let r = admission_response(&AdmitOutcome::Rejected(RejectReason::QueueFull), 9);
-        assert_eq!(r.status, 503);
-        let v = json::parse(&r.body).unwrap();
-        assert_eq!(v.get("status").unwrap().as_str(), Some("rejected"));
-        assert_eq!(v.get("retry").unwrap().as_bool(), Some(true));
-    }
 
     #[test]
     fn submit_ticket_names_shard_and_protocol() {
@@ -197,12 +127,13 @@ mod tests {
             job: JobId(4294967296),
             shard: Some(2),
             queued: 1,
-            displaced: None,
             cross_shard: false,
         }));
         assert_eq!(r.status, 202);
         let v = json::parse(&r.body).unwrap();
+        assert_eq!(v.get("status").unwrap().as_str(), Some("queued"));
         assert_eq!(v.get("job").unwrap().as_u64(), Some(4294967296));
+        assert_eq!(v.get("queued").unwrap().as_u64(), Some(1));
         assert_eq!(v.get("shard").unwrap().as_u64(), Some(2));
         assert_eq!(v.get("cross_shard").unwrap().as_bool(), Some(false));
 
@@ -210,13 +141,11 @@ mod tests {
             job: JobId(9),
             shard: None,
             queued: 0,
-            displaced: Some((JobId(5), "old-job".into())),
             cross_shard: true,
         }));
         let v = json::parse(&r.body).unwrap();
         assert!(v.get("shard").is_none(), "coordinator-owned: no shard");
         assert_eq!(v.get("cross_shard").unwrap().as_bool(), Some(true));
-        assert_eq!(v.get("displaced").unwrap().as_str(), Some("old-job"));
     }
 
     #[test]
@@ -240,6 +169,7 @@ mod tests {
         let r = submit_response(&Err(SubmitError::QueueFull));
         assert_eq!(r.status, 503);
         let v = json::parse(&r.body).unwrap();
+        assert_eq!(v.get("status").unwrap().as_str(), Some("rejected"));
         assert_eq!(v.get("retry").unwrap().as_bool(), Some(true));
         let r = submit_response(&Err(SubmitError::DeadlineExpired));
         assert_eq!(r.status, 422);

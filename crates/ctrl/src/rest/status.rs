@@ -73,12 +73,6 @@ pub const STATUS_FIELDS: &[StatusField] = &[
         get: |s| s.rejected,
     },
     StatusField {
-        key: "displaced",
-        prom: "sdn_status_displaced_total",
-        help: "Queued updates shed by the drop-oldest policy",
-        get: |s| s.displaced,
-    },
-    StatusField {
         key: "completed",
         prom: "sdn_status_completed_total",
         help: "Updates that completed every round",
@@ -599,7 +593,6 @@ mod tests {
             submitted,
             accepted,
             rejected,
-            displaced,
             completed,
             failed,
             retransmissions,
@@ -617,7 +610,6 @@ mod tests {
             submitted,
             accepted,
             rejected,
-            displaced,
             completed,
             failed,
             retransmissions,

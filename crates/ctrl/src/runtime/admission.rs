@@ -1,26 +1,20 @@
-//! Bounded admission with explicit shedding policies.
+//! Bounded admission: a two-lane queue that refuses when full.
 //!
 //! The paper's controller queues updates without limit (and
 //! [`RuntimeConfig::serial`](super::RuntimeConfig::serial) reproduces
 //! that with an unreachable capacity) — under heavy offered load that
 //! is an unbounded-memory denial of service and an unbounded-latency
 //! guarantee for every request behind the backlog. By default the
-//! runtime instead admits through a bounded two-lane queue
-//! ([`AdmissionQueue`]) whose behaviour when full is an explicit
-//! [`AdmissionPolicy`]:
+//! runtime instead admits through a bounded queue ([`AdmissionQueue`]).
+//! A job that arrives at a full queue is refused; the runtime reports
+//! [`SubmitError::QueueFull`](super::SubmitError::QueueFull), which the
+//! REST layer answers with `503` backpressure, and the client retries
+//! with its own policy. An accepted job is never dropped: it runs.
 //!
-//! * **reject-new** — the arriving job is refused (the REST layer
-//!   answers `503`-style backpressure; the client retries with its own
-//!   policy);
-//! * **drop-oldest** — the oldest *lowest-priority* waiting job is
-//!   shed to make room, so fresh intent wins over stale intent.
-//!
-//! Two priority lanes exist in either policy: `High` jobs (e.g.
-//! security-critical waypoint changes) dispatch before `Normal` ones
-//! and are shed last.
+//! Two priority lanes exist: `High` jobs (e.g. security-critical
+//! waypoint changes) dispatch before `Normal` ones.
 
 use std::collections::VecDeque;
-use std::fmt;
 
 use sdn_types::SimTime;
 
@@ -28,76 +22,14 @@ use crate::compile::CompiledUpdate;
 use crate::runtime::conflict::{ConflictGraph, Footprint, JobId};
 use crate::runtime::submit::TenantId;
 
-/// What the queue does when it is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionPolicy {
-    /// Refuse the arriving job (backpressure to the client).
-    #[default]
-    RejectNew,
-    /// Shed the oldest waiting job of the lowest populated priority
-    /// lane to make room; refuse only when the arrival itself is the
-    /// lowest priority and every queued job outranks it.
-    DropOldest,
-}
-
 /// Dispatch priority lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Priority {
     /// Default lane.
     #[default]
     Normal,
-    /// Served first, shed last.
+    /// Served first.
     High,
-}
-
-/// Why a submission was not queued.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RejectReason {
-    /// The queue is at capacity (reject-new, or drop-oldest with no
-    /// lower-priority job to shed).
-    QueueFull,
-}
-
-impl fmt::Display for RejectReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RejectReason::QueueFull => f.write_str("queue full"),
-        }
-    }
-}
-
-/// Outcome of a submission.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AdmitOutcome {
-    /// Queued (and will start once its conflict set clears).
-    Queued {
-        /// The id assigned to the job.
-        id: JobId,
-    },
-    /// Queued after shedding an older waiting job (drop-oldest).
-    QueuedDisplacing {
-        /// The id assigned to the job.
-        id: JobId,
-        /// The shed job's id and label.
-        dropped: (JobId, String),
-    },
-    /// Refused.
-    Rejected(RejectReason),
-}
-
-impl AdmitOutcome {
-    /// The assigned job id, when the job was accepted.
-    pub fn id(&self) -> Option<JobId> {
-        match self {
-            AdmitOutcome::Queued { id } | AdmitOutcome::QueuedDisplacing { id, .. } => Some(*id),
-            AdmitOutcome::Rejected(_) => None,
-        }
-    }
-
-    /// Whether the job entered the queue.
-    pub fn accepted(&self) -> bool {
-        self.id().is_some()
-    }
 }
 
 /// A job waiting for dispatch.
@@ -128,17 +60,15 @@ pub struct QueuedJob {
 #[derive(Debug, Clone)]
 pub struct AdmissionQueue {
     capacity: usize,
-    policy: AdmissionPolicy,
     high: VecDeque<QueuedJob>,
     normal: VecDeque<QueuedJob>,
 }
 
 impl AdmissionQueue {
     /// A queue holding at most `capacity` waiting jobs.
-    pub fn new(capacity: usize, policy: AdmissionPolicy) -> Self {
+    pub fn new(capacity: usize) -> Self {
         AdmissionQueue {
             capacity,
-            policy,
             high: VecDeque::new(),
             normal: VecDeque::new(),
         }
@@ -154,45 +84,15 @@ impl AdmissionQueue {
         self.high.is_empty() && self.normal.is_empty()
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Offer a job. `id` is pre-allocated by the runtime so rejected
+    /// Offer a job; returns whether it was queued. A full queue
+    /// refuses it. `id` is pre-allocated by the runtime so refused
     /// submissions burn an id but never alias an accepted one.
-    pub fn offer(&mut self, job: QueuedJob) -> AdmitOutcome {
-        let id = job.id;
+    pub fn offer(&mut self, job: QueuedJob) -> bool {
         if self.len() >= self.capacity {
-            match self.policy {
-                AdmissionPolicy::RejectNew => {
-                    return AdmitOutcome::Rejected(RejectReason::QueueFull)
-                }
-                AdmissionPolicy::DropOldest => {
-                    // Shed from the normal lane first; a Normal arrival
-                    // may not displace waiting High jobs.
-                    let victim = if let Some(v) = self.normal.pop_front() {
-                        Some(v)
-                    } else if job.priority == Priority::High {
-                        self.high.pop_front()
-                    } else {
-                        None
-                    };
-                    match victim {
-                        Some(v) => {
-                            self.lane(job.priority).push_back(job);
-                            return AdmitOutcome::QueuedDisplacing {
-                                id,
-                                dropped: (v.id, v.update.label),
-                            };
-                        }
-                        None => return AdmitOutcome::Rejected(RejectReason::QueueFull),
-                    }
-                }
-            }
+            return false;
         }
         self.lane(job.priority).push_back(job);
-        AdmitOutcome::Queued { id }
+        true
     }
 
     fn lane(&mut self, p: Priority) -> &mut VecDeque<QueuedJob> {
@@ -259,48 +159,16 @@ mod tests {
 
     #[test]
     fn reject_new_when_full() {
-        let mut q = AdmissionQueue::new(2, AdmissionPolicy::RejectNew);
-        assert!(q.offer(job(1, Priority::Normal)).accepted());
-        assert!(q.offer(job(2, Priority::Normal)).accepted());
-        assert_eq!(
-            q.offer(job(3, Priority::Normal)),
-            AdmitOutcome::Rejected(RejectReason::QueueFull)
-        );
+        let mut q = AdmissionQueue::new(2);
+        assert!(q.offer(job(1, Priority::Normal)));
+        assert!(q.offer(job(2, Priority::Normal)));
+        assert!(!q.offer(job(3, Priority::Normal)));
         assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn drop_oldest_sheds_normal_first() {
-        let mut q = AdmissionQueue::new(2, AdmissionPolicy::DropOldest);
-        q.offer(job(1, Priority::Normal));
-        q.offer(job(2, Priority::High));
-        let out = q.offer(job(3, Priority::Normal));
-        match out {
-            AdmitOutcome::QueuedDisplacing { id, dropped } => {
-                assert_eq!(id, JobId(3));
-                assert_eq!(dropped.0, JobId(1));
-            }
-            other => panic!("expected displacement, got {other:?}"),
-        }
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn normal_cannot_displace_high() {
-        let mut q = AdmissionQueue::new(1, AdmissionPolicy::DropOldest);
-        q.offer(job(1, Priority::High));
-        assert_eq!(
-            q.offer(job(2, Priority::Normal)),
-            AdmitOutcome::Rejected(RejectReason::QueueFull)
-        );
-        // but High displaces High when only High remain
-        let out = q.offer(job(3, Priority::High));
-        assert!(matches!(out, AdmitOutcome::QueuedDisplacing { .. }));
     }
 
     #[test]
     fn high_lane_dispatches_first() {
-        let mut q = AdmissionQueue::new(4, AdmissionPolicy::RejectNew);
+        let mut q = AdmissionQueue::new(4);
         q.offer(job(1, Priority::Normal));
         q.offer(job(2, Priority::High));
         let g = ConflictGraph::new();
@@ -311,7 +179,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_rejects_everything() {
-        let mut q = AdmissionQueue::new(0, AdmissionPolicy::DropOldest);
-        assert!(!q.offer(job(1, Priority::High)).accepted());
+        let mut q = AdmissionQueue::new(0);
+        assert!(!q.offer(job(1, Priority::High)));
     }
 }

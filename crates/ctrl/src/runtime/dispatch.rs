@@ -51,9 +51,7 @@ use crate::compile::CompiledUpdate;
 use crate::controller::{CtrlOutput, FailReason, UpdateReport};
 use crate::executor::{ExecConfig, ExecState, RoundExecutor, XidAlloc};
 use crate::resync::ResyncManager;
-use crate::runtime::admission::{
-    AdmissionPolicy, AdmissionQueue, AdmitOutcome, Priority, QueuedJob,
-};
+use crate::runtime::admission::{AdmissionQueue, Priority, QueuedJob};
 use crate::runtime::conflict::{ConflictGraph, Footprint, JobId};
 use crate::runtime::journal::{Journal, JournalRecord};
 use crate::runtime::rto::{RtoConfig, RtoTable};
@@ -86,12 +84,11 @@ pub struct RuntimeConfig {
     /// transmission budget; `barrier_timeout` is only consulted in
     /// [`RetransMode::Fixed`].
     pub exec: ExecConfig,
-    /// Waiting-queue capacity (jobs beyond this are shed per policy).
+    /// Waiting-queue capacity (jobs beyond this are refused with
+    /// [`SubmitError::QueueFull`]).
     pub queue_capacity: usize,
     /// Maximum concurrently executing updates.
     pub max_active: usize,
-    /// Full-queue behaviour.
-    pub policy: AdmissionPolicy,
     /// Retransmission timing.
     pub retrans: RetransMode,
     /// Job failures attributed to one switch before it is
@@ -102,10 +99,6 @@ pub struct RuntimeConfig {
     /// Probe transmissions per audit before the switch is abandoned
     /// to quarantine.
     pub resync_attempts: u32,
-    /// Per-tenant in-flight (queued + active) budget; `None` disables
-    /// quota enforcement. The fabric layers per-tenant overrides on
-    /// top of this uniform cap.
-    pub tenant_quota: Option<u32>,
     /// The transaction ids this runtime allocates, as `(first, count)`;
     /// it wraps inside the range. Runtimes sharing a transport (fabric
     /// shards + coordinator) carve disjoint ranges so replies route to
@@ -124,12 +117,10 @@ impl Default for RuntimeConfig {
             exec: ExecConfig::default(),
             queue_capacity: 64,
             max_active: 16,
-            policy: AdmissionPolicy::RejectNew,
             retrans: RetransMode::default(),
             quarantine_strikes: 2,
             resync_probe_timeout: SimDuration::from_millis(200),
             resync_attempts: 8,
-            tenant_quota: None,
             xid_range: (1, u32::MAX),
             job_id_base: 1,
         }
@@ -210,7 +201,7 @@ impl ConcurrentRuntime {
             RetransMode::Fixed => RtoTable::default(),
         };
         ConcurrentRuntime {
-            queue: AdmissionQueue::new(config.queue_capacity, config.policy),
+            queue: AdmissionQueue::new(config.queue_capacity),
             graph: ConflictGraph::new(),
             active: BTreeMap::new(),
             wake: WakeIndex::new(config),
@@ -315,12 +306,6 @@ impl ConcurrentRuntime {
                             failure: None,
                             rounds: Vec::new(),
                         });
-                    }
-                }
-                JournalRecord::Shed { id, .. } => {
-                    if let Some(j) = jobs.get_mut(&id.0) {
-                        j.terminal = true;
-                        rt.stats.displaced += 1;
                     }
                 }
                 // Two-phase and migration records live in the fabric's
@@ -709,26 +694,13 @@ impl ConcurrentRuntime {
     ) -> SubmitOutcome {
         self.stats.submitted += 1;
         self.obs.inc(Ctr::Submitted);
-        // refuse before burning an id: an expired deadline or a spent
-        // tenant budget is the caller's problem, not queue pressure
+        // refuse before burning an id: an expired deadline is the
+        // caller's problem, not queue pressure
         if req.deadline.is_some_and(|d| now > d) {
             self.stats.rejected += 1;
             self.obs.inc(Ctr::Rejected);
             self.obs.emit(Event::new(now, EventKind::Reject).aux(1));
             return Err(SubmitError::DeadlineExpired);
-        }
-        if let Some(limit) = self.config.tenant_quota {
-            let in_flight = self.tenant_usage(req.tenant);
-            if in_flight >= limit {
-                self.stats.rejected += 1;
-                self.obs.inc(Ctr::Rejected);
-                self.obs.emit(Event::new(now, EventKind::Reject).aux(2));
-                return Err(SubmitError::QuotaExceeded {
-                    tenant: req.tenant,
-                    limit,
-                    in_flight,
-                });
-            }
         }
         let id = JobId(self.next_id);
         self.next_id += 1;
@@ -750,7 +722,7 @@ impl ConcurrentRuntime {
             deadline: req.deadline,
             at: now,
         });
-        let outcome = self.queue.offer(QueuedJob {
+        let queued = self.queue.offer(QueuedJob {
             id,
             update: req.update,
             footprint,
@@ -760,35 +732,20 @@ impl ConcurrentRuntime {
             deadline: req.deadline,
             resume_round: 0,
         });
-        let displaced = match outcome {
-            AdmitOutcome::Queued { .. } => None,
-            AdmitOutcome::QueuedDisplacing { dropped, .. } => Some(dropped),
-            AdmitOutcome::Rejected(_) => {
-                self.stats.rejected += 1;
-                self.obs.inc(Ctr::Rejected);
-                self.obs
-                    .emit(Event::new(now, EventKind::Reject).span(id.0).aux(3));
-                return Err(SubmitError::QueueFull);
-            }
-        };
+        if !queued {
+            self.stats.rejected += 1;
+            self.obs.inc(Ctr::Rejected);
+            self.obs
+                .emit(Event::new(now, EventKind::Reject).span(id.0).aux(3));
+            return Err(SubmitError::QueueFull);
+        }
         self.stats.accepted += 1;
         self.obs.inc(Ctr::Admitted);
         self.obs.emit(Event::new(now, EventKind::Admit).span(id.0));
         if let Some(rec) = &admitted {
             self.journal.append(rec);
         }
-        if let Some(dropped) = &displaced {
-            self.stats.displaced += 1;
-            // the shed job is terminal: recovery must not revive it
-            let at = now;
-            self.journal
-                .append(&JournalRecord::Shed { id: dropped.0, at });
-        }
-        let queued = self.queue.len();
-        Ok(SubmitTicket {
-            displaced,
-            ..SubmitTicket::local(id, queued)
-        })
+        Ok(SubmitTicket::local(id, self.queue.len()))
     }
 }
 
@@ -1111,7 +1068,7 @@ impl RuntimeHandle for ConcurrentRuntime {
                 .map(|(tenant, in_flight)| TenantStatus {
                     tenant,
                     in_flight,
-                    quota: self.config.tenant_quota,
+                    quota: None,
                 })
                 .collect(),
             xshard_queued: 0,

@@ -112,8 +112,7 @@ pub struct FabricConfig {
     pub shards: u32,
     /// Template runtime tuning applied to every shard and to the
     /// coordinator runtime (xid and job-id bases are overridden per
-    /// runtime; `tenant_quota` is ignored — the fabric enforces
-    /// budgets itself via `tenants`).
+    /// runtime). Tenant budgets are the fabric's alone, via `tenants`.
     pub runtime: RuntimeConfig,
     /// Per-tenant budgets and priority boosts.
     pub tenants: TenantPolicy,
@@ -197,7 +196,8 @@ pub struct FabricCoordinator {
     /// quiescent and the seat moves (`MigrateCommitted`).
     migrations: BTreeMap<DpId, (u32, u32, SimTime)>,
     /// Fabric-level counters for work no sub-runtime has on its books
-    /// (quota/deadline rejections, queued prepares, fabric aborts).
+    /// (quota/deadline rejections, queued prepares, fabric aborts), and
+    /// the fabric-wide high-water mark of executing updates.
     overlay: RuntimeStats,
     /// Observability sink, stamped with the coordinator's own shard
     /// tag (one past the last shard); shards carry per-shard clones.
@@ -228,7 +228,6 @@ impl FabricCoordinator {
             let mut rc = config.runtime;
             rc.xid_range = shard_xid_range(i);
             rc.job_id_base = (i as u64 + 1) * SHARD_JOB_STRIDE;
-            rc.tenant_quota = None;
             shards.push(ConcurrentRuntime::with_journal(
                 rc,
                 journal_of(config.journal),
@@ -237,7 +236,6 @@ impl FabricCoordinator {
         let mut cc = config.runtime;
         cc.xid_range = (COORD_XID_BASE, u32::MAX - COORD_XID_BASE + 1);
         cc.job_id_base = COORD_JOB_BASE;
-        cc.tenant_quota = None;
         FabricCoordinator {
             assign,
             tenants: config.tenants,
@@ -532,6 +530,13 @@ impl FabricCoordinator {
         }
     }
 
+    /// Fold the updates executing now into `peak_active`: per-shard
+    /// peaks reached at different times do not add up to a fabric peak.
+    fn note_peak(&mut self) {
+        let active = self.active_count() as u64;
+        self.overlay.peak_active = self.overlay.peak_active.max(active);
+    }
+
     fn push_failed(&mut self, label: String, submitted: SimTime, failure: Option<FailReason>) {
         self.overlay.failed += 1;
         self.reports.push(UpdateReport {
@@ -624,7 +629,6 @@ impl RuntimeHandle for FabricCoordinator {
                 job: id,
                 shard: None,
                 queued: 0,
-                displaced: None,
                 cross_shard: true,
             }),
             Attempt::Blocked => {
@@ -641,7 +645,6 @@ impl RuntimeHandle for FabricCoordinator {
                     job: id,
                     shard: None,
                     queued: self.xqueue.len(),
-                    displaced: None,
                     cross_shard: true,
                 })
             }
@@ -691,6 +694,7 @@ impl RuntimeHandle for FabricCoordinator {
         self.coord.poll_into(now, &mut out);
         self.mirror(&out[start..]);
         self.settle();
+        self.note_peak();
         out
     }
 
@@ -712,6 +716,7 @@ impl RuntimeHandle for FabricCoordinator {
             self.shards[i].on_message_into(now, from, env, &mut out);
         }
         self.settle();
+        self.note_peak();
         out
     }
 
@@ -743,12 +748,10 @@ impl RuntimeHandle for FabricCoordinator {
             s.submitted += t.submitted;
             s.accepted += t.accepted;
             s.rejected += t.rejected;
-            s.displaced += t.displaced;
             s.completed += t.completed;
             s.failed += t.failed;
             s.retransmissions += t.retransmissions;
             s.stragglers += t.stragglers;
-            s.peak_active += t.peak_active;
             s.reconnects += t.reconnects;
             s.resyncs += t.resyncs;
             s.resynced_rules += t.resynced_rules;
@@ -1219,6 +1222,20 @@ mod tests {
                 SimTime(9),
             )
             .is_ok());
+    }
+
+    #[test]
+    fn peak_active_is_not_a_sum_of_shard_peaks() {
+        let mut fab = fabric(2);
+        // one job on dp2 (shard 0), drained before one on dp1 (shard 1)
+        for (dp, t) in [(2, 0), (1, 100)] {
+            let job = job("solo", 7, vec![vec![dp]]);
+            fab.submit(job, SimTime(t), Priority::Normal).unwrap();
+            let cmds = fab.poll(SimTime(t));
+            drain(&mut fab, cmds, t);
+        }
+        assert_eq!(fab.stats().completed, 2);
+        assert_eq!(fab.stats().peak_active, 1, "never two at once");
     }
 
     #[test]

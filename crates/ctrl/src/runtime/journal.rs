@@ -92,14 +92,6 @@ pub enum JournalRecord {
         /// Failure time.
         at: SimTime,
     },
-    /// The waiting update was shed by the drop-oldest policy before it
-    /// ever started — terminal, but not a failure.
-    Shed {
-        /// The job.
-        id: JobId,
-        /// Shed time.
-        at: SimTime,
-    },
     /// Two-phase protocol (fabric journal only): every involved shard
     /// accepted its footprint reservation for a cross-shard update.
     Prepared {
@@ -354,7 +346,6 @@ fn serialize(rec: &JournalRecord) -> String {
         }
         JournalRecord::Completed { id, at } => format!("completed id={} at={}", id.0, at.0),
         JournalRecord::Failed { id, at } => format!("failed id={} at={}", id.0, at.0),
-        JournalRecord::Shed { id, at } => format!("shed id={} at={}", id.0, at.0),
         JournalRecord::Prepared { id, shards, at } => {
             let list: Vec<String> = shards.iter().map(|s| s.to_string()).collect();
             format!("prepared id={} at={} shards={}", id.0, at.0, list.join(";"))
@@ -432,15 +423,14 @@ fn parse(line: &str) -> Option<JournalRecord> {
                 at: SimTime(at),
             })
         }
-        "started" | "completed" | "failed" | "shed" | "aborted" => {
+        "started" | "completed" | "failed" | "aborted" => {
             let id = JobId(field(toks.next(), "id")?.parse().ok()?);
             let at = SimTime(field(toks.next(), "at")?.parse().ok()?);
             Some(match kind {
                 "started" => JournalRecord::Started { id, at },
                 "completed" => JournalRecord::Completed { id, at },
                 "failed" => JournalRecord::Failed { id, at },
-                "aborted" => JournalRecord::Aborted { id, at },
-                _ => JournalRecord::Shed { id, at },
+                _ => JournalRecord::Aborted { id, at },
             })
         }
         "xcommitted" => {
@@ -574,10 +564,6 @@ mod tests {
                 id: JobId(2),
                 at: SimTime(50),
             },
-            JournalRecord::Shed {
-                id: JobId(3),
-                at: SimTime(60),
-            },
             JournalRecord::MigrateBegin {
                 dp: DpId(7),
                 from: 1,
@@ -666,6 +652,26 @@ mod tests {
             Journal::file(&path).records(),
             recs,
             "one bad byte, one record"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn file_journal_skips_a_line_of_unknown_kind_and_keeps_the_rest() {
+        let dir = std::env::temp_dir().join(format!("sdn-journal-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal-unknown-kind.log");
+        let recs = &all_records()[1..3];
+        let log = format!(
+            "{}\nshed id=3 at=5\n{}\n",
+            serialize(&recs[0]),
+            serialize(&recs[1])
+        );
+        std::fs::write(&path, log).unwrap();
+        assert_eq!(
+            Journal::file(&path).records(),
+            recs,
+            "the unknown line is skipped, the records around it recover"
         );
         let _ = std::fs::remove_file(&path);
     }

@@ -7,8 +7,8 @@
 //!   graph: footprint-disjoint updates commute, so they execute
 //!   concurrently; overlapping ones queue behind their conflict set
 //!   (ez-Segway's independence insight at flow granularity);
-//! * [`admission`] — a bounded two-lane queue with explicit shedding
-//!   policies, surfaced through the REST layer as backpressure;
+//! * [`admission`] — a bounded two-lane queue that refuses when full,
+//!   surfaced through the REST layer as backpressure;
 //! * [`rto`] — per-switch adaptive retransmission timeouts;
 //! * [`dispatch`] — the scheduler driving many clock-free
 //!   [`RoundExecutor`](crate::executor::RoundExecutor)s over the shared
@@ -35,7 +35,7 @@ pub mod seat;
 pub mod submit;
 pub(crate) mod timers;
 
-pub use admission::{AdmissionPolicy, AdmitOutcome, Priority, RejectReason};
+pub use admission::Priority;
 pub use conflict::{ConflictGraph, FlowClass, Footprint, JobId};
 pub use dispatch::{ConcurrentRuntime, RetransMode, RuntimeConfig};
 pub use fabric::{FabricConfig, FabricCoordinator, MigrateError, RebalanceReport, ShardId};
@@ -61,8 +61,6 @@ pub struct RuntimeStats {
     pub accepted: u64,
     /// Updates refused (backpressure).
     pub rejected: u64,
-    /// Queued updates shed by the drop-oldest policy.
-    pub displaced: u64,
     /// Updates that completed every round.
     pub completed: u64,
     /// Updates that exhausted a retransmission budget.

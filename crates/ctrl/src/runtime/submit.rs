@@ -9,9 +9,11 @@
 //! decoding status-code-shaped enums.
 //!
 //! Tenancy is a first-class field: a [`TenantId`] rides the request
-//! through admission, where per-tenant in-flight budgets are enforced
-//! (surfaced as HTTP 429 by the REST layer), and into the fabric's
-//! status accounting.
+//! through admission into the fabric, whose per-tenant in-flight
+//! budgets ([`TenantPolicy`](super::fabric::TenantPolicy)) are the
+//! only ones (surfaced as HTTP 429 by the REST layer), and into the
+//! status accounting. A full queue is [`SubmitError::QueueFull`]; an
+//! accepted job is never dropped.
 
 use std::fmt;
 
@@ -104,8 +106,6 @@ pub struct SubmitTicket {
     /// Queue depth observed right after admission (the caller's
     /// congestion signal).
     pub queued: usize,
-    /// The job shed to make room, under the drop-oldest policy.
-    pub displaced: Option<(JobId, String)>,
     /// Whether the update spans shards and runs under the fabric's
     /// two-phase protocol.
     pub cross_shard: bool,
@@ -118,7 +118,6 @@ impl SubmitTicket {
             job,
             shard: None,
             queued,
-            displaced: None,
             cross_shard: false,
         }
     }

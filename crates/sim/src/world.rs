@@ -30,6 +30,14 @@ use crate::chaos::FaultKind;
 use crate::event::{Event, EventQueue};
 use crate::report::{AuditReport, PacketOutcome, PacketRecord, SimReport};
 
+/// Serial processing time per control message at a switch — the
+/// flow-table update time the demo measures.
+const FLOWMOD_PROC_DELAY: SimDuration = SimDuration::from_micros(100);
+/// Per-hop pipeline latency for data packets.
+const PACKET_PROC_DELAY: SimDuration = SimDuration::from_micros(10);
+/// Hop budget before a packet is declared looping.
+const MAX_HOPS: usize = 64;
+
 /// World tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct WorldConfig {
@@ -39,15 +47,8 @@ pub struct WorldConfig {
     /// the serial controller core [`World::new`] builds; a core handed
     /// to the builder carries its own.
     pub exec: ExecConfig,
-    /// Serial processing time per control message at a switch — the
-    /// flow-table update time the demo measures.
-    pub flowmod_proc_delay: SimDuration,
-    /// Per-hop pipeline latency for data packets.
-    pub packet_proc_delay: SimDuration,
     /// Controller poll period (drives timeout retransmissions).
     pub poll_interval: SimDuration,
-    /// Hop budget before a packet is declared looping.
-    pub max_hops: usize,
     /// Master seed.
     pub seed: u64,
 }
@@ -57,10 +58,7 @@ impl Default for WorldConfig {
         WorldConfig {
             channel: ChannelConfig::lan(),
             exec: ExecConfig::default(),
-            flowmod_proc_delay: SimDuration::from_micros(100),
-            packet_proc_delay: SimDuration::from_micros(10),
             poll_interval: SimDuration::from_millis(10),
-            max_hops: 64,
             seed: 1,
         }
     }
@@ -322,13 +320,6 @@ impl World {
         self.controller.status_report()
     }
 
-    /// The control channel as the unified [`Transport`] abstraction —
-    /// the same surface the live event-loop transport implements, so
-    /// experiment code written against it runs over either.
-    pub fn transport_mut(&mut self) -> &mut dyn Transport {
-        &mut self.channel
-    }
-
     /// Shape the control link of one switch in *both* directions:
     /// `Some(config)` models a slow or flaky switch (straggler),
     /// `None` restores the default profile.
@@ -350,11 +341,6 @@ impl World {
     /// [`crate::chaos::ChaosPlan`] for building whole schedules).
     pub fn schedule_fault(&mut self, at: SimTime, fault: FaultKind) {
         self.queue.push(at, Event::Fault { fault });
-    }
-
-    /// Whether a switch's control connection is currently down.
-    pub fn is_down(&self, dp: DpId) -> bool {
-        self.down.contains(&dp)
     }
 
     /// Controller crashes injected so far.
@@ -451,7 +437,7 @@ impl World {
                             .copied()
                             .unwrap_or(SimTime::ZERO)
                             .max(self.now);
-                        let done = start + self.cfg.flowmod_proc_delay;
+                        let done = start + FLOWMOD_PROC_DELAY;
                         self.busy_until.insert(dp, done);
                         let boot = self.boot(dp);
                         self.queue
@@ -724,7 +710,6 @@ impl World {
     }
 
     fn packet_at_switch(&mut self, id: u64, dp: DpId, meta: PacketMeta) {
-        let max_hops = self.cfg.max_hops;
         let plan = {
             let Some(p) = self.packets.get_mut(&id) else {
                 return;
@@ -733,7 +718,7 @@ impl World {
                 return;
             }
             p.path.push(dp);
-            if p.path.len() > max_hops {
+            if p.path.len() > MAX_HOPS {
                 p.finished = Some((self.now, PacketOutcome::Looped));
                 let plan = p.plan;
                 self.note_violation(plan, Some(dp), 3);
@@ -765,7 +750,7 @@ impl World {
                     ..out_meta
                 };
                 self.queue.push(
-                    self.now + self.cfg.packet_proc_delay + lat,
+                    self.now + PACKET_PROC_DELAY + lat,
                     Event::PacketAtSwitch {
                         id,
                         dp: nb,
@@ -775,7 +760,7 @@ impl World {
             }
             Some(PortPeer::Host(_h, lat)) => {
                 self.queue.push(
-                    self.now + self.cfg.packet_proc_delay + lat,
+                    self.now + PACKET_PROC_DELAY + lat,
                     Event::PacketAtHost { id },
                 );
             }

@@ -37,12 +37,6 @@ impl SimTime {
         self.0 as f64 / 1_000_000.0
     }
 
-    /// Convert to fractional microseconds (for reporting).
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Saturating difference between two instants.
     #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
