@@ -2,8 +2,10 @@
 # Fail CI if a deleted API reappears in any Rust source: the
 # pre-fabric submission surface, the stand-alone serial controller, the
 # schedule verifiers nothing called, the codec's second message
-# representation and the admission, scheduler and simulator modes no
-# caller selected. No file — not even their former defining sites — may
+# representation, the admission, scheduler and simulator modes no
+# caller selected, the second counter taxonomy beside the obs events,
+# the unused switch handshake and the channel's scripted fault windows.
+# No file — not even their former defining sites — may
 # mention these names:
 #
 #   World::with_runtime        -> World::builder(..).{concurrent,fabric,runtime_handle}
@@ -39,6 +41,16 @@
 #   allow_fallback             -> (WayUp always falls back)
 #   flowmod_proc_delay, packet_proc_delay
 #                              -> (private constants of sim/world.rs)
+#   sdn_obs::Ctr, CTR_TABLE (the hand-bumped counter taxonomy)
+#                              -> Registry::events(EventKind), counted by
+#                                 Obs::emit; RuntimeStats; ChannelStats
+#   Gauge::{QueueDepth,ActiveJobs,PendingAcks,Migrating}
+#                              -> rendered from the StatusReport by
+#                                 rest::metrics::metrics_response
+#   sdn_ctrl::handshake::Handshake
+#                              -> none (nothing drove it)
+#   SimChannel::{script_down,script_stall,clear_faults}, FaultWindow
+#                              -> World faults: FaultKind::{LinkDown,LinkUp,Reboot}
 #
 # The update model keeps one switch index: the code of
 # crates/core/src/{model,config}.rs (not their tests, which hold ordered
@@ -56,6 +68,8 @@ PATTERN+='|\bNodes::of\b|\bstruct Nodes\b'
 PATTERN+='|\b(AdmissionPolicy|DropOldest|QueuedDisplacing|AdmitOutcome|RejectReason)\b'
 PATTERN+='|\b(admission_response|tenant_quota|enforce_waypoint|allow_fallback)\b'
 PATTERN+='|\b(flowmod_proc_delay|packet_proc_delay)\b|\bJournalRecord::Shed\b'
+PATTERN+='|\bCtr\b|\bCTR_TABLE\b|\bGauge::(QueueDepth|ActiveJobs|PendingAcks|Migrating)\b'
+PATTERN+='|\bHandshake\b|\b(script_down|script_stall|clear_faults|FaultWindow)\b'
 
 hits=$(find . -name '*.rs' -not -path './target/*' -not -path './shims/*' -print0 |
     xargs -0 grep -nE "$PATTERN" || true)

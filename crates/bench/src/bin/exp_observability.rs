@@ -12,9 +12,10 @@
 //!   from the issue (obs-on ≤ 1.05× obs-off) is asserted on top.
 //!   Wall-clock totals for both legs are reported as document headers
 //!   (not gated records: wall time on shared CI runners is noise).
-//! * **fidelity** — on the recording legs the registry must agree
-//!   with ground truth (submitted = committed = n, a non-empty
-//!   submit→commit histogram), the Prometheus page must pass the
+//! * **fidelity** — on the recording legs the numbers must agree
+//!   with ground truth (the runtime's submitted = completed = n, as
+//!   many `commit` events, a submit→commit histogram that saw every
+//!   update), the Prometheus page must pass the
 //!   strict `sdn_obs::prometheus::validate` checker, and the span
 //!   trace for a submitted job must exist.
 //!
@@ -32,84 +33,22 @@ use std::time::Instant;
 use sdn_bench::export::tier_and_json_out;
 use sdn_bench::table::{f2, Table};
 use sdn_bench::workload::{
-    assignment, disjoint_flows, install_and_compile, makespan_ms, patient_runtime, probe_flows,
-    shard_runtime, FLOW_LEN, PER_SHARD_ACTIVE,
+    assignment, disjoint_flows, makespan_ms, patient_runtime, run_fabric, shard_runtime, FabricRun,
+    FLOW_LEN, PER_SHARD_ACTIVE,
 };
 use sdn_bench::{Export, Record};
-use sdn_channel::config::ChannelConfig;
 use sdn_ctrl::rest::json::{self, Json};
-use sdn_ctrl::runtime::{FabricConfig, FabricCoordinator, RuntimeConfig, SubmitRequest};
-use sdn_obs::{prometheus, Ctr, DumpReason, HistId, Obs};
-use sdn_sim::chaos::FaultKind;
-use sdn_sim::report::SimReport;
-use sdn_sim::world::{World, WorldConfig};
-use sdn_topo::gen::{self, UpdatePair};
+use sdn_obs::{prometheus, DumpReason, EventKind, HistId, Obs};
+use sdn_topo::gen::UpdatePair;
 use sdn_types::{SimDuration, SimTime};
-use update_core::partition::ShardAssignment;
 
-struct RunOutcome {
-    report: SimReport,
-    obs: Obs,
-    first_job: u64,
-    wall_ms: f64,
-    crashes: u64,
-    recoveries: u64,
-}
-
-/// Submit `pairs` into a fabric with `obs` attached, probe every flow,
-/// run to quiescence.
-fn run_load(
-    pairs: &[UpdatePair],
-    assign: ShardAssignment,
-    runtime: RuntimeConfig,
-    journal: bool,
-    crash_at: Option<SimTime>,
-    obs: Obs,
-) -> RunOutcome {
+/// One leg of the off/on sweep — the E10 workload on `shards` shards
+/// with `obs` attached — and its wall-clock milliseconds.
+fn timed_leg(pairs: &[UpdatePair], shards: u32, cross: usize, obs: Obs) -> (FabricRun, f64) {
     let wall = Instant::now();
-    let topo = gen::materialize_batch(pairs);
-    let fabric = FabricCoordinator::with_assignment(
-        FabricConfig {
-            shards: assign.shards(),
-            runtime,
-            journal,
-            ..FabricConfig::default()
-        },
-        assign,
-    );
-    let cfg = WorldConfig {
-        channel: ChannelConfig::lan(),
-        seed: 2816,
-        ..WorldConfig::default()
-    };
-    let mut world = World::builder(topo.clone())
-        .config(cfg)
-        .runtime_handle(Box::new(fabric))
-        .obs(obs.clone())
-        .build();
-    let compiled = install_and_compile(&mut world, &topo, pairs);
-    let mut first_job = 0u64;
-    for (i, c) in compiled.into_iter().enumerate() {
-        let ticket = world
-            .submit(SubmitRequest::new(c))
-            .expect("fabric admits the batch");
-        if i == 0 {
-            first_job = ticket.job.0;
-        }
-    }
-    if let Some(at) = crash_at {
-        world.schedule_fault(at, FaultKind::CrashController);
-    }
-    probe_flows(&mut world, pairs.len(), 100);
-    let report = world.run(SimTime::ZERO + SimDuration::from_secs(3600));
-    RunOutcome {
-        report,
-        obs,
-        first_job,
-        wall_ms: wall.elapsed().as_secs_f64() * 1e3,
-        crashes: world.controller_crashes(),
-        recoveries: world.runtime().stats().recoveries,
-    }
+    let assign = assignment(pairs, shards, cross);
+    let run = run_fabric(pairs, assign, shard_runtime(), false, None, obs);
+    (run, wall.elapsed().as_secs_f64() * 1e3)
 }
 
 /// Parse one dump document and check the documented schema.
@@ -132,9 +71,9 @@ fn check_dump_schema(dump: &str) {
 }
 
 /// Run the forced-crash chaos leg and return its rendered dumps.
-fn chaos_dumps(n: usize) -> (RunOutcome, Vec<String>) {
+fn chaos_dumps(n: usize) -> (FabricRun, Vec<String>) {
     let pairs = disjoint_flows(n);
-    let out = run_load(
+    let out = run_fabric(
         &pairs,
         assignment(&pairs, 4, n / 2),
         patient_runtime(PER_SHARD_ACTIVE),
@@ -143,7 +82,8 @@ fn chaos_dumps(n: usize) -> (RunOutcome, Vec<String>) {
         Obs::with_ring(256),
     );
     let dumps = out
-        .obs
+        .world
+        .obs()
         .dumps()
         .into_iter()
         .map(|d| d.json)
@@ -180,22 +120,8 @@ fn main() {
     let mut wall_on_total = 0.0;
     for &shards in shard_counts {
         let pairs = disjoint_flows(n);
-        let off = run_load(
-            &pairs,
-            assignment(&pairs, shards, cross),
-            shard_runtime(),
-            false,
-            None,
-            Obs::disabled(),
-        );
-        let on = run_load(
-            &pairs,
-            assignment(&pairs, shards, cross),
-            shard_runtime(),
-            false,
-            None,
-            Obs::with_ring(256),
-        );
+        let (off, wall_off) = timed_leg(&pairs, shards, cross, Obs::disabled());
+        let (on, wall_on) = timed_leg(&pairs, shards, cross, Obs::with_ring(256));
         for (leg, out) in [("off", &off), ("on", &on)] {
             let done = out
                 .report
@@ -227,30 +153,33 @@ fn main() {
         );
 
         // Fidelity of the recording leg against ground truth.
-        let reg = on.obs.registry();
-        assert_eq!(reg.counter(Ctr::Submitted), n as u64, "submitted counter");
-        assert_eq!(reg.counter(Ctr::Commits), n as u64, "commit counter");
+        let stats = on.world.runtime().stats();
+        assert_eq!(stats.submitted, n as u64, "submitted counter");
+        assert_eq!(stats.completed, n as u64, "completed counter");
+        let obs = on.world.obs();
+        let reg = obs.registry();
+        assert_eq!(reg.events(EventKind::Commit), n as u64, "commit events");
         assert_eq!(
             reg.hist(HistId::SubmitToCommitNs).count,
             n as u64,
             "submit-to-commit histogram must see every update"
         );
-        let page = on.obs.prometheus();
+        let page = obs.prometheus();
         prometheus::validate(&page).expect("Prometheus page must validate");
         assert!(
-            on.obs.trace_json(on.first_job).is_some(),
+            obs.trace_json(on.first_job).is_some(),
             "span trace for the first submitted job must exist"
         );
 
-        wall_off_total += off.wall_ms;
-        wall_on_total += on.wall_ms;
+        wall_off_total += wall_off;
+        wall_on_total += wall_on;
         t.row(vec![
             shards.to_string(),
             f2(off_ms),
             f2(on_ms),
             format!("{:.3}", on_ms / off_ms),
-            f2(off.wall_ms),
-            f2(on.wall_ms),
+            f2(wall_off),
+            f2(wall_on),
         ]);
         records.push(Record::new("obs_off", "fabric", shards as u64, off_ms));
         records.push(Record::new("obs_on", "fabric", shards as u64, on_ms));
@@ -266,14 +195,17 @@ fn main() {
     // --- forced-crash leg: the flight recorder must fire ---------------
     let chaos_n = 8usize;
     let (out, dumps) = chaos_dumps(chaos_n);
-    assert_eq!(out.crashes, 1, "chaos leg must actually crash");
-    assert_eq!(out.recoveries, 1, "journal must rebuild the fabric");
+    let crashes = out.world.controller_crashes();
+    let recoveries = out.world.runtime().stats().recoveries;
+    assert_eq!(crashes, 1, "chaos leg must actually crash");
+    assert_eq!(recoveries, 1, "journal must rebuild the fabric");
     assert!(
         !dumps.is_empty(),
         "a forced crash must leave at least one flight-recorder dump"
     );
     let crash_dumps = out
-        .obs
+        .world
+        .obs()
         .dumps()
         .iter()
         .filter(|d| d.reason == DumpReason::CrashRecovery)
@@ -293,8 +225,8 @@ fn main() {
         &["crashes", "recoveries", "dumps", "crash dumps", "replay"],
     );
     tc.row(vec![
-        out.crashes.to_string(),
-        out.recoveries.to_string(),
+        crashes.to_string(),
+        recoveries.to_string(),
         dumps.len().to_string(),
         crash_dumps.to_string(),
         "byte-identical".to_string(),

@@ -26,79 +26,18 @@
 //! violation-free with a clean audit.
 //!
 //! Flags: `--tier small` (CI smoke sizes), `--json-out PATH`.
+//!
+//! [`ShardAssignment::with_overrides`]: update_core::partition::ShardAssignment::with_overrides
 
 use sdn_bench::export::tier_and_json_out;
 use sdn_bench::table::{f2, Table};
 use sdn_bench::workload::{
-    assignment, disjoint_flows, install_and_compile, makespan_ms, patient_runtime, probe_flows,
-    shard_runtime, FLOW_LEN, PER_SHARD_ACTIVE,
+    assignment, disjoint_flows, makespan_ms, patient_runtime, run_fabric, shard_runtime, FLOW_LEN,
+    PER_SHARD_ACTIVE,
 };
 use sdn_bench::{Export, Record};
-use sdn_channel::config::ChannelConfig;
-use sdn_ctrl::runtime::{FabricConfig, FabricCoordinator, RuntimeConfig, SubmitRequest};
-use sdn_sim::chaos::FaultKind;
-use sdn_sim::report::SimReport;
-use sdn_sim::world::{World, WorldConfig};
-use sdn_topo::gen::{self, UpdatePair};
+use sdn_obs::Obs;
 use sdn_types::{SimDuration, SimTime};
-use update_core::partition::ShardAssignment;
-
-struct RunOutcome {
-    report: SimReport,
-    cross_shard: usize,
-    recoveries: u64,
-    crashes: u64,
-    audit_clean: bool,
-}
-
-/// Submit `pairs` at t=0 into a fabric over `assign`, probe every flow
-/// while the updates run, and run to quiescence.
-fn run_load(
-    pairs: &[UpdatePair],
-    assign: ShardAssignment,
-    runtime: RuntimeConfig,
-    journal: bool,
-    crash_at: Option<SimTime>,
-) -> RunOutcome {
-    let topo = gen::materialize_batch(pairs);
-    let fabric = FabricCoordinator::with_assignment(
-        FabricConfig {
-            shards: assign.shards(),
-            runtime,
-            journal,
-            ..FabricConfig::default()
-        },
-        assign,
-    );
-    let cfg = WorldConfig {
-        channel: ChannelConfig::lan(),
-        seed: 2816,
-        ..WorldConfig::default()
-    };
-    let mut world = World::builder(topo.clone())
-        .config(cfg)
-        .runtime_handle(Box::new(fabric))
-        .build();
-    let mut cross_shard = 0;
-    for c in install_and_compile(&mut world, &topo, pairs) {
-        let ticket = world
-            .submit(SubmitRequest::new(c))
-            .expect("fabric admits the batch");
-        cross_shard += usize::from(ticket.cross_shard);
-    }
-    if let Some(at) = crash_at {
-        world.schedule_fault(at, FaultKind::CrashController);
-    }
-    probe_flows(&mut world, pairs.len(), 100);
-    let report = world.run(SimTime::ZERO + SimDuration::from_secs(3600));
-    RunOutcome {
-        report,
-        cross_shard,
-        recoveries: world.runtime().stats().recoveries,
-        crashes: world.controller_crashes(),
-        audit_clean: world.audit().is_clean(),
-    }
-}
 
 fn main() {
     let (tier_small, json_path) = tier_and_json_out("exp_shard_scaling").unwrap_or_else(|usage| {
@@ -138,12 +77,13 @@ fn main() {
         let cross = (frac * n as f64).round() as usize;
         for &shards in shard_counts {
             let pairs = disjoint_flows(n);
-            let out = run_load(
+            let out = run_fabric(
                 &pairs,
                 assignment(&pairs, shards, cross),
                 shard_runtime(),
                 false,
                 None,
+                Obs::disabled(),
             );
             let done = out
                 .report
@@ -157,7 +97,10 @@ fn main() {
                 "shards={shards} xfrac={frac}: transient violations: {}",
                 out.report.violations
             );
-            assert!(out.audit_clean, "shards={shards} xfrac={frac}: dirty audit");
+            assert!(
+                out.world.audit().is_clean(),
+                "shards={shards} xfrac={frac}: dirty audit"
+            );
             // pinning keeps single-shard flows off the two-phase path
             let expect_cross = if shards > 1 { cross } else { 0 };
             assert_eq!(
@@ -193,13 +136,17 @@ fn main() {
     // --- chaos leg: coordinator crash over cross-shard work ------------
     let chaos_n = 8usize;
     let pairs = disjoint_flows(chaos_n);
-    let out = run_load(
+    let out = run_fabric(
         &pairs,
         assignment(&pairs, 4, chaos_n / 2),
         patient_runtime(PER_SHARD_ACTIVE),
         true,
         Some(SimTime::ZERO + SimDuration::from_millis(3)),
+        Obs::disabled(),
     );
+    let crashes = out.world.controller_crashes();
+    let recoveries = out.world.runtime().stats().recoveries;
+    let audit_clean = out.world.audit().is_clean();
     let done = out
         .report
         .updates
@@ -211,15 +158,15 @@ fn main() {
         &["crashes", "recoveries", "completed", "violations", "audit"],
     );
     tc.row(vec![
-        out.crashes.to_string(),
-        out.recoveries.to_string(),
+        crashes.to_string(),
+        recoveries.to_string(),
         format!("{done}/{chaos_n}"),
         out.report.violations.any().to_string(),
-        if out.audit_clean { "clean" } else { "DIRTY" }.to_string(),
+        if audit_clean { "clean" } else { "DIRTY" }.to_string(),
     ]);
     println!("{tc}");
-    assert_eq!(out.crashes, 1, "chaos leg must actually crash");
-    assert_eq!(out.recoveries, 1, "journal must rebuild the fabric");
+    assert_eq!(crashes, 1, "chaos leg must actually crash");
+    assert_eq!(recoveries, 1, "journal must rebuild the fabric");
     assert!(
         out.report
             .updates
@@ -232,12 +179,12 @@ fn main() {
         "chaos leg violations: {}",
         out.report.violations
     );
-    assert!(out.audit_clean, "chaos leg must end with a clean audit");
+    assert!(audit_clean, "chaos leg must end with a clean audit");
     export.push(Record::new(
         "chaos_recoveries",
         "fabric",
         4,
-        out.recoveries as f64,
+        recoveries as f64,
     ));
     export.push(Record::new("chaos_completed", "fabric", 4, done as f64));
 
@@ -249,8 +196,7 @@ fn main() {
     );
     println!(
         "acceptance: {speedup_at_4:.2}x throughput at 4 shards (>= 2x required); \
-         chaos leg {done}/{chaos_n} completed, {} recovery, clean audit",
-        out.recoveries
+         chaos leg {done}/{chaos_n} completed, {recoveries} recovery, clean audit"
     );
 
     if let Some(path) = json_path {

@@ -1,13 +1,17 @@
 //! The workload the runtime experiments (E7, E9–E12) share: `n`
 //! switch-disjoint 8-hop reversal flows, SLF-greedy schedules, every
 //! update submitted at t = 0 with probes on every flow — plus the shard
-//! pinning and runtime tunings those experiments sweep over it.
+//! pinning and runtime tunings those experiments sweep over it, and the
+//! one fabric run E10 and E12 both measure.
 
+use sdn_channel::config::ChannelConfig;
 use sdn_ctrl::compile::{compile_schedule, initial_flowmods, CompiledUpdate, FlowSpec};
 use sdn_ctrl::executor::ExecConfig;
-use sdn_ctrl::runtime::RuntimeConfig;
+use sdn_ctrl::runtime::{FabricConfig, FabricCoordinator, RuntimeConfig, SubmitRequest};
+use sdn_obs::Obs;
+use sdn_sim::chaos::FaultKind;
 use sdn_sim::report::SimReport;
-use sdn_sim::world::World;
+use sdn_sim::world::{World, WorldConfig};
 use sdn_topo::gen::{self, UpdatePair};
 use sdn_topo::graph::Topology;
 use sdn_types::{DpId, SimDuration, SimTime};
@@ -124,5 +128,72 @@ pub fn patient_runtime(max_active: usize) -> RuntimeConfig {
         },
         max_active,
         ..RuntimeConfig::default()
+    }
+}
+
+/// One finished [`run_fabric`].
+pub struct FabricRun {
+    /// The world after the run: its runtime's stats, its audit and its
+    /// crash count.
+    pub world: World,
+    /// The run's report.
+    pub report: SimReport,
+    /// Job id of the first submission.
+    pub first_job: u64,
+    /// Submissions the fabric routed through two-phase commit.
+    pub cross_shard: usize,
+}
+
+/// Submit `pairs` at t = 0 into a fabric over `assign` (LAN channel,
+/// seed 2816) with `obs` attached, crash the controller at `crash_at`
+/// if given, probe every flow while the updates run, and run to
+/// quiescence.
+pub fn run_fabric(
+    pairs: &[UpdatePair],
+    assign: ShardAssignment,
+    runtime: RuntimeConfig,
+    journal: bool,
+    crash_at: Option<SimTime>,
+    obs: Obs,
+) -> FabricRun {
+    let topo = gen::materialize_batch(pairs);
+    let fabric = FabricCoordinator::with_assignment(
+        FabricConfig {
+            shards: assign.shards(),
+            runtime,
+            journal,
+            ..FabricConfig::default()
+        },
+        assign,
+    );
+    let cfg = WorldConfig {
+        channel: ChannelConfig::lan(),
+        seed: 2816,
+        ..WorldConfig::default()
+    };
+    let mut world = World::builder(topo.clone())
+        .config(cfg)
+        .runtime_handle(Box::new(fabric))
+        .obs(obs)
+        .build();
+    let mut first_job = None;
+    let mut cross_shard = 0;
+    for c in install_and_compile(&mut world, &topo, pairs) {
+        let ticket = world
+            .submit(SubmitRequest::new(c))
+            .expect("fabric admits the batch");
+        first_job.get_or_insert(ticket.job.0);
+        cross_shard += usize::from(ticket.cross_shard);
+    }
+    if let Some(at) = crash_at {
+        world.schedule_fault(at, FaultKind::CrashController);
+    }
+    probe_flows(&mut world, pairs.len(), 100);
+    let report = world.run(SimTime::ZERO + SimDuration::from_secs(3600));
+    FabricRun {
+        world,
+        report,
+        first_job: first_job.unwrap_or(0),
+        cross_shard,
     }
 }

@@ -60,7 +60,7 @@ use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use sdn_obs::{Ctr, Gauge, Obs};
+use sdn_obs::{Gauge, Obs};
 use sdn_openflow::codec::{decode, try_encode_into};
 use sdn_openflow::framing::FrameCodec;
 use sdn_openflow::messages::Envelope;
@@ -578,9 +578,9 @@ impl EventLoopTransport {
     }
 
     /// Attach an observability sink: the transport maintains the live
-    /// [`Gauge::Connections`] and bumps [`Ctr::Disconnects`] /
-    /// [`Ctr::Reconnects`] as sessions churn. Wall-time component, so
-    /// counters and gauges only — no timestamped events.
+    /// [`Gauge::Connections`] as sessions churn (the churn itself is
+    /// counted in [`Transport::transport_stats`]). Wall-time component,
+    /// so the gauge only — no timestamped events.
     pub fn attach_obs(&self, obs: Obs) {
         let mut churn = lock(&self.inner.churn);
         obs.set_gauge(Gauge::Connections, churn.live);
@@ -590,10 +590,9 @@ impl EventLoopTransport {
     /// Record one session going down (`delta` −1) or coming back (+1).
     /// Called with that connection locked, so the live count moves in
     /// step with its `connected` flag.
-    fn record_churn(&self, ctr: Ctr, delta: i64) {
+    fn record_churn(&self, delta: i64) {
         let mut churn = lock(&self.inner.churn);
         churn.live += delta;
-        churn.obs.inc(ctr);
         churn.obs.set_gauge(Gauge::Connections, churn.live);
     }
 
@@ -613,7 +612,7 @@ impl EventLoopTransport {
         conn.rx = FrameCodec::new();
         conn.wbuf = BytesMut::with_capacity(256);
         lock(&self.inner.planner).stats.disconnects += 1;
-        self.record_churn(Ctr::Disconnects, -1);
+        self.record_churn(-1);
         drop(conn);
         let _ = self.inner.events.send(TransportEvent::Disconnected(dpid));
         Ok(())
@@ -632,7 +631,7 @@ impl EventLoopTransport {
         conn.to_switch.hwm = None;
         conn.to_ctrl.hwm = None;
         lock(&self.inner.planner).stats.reconnects += 1;
-        self.record_churn(Ctr::Reconnects, 1);
+        self.record_churn(1);
         drop(conn);
         let _ = self.inner.events.send(TransportEvent::Reconnected(dpid));
         Ok(())
@@ -1097,10 +1096,10 @@ mod tests {
         t.disconnect(DpId(2)).unwrap();
         t.disconnect(DpId(2)).unwrap(); // idempotent: no double count
         assert_eq!(obs.registry().gauge(Gauge::Connections), 2);
-        assert_eq!(obs.registry().counter(Ctr::Disconnects), 1);
+        assert_eq!(t.transport_stats().disconnects, 1);
         t.reconnect(DpId(2)).unwrap();
         assert_eq!(obs.registry().gauge(Gauge::Connections), 3);
-        assert_eq!(obs.registry().counter(Ctr::Reconnects), 1);
+        assert_eq!(t.transport_stats().reconnects, 1);
         t.shutdown();
     }
 

@@ -24,12 +24,12 @@
 //!   thousands of concurrent switch connections for integration
 //!   tests and scaling benches.
 //!
-//! Connections are first-class and mortal: both transports model
-//! scripted disconnects (frames in the pipe die with the session),
-//! the event loop additionally exposes live
-//! `disconnect`/`reconnect`/`reboot` churn with typed send errors
-//! ([`transport::TransportError`]) and lifecycle events
-//! ([`transport::TransportEvent`]) the controller reacts to.
+//! Connections are first-class and mortal: the event loop exposes live
+//! `disconnect`/`reconnect`/`reboot` churn (frames in the pipe die with
+//! the session) with typed send errors ([`transport::TransportError`])
+//! and lifecycle events ([`transport::TransportEvent`]) the controller
+//! reacts to. In the simulator, the world models the same churn with
+//! its own connection epochs (`sdn_sim::chaos::FaultKind`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

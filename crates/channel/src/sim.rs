@@ -65,23 +65,15 @@ pub struct ChannelStats {
     pub duplicated: u64,
     /// Frames corrupted.
     pub corrupted: u64,
-    /// Frames lost to a severed connection (scripted downtime or a
-    /// live disconnect), as opposed to random drops.
+    /// Frames lost to a severed connection, as opposed to random drops:
+    /// a live disconnect on the transport or, in a simulator report, a
+    /// frame that met a downed link or an ended connection epoch (the
+    /// world counts those; `SimChannel` itself never severs).
     pub severed: u64,
     /// Connection teardowns observed.
     pub disconnects: u64,
     /// Connection re-establishments observed.
     pub reconnects: u64,
-}
-
-/// A scripted fault window on one connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FaultWindow {
-    /// Frames sent in `[from, until)` are severed (TCP teardown).
-    Down { from: SimTime, until: SimTime },
-    /// Frames sent in `[from, until)` arrive no earlier than `until`
-    /// (a stalled but unbroken connection).
-    Stall { from: SimTime, until: SimTime },
 }
 
 /// The planning channel.
@@ -92,8 +84,6 @@ pub struct SimChannel {
     overrides: BTreeMap<ConnId, ChannelConfig>,
     /// Per-connection high-water mark of scheduled arrivals (FIFO).
     last_arrival: BTreeMap<ConnId, SimTime>,
-    /// Scripted disconnect/stall windows, evaluated at send time.
-    faults: BTreeMap<ConnId, Vec<FaultWindow>>,
     stats: ChannelStats,
 }
 
@@ -104,34 +94,8 @@ impl SimChannel {
             config,
             overrides: BTreeMap::new(),
             last_arrival: BTreeMap::new(),
-            faults: BTreeMap::new(),
             stats: ChannelStats::default(),
         }
-    }
-
-    /// Script a disconnect: frames sent on `conn` in `[from, until)`
-    /// are severed (counted separately from random drops), modelling
-    /// the connection being torn down for that window.
-    pub fn script_down(&mut self, conn: ConnId, from: SimTime, until: SimTime) {
-        self.faults
-            .entry(conn)
-            .or_default()
-            .push(FaultWindow::Down { from, until });
-    }
-
-    /// Script a stall: frames sent on `conn` in `[from, until)` are
-    /// held and arrive no earlier than `until` (TCP retransmit after a
-    /// transient outage — nothing lost, everything late).
-    pub fn script_stall(&mut self, conn: ConnId, from: SimTime, until: SimTime) {
-        self.faults
-            .entry(conn)
-            .or_default()
-            .push(FaultWindow::Stall { from, until });
-    }
-
-    /// Drop every scripted fault window on `conn`.
-    pub fn clear_faults(&mut self, conn: ConnId) {
-        self.faults.remove(&conn);
     }
 
     /// The active default configuration.
@@ -175,21 +139,6 @@ impl SimChannel {
     ) -> Vec<(SimTime, Bytes)> {
         let config = *self.overrides.get(&conn).unwrap_or(&self.config);
         self.stats.sent += 1;
-        let mut stall_floor = None;
-        if let Some(windows) = self.faults.get(&conn) {
-            for w in windows {
-                match *w {
-                    FaultWindow::Down { from, until } if from <= now && now < until => {
-                        self.stats.severed += 1;
-                        return Vec::new();
-                    }
-                    FaultWindow::Stall { from, until } if from <= now && now < until => {
-                        stall_floor = Some(stall_floor.map_or(until, |f: SimTime| f.max(until)));
-                    }
-                    _ => {}
-                }
-            }
-        }
         if rng.chance(config.drop_prob) {
             self.stats.dropped += 1;
             return Vec::new();
@@ -204,11 +153,6 @@ impl SimChannel {
         for _ in 0..copies {
             let delay = config.delay.sample(rng);
             let mut arrival = now + delay;
-            if let Some(floor) = stall_floor {
-                if arrival < floor {
-                    arrival = floor;
-                }
-            }
             if config.fifo {
                 let hwm = self
                     .last_arrival
@@ -433,36 +377,6 @@ mod tests {
         let t = SimTime::ZERO + SimDuration::from_millis(60);
         let back = ch.send(slow_conn, t, frame(4), &mut rng);
         assert_eq!(back[0].0, t + SimDuration::from_millis(1));
-    }
-
-    #[test]
-    fn scripted_down_window_severs_frames() {
-        let mut ch = SimChannel::new(ChannelConfig::ideal(SimDuration::from_millis(1)));
-        let conn = ConnId::to_switch(DpId(1));
-        let mut rng = DetRng::new(4);
-        ch.script_down(conn, SimTime(1_000), SimTime(5_000));
-        assert_eq!(ch.send(conn, SimTime(0), frame(4), &mut rng).len(), 1);
-        assert!(ch.send(conn, SimTime(2_000), frame(4), &mut rng).is_empty());
-        assert_eq!(ch.send(conn, SimTime(5_000), frame(4), &mut rng).len(), 1);
-        assert_eq!(ch.stats().severed, 1);
-        assert_eq!(ch.stats().dropped, 0, "severed frames are not drops");
-        ch.clear_faults(conn);
-        assert_eq!(ch.send(conn, SimTime(2_000), frame(4), &mut rng).len(), 1);
-    }
-
-    #[test]
-    fn scripted_stall_delays_without_loss() {
-        let mut ch = SimChannel::new(ChannelConfig::ideal(SimDuration::from_millis(1)));
-        let conn = ConnId::to_switch(DpId(1));
-        let mut rng = DetRng::new(4);
-        let until = SimTime(20_000_000);
-        ch.script_stall(conn, SimTime(0), until);
-        let out = ch.send(conn, SimTime(1_000), frame(4), &mut rng);
-        assert_eq!(out.len(), 1, "stall loses nothing");
-        assert_eq!(out[0].0, until, "arrival clamped to the stall end");
-        // After the window, normal latency resumes.
-        let late = ch.send(conn, until, frame(4), &mut rng);
-        assert_eq!(late[0].0, until + SimDuration::from_millis(1));
     }
 
     #[test]

@@ -39,7 +39,6 @@
 pub mod compile;
 pub mod controller;
 pub mod executor;
-pub mod handshake;
 pub mod rest;
 pub mod resync;
 pub mod runtime;
@@ -47,7 +46,6 @@ pub mod runtime;
 pub use compile::{compile_schedule, initial_flowmods, CompiledUpdate, FlowSpec};
 pub use controller::{CtrlOutput, FailReason, UpdateReport};
 pub use executor::{ExecState, RoundExecutor};
-pub use handshake::Handshake;
 pub use rest::request::UpdateRequest;
 pub use resync::ResyncManager;
 pub use runtime::{

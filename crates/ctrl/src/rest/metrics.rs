@@ -1,25 +1,27 @@
 //! `GET /v1/metrics`: Prometheus text exposition.
 //!
-//! The page is assembled from two sources at scrape time:
+//! Every number on the page is read from the one place that keeps it:
 //!
-//! * the [`sdn_obs`] registry — lifecycle counters, gauges and log₂
-//!   histograms recorded by the instrumented runtimes — rendered by
+//! * the [`sdn_obs`] sink — `sdn_events_total{kind=..}` (one count per
+//!   emitted event), the log₂ histograms, the transport's
+//!   `sdn_connections` gauge and `sdn_flight_dumps_total` — rendered by
 //!   [`Obs::prometheus_with`];
-//! * the runtime's own [`RuntimeStats`](crate::runtime::RuntimeStats)
-//!   counters, appended as `sdn_status_*` families straight from the
-//!   [`STATUS_FIELDS`] single-source table, so `GET /v1/status` and
-//!   `GET /v1/metrics` can never disagree about what a counter means.
+//! * the status report the caller just took — the runtime's
+//!   [`RuntimeStats`](crate::runtime::RuntimeStats) counters as
+//!   `sdn_status_*` families straight from the [`STATUS_FIELDS`]
+//!   single-source table (so `GET /v1/status` and `GET /v1/metrics` can
+//!   never disagree about what a counter means), and the queue gauges
+//!   (queue depth, active jobs, pending acks, migrating seats).
 //!
-//! Gauges (queue depth, active jobs, pending acks, migrating seats)
-//! are *set here*, from the status report the caller just took — not
-//! maintained in the runtime's poll loop — so the hot path pays
-//! nothing for values only a scraper reads.
+//! Nothing is written into the sink on a scrape, so the page is the
+//! same whether or not observability is recording, and the hot path
+//! pays nothing for values only a scraper reads.
 //!
 //! The body is Prometheus text, not JSON; the embedding binary owns
 //! the `Content-Type: text/plain; version=0.0.4` header, as it owns
 //! all transport concerns.
 
-use sdn_obs::{Gauge, Obs};
+use sdn_obs::Obs;
 
 use crate::rest::response::Response;
 use crate::rest::status::STATUS_FIELDS;
@@ -27,15 +29,30 @@ use crate::runtime::StatusReport;
 
 /// The `200 OK` response for `GET /v1/metrics`.
 pub fn metrics_response(obs: &Obs, report: &StatusReport) -> Response {
-    obs.set_gauge(Gauge::QueueDepth, report.queued as i64);
-    obs.set_gauge(Gauge::ActiveJobs, report.active as i64);
-    obs.set_gauge(Gauge::PendingAcks, report.pending_acks as i64);
-    obs.set_gauge(Gauge::Migrating, report.migrating.len() as i64);
     let stats = &report.stats;
-    let extras: Vec<(&str, &str, u64)> = STATUS_FIELDS
+    let counters = STATUS_FIELDS
         .iter()
-        .map(|f| (f.prom, f.help, (f.get)(stats)))
-        .collect();
+        .map(|f| (f.prom, f.help, "counter", (f.get)(stats)));
+    let gauges = [
+        (
+            "sdn_queue_depth",
+            "Jobs waiting for dispatch",
+            report.queued,
+        ),
+        ("sdn_active_jobs", "Jobs currently executing", report.active),
+        (
+            "sdn_pending_acks",
+            "Outstanding per-payload acknowledgements",
+            report.pending_acks,
+        ),
+        (
+            "sdn_migrating_seats",
+            "Switches mid-migration",
+            report.migrating.len(),
+        ),
+    ]
+    .map(|(name, help, v)| (name, help, "gauge", v as u64));
+    let extras: Vec<(&str, &str, &str, u64)> = counters.chain(gauges).collect();
     Response {
         status: 200,
         body: obs.prometheus_with(&extras),
@@ -46,7 +63,7 @@ pub fn metrics_response(obs: &Obs, report: &StatusReport) -> Response {
 mod tests {
     use super::*;
     use crate::runtime::RuntimeStats;
-    use sdn_obs::{prometheus, Ctr, EventKind, HistId};
+    use sdn_obs::{prometheus, EventKind, HistId};
     use sdn_types::SimTime;
 
     fn report() -> StatusReport {
@@ -67,13 +84,12 @@ mod tests {
     #[test]
     fn page_is_valid_prometheus_and_carries_both_sources() {
         let obs = Obs::recording();
-        obs.inc(Ctr::Submitted);
         obs.observe(HistId::ViolationWindowNs, 40_000);
         obs.emit(sdn_obs::Event::new(SimTime::ZERO, EventKind::Submit).span(1));
         let r = metrics_response(&obs, &report());
         assert_eq!(r.status, 200);
         prometheus::validate(&r.body).expect("page must validate");
-        assert!(r.body.contains("sdn_updates_submitted_total 1"));
+        assert!(r.body.contains("sdn_events_total{kind=\"submit\"} 1\n"));
         assert!(r.body.contains("sdn_violation_window_ns_count 1"));
         assert!(r.body.contains("sdn_status_submitted_total 11"));
         assert!(r.body.contains("sdn_status_completed_total 7"));
@@ -83,7 +99,9 @@ mod tests {
     fn gauges_reflect_the_scraped_report() {
         let obs = Obs::recording();
         let r = metrics_response(&obs, &report());
-        assert!(r.body.contains("sdn_queue_depth 2"));
+        assert!(r
+            .body
+            .contains("# TYPE sdn_queue_depth gauge\nsdn_queue_depth 2\n"));
         assert!(r.body.contains("sdn_active_jobs 3"));
         assert!(r.body.contains("sdn_pending_acks 4"));
         assert!(r.body.contains("sdn_migrating_seats 1"));
@@ -95,5 +113,30 @@ mod tests {
         assert_eq!(r.status, 200);
         prometheus::validate(&r.body).expect("page must validate");
         assert!(r.body.contains("sdn_status_submitted_total 11"));
+    }
+
+    #[test]
+    fn disabled_obs_still_serves_the_queue_gauges() {
+        let r = metrics_response(&Obs::disabled(), &report());
+        assert!(r.body.contains("sdn_queue_depth 2\n"));
+        assert!(r.body.contains("sdn_active_jobs 3\n"));
+        assert!(r.body.contains("sdn_pending_acks 4\n"));
+        assert!(r.body.contains("sdn_migrating_seats 1\n"));
+    }
+
+    #[test]
+    fn every_family_on_the_page_appears_once() {
+        let obs = Obs::recording();
+        obs.emit(sdn_obs::Event::new(SimTime::ZERO, EventKind::Commit).span(1));
+        let page = metrics_response(&obs, &report()).body;
+        let mut families: Vec<&str> = page
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .map(|l| l.split(' ').next().unwrap())
+            .collect();
+        let n = families.len();
+        families.sort_unstable();
+        families.dedup();
+        assert_eq!(families.len(), n, "a family rendered twice");
     }
 }

@@ -42,7 +42,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use sdn_obs::{Ctr, DumpReason, Event, EventKind, HistId, Obs};
+use sdn_obs::{DumpReason, Event, EventKind, HistId, Obs};
 use sdn_openflow::codec;
 use sdn_openflow::messages::{Envelope, OfMessage};
 use sdn_types::{DpId, SimDuration, SimTime, Xid};
@@ -519,7 +519,6 @@ impl ConcurrentRuntime {
         for CtrlOutput::Send(dp, env) in cmds {
             if let OfMessage::FlowMod(fm) = &env.msg {
                 self.resync.record(*dp, fm);
-                self.obs.inc(Ctr::FlowModsSent);
                 let event = Event::new(now, EventKind::FlowModSend).span(id.0);
                 self.obs.emit(event.dp(dp.0).round(round));
             }
@@ -532,7 +531,6 @@ impl ConcurrentRuntime {
     fn quarantine(&mut self, dp: DpId, now: SimTime) {
         if self.quarantined.insert(dp) {
             self.stats.quarantined += 1;
-            self.obs.inc(Ctr::Quarantines);
             self.obs
                 .emit(Event::new(now, EventKind::Quarantine).dp(dp.0));
             self.obs.dump(DumpReason::Quarantine, now);
@@ -564,7 +562,6 @@ impl ConcurrentRuntime {
                 Some(at) => {
                     self.journal.append(&JournalRecord::Completed { id, at });
                     let latency = at.saturating_since(job.submitted);
-                    self.obs.inc(Ctr::Commits);
                     self.obs
                         .observe(HistId::SubmitToCommitNs, latency.as_nanos());
                     self.obs.emit(
@@ -575,7 +572,6 @@ impl ConcurrentRuntime {
                 }
                 None => {
                     self.journal.append(&JournalRecord::Failed { id, at: now });
-                    self.obs.inc(Ctr::Aborts);
                     self.obs.emit(Event::new(now, EventKind::Abort).span(id.0));
                     // A budget exhausted against one switch is a strike
                     // against it; enough strikes quarantine the switch
@@ -637,7 +633,6 @@ impl ConcurrentRuntime {
             if let Some(failure) = failure {
                 self.stats.failed += 1;
                 self.journal.append(&JournalRecord::Failed { id, at: now });
-                self.obs.inc(Ctr::Aborts);
                 let abort = Event::new(now, EventKind::Abort).span(id.0);
                 self.obs.emit(match failure {
                     FailReason::Quarantined(dp) => abort.dp(dp.0),
@@ -666,7 +661,6 @@ impl ConcurrentRuntime {
                 bound: None,
             };
             self.journal.append(&JournalRecord::Started { id, at: now });
-            self.obs.inc(Ctr::RoundsDispatched);
             self.obs.emit(
                 Event::new(now, EventKind::RoundDispatch)
                     .span(id.0)
@@ -693,12 +687,10 @@ impl ConcurrentRuntime {
         now: SimTime,
     ) -> SubmitOutcome {
         self.stats.submitted += 1;
-        self.obs.inc(Ctr::Submitted);
         // refuse before burning an id: an expired deadline is the
         // caller's problem, not queue pressure
         if req.deadline.is_some_and(|d| now > d) {
             self.stats.rejected += 1;
-            self.obs.inc(Ctr::Rejected);
             self.obs.emit(Event::new(now, EventKind::Reject).aux(1));
             return Err(SubmitError::DeadlineExpired);
         }
@@ -734,13 +726,11 @@ impl ConcurrentRuntime {
         });
         if !queued {
             self.stats.rejected += 1;
-            self.obs.inc(Ctr::Rejected);
             self.obs
                 .emit(Event::new(now, EventKind::Reject).span(id.0).aux(3));
             return Err(SubmitError::QueueFull);
         }
         self.stats.accepted += 1;
-        self.obs.inc(Ctr::Admitted);
         self.obs.emit(Event::new(now, EventKind::Admit).span(id.0));
         if let Some(rec) = &admitted {
             self.journal.append(rec);
@@ -843,7 +833,6 @@ impl ConcurrentRuntime {
                 let repairs = self.resync.on_report(from, payload, now, &mut self.xids);
                 out.extend(repairs.into_iter().map(|e| CtrlOutput::Send(from, e)));
                 if !self.resync.audit_in_flight(from) {
-                    self.obs.inc(Ctr::Resyncs);
                     self.obs.emit(
                         Event::new(now, EventKind::ResyncDone)
                             .dp(from.0)
@@ -886,7 +875,6 @@ impl ConcurrentRuntime {
                     .round(prev_round)
                     .aux(rtt.as_nanos()),
             );
-            self.obs.inc(Ctr::BarrierFences);
             // The route hit is the match: a reply to ANY outstanding
             // transmission fences the round's content at this switch
             // (identical FlowMods precede every barrier).
@@ -908,7 +896,6 @@ impl ConcurrentRuntime {
                 .emit(Event::new(now, EventKind::RoundCommit).span(id.0).round(r));
         }
         if round != prev_round && !matches!(job.ex.state(), ExecState::Done | ExecState::Failed) {
-            self.obs.inc(Ctr::RoundsDispatched);
             self.obs.emit(
                 Event::new(now, EventKind::RoundDispatch)
                     .span(id.0)
@@ -972,7 +959,6 @@ impl RuntimeHandle for ConcurrentRuntime {
     }
 
     fn on_disconnect(&mut self, dp: DpId, now: SimTime) {
-        self.obs.inc(Ctr::Disconnects);
         self.obs
             .emit(Event::new(now, EventKind::Disconnect).dp(dp.0));
         // probes in the pipe died with the connection; the next
@@ -982,7 +968,6 @@ impl RuntimeHandle for ConcurrentRuntime {
 
     fn on_reconnect(&mut self, dp: DpId, now: SimTime) -> Vec<CtrlOutput> {
         self.stats.reconnects += 1;
-        self.obs.inc(Ctr::Reconnects);
         self.obs
             .emit(Event::new(now, EventKind::Reconnect).dp(dp.0));
         // the switch is back: clean slate, then audit-and-repair
@@ -1024,8 +1009,6 @@ impl RuntimeHandle for ConcurrentRuntime {
         // the sink survives the rebuild: its ring still holds the
         // pre-crash events the dump below exists to preserve
         self.obs = obs;
-        self.obs.inc(Ctr::JournalReplays);
-        self.obs.inc(Ctr::CrashRecoveries);
         self.obs
             .emit(Event::new(now, EventKind::JournalReplay).aux(replayed));
         self.obs.emit(Event::new(now, EventKind::CrashRecover));

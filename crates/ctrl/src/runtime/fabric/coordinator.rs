@@ -24,7 +24,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-use sdn_obs::{Ctr, DumpReason, Event, EventKind, HistId, Obs};
+use sdn_obs::{DumpReason, Event, EventKind, HistId, Obs};
 use sdn_openflow::messages::{Envelope, OfMessage};
 use sdn_types::{DpId, SimTime};
 use update_core::partition::ShardAssignment;
@@ -310,7 +310,6 @@ impl FabricCoordinator {
         };
         if let Some(e) = refusal {
             self.overlay.migration_aborts += 1;
-            self.obs.inc(Ctr::MigrationsAborted);
             return Err(e);
         }
         self.journal.append(&JournalRecord::MigrateBegin {
@@ -367,7 +366,6 @@ impl FabricCoordinator {
             self.migrations.remove(&dp);
             self.overlay.migrations += 1;
             let pause = now.saturating_since(begun);
-            self.obs.inc(Ctr::MigrationsCommitted);
             self.obs.observe(HistId::MigrationPauseNs, pause.as_nanos());
             self.obs.emit(
                 Event::new(now, EventKind::MigrateCommit)
@@ -405,7 +403,6 @@ impl FabricCoordinator {
             return Attempt::Blocked;
         }
         let rid = reserve_id(x.id);
-        self.obs.inc(Ctr::PreparesSent);
         self.obs.emit(
             Event::new(now, EventKind::XPrepare)
                 .span(x.id.0)
@@ -555,8 +552,6 @@ impl RuntimeHandle for FabricCoordinator {
         if req.deadline.is_some_and(|d| now > d) {
             self.overlay.submitted += 1;
             self.overlay.rejected += 1;
-            self.obs.inc(Ctr::Submitted);
-            self.obs.inc(Ctr::Rejected);
             self.obs.emit(Event::new(now, EventKind::Reject).aux(1));
             return Err(SubmitError::DeadlineExpired);
         }
@@ -565,8 +560,6 @@ impl RuntimeHandle for FabricCoordinator {
             if in_flight >= limit {
                 self.overlay.submitted += 1;
                 self.overlay.rejected += 1;
-                self.obs.inc(Ctr::Submitted);
-                self.obs.inc(Ctr::Rejected);
                 self.obs.emit(Event::new(now, EventKind::Reject).aux(2));
                 return Err(SubmitError::QuotaExceeded {
                     tenant: req.tenant,
@@ -1011,13 +1004,10 @@ impl RuntimeHandle for FabricCoordinator {
             self.journal
                 .append(&JournalRecord::MigrateAborted { dp, at: now });
             self.overlay.migration_aborts += 1;
-            self.obs.inc(Ctr::MigrationsAborted);
             self.obs
                 .emit(Event::new(now, EventKind::MigrateAbort).dp(dp.0));
         }
         self.harvest();
-        self.obs.inc(Ctr::JournalReplays);
-        self.obs.inc(Ctr::CrashRecoveries);
         self.obs
             .emit(Event::new(now, EventKind::JournalReplay).aux(replayed));
         self.obs.emit(Event::new(now, EventKind::CrashRecover));

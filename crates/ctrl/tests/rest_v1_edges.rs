@@ -277,7 +277,8 @@ fn metrics_endpoint_serves_a_valid_prometheus_page() {
     let r = sdn_ctrl::rest::metrics::metrics_response(&obs, &fab.status_report());
     assert_eq!(r.status, 200);
     sdn_obs::prometheus::validate(&r.body).expect("page must be valid Prometheus text");
-    assert!(r.body.contains("sdn_updates_submitted_total 1"));
+    assert!(r.body.contains("sdn_status_submitted_total 1\n"));
+    assert!(r.body.contains("sdn_events_total{kind=\"submit\"} 1\n"));
 }
 
 #[test]

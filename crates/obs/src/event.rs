@@ -88,7 +88,38 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Stable lower-snake name used in dumps, traces and docs.
+    /// Every kind, in ordinal order (`ALL[k as usize] == k`): the
+    /// registry keeps one count per entry.
+    pub const ALL: [EventKind; 25] = [
+        EventKind::Submit,
+        EventKind::Admit,
+        EventKind::Reject,
+        EventKind::RoundDispatch,
+        EventKind::FlowModSend,
+        EventKind::FlowModAck,
+        EventKind::BarrierFence,
+        EventKind::RoundCommit,
+        EventKind::Commit,
+        EventKind::Abort,
+        EventKind::XPrepare,
+        EventKind::XPrepareAck,
+        EventKind::XCommit,
+        EventKind::MigrateFence,
+        EventKind::MigrateCommit,
+        EventKind::MigrateAbort,
+        EventKind::ResyncBegin,
+        EventKind::ResyncDone,
+        EventKind::Quarantine,
+        EventKind::JournalReplay,
+        EventKind::Fault,
+        EventKind::CrashRecover,
+        EventKind::Reconnect,
+        EventKind::Disconnect,
+        EventKind::Violation,
+    ];
+
+    /// Stable lower-snake name used in dumps, traces, docs and the
+    /// `kind` label of `sdn_events_total`.
     pub fn name(self) -> &'static str {
         match self {
             EventKind::Submit => "submit",

@@ -7,17 +7,24 @@
 //!
 //! * [`event`] — typed, fixed-size trace [`Event`]s with virtual-time
 //!   stamps and a per-update [`SpanId`], emitted at every lifecycle
-//!   edge by the runtimes, the fabric, the transport and the
-//!   simulator;
-//! * [`metrics`] — a [`Registry`] of counters, gauges and log₂
-//!   [`Histogram`]s (submit→commit latency, barrier RTT, queue depth,
-//!   prepare round-trips, migration pause, and the per-flow
-//!   transient-violation window width);
+//!   edge by the runtimes, the fabric and the simulator;
+//! * [`metrics`] — a [`Registry`] that counts every emitted event by
+//!   [`EventKind`], holds the transport's live-connection [`Gauge`],
+//!   and keeps log₂ [`Histogram`]s (submit→commit latency, barrier
+//!   RTT, queue depth, prepare round-trips, migration pause, and the
+//!   per-flow transient-violation window width);
 //! * [`recorder`] — a bounded per-shard flight-recorder [`Ring`] that
 //!   dumps its last N events as structured JSON on crash recovery,
 //!   quarantine, or an observed violation;
 //! * [`prometheus`] — text exposition for `GET /v1/metrics` and a
 //!   strict validator for tests and CI.
+//!
+//! Every number on the metrics page has one owner. This crate owns the
+//! event counts (`sdn_events_total{kind=..}`), the histograms, the
+//! connection gauge the transport sets, and the count of dumps taken
+//! (`sdn_flight_dumps_total`). The runtime owns its status counters and
+//! queue gauges; `sdn_ctrl::rest::metrics` appends them from a status
+//! report at scrape time.
 //!
 //! Everything is keyed to virtual time, so a seeded chaos replay
 //! reproduces event streams, metric values and dump bytes exactly.
@@ -32,7 +39,7 @@ pub mod prometheus;
 pub mod recorder;
 
 pub use event::{Event, EventKind, SpanId, NO_DP, NO_SPAN};
-pub use metrics::{Ctr, Gauge, HistId, Histogram, Registry};
+pub use metrics::{Gauge, HistId, Histogram, Registry};
 pub use recorder::{Dump, DumpReason, Ring, DEFAULT_RING};
 
 use std::collections::{BTreeMap, VecDeque};
@@ -114,8 +121,8 @@ impl Obs {
         }
     }
 
-    /// Record one event: into its shard's ring and, when it belongs
-    /// to a span, into that span's trace.
+    /// Record one event: count it by kind, push it into its shard's
+    /// ring and, when it belongs to a span, into that span's trace.
     pub fn emit(&self, mut ev: Event) {
         let inner = match &self.inner {
             Some(i) => i,
@@ -125,6 +132,7 @@ impl Obs {
             ev.shard = self.shard;
         }
         let mut g = inner.lock();
+        g.registry.count(ev.kind);
         let cap = g.ring_cap;
         g.rings
             .entry(ev.shard)
@@ -145,18 +153,6 @@ impl Obs {
         }
     }
 
-    /// Bump a counter by one.
-    pub fn inc(&self, c: Ctr) {
-        self.add(c, 1);
-    }
-
-    /// Bump a counter.
-    pub fn add(&self, c: Ctr, n: u64) {
-        if let Some(i) = &self.inner {
-            i.lock().registry.add(c, n);
-        }
-    }
-
     /// Set a gauge.
     pub fn set_gauge(&self, g: Gauge, v: i64) {
         if let Some(i) = &self.inner {
@@ -172,7 +168,7 @@ impl Obs {
     }
 
     /// Take a flight-recorder dump of `shard`'s ring. The dump is
-    /// retained (see [`Obs::dumps`]) and counted. Returns the JSON,
+    /// retained (see [`Obs::dumps`]). Returns the JSON,
     /// or `None` when disabled or the ring has never seen an event.
     pub fn dump_shard(&self, reason: DumpReason, shard: u32, at: SimTime) -> Option<String> {
         let inner = self.inner.as_ref()?;
@@ -184,7 +180,6 @@ impl Obs {
             }
             recorder::render_dump(reason, shard, at, ring)
         };
-        g.registry.add(Ctr::Dumps, 1);
         g.dumps.push(Dump {
             reason,
             shard,
@@ -216,13 +211,24 @@ impl Obs {
         }
     }
 
-    /// Prometheus text page: the registry plus caller-supplied extra
-    /// counters (the runtime's status counters ride in here).
-    pub fn prometheus_with(&self, extras: &[(&str, &str, u64)]) -> String {
-        prometheus::render_with(&self.registry(), extras)
+    /// Prometheus text page: the registry, the number of dumps taken,
+    /// then caller-owned samples (name, help, type, value) — the
+    /// runtime's status counters and gauges ride in here.
+    pub fn prometheus_with(&self, extras: &[(&str, &str, &str, u64)]) -> String {
+        let (registry, dumps) = match &self.inner {
+            Some(i) => {
+                let g = i.lock();
+                (g.registry.clone(), g.dumps.len() as u64)
+            }
+            None => (Registry::default(), 0),
+        };
+        let help = "Flight-recorder dumps taken";
+        let mut all = vec![("sdn_flight_dumps_total", help, "counter", dumps)];
+        all.extend_from_slice(extras);
+        prometheus::render_with(&registry, &all)
     }
 
-    /// Prometheus text page of the registry alone.
+    /// Prometheus text page of this crate's numbers alone.
     pub fn prometheus(&self) -> String {
         self.prometheus_with(&[])
     }
@@ -307,12 +313,11 @@ mod tests {
     fn disabled_handle_is_inert() {
         let obs = Obs::disabled();
         obs.emit(Event::new(at(1), EventKind::Submit).span(1));
-        obs.inc(Ctr::Submitted);
         obs.observe(HistId::BarrierRttNs, 5);
         assert!(!obs.is_enabled());
         assert!(obs.dump(DumpReason::Quarantine, at(2)).is_none());
         assert!(obs.trace_json(1).is_none());
-        assert_eq!(obs.registry().counter(Ctr::Submitted), 0);
+        assert_eq!(obs.registry().events(EventKind::Submit), 0);
     }
 
     #[test]
@@ -320,9 +325,8 @@ mod tests {
         let obs = Obs::recording();
         let shard2 = obs.for_shard(2);
         shard2.emit(Event::new(at(1), EventKind::Submit).span(9));
-        obs.inc(Ctr::Submitted);
-        shard2.inc(Ctr::Submitted);
-        assert_eq!(obs.registry().counter(Ctr::Submitted), 2);
+        shard2.emit(Event::new(at(2), EventKind::Submit).span(10));
+        assert_eq!(obs.registry().events(EventKind::Submit), 2);
         let evs = obs.span_events(9);
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].shard, 2, "shard tag stamped on emit");
@@ -331,7 +335,11 @@ mod tests {
             obs.dump(DumpReason::CrashRecovery, at(5)).is_none(),
             "shard 0 ring empty"
         );
-        assert_eq!(obs.registry().counter(Ctr::Dumps), 1);
+        assert_eq!(obs.dumps().len(), 1);
+        let page = obs.prometheus();
+        prometheus::validate(&page).unwrap();
+        assert!(page.contains("sdn_flight_dumps_total 1\n"));
+        assert!(page.contains("sdn_events_total{kind=\"submit\"} 2\n"));
     }
 
     #[test]
@@ -408,9 +416,8 @@ mod tests {
         .join();
         assert!(died.is_err());
         // every clone, on every shard, still works from another thread
-        obs.inc(Ctr::Submitted);
         obs.emit(Event::new(at(1), EventKind::Submit).span(1));
-        assert_eq!(obs.registry().counter(Ctr::Submitted), 1);
+        assert_eq!(obs.registry().events(EventKind::Submit), 1);
         assert!(obs.dump(DumpReason::Quarantine, at(2)).is_some());
     }
 }

@@ -1,205 +1,28 @@
-//! The metrics registry: a closed set of counters, gauges and
+//! The metrics registry: one count per [`EventKind`], gauges and
 //! fixed-bucket log₂ histograms.
 //!
 //! The registry is three flat arrays indexed by enum ordinal, so the
-//! hot path — `inc`, `set`, `observe` — is an array store with no
-//! allocation, no hashing, and no string handling. Names, help text
-//! and units live in static tables consulted only at exposition time.
+//! hot path — counting an event, `set`, `observe` — is an array store
+//! with no allocation, no hashing, and no string handling. Names, help
+//! text and units live in static tables consulted only at exposition
+//! time; event counts are labelled by [`EventKind::name`].
 
-/// Monotone counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Ctr {
-    /// Updates offered for execution.
-    Submitted,
-    /// Updates admitted into the queue.
-    Admitted,
-    /// Updates refused at admission.
-    Rejected,
-    /// Rounds dispatched across all updates.
-    RoundsDispatched,
-    /// FlowMod+barrier envelopes sent to switches.
-    FlowModsSent,
-    /// Barrier replies that fenced a round slice.
-    BarrierFences,
-    /// Updates that committed every round.
-    Commits,
-    /// Updates that failed or were cancelled.
-    Aborts,
-    /// Cross-shard prepare requests issued by the coordinator.
-    PreparesSent,
-    /// Resync audits that converged.
-    Resyncs,
-    /// Switches quarantined.
-    Quarantines,
-    /// Write-ahead journal replays.
-    JournalReplays,
-    /// Faults injected by the chaos harness.
-    Faults,
-    /// Controller crash-recovery cycles.
-    CrashRecoveries,
-    /// Seat migrations committed.
-    MigrationsCommitted,
-    /// Seat migrations unwound.
-    MigrationsAborted,
-    /// Transport (re)connects observed.
-    Reconnects,
-    /// Transport disconnects observed.
-    Disconnects,
-    /// Waypoint-violating probe deliveries observed.
-    Violations,
-    /// Flight-recorder dumps taken.
-    Dumps,
-}
-
-/// `(variant, metric name, help)` — the exposition table for [`Ctr`].
-pub const CTR_TABLE: &[(Ctr, &str, &str)] = &[
-    (
-        Ctr::Submitted,
-        "sdn_updates_submitted_total",
-        "Updates offered for execution",
-    ),
-    (
-        Ctr::Admitted,
-        "sdn_updates_admitted_total",
-        "Updates admitted into the queue",
-    ),
-    (
-        Ctr::Rejected,
-        "sdn_updates_rejected_total",
-        "Updates refused at admission",
-    ),
-    (
-        Ctr::RoundsDispatched,
-        "sdn_rounds_dispatched_total",
-        "Rounds dispatched across all updates",
-    ),
-    (
-        Ctr::FlowModsSent,
-        "sdn_flowmods_sent_total",
-        "FlowMod+barrier envelopes sent to switches",
-    ),
-    (
-        Ctr::BarrierFences,
-        "sdn_barrier_fences_total",
-        "Barrier replies that fenced a round slice",
-    ),
-    (
-        Ctr::Commits,
-        "sdn_updates_committed_total",
-        "Updates that committed every round",
-    ),
-    (
-        Ctr::Aborts,
-        "sdn_updates_aborted_total",
-        "Updates that failed or were cancelled",
-    ),
-    (
-        Ctr::PreparesSent,
-        "sdn_xshard_prepares_total",
-        "Cross-shard prepare requests issued",
-    ),
-    (
-        Ctr::Resyncs,
-        "sdn_resyncs_total",
-        "Resync audits that converged",
-    ),
-    (
-        Ctr::Quarantines,
-        "sdn_quarantines_total",
-        "Switches quarantined",
-    ),
-    (
-        Ctr::JournalReplays,
-        "sdn_journal_replays_total",
-        "Write-ahead journal replays",
-    ),
-    (
-        Ctr::Faults,
-        "sdn_faults_injected_total",
-        "Faults injected by the chaos harness",
-    ),
-    (
-        Ctr::CrashRecoveries,
-        "sdn_crash_recoveries_total",
-        "Controller crash-recovery cycles",
-    ),
-    (
-        Ctr::MigrationsCommitted,
-        "sdn_migrations_committed_total",
-        "Seat migrations committed",
-    ),
-    (
-        Ctr::MigrationsAborted,
-        "sdn_migrations_aborted_total",
-        "Seat migrations unwound",
-    ),
-    (
-        Ctr::Reconnects,
-        "sdn_reconnects_total",
-        "Transport (re)connects observed",
-    ),
-    (
-        Ctr::Disconnects,
-        "sdn_disconnects_total",
-        "Transport disconnects observed",
-    ),
-    (
-        Ctr::Violations,
-        "sdn_violations_total",
-        "Waypoint-violating probe deliveries observed",
-    ),
-    (
-        Ctr::Dumps,
-        "sdn_flight_dumps_total",
-        "Flight-recorder dumps taken",
-    ),
-];
+use crate::event::EventKind;
 
 /// Instantaneous gauges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Gauge {
-    /// Jobs waiting for dispatch.
-    QueueDepth,
-    /// Jobs currently executing.
-    ActiveJobs,
-    /// Outstanding per-payload acknowledgements.
-    PendingAcks,
     /// Live transport connections.
     Connections,
-    /// Switches mid-migration.
-    Migrating,
 }
 
 /// `(variant, metric name, help)` — the exposition table for [`Gauge`].
-pub const GAUGE_TABLE: &[(Gauge, &str, &str)] = &[
-    (
-        Gauge::QueueDepth,
-        "sdn_queue_depth",
-        "Jobs waiting for dispatch",
-    ),
-    (
-        Gauge::ActiveJobs,
-        "sdn_active_jobs",
-        "Jobs currently executing",
-    ),
-    (
-        Gauge::PendingAcks,
-        "sdn_pending_acks",
-        "Outstanding per-payload acknowledgements",
-    ),
-    (
-        Gauge::Connections,
-        "sdn_connections",
-        "Live transport connections",
-    ),
-    (
-        Gauge::Migrating,
-        "sdn_migrating_seats",
-        "Switches mid-migration",
-    ),
-];
+pub const GAUGE_TABLE: &[(Gauge, &str, &str)] = &[(
+    Gauge::Connections,
+    "sdn_connections",
+    "Live transport connections",
+)];
 
 /// Log₂-bucket histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -308,7 +131,7 @@ impl Histogram {
 /// The registry: one array per metric class.
 #[derive(Debug, Clone)]
 pub struct Registry {
-    counters: [u64; CTR_TABLE.len()],
+    events: [u64; EventKind::ALL.len()],
     gauges: [i64; GAUGE_TABLE.len()],
     hists: [Histogram; HIST_TABLE.len()],
 }
@@ -316,7 +139,7 @@ pub struct Registry {
 impl Default for Registry {
     fn default() -> Self {
         Registry {
-            counters: [0; CTR_TABLE.len()],
+            events: [0; EventKind::ALL.len()],
             gauges: [0; GAUGE_TABLE.len()],
             hists: [Histogram::default(); HIST_TABLE.len()],
         }
@@ -324,14 +147,14 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// Add to a counter.
-    pub fn add(&mut self, c: Ctr, n: u64) {
-        self.counters[c as usize] += n;
+    /// Count one event of `kind` (done by [`crate::Obs::emit`]).
+    pub(crate) fn count(&mut self, kind: EventKind) {
+        self.events[kind as usize] += 1;
     }
 
-    /// Read a counter.
-    pub fn counter(&self, c: Ctr) -> u64 {
-        self.counters[c as usize]
+    /// Events of `kind` emitted so far.
+    pub fn events(&self, kind: EventKind) -> u64 {
+        self.events[kind as usize]
     }
 
     /// Set a gauge.
@@ -382,21 +205,25 @@ mod tests {
     #[test]
     fn registry_round_trips() {
         let mut r = Registry::default();
-        r.add(Ctr::Submitted, 3);
-        r.set(Gauge::QueueDepth, 7);
+        r.count(EventKind::Submit);
+        r.count(EventKind::Submit);
+        r.set(Gauge::Connections, 7);
         r.observe(HistId::BarrierRttNs, 500_000);
-        assert_eq!(r.counter(Ctr::Submitted), 3);
-        assert_eq!(r.gauge(Gauge::QueueDepth), 7);
+        assert_eq!(r.events(EventKind::Submit), 2);
+        assert_eq!(r.gauge(Gauge::Connections), 7);
         assert_eq!(r.hist(HistId::BarrierRttNs).count, 1);
-        assert_eq!(r.counter(Ctr::Commits), 0);
+        assert_eq!(r.events(EventKind::Commit), 0);
     }
 
     #[test]
     fn tables_cover_every_variant_in_order() {
-        for (i, (c, name, help)) in CTR_TABLE.iter().enumerate() {
-            assert_eq!(*c as usize, i, "counter table out of order at {name}");
-            assert!(name.ends_with("_total"));
-            assert!(!help.is_empty());
+        for (i, k) in EventKind::ALL.iter().enumerate() {
+            assert_eq!(
+                *k as usize,
+                i,
+                "EventKind::ALL out of order at {}",
+                k.name()
+            );
         }
         for (i, (g, _, _)) in GAUGE_TABLE.iter().enumerate() {
             assert_eq!(*g as usize, i);

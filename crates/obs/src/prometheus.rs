@@ -1,12 +1,15 @@
 //! Prometheus text-format exposition (version 0.0.4) and a strict
-//! validator used by tests and the obs-smoke CI job.
+//! validator used by tests and the E12 experiment.
 //!
+//! Event counts render as one labelled counter family,
+//! `sdn_events_total{kind="<EventKind::name>"}`, one sample per kind.
 //! Histograms render the conventional triplet: cumulative
 //! `name_bucket{le="..."}` series (log₂ upper bounds, then `+Inf`),
 //! `name_sum`, `name_count`. Empty histograms still emit the `+Inf`
 //! bucket so the family is well-formed.
 
-use crate::metrics::{Histogram, Registry, CTR_TABLE, GAUGE_TABLE, HIST_TABLE};
+use crate::event::EventKind;
+use crate::metrics::{Histogram, Registry, GAUGE_TABLE, HIST_TABLE};
 
 fn push_family(out: &mut String, name: &str, help: &str, kind: &str) {
     out.push_str("# HELP ");
@@ -47,17 +50,23 @@ fn push_hist(out: &mut String, name: &str, h: &Histogram) {
     out.push('\n');
 }
 
-/// Render the registry, then `extras` — caller-supplied counters
-/// (name, help, value) appended as their own families. The runtime's
-/// `RuntimeStats`-derived counters ride in through `extras` so the
-/// status report and the metrics endpoint share one source of truth.
-pub fn render_with(reg: &Registry, extras: &[(&str, &str, u64)]) -> String {
+/// Render the registry, then `extras` — caller-owned samples (name,
+/// help, type, value) appended as their own families. The runtime's
+/// status counters and gauges ride in through `extras`, so each number
+/// on the page is read from the one place that keeps it.
+pub fn render_with(reg: &Registry, extras: &[(&str, &str, &str, u64)]) -> String {
     let mut out = String::with_capacity(4096);
-    for (c, name, help) in CTR_TABLE {
-        push_family(&mut out, name, help, "counter");
-        out.push_str(name);
-        out.push(' ');
-        out.push_str(&reg.counter(*c).to_string());
+    push_family(
+        &mut out,
+        "sdn_events_total",
+        "Trace events emitted, by kind",
+        "counter",
+    );
+    for kind in EventKind::ALL {
+        out.push_str("sdn_events_total{kind=\"");
+        out.push_str(kind.name());
+        out.push_str("\"} ");
+        out.push_str(&reg.events(kind).to_string());
         out.push('\n');
     }
     for (g, name, help) in GAUGE_TABLE {
@@ -71,8 +80,8 @@ pub fn render_with(reg: &Registry, extras: &[(&str, &str, u64)]) -> String {
         push_family(&mut out, name, help, "histogram");
         push_hist(&mut out, name, reg.hist(*h));
     }
-    for (name, help, value) in extras {
-        push_family(&mut out, name, help, "counter");
+    for (name, help, kind, value) in extras {
+        push_family(&mut out, name, help, kind);
         out.push_str(name);
         out.push(' ');
         out.push_str(&value.to_string());
@@ -217,22 +226,31 @@ pub fn validate(page: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{Ctr, Gauge, HistId};
+    use crate::metrics::{Gauge, HistId};
 
     #[test]
     fn rendered_page_validates() {
         let mut reg = Registry::default();
-        reg.add(Ctr::Submitted, 5);
-        reg.set(Gauge::QueueDepth, 2);
+        for _ in 0..5 {
+            reg.count(EventKind::Submit);
+        }
+        reg.set(Gauge::Connections, 2);
         reg.observe(HistId::BarrierRttNs, 1_000_000);
         reg.observe(HistId::BarrierRttNs, 3_000_000);
-        let page = render_with(&reg, &[("sdn_extra_total", "an extra", 7)]);
+        let extras = [
+            ("sdn_extra_total", "an extra", "counter", 7),
+            ("sdn_extra_depth", "a gauge", "gauge", 3),
+        ];
+        let page = render_with(&reg, &extras);
         validate(&page).unwrap();
-        assert!(page.contains("sdn_updates_submitted_total 5"));
+        assert!(page.contains("sdn_events_total{kind=\"submit\"} 5\n"));
+        assert!(page.contains("sdn_events_total{kind=\"commit\"} 0\n"));
+        assert!(page.contains("sdn_connections 2"));
         assert!(page.contains("sdn_barrier_rtt_ns_count 2"));
         assert!(page.contains("sdn_barrier_rtt_ns_sum 4000000"));
         assert!(page.contains("le=\"+Inf\"} 2"));
         assert!(page.contains("sdn_extra_total 7"));
+        assert!(page.contains("# TYPE sdn_extra_depth gauge\nsdn_extra_depth 3"));
     }
 
     #[test]

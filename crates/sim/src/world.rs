@@ -18,7 +18,7 @@ use sdn_ctrl::runtime::{
     ConcurrentRuntime, FabricConfig, FabricCoordinator, RuntimeConfig, RuntimeHandle, StatusReport,
     SubmitOutcome, SubmitRequest,
 };
-use sdn_obs::{Ctr, DumpReason, Event as ObsEvent, EventKind, HistId, Obs};
+use sdn_obs::{DumpReason, Event as ObsEvent, EventKind, HistId, Obs};
 use sdn_openflow::codec::{decode, encode};
 use sdn_openflow::flow::PacketMeta;
 use sdn_openflow::messages::OfMessage;
@@ -517,14 +517,13 @@ impl World {
         self.boots.get(&dp).copied().unwrap_or(0)
     }
 
-    /// Record one injected fault: counter plus a typed event whose
-    /// `aux` codes the kind (1 link-down, 2 link-up, 3 reboot,
+    /// Record one injected fault as a typed event whose `aux` codes
+    /// the fault (1 link-down, 2 link-up, 3 reboot,
     /// 4 controller crash, 5 seat migration).
     fn note_fault(&mut self, dp: Option<DpId>, kind: u64) {
         if !self.obs.is_enabled() {
             return;
         }
-        self.obs.inc(Ctr::Faults);
         let mut ev = ObsEvent::new(self.now, EventKind::Fault).aux(kind);
         if let Some(dp) = dp {
             ev = ev.dp(dp.0);
@@ -532,7 +531,7 @@ impl World {
         self.obs.emit(ev);
     }
 
-    /// Record a probe's violating completion: event, counter, the
+    /// Record a probe's violating completion: the event, the
     /// per-flow window bookkeeping, and a flight-recorder dump on the
     /// flow's first violation. `aux` codes the violation class
     /// (1 waypoint bypass, 2 blackhole, 3 loop).
@@ -540,7 +539,6 @@ impl World {
         if !self.obs.is_enabled() {
             return;
         }
-        self.obs.inc(Ctr::Violations);
         let mut ev = ObsEvent::new(self.now, EventKind::Violation).aux(aux);
         if let Some(dp) = at_dp {
             ev = ev.dp(dp.0);

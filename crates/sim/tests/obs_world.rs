@@ -3,7 +3,7 @@
 //! chaos harness.
 //!
 //! * a clean update leaves a full lifecycle span (submit → admit →
-//!   rounds → commit), truthful counters and a Prometheus page that
+//!   rounds → commit), truthful event counts and a Prometheus page that
 //!   passes the strict validator;
 //! * a one-shot update under jitter produces transient violations, and
 //!   the world measures the per-flow violation *window* — the paper's
@@ -18,7 +18,7 @@ use sdn_channel::config::ChannelConfig;
 use sdn_ctrl::compile::{compile_schedule, initial_flowmods, CompiledUpdate, FlowSpec};
 use sdn_ctrl::executor::ExecConfig;
 use sdn_ctrl::runtime::{ConcurrentRuntime, Journal, RuntimeConfig, SubmitRequest};
-use sdn_obs::{prometheus, Ctr, DumpReason, EventKind, HistId, Obs};
+use sdn_obs::{prometheus, DumpReason, EventKind, HistId, Obs};
 use sdn_sim::world::{World, WorldConfig};
 use sdn_topo::gen::{self, UpdatePair};
 use sdn_types::{DpId, SimDuration, SimTime};
@@ -66,14 +66,14 @@ fn clean_update_leaves_a_full_lifecycle_span() {
     let r = w.run(horizon());
     assert!(r.updates[0].completed.is_some());
 
-    // counters agree with ground truth
+    // event counts agree with ground truth
     let reg = obs.registry();
-    assert_eq!(reg.counter(Ctr::Submitted), 1);
-    assert_eq!(reg.counter(Ctr::Admitted), 1);
-    assert_eq!(reg.counter(Ctr::Commits), 1);
-    assert_eq!(reg.counter(Ctr::Aborts), 0);
-    assert!(reg.counter(Ctr::FlowModsSent) > 0);
-    assert!(reg.counter(Ctr::BarrierFences) > 0);
+    assert_eq!(reg.events(EventKind::Submit), 1);
+    assert_eq!(reg.events(EventKind::Admit), 1);
+    assert_eq!(reg.events(EventKind::Commit), 1);
+    assert_eq!(reg.events(EventKind::Abort), 0);
+    assert!(reg.events(EventKind::FlowModSend) > 0);
+    assert!(reg.events(EventKind::BarrierFence) > 0);
     assert_eq!(reg.hist(HistId::SubmitToCommitNs).count, 1);
     assert!(reg.hist(HistId::BarrierRttNs).count > 0);
 
@@ -153,9 +153,9 @@ fn oneshot_violations_measure_the_window_and_dump() {
     );
     let reg = obs.registry();
     assert_eq!(
-        reg.counter(Ctr::Violations),
+        reg.events(EventKind::Violation),
         r.violations.waypoint_bypasses + r.violations.blackholes + r.violations.loops,
-        "the violation counter must agree with the probe report"
+        "the violation events must agree with the probe report"
     );
     // one injection plan violated → exactly one measured window
     let hist = reg.hist(HistId::ViolationWindowNs);
@@ -237,9 +237,9 @@ fn chaos_faults_reach_the_recorder_and_dumps_replay_byte_identically() {
 
     // every injected fault is counted, with its taxonomy code
     let reg = obs.registry();
-    assert_eq!(reg.counter(Ctr::Faults), 3, "LinkDown + Crash + LinkUp");
-    assert_eq!(reg.counter(Ctr::CrashRecoveries), 1);
-    assert!(reg.counter(Ctr::JournalReplays) >= 1);
+    assert_eq!(reg.events(EventKind::Fault), 3, "LinkDown + Crash + LinkUp");
+    assert_eq!(reg.events(EventKind::CrashRecover), 1);
+    assert!(reg.events(EventKind::JournalReplay) >= 1);
 
     // crash recovery dumped the flight recorder; the dump carries the
     // fault events that led up to it (LinkDown aux=1, crash aux=4)
