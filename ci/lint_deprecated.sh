@@ -56,6 +56,16 @@
 # crates/core/src/{model,config}.rs (not their tests, which hold ordered
 # references to compare against) may not key an ordered map or set by
 # DpId again.
+#
+# The per-FlowMod lookups stay hashed (sdn_types::IdMap): no library
+# code outside its tests may bring back the ordered maps they replaced —
+# the conflict index's (switch, class, job) set, the RTO table's and the
+# resync shadow's per-switch maps, the topology's nested adjacency map
+# and the transport's connection index:
+#
+#   BTreeSet<(DpId, FlowClass, JobId)>, BTreeMap<DpId, Estimator>,
+#   BTreeMap<DpId, FlowTable>, BTreeMap<DpId, BTreeMap<DpId,
+#   index: BTreeMap<DpId
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -77,6 +87,17 @@ for f in crates/core/src/model.rs crates/core/src/config.rs; do
     hits+=$(awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
         /BTree(Map|Set)<DpId/ { printf "\n%s:%d:%s", f, FNR, $0 }' "$f")
 done
+ORDERED='BTreeSet<(DpId, FlowClass, JobId)>
+BTreeMap<DpId, Estimator>
+BTreeMap<DpId, FlowTable>
+BTreeMap<DpId, BTreeMap<DpId
+index: BTreeMap<DpId'
+hits+=$(find crates src -path '*/src/*' -name '*.rs' -print0 |
+    xargs -0 awk -v pats="$ORDERED" 'BEGIN { n = split(pats, p, "\n") }
+        FNR == 1 { live = 1 }
+        /^#\[cfg\(test\)\]/ { live = 0 }
+        live { for (i = 1; i <= n; i++) if (index($0, p[i])) {
+            printf "\n%s:%d:%s", FILENAME, FNR, $0; break } }')
 
 if [ -n "$hits" ]; then
     echo "error: a deleted API must not come back:" >&2

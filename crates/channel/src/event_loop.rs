@@ -51,7 +51,7 @@
 //! token holder never holds the timers' lock while it takes a connection.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -65,7 +65,7 @@ use sdn_openflow::codec::{decode, try_encode_into};
 use sdn_openflow::framing::FrameCodec;
 use sdn_openflow::messages::Envelope;
 use sdn_switch::SoftSwitch;
-use sdn_types::{DetRng, DpId};
+use sdn_types::{DetRng, DpId, IdMap};
 
 use crate::config::ChannelConfig;
 use crate::sim::{ChannelStats, ConnId, Direction};
@@ -269,7 +269,7 @@ struct ChurnSink {
 struct Inner {
     default_cfg: ChannelConfig,
     time_scale: f64,
-    index: BTreeMap<DpId, usize>,
+    index: IdMap<DpId, usize>,
     dpids: Vec<DpId>,
     conns: Vec<Mutex<ConnState>>,
     planner: Mutex<Planner>,
@@ -505,7 +505,7 @@ impl EventLoopTransport {
         el: EventLoopConfig,
     ) -> Self {
         let (events, event_rx) = unbounded::<TransportEvent>();
-        let mut index = BTreeMap::new();
+        let mut index = IdMap::default();
         let mut dpids = Vec::with_capacity(switches.len());
         let mut conns = Vec::with_capacity(switches.len());
         for (i, sw) in switches.into_iter().enumerate() {

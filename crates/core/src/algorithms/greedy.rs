@@ -34,8 +34,6 @@
 //! crossing-free instances; otherwise the engine reports
 //! [`SchedulerError::Stuck`] and WayUp falls back to two-phase commit.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use sdn_types::DpId;
 
 use crate::checker::{AdmissionProbe, OracleMode};
@@ -183,16 +181,22 @@ pub(crate) fn greedy_rounds(
     // cost Θ(n) probes, not Θ(n²). Walk-dependent orderings re-rank
     // the whole pending set every round and take few rounds: they
     // keep probing everything.
-    let mut parked: BTreeMap<DpId, DpId> = BTreeMap::new();
-    while !(pending.is_empty() && parked.is_empty()) {
+    //
+    // Both tables are indexed by the instance's switch index: `parked`
+    // by blocker (iterated in that order, which is dpid order), and
+    // `leaving` — activated or newly parked this round — by candidate;
+    // each `retain` over `pending` below resets the flags it reads.
+    let ix = |v: DpId| inst.index(v).expect("candidates are participants");
+    let mut parked: Vec<Option<DpId>> = vec![None; inst.node_count()];
+    let mut parked_count = 0usize;
+    let mut leaving = vec![false; inst.node_count()];
+    while !(pending.is_empty() && parked_count == 0) {
         let reordered = (!static_order).then(|| order_candidates(ordering, inst, base, &pending));
-        // Leaving `pending` this round: activated or newly parked.
-        let mut leaving: BTreeSet<DpId> = BTreeSet::new();
         for &v in reordered.as_deref().unwrap_or(&pending) {
             if !session.try_push(RuleOp::Activate(v)) && static_order {
                 if let Some(blocker) = session.blocker(v) {
-                    parked.insert(blocker, v);
-                    leaving.insert(v);
+                    parked_count += usize::from(parked[ix(blocker)].replace(v).is_none());
+                    leaving[ix(v)] = true;
                 }
             }
         }
@@ -201,12 +205,11 @@ pub(crate) fn greedy_rounds(
         } else {
             // An empty round ends in the exact retry or in `Stuck`;
             // both speak for every candidate, parked ones included.
-            if !parked.is_empty() {
-                pending.retain(|v| !leaving.contains(v));
-                pending.extend(parked.values());
+            if parked_count != 0 {
+                pending.retain(|&v| !std::mem::take(&mut leaving[ix(v)]));
+                pending.extend(parked.iter_mut().filter_map(Option::take));
                 pending = order_candidates(ordering, inst, base, &pending);
-                parked.clear();
-                leaving.clear();
+                parked_count = 0;
             }
             if !prefer_conservative {
                 return Err(SchedulerError::Stuck { remaining: pending });
@@ -232,10 +235,13 @@ pub(crate) fn greedy_rounds(
             RuleOp::Activate(v) => Some(*v),
             _ => None,
         });
-        leaving.extend(activated.clone());
-        pending.retain(|v| !leaving.contains(v));
+        for v in activated.clone() {
+            leaving[ix(v)] = true;
+        }
+        pending.retain(|&v| !std::mem::take(&mut leaving[ix(v)]));
         let before = pending.len();
-        pending.extend(activated.filter_map(|v| parked.remove(&v)));
+        pending.extend(activated.filter_map(|v| parked[ix(v)].take()));
+        parked_count -= pending.len() - before;
         if pending.len() > before {
             pending = order_candidates(ordering, inst, base, &pending);
         }

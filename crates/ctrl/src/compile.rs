@@ -62,6 +62,8 @@ pub enum CompileError {
     BadHostAttachment(HostId, DpId),
     /// The host does not exist in the topology.
     UnknownHost(HostId),
+    /// A rule operation names a switch the topology lacks.
+    UnknownSwitch(DpId),
 }
 
 impl fmt::Display for CompileError {
@@ -72,6 +74,7 @@ impl fmt::Display for CompileError {
                 write!(f, "host {h} is not attached to {dp}")
             }
             CompileError::UnknownHost(h) => write!(f, "unknown host {h}"),
+            CompileError::UnknownSwitch(dp) => write!(f, "unknown switch {dp}"),
         }
     }
 }
@@ -95,7 +98,8 @@ pub struct CompiledRound {
 /// A schedule lowered to per-round FlowMods.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledUpdate {
-    /// Human-readable label (algorithm + instance).
+    /// Human-readable label: the algorithm, the route's end switches
+    /// and its length — bounded, whatever the route.
     pub label: String,
     /// The rounds.
     pub rounds: Vec<CompiledRound>,
@@ -189,6 +193,8 @@ fn compile_op(
             let port = egress(topo, *v, next)?;
             Ok((*v, add_rule(BASE_PRIORITY, matcher, port, NEW_COOKIE)))
         }
+        // the other ops fail in `egress` when their switch is unknown
+        RuleOp::RemoveOld(v) if !topo.has_switch(*v) => Err(CompileError::UnknownSwitch(*v)),
         RuleOp::RemoveOld(v) => Ok((
             *v,
             OfMessage::FlowMod(FlowMod {
@@ -235,14 +241,14 @@ fn compile_op(
 }
 
 /// Lower a full schedule. Rule-removing rounds get a drain grace
-/// period (see [`cleanup_grace`]).
+/// period (see [`cleanup_grace`]), computed only when a round needs it.
 pub fn compile_schedule(
     topo: &Topology,
     inst: &UpdateInstance,
     schedule: &Schedule,
     spec: &FlowSpec,
 ) -> Result<CompiledUpdate, CompileError> {
-    let grace = cleanup_grace(topo, inst);
+    let mut grace = None;
     let mut rounds = Vec::with_capacity(schedule.rounds.len());
     for round in &schedule.rounds {
         let mut msgs = Vec::with_capacity(round.ops.len());
@@ -253,11 +259,21 @@ pub fn compile_schedule(
         }
         rounds.push(CompiledRound {
             msgs,
-            pre_delay: if removes { grace } else { SimDuration::ZERO },
+            pre_delay: if removes {
+                *grace.get_or_insert_with(|| cleanup_grace(topo, inst))
+            } else {
+                SimDuration::ZERO
+            },
         });
     }
     Ok(CompiledUpdate {
-        label: format!("{} ({})", schedule.algorithm, inst),
+        label: format!(
+            "{} ({} -> {}, {} hops)",
+            schedule.algorithm,
+            inst.src(),
+            inst.dst(),
+            inst.new_route().len()
+        ),
         rounds,
     })
 }
@@ -301,7 +317,23 @@ mod tests {
         let c = compile_schedule(&f.topo, &inst, &s, &spec).unwrap();
         assert_eq!(c.round_count(), s.round_count());
         assert_eq!(c.message_count(), s.op_count());
+        assert_eq!(c.label, format!("{} (s1 -> s12, 8 hops)", s.algorithm));
         assert!(c.label.contains("wayup"));
+    }
+
+    #[test]
+    fn a_rest_route_through_an_unknown_switch_does_not_compile() {
+        let (f, _inst, spec) = setup();
+        // figure 1's old route with s2 swapped for a switch it lacks
+        let doc = r#"{"oldpath": [1, 99, 3, 4, 5, 6, 12], "newpath": [1, 7, 3, 8, 9, 10, 11, 12]}"#;
+        let inst = crate::rest::request::UpdateRequest::parse(doc)
+            .unwrap()
+            .to_instance()
+            .unwrap();
+        let s = TwoPhaseCommit.schedule(&inst).unwrap();
+        let err = compile_schedule(&f.topo, &inst, &s, &spec).unwrap_err();
+        assert_eq!(err, CompileError::UnknownSwitch(DpId(99)));
+        assert_eq!(err.to_string(), "unknown switch s99");
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use sdn_openflow::messages::{Envelope, FlowMod, OfMessage};
 use sdn_switch::flow_table::{FlowEntry, FlowTable};
 use sdn_switch::resync::{decode_digest_report, DIGEST_PROBE};
-use sdn_types::{DpId, SimTime, Xid};
+use sdn_types::{DpId, IdMap, SimTime, Xid};
 
 use crate::executor::XidAlloc;
 
@@ -63,7 +63,9 @@ pub struct ResyncStats {
 /// Shadow tables plus the audit state machine.
 #[derive(Debug, Clone, Default)]
 pub struct ResyncManager {
-    shadow: BTreeMap<DpId, FlowTable>,
+    /// Looked up per FlowMod sent; never iterated.
+    shadow: IdMap<DpId, FlowTable>,
+    /// Iterated in dpid order by the audit timers.
     pending: BTreeMap<DpId, Audit>,
     stats: ResyncStats,
 }

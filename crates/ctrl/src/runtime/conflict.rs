@@ -19,20 +19,23 @@
 //! class at that switch.
 //!
 //! A [`Footprint`] is one sorted `Vec` of (switch, class) pairs and the
-//! [`ConflictGraph`] one ordered index of (switch, class, holder)
-//! triples. **Invariant: the index holds exactly the pairs of the
-//! footprints in `active`.** A candidate is therefore checked with one
-//! range probe per class it touches plus one per switch for that
-//! switch's `Wildcard` holders (a wildcard candidate probes the
-//! switch's whole range): it pays for the pairs it touches, never for
-//! the other jobs seated on the same switches.
+//! [`ConflictGraph`] one index from each switch to its holder list:
+//! the (class, holder) pairs seated there, sorted. **Invariant: the
+//! lists hold exactly the pairs of the footprints in `active`.** A
+//! candidate is therefore checked with one switch lookup and range
+//! probe per class it touches plus one per switch for that switch's
+//! `Wildcard` holders (a wildcard candidate probes the switch's whole
+//! list): it pays for the pairs it touches, never for the other jobs
+//! seated on the same switches. A list that empties keeps its entry
+//! and capacity, so a warm runtime admits and retires jobs over the
+//! same switches without allocating.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use sdn_openflow::messages::OfMessage;
-use sdn_types::{DpId, HostId};
+use sdn_types::{DpId, HostId, IdMap};
 
 use crate::compile::CompiledUpdate;
 
@@ -159,12 +162,13 @@ impl Footprint {
 /// Nodes are executing updates (and the fabric's reservations); an
 /// implicit edge joins every pair of conflicting footprints. The
 /// runtime never materializes edges — it only ever asks "which active
-/// jobs conflict with this candidate?", answered from the
-/// (switch, class, holder) index (module docs).
+/// jobs conflict with this candidate?", answered from the per-switch
+/// holder lists (module docs).
 #[derive(Debug, Clone, Default)]
 pub struct ConflictGraph {
     active: BTreeMap<JobId, Footprint>,
-    index: BTreeSet<(DpId, FlowClass, JobId)>,
+    /// Per switch, the sorted (class, holder) pairs seated there.
+    holders: IdMap<DpId, Vec<(FlowClass, JobId)>>,
     /// Range probes issued plus index entries they yielded (the
     /// clock-free cost measure behind `dispatch_work`).
     probed: Cell<u64>,
@@ -189,17 +193,27 @@ impl ConflictGraph {
     /// Insert an active job. Panics on id reuse (runtime ids are
     /// allocated monotonically).
     pub fn insert(&mut self, id: JobId, footprint: Footprint) {
-        self.index
-            .extend(footprint.pairs.iter().map(|&(dp, class)| (dp, class, id)));
-        let prev = self.active.insert(id, footprint);
-        assert!(prev.is_none(), "job id {id} inserted twice");
+        assert!(!self.active.contains_key(&id), "job id {id} inserted twice");
+        for &(dp, class) in &footprint.pairs {
+            let list = self.holders.entry(dp).or_default();
+            let at = list.partition_point(|&held| held < (class, id));
+            list.insert(at, (class, id));
+        }
+        self.active.insert(id, footprint);
     }
 
     /// Remove a completed/failed job.
     pub fn remove(&mut self, id: JobId) {
         if let Some(fp) = self.active.remove(&id) {
             for &(dp, class) in &fp.pairs {
-                self.index.remove(&(dp, class, id));
+                let list = self
+                    .holders
+                    .get_mut(&dp)
+                    .expect("an active pair is indexed");
+                let at = list
+                    .binary_search(&(class, id))
+                    .expect("an active pair is indexed");
+                list.remove(at);
             }
         }
     }
@@ -207,9 +221,12 @@ impl ConflictGraph {
     /// Holders of any class in `lo..=hi` at `dp`, counted as probed.
     fn holders(&self, dp: DpId, lo: FlowClass, hi: FlowClass) -> impl Iterator<Item = JobId> + '_ {
         self.probed.set(self.probed.get() + 1);
-        self.index
-            .range((dp, lo, JobId(0))..=(dp, hi, JobId(u64::MAX)))
-            .map(|&(_, _, id)| id)
+        let list = self.holders.get(&dp).map_or(&[][..], Vec::as_slice);
+        let from = list.partition_point(|&(c, _)| c < lo);
+        let to = list.partition_point(|&(c, _)| c <= hi);
+        list[from..to]
+            .iter()
+            .map(|&(_, id)| id)
             .inspect(|_| self.probed.set(self.probed.get() + 1))
     }
 
@@ -363,7 +380,10 @@ mod tests {
         assert!(!g.touches(DpId(1)), "released switches untouched");
         g.remove(JobId(2));
         assert!(g.is_empty());
-        assert!(g.index.is_empty(), "the index holds active pairs only");
+        assert!(
+            g.holders.values().all(Vec::is_empty),
+            "the holder lists hold active pairs only"
+        );
     }
 
     #[test]

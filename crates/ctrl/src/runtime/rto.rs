@@ -24,9 +24,7 @@
 //! runtime stats; operators watch this to find dying switches before
 //! they fail updates).
 
-use std::collections::BTreeMap;
-
-use sdn_types::{DpId, SimDuration};
+use sdn_types::{DpId, IdMap, SimDuration};
 
 /// Estimator tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,7 +72,7 @@ struct Estimator {
 #[derive(Debug, Clone, Default)]
 pub struct RtoTable {
     config: RtoConfig,
-    switches: BTreeMap<DpId, Estimator>,
+    switches: IdMap<DpId, Estimator>,
 }
 
 impl RtoTable {
@@ -82,7 +80,7 @@ impl RtoTable {
     pub fn new(config: RtoConfig) -> Self {
         RtoTable {
             config,
-            switches: BTreeMap::new(),
+            switches: IdMap::default(),
         }
     }
 
@@ -160,7 +158,7 @@ impl RtoTable {
         self.switches.len()
     }
 
-    /// Every switch with at least one sample, ascending.
+    /// Every switch with at least one sample, in no particular order.
     pub fn switches(&self) -> impl Iterator<Item = DpId> + '_ {
         self.switches.keys().copied()
     }

@@ -10,7 +10,11 @@
 //! * an idle `poll` allocates nothing;
 //! * the reply that completes a round and dispatches the next one's k
 //!   FlowMods allocates at most k + 2 times — the FlowMod clones, the
-//!   caller's output buffer and the executor's slot list growing.
+//!   caller's output buffer and the executor's slot list growing;
+//! * a job's whole life — launch, first-round dispatch, reap — costs
+//!   the same at k = 96 switches as at k = 24 but for the 72 extra
+//!   FlowMod clones: admitting a job to the conflict index and retiring
+//!   it reuse the per-switch holder lists the warm-up left behind.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -68,6 +72,14 @@ const K: u64 = 24;
 /// Round 0 fences switch 1; round 1 writes K switches (FlowMods with an
 /// action list, so each clone allocates once).
 fn update(label: &str) -> CompiledUpdate {
+    CompiledUpdate {
+        label: label.into(),
+        rounds: vec![round(1..2), round(10..10 + K)],
+    }
+}
+
+/// One round writing the switches `dps`.
+fn round(dps: std::ops::Range<u64>) -> CompiledRound {
     let fm = OfMessage::FlowMod(FlowMod {
         command: FlowModCommand::Add,
         priority: 100,
@@ -75,13 +87,9 @@ fn update(label: &str) -> CompiledUpdate {
         actions: vec![Action::Output(PortNo(1))],
         cookie: 0,
     });
-    let round = |dps: Vec<u64>| CompiledRound {
-        msgs: dps.into_iter().map(|d| (DpId(d), fm.clone())).collect(),
+    CompiledRound {
+        msgs: dps.map(|d| (DpId(d), fm.clone())).collect(),
         pre_delay: SimDuration::ZERO,
-    };
-    CompiledUpdate {
-        label: label.into(),
-        rounds: vec![round(vec![1]), round((10..10 + K).collect())],
     }
 }
 
@@ -146,4 +154,45 @@ fn an_idle_poll_allocates_nothing() {
         assert!(out.is_empty());
         assert_eq!(n, 0, "an idle poll allocated");
     }
+}
+
+/// One round writing switches `10..10 + k`.
+fn wide(label: &str, k: u64) -> CompiledUpdate {
+    CompiledUpdate {
+        label: label.into(),
+        rounds: vec![round(10..10 + k)],
+    }
+}
+
+/// Allocations of one k-switch job's life on a runtime warmed up by a
+/// job of the same shape: submit, the poll that launches it and
+/// dispatches its round, and the k barrier replies whose last reaps it.
+/// The replies are built outside the counted calls.
+fn life_of_a_wide_job(k: u64) -> u64 {
+    let mut rt = ConcurrentRuntime::new(RuntimeConfig::default());
+    let mut total = 0;
+    for (i, label) in ["warm-up", "measured"].into_iter().enumerate() {
+        let t = 10 * i as u64;
+        let job = wide(label, k);
+        let (_, n_submit) = allocs(|| rt.submit(job, us(t), Priority::Normal));
+        let (out, n_poll) = allocs(|| rt.poll(us(t)));
+        let replies = barriers(&out);
+        assert_eq!(replies.len(), k as usize);
+        total = n_submit + n_poll;
+        for (dp, reply) in &replies {
+            total += allocs(|| rt.on_message(us(t + 1), *dp, reply)).1;
+        }
+        assert!(rt.is_idle(), "{label} job reaped");
+    }
+    total
+}
+
+#[test]
+fn a_wide_job_costs_only_its_extra_flowmod_clones_more() {
+    let (narrow, wide) = (life_of_a_wide_job(24), life_of_a_wide_job(96));
+    assert_eq!(
+        wide.checked_sub(narrow),
+        Some(96 - 24),
+        "k = 24: {narrow} allocations, k = 96: {wide}"
+    );
 }

@@ -234,15 +234,35 @@ fn ref_conflicts(a: &RefFootprint, b: &RefFootprint) -> bool {
     })
 }
 
+/// Switch universes the cross-check draws from: small dense ids, then
+/// sparse and extreme ids, then ids that agree in their low 32 bits or
+/// differ only in the byte above a MAC-style prefix — the holder lists
+/// are keyed by a hash of the dpid, and these share the bits a weak
+/// hash would bucket by.
+const UNIVERSES: [[u64; 5]; 3] = [
+    [1, 2, 3, 4, 5],
+    [0, 1 << 48, 2 << 48, u64::MAX, 1],
+    [
+        1 << 32,
+        3 << 32,
+        0x0000_0200_0000_0100,
+        0x0000_0200_0000_0200,
+        1 << 63,
+    ],
+];
+
+/// Ids no universe update touches, probed beside the universe's own.
+const STRANGERS: [u64; 3] = [6, 3 << 48, u64::MAX - 1];
+
 /// A random update over a universe small enough (5 switches, 3 hosts,
 /// ≈ 1 wildcard in 7) that shared switches, shared classes and
 /// wildcards all occur, spread over two rounds with repeats.
-fn random_update(rng: &mut DetRng) -> (CompiledUpdate, RefFootprint) {
+fn random_update(rng: &mut DetRng, universe: &[u64; 5]) -> (CompiledUpdate, RefFootprint) {
     let mut reference = RefFootprint::new();
     let mut rounds = vec![CompiledRound::default(), CompiledRound::default()];
     rounds[1].pre_delay = SimDuration::from_millis(1);
     for k in 0..rng.index(6) {
-        let dp = DpId(1 + rng.index(5) as u64);
+        let dp = DpId(universe[rng.index(5)]);
         let (class, matcher) = if rng.chance(0.15) {
             (FlowClass::Wildcard, FlowMatch::ANY)
         } else {
@@ -278,90 +298,93 @@ proptest! {
         steps in 8usize..48,
         seed in any::<u64>(),
     ) {
-        let mut rng = DetRng::new(seed);
-        // two mirrors of the same model: a bare graph taking inserts,
-        // reserves and removes, and a runtime's graph driven through
-        // reserve / release / seat_quiescent
-        let mut graph = ConflictGraph::new();
-        let mut held: BTreeMap<JobId, RefFootprint> = BTreeMap::new();
-        let mut rt = ConcurrentRuntime::new(RuntimeConfig::default());
-        let mut reserved: BTreeMap<JobId, RefFootprint> = BTreeMap::new();
-        let mut seen: Vec<(Footprint, RefFootprint)> = Vec::new();
-        for step in 0..steps {
-            let id = JobId(step as u64 + 1);
-            let (update, reference) = random_update(&mut rng);
-            let fp = Footprint::of(&update);
+        // the same walk over each universe, from the same seed
+        for universe in &UNIVERSES {
+            let mut rng = DetRng::new(seed);
+            // two mirrors of the same model: a bare graph taking inserts,
+            // reserves and removes, and a runtime's graph driven through
+            // reserve / release / seat_quiescent
+            let mut graph = ConflictGraph::new();
+            let mut held: BTreeMap<JobId, RefFootprint> = BTreeMap::new();
+            let mut rt = ConcurrentRuntime::new(RuntimeConfig::default());
+            let mut reserved: BTreeMap<JobId, RefFootprint> = BTreeMap::new();
+            let mut seen: Vec<(Footprint, RefFootprint)> = Vec::new();
+            for step in 0..steps {
+                let id = JobId(step as u64 + 1);
+                let (update, reference) = random_update(&mut rng, universe);
+                let fp = Footprint::of(&update);
 
-            // the footprint itself
-            prop_assert_eq!(
-                fp.switches().collect::<Vec<_>>(),
-                reference.keys().copied().collect::<Vec<_>>()
-            );
-            prop_assert_eq!(fp.switch_count(), reference.len());
-            prop_assert_eq!(fp.is_empty(), reference.is_empty());
-            let odd = |dp: DpId| dp.0 % 2 == 1;
-            let mut kept = update.clone();
-            for r in &mut kept.rounds {
-                r.msgs.retain(|(dp, _)| odd(*dp));
-            }
-            prop_assert_eq!(fp.slice(odd), Footprint::of(&kept));
-            for (other, other_ref) in &seen {
-                let want = ref_conflicts(&reference, other_ref);
-                prop_assert_eq!(fp.conflicts(other), want);
-                prop_assert_eq!(other.conflicts(&fp), want);
-            }
+                // the footprint itself
+                prop_assert_eq!(
+                    fp.switches().collect::<Vec<_>>(),
+                    reference.keys().copied().collect::<Vec<_>>()
+                );
+                prop_assert_eq!(fp.switch_count(), reference.len());
+                prop_assert_eq!(fp.is_empty(), reference.is_empty());
+                let odd = |dp: DpId| dp.0 % 2 == 1;
+                let mut kept = update.clone();
+                for r in &mut kept.rounds {
+                    r.msgs.retain(|(dp, _)| odd(*dp));
+                }
+                prop_assert_eq!(fp.slice(odd), Footprint::of(&kept));
+                for (other, other_ref) in &seen {
+                    let want = ref_conflicts(&reference, other_ref);
+                    prop_assert_eq!(fp.conflicts(other), want);
+                    prop_assert_eq!(other.conflicts(&fp), want);
+                }
 
-            // the graph's answers about it
-            let want: BTreeSet<JobId> = held
-                .iter()
-                .filter(|(_, h)| ref_conflicts(&reference, h))
-                .map(|(&id, _)| id)
-                .collect();
-            prop_assert_eq!(graph.admits(&fp), want.is_empty());
-            prop_assert_eq!(&graph.conflicts_with(&fp), &want);
-            for dp in (1..=6).map(DpId) {
-                let touched = held.values().any(|h| h.contains_key(&dp));
-                prop_assert_eq!(graph.touches(dp), touched, "touches({})", dp);
-            }
-            // insert regardless (overlapping holders coexist: the
-            // graph records, its caller decides) or only if admitted
-            if want.is_empty() || rng.chance(0.5) {
-                graph.insert(id, fp.clone());
-                held.insert(id, reference.clone());
-            }
+                // the graph's answers about it
+                let want: BTreeSet<JobId> = held
+                    .iter()
+                    .filter(|(_, h)| ref_conflicts(&reference, h))
+                    .map(|(&id, _)| id)
+                    .collect();
+                prop_assert_eq!(graph.admits(&fp), want.is_empty());
+                prop_assert_eq!(&graph.conflicts_with(&fp), &want);
+                for dp in universe.iter().chain(&STRANGERS).copied().map(DpId) {
+                    let touched = held.values().any(|h| h.contains_key(&dp));
+                    prop_assert_eq!(graph.touches(dp), touched, "touches({})", dp);
+                }
+                // insert regardless (overlapping holders coexist: the
+                // graph records, its caller decides) or only if admitted
+                if want.is_empty() || rng.chance(0.5) {
+                    graph.insert(id, fp.clone());
+                    held.insert(id, reference.clone());
+                }
 
-            // the runtime's three methods over the same index
-            let free = reserved.values().all(|h| !ref_conflicts(&reference, h));
-            prop_assert_eq!(rt.admits_footprint(&fp), free);
-            prop_assert_eq!(rt.reserve(id, &fp), free);
-            if free {
-                reserved.insert(id, reference.clone());
-            }
-            for dp in (1..=6).map(DpId) {
-                let touched = reserved.values().any(|h| h.contains_key(&dp));
-                prop_assert_eq!(rt.seat_quiescent(dp), !touched, "quiescent({})", dp);
-            }
+                // the runtime's three methods over the same index
+                let free = reserved.values().all(|h| !ref_conflicts(&reference, h));
+                prop_assert_eq!(rt.admits_footprint(&fp), free);
+                prop_assert_eq!(rt.reserve(id, &fp), free);
+                if free {
+                    reserved.insert(id, reference.clone());
+                }
+                for dp in universe.iter().chain(&STRANGERS).copied().map(DpId) {
+                    let touched = reserved.values().any(|h| h.contains_key(&dp));
+                    prop_assert_eq!(rt.seat_quiescent(dp), !touched, "quiescent({})", dp);
+                }
 
-            // drop a random holder from each mirror (sometimes an
-            // unknown id, which both must ignore)
-            if rng.chance(0.4) {
-                let pick = |m: &BTreeMap<JobId, RefFootprint>, rng: &mut DetRng| {
-                    if m.is_empty() || rng.chance(0.1) {
-                        JobId(10_000)
-                    } else {
-                        *m.keys().nth(rng.index(m.len())).unwrap()
-                    }
-                };
-                let victim = pick(&held, &mut rng);
-                graph.remove(victim);
-                held.remove(&victim);
-                let victim = pick(&reserved, &mut rng);
-                rt.release(victim);
-                reserved.remove(&victim);
+                // drop a random holder from each mirror (sometimes an
+                // unknown id, which both must ignore)
+                if rng.chance(0.4) {
+                    let pick = |m: &BTreeMap<JobId, RefFootprint>, rng: &mut DetRng| {
+                        if m.is_empty() || rng.chance(0.1) {
+                            JobId(10_000)
+                        } else {
+                            *m.keys().nth(rng.index(m.len())).unwrap()
+                        }
+                    };
+                    let victim = pick(&held, &mut rng);
+                    graph.remove(victim);
+                    held.remove(&victim);
+                    let victim = pick(&reserved, &mut rng);
+                    rt.release(victim);
+                    reserved.remove(&victim);
+                }
+                prop_assert_eq!(graph.len(), held.len());
+                prop_assert_eq!(graph.is_empty(), held.is_empty());
+                seen.push((fp, reference));
             }
-            prop_assert_eq!(graph.len(), held.len());
-            prop_assert_eq!(graph.is_empty(), held.is_empty());
-            seen.push((fp, reference));
         }
     }
 }

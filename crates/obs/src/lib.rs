@@ -42,11 +42,12 @@ pub use event::{Event, EventKind, SpanId, NO_DP, NO_SPAN};
 pub use metrics::{Gauge, HistId, Histogram, Registry};
 pub use recorder::{Dump, DumpReason, Ring, DEFAULT_RING};
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sdn_types::SimTime;
+use sdn_types::{IdMap, SimTime};
 
 /// Cap on spans retained for `GET /v1/trace/{job}`; the span that was
 /// opened longest ago is evicted first. (Not the smallest id: shard
@@ -61,7 +62,7 @@ struct ObsInner {
     registry: Registry,
     ring_cap: usize,
     rings: BTreeMap<u32, Ring>,
-    spans: BTreeMap<u64, Vec<Event>>,
+    spans: IdMap<u64, Vec<Event>>,
     /// Keys of `spans` in the order they were opened.
     span_order: VecDeque<u64>,
     dumps: Vec<Dump>,
@@ -94,7 +95,7 @@ impl Obs {
                 registry: Registry::default(),
                 ring_cap: cap.max(1),
                 rings: BTreeMap::new(),
-                spans: BTreeMap::new(),
+                spans: IdMap::default(),
                 span_order: VecDeque::new(),
                 dumps: Vec::new(),
             }))),
@@ -131,7 +132,8 @@ impl Obs {
         if ev.shard == 0 {
             ev.shard = self.shard;
         }
-        let mut g = inner.lock();
+        let mut guard = inner.lock();
+        let g = &mut *guard;
         g.registry.count(ev.kind);
         let cap = g.ring_cap;
         g.rings
@@ -139,16 +141,20 @@ impl Obs {
             .or_insert_with(|| Ring::new(cap))
             .push(ev);
         if ev.span != NO_SPAN {
-            if !g.spans.contains_key(&ev.span.0) {
-                if g.span_order.len() >= MAX_SPANS {
-                    let oldest = g.span_order.pop_front().expect("MAX_SPANS > 0");
-                    g.spans.remove(&oldest);
+            let trace = match g.spans.entry(ev.span.0) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => {
+                    g.span_order.push_back(ev.span.0);
+                    e.insert(Vec::new())
                 }
-                g.span_order.push_back(ev.span.0);
-            }
-            let trace = g.spans.entry(ev.span.0).or_default();
+            };
             if trace.len() < MAX_SPAN_EVENTS {
                 trace.push(ev);
+            }
+            // the span just opened is the newest: never the one evicted
+            if g.span_order.len() > MAX_SPANS {
+                let oldest = g.span_order.pop_front().expect("MAX_SPANS > 0");
+                g.spans.remove(&oldest);
             }
         }
     }

@@ -16,6 +16,11 @@
 //! instants. What that configuration is *defined* to change (no
 //! poll-tick gap between queued jobs, per-switch retransmission) is
 //! pinned by the property tests in `serial_runtime.rs` instead.
+//!
+//! The report's `Debug` text carries the compiled update's label, so
+//! all eight digests were re-recorded once, when the label shrank from
+//! both whole routes to `"{algorithm} ({src} -> {dst}, {n} hops)"`;
+//! with the old label restored the `d07a772` digests still match.
 
 use sdn_channel::config::ChannelConfig;
 use sdn_ctrl::compile::{compile_schedule, initial_flowmods, FlowSpec};
@@ -127,10 +132,10 @@ fn golden_serial_path_on_lan() {
     check(
         ChannelConfig::lan(),
         [
-            0xbea5_0f7e_9ae5_8b81,
-            0x9bb2_dbe7_2486_9156,
-            0x89cd_2c6b_6198_7952,
-            0x15af_74a0_f099_0ab6,
+            0x28d9_0f59_1950_a21c,
+            0x2c2b_3da4_3a4b_b6fb,
+            0x4f74_9ef8_7077_e56f,
+            0x341a_4451_4f89_49b1,
         ],
     );
 }
@@ -140,10 +145,10 @@ fn golden_serial_path_under_5ms_jitter() {
     check(
         ChannelConfig::jittery(SimDuration::from_millis(5)),
         [
-            0x61ca_7092_fc0e_645f,
-            0xdcca_8f8e_1088_05af,
-            0xb299_1348_6231_38bb,
-            0xd11e_d7d4_2d69_64e4,
+            0xb35f_15f8_173b_883a,
+            0xefe0_521e_83d1_2f0c,
+            0xfca9_cb98_2ee5_af40,
+            0xbada_593b_08e2_1781,
         ],
     );
 }

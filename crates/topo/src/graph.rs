@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use sdn_types::{DpId, HostId, LinkId, PortNo, SimDuration};
+use sdn_types::{DpId, HostId, IdMap, LinkId, PortNo, SimDuration};
 
 /// Errors from topology construction and queries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,6 +52,8 @@ pub struct Switch {
     pub name: String,
     /// Next free port number.
     next_port: u32,
+    /// Adjacent switches, in dpid order.
+    neighbors: Vec<DpId>,
 }
 
 impl Switch {
@@ -60,7 +62,13 @@ impl Switch {
             dpid,
             name: format!("{dpid}"),
             next_port: 1,
+            neighbors: Vec::new(),
         }
+    }
+
+    fn add_neighbor(&mut self, dp: DpId) {
+        let at = self.neighbors.partition_point(|&n| n < dp);
+        self.neighbors.insert(at, dp);
     }
 
     fn alloc_port(&mut self) -> PortNo {
@@ -128,14 +136,15 @@ pub struct Host {
 /// The network topology: switches, undirected links, attached hosts.
 ///
 /// Deterministic iteration order (BTreeMap) keeps every downstream
-/// artifact — schedules, traces, DOT output — reproducible.
+/// artifact — schedules, traces, DOT output — reproducible; link
+/// lookups, made once per compiled FlowMod, hash the switch pair.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
     switches: BTreeMap<DpId, Switch>,
     links: Vec<Link>,
     hosts: BTreeMap<HostId, Host>,
-    /// adjacency: switch -> (neighbor -> link index)
-    adj: BTreeMap<DpId, BTreeMap<DpId, usize>>,
+    /// Link index by (from, to), both directions of every link.
+    link_at: IdMap<(DpId, DpId), usize>,
 }
 
 impl Topology {
@@ -150,7 +159,6 @@ impl Topology {
             return Err(TopologyError::DuplicateSwitch(dpid));
         }
         self.switches.insert(dpid, Switch::new(dpid));
-        self.adj.insert(dpid, BTreeMap::new());
         Ok(())
     }
 
@@ -179,11 +187,15 @@ impl Topology {
         if !self.switches.contains_key(&b) {
             return Err(TopologyError::UnknownSwitch(b));
         }
-        if self.adj[&a].contains_key(&b) {
+        if self.adjacent(a, b) {
             return Err(TopologyError::DuplicateLink(a, b));
         }
-        let port_a = self.switches.get_mut(&a).expect("checked").alloc_port();
-        let port_b = self.switches.get_mut(&b).expect("checked").alloc_port();
+        let sw_a = self.switches.get_mut(&a).expect("checked");
+        sw_a.add_neighbor(b);
+        let port_a = sw_a.alloc_port();
+        let sw_b = self.switches.get_mut(&b).expect("checked");
+        sw_b.add_neighbor(a);
+        let port_b = sw_b.alloc_port();
         let id = LinkId(self.links.len() as u32);
         let idx = self.links.len();
         self.links.push(Link {
@@ -194,8 +206,8 @@ impl Topology {
             port_b,
             latency,
         });
-        self.adj.get_mut(&a).expect("checked").insert(b, idx);
-        self.adj.get_mut(&b).expect("checked").insert(a, idx);
+        self.link_at.insert((a, b), idx);
+        self.link_at.insert((b, a), idx);
         Ok(id)
     }
 
@@ -268,18 +280,15 @@ impl Topology {
 
     /// Neighbors of a switch, in dpid order.
     pub fn neighbors(&self, dp: DpId) -> impl Iterator<Item = DpId> + '_ {
-        self.adj
+        self.switches
             .get(&dp)
             .into_iter()
-            .flat_map(|m| m.keys().copied())
+            .flat_map(|s| s.neighbors.iter().copied())
     }
 
     /// The link between two switches, if any.
     pub fn link_between(&self, a: DpId, b: DpId) -> Option<&Link> {
-        self.adj
-            .get(&a)
-            .and_then(|m| m.get(&b))
-            .map(|&i| &self.links[i])
+        self.link_at.get(&(a, b)).map(|&i| &self.links[i])
     }
 
     /// The egress port on `from` toward adjacent switch `to`.
@@ -309,7 +318,7 @@ impl Topology {
 
     /// Whether two switches are adjacent.
     pub fn adjacent(&self, a: DpId, b: DpId) -> bool {
-        self.adj.get(&a).is_some_and(|m| m.contains_key(&b))
+        self.link_at.contains_key(&(a, b))
     }
 }
 
