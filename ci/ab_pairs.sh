@@ -9,16 +9,28 @@
 # seed i = 1..pairs runs `e2e-bench --workload W --seed i --seconds S
 # --trace 0` once per tree — odd pairs parent first, even pairs change
 # first — and prints, per gated metric of the change tree's
-# BENCHMARK.json, the markdown table rows CHANGES.md uses. With
-# --layers it then runs 3 traced passes per side (`--trace 1`, seeds
-# 1..3, alternating the same way) and prints parent → change medians
-# (and ranges) of the named per-layer metrics; pairs=0 skips the gated
-# pairs. Every per-run result line is kept under $AB_OUT (default: a
-# temp dir, removed). The benchmark pins itself to one CPU: run nothing
-# else meanwhile.
+# BENCHMARK.json, the markdown table rows CHANGES.md uses, each with
+# the verdict it is judged by, the first of these that holds:
+#
+#   gain        the change won at least 9 of every 10 pairs, and its
+#               median is better than the parent's by more than the
+#               parent's IQR
+#   worse       the change's median is worse than the parent's by more
+#               than the metric's `bound` (a fraction of the parent's
+#               median) in BENCHMARK.json
+#   unresolved  the parent's IQR is wider than that bound and the two
+#               sides' runs overlap: these pairs cannot tell
+#   flat        everything else
+#
+# With --layers it then runs 3 traced passes per side (`--trace 1`,
+# seeds 1..3, alternating the same way) and prints parent → change
+# medians (and ranges) of the named per-layer metrics; pairs=0 skips
+# the gated pairs. Every per-run result line is kept under $AB_OUT
+# (default: a temp dir, removed). The benchmark pins itself to one CPU:
+# run nothing else meanwhile.
 set -euo pipefail
 usage() {
-    sed -n '2,18p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,30p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
 positional=()
@@ -102,10 +114,24 @@ def change(p, c):
     return f"{100 * (c - p) / p:+.1f} %" if p else "n/a"
 
 
+def verdict(m, p, c, won):
+    """The rule in this script's header, for metric `m` of BENCHMARK.json."""
+    (pm, pi), (cm, _) = mid_iqr(p), mid_iqr(c)
+    gap = cm - pm if m["better"] == "higher" else pm - cm
+    bound = m["bound"] * abs(pm)
+    if 10 * won >= 9 * len(p) and gap > pi:
+        return "gain"
+    if -gap > bound:
+        return "worse"
+    if pi > bound and max(p) >= min(c) and max(c) >= min(p):
+        return "unresolved"
+    return "flat"
+
+
 if pairs:
     runs = load("pair", pairs)
-    print("| workload | metric | parent median (IQR) | change median (IQR) | change vs parent | pairs won |")
-    print("|---|---|---|---|---|---|")
+    print("| workload | metric | parent median (IQR) | change median (IQR) | change vs parent | pairs won | verdict |")
+    print("|---|---|---|---|---|---|---|")
     for m in json.loads(Path(manifest).read_text())["end_to_end"]:
         p = [r[m["name"]] for r in runs["parent"]]
         c = [r[m["name"]] for r in runs["change"]]
@@ -113,7 +139,7 @@ if pairs:
         won = sum(better(x, y) for x, y in zip(c, p))
         (pm, pi), (cm, ci) = mid_iqr(p), mid_iqr(c)
         print(f"| `{workload}` | `{m['name']}` | {pm:.4g} ({pi:.4g}) | {cm:.4g} ({ci:.4g}) | "
-              f"{change(pm, cm)} | {won}/{pairs} |")
+              f"{change(pm, cm)} | {won}/{pairs} | {verdict(m, p, c, won)} |")
 
 if traced:
     runs = load("traced", traced)

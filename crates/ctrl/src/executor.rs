@@ -20,6 +20,12 @@
 //! barrier and echo is routed to its slot as it is emitted, and the
 //! runtime hands a matched reply's slot back. Only the payload-ack echo
 //! keeps a byte comparison here: a corruption check, not bookkeeping.
+//!
+//! In ack mode ([`ExecConfig::flowmod_acks`]) the connection's FIFO order
+//! does the loss detection the timers would otherwise wait for: the
+//! switch answers an echo before any barrier sent after it, so a barrier
+//! reply that arrives while an older echo is unanswered proves that echo
+//! (or its reply) lost, and the payload goes out again at once.
 
 use sdn_openflow::codec;
 use sdn_openflow::messages::{Envelope, OfMessage};
@@ -47,7 +53,13 @@ pub struct ExecConfig {
     /// each FlowMod is paired with an [`OfMessage::EchoRequest`] carrying
     /// its encoded frame, which the switch applies before echoing, so
     /// the reply *proves* installation — a barrier fences only what
-    /// arrived. Off by default (the barrier-only baseline).
+    /// arrived. A switch whose messages are all FlowMods is then done
+    /// once every one is proven, without its barrier reply; the barrier
+    /// still serves as a loss detector: on a FIFO connection its reply
+    /// overtakes only echoes that were lost, so it resends at once —
+    /// behind a fresh barrier — every payload whose outstanding echoes
+    /// all went out before it. Off by default (the barrier-only
+    /// baseline).
     pub flowmod_acks: bool,
 }
 
@@ -85,9 +97,12 @@ pub struct RoundTiming {
     pub round: usize,
     /// When the round's messages were first dispatched.
     pub started: SimTime,
-    /// When the last barrier reply arrived.
+    /// When the last confirmation arrived: the barrier reply or, in
+    /// ack mode, the echo reply that left no switch owing the round.
     pub completed: Option<SimTime>,
-    /// Dispatch attempts (1 = no retransmissions).
+    /// Dispatch attempts (1 = no retransmissions): one more per timer
+    /// firing that resent, and per barrier reply that revealed a lost
+    /// echo.
     pub attempts: u32,
 }
 
@@ -97,6 +112,8 @@ struct AckEntry {
     xid: Xid,
     /// Index of the round message this echo covers.
     covered: usize,
+    /// The slot's transmission it went out with (1 = the dispatch).
+    attempt: u32,
     /// The exact bytes sent (the encoded FlowMod envelope): a corrupted
     /// payload still gets echoed, but proves nothing about installation.
     payload: Vec<u8>,
@@ -107,17 +124,63 @@ struct AckEntry {
 #[derive(Debug, Clone)]
 pub(crate) struct Slot {
     pub(crate) dp: DpId,
-    /// Whether the switch's barrier has been answered.
+    /// Whether one of the switch's barriers has been answered.
     fenced: bool,
+    /// Whether the switch is done only once fenced: always in
+    /// barrier-only mode, and in ack mode when it is sent a message no
+    /// echo proves. Decided at dispatch.
+    awaits_fence: bool,
     /// Whether it owes the round nothing more.
     pub(crate) done: bool,
-    /// Outstanding payload-ack transmissions, each valid until its
-    /// payload is acknowledged (a late reply to an older one still
-    /// proves installation: the payload is the FlowMod itself).
+    /// Outstanding payload-ack transmissions, oldest first, each valid
+    /// until its payload is acknowledged (a late reply to an older one
+    /// still proves installation: the payload is the FlowMod itself).
     acks: Vec<AckEntry>,
     /// The newest outstanding barrier; its route chains the older ones.
     barrier: Xid,
     pub(crate) timer: SlotTimer,
+}
+
+impl Slot {
+    /// The newest echo of each unacknowledged payload.
+    fn newest_echoes(&self) -> impl Iterator<Item = &AckEntry> {
+        let later =
+            |i: usize, a: &AckEntry| self.acks[i + 1..].iter().any(|b| b.covered == a.covered);
+        self.acks
+            .iter()
+            .enumerate()
+            .filter(move |&(i, a)| !later(i, a))
+            .map(|(_, a)| a)
+    }
+}
+
+/// What one `emit` sends to the slots it addresses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Emit {
+    /// The round's dispatch: everything, to every slot.
+    Dispatch,
+    /// A timer fired: the due slots' unacknowledged messages, and a
+    /// barrier unless the slot already fenced.
+    Timeout,
+    /// A barrier reply of transmission `n` overtook echoes: the payloads
+    /// whose newest echo went out with transmission `n` or earlier, and
+    /// a fresh barrier behind them.
+    Overtaken(u32),
+}
+
+impl Emit {
+    /// Whether message `j` of the round goes (again) to slot `s`;
+    /// `tracked` when it is a FlowMod an echo acknowledges.
+    fn sends(self, s: &Slot, j: usize, tracked: bool) -> bool {
+        let newest = || s.acks.iter().rev().find(|a| a.covered == j);
+        match self {
+            Emit::Dispatch => true,
+            Emit::Timeout => s.timer.due && (!tracked || newest().is_some()),
+            Emit::Overtaken(n) => {
+                s.timer.due && tracked && newest().is_some_and(|a| a.attempt <= n)
+            }
+        }
+    }
 }
 
 /// The per-update round executor.
@@ -136,8 +199,6 @@ pub struct RoundExecutor {
     grace_until: SimTime,
     attempts: u32,
     timings: Vec<RoundTiming>,
-    /// Every echo routed, so the routes can retire with the job.
-    echoes: Vec<Xid>,
     /// Encoding buffer for echo payloads.
     frame: codec::BytesMut,
 }
@@ -165,7 +226,6 @@ impl RoundExecutor {
             grace_until: SimTime::ZERO,
             attempts: 0,
             timings: Vec::new(),
-            echoes: Vec::new(),
             frame: codec::BytesMut::new(),
         }
     }
@@ -221,32 +281,38 @@ impl RoundExecutor {
         }
     }
 
-    /// Total outstanding payload acknowledgements in the current
-    /// round (0 unless [`ExecConfig::flowmod_acks`] is on).
+    /// Outstanding payload acknowledgements in the current round,
+    /// counted per payload however often it was sent (0 unless
+    /// [`ExecConfig::flowmod_acks`] is on).
     pub fn pending_acks(&self) -> usize {
-        self.slots.iter().map(|s| s.acks.len()).sum()
+        self.slots.iter().map(|s| s.newest_echoes().count()).sum()
     }
 
-    /// Retire every route this executor's transmissions still hold.
+    /// Retire every route this executor's transmissions still hold: a
+    /// done slot holds none, so only the current round's can.
     pub(crate) fn retire_routes(&self, xids: &mut XidAlloc) {
         for s in &self.slots {
             xids.retire_chain(s.barrier, self.id);
-        }
-        for &x in &self.echoes {
-            xids.retire(x, self.id);
+            for a in &s.acks {
+                xids.retire(a.xid, self.id);
+            }
         }
     }
 
     /// Resend the current round's outstanding work to the slots the
     /// runtime's timer walk marked due (the unacknowledged payloads, and a
-    /// fresh barrier unless the switch already fenced); bumps
-    /// the round's attempt counter once per call that actually resends.
+    /// fresh barrier unless the switch already fenced).
     pub fn retransmit(&mut self, now: SimTime, xids: &mut XidAlloc, out: &mut Vec<CtrlOutput>) {
-        if self.state != ExecState::AwaitingBarriers {
-            return;
+        if self.state == ExecState::AwaitingBarriers {
+            self.resend(now, Emit::Timeout, xids, out)
         }
+    }
+
+    /// Emit a retransmission, bumping the round's attempt counter if it
+    /// actually resent anything.
+    fn resend(&mut self, now: SimTime, why: Emit, xids: &mut XidAlloc, out: &mut Vec<CtrlOutput>) {
         let start = out.len();
-        self.emit(now, false, xids, out);
+        self.emit(now, why, xids, out);
         if out.len() > start {
             self.attempts += 1;
             if let Some(t) = self.timings.last_mut() {
@@ -255,19 +321,25 @@ impl RoundExecutor {
         }
     }
 
-    /// Append the round's work for the due slots: their payloads in round
-    /// order — each paired in ack mode with the echo that carries its
-    /// encoded frame; on a retransmission only the unacknowledged ones,
-    /// older echo xids staying valid — then, in ascending dpid, a barrier
-    /// to each slot not yet fenced (FIFO connection ⇒ it fences
-    /// everything above), routed and chained to the slot's older ones.
-    fn emit(&mut self, now: SimTime, fresh: bool, xids: &mut XidAlloc, out: &mut Vec<CtrlOutput>) {
+    /// Append the round's work for the due slots (see [`Emit`]): their
+    /// messages in round order — each FlowMod paired in ack mode with the
+    /// echo that carries its encoded frame, older echo xids staying valid
+    /// — then, in ascending dpid, a barrier to each (FIFO connection ⇒ it
+    /// fences everything above), routed and chained to the slot's older
+    /// ones.
+    fn emit(&mut self, now: SimTime, why: Emit, xids: &mut XidAlloc, out: &mut Vec<CtrlOutput>) {
+        if why != Emit::Dispatch {
+            for s in self.slots.iter_mut().filter(|s| s.timer.due) {
+                s.timer.attempts += 1;
+                s.timer.latest_sent = now;
+            }
+        }
         let acks_on = self.config.flowmod_acks;
         for (j, (dp, msg)) in self.update.rounds[self.current].msgs.iter().enumerate() {
             let tracked = acks_on && matches!(msg, OfMessage::FlowMod(_));
-            if !fresh {
+            if why != Emit::Dispatch {
                 let s = &self.slots[self.slot_of(*dp).expect("a slot per switch")];
-                if !s.timer.due || tracked && !s.acks.iter().any(|a| a.covered == j) {
+                if !why.sends(s, j, tracked) {
                     continue; // not due, or its payload already acknowledged
                 }
             }
@@ -277,17 +349,18 @@ impl RoundExecutor {
                 continue;
             }
             let slot = self.slot_of(*dp).expect("a slot per switch");
+            let attempt = self.slots[slot].timer.attempts;
             self.frame.clear();
             codec::try_encode_into(&env, &mut self.frame).expect("round messages encode");
-            let xid = xids.routed(Route::new(*dp, self.id, slot, now, Xid(0)));
+            let xid = xids.routed(Route::new(*dp, self.id, slot, now, attempt, Xid(0)));
             let echo = Envelope::new(xid, OfMessage::EchoRequest(self.frame.to_vec()));
             let payload = self.frame.to_vec();
             self.slots[slot].acks.push(AckEntry {
                 xid,
                 covered: j,
+                attempt,
                 payload,
             });
-            self.echoes.push(xid);
             out.extend([CtrlOutput::Send(*dp, env), CtrlOutput::Send(*dp, echo)]);
         }
         for (i, s) in self
@@ -296,13 +369,10 @@ impl RoundExecutor {
             .enumerate()
             .filter(|(_, s)| s.timer.due)
         {
-            if !fresh {
-                s.timer.attempts += 1;
-                s.timer.latest_sent = now;
-            }
             s.timer.due = false;
-            if !s.fenced {
-                s.barrier = xids.routed(Route::new(s.dp, self.id, i, now, s.barrier));
+            if !s.fenced || why != Emit::Timeout {
+                let route = Route::new(s.dp, self.id, i, now, s.timer.attempts, s.barrier);
+                s.barrier = xids.routed(route);
                 let barrier = Envelope::new(s.barrier, OfMessage::BarrierRequest);
                 out.push(CtrlOutput::Send(s.dp, barrier));
             }
@@ -348,10 +418,12 @@ impl RoundExecutor {
             straggler: false,
             due: true,
         };
+        let acks_on = self.config.flowmod_acks;
         self.slots.clear();
         self.slots.extend(round.iter().map(|&(dp, _)| Slot {
             dp,
             fenced: false,
+            awaits_fence: !acks_on,
             done: false,
             acks: Vec::new(),
             barrier: Xid(0),
@@ -359,10 +431,20 @@ impl RoundExecutor {
         }));
         self.slots.sort_unstable_by_key(|s| s.dp);
         self.slots.dedup_by_key(|s| s.dp);
+        if acks_on {
+            // an echo proves a FlowMod; anything else only its barrier
+            for (dp, _) in round
+                .iter()
+                .filter(|(_, m)| !matches!(m, OfMessage::FlowMod(_)))
+            {
+                let i = self.slots.binary_search_by_key(dp, |s| s.dp);
+                self.slots[i.expect("a slot per switch")].awaits_fence = true;
+            }
+        }
         self.pending = self.slots.len();
-        let echoes = round.len() * usize::from(self.config.flowmod_acks);
+        let echoes = round.len() * usize::from(acks_on);
         out.reserve(round.len() + echoes + self.slots.len());
-        self.emit(now, true, xids, out);
+        self.emit(now, Emit::Dispatch, xids, out);
         self.attempts = 1;
         self.timings.push(RoundTiming {
             round: self.current,
@@ -374,42 +456,54 @@ impl RoundExecutor {
 
     /// The runtime matched a barrier reply from `from` to an outstanding
     /// transmission of `slot` — any of them, since every transmission
-    /// carries the round's identical FlowMods — so the round's content
-    /// is fenced there and every barrier route of the slot retires.
-    /// Appends follow-up commands (the next round's dispatch when this
-    /// one completes). A slot that already fenced, or is not `from`'s,
-    /// changes nothing.
+    /// carries the round's identical FlowMods — which went out with the
+    /// slot's transmission `attempt`. The round's content is fenced there
+    /// and every barrier route of the slot retires. In ack mode an echo
+    /// sent before that barrier and still unanswered was lost (the
+    /// connection is FIFO), so every payload whose outstanding echoes
+    /// all went out with transmission `attempt` or earlier is resent at
+    /// once, behind a fresh barrier: `Ok(true)`, or `Err(from)` when the
+    /// slot's transmission budget is spent — the caller fails the job, as
+    /// when a timer finds it spent. Appends follow-up commands (the
+    /// resend, or the next round's dispatch when this one completes). A
+    /// slot that is done, or is not `from`'s, changes nothing.
     pub fn on_barrier(
         &mut self,
         now: SimTime,
         from: DpId,
         slot: usize,
+        attempt: u32,
         xids: &mut XidAlloc,
         out: &mut Vec<CtrlOutput>,
-    ) {
+    ) -> Result<bool, DpId> {
         if self.state != ExecState::AwaitingBarriers {
-            return;
+            return Ok(false);
         }
-        let Some(s) = self
-            .slots
-            .get_mut(slot)
-            .filter(|s| s.dp == from && !s.fenced)
-        else {
-            return;
+        let Some(s) = self.slots.get_mut(slot).filter(|s| s.dp == from && !s.done) else {
+            return Ok(false);
         };
         s.fenced = true;
         xids.retire_chain(std::mem::take(&mut s.barrier), self.id);
-        self.switch_progressed(now, slot, xids, out)
+        if s.newest_echoes().any(|a| a.attempt <= attempt) {
+            if s.timer.attempts >= self.config.max_attempts {
+                return Err(from);
+            }
+            s.timer.due = true;
+            self.resend(now, Emit::Overtaken(attempt), xids, out);
+            return Ok(true);
+        }
+        self.switch_progressed(now, slot, xids, out);
+        Ok(false)
     }
 
     /// A payload acknowledgement: the echo payload was the FlowMod
     /// itself, so the reply proves installation of the message it
     /// covers — retire every outstanding transmission of that payload
-    /// from the round, and this echo's route. The proof is only as good
-    /// as the round trip: a payload corrupted in either direction comes
-    /// back altered (the switch echoes what it received and could not
-    /// apply), so a mismatch is ignored — its route stays live for an
-    /// intact duplicate — and the retransmission timer takes over.
+    /// from the round, routes and all. The proof is only as good as the
+    /// round trip: a payload corrupted in either direction comes back
+    /// altered (the switch echoes what it received and could not apply),
+    /// so a mismatch is ignored — its route stays live for an intact
+    /// duplicate — and the next barrier reply or timer takes over.
     #[allow(clippy::too_many_arguments)]
     pub fn on_echo(
         &mut self,
@@ -434,8 +528,10 @@ impl RoundExecutor {
             return; // corrupted round trip: no proof
         }
         let covered = ack.covered;
+        for a in s.acks.iter().filter(|a| a.covered == covered) {
+            xids.retire(a.xid, self.id);
+        }
         s.acks.retain(|a| a.covered != covered);
-        xids.retire(xid, self.id);
         self.switch_progressed(now, slot, xids, out)
     }
 
@@ -450,10 +546,16 @@ impl RoundExecutor {
         out: &mut Vec<CtrlOutput>,
     ) {
         let s = &mut self.slots[slot];
-        if !s.fenced || !s.acks.is_empty() {
+        if s.awaits_fence && !s.fenced || !s.acks.is_empty() {
             return;
         }
         s.done = true;
+        if s.barrier != Xid(0) {
+            // proven by its echoes, or fenced before a resend: the
+            // barriers still out are moot, and a late reply must not
+            // fence a later round's slot here
+            xids.retire_chain(std::mem::take(&mut s.barrier), self.id);
+        }
         self.pending -= 1;
         if self.pending > 0 {
             return;
@@ -507,18 +609,31 @@ mod tests {
         sends(out)
     }
 
-    /// A barrier reply from `dp`, routed to its slot as the runtime
-    /// routes it (an unknown switch gets no slot).
+    /// A barrier reply from `dp` to the barrier it was sent with
+    /// transmission `attempt`, routed to its slot as the runtime routes
+    /// it (an unknown switch gets no slot).
+    fn fence_of(
+        ex: &mut RoundExecutor,
+        now: SimTime,
+        dp: DpId,
+        attempt: u32,
+        xids: &mut XidAlloc,
+    ) -> Result<Vec<(DpId, Envelope)>, DpId> {
+        let mut out = Vec::new();
+        let slot = ex.slot_of(dp).unwrap_or(usize::MAX);
+        ex.on_barrier(now, dp, slot, attempt, xids, &mut out)?;
+        Ok(sends(out))
+    }
+
+    /// A barrier reply from `dp` to its newest transmission.
     fn fence(
         ex: &mut RoundExecutor,
         now: SimTime,
         dp: DpId,
         xids: &mut XidAlloc,
     ) -> Vec<(DpId, Envelope)> {
-        let mut out = Vec::new();
-        let slot = ex.slot_of(dp).unwrap_or(usize::MAX);
-        ex.on_barrier(now, dp, slot, xids, &mut out);
-        sends(out)
+        let newest = ex.slot_of(dp).map_or(1, |i| ex.slots[i].timer.attempts);
+        fence_of(ex, now, dp, newest, xids).expect("budget left")
     }
 
     fn echo(
@@ -753,13 +868,15 @@ mod tests {
     #[test]
     fn ack_mode_barrier_alone_does_not_complete_round() {
         // The dropped-FlowMod/surviving-barrier hole, closed: a barrier
-        // reply without the payload ack leaves the round open.
+        // reply without the payload ack leaves the round open — and,
+        // having overtaken the echo, sends the payload again at once.
         let mut xids = XidAlloc::new();
         let mut ex = RoundExecutor::new(update(vec![vec![1]]), ack_cfg());
         let cmds = start(&mut ex, SimTime::ZERO, &mut xids);
         let e = echoes_of(&cmds);
         assert_eq!(e.len(), 1, "each FlowMod pairs with one ack echo");
-        fence(&mut ex, SimTime(1), DpId(1), &mut xids);
+        let re = fence(&mut ex, SimTime(1), DpId(1), &mut xids);
+        assert_eq!(echoes_of(&re).len(), 1, "the overtaken payload is resent");
         assert_eq!(ex.state(), ExecState::AwaitingBarriers);
         assert_eq!(ex.pending_acks(), 1);
         // the payload ack arrives: now the round completes
@@ -775,9 +892,9 @@ mod tests {
         let mut ex = RoundExecutor::new(update(vec![vec![1]]), ack_cfg());
         let cmds = start(&mut ex, SimTime::ZERO, &mut xids);
         let e = echoes_of(&cmds);
-        fence(&mut ex, SimTime(1), DpId(1), &mut xids);
         echo(&mut ex, SimTime(2), e[0].0, Xid(9999), &e[0].2, &mut xids);
         assert_eq!(ex.pending_acks(), 1);
+        assert_eq!(ex.state(), ExecState::AwaitingBarriers);
         echo(&mut ex, SimTime(3), e[0].0, e[0].1, &e[0].2, &mut xids);
         assert_eq!(ex.state(), ExecState::Done);
         // a duplicate of the genuine reply after completion is ignored
@@ -792,7 +909,6 @@ mod tests {
         let mut ex = RoundExecutor::new(update(vec![vec![1]]), ack_cfg());
         let cmds = start(&mut ex, SimTime::ZERO, &mut xids);
         let e = echoes_of(&cmds);
-        fence(&mut ex, SimTime(1), DpId(1), &mut xids);
         // an echoed payload with one bit flipped proves nothing
         let mut bad = e[0].2.clone();
         bad[0] ^= 1;
@@ -841,11 +957,131 @@ mod tests {
         let e1 = echoes_of(&cmds);
         let re = resend(&mut ex, &mut xids, &[DpId(1)]);
         assert_eq!(barriers_of(&re), [DpId(1)], "unanswered barrier is re-sent");
-        assert_eq!(ex.pending_acks(), 2, "both transmissions outstanding");
+        assert_eq!(ex.pending_acks(), 1, "one payload, however often sent");
+        let e2 = echoes_of(&re);
+        assert!(xids.route(DpId(1), e2[0].1).is_some());
         echo(&mut ex, SimTime(12), e1[0].0, e1[0].1, &e1[0].2, &mut xids);
         assert_eq!(ex.pending_acks(), 0, "old ack retires every copy");
+        for xid in [e1[0].1, e2[0].1] {
+            assert!(xids.route(DpId(1), xid).is_none(), "{xid:?} retired");
+        }
         fence(&mut ex, SimTime(13), DpId(1), &mut xids);
         assert_eq!(ex.state(), ExecState::Done);
+    }
+
+    #[test]
+    fn a_barrier_reply_resends_exactly_the_overtaken_payload_once() {
+        // Two payloads to s1; the first is acknowledged, then the barrier
+        // reply overtakes the second's echo: that payload, its echo and
+        // one fresh barrier go out again, and the round counts it.
+        let mut xids = XidAlloc::new();
+        let mut ex = RoundExecutor::new(update(vec![vec![1, 1]]), ack_cfg());
+        let e = echoes_of(&start(&mut ex, SimTime::ZERO, &mut xids));
+        echo(&mut ex, SimTime(1), e[0].0, e[0].1, &e[0].2, &mut xids);
+        let re = fence(&mut ex, SimTime(2), DpId(1), &mut xids);
+        assert_eq!(re.len(), 3, "{re:?}");
+        assert!(matches!(re[0].1.msg, OfMessage::FlowMod(_)));
+        let resent = echoes_of(&re);
+        assert_eq!(resent.len(), 1);
+        let covered: Vec<usize> = ex.slots[0].acks.iter().map(|a| a.covered).collect();
+        assert_eq!(covered, [1, 1], "the second payload, sent twice");
+        assert_eq!(barriers_of(&re), [DpId(1)]);
+        assert_eq!((ex.timings[0].attempts, ex.slots[0].timer.attempts), (2, 2));
+        assert_eq!(ex.slots[0].timer.latest_sent, SimTime(2));
+        // a duplicate of the same reply finds nothing older outstanding
+        assert!(fence_of(&mut ex, SimTime(3), DpId(1), 1, &mut xids)
+            .unwrap()
+            .is_empty());
+        assert_eq!(ex.timings[0].attempts, 2);
+        echo(
+            &mut ex,
+            SimTime(4),
+            DpId(1),
+            resent[0].1,
+            &resent[0].2,
+            &mut xids,
+        );
+        assert_eq!(ex.state(), ExecState::Done);
+        assert_eq!(ex.timings[0].completed, Some(SimTime(4)));
+    }
+
+    #[test]
+    fn a_barrier_reply_older_than_the_newest_echo_resends_nothing() {
+        // The timer resent the payload (transmission 2) before the reply
+        // to the dispatch's barrier came in: that reply says nothing of
+        // the newer echo, which may still be on its way.
+        let mut xids = XidAlloc::new();
+        let mut ex = RoundExecutor::new(update(vec![vec![1]]), ack_cfg());
+        start(&mut ex, SimTime::ZERO, &mut xids);
+        let re = resend(&mut ex, &mut xids, &[DpId(1)]);
+        assert_eq!(echoes_of(&re).len(), 1);
+        assert!(fence_of(&mut ex, SimTime(5), DpId(1), 1, &mut xids)
+            .unwrap()
+            .is_empty());
+        assert_eq!(ex.timings[0].attempts, 2);
+        assert_eq!(ex.state(), ExecState::AwaitingBarriers);
+        assert_eq!(ex.pending_acks(), 1);
+    }
+
+    #[test]
+    fn a_flowmod_only_slot_completes_on_its_last_ack_and_retires_its_barrier() {
+        // Both rounds put s1 at slot 0. Round 0 completes on the echo
+        // alone; its barrier's route retires with it, so the late reply
+        // cannot reach round 1's slot 0.
+        let mut xids = XidAlloc::new();
+        let mut ex = RoundExecutor::new(update(vec![vec![1], vec![1]]), ack_cfg());
+        let cmds = start(&mut ex, SimTime::ZERO, &mut xids);
+        let (e, b) = (echoes_of(&cmds), cmds.last().unwrap().1.xid);
+        assert!(xids.route(DpId(1), b).is_some());
+        let next = echo(&mut ex, SimTime(1), e[0].0, e[0].1, &e[0].2, &mut xids);
+        assert_eq!((ex.current_round(), ex.slot_of(DpId(1))), (1, Some(0)));
+        assert_eq!(ex.timings[0].completed, Some(SimTime(1)));
+        assert_eq!(barriers_of(&next), [DpId(1)], "round 1 dispatched");
+        assert!(
+            xids.route(DpId(1), b).is_none(),
+            "round 0's barrier retired"
+        );
+        assert_eq!(ex.pending_count(), 1);
+    }
+
+    #[test]
+    fn a_slot_with_a_message_no_echo_proves_still_waits_for_its_barrier() {
+        let mut u = update(vec![vec![1]]);
+        let packet_out = OfMessage::PacketOut {
+            buffer_id: u32::MAX,
+            out_port: sdn_types::PortNo(1),
+            data: vec![0; 4],
+        };
+        u.rounds[0].msgs.push((DpId(1), packet_out));
+        let mut xids = XidAlloc::new();
+        let mut ex = RoundExecutor::new(u.clone(), ack_cfg());
+        let cmds = start(&mut ex, SimTime::ZERO, &mut xids);
+        let e = echoes_of(&cmds);
+        assert_eq!(e.len(), 1, "only the FlowMod is echoed");
+        echo(&mut ex, SimTime(1), e[0].0, e[0].1, &e[0].2, &mut xids);
+        assert_eq!(
+            (ex.state(), ex.pending_acks()),
+            (ExecState::AwaitingBarriers, 0)
+        );
+        assert!(fence(&mut ex, SimTime(2), DpId(1), &mut xids).is_empty());
+        assert_eq!(ex.state(), ExecState::Done);
+
+        // the other order: the barrier reply fences the PacketOut and
+        // resends the overtaken FlowMod behind a fresh barrier, whose
+        // route retires when the resent payload's ack completes the slot
+        let mut xids = XidAlloc::new();
+        let mut ex = RoundExecutor::new(u, ack_cfg());
+        start(&mut ex, SimTime::ZERO, &mut xids);
+        let re = fence(&mut ex, SimTime(1), DpId(1), &mut xids);
+        let (e, b) = (echoes_of(&re), re.last().unwrap().1.xid);
+        assert_eq!((e.len(), barriers_of(&re).len(), re.len()), (1, 1, 3));
+        assert!(xids.route(DpId(1), b).is_some());
+        echo(&mut ex, SimTime(2), e[0].0, e[0].1, &e[0].2, &mut xids);
+        assert_eq!(ex.state(), ExecState::Done);
+        assert!(
+            xids.route(DpId(1), b).is_none(),
+            "no route outlives its slot"
+        );
     }
 
     #[test]

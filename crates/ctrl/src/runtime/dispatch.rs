@@ -17,12 +17,12 @@
 //! **reply matching**, in the route table of [`XidAlloc`]. A route hit
 //! proves the reply answers an outstanding transmission of that job's
 //! current round to that switch, so the executor is handed *which slot
-//! fenced*, never an xid; every barrier reply is an RTT sample.
+//! answered*, never an xid; every routed reply is an RTT sample.
 //!
 //! What one message touches is flat: one ring cell indexed by xid (live
-//! exactly while the transmission counts — a barrier's until its switch
-//! fences, an echo's until the executor accepts it — so a wrapped
-//! allocator skips it), one job lookup, one slot of the executor's
+//! exactly while the transmission counts — a barrier's until its slot
+//! fences or is done, an echo's until its payload is acknowledged — so a
+//! wrapped allocator skips it), one job lookup, one slot of the executor's
 //! round, and the caller's one output buffer. Two invariants, kept at
 //! the state transitions themselves, make bookkeeping cost what an event
 //! touches rather than what is active:
@@ -593,8 +593,8 @@ impl ConcurrentRuntime {
                 submitted: job.submitted,
                 started: job.started,
                 completed,
-                // an executor fails only through `force_fail`, and both
-                // call sites name the reason first
+                // an executor fails only through `force_fail`, and every
+                // call site names the reason first
                 failure: job.failure,
                 rounds,
             });
@@ -851,6 +851,12 @@ impl ConcurrentRuntime {
         };
         let (before, prev_round) = (job.ex.state(), job.ex.current_round());
         let start = out.len();
+        // Retransmissions re-key, so the route names the exact
+        // transmission: a clean RTT sample, no Karn ambiguity. Echoes are
+        // sampled too: in ack mode a switch can be done before its
+        // barrier reply routes.
+        let rtt = now.saturating_since(route.sent_at);
+        self.rto.observe(from, rtt);
         if let Some(echoed) = echoed {
             // Payload (echo) acks match by exact xid and bytes — every
             // transmission's echo stays valid until one is accepted.
@@ -863,10 +869,6 @@ impl ConcurrentRuntime {
             job.ex
                 .on_echo(now, from, slot, env.xid, echoed, &mut self.xids, out);
         } else {
-            // Retransmissions re-key, so the route names the exact
-            // transmission: a clean RTT sample, no Karn ambiguity.
-            let rtt = now.saturating_since(route.sent_at);
-            self.rto.observe(from, rtt);
             self.obs.observe(HistId::BarrierRttNs, rtt.as_nanos());
             self.obs.emit(
                 Event::new(now, EventKind::BarrierFence)
@@ -877,8 +879,19 @@ impl ConcurrentRuntime {
             );
             // The route hit is the match: a reply to ANY outstanding
             // transmission fences the round's content at this switch
-            // (identical FlowMods precede every barrier).
-            job.ex.on_barrier(now, from, slot, &mut self.xids, out);
+            // (identical FlowMods precede every barrier). In ack mode it
+            // may also reveal lost echoes, resent at once against the
+            // switch's budget as a timer would resend them.
+            match job
+                .ex
+                .on_barrier(now, from, slot, route.attempt, &mut self.xids, out)
+            {
+                Ok(resent) => self.stats.retransmissions += u64::from(resent),
+                Err(dp) => {
+                    job.failure = Some(FailReason::Exhausted(dp));
+                    job.ex.force_fail();
+                }
+            }
         }
         let round = job.ex.current_round();
         if (job.ex.state(), round) != (before, prev_round) {
@@ -1926,13 +1939,14 @@ mod tests {
         let cmds = rt.poll(SimTime(0));
         let b = barriers_of(&cmds);
         let e = echoes_of(&cmds);
-        // payload ack first, then the barrier: same end state
+        // payload ack first: the switch was sent only FlowMods, each now
+        // proven installed, so the job completes without its barrier
         rt.on_message(
             SimTime(1),
             e[0].0,
             &Envelope::new(e[0].1, OfMessage::EchoReply(e[0].2.clone())),
         );
-        assert_eq!(rt.active_count(), 1, "barrier still outstanding");
+        assert_eq!(rt.active_count(), 0, "no barrier reply needed");
         // an unknown echo xid is ignored, not misrouted
         assert!(rt
             .on_message(
@@ -1941,7 +1955,8 @@ mod tests {
                 &Envelope::new(Xid(0xbeef), OfMessage::EchoReply(vec![1, 2, 3])),
             )
             .is_empty());
-        reply(&mut rt, SimTime(3), b[0].0, b[0].1);
+        // the barrier reply that follows routes nowhere
+        assert!(reply(&mut rt, SimTime(3), b[0].0, b[0].1).is_empty());
         assert!(rt.is_idle());
         assert!(rt.reports()[0].completed.is_some());
     }
@@ -1962,8 +1977,7 @@ mod tests {
         });
         let _ = rt.submit(job("a", 2, vec![vec![1]]), SimTime(0), Priority::Normal);
         let cmds = rt.poll(SimTime(0));
-        let (b, e) = (barriers_of(&cmds)[0], echoes_of(&cmds).remove(0));
-        reply(&mut rt, SimTime(1), b.0, b.1);
+        let e = echoes_of(&cmds).remove(0);
         let echo = |payload| Envelope::new(e.1, OfMessage::EchoReply(payload));
         let mut bad = e.2.clone();
         bad[0] ^= 1;
@@ -1977,6 +1991,113 @@ mod tests {
         assert!(rt.is_idle(), "the intact duplicate is the acknowledgement");
         assert!(rt.reports()[0].completed.is_some());
         assert_eq!(rt.stats().retransmissions, 0);
+    }
+
+    fn ack_runtime(max_attempts: u32) -> ConcurrentRuntime {
+        ConcurrentRuntime::new(RuntimeConfig {
+            retrans: RetransMode::Fixed,
+            exec: ExecConfig {
+                barrier_timeout: SimDuration::from_millis(10),
+                max_attempts,
+                flowmod_acks: true,
+            },
+            ..RuntimeConfig::default()
+        })
+    }
+
+    fn echo_reply(
+        rt: &mut ConcurrentRuntime,
+        now: SimTime,
+        e: &(DpId, Xid, Vec<u8>),
+    ) -> Vec<CtrlOutput> {
+        rt.on_message(
+            now,
+            e.0,
+            &Envelope::new(e.1, OfMessage::EchoReply(e.2.clone())),
+        )
+    }
+
+    #[test]
+    fn a_barrier_reply_that_overtook_an_echo_resends_that_payload_once() {
+        // s1 gets two FlowMods; the first is acknowledged, the second's
+        // echo is lost. The barrier reply proves it lost: exactly that
+        // payload, its echo and one barrier go out again, once.
+        let mut rt = ack_runtime(8);
+        let mut u = job("a", 2, vec![vec![1]]);
+        u.rounds[0].msgs.push((DpId(1), flowmod(3)));
+        let _ = rt.submit(u, SimTime(0), Priority::Normal);
+        let cmds = rt.poll(SimTime(0));
+        let (b, e) = (barriers_of(&cmds)[0], echoes_of(&cmds));
+        echo_reply(&mut rt, SimTime(1), &e[0]);
+        let re = reply(&mut rt, SimTime(2), b.0, b.1);
+        assert_eq!(re.len(), 3, "{re:?}");
+        let CtrlOutput::Send(_, fm) = &re[0];
+        assert_eq!(fm.msg, flowmod(3), "the unacknowledged payload");
+        assert_eq!((echoes_of(&re).len(), barriers_of(&re).len()), (1, 1));
+        assert_eq!(rt.stats().retransmissions, 1);
+        // the duplicate of the reply routes nowhere
+        assert!(reply(&mut rt, SimTime(3), b.0, b.1).is_empty());
+        assert_eq!(rt.stats().retransmissions, 1);
+        // no timer resends it meanwhile, and its echo completes the job
+        assert!(rt.poll(SimTime(4)).is_empty());
+        echo_reply(&mut rt, SimTime(5), &echoes_of(&re)[0]);
+        assert!(rt.is_idle());
+        let r = &rt.reports()[0];
+        assert_eq!((r.completed, r.rounds[0].attempts), (Some(SimTime(5)), 2));
+    }
+
+    #[test]
+    fn a_late_barrier_reply_after_an_ack_completed_the_round_routes_nowhere() {
+        // Both rounds address s1 alone, at slot 0. Round 0 completes on
+        // its echo; its barrier reply, arriving after round 1 went out,
+        // must neither fence round 1 nor reveal a loss there.
+        let mut rt = ack_runtime(8);
+        let _ = rt.submit(
+            job("a", 2, vec![vec![1], vec![1]]),
+            SimTime(0),
+            Priority::Normal,
+        );
+        let cmds = rt.poll(SimTime(0));
+        let (b0, e0) = (barriers_of(&cmds)[0], echoes_of(&cmds));
+        let next = echo_reply(&mut rt, SimTime(1), &e0[0]);
+        assert_eq!(barriers_of(&next).len(), 1, "round 1 dispatched");
+        assert!(reply(&mut rt, SimTime(2), b0.0, b0.1).is_empty());
+        assert_eq!(rt.active_jobs().next().map(|j| j.2), Some(1));
+        assert_eq!(rt.status_report().pending_acks, 1);
+        assert_eq!(rt.stats().retransmissions, 0);
+        echo_reply(&mut rt, SimTime(3), &echoes_of(&next)[0]);
+        assert!(rt.is_idle());
+        let r = &rt.reports()[0];
+        assert_eq!(r.rounds[0].completed, Some(SimTime(1)));
+        assert_eq!(r.rounds[1].completed, Some(SimTime(3)));
+    }
+
+    #[test]
+    fn early_resends_spend_the_attempt_budget_like_timer_resends() {
+        // Budget 3: the dispatch, then two resends, then the switch is
+        // exhausted — whether losses are revealed by barrier replies or
+        // by the timer.
+        for early in [true, false] {
+            let mut rt = ack_runtime(3);
+            let _ = rt.submit(job("a", 2, vec![vec![1]]), SimTime(0), Priority::Normal);
+            let mut cmds = rt.poll(SimTime(0));
+            for k in 1..=3u64 {
+                let now = SimTime(0) + SimDuration::from_millis(11 * k);
+                cmds = match (early, barriers_of(&cmds).first()) {
+                    (true, Some(&(dp, xid))) => reply(&mut rt, now, dp, xid),
+                    _ => rt.poll(now),
+                };
+            }
+            assert!(rt.is_idle(), "early: {early}");
+            let r = &rt.reports()[0];
+            assert_eq!(
+                r.failure,
+                Some(FailReason::Exhausted(DpId(1))),
+                "early: {early}"
+            );
+            assert_eq!(r.rounds[0].attempts, 3, "early: {early}");
+            assert_eq!(rt.stats().retransmissions, 2, "early: {early}");
+        }
     }
 
     #[test]

@@ -65,7 +65,9 @@ pub struct RuntimeStats {
     pub completed: u64,
     /// Updates that exhausted a retransmission budget.
     pub failed: u64,
-    /// Barrier retransmissions across all updates.
+    /// Retransmissions to one switch across all updates: one per timer
+    /// that fired, and in ack mode one per barrier reply that revealed
+    /// a lost echo.
     pub retransmissions: u64,
     /// Switches flagged as stragglers (slow while the rest of their
     /// round had acknowledged).

@@ -5,9 +5,10 @@
 //! route would be overwritten; a lookup is one index and two compares.
 //! It lives in the allocator, which skips every xid whose route is live.
 //! **Invariant:** a route is live exactly while its transmission counts
-//! — a barrier's until its switch fences the round (a slot's barriers
-//! are chained through `prev` and retire together), an echo's until the
-//! executor accepts its reply — or until its job is reaped.
+//! — a barrier's until a reply to it or to another barrier of its slot
+//! arrives, or its slot is done (a slot's barriers are chained through
+//! `prev` and retire together), an echo's until the executor accepts a
+//! reply to any echo of the same payload — or until its job is reaped.
 
 use sdn_types::{DpId, SimTime, Xid};
 
@@ -24,19 +25,29 @@ pub(crate) struct Route {
     pub(crate) slot: u32,
     /// The RTT sample's base.
     pub(crate) sent_at: SimTime,
+    /// The slot's transmission it went out with (1 = the dispatch).
+    pub(crate) attempt: u32,
     /// The slot's previous outstanding barrier (`Xid(0)`: none).
     pub(crate) prev: Xid,
 }
 
 impl Route {
     /// A route for a transmission [`XidAlloc::routed`] has yet to key.
-    pub(crate) fn new(dp: DpId, job: JobId, slot: usize, sent_at: SimTime, prev: Xid) -> Self {
+    pub(crate) fn new(
+        dp: DpId,
+        job: JobId,
+        slot: usize,
+        sent_at: SimTime,
+        attempt: u32,
+        prev: Xid,
+    ) -> Self {
         Route {
             xid: Xid(0),
             dp,
             job,
             slot: slot as u32,
             sent_at,
+            attempt,
             prev,
         }
     }
@@ -202,9 +213,10 @@ mod tests {
                         let chain = chains.entry((job, slot)).or_default();
                         let prev = if op == 2 { Xid(0) } else { chain.last().copied().unwrap_or(Xid(0)) };
                         let at = SimTime(pick);
-                        let xid = ring.routed(Route::new(dp, job, slot as usize, at, prev));
+                        let route = Route::new(dp, job, slot as usize, at, 1, prev);
+                        let xid = ring.routed(route);
                         prop_assert!(model.keys().all(|&(_, x)| x != xid), "{xid:?} is live");
-                        model.insert((dp, xid), Route { xid, ..Route::new(dp, job, slot as usize, at, prev) });
+                        model.insert((dp, xid), Route { xid, ..route });
                         if op == 2 { echoes.push((dp, xid, job)) } else { chain.push(xid) }
                         sent.push(xid);
                     }

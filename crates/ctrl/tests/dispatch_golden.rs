@@ -10,7 +10,11 @@
 //! retransmission or an xid allocation moves them. (Two spellings are
 //! folded back, see `recorded_spelling` and `recorded_stats_spelling`:
 //! a type in the reports' `Debug` text and a field of the stats changed
-//! since, no decision did.)
+//! since, no decision did.) The ack-mode digest was re-recorded once,
+//! when ack mode began to finish a switch on its echo replies alone and
+//! to resend a payload as soon as a barrier reply overtook its echo
+//! (`0x0d31_09e7_8c20_f739` → `0x38b3_f6bc_ec46_dde9`); the barrier-only
+//! digest is the one recorded at `044785c`.
 //!
 //! The script: 120 jobs over 24 switches in two priority lanes, drawn
 //! from five destination hosts (plus a few wildcard matches) so jobs
@@ -331,5 +335,5 @@ fn golden_dispatch_trace_barrier_only() {
 #[test]
 fn golden_dispatch_trace_with_flowmod_acks() {
     let got = run_script(true);
-    assert_eq!(got, 0x0d31_09e7_8c20_f739, "digest now {got:#018x}");
+    assert_eq!(got, 0x38b3_f6bc_ec46_dde9, "digest now {got:#018x}");
 }

@@ -1,12 +1,12 @@
-//! Ack mode on a channel that loses and duplicates a fifth of the
+//! Ack mode on a channel that loses and duplicates 5–25 % of the
 //! control messages: three concurrent updates — two SLF-greedy
 //! reversals and one WayUp flow through a waypoint — under probe
 //! traffic every 200 µs. Whatever the losses, every job completes, no
 //! probe sees a transient violation, and afterwards every switch holds
 //! exactly the rules the controller intends. A round may only advance
-//! past a switch once its FlowMods are proven installed, so a
-//! controller that let a barrier reply stand in for a lost payload
-//! leaves a switch divergent here.
+//! past a switch once its FlowMods are proven installed; a controller
+//! that let a barrier reply stand in for a lost payload fails here, with
+//! looping probes or a divergent switch.
 
 use proptest::prelude::*;
 
