@@ -21,7 +21,7 @@ cd "$(dirname "$0")/.."
 EXPERIMENTS=(
     exp_fig1 exp_update_time exp_violations exp_barrier_overhead exp_ablation
     exp_concurrent_updates exp_fault_recovery exp_shard_scaling
-    exp_live_rebalance exp_observability
+    exp_observability
 )
 digests=ci/exp_digests.txt
 

@@ -4,7 +4,8 @@
 # schedule verifiers nothing called, the codec's second message
 # representation, the admission, scheduler and simulator modes no
 # caller selected, the second counter taxonomy beside the obs events,
-# the unused switch handshake and the channel's scripted fault windows.
+# the unused switch handshake, the channel's scripted fault windows and
+# live seat migration with its rebalance advice.
 # No file — not even their former defining sites — may
 # mention these names:
 #
@@ -51,6 +52,21 @@
 #                              -> none (nothing drove it)
 #   SimChannel::{script_down,script_stall,clear_faults}, FaultWindow
 #                              -> World faults: FaultKind::{LinkDown,LinkUp,Reboot}
+#   live seat migration and rebalance advice: SwitchSeat, MigrateError,
+#   RebalanceReport, ShardLoad, SuggestedMove, begin_migration,
+#   apply_rebalance, drive_migrations, rebalance_report,
+#   seat_quiescent, extract_seat, install_seat, take_shadow,
+#   install_shadow, ShardAssignment::set_override, begin_seat_migration,
+#   RuntimeStats::{migrations,migration_aborts} (read as fields; the
+#   dispatch golden test folds their recorded zeros back into the
+#   stats' Debug text), JournalRecord::Migrate{Begin,Committed,Aborted},
+#   EventKind::Migrate{Fence,Commit,Abort}, HistId::MigrationPauseNs,
+#   FaultKind::MigrateSeat, StatusReport::migrating,
+#   sdn_migrating_seats, Endpoint::Rebalance{,Apply},
+#   rebalance_response, parse_rebalance_apply, rebalance_apply_response,
+#   migrate_error_response, exp_live_rebalance
+#                              -> ShardAssignment::with_overrides, fixed
+#                                 when the fabric is built
 #
 # The update model keeps one switch index: the code of
 # crates/core/src/{model,config}.rs (not their tests, which hold ordered
@@ -80,6 +96,14 @@ PATTERN+='|\b(admission_response|tenant_quota|enforce_waypoint|allow_fallback)\b
 PATTERN+='|\b(flowmod_proc_delay|packet_proc_delay)\b|\bJournalRecord::Shed\b'
 PATTERN+='|\bCtr\b|\bCTR_TABLE\b|\bGauge::(QueueDepth|ActiveJobs|PendingAcks|Migrating)\b'
 PATTERN+='|\bHandshake\b|\b(script_down|script_stall|clear_faults|FaultWindow)\b'
+PATTERN+='|\b(SwitchSeat|MigrateError|RebalanceReport|ShardLoad|SuggestedMove)\b'
+PATTERN+='|\b(begin_migration|apply_rebalance|drive_migrations|rebalance_report)\b'
+PATTERN+='|\b(seat_quiescent|extract_seat|install_seat|take_shadow|install_shadow)\b'
+PATTERN+='|ShardAssignment::set_override|assign\.set_override|set_override\((dp\b|DpId\()'
+PATTERN+='|\b(begin_seat_migration|MigrationPauseNs)\b|\.(migrations|migration_aborts)\b'
+PATTERN+='|\b(Migrate(Begin|Committed|Aborted|Fence|Commit|Abort|Seat))\b|\.migrating\b'
+PATTERN+='|\bsdn_migrating_seats\b|\bEndpoint::Rebalance(Apply)?\b|\brebalance_(apply_)?response\b'
+PATTERN+='|\b(parse_rebalance_apply|migrate_error_response|exp_live_rebalance)\b'
 
 hits=$(find . -name '*.rs' -not -path './target/*' -not -path './shims/*' -print0 |
     xargs -0 grep -nE "$PATTERN" || true)

@@ -14,6 +14,10 @@
 //! * **cross-shard tax** — the same sweep with a fraction of flows
 //!   deliberately straddling two shards, so they route through the
 //!   coordinator's two-phase path instead of scaling with the shards;
+//! * **one runtime** — the same flows on a single [`ConcurrentRuntime`]
+//!   with `max_active` = shards × 4, the fabric's total admission
+//!   budget: whether the fabric's makespan comes from sharding or from
+//!   the budget alone;
 //! * **chaos** — a cross-shard workload with the controller crashed
 //!   mid-flight: the journalled fabric must recover, finish the work,
 //!   and leave a rule-for-rule clean audit with zero transient
@@ -32,10 +36,11 @@
 use sdn_bench::export::tier_and_json_out;
 use sdn_bench::table::{f2, Table};
 use sdn_bench::workload::{
-    assignment, disjoint_flows, makespan_ms, patient_runtime, run_fabric, shard_runtime, FLOW_LEN,
-    PER_SHARD_ACTIVE,
+    assignment, disjoint_flows, makespan_ms, patient_runtime, run_fabric, run_world, shard_runtime,
+    FLOW_LEN, PER_SHARD_ACTIVE,
 };
 use sdn_bench::{Export, Record};
+use sdn_ctrl::runtime::{ConcurrentRuntime, RuntimeConfig};
 use sdn_obs::Obs;
 use sdn_types::{SimDuration, SimTime};
 
@@ -73,6 +78,7 @@ fn main() {
     );
     let mut baseline_ms = 0.0;
     let mut speedup_at_4 = 0.0;
+    let mut fabric_ms = Vec::new();
     for &frac in cross_fracs {
         let cross = (frac * n as f64).round() as usize;
         for &shards in shard_counts {
@@ -108,6 +114,7 @@ fn main() {
                 "shards={shards} xfrac={frac}: cross-shard ticket count"
             );
             let ms = makespan_ms(&out.report);
+            fabric_ms.push((frac, shards, ms));
             if shards == 1 && frac == 0.0 {
                 baseline_ms = ms;
             }
@@ -132,6 +139,64 @@ fn main() {
         }
     }
     println!("{t}");
+
+    // --- one runtime with the fabric's whole admission budget ----------
+    // No flow straddles anything on one runtime, so its makespan depends
+    // on the budget alone: one run per shard count serves every xfrac.
+    let single_ms: Vec<f64> = shard_counts
+        .iter()
+        .map(|&shards| {
+            let pairs = disjoint_flows(n);
+            let budget = shards as usize * PER_SHARD_ACTIVE;
+            let rt = ConcurrentRuntime::new(RuntimeConfig {
+                max_active: budget,
+                ..RuntimeConfig::default()
+            });
+            let out = run_world(&pairs, Box::new(rt), None, Obs::disabled());
+            let done = out.report.updates.iter().filter(|u| u.completed.is_some());
+            assert_eq!(done.count(), n, "one runtime x{budget}: all must complete");
+            assert!(
+                !out.report.violations.any(),
+                "one runtime x{budget}: transient violations: {}",
+                out.report.violations
+            );
+            assert!(
+                out.world.audit().is_clean(),
+                "one runtime x{budget}: dirty audit"
+            );
+            makespan_ms(&out.report)
+        })
+        .collect();
+    let mut t1 = Table::new(
+        "the fabric vs one runtime with max_active = shards x 4",
+        &[
+            "shards",
+            "xfrac",
+            "max_active",
+            "fabric ms",
+            "1 runtime ms",
+            "fabric/1rt",
+        ],
+    );
+    // the fabric rows run shard-minor, so the per-shard-count column
+    // repeats once per xfrac
+    for (&(frac, shards, fab), &single) in fabric_ms.iter().zip(single_ms.iter().cycle()) {
+        t1.row(vec![
+            shards.to_string(),
+            format!("{frac:.2}"),
+            (shards as usize * PER_SHARD_ACTIVE).to_string(),
+            f2(fab),
+            f2(single),
+            f2(fab / single),
+        ]);
+        export.push(Record::new(
+            "one_runtime",
+            format!("xfrac{:02}", (frac * 100.0) as u32),
+            shards as u64,
+            single,
+        ));
+    }
+    println!("{t1}");
 
     // --- chaos leg: coordinator crash over cross-shard work ------------
     let chaos_n = 8usize;

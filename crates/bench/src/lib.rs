@@ -15,15 +15,14 @@
 //! | `exp_connection_scaling` | E8 — the live transport at scale |
 //! | `exp_fault_recovery`  | E9 — convergence under control-plane failure |
 //! | `exp_shard_scaling`   | E10 — sharded fabric scaling vs cross-shard tax |
-//! | `exp_live_rebalance`  | E11 — seat migration under load |
 //! | `exp_observability`   | E12 — observability overhead and flight-recorder fidelity |
 //! | `bench_check`         | CI perf-regression gate over the JSON exports |
 //!
 //! Machine-readable exports all flow through [`export::Export`] — one
 //! shared schema, read by the `bench_check` gate on E3's wall-clock
 //! baseline. The virtual-time experiments are deterministic and are
-//! gated byte for byte instead (`ci/exp_digests.sh`). The workload E7
-//! and E9–E12 share lives in [`workload`].
+//! gated byte for byte instead (`ci/exp_digests.sh`). The workload E7,
+//! E9, E10 and E12 share lives in [`workload`].
 //!
 //! Criterion micro-benchmarks live in `benches/`.
 

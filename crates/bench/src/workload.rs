@@ -1,4 +1,4 @@
-//! The workload the runtime experiments (E7, E9–E12) share: `n`
+//! The workload the runtime experiments (E7, E9, E10, E12) share: `n`
 //! switch-disjoint 8-hop reversal flows, SLF-greedy schedules, every
 //! update submitted at t = 0 with probes on every flow — plus the shard
 //! pinning and runtime tunings those experiments sweep over it, and the
@@ -7,7 +7,9 @@
 use sdn_channel::config::ChannelConfig;
 use sdn_ctrl::compile::{compile_schedule, initial_flowmods, CompiledUpdate, FlowSpec};
 use sdn_ctrl::executor::ExecConfig;
-use sdn_ctrl::runtime::{FabricConfig, FabricCoordinator, RuntimeConfig, SubmitRequest};
+use sdn_ctrl::runtime::{
+    FabricConfig, FabricCoordinator, RuntimeConfig, RuntimeHandle, SubmitRequest,
+};
 use sdn_obs::Obs;
 use sdn_sim::chaos::FaultKind;
 use sdn_sim::report::SimReport;
@@ -156,7 +158,6 @@ pub fn run_fabric(
     crash_at: Option<SimTime>,
     obs: Obs,
 ) -> FabricRun {
-    let topo = gen::materialize_batch(pairs);
     let fabric = FabricCoordinator::with_assignment(
         FabricConfig {
             shards: assign.shards(),
@@ -166,6 +167,19 @@ pub fn run_fabric(
         },
         assign,
     );
+    run_world(pairs, Box::new(fabric), crash_at, obs)
+}
+
+/// [`run_fabric`]'s run over any controller: one
+/// [`ConcurrentRuntime`](sdn_ctrl::runtime::ConcurrentRuntime) as well
+/// as a fabric.
+pub fn run_world(
+    pairs: &[UpdatePair],
+    controller: Box<dyn RuntimeHandle>,
+    crash_at: Option<SimTime>,
+    obs: Obs,
+) -> FabricRun {
+    let topo = gen::materialize_batch(pairs);
     let cfg = WorldConfig {
         channel: ChannelConfig::lan(),
         seed: 2816,
@@ -173,7 +187,7 @@ pub fn run_fabric(
     };
     let mut world = World::builder(topo.clone())
         .config(cfg)
-        .runtime_handle(Box::new(fabric))
+        .runtime_handle(controller)
         .obs(obs)
         .build();
     let mut first_job = None;

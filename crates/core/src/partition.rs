@@ -3,15 +3,15 @@
 //!
 //! [`ShardAssignment`] splits the switch set into shards, each driven
 //! by its own runtime: modulo over the shard count by default, with
-//! explicit per-switch overrides layered on top for rebalancing and
-//! online migration.
+//! explicit per-switch overrides layered on top. The map is fixed when
+//! the fabric is built.
 
 use std::collections::BTreeMap;
 
 use sdn_types::DpId;
 
 /// The switch → shard map: modulo over the shard count, with explicit
-/// per-switch overrides layered on top (the rebalancer's output).
+/// per-switch overrides layered on top.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardAssignment {
     shards: u32,
@@ -52,14 +52,6 @@ impl ShardAssignment {
             .copied()
             .unwrap_or((dp.0 % self.shards as u64) as u32)
     }
-
-    /// Re-home `dp` onto `shard` (clamped into range), layering a new
-    /// override on the live assignment — the commit step of an online
-    /// switch migration. Overriding back to the modulo owner is kept
-    /// as an explicit entry; semantics are unchanged either way.
-    pub fn set_override(&mut self, dp: DpId, shard: u32) {
-        self.overrides.insert(dp, shard % self.shards);
-    }
 }
 
 #[cfg(test)]
@@ -76,18 +68,5 @@ mod tests {
         assert_eq!(b.shard_of(DpId(6)), 1, "out-of-range override clamped");
         assert_eq!(b.shard_of(DpId(7)), 3, "non-overridden falls to modulo");
         assert_eq!(ShardAssignment::modulo(0).shards(), 1, "zero clamps to 1");
-    }
-
-    #[test]
-    fn set_override_rehomes_a_switch_live() {
-        let mut a = ShardAssignment::modulo(4);
-        assert_eq!(a.shard_of(DpId(5)), 1);
-        a.set_override(DpId(5), 3);
-        assert_eq!(a.shard_of(DpId(5)), 3);
-        a.set_override(DpId(5), 9);
-        assert_eq!(a.shard_of(DpId(5)), 1, "out-of-range clamped");
-        a.set_override(DpId(6), 2);
-        assert_eq!(a.shard_of(DpId(6)), 2);
-        assert_eq!(a.shard_of(DpId(7)), 3, "others still modulo");
     }
 }

@@ -49,7 +49,7 @@ pub use executor::{ExecState, RoundExecutor};
 pub use rest::request::UpdateRequest;
 pub use resync::ResyncManager;
 pub use runtime::{
-    ConcurrentRuntime, FabricConfig, FabricCoordinator, Footprint, Journal, MigrateError, Priority,
-    RetransMode, RuntimeConfig, RuntimeHandle, RuntimeStats, ShardId, SubmitError, SubmitOutcome,
-    SubmitRequest, SubmitTicket, SwitchSeat, TenantId,
+    ConcurrentRuntime, FabricConfig, FabricCoordinator, Footprint, Journal, Priority, RetransMode,
+    RuntimeConfig, RuntimeHandle, RuntimeStats, ShardId, SubmitError, SubmitOutcome, SubmitRequest,
+    SubmitTicket, TenantId,
 };

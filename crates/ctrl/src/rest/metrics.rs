@@ -11,7 +11,7 @@
 //!   `sdn_status_*` families straight from the [`STATUS_FIELDS`]
 //!   single-source table (so `GET /v1/status` and `GET /v1/metrics` can
 //!   never disagree about what a counter means), and the queue gauges
-//!   (queue depth, active jobs, pending acks, migrating seats).
+//!   (queue depth, active jobs, pending acks).
 //!
 //! Nothing is written into the sink on a scrape, so the page is the
 //! same whether or not observability is recording, and the hot path
@@ -45,11 +45,6 @@ pub fn metrics_response(obs: &Obs, report: &StatusReport) -> Response {
             "Outstanding per-payload acknowledgements",
             report.pending_acks,
         ),
-        (
-            "sdn_migrating_seats",
-            "Switches mid-migration",
-            report.migrating.len(),
-        ),
     ]
     .map(|(name, help, v)| (name, help, "gauge", v as u64));
     let extras: Vec<(&str, &str, &str, u64)> = counters.chain(gauges).collect();
@@ -71,7 +66,6 @@ mod tests {
             queued: 2,
             active: 3,
             pending_acks: 4,
-            migrating: vec![sdn_types::DpId(9)],
             stats: RuntimeStats {
                 submitted: 11,
                 completed: 7,
@@ -104,7 +98,6 @@ mod tests {
             .contains("# TYPE sdn_queue_depth gauge\nsdn_queue_depth 2\n"));
         assert!(r.body.contains("sdn_active_jobs 3"));
         assert!(r.body.contains("sdn_pending_acks 4"));
-        assert!(r.body.contains("sdn_migrating_seats 1"));
     }
 
     #[test]
@@ -121,7 +114,6 @@ mod tests {
         assert!(r.body.contains("sdn_queue_depth 2\n"));
         assert!(r.body.contains("sdn_active_jobs 3\n"));
         assert!(r.body.contains("sdn_pending_acks 4\n"));
-        assert!(r.body.contains("sdn_migrating_seats 1\n"));
     }
 
     #[test]

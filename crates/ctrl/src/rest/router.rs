@@ -9,10 +9,8 @@
 //!   including `429` quota refusals);
 //! * `GET /v1/status` — shard- and tenant-aware runtime introspection
 //!   ([`status_response`](crate::rest::status::status_response));
-//! * `GET /v1/rebalance` — the footprint-driven shard-migration advice
-//!   ([`rebalance_response`](crate::rest::status::rebalance_response));
-//! * `POST /v1/rebalance/apply` — execute migrations online
-//!   ([`rebalance_apply_response`](crate::rest::status::rebalance_apply_response)).
+//! * `GET /v1/metrics` — Prometheus text exposition;
+//! * `GET /v1/trace/{job}` — one update's span tree.
 //!
 //! Legacy paths answer `308 Permanent Redirect` to their v1 homes, so
 //! pre-fabric clients keep working after one extra round trip and
@@ -34,10 +32,6 @@ pub enum Endpoint {
     Submit,
     /// `GET /v1/status`: runtime introspection.
     Status,
-    /// `GET /v1/rebalance`: shard-migration advice.
-    Rebalance,
-    /// `POST /v1/rebalance/apply`: execute seat migrations online.
-    RebalanceApply,
     /// `GET /v1/metrics`: Prometheus text exposition.
     Metrics,
     /// `GET /v1/trace/{job}`: one update's span tree.
@@ -86,8 +80,6 @@ pub fn route(method: &str, path: &str) -> Route {
     match (method, path) {
         ("POST", "/v1/update") => Route::Endpoint(Endpoint::Submit),
         ("GET", "/v1/status") => Route::Endpoint(Endpoint::Status),
-        ("GET", "/v1/rebalance") => Route::Endpoint(Endpoint::Rebalance),
-        ("POST", "/v1/rebalance/apply") => Route::Endpoint(Endpoint::RebalanceApply),
         ("GET", "/v1/metrics") => Route::Endpoint(Endpoint::Metrics),
         // legacy paths: the pre-v1 surface and the demo's original
         // Ryu-style path, all pointing at their v1 homes
@@ -97,10 +89,10 @@ pub fn route(method: &str, path: &str) -> Route {
         ("GET", "/status") => Route::Moved {
             location: "/v1/status",
         },
-        (_, "/v1/update") | (_, "/update") | (_, "/stats/update") | (_, "/v1/rebalance/apply") => {
+        (_, "/v1/update") | (_, "/update") | (_, "/stats/update") => {
             Route::MethodNotAllowed { allow: "POST" }
         }
-        (_, "/v1/status") | (_, "/v1/rebalance") | (_, "/v1/metrics") | (_, "/status") => {
+        (_, "/v1/status") | (_, "/v1/metrics") | (_, "/status") => {
             Route::MethodNotAllowed { allow: "GET" }
         }
         _ => Route::NotFound,
@@ -184,8 +176,8 @@ mod tests {
             Route::Endpoint(Endpoint::Status)
         );
         assert_eq!(
-            route("GET", "/v1/rebalance"),
-            Route::Endpoint(Endpoint::Rebalance)
+            route("GET", "/v1/metrics"),
+            Route::Endpoint(Endpoint::Metrics)
         );
     }
 
@@ -226,6 +218,16 @@ mod tests {
         assert_eq!(route("GET", "/v2/update"), Route::NotFound);
         assert_eq!(route("GET", "/"), Route::NotFound);
         assert_eq!(not_found_response().status, 404);
+    }
+
+    #[test]
+    fn rebalance_paths_are_gone() {
+        for path in ["/v1/rebalance", "/v1/rebalance/apply"] {
+            for method in ["GET", "POST", "PUT"] {
+                assert_eq!(route(method, path), Route::NotFound, "{method} {path}");
+                assert_eq!(dispatch(method, path).unwrap_err().status, 404);
+            }
+        }
     }
 
     #[test]

@@ -26,11 +26,8 @@
 
 use std::collections::BTreeMap;
 
-use sdn_types::DpId;
-
 use crate::rest::json::Json;
 use crate::rest::response::Response;
-use crate::runtime::fabric::{MigrateError, RebalanceReport, ShardId};
 use crate::runtime::{RuntimeStats, ShardStatus, StatusReport, SwitchStatus, TenantStatus};
 
 /// One aggregate counter of [`RuntimeStats`], described once: its JSON
@@ -131,18 +128,6 @@ pub const STATUS_FIELDS: &[StatusField] = &[
         prom: "sdn_status_recoveries_total",
         help: "Crash recoveries this runtime was rebuilt through",
         get: |s| s.recoveries,
-    },
-    StatusField {
-        key: "migrations",
-        prom: "sdn_status_migrations_total",
-        help: "Online seat migrations committed (fabric only)",
-        get: |s| s.migrations,
-    },
-    StatusField {
-        key: "migration_aborts",
-        prom: "sdn_status_migration_aborts_total",
-        help: "Seat migrations unwound at apply time or by crash recovery",
-        get: |s| s.migration_aborts,
     },
 ];
 
@@ -247,16 +232,6 @@ pub fn status_response(report: &StatusReport) -> Response {
             "xshard_active".to_string(),
             Json::Num(report.xshard_active as f64),
         );
-        body.insert(
-            "migrating".to_string(),
-            Json::Arr(
-                report
-                    .migrating
-                    .iter()
-                    .map(|dp| Json::Num(dp.0 as f64))
-                    .collect(),
-            ),
-        );
     }
     if !report.tenants.is_empty() {
         body.insert(
@@ -270,171 +245,12 @@ pub fn status_response(report: &StatusReport) -> Response {
     }
 }
 
-/// The `200 OK` response for `GET /v1/rebalance`: per-shard load from
-/// the footprint touch index plus the bounded migration plan.
-pub fn rebalance_response(report: &RebalanceReport) -> Response {
-    let loads = report
-        .loads
-        .iter()
-        .map(|l| {
-            Json::Obj(
-                [
-                    ("shard".to_string(), Json::Num(l.shard.0 as f64)),
-                    ("switches".to_string(), Json::Num(l.switches as f64)),
-                    ("touches".to_string(), Json::Num(l.touches as f64)),
-                ]
-                .into_iter()
-                .collect(),
-            )
-        })
-        .collect();
-    let moves = report
-        .moves
-        .iter()
-        .map(|m| {
-            Json::Obj(
-                [
-                    ("dp".to_string(), Json::Num(m.dp.0 as f64)),
-                    ("from".to_string(), Json::Num(m.from.0 as f64)),
-                    ("to".to_string(), Json::Num(m.to.0 as f64)),
-                    ("touches".to_string(), Json::Num(m.touches as f64)),
-                ]
-                .into_iter()
-                .collect(),
-            )
-        })
-        .collect();
-    let body: BTreeMap<String, Json> = [
-        ("status".to_string(), Json::Str("ok".into())),
-        ("imbalance".to_string(), Json::Num(report.imbalance)),
-        ("loads".to_string(), Json::Arr(loads)),
-        ("moves".to_string(), Json::Arr(moves)),
-    ]
-    .into_iter()
-    .collect();
-    Response {
-        status: 200,
-        body: Json::Obj(body).render(),
-    }
-}
-
-/// A parsed `POST /v1/rebalance/apply` body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RebalanceApply {
-    /// `{"dp": N, "to": S}` — migrate one named switch to one named
-    /// shard.
-    Move {
-        /// The switch to migrate.
-        dp: DpId,
-        /// The destination shard.
-        to: ShardId,
-    },
-    /// `{}` (or an empty body) — apply the fabric's own advice report.
-    Advice,
-}
-
-/// Parse a `POST /v1/rebalance/apply` body. An empty object (or empty
-/// body) requests the fabric's own advice moves; `{"dp": N, "to": S}`
-/// names one explicit move. Anything else — unparseable JSON, a
-/// non-object, one key without the other, non-integer values — is a
-/// `400` describing the problem.
-pub fn parse_rebalance_apply(body: &str) -> Result<RebalanceApply, Response> {
-    let bad = |detail: &str| Response {
-        status: 400,
-        body: Json::Obj(
-            [
-                ("status".to_string(), Json::Str("error".into())),
-                ("detail".to_string(), Json::Str(detail.into())),
-            ]
-            .into_iter()
-            .collect(),
-        )
-        .render(),
-    };
-    if body.trim().is_empty() {
-        return Ok(RebalanceApply::Advice);
-    }
-    let v = match crate::rest::json::parse(body) {
-        Ok(v) => v,
-        Err(_) => return Err(bad("body must be a JSON object")),
-    };
-    if !matches!(v, Json::Obj(_)) {
-        return Err(bad("body must be a JSON object"));
-    }
-    match (v.get("dp"), v.get("to")) {
-        (None, None) => Ok(RebalanceApply::Advice),
-        (Some(dp), Some(to)) => match (dp.as_u64(), to.as_u64()) {
-            (Some(dp), Some(to)) if to <= u32::MAX as u64 => Ok(RebalanceApply::Move {
-                dp: DpId(dp),
-                to: ShardId(to as u32),
-            }),
-            _ => Err(bad("\"dp\" and \"to\" must be non-negative integers")),
-        },
-        _ => Err(bad("\"dp\" and \"to\" go together")),
-    }
-}
-
-/// The `202 Accepted` response for a `POST /v1/rebalance/apply` whose
-/// migrations all began: the switches now migrating, in dpid order
-/// (commit is asynchronous — watch `migrating` in `GET /v1/status`).
-pub fn rebalance_apply_response(migrating: &[DpId]) -> Response {
-    let body: BTreeMap<String, Json> = [
-        ("status".to_string(), Json::Str("accepted".into())),
-        (
-            "migrating".to_string(),
-            Json::Arr(migrating.iter().map(|dp| Json::Num(dp.0 as f64)).collect()),
-        ),
-    ]
-    .into_iter()
-    .collect();
-    Response {
-        status: 202,
-        body: Json::Obj(body).render(),
-    }
-}
-
-/// The structured `409 Conflict` for a refused migration: a stable
-/// `reason` slug plus the offending switch/shard, so clients branch
-/// without parsing prose.
-pub fn migrate_error_response(err: &MigrateError) -> Response {
-    let mut body: BTreeMap<String, Json> = [
-        ("status".to_string(), Json::Str("conflict".into())),
-        ("detail".to_string(), Json::Str(err.to_string())),
-    ]
-    .into_iter()
-    .collect();
-    let reason = match err {
-        MigrateError::UnknownSwitch(dp) => {
-            body.insert("dp".to_string(), Json::Num(dp.0 as f64));
-            "unknown_switch"
-        }
-        MigrateError::SameShard { dp, shard } => {
-            body.insert("dp".to_string(), Json::Num(dp.0 as f64));
-            body.insert("shard".to_string(), Json::Num(shard.0 as f64));
-            "same_shard"
-        }
-        MigrateError::AlreadyMigrating(dp) => {
-            body.insert("dp".to_string(), Json::Num(dp.0 as f64));
-            "already_migrating"
-        }
-        MigrateError::BadShard(s) => {
-            body.insert("shard".to_string(), Json::Num(s.0 as f64));
-            "bad_shard"
-        }
-    };
-    body.insert("reason".to_string(), Json::Str(reason.into()));
-    Response {
-        status: 409,
-        body: Json::Obj(body).render(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rest::json;
     use crate::runtime::RuntimeStats;
-    use sdn_types::SimDuration;
+    use sdn_types::{DpId, SimDuration};
 
     #[test]
     fn status_body_round_trips_through_the_parser() {
@@ -452,8 +268,6 @@ mod tests {
                 resynced_rules: 6,
                 quarantined: 1,
                 recoveries: 1,
-                migrations: 3,
-                migration_aborts: 1,
                 ..RuntimeStats::default()
             },
             switches: vec![
@@ -476,7 +290,6 @@ mod tests {
             tenants: Vec::new(),
             xshard_queued: 0,
             xshard_active: 0,
-            migrating: Vec::new(),
         };
         let r = status_response(&report);
         assert_eq!(r.status, 200);
@@ -498,8 +311,6 @@ mod tests {
         assert_eq!(stats.get("resyncs").unwrap().as_u64(), Some(1));
         assert_eq!(stats.get("resynced_rules").unwrap().as_u64(), Some(6));
         assert_eq!(stats.get("recoveries").unwrap().as_u64(), Some(1));
-        assert_eq!(stats.get("migrations").unwrap().as_u64(), Some(3));
-        assert_eq!(stats.get("migration_aborts").unwrap().as_u64(), Some(1));
         assert_eq!(v.get("journal_len").unwrap().as_u64(), Some(12));
         let Json::Arr(q) = v.get("quarantined").unwrap() else {
             panic!("quarantined must be an array");
@@ -556,7 +367,6 @@ mod tests {
             ],
             xshard_queued: 1,
             xshard_active: 2,
-            migrating: vec![DpId(6)],
             ..StatusReport::default()
         };
         let v = json::parse(&status_response(&report).body).unwrap();
@@ -569,10 +379,6 @@ mod tests {
         assert_eq!(shards[1].get("queued").unwrap().as_u64(), Some(3));
         assert_eq!(v.get("xshard_queued").unwrap().as_u64(), Some(1));
         assert_eq!(v.get("xshard_active").unwrap().as_u64(), Some(2));
-        let Json::Arr(migrating) = v.get("migrating").unwrap() else {
-            panic!("migrating must be an array");
-        };
-        assert_eq!(migrating[0].as_u64(), Some(6));
         let Json::Arr(tenants) = v.get("tenants").unwrap() else {
             panic!("tenants must be an array");
         };
@@ -603,8 +409,6 @@ mod tests {
             resynced_rules,
             quarantined,
             recoveries,
-            migrations,
-            migration_aborts,
         } = RuntimeStats::default();
         let all = [
             submitted,
@@ -620,8 +424,6 @@ mod tests {
             resynced_rules,
             quarantined,
             recoveries,
-            migrations,
-            migration_aborts,
         ];
         assert_eq!(STATUS_FIELDS.len(), all.len());
         let mut keys: Vec<&str> = STATUS_FIELDS.iter().map(|f| f.key).collect();
@@ -652,45 +454,5 @@ mod tests {
             "README status-field table drifted from STATUS_FIELDS; \
              regenerate it with status_fields_markdown()"
         );
-    }
-
-    #[test]
-    fn rebalance_report_renders_loads_and_moves() {
-        use crate::runtime::fabric::{ShardId, ShardLoad, SuggestedMove};
-        let report = RebalanceReport {
-            loads: vec![
-                ShardLoad {
-                    shard: ShardId(0),
-                    switches: 2,
-                    touches: 40,
-                },
-                ShardLoad {
-                    shard: ShardId(1),
-                    switches: 1,
-                    touches: 2,
-                },
-            ],
-            imbalance: 1.9,
-            moves: vec![SuggestedMove {
-                dp: DpId(2),
-                from: ShardId(0),
-                to: ShardId(1),
-                touches: 30,
-            }],
-        };
-        let r = rebalance_response(&report);
-        assert_eq!(r.status, 200);
-        let v = json::parse(&r.body).unwrap();
-        assert!((v.get("imbalance").unwrap().as_f64().unwrap() - 1.9).abs() < 1e-9);
-        let Json::Arr(loads) = v.get("loads").unwrap() else {
-            panic!("loads must be an array");
-        };
-        assert_eq!(loads.len(), 2);
-        assert_eq!(loads[0].get("touches").unwrap().as_u64(), Some(40));
-        let Json::Arr(moves) = v.get("moves").unwrap() else {
-            panic!("moves must be an array");
-        };
-        assert_eq!(moves[0].get("dp").unwrap().as_u64(), Some(2));
-        assert_eq!(moves[0].get("to").unwrap().as_u64(), Some(1));
     }
 }

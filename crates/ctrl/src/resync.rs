@@ -86,8 +86,7 @@ impl ResyncManager {
         self.pending.len()
     }
 
-    /// Whether an audit of `dp` is mid-handshake (the migration fence
-    /// holds a seat on its shard until the audit converges).
+    /// Whether an audit of `dp` is mid-handshake.
     pub fn audit_in_flight(&self, dp: DpId) -> bool {
         self.pending.contains_key(&dp)
     }
@@ -103,6 +102,12 @@ impl ResyncManager {
     /// Whether any rule was ever recorded for `dp`.
     pub fn knows(&self, dp: DpId) -> bool {
         self.shadow.contains_key(&dp)
+    }
+
+    /// Switches with a shadow table: every switch a rule was ever
+    /// recorded for.
+    pub fn shadowed(&self) -> usize {
+        self.shadow.len()
     }
 
     /// The intended (shadow) rule-hash list for `dp`, ascending —
@@ -234,21 +239,6 @@ impl ResyncManager {
     /// again mid-audit; the next reconnect restarts cleanly).
     pub fn abort(&mut self, dp: DpId) {
         self.pending.remove(&dp);
-    }
-
-    /// Remove and return the shadow table for `dp`, aborting any
-    /// in-flight audit — the seat-migration path carries the shadow to
-    /// another manager. `None` when the controller never sent `dp`
-    /// anything (nothing to move).
-    pub fn take_shadow(&mut self, dp: DpId) -> Option<FlowTable> {
-        self.pending.remove(&dp);
-        self.shadow.remove(&dp)
-    }
-
-    /// Install a shadow table taken from another manager, replacing
-    /// any existing shadow for `dp`.
-    pub fn install_shadow(&mut self, dp: DpId, table: FlowTable) {
-        self.shadow.insert(dp, table);
     }
 }
 
@@ -398,23 +388,6 @@ mod tests {
         assert!(!m.owns(DpId(2), p.xid), "wrong switch");
         assert!(!m.owns(DpId(1), Xid(0xdead)), "wrong xid");
         assert!(m.on_report(DpId(2), b"", SimTime(1), &mut xids).is_empty());
-    }
-
-    #[test]
-    fn take_shadow_moves_the_table_and_aborts_the_audit() {
-        let mut a = ResyncManager::new();
-        let mut b = ResyncManager::new();
-        let mut xids = XidAlloc::new();
-        a.record(DpId(1), &add(2, 1));
-        a.record(DpId(1), &add(3, 2));
-        a.begin(DpId(1), SimTime(0), &mut xids);
-        let want = a.intended_hashes(DpId(1)).unwrap();
-        let table = a.take_shadow(DpId(1)).expect("shadow existed");
-        assert!(!a.knows(DpId(1)), "source forgot the switch");
-        assert_eq!(a.auditing(), 0, "in-flight audit aborted");
-        assert!(a.take_shadow(DpId(1)).is_none(), "second take empty");
-        b.install_shadow(DpId(1), table);
-        assert_eq!(b.intended_hashes(DpId(1)), Some(want));
     }
 
     #[test]

@@ -253,14 +253,6 @@ impl ConflictGraph {
         self.overlapping(candidate).collect()
     }
 
-    /// Whether any active job's footprint covers `dp` — the migration
-    /// fence asks this before a seat may leave its shard.
-    pub fn touches(&self, dp: DpId) -> bool {
-        self.holders(dp, FlowClass::MIN, FlowClass::Wildcard)
-            .next()
-            .is_some()
-    }
-
     /// Whether the candidate can start now (conflict-free against all
     /// active jobs).
     pub fn admits(&self, candidate: &Footprint) -> bool {
@@ -373,11 +365,8 @@ mod tests {
         assert!(g.admits(&c));
         g.insert(JobId(2), c);
         assert_eq!(g.len(), 2);
-        assert!(g.touches(DpId(1)) && g.touches(DpId(9)));
-        assert!(!g.touches(DpId(4)));
         g.remove(JobId(1));
         assert!(g.admits(&b));
-        assert!(!g.touches(DpId(1)), "released switches untouched");
         g.remove(JobId(2));
         assert!(g.is_empty());
         assert!(

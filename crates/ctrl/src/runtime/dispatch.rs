@@ -55,7 +55,6 @@ use crate::runtime::admission::{AdmissionQueue, Priority, QueuedJob};
 use crate::runtime::conflict::{ConflictGraph, Footprint, JobId};
 use crate::runtime::journal::{Journal, JournalRecord};
 use crate::runtime::rto::{RtoConfig, RtoTable};
-use crate::runtime::seat::SwitchSeat;
 use crate::runtime::submit::{SubmitError, SubmitOutcome, SubmitRequest, SubmitTicket, TenantId};
 use crate::runtime::timers::WakeIndex;
 use crate::runtime::{RuntimeHandle, RuntimeStats, StatusReport, SwitchStatus, TenantStatus};
@@ -308,15 +307,12 @@ impl ConcurrentRuntime {
                         });
                     }
                 }
-                // Two-phase and migration records live in the fabric's
-                // own journal; a runtime journal never carries them,
-                // but tolerate them like any other foreign line.
+                // Two-phase records live in the fabric's own journal; a
+                // runtime journal never carries them, but tolerate them
+                // like any other foreign line.
                 JournalRecord::Prepared { .. }
                 | JournalRecord::XCommitted { .. }
-                | JournalRecord::Aborted { .. }
-                | JournalRecord::MigrateBegin { .. }
-                | JournalRecord::MigrateCommitted { .. }
-                | JournalRecord::MigrateAborted { .. } => {}
+                | JournalRecord::Aborted { .. } => {}
             }
         }
         // Rounds up to the commit cursor are fenced: their rules are on
@@ -366,6 +362,12 @@ impl ConcurrentRuntime {
     /// The per-switch RTO table (diagnostics).
     pub fn rto_table(&self) -> &RtoTable {
         &self.rto
+    }
+
+    /// Switches this runtime holds intended rules for: its resync
+    /// shadows, which crash recovery rebuilds from the journal.
+    pub(crate) fn shadowed_switches(&self) -> usize {
+        self.resync.shadowed()
     }
 
     /// Jobs `poll` and `reap` looked at plus conflict-index entries
@@ -443,72 +445,6 @@ impl ConcurrentRuntime {
     /// terminal state and its shard reservations can be released.
     pub fn job_in_flight(&self, id: JobId) -> bool {
         self.active.contains_key(&id) || self.queue.iter().any(|j| j.id == id)
-    }
-
-    /// Whether `dp` has no work in flight here: no active job or
-    /// fabric reservation touches it, no queued job names it in its
-    /// footprint, and no resync audit is mid-handshake. The migration
-    /// fence holds a seat on its source shard until this returns true.
-    pub fn seat_quiescent(&self, dp: DpId) -> bool {
-        !self.graph.touches(dp)
-            && !self
-                .queue
-                .iter()
-                .any(|j| j.footprint.switches().any(|d| d == dp))
-            && !self.resync.audit_in_flight(dp)
-    }
-
-    /// Detach everything this runtime knows about `dp` into a portable
-    /// [`SwitchSeat`]. The caller must have fenced the switch first
-    /// ([`ConcurrentRuntime::seat_quiescent`]) — extraction removes
-    /// switch-lifetime state only and cannot carry in-flight work.
-    /// Extraction itself writes nothing to the journal; the
-    /// destination's [`ConcurrentRuntime::install_seat`] re-journals
-    /// the shadow so each runtime's log stays self-contained.
-    pub fn extract_seat(&mut self, dp: DpId) -> SwitchSeat {
-        SwitchSeat {
-            dp,
-            shadow: self.resync.take_shadow(dp),
-            rto: self.rto.take(dp),
-            quarantined: self.quarantined.remove(&dp),
-            strikes: self.strikes.remove(&dp).unwrap_or(0),
-        }
-    }
-
-    /// Install a seat extracted from another runtime. The shadow is
-    /// re-journalled here as baseline records so this runtime's own
-    /// crash recovery rebuilds the migrated state from its own log;
-    /// quarantine membership moves without re-counting (the source
-    /// already counted it).
-    pub fn install_seat(&mut self, seat: SwitchSeat) {
-        let SwitchSeat {
-            dp,
-            shadow,
-            rto,
-            quarantined,
-            strikes,
-        } = seat;
-        if let Some(table) = shadow {
-            if self.journal.is_enabled() {
-                for entry in table.iter() {
-                    let msg = OfMessage::FlowMod(entry.as_add());
-                    self.journal.append(&JournalRecord::Baseline {
-                        dp,
-                        frame: codec::encode(&Envelope::new(Xid(0), msg)).to_vec(),
-                    });
-                }
-            }
-            self.resync.install_shadow(dp, table);
-        }
-        if let Some((srtt, rttvar)) = rto {
-            self.rto.restore(dp, srtt, rttvar);
-        }
-        if quarantined {
-            self.quarantined.insert(dp);
-        }
-        if strikes > 0 {
-            self.strikes.insert(dp, strikes);
-        }
     }
 
     /// What every send site does with the commands it appended: mirror
@@ -1069,7 +1005,6 @@ impl RuntimeHandle for ConcurrentRuntime {
                 .collect(),
             xshard_queued: 0,
             xshard_active: 0,
-            migrating: Vec::new(),
         }
     }
 }
@@ -1838,89 +1773,6 @@ mod tests {
         assert_eq!(rt.reports()[0].label, "done");
         assert!(rt.reports()[0].completed.is_some());
         assert_eq!(rt.stats().completed, 1);
-    }
-
-    #[test]
-    fn seat_extract_install_round_trip() {
-        let mut src = ConcurrentRuntime::new(RuntimeConfig::default());
-        let mut dst = ConcurrentRuntime::new(RuntimeConfig::default());
-        let _ = src.submit(job("a", 2, vec![vec![1]]), SimTime(0), Priority::Normal);
-        let cmds = src.poll(SimTime(0));
-        complete_all(&mut src, cmds, SimTime(1));
-        assert!(src.seat_quiescent(DpId(1)));
-        let want = src.intended_hashes(DpId(1)).expect("shadow learned");
-        let srtt = src.rto_table().srtt(DpId(1));
-        assert!(srtt.is_some(), "barrier reply sampled the RTT");
-        let seat = src.extract_seat(DpId(1));
-        assert!(!seat.is_empty());
-        assert!(src.intended_hashes(DpId(1)).is_none(), "source forgot");
-        assert_eq!(src.rto_table().sampled(), 0);
-        dst.install_seat(seat);
-        assert_eq!(dst.intended_hashes(DpId(1)), Some(want));
-        assert_eq!(dst.rto_table().srtt(DpId(1)), srtt);
-        // an empty seat for an unknown switch moves nothing
-        let empty = src.extract_seat(DpId(42));
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn seat_fence_reflects_queued_and_active_work() {
-        let cfg = RuntimeConfig {
-            max_active: 1,
-            ..RuntimeConfig::default()
-        };
-        let mut rt = ConcurrentRuntime::new(cfg);
-        let _ = rt.submit(job("run", 2, vec![vec![1]]), SimTime(0), Priority::Normal);
-        let _ = rt.submit(job("wait", 2, vec![vec![1]]), SimTime(0), Priority::Normal);
-        let cmds = rt.poll(SimTime(0));
-        assert!(
-            !rt.seat_quiescent(DpId(1)),
-            "active and queued work fence the seat"
-        );
-        assert!(
-            rt.seat_quiescent(DpId(99)),
-            "unknown switch is trivially clear"
-        );
-        complete_all(&mut rt, cmds, SimTime(1));
-        assert!(rt.is_idle());
-        assert!(rt.seat_quiescent(DpId(1)), "drained switch is clear");
-        // a fabric reservation fences too
-        let fp = Footprint::of(&job("resv", 2, vec![vec![1]]));
-        assert!(rt.reserve(JobId(1 << 62), &fp));
-        assert!(!rt.seat_quiescent(DpId(1)));
-        rt.release(JobId(1 << 62));
-        assert!(rt.seat_quiescent(DpId(1)));
-    }
-
-    #[test]
-    fn migrated_quarantine_and_strikes_survive_without_recount() {
-        let cfg = RuntimeConfig {
-            exec: ExecConfig {
-                barrier_timeout: SimDuration::from_millis(10),
-                max_attempts: 1,
-                flowmod_acks: false,
-            },
-            retrans: RetransMode::Fixed,
-            quarantine_strikes: 1,
-            ..RuntimeConfig::default()
-        };
-        let mut src = ConcurrentRuntime::new(cfg);
-        let _ = src.submit(job("j", 2, vec![vec![1]]), SimTime(0), Priority::Normal);
-        src.poll(SimTime(0));
-        src.poll(SimTime(0) + SimDuration::from_millis(11));
-        assert!(src.is_quarantined(DpId(1)));
-        assert_eq!(src.stats().quarantined, 1);
-        let seat = src.extract_seat(DpId(1));
-        assert!(seat.quarantined);
-        assert!(!src.is_quarantined(DpId(1)), "source released the switch");
-        let mut dst = ConcurrentRuntime::new(RuntimeConfig::default());
-        dst.install_seat(seat);
-        assert!(dst.is_quarantined(DpId(1)));
-        assert_eq!(
-            dst.stats().quarantined,
-            0,
-            "membership moved without inflating the counter"
-        );
     }
 
     #[test]

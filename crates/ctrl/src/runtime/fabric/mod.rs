@@ -24,16 +24,11 @@
 //!   before any shard is consulted; the REST layer surfaces a
 //!   [`SubmitError::QuotaExceeded`](crate::runtime::SubmitError) as a
 //!   structured `429`.
-//! * A footprint touch index feeds [`RebalanceReport`] — which
-//!   switches to move where to level shard load — and
-//!   [`FabricCoordinator::apply_rebalance`] executes those moves
-//!   **online**: new work touching a migrating switch parks
-//!   fabric-side, the source shard drains behind a fence, and the
-//!   switch's portable [`SwitchSeat`](crate::runtime::SwitchSeat)
-//!   (shadow table, RTO estimator, quarantine record) moves to the
-//!   destination in one step, journalled `MigrateBegin` →
-//!   `MigrateCommitted` so a crash mid-migration recovers to exactly
-//!   one owner.
+//! * The switch → shard map
+//!   ([`ShardAssignment`](update_core::partition::ShardAssignment)) is
+//!   fixed when the fabric is built, so a switch's shadow table, RTO
+//!   estimator and quarantine record stay with one shard for the
+//!   fabric's lifetime.
 //!
 //! Identifier spaces are carved statically so that a value alone names
 //! its owner — nothing to translate, nothing to lose in a crash: shard
@@ -44,11 +39,9 @@
 //! `1 << 56`; reservations use `(1 << 62) | ticket`.
 
 pub mod coordinator;
-pub mod rebalance;
 pub mod tenant;
 
-pub use coordinator::{FabricConfig, FabricCoordinator, MigrateError};
-pub use rebalance::{RebalanceReport, ShardLoad, SuggestedMove};
+pub use coordinator::{FabricConfig, FabricCoordinator};
 pub use tenant::TenantPolicy;
 
 use std::fmt;

@@ -126,44 +126,6 @@ pub enum JournalRecord {
         /// Abort time.
         at: SimTime,
     },
-    /// Online migration (fabric journal only): the fabric decided to
-    /// move a switch's seat and began fencing its source shard. Until
-    /// a terminal `MigrateCommitted`/`MigrateAborted` follows, the
-    /// source shard remains the sole owner — recovery rolls a torn
-    /// migration back to `from` so exactly one shard ever owns a seat.
-    MigrateBegin {
-        /// The switch being moved.
-        dp: DpId,
-        /// Its current owner.
-        from: u32,
-        /// Its destination.
-        to: u32,
-        /// Begin time.
-        at: SimTime,
-    },
-    /// Online migration (fabric journal only): the seat was extracted
-    /// from `from`, installed on `to`, and the assignment override
-    /// swapped. Recovery replays the override so `to` owns the switch.
-    MigrateCommitted {
-        /// The migrated switch.
-        dp: DpId,
-        /// The shard it left.
-        from: u32,
-        /// Its new owner.
-        to: u32,
-        /// Commit time.
-        at: SimTime,
-    },
-    /// Online migration (fabric journal only): the migration was
-    /// unwound — the source shard keeps the seat. Also written during
-    /// recovery for migrations a crash caught between begin and
-    /// commit.
-    MigrateAborted {
-        /// The switch whose migration unwound.
-        dp: DpId,
-        /// Abort time.
-        at: SimTime,
-    },
 }
 
 /// The journal: an append-only record log behind one of three
@@ -354,15 +316,6 @@ fn serialize(rec: &JournalRecord) -> String {
             format!("xcommitted id={} coord={} at={}", id.0, coord.0, at.0)
         }
         JournalRecord::Aborted { id, at } => format!("aborted id={} at={}", id.0, at.0),
-        JournalRecord::MigrateBegin { dp, from, to, at } => {
-            format!("migbegin dp={} from={from} to={to} at={}", dp.0, at.0)
-        }
-        JournalRecord::MigrateCommitted { dp, from, to, at } => {
-            format!("migcommit dp={} from={from} to={to} at={}", dp.0, at.0)
-        }
-        JournalRecord::MigrateAborted { dp, at } => {
-            format!("migabort dp={} at={}", dp.0, at.0)
-        }
     }
 }
 
@@ -452,22 +405,6 @@ fn parse(line: &str) -> Option<JournalRecord> {
                     .collect::<Option<Vec<u32>>>()?
             };
             Some(JournalRecord::Prepared { id, shards, at })
-        }
-        "migbegin" | "migcommit" => {
-            let dp = DpId(field(toks.next(), "dp")?.parse().ok()?);
-            let from = field(toks.next(), "from")?.parse().ok()?;
-            let to = field(toks.next(), "to")?.parse().ok()?;
-            let at = SimTime(field(toks.next(), "at")?.parse().ok()?);
-            Some(if kind == "migbegin" {
-                JournalRecord::MigrateBegin { dp, from, to, at }
-            } else {
-                JournalRecord::MigrateCommitted { dp, from, to, at }
-            })
-        }
-        "migabort" => {
-            let dp = DpId(field(toks.next(), "dp")?.parse().ok()?);
-            let at = SimTime(field(toks.next(), "at")?.parse().ok()?);
-            Some(JournalRecord::MigrateAborted { dp, at })
         }
         "round" => {
             let id = JobId(field(toks.next(), "id")?.parse().ok()?);
@@ -564,22 +501,6 @@ mod tests {
                 id: JobId(2),
                 at: SimTime(50),
             },
-            JournalRecord::MigrateBegin {
-                dp: DpId(7),
-                from: 1,
-                to: 2,
-                at: SimTime(70),
-            },
-            JournalRecord::MigrateCommitted {
-                dp: DpId(7),
-                from: 1,
-                to: 2,
-                at: SimTime(80),
-            },
-            JournalRecord::MigrateAborted {
-                dp: DpId(9),
-                at: SimTime(90),
-            },
         ]
     }
 
@@ -662,8 +583,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wal-unknown-kind.log");
         let recs = &all_records()[1..3];
+        // `shed` and the three seat-migration kinds are records of
+        // deleted features: old logs carry them, and they skip
         let log = format!(
-            "{}\nshed id=3 at=5\n{}\n",
+            "{}\nshed id=3 at=5\nmigbegin dp=7 from=1 to=2 at=70\n\
+             migcommit dp=7 from=1 to=2 at=80\nmigabort dp=9 at=90\n{}\n",
             serialize(&recs[0]),
             serialize(&recs[1])
         );

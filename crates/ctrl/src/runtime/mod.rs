@@ -31,17 +31,15 @@ pub mod fabric;
 pub mod journal;
 pub(crate) mod routes;
 pub mod rto;
-pub mod seat;
 pub mod submit;
 pub(crate) mod timers;
 
 pub use admission::Priority;
 pub use conflict::{ConflictGraph, FlowClass, Footprint, JobId};
 pub use dispatch::{ConcurrentRuntime, RetransMode, RuntimeConfig};
-pub use fabric::{FabricConfig, FabricCoordinator, MigrateError, RebalanceReport, ShardId};
+pub use fabric::{FabricConfig, FabricCoordinator, ShardId};
 pub use journal::{Journal, JournalRecord};
 pub use rto::{RtoConfig, RtoTable};
-pub use seat::SwitchSeat;
 pub use submit::{SubmitError, SubmitOutcome, SubmitRequest, SubmitTicket, TenantId};
 
 use sdn_obs::Obs;
@@ -84,11 +82,6 @@ pub struct RuntimeStats {
     pub quarantined: u64,
     /// Crash recoveries this runtime instance was rebuilt through.
     pub recoveries: u64,
-    /// Online seat migrations committed (fabric runtimes only).
-    pub migrations: u64,
-    /// Online seat migrations unwound — rejected at apply time or
-    /// rolled back to the source by crash recovery.
-    pub migration_aborts: u64,
 }
 
 impl RuntimeStats {
@@ -124,7 +117,8 @@ pub struct ShardStatus {
     pub queued: usize,
     /// Jobs the shard is executing.
     pub active: usize,
-    /// Switches the shard owns.
+    /// Switches the shard holds intended rules for (its resync
+    /// shadows, rebuilt by crash recovery).
     pub switches: usize,
 }
 
@@ -173,9 +167,6 @@ pub struct StatusReport {
     pub xshard_queued: usize,
     /// Cross-shard jobs currently executing under the coordinator.
     pub xshard_active: usize,
-    /// Switches mid-migration (seat still fenced on its source shard),
-    /// in dpid order. Empty for single-runtime controllers.
-    pub migrating: Vec<DpId>,
 }
 
 /// A controller core that accepts compiled updates and drives them to
@@ -259,13 +250,4 @@ pub trait RuntimeHandle {
     /// Attach an observability sink: lifecycle events, metrics and
     /// flight-recorder rings flow into `obs` from here on.
     fn attach_obs(&mut self, obs: Obs);
-
-    /// Start moving the per-switch seat of `dp` to shard `to`, when
-    /// this runtime is a sharded fabric. Returns whether a migration
-    /// actually began; a fabric that refuses the move (unknown switch,
-    /// same shard, already migrating) answers `false`, and so does the
-    /// default, for the unsharded runtime.
-    fn begin_seat_migration(&mut self, _dp: DpId, _to: u32, _now: SimTime) -> bool {
-        false
-    }
 }

@@ -132,20 +132,6 @@ impl RtoTable {
         backoff(self.rto(dp), attempts, self.config.max)
     }
 
-    /// Remove and return a switch's raw estimator state
-    /// `(srtt, rttvar)` in nanoseconds — the seat-migration path
-    /// carries it verbatim to another shard's table. `None` when the
-    /// switch was never sampled.
-    pub fn take(&mut self, dp: DpId) -> Option<(u64, u64)> {
-        self.switches.remove(&dp).map(|e| (e.srtt, e.rttvar))
-    }
-
-    /// Install raw estimator state taken from another table,
-    /// replacing any existing samples for `dp`.
-    pub fn restore(&mut self, dp: DpId, srtt: u64, rttvar: u64) {
-        self.switches.insert(dp, Estimator { srtt, rttvar });
-    }
-
     /// Smoothed RTT for a switch, when sampled (diagnostics).
     pub fn srtt(&self, dp: DpId) -> Option<SimDuration> {
         self.switches
@@ -224,21 +210,6 @@ mod tests {
         assert_eq!(t.backoff(DpId(1), 3), SimDuration::from_millis(40));
         assert_eq!(t.backoff(DpId(1), 4), SimDuration::from_millis(55));
         assert_eq!(t.backoff(DpId(1), 40), SimDuration::from_millis(55));
-    }
-
-    #[test]
-    fn take_and_restore_move_the_estimator_verbatim() {
-        let mut a = RtoTable::new(RtoConfig::default());
-        let mut b = RtoTable::new(RtoConfig::default());
-        for _ in 0..8 {
-            a.observe(DpId(1), SimDuration::from_millis(7));
-        }
-        let rto = a.rto(DpId(1));
-        let (srtt, rttvar) = a.take(DpId(1)).expect("sampled");
-        assert_eq!(a.take(DpId(1)), None, "second take finds nothing");
-        assert_eq!(a.sampled(), 0);
-        b.restore(DpId(1), srtt, rttvar);
-        assert_eq!(b.rto(DpId(1)), rto, "estimator moved bit-for-bit");
     }
 
     #[test]

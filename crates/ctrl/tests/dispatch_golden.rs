@@ -9,7 +9,7 @@
 //! re-indexed; a change that reorders a launch, a reap, a
 //! retransmission or an xid allocation moves them. (Two spellings are
 //! folded back, see `recorded_spelling` and `recorded_stats_spelling`:
-//! a type in the reports' `Debug` text and a field of the stats changed
+//! a type in the reports' `Debug` text and fields of the stats changed
 //! since, no decision did.) The ack-mode digest was re-recorded once,
 //! when ack mode began to finish a switch on its echo replies alone and
 //! to resend a payload as soon as a barrier reply overtook its echo
@@ -201,11 +201,14 @@ fn recorded_spelling(r: &UpdateReport) -> String {
 
 /// The stats' `Debug` text as it read when the digests were recorded:
 /// `RuntimeStats` then had a `displaced` counter after `rejected` (the
-/// drop-oldest admission policy's, which is gone), 0 in this script.
+/// drop-oldest admission policy's, which is gone) and two seat-migration
+/// counters after `recoveries` (live seat migration's, which is gone),
+/// all 0 in this script: a single runtime has no seats to move.
 fn recorded_stats_spelling(stats: &RuntimeStats) -> String {
     let text = format!("{stats:?}");
     let (head, tail) = text.split_once("completed: ").expect("a completed field");
-    format!("{head}displaced: 0, completed: {tail}")
+    let tail = tail.strip_suffix(" }").expect("a struct");
+    format!("{head}displaced: 0, completed: {tail}, migrations: 0, migration_aborts: 0 }}")
 }
 
 fn run_script(flowmod_acks: bool) -> u64 {

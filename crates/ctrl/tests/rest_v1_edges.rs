@@ -1,16 +1,11 @@
-//! REST v1 edge cases end-to-end: `POST /v1/rebalance/apply` against a
-//! live [`FabricCoordinator`] — malformed bodies, structured `409`
-//! refusals, the happy path — plus the legacy-path `308` redirect
+//! REST v1 edge cases end-to-end: the legacy-path `308` redirect
 //! bodies asserted byte for byte (pre-v1 clients parse these blind, so
-//! the exact bytes are the contract).
+//! the exact bytes are the contract), and the trace and metrics
+//! endpoints' edge contract.
 
 use sdn_ctrl::compile::{CompiledRound, CompiledUpdate};
-use sdn_ctrl::rest::json::{self, Json};
+use sdn_ctrl::rest::json;
 use sdn_ctrl::rest::router::{dispatch, Endpoint};
-use sdn_ctrl::rest::status::{
-    migrate_error_response, parse_rebalance_apply, rebalance_apply_response, status_response,
-    RebalanceApply,
-};
 use sdn_ctrl::runtime::fabric::{FabricConfig, FabricCoordinator};
 use sdn_ctrl::runtime::{Priority, RuntimeHandle};
 use sdn_openflow::flow::FlowMatch;
@@ -34,158 +29,6 @@ fn one_switch_job(label: &str, dp: u64) -> CompiledUpdate {
             pre_delay: SimDuration::ZERO,
         }],
     }
-}
-
-/// Handle a `POST /v1/rebalance/apply` request against a fabric the
-/// way an embedding binary would: route, parse, execute, render.
-fn apply(
-    fab: &mut FabricCoordinator,
-    body: &str,
-    now: SimTime,
-) -> sdn_ctrl::rest::response::Response {
-    match dispatch("POST", "/v1/rebalance/apply") {
-        Ok(Endpoint::RebalanceApply) => {}
-        other => panic!("router must accept the apply endpoint: {other:?}"),
-    }
-    let parsed = match parse_rebalance_apply(body) {
-        Ok(p) => p,
-        Err(resp) => return resp,
-    };
-    let outcome = match parsed {
-        RebalanceApply::Move { dp, to } => fab.begin_migration(dp, to, now).map(|()| vec![dp]),
-        RebalanceApply::Advice => {
-            let report = fab.rebalance_report(4);
-            fab.apply_rebalance(&report, now)
-        }
-    };
-    match outcome {
-        Ok(migrating) => rebalance_apply_response(&migrating),
-        Err(e) => migrate_error_response(&e),
-    }
-}
-
-#[test]
-fn apply_rejects_malformed_bodies_with_400() {
-    let mut fab = FabricCoordinator::new(FabricConfig {
-        shards: 2,
-        ..FabricConfig::default()
-    });
-    for body in [
-        "not json at all",
-        "[1,2,3]",
-        "42",
-        r#"{"dp": 2}"#,
-        r#"{"to": 1}"#,
-        r#"{"dp": "two", "to": 1}"#,
-        r#"{"dp": 2, "to": -1}"#,
-    ] {
-        let r = apply(&mut fab, body, SimTime(0));
-        assert_eq!(r.status, 400, "body {body:?} must be refused: {}", r.body);
-        let v = json::parse(&r.body).unwrap();
-        assert_eq!(v.get("status").unwrap().as_str(), Some("error"));
-        assert!(v.get("detail").is_some(), "refusal must say why");
-    }
-    // nothing changed on the fabric
-    assert_eq!(fab.stats().migration_aborts, 0);
-    assert!(fab.status_report().migrating.is_empty());
-}
-
-#[test]
-fn apply_unknown_switch_is_a_structured_409() {
-    let mut fab = FabricCoordinator::new(FabricConfig {
-        shards: 2,
-        ..FabricConfig::default()
-    });
-    let r = apply(&mut fab, r#"{"dp": 99, "to": 0}"#, SimTime(0));
-    assert_eq!(r.status, 409);
-    let v = json::parse(&r.body).unwrap();
-    assert_eq!(v.get("status").unwrap().as_str(), Some("conflict"));
-    assert_eq!(v.get("reason").unwrap().as_str(), Some("unknown_switch"));
-    assert_eq!(v.get("dp").unwrap().as_u64(), Some(99));
-}
-
-#[test]
-fn apply_same_shard_noop_is_a_structured_409() {
-    let mut fab = FabricCoordinator::new(FabricConfig {
-        shards: 2,
-        ..FabricConfig::default()
-    });
-    let _ = fab.submit(one_switch_job("warm", 2), SimTime(0), Priority::Normal);
-    // dp2 already lives on shard 0 under modulo 2
-    let r = apply(&mut fab, r#"{"dp": 2, "to": 0}"#, SimTime(1));
-    assert_eq!(r.status, 409);
-    let v = json::parse(&r.body).unwrap();
-    assert_eq!(v.get("reason").unwrap().as_str(), Some("same_shard"));
-    assert_eq!(v.get("dp").unwrap().as_u64(), Some(2));
-    assert_eq!(v.get("shard").unwrap().as_u64(), Some(0));
-}
-
-#[test]
-fn apply_mid_migration_repeat_is_a_structured_409() {
-    let mut fab = FabricCoordinator::new(FabricConfig {
-        shards: 2,
-        ..FabricConfig::default()
-    });
-    // an in-flight job keeps the migration fenced (uncommitted), so
-    // the repeat arrives genuinely mid-migration
-    let _ = fab.submit(one_switch_job("hold", 2), SimTime(0), Priority::Normal);
-    let _ = fab.poll(SimTime(0));
-    let first = apply(&mut fab, r#"{"dp": 2, "to": 1}"#, SimTime(1));
-    assert_eq!(first.status, 202, "{}", first.body);
-    let v = json::parse(&first.body).unwrap();
-    let Json::Arr(migrating) = v.get("migrating").unwrap() else {
-        panic!("202 must list the migrating switches");
-    };
-    assert_eq!(migrating[0].as_u64(), Some(2));
-    let repeat = apply(&mut fab, r#"{"dp": 2, "to": 1}"#, SimTime(2));
-    assert_eq!(repeat.status, 409);
-    let v = json::parse(&repeat.body).unwrap();
-    assert_eq!(v.get("reason").unwrap().as_str(), Some("already_migrating"));
-    assert_eq!(v.get("dp").unwrap().as_u64(), Some(2));
-    // the migration itself is still live and visible in /v1/status
-    let status = json::parse(&status_response(&fab.status_report()).body).unwrap();
-    let Json::Arr(m) = status.get("migrating").unwrap() else {
-        panic!("fabric status must carry the migrating list");
-    };
-    assert_eq!(m[0].as_u64(), Some(2));
-}
-
-#[test]
-fn apply_advice_body_runs_the_report_and_counters_land_in_status() {
-    let mut fab = FabricCoordinator::new(FabricConfig {
-        shards: 2,
-        ..FabricConfig::default()
-    });
-    // two hot switches on shard 0, one cool on shard 1 → one advised move
-    for (dp, times) in [(2u64, 4), (4, 3), (1, 1)] {
-        for i in 0..times {
-            let _ = fab.submit(
-                one_switch_job(&format!("w{dp}-{i}"), dp),
-                SimTime(i),
-                Priority::Normal,
-            );
-        }
-    }
-    let r = apply(&mut fab, "", SimTime(10));
-    assert_eq!(r.status, 202, "{}", r.body);
-    // `{}` is the same request
-    let again = apply(&mut fab, "{}", SimTime(11));
-    assert_eq!(
-        again.status, 409,
-        "the advised switch is already migrating: {}",
-        again.body
-    );
-    let status = json::parse(&status_response(&fab.status_report()).body).unwrap();
-    let stats = status.get("stats").unwrap();
-    assert_eq!(stats.get("migration_aborts").unwrap().as_u64(), Some(1));
-}
-
-#[test]
-fn apply_path_rejects_other_methods() {
-    let err = dispatch("GET", "/v1/rebalance/apply").unwrap_err();
-    assert_eq!(err.status, 405);
-    let v = json::parse(&err.body).unwrap();
-    assert_eq!(v.get("allow").unwrap().as_str(), Some("POST"));
 }
 
 #[test]
@@ -289,8 +132,6 @@ fn trailing_slashes_and_query_strings_resolve_on_every_v1_path() {
         ("POST", "/v1/update?tenant=3", Endpoint::Submit),
         ("GET", "/v1/status/", Endpoint::Status),
         ("GET", "/v1/status?verbose=1", Endpoint::Status),
-        ("GET", "/v1/rebalance/?limit=4", Endpoint::Rebalance),
-        ("POST", "/v1/rebalance/apply/", Endpoint::RebalanceApply),
         ("GET", "/v1/metrics/", Endpoint::Metrics),
         ("GET", "/v1/metrics?format=text", Endpoint::Metrics),
         ("GET", "/v1/trace/42/", Endpoint::Trace(42)),

@@ -251,9 +251,6 @@ const UNIVERSES: [[u64; 5]; 3] = [
     ],
 ];
 
-/// Ids no universe update touches, probed beside the universe's own.
-const STRANGERS: [u64; 3] = [6, 3 << 48, u64::MAX - 1];
-
 /// A random update over a universe small enough (5 switches, 3 hosts,
 /// ≈ 1 wildcard in 7) that shared switches, shared classes and
 /// wildcards all occur, spread over two rounds with repeats.
@@ -303,7 +300,7 @@ proptest! {
             let mut rng = DetRng::new(seed);
             // two mirrors of the same model: a bare graph taking inserts,
             // reserves and removes, and a runtime's graph driven through
-            // reserve / release / seat_quiescent
+            // admits_footprint / reserve / release
             let mut graph = ConflictGraph::new();
             let mut held: BTreeMap<JobId, RefFootprint> = BTreeMap::new();
             let mut rt = ConcurrentRuntime::new(RuntimeConfig::default());
@@ -341,10 +338,6 @@ proptest! {
                     .collect();
                 prop_assert_eq!(graph.admits(&fp), want.is_empty());
                 prop_assert_eq!(&graph.conflicts_with(&fp), &want);
-                for dp in universe.iter().chain(&STRANGERS).copied().map(DpId) {
-                    let touched = held.values().any(|h| h.contains_key(&dp));
-                    prop_assert_eq!(graph.touches(dp), touched, "touches({})", dp);
-                }
                 // insert regardless (overlapping holders coexist: the
                 // graph records, its caller decides) or only if admitted
                 if want.is_empty() || rng.chance(0.5) {
@@ -358,10 +351,6 @@ proptest! {
                 prop_assert_eq!(rt.reserve(id, &fp), free);
                 if free {
                     reserved.insert(id, reference.clone());
-                }
-                for dp in universe.iter().chain(&STRANGERS).copied().map(DpId) {
-                    let touched = reserved.values().any(|h| h.contains_key(&dp));
-                    prop_assert_eq!(rt.seat_quiescent(dp), !touched, "quiescent({})", dp);
                 }
 
                 // drop a random holder from each mirror (sometimes an

@@ -3,8 +3,8 @@
 //!
 //! Every lifecycle edge of an update — submission, admission verdict,
 //! round dispatch, per-switch sends and acks, barrier fences, commit
-//! or abort, cross-shard prepares, seat-migration fences, resync,
-//! quarantine, journal replay — emits one [`Event`]. Events carry no
+//! or abort, cross-shard prepares, resync, quarantine, journal
+//! replay — emits one [`Event`]. Events carry no
 //! heap data, so recording one is a handful of integer stores: the
 //! hot path never allocates, and two runs over the same virtual-time
 //! schedule produce byte-identical event streams.
@@ -18,7 +18,7 @@ use sdn_types::SimTime;
 pub struct SpanId(pub u64);
 
 /// No span: events about the control plane itself (faults, resync,
-/// migration, crash recovery) rather than any one update.
+/// crash recovery) rather than any one update.
 pub const NO_SPAN: SpanId = SpanId(u64::MAX);
 
 /// What happened. The taxonomy is closed on purpose: a fixed enum
@@ -58,13 +58,6 @@ pub enum EventKind {
     XPrepareAck,
     /// All shards prepared; the cross-shard job committed its ticket.
     XCommit,
-    /// A seat migration fenced `dp` on its source shard.
-    MigrateFence,
-    /// The seat landed on the destination shard (`aux` = pause width
-    /// in nanoseconds: fence → install).
-    MigrateCommit,
-    /// The migration was unwound.
-    MigrateAbort,
     /// An audit-and-repair resync opened against `dp`.
     ResyncBegin,
     /// The resync converged (`aux` = rules replayed).
@@ -90,7 +83,7 @@ pub enum EventKind {
 impl EventKind {
     /// Every kind, in ordinal order (`ALL[k as usize] == k`): the
     /// registry keeps one count per entry.
-    pub const ALL: [EventKind; 25] = [
+    pub const ALL: [EventKind; 22] = [
         EventKind::Submit,
         EventKind::Admit,
         EventKind::Reject,
@@ -104,9 +97,6 @@ impl EventKind {
         EventKind::XPrepare,
         EventKind::XPrepareAck,
         EventKind::XCommit,
-        EventKind::MigrateFence,
-        EventKind::MigrateCommit,
-        EventKind::MigrateAbort,
         EventKind::ResyncBegin,
         EventKind::ResyncDone,
         EventKind::Quarantine,
@@ -135,9 +125,6 @@ impl EventKind {
             EventKind::XPrepare => "xprepare",
             EventKind::XPrepareAck => "xprepare_ack",
             EventKind::XCommit => "xcommit",
-            EventKind::MigrateFence => "migrate_fence",
-            EventKind::MigrateCommit => "migrate_commit",
-            EventKind::MigrateAbort => "migrate_abort",
             EventKind::ResyncBegin => "resync_begin",
             EventKind::ResyncDone => "resync_done",
             EventKind::Quarantine => "quarantine",

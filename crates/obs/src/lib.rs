@@ -11,7 +11,7 @@
 //! * [`metrics`] — a [`Registry`] that counts every emitted event by
 //!   [`EventKind`], holds the transport's live-connection [`Gauge`],
 //!   and keeps log₂ [`Histogram`]s (submit→commit latency, barrier
-//!   RTT, queue depth, prepare round-trips, migration pause, and the
+//!   RTT, queue depth, prepare round-trips, and the
 //!   per-flow transient-violation window width);
 //! * [`recorder`] — a bounded per-shard flight-recorder [`Ring`] that
 //!   dumps its last N events as structured JSON on crash recovery,

@@ -36,8 +36,6 @@ pub enum HistId {
     QueueDepthAtSubmit,
     /// Prepare round-trips a cross-shard job needed before commit.
     PrepareRounds,
-    /// Seat-migration pause width (fence → install), nanoseconds.
-    MigrationPauseNs,
     /// Per-flow transient-violation window width, nanoseconds — the
     /// paper's headline quantity: first to last violating delivery of
     /// one injection plan.
@@ -65,11 +63,6 @@ pub const HIST_TABLE: &[(HistId, &str, &str)] = &[
         HistId::PrepareRounds,
         "sdn_xshard_prepare_rounds",
         "Prepare round-trips before a cross-shard commit",
-    ),
-    (
-        HistId::MigrationPauseNs,
-        "sdn_migration_pause_ns",
-        "Seat-migration pause width in virtual nanoseconds",
     ),
     (
         HistId::ViolationWindowNs,

@@ -35,16 +35,6 @@ pub enum FaultKind {
     /// write-ahead journal; every control connection's in-flight
     /// frames die with it.
     CrashController,
-    /// Operator action rather than a failure: ask a sharded fabric to
-    /// move the switch's seat to shard `to` (the live-rebalance path).
-    /// Ignored by runtimes without shards and by fabrics that refuse
-    /// the move (unknown switch, same shard, already migrating).
-    MigrateSeat {
-        /// The switch whose seat moves.
-        dp: DpId,
-        /// The destination shard.
-        to: u32,
-    },
 }
 
 /// A time-ordered script of faults.

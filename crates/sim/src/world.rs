@@ -400,8 +400,8 @@ impl World {
     /// Drain events until the queue empties or `horizon` passes.
     /// Returns the report as of the horizon. Events beyond the horizon
     /// stay queued, so the run is resumable: calling again with a later
-    /// horizon continues the same timeline — the stepping loop the
-    /// rebalance experiment uses to watch migrations land in between.
+    /// horizon continues the same timeline, so a caller can inspect
+    /// the world (status, tables, obs) between two horizons.
     pub fn run(&mut self, horizon: SimTime) -> SimReport {
         while self.queue.peek_time().is_some_and(|at| at <= horizon) {
             let (at, event) = self.queue.pop().expect("peeked event");
@@ -519,7 +519,7 @@ impl World {
 
     /// Record one injected fault as a typed event whose `aux` codes
     /// the fault (1 link-down, 2 link-up, 3 reboot,
-    /// 4 controller crash, 5 seat migration).
+    /// 4 controller crash).
     fn note_fault(&mut self, dp: Option<DpId>, kind: u64) {
         if !self.obs.is_enabled() {
             return;
@@ -608,18 +608,6 @@ impl World {
                     self.polling = true;
                     self.queue
                         .push(self.now + self.cfg.poll_interval, Event::CtrlPoll);
-                }
-            }
-            FaultKind::MigrateSeat { dp, to } => {
-                // committing the seat move happens inside the runtime's
-                // poll, so make sure one is coming even when idle
-                if self.controller.begin_seat_migration(dp, to, self.now) {
-                    self.note_fault(Some(dp), 5);
-                    if !self.polling {
-                        self.polling = true;
-                        self.queue
-                            .push(self.now + self.cfg.poll_interval, Event::CtrlPoll);
-                    }
                 }
             }
         }

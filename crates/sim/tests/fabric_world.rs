@@ -4,16 +4,14 @@
 //! transient violations and a rule-for-rule clean audit — including
 //! across a controller crash with cross-shard work in flight.
 
-use proptest::prelude::*;
-
 use sdn_channel::config::ChannelConfig;
 use sdn_ctrl::compile::{compile_schedule, initial_flowmods, CompiledUpdate, FlowSpec};
 use sdn_ctrl::executor::ExecConfig;
-use sdn_ctrl::runtime::{FabricConfig, RuntimeConfig, RuntimeStats, SubmitRequest};
+use sdn_ctrl::runtime::{FabricConfig, RuntimeConfig, SubmitRequest};
 use sdn_sim::chaos::FaultKind;
 use sdn_sim::world::{World, WorldConfig};
 use sdn_topo::gen::{self, UpdatePair};
-use sdn_types::{DetRng, DpId, SimDuration, SimTime};
+use sdn_types::{SimDuration, SimTime};
 use update_core::algorithms::{SlfGreedy, UpdateScheduler};
 use update_core::model::UpdateInstance;
 
@@ -168,175 +166,6 @@ fn coordinator_crash_with_cross_shard_work_recovers_cleanly() {
     let audit = w.audit();
     assert!(audit.is_clean(), "{audit}");
     assert_eq!(audit.untracked, 0, "recovered shadows cover every switch");
-}
-
-/// Every switch's final rule-hash list, in dpid order.
-fn final_tables(w: &World, pairs: &[UpdatePair]) -> Vec<(DpId, Vec<u64>)> {
-    gen::materialize_batch(pairs)
-        .switch_ids()
-        .map(|dp| {
-            let sw = w.switch(dp).expect("switch exists");
-            (dp, sw.table().rule_hashes())
-        })
-        .collect()
-}
-
-/// Drive the standard fabric workload with `migs` scheduled as
-/// [`FaultKind::MigrateSeat`] events, asserting full convergence (all
-/// updates commit, no transient violation, clean audit, no migration
-/// left pending); returns the final per-switch tables and the counter
-/// snapshot.
-fn converge_with_migrations(
-    pairs: &[UpdatePair],
-    seed: u64,
-    shards: u32,
-    migs: &[(SimTime, DpId, u32)],
-) -> (Vec<(DpId, Vec<u64>)>, RuntimeStats) {
-    let (mut w, compiled) = fabric_world(
-        pairs,
-        seed,
-        FabricConfig {
-            shards,
-            runtime: patient(),
-            ..FabricConfig::default()
-        },
-    );
-    for c in compiled {
-        assert!(w.submit(SubmitRequest::new(c)).is_ok());
-    }
-    for &(at, dp, to) in migs {
-        w.schedule_fault(at, FaultKind::MigrateSeat { dp, to });
-    }
-    for (i, _) in pairs.iter().enumerate() {
-        let (src, dst) = gen::batch_hosts(i);
-        w.plan_injection(src, dst, SimDuration::from_micros(500), 100, SimTime::ZERO);
-    }
-    let r = w.run(horizon());
-    assert!(
-        r.updates.iter().all(|u| u.completed.is_some()),
-        "every update must commit"
-    );
-    assert!(!r.violations.any(), "probe trace: {}", r.violations);
-    let audit = w.audit();
-    assert!(audit.is_clean(), "{audit}");
-    assert_eq!(audit.untracked, 0, "shadows cover every switch");
-    assert!(
-        w.status().migrating.is_empty(),
-        "no migration may be left pending"
-    );
-    (final_tables(&w, pairs), w.runtime().stats())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Seat migrations injected at arbitrary points during a live
-    /// fabric workload change nothing observable: zero transient
-    /// violations, every update commits, the audit is clean, and the
-    /// final flow tables are rule-for-rule identical to the same run
-    /// with no migrations at all.
-    #[test]
-    fn seat_migrations_are_transparent_to_the_update(
-        seed in any::<u64>(),
-        shards in 2u32..5,
-        k in 1usize..5,
-        mig_seed in any::<u64>(),
-    ) {
-        let pairs: Vec<UpdatePair> = (0..3)
-            .map(|i| gen::shift(&gen::reversal(8), i * 10))
-            .collect();
-        let dps: Vec<DpId> = gen::materialize_batch(&pairs).switch_ids().collect();
-        let mut rng = DetRng::new(mig_seed).derive("seat-migrations", mig_seed);
-        let migs: Vec<(SimTime, DpId, u32)> = (0..k)
-            .map(|_| {
-                let dp = dps[rng.index(dps.len())];
-                let to = rng.range_u64(0, shards as u64) as u32;
-                let at = SimTime::ZERO + SimDuration::from_micros(rng.range_u64(0, 8_000));
-                (at, dp, to)
-            })
-            .collect();
-
-        let (base_tables, base_stats) = converge_with_migrations(&pairs, seed, shards, &[]);
-        let (mig_tables, mig_stats) = converge_with_migrations(&pairs, seed, shards, &migs);
-
-        prop_assert_eq!(base_stats.migrations + base_stats.migration_aborts, 0);
-        prop_assert_eq!(
-            mig_stats.migrations + mig_stats.migration_aborts,
-            migs.len() as u64,
-            "every migration attempt must either commit or refuse"
-        );
-        prop_assert_eq!(
-            base_tables,
-            mig_tables,
-            "migrations must not change the data plane"
-        );
-    }
-}
-
-#[test]
-fn crash_mid_migration_keeps_exactly_one_owner() {
-    // A seat migration starts 1 ms in while cross-shard work keeps the
-    // fence closed, and the coordinator crashes 200 µs later — before
-    // the seat can land. Recovery must roll the torn migration back to
-    // the source shard (exactly one owner, the journalled
-    // `MigrateBegin` with no `MigrateCommitted` is aborted), and a
-    // second attempt after the dust settles must go through, proving
-    // the switch survived the crash migratable.
-    let pairs: Vec<UpdatePair> = (0..3)
-        .map(|i| gen::shift(&gen::reversal(8), i * 10))
-        .collect();
-    let (mut w, compiled) = fabric_world(
-        &pairs,
-        47,
-        FabricConfig {
-            shards: 4,
-            runtime: patient(),
-            journal: true,
-            ..FabricConfig::default()
-        },
-    );
-    for c in compiled {
-        assert!(w.submit(SubmitRequest::new(c)).is_ok());
-    }
-    let dp = DpId(2); // shard 2 under modulo 4; mid-path, so it is busy
-    let to = 3u32;
-    let ms = SimDuration::from_millis(1);
-    w.schedule_fault(SimTime::ZERO + ms, FaultKind::MigrateSeat { dp, to });
-    w.schedule_fault(
-        SimTime::ZERO + ms + SimDuration::from_micros(200),
-        FaultKind::CrashController,
-    );
-    w.schedule_fault(
-        SimTime::ZERO + SimDuration::from_millis(200),
-        FaultKind::MigrateSeat { dp, to },
-    );
-    for (i, _) in pairs.iter().enumerate() {
-        let (src, dst) = gen::batch_hosts(i);
-        w.plan_injection(src, dst, SimDuration::from_micros(500), 200, SimTime::ZERO);
-    }
-    let r = w.run(horizon());
-
-    assert_eq!(w.controller_crashes(), 1);
-    let stats = w.runtime().stats();
-    assert_eq!(stats.recoveries, 1, "the journal must rebuild the fabric");
-    // first attempt torn by the crash (rolled back: one abort), second
-    // attempt committed (one migration) — never two owners
-    assert_eq!(stats.migration_aborts, 1, "torn migration must roll back");
-    assert_eq!(stats.migrations, 1, "retry after recovery must commit");
-    assert!(
-        w.status().migrating.is_empty(),
-        "no migration may be left pending"
-    );
-    assert!(
-        r.updates
-            .iter()
-            .all(|u| u.completed.is_some() || u.failure.is_some()),
-        "no update may be left in limbo"
-    );
-    assert!(!r.violations.any(), "probe trace: {}", r.violations);
-    let audit = w.audit();
-    assert!(audit.is_clean(), "{audit}");
-    assert_eq!(audit.untracked, 0, "exactly one shard owns every switch");
 }
 
 #[test]
