@@ -23,6 +23,11 @@
 #   shard split ({split_,Split}{s,S}chedule, {round_o,RoundO}wner) and
 #   Sharded{Report}
 #                              -> checker::verify_schedule before submit
+#   the second whole-schedule verifier verify_schedule_{incremental}
+#   and its bench ids checker/verify_reversal256_slf_{stateless,incremental}
+#                              -> checker::verify_schedule (strong loop
+#                                 freedom through its cross-round session),
+#                                 bench checker/verify_reversal256_slf
 #   the OpenFlow mirror types Wire{Message,Frame,FlowMod,Match,Action,
 #   PhyPort,SwitchFeatures}    -> the message model, written and read
 #                                 directly by codec::{try_encode_into,decode}
@@ -86,7 +91,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PATTERN='\b(UpdateRuntime|with_runtime|submit_update|runtime_stats|set_switch_channel|clear_switch_channel)\b|ControllerConfig|Controller::new|\.serial\(\)'
-PATTERN+='|\bverify_schedule_(parallel|sharded)\b|\bcheck_round_(sampled)\b'
+PATTERN+='|\bverify_schedule_(parallel|sharded|incremental)\b|\bcheck_round_(sampled)\b'
+PATTERN+='|\bverify_reversal256_slf_(stateless|incremental)\b'
 PATTERN+='|\b(split_s|SplitS)chedule\b|\b(round_o|RoundO)wner\b|\bSharded(Report)\b'
 PATTERN+='|\bWire(Message|Frame|FlowMod|Match|Action|PhyPort|SwitchFeatures)\b'
 PATTERN+='|\b(encode_to|is_poisoned|drain_lossy|try_encode)\b'

@@ -1,12 +1,11 @@
-//! Micro-benchmark: transient verification cost — the stateless
-//! verifier against the incremental (cross-round session) engine on
-//! the same schedules.
+//! Micro-benchmark: transient verification cost of `verify_schedule`
+//! on small schedules and on a Θ(n)-round strong-loop-freedom one.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use sdn_topo::builders::figure1;
 use update_core::algorithms::{Peacock, SlfGreedy, UpdateScheduler, WayUp};
-use update_core::checker::{verify_schedule, verify_schedule_incremental};
+use update_core::checker::verify_schedule;
 use update_core::model::UpdateInstance;
 use update_core::properties::PropertySet;
 
@@ -50,23 +49,14 @@ fn bench_checker(c: &mut Criterion) {
     });
 
     // Whole-schedule verification at scale: the Θ(n)-round SLF
-    // schedule is where per-round rebuilds hurt; the incremental
-    // verifier reuses the cross-round session state instead.
+    // schedule, where the cross-round session saves a choice-graph
+    // rebuild per round.
     let big = sdn_topo::gen::reversal(256);
     let big_inst = UpdateInstance::new(big.old, big.new, None).unwrap();
     let big_sched = SlfGreedy::default().schedule(&big_inst).unwrap();
-    c.bench_function("checker/verify_reversal256_slf_stateless", |b| {
+    c.bench_function("checker/verify_reversal256_slf", |b| {
         b.iter(|| {
             verify_schedule(
-                black_box(&big_inst),
-                black_box(&big_sched),
-                PropertySet::loop_free_strong(),
-            )
-        })
-    });
-    c.bench_function("checker/verify_reversal256_slf_incremental", |b| {
-        b.iter(|| {
-            verify_schedule_incremental(
                 black_box(&big_inst),
                 black_box(&big_sched),
                 PropertySet::loop_free_strong(),

@@ -2,7 +2,8 @@
 //!
 //! Compares a fresh `exp_rounds_scaling` JSON export against a
 //! committed baseline (`BENCH_E3.json`) and exits non-zero when any
-//! per-schedule timing regressed beyond the noise threshold. Run by
+//! per-schedule timing regressed beyond the noise threshold, or when a
+//! baseline record the run should have produced is missing. Run by
 //! the `bench-smoke` job in `.github/workflows/ci.yml`:
 //!
 //! ```text
@@ -82,21 +83,34 @@ fn main() {
         .iter()
         .filter(|c| c.verdict == Verdict::Regressed)
         .collect();
+    let missing: Vec<_> = comparisons
+        .iter()
+        .filter(|c| c.verdict == Verdict::Missing)
+        .collect();
     let skipped = comparisons
         .iter()
         .filter(|c| c.verdict == Verdict::Skipped)
         .count();
     println!(
-        "\n{} compared, {} regressed, {} skipped (no baseline)",
-        comparisons.len(),
+        "\n{} compared, {} regressed, {} missing, {} skipped (no baseline)",
+        comparisons.len() - missing.len(),
         regressed.len(),
+        missing.len(),
         skipped
     );
     if !regressed.is_empty() {
         eprintln!("\nperformance regressions detected:");
-        for c in regressed {
+        for c in &regressed {
             eprintln!("  {c}");
         }
+    }
+    if !missing.is_empty() {
+        eprintln!("\nbaseline records the current run did not produce:");
+        for c in &missing {
+            eprintln!("  {c}");
+        }
+    }
+    if !regressed.is_empty() || !missing.is_empty() {
         std::process::exit(1);
     }
 }

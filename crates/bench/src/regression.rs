@@ -11,9 +11,11 @@
 //! microsecond-scale jitter from failing builds. Records without a
 //! baseline counterpart (new workloads, larger n) are reported as
 //! skipped, never failed — the gate only defends numbers that were
-//! already achieved.
+//! already achieved. A baseline record the current run should have
+//! produced but did not (a renamed or dropped label) is reported as
+//! missing and fails, so no defended row drops out silently.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use sdn_ctrl::rest::json::Json;
@@ -62,7 +64,7 @@ pub fn records_of(doc: &Json) -> Result<Vec<BenchRecord>, String> {
     Ok(out)
 }
 
-/// How one current record compares against the baseline.
+/// How one record compares against the baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Within the threshold (or below the absolute noise floor).
@@ -71,13 +73,17 @@ pub enum Verdict {
     Regressed,
     /// No baseline record with the same (workload, algo, n).
     Skipped,
+    /// A baseline record with no current counterpart, although the
+    /// current run has records for its (workload, n).
+    Missing,
 }
 
 /// One comparison row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Comparison {
-    /// The current record.
-    pub current: BenchRecord,
+    /// The current record; for [`Verdict::Missing`], the baseline
+    /// record the current run lacks.
+    pub record: BenchRecord,
     /// Baseline milliseconds, when a matching record exists.
     pub baseline_ms: Option<f64>,
     /// The verdict under the thresholds given to [`compare`].
@@ -86,34 +92,36 @@ pub struct Comparison {
 
 impl fmt::Display for Comparison {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let c = &self.current;
-        match self.baseline_ms {
-            Some(b) => write!(
+        let c = &self.record;
+        let label = format!("{}/{}", c.workload, c.algo);
+        match (self.verdict, self.baseline_ms) {
+            (Verdict::Missing, _) => write!(
                 f,
-                "{:9} {:>22} n={:<5} {:>10.3} ms vs {:>10.3} ms ({:>5.2}x) {}",
-                match self.verdict {
-                    Verdict::Ok => "ok",
-                    Verdict::Regressed => "REGRESSED",
-                    Verdict::Skipped => "skipped",
+                "{:9} {label:>22} n={:<5} {:>10.3} ms in the baseline, no current record",
+                "MISSING", c.n, c.ms,
+            ),
+            (verdict, Some(b)) => write!(
+                f,
+                "{:9} {label:>22} n={:<5} {:>10.3} ms vs {:>10.3} ms ({:>5.2}x) {}",
+                if verdict == Verdict::Regressed {
+                    "REGRESSED"
+                } else {
+                    "ok"
                 },
-                format!("{}/{}", c.workload, c.algo),
                 c.n,
                 c.ms,
                 b,
                 if b > 0.0 { c.ms / b } else { f64::INFINITY },
-                if self.verdict == Verdict::Regressed {
+                if verdict == Verdict::Regressed {
                     "<-- over threshold"
                 } else {
                     ""
                 }
             ),
-            None => write!(
+            (_, None) => write!(
                 f,
-                "{:9} {:>22} n={:<5} {:>10.3} ms (no baseline)",
-                "skipped",
-                format!("{}/{}", c.workload, c.algo),
-                c.n,
-                c.ms,
+                "{:9} {label:>22} n={:<5} {:>10.3} ms (no baseline)",
+                "skipped", c.n, c.ms,
             ),
         }
     }
@@ -124,6 +132,10 @@ impl fmt::Display for Comparison {
 /// A record regresses when `ms > threshold × baseline_ms` **and**
 /// `ms > floor_ms` — the floor absorbs scheduler-noise on
 /// sub-millisecond rows where a 3× ratio is meaningless.
+///
+/// After the current records come the baseline records the current run
+/// lacks, as [`Verdict::Missing`] — only those whose (workload, n) the
+/// current run measured, so rows above its `--max-n` stay out of scope.
 pub fn compare(
     baseline: &[BenchRecord],
     current: &[BenchRecord],
@@ -131,6 +143,16 @@ pub fn compare(
     floor_ms: f64,
 ) -> Vec<Comparison> {
     let by_key: BTreeMap<_, f64> = baseline.iter().map(|r| (r.key(), r.ms)).collect();
+    let produced: BTreeSet<_> = current.iter().map(BenchRecord::key).collect();
+    let measured: BTreeSet<_> = current.iter().map(|r| (r.workload.as_str(), r.n)).collect();
+    let missing = baseline
+        .iter()
+        .filter(|b| measured.contains(&(b.workload.as_str(), b.n)) && !produced.contains(&b.key()))
+        .map(|b| Comparison {
+            record: b.clone(),
+            baseline_ms: Some(b.ms),
+            verdict: Verdict::Missing,
+        });
     current
         .iter()
         .map(|r| {
@@ -146,11 +168,12 @@ pub fn compare(
                 }
             };
             Comparison {
-                current: r.clone(),
+                record: r.clone(),
                 baseline_ms,
                 verdict,
             }
         })
+        .chain(missing)
         .collect()
 }
 
@@ -195,6 +218,28 @@ mod tests {
         assert_eq!(cmp[0].verdict, Verdict::Regressed);
         assert_eq!(cmp[1].verdict, Verdict::Ok);
         assert_eq!(cmp[2].verdict, Verdict::Skipped);
+    }
+
+    #[test]
+    fn flags_a_baseline_row_the_current_run_dropped() {
+        let baseline = vec![
+            rec("fat_tree", "verify-incremental", 512, 4.0),
+            rec("fat_tree", "peacock-wayup", 512, 3.0),
+            rec("fat_tree", "verify-incremental", 4096, 30.0), // above --max-n
+        ];
+        let current = vec![
+            rec("fat_tree", "verify", 512, 4.0), // renamed label
+            rec("fat_tree", "peacock-wayup", 512, 3.0),
+        ];
+        let cmp = compare(&baseline, &current, 3.0, 5.0);
+        let verdicts: Vec<_> = cmp.iter().map(|c| c.verdict).collect();
+        assert_eq!(
+            verdicts,
+            [Verdict::Skipped, Verdict::Ok, Verdict::Missing],
+            "{cmp:?}"
+        );
+        assert_eq!(cmp[2].record, baseline[0]);
+        assert!(cmp[2].to_string().starts_with("MISSING"));
     }
 
     #[test]

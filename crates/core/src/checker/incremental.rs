@@ -812,10 +812,11 @@ impl<'a> AdmissionProbe<'a> {
     ///
     /// `ops` must cover the currently accepted set: use
     /// [`commit_round`](AdmissionProbe::commit_round) to commit what
-    /// the session admitted, or call this with nothing accepted to
-    /// advance past a round decided elsewhere (the greedy engine's
-    /// exact-oracle fallback, the incremental verifier's violating
-    /// rounds).
+    /// the session admitted, or call this to advance past a round
+    /// decided elsewhere (the greedy engine's exact-oracle fallback;
+    /// [`verify_schedule`](super::verify_schedule), which pushes a
+    /// round's operations until one is rejected, then advances past
+    /// all of them).
     pub fn advance(&mut self, ops: &[RuleOp]) {
         debug_assert!(
             self.accepted.iter().all(|a| ops.contains(a)),

@@ -22,14 +22,13 @@
 //! * [`exhaustive`] — brute force over all `2^|round|` subsets; the
 //!   reference the other two are cross-validated against in tests.
 //!
-//! Two whole-schedule verifiers run the exact per-round check (SLF
-//! through the choice graph, then the walk properties through the
-//! decision walk) and the final-configuration check:
-//! [`verify_schedule`] on every round, from scratch;
-//! [`verify_schedule_incremental`] only on the rounds a cross-round
-//! [`AdmissionProbe`] session rejects, so the two report identical
-//! violations. [`round_admissible`] exposes the per-round machinery as
-//! a *stateless* safety oracle, and [`incremental::AdmissionProbe`] is
+//! One whole-schedule verifier, [`verify_schedule`], runs the exact
+//! checks on every round — the walk properties through the decision
+//! walk, strong loop freedom through a cross-round [`AdmissionProbe`]
+//! session that falls back to the choice graph only on the rounds it
+//! rejects, for their witnesses — and the final-configuration check.
+//! [`round_admissible`] exposes the per-round machinery as a
+//! *stateless* safety oracle, and [`incremental::AdmissionProbe`] is
 //! its stateful session form: the greedy schedulers open one probe per
 //! round and grow the candidate set one operation at a time against
 //! incrementally maintained choice-graph, cycle-detection and walk
@@ -92,7 +91,12 @@ pub struct CheckReport {
     /// Set when the schedule is structurally invalid (duplicate ops,
     /// wrong roles, kind mismatch); no transient analysis is run then.
     pub structural_error: Option<String>,
-    /// Number of concrete configurations examined.
+    /// Number of concrete configurations examined: the decision walk's
+    /// explored leaves, plus one for the final configuration. Under
+    /// strong loop freedom it also counts one per operation pushed into
+    /// the cross-round session (each push is one probe of a candidate
+    /// set) and one per tag-class choice graph rebuilt on a rejected
+    /// round.
     pub configs_checked: u64,
     /// Number of rounds examined.
     pub rounds_checked: usize,
@@ -143,10 +147,22 @@ impl fmt::Display for CheckReport {
 
 /// Verify a schedule against a property set, using the exact engines.
 ///
-/// The walk-based properties are checked with [`decision_walk`]
-/// (exact); strong loop freedom with [`choice_graph`] (exact). The
-/// final configuration is additionally required to deliver along the
-/// new route (and via the waypoint, when one is set).
+/// The walk-based properties are checked round by round with
+/// [`decision_walk`] (exact). Strong loop freedom is checked through
+/// one exact-mode, SLF-only [`AdmissionProbe`] carried across the
+/// whole schedule: each round's operations are pushed into it one by
+/// one, and a round whose every push is admitted is safe (the admitted
+/// set *is* the round). A rejected push proves the round unsafe — every
+/// transient state of the pushed prefix is one of the round's — and
+/// only then is the round rebuilt by [`choice_graph::check_round_slf`]
+/// (exact) for its violation witnesses. Either way the session then
+/// advances past the full round, reusing its class graphs and
+/// topological order, so an n-round SLF schedule costs O(total deltas ·
+/// polylog) instead of a choice-graph rebuild per round. Without strong
+/// loop freedom no session is opened. A round's SLF violations are
+/// reported before its walk violations. The final configuration is
+/// additionally required to deliver along the new route (and via the
+/// waypoint, when one is set).
 pub fn verify_schedule(
     inst: &UpdateInstance,
     schedule: &Schedule,
@@ -159,54 +175,41 @@ pub fn verify_schedule(
     }
 
     let mut base = ConfigState::initial(inst);
+    let slf = PropertySet::none().with(Property::StrongLoopFreedom);
+    let mut session = props
+        .contains(Property::StrongLoopFreedom)
+        .then(|| AdmissionProbe::open(inst, &base, slf, OracleMode::Exact));
+    let walk_props = props.without(Property::StrongLoopFreedom);
     for (ri, round) in schedule.rounds.iter().enumerate() {
         report.rounds_checked += 1;
-        check_round_exact(inst, &base, &round.ops, ri, &props, &mut report);
+        let mut merge = |mut sub: CheckReport| {
+            for v in &mut sub.violations {
+                v.round = Some(ri);
+            }
+            report.merge(sub);
+        };
+        if let Some(session) = &mut session {
+            if !round.ops.iter().all(|&op| session.try_push(op)) {
+                merge(choice_graph::check_round_slf(inst, &base, &round.ops));
+            }
+            session.advance(&round.ops);
+        }
+        if !walk_props.is_empty() {
+            merge(decision_walk::check_round(
+                inst,
+                &base,
+                &round.ops,
+                &walk_props,
+            ));
+        }
         base.apply_all(&round.ops);
     }
+    report.configs_checked += session.map_or(0, |s| s.probes());
 
-    final_config_checks(inst, &base, &props, &mut report);
-    report
-}
-
-/// The exact check of round `ri` on `base`, merged into `report`:
-/// strong loop freedom through [`choice_graph::check_round_slf`], then
-/// the walk properties through [`decision_walk::check_round`], every
-/// violation stamped with the round index.
-fn check_round_exact(
-    inst: &UpdateInstance,
-    base: &ConfigState<'_>,
-    ops: &[RuleOp],
-    ri: usize,
-    props: &PropertySet,
-    report: &mut CheckReport,
-) {
-    let mut merge = |mut sub: CheckReport| {
-        for v in &mut sub.violations {
-            v.round = Some(ri);
-        }
-        report.merge(sub);
-    };
-    if props.contains(Property::StrongLoopFreedom) {
-        merge(choice_graph::check_round_slf(inst, base, ops));
-    }
-    let walk_props = props.without(Property::StrongLoopFreedom);
-    if !walk_props.is_empty() {
-        merge(decision_walk::check_round(inst, base, ops, &walk_props));
-    }
-}
-
-/// Final-configuration checks shared by both whole-schedule verifiers:
-/// all properties must hold, and the packet must follow the *new*
-/// route (policy conformance).
-fn final_config_checks(
-    inst: &UpdateInstance,
-    base: &ConfigState<'_>,
-    props: &PropertySet,
-    report: &mut CheckReport,
-) {
+    // The final configuration: every property must hold, and the
+    // packet must follow the *new* route (policy conformance).
     report.configs_checked += 1;
-    for pv in check_config(base, props) {
+    for pv in check_config(&base, &props) {
         report.violations.push(Violation {
             round: None,
             witness: Vec::new(),
@@ -225,53 +228,6 @@ fn final_config_checks(
             },
         });
     }
-}
-
-/// Incremental whole-schedule verification: round-to-round state reuse
-/// instead of `verify_schedule`'s per-round rebuilds.
-///
-/// One exact-mode [`AdmissionProbe`] session is carried across the
-/// whole schedule. Each round's operations are pushed into it one by
-/// one. If every push is admitted, the round as a whole is exactly safe
-/// (the admitted set *is* the round). If any push is rejected, the
-/// round is provably unsafe — a round's transient states are all
-/// subsets of its operation set, so the subset that made the push
-/// inadmissible is a transient state of the full round too — and the
-/// round is re-checked by the stateless engines to reconstruct the
-/// exact violation witnesses, which makes the reported violations
-/// **identical** to [`verify_schedule`]'s. Either way the session then
-/// advances past the *full* round (violating schedules apply their
-/// rounds regardless), reusing the maintained topological order,
-/// touched sets and reach caches, so verifying an n-round schedule
-/// costs O(total deltas · polylog) instead of O(rounds × n).
-///
-/// The stateless verifier remains the cross-validation reference
-/// (`checker_cross_validation.rs`). `configs_checked` counts probe
-/// evaluations rather than explored leaves, so only the verdict and
-/// violations are comparable between the two verifiers.
-pub fn verify_schedule_incremental(
-    inst: &UpdateInstance,
-    schedule: &Schedule,
-    props: PropertySet,
-) -> CheckReport {
-    let mut report = CheckReport::default();
-    if let Err(e) = schedule.validate(inst) {
-        report.structural_error = Some(e.to_string());
-        return report;
-    }
-    let initial = ConfigState::initial(inst);
-    let mut session = AdmissionProbe::open(inst, &initial, props, OracleMode::Exact);
-    for (ri, round) in schedule.rounds.iter().enumerate() {
-        report.rounds_checked += 1;
-        if !round.ops.iter().all(|&op| session.try_push(op)) {
-            check_round_exact(inst, session.base(), &round.ops, ri, &props, &mut report);
-        }
-        session.advance(&round.ops);
-    }
-    // Probes are the incremental analogue of examined configurations.
-    report.configs_checked += session.probes();
-    report.budget_exhausted |= session.walk_budget_exhausted();
-    final_config_checks(inst, session.base(), &props, &mut report);
     report
 }
 
@@ -437,9 +393,8 @@ mod tests {
         assert!(r.to_string().starts_with("OK"));
     }
 
-    /// Every scheduler's schedule on two instances, verified by both
-    /// whole-schedule verifiers: rounds, configurations, budget flag
-    /// (stateless/incremental) and the text of every violation.
+    /// Every scheduler's schedule on two instances, verified: rounds,
+    /// configurations, budget flag and the text of every violation.
     fn golden_report() -> String {
         use crate::algorithms::{
             OneShot, Peacock, SlfGreedy, TwoPhaseCommit, UpdateScheduler, WayUp,
@@ -477,21 +432,14 @@ mod tests {
                     }
                 };
                 for &(pname, props) in prop_sets {
-                    let a = verify_schedule(inst, &s, props);
-                    let b = verify_schedule_incremental(inst, &s, props);
-                    assert_eq!(a.violations, b.violations, "{iname} {sname} {pname}");
+                    let r = verify_schedule(inst, &s, props);
                     writeln!(
                         out,
-                        "{iname} {sname} {pname}: rounds {}/{} configs {}/{} budget {}/{}",
-                        a.rounds_checked,
-                        b.rounds_checked,
-                        a.configs_checked,
-                        b.configs_checked,
-                        a.budget_exhausted,
-                        b.budget_exhausted
+                        "{iname} {sname} {pname}: rounds {} configs {} budget {}",
+                        r.rounds_checked, r.configs_checked, r.budget_exhausted
                     )
                     .unwrap();
-                    for v in &a.violations {
+                    for v in &r.violations {
                         writeln!(out, "  {v}").unwrap();
                     }
                 }
@@ -500,8 +448,10 @@ mod tests {
         out
     }
 
-    /// Recorded before the checker's entry points were consolidated;
-    /// a refactor of either verifier must leave every line alone.
+    /// Recorded before the checker's entry points were consolidated
+    /// (the configuration counts of the SLF rows re-recorded when
+    /// strong loop freedom moved to the cross-round session); a
+    /// refactor of the verifier must leave every line alone.
     #[test]
     fn golden_verifier_counts() {
         let got = golden_report();

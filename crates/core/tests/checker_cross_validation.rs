@@ -6,10 +6,11 @@
 //! in both oracle modes — per round *and* carried across rounds
 //! through `commit_round`/`advance` along full greedy trajectories —
 //! while a rejected push leaves no trace in the structures it patches
-//! in place, and the incremental whole-schedule verifier must report
-//! exactly the stateless [`verify_schedule`]'s violations
-//! on permutation, reversal, rotation, comb, waypointed and fat-tree
-//! workloads, violating schedules included.
+//! in place, and [`verify_schedule`] (strong loop freedom through its
+//! cross-round session) must report exactly the violations of a
+//! stateless per-round rebuild on permutation, reversal, rotation,
+//! comb, waypointed and fat-tree workloads, violating schedules
+//! included.
 
 use proptest::prelude::*;
 
@@ -22,12 +23,14 @@ use update_core::checker::choice_graph::{check_round_slf, round_safe_conservativ
 use update_core::checker::decision_walk::check_round;
 use update_core::checker::exhaustive::check_round_exhaustive;
 use update_core::checker::{
-    round_admissible, verify_schedule, verify_schedule_incremental, AdmissionProbe, OracleMode,
+    round_admissible, verify_schedule, AdmissionProbe, OracleMode, Violation,
 };
 use update_core::config::ConfigState;
 use update_core::model::{NodeRole, UpdateInstance};
-use update_core::properties::{Property, PropertySet};
-use update_core::schedule::{RuleOp, Schedule};
+use update_core::properties::{
+    check_config, Property, PropertySet, PropertyViolation, ViolationKind,
+};
+use update_core::schedule::{Round, RuleOp, Schedule};
 
 /// Build a random instance plus a random (base, round) split of its
 /// shared activations, with optional waypoint.
@@ -255,6 +258,8 @@ proptest! {
         let mut prop_sets = vec![
             PropertySet::loop_free_relaxed(),
             PropertySet::loop_free_strong(),
+            // the session `verify_schedule` opens
+            PropertySet::none().with(Property::StrongLoopFreedom),
         ];
         if inst.waypoint().is_some() {
             prop_sets.push(PropertySet::transiently_secure());
@@ -345,44 +350,116 @@ proptest! {
         }
     }
 
-    /// The incremental whole-schedule verifier must report exactly
-    /// the stateless verifier's verdict and violations
-    /// on real scheduler output — including violating schedules
-    /// (one-shot; Peacock audited under strong loop freedom).
+    /// `verify_schedule` must report exactly the verdict and
+    /// violations of the stateless per-round rebuild
+    /// ([`stateless_violations`]) on real scheduler output — including
+    /// violating schedules (one-shot; Peacock audited under strong loop
+    /// freedom, which exercises the session's witness-rebuild path).
     #[test]
-    fn incremental_verifier_matches_stateless(
+    fn verifier_matches_stateless_reference(
         seed in 0u64..1_000_000,
         n in 4u64..10,
         family in 0u8..4,
     ) {
         let mut rng = DetRng::new(seed ^ 0x5eed);
         let (inst, props) = instance_of_family(family, n, &mut rng);
-        let mut cases: Vec<(Schedule, PropertySet)> = Vec::new();
-        cases.push((OneShot.schedule(&inst).unwrap(), props));
-        cases.push((TwoPhaseCommit.schedule(&inst).unwrap(), props));
-        cases.push((SlfGreedy::default().schedule(&inst).unwrap(), PropertySet::loop_free_strong()));
+        let slf = PropertySet::none().with(Property::StrongLoopFreedom);
+        let one_shot = OneShot.schedule(&inst).unwrap();
+        let two_phase = TwoPhaseCommit.schedule(&inst).unwrap();
         let peacock = Peacock::default().schedule(&inst).unwrap();
-        // Auditing a relaxed schedule under SLF props yields rule-cycle
-        // violations: the fallback witness path must match too.
-        cases.push((peacock.clone(), PropertySet::loop_free_strong()));
-        cases.push((peacock, PropertySet::loop_free_relaxed()));
+        let mut cases: Vec<(Schedule, PropertySet)> = vec![
+            // Shuffled across rounds, violating rounds are followed by
+            // rounds the session must check from the forced-through base.
+            (scrambled(&one_shot, &mut rng), slf),
+            (scrambled(&one_shot, &mut rng), props.with(Property::StrongLoopFreedom)),
+            (scrambled(&two_phase, &mut rng), PropertySet::loop_free_strong()),
+            (one_shot.clone(), props),
+            (one_shot, slf),
+            (two_phase, props),
+            (SlfGreedy::default().schedule(&inst).unwrap(), PropertySet::loop_free_strong()),
+            // Auditing a relaxed schedule under SLF props yields
+            // rule-cycle violations: the witness-rebuild path must
+            // match too.
+            (peacock.clone(), PropertySet::loop_free_strong()),
+            (peacock.clone(), slf),
+            (peacock, PropertySet::loop_free_relaxed()),
+        ];
         if inst.waypoint().is_some() {
             cases.push((WayUp::default().schedule(&inst).unwrap(), PropertySet::transiently_secure()));
         }
         for (schedule, props) in cases {
-            let reference = verify_schedule(&inst, &schedule, props);
-            let incremental = verify_schedule_incremental(&inst, &schedule, props);
+            let reference = stateless_violations(&inst, &schedule, props);
+            let report = verify_schedule(&inst, &schedule, props);
             prop_assert_eq!(
-                incremental.is_ok(), reference.is_ok(),
+                report.is_ok(), reference.is_empty(),
                 "{} schedule {} props {:?}", inst, schedule.algorithm, props
             );
             prop_assert_eq!(
-                &incremental.violations, &reference.violations,
+                &report.violations, &reference,
                 "{} schedule {} props {:?}", inst, schedule.algorithm, props
             );
-            prop_assert_eq!(incremental.rounds_checked, reference.rounds_checked);
+            prop_assert_eq!(report.rounds_checked, schedule.rounds.len());
         }
     }
+}
+
+/// `schedule`'s operations shuffled and cut into up to four rounds.
+fn scrambled(schedule: &Schedule, rng: &mut DetRng) -> Schedule {
+    let mut ops: Vec<RuleOp> = schedule.all_ops().map(|(_, &op)| op).collect();
+    for i in (1..ops.len()).rev() {
+        ops.swap(i, rng.index(i + 1));
+    }
+    let per_round = ops.len().div_ceil(1 + rng.index(4));
+    Schedule {
+        rounds: ops
+            .chunks(per_round)
+            .map(|c| Round::new(c.to_vec()))
+            .collect(),
+        algorithm: format!("scrambled {}", schedule.algorithm),
+        ..schedule.clone()
+    }
+}
+
+/// The stateless whole-schedule reference: every round rebuilt from its
+/// base — strong loop freedom through the choice graph, then the walk
+/// properties through the decision walk — and the final configuration
+/// checked against every property and the new route.
+fn stateless_violations(
+    inst: &UpdateInstance,
+    schedule: &Schedule,
+    props: PropertySet,
+) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let mut base = ConfigState::initial(inst);
+    let walk_props = props.without(Property::StrongLoopFreedom);
+    for (ri, round) in schedule.rounds.iter().enumerate() {
+        let mut round_violations = Vec::new();
+        if props.contains(Property::StrongLoopFreedom) {
+            round_violations.extend(check_round_slf(inst, &base, &round.ops).violations);
+        }
+        if !walk_props.is_empty() {
+            round_violations.extend(check_round(inst, &base, &round.ops, &walk_props).violations);
+        }
+        for mut v in round_violations {
+            v.round = Some(ri);
+            out.push(v);
+        }
+        base.apply_all(&round.ops);
+    }
+    let final_violation = |violation| Violation {
+        round: None,
+        witness: Vec::new(),
+        violation,
+    };
+    out.extend(check_config(&base, &props).into_iter().map(final_violation));
+    let walk = base.walk();
+    if walk.visited != inst.new_route().hops() {
+        out.push(final_violation(PropertyViolation {
+            property: Property::RelaxedLoopFreedom,
+            kind: ViolationKind::BadWalk(walk),
+        }));
+    }
+    out
 }
 
 /// Deterministic session-vs-stateless audit along a realistic greedy

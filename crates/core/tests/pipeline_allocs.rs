@@ -1,23 +1,28 @@
 //! Allocation budget of update preparation on the dense switch index:
 //! building the instance, applying operations to a configuration,
 //! Peacock's schedule and its `transiently_secure()` verification, all
-//! on `gen::reversal(256)` — the shape of the `reversal_wide` workload.
+//! on `gen::reversal(256)` — the shape of the `reversal_wide` workload —
+//! and the `loop_free_strong()` verification of SLF-greedy's 254-round
+//! schedule of the same reversal.
 //!
 //! A counting global allocator counts the calling thread's allocations
 //! and reallocations. Measured in a release build, beside the ordered-
-//! map model the dense switch index replaced (`ec97f94`):
+//! map model the dense switch index replaced (`ec97f94`); the SLF row's
+//! last column is the per-round choice-graph rebuild (`0dcebe9`) that
+//! the cross-round session replaced:
 //!
-//! | stage                            | budget | measured | ordered maps |
-//! |----------------------------------|--------|----------|--------------|
-//! | `UpdateInstance::new`            | 16     | 3        | 211          |
-//! | `ConfigState::apply` × 255       | 0      | 0        | 42           |
-//! | `Peacock::schedule`              | 279    | 143      | 279          |
-//! | `verify_schedule`, passing       | 64     | 19       | 514          |
+//! | stage                            | budget | measured | before  |
+//! |----------------------------------|--------|----------|---------|
+//! | `UpdateInstance::new`            | 16     | 3        | 211     |
+//! | `ConfigState::apply` × 255       | 0      | 0        | 42      |
+//! | `Peacock::schedule`              | 279    | 143      | 279     |
+//! | `verify_schedule`, passing       | 64     | 19       | 514     |
+//! | `verify_schedule`, SLF-greedy    | 1600   | 1321     | 220 483 |
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use update_core::algorithms::{Peacock, UpdateScheduler};
+use update_core::algorithms::{Peacock, SlfGreedy, UpdateScheduler};
 use update_core::checker::verify_schedule;
 use update_core::config::ConfigState;
 use update_core::model::UpdateInstance;
@@ -108,4 +113,13 @@ fn verifying_a_passing_schedule_allocates_at_most_64_times() {
         allocs(|| verify_schedule(&inst, &schedule, PropertySet::transiently_secure()));
     assert!(report.is_ok(), "{report}");
     assert!(n <= 64, "{n} allocations to verify");
+}
+
+#[test]
+fn verifying_an_slf_schedule_allocates_at_most_1600_times() {
+    let inst = reversal();
+    let schedule = SlfGreedy::default().schedule(&inst).unwrap();
+    let (report, n) = allocs(|| verify_schedule(&inst, &schedule, PropertySet::loop_free_strong()));
+    assert!(report.is_ok(), "{report}");
+    assert!(n <= 1600, "{n} allocations to verify");
 }
