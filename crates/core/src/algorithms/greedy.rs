@@ -14,8 +14,12 @@
 //! region it affects, and under the static orderings a candidate whose
 //! rejection the session can pin on one uncommitted switch is parked
 //! until that switch commits, so the Θ(n) one-switch rounds strong
-//! loop freedom forces on a reversal take Θ(n) probes in all. The
-//! decisions are identical — the stateless
+//! loop freedom forces on a reversal take Θ(n) probes in all. An
+//! accepted edge moves only the smaller side of the order's two-way
+//! search — one switch per round on a reversal — so those probes cost
+//! O(1) each and the whole schedule grows linearly in n (pinned, on
+//! the session's work counter, by `slf_work_grows_linearly_on_reversals`).
+//! The decisions are identical — the stateless
 //! [`round_admissible`](crate::checker::round_admissible) remains the
 //! cross-validation reference. The conservative (polynomial) oracle is
 //! consulted first; if a whole round would come out empty, the engine
@@ -148,14 +152,13 @@ pub(crate) fn order_candidates(
 pub(crate) fn greedy_rounds(
     inst: &UpdateInstance,
     base: &mut ConfigState<'_>,
-    mut pending: Vec<DpId>,
+    pending: Vec<DpId>,
     props: &PropertySet,
     ordering: CandidateOrdering,
     prefer_conservative: bool,
 ) -> Result<Vec<Round>, SchedulerError> {
-    let mut rounds = Vec::new();
     if pending.is_empty() {
-        return Ok(rounds);
+        return Ok(Vec::new());
     }
     let primary = if prefer_conservative {
         OracleMode::Conservative
@@ -165,6 +168,29 @@ pub(crate) fn greedy_rounds(
     // One session for the whole schedule: `commit_round` re-seeds it
     // from each round's deltas instead of re-opening per round.
     let mut session = AdmissionProbe::open(inst, base, *props, primary);
+    rounds_in_session(
+        &mut session,
+        inst,
+        base,
+        pending,
+        props,
+        ordering,
+        prefer_conservative,
+    )
+}
+
+/// [`greedy_rounds`]' loop, in a session opened on `base` with `props`
+/// (conservative when `prefer_conservative`, else exact).
+fn rounds_in_session(
+    session: &mut AdmissionProbe<'_>,
+    inst: &UpdateInstance,
+    base: &mut ConfigState<'_>,
+    mut pending: Vec<DpId>,
+    props: &PropertySet,
+    ordering: CandidateOrdering,
+    prefer_conservative: bool,
+) -> Result<Vec<Round>, SchedulerError> {
+    let mut rounds = Vec::new();
     // Base-independent orderings are sorted once and only shrink;
     // walk-dependent orderings are recomputed per round.
     let static_order = matches!(
@@ -378,10 +404,9 @@ mod tests {
         assert!(parked_rounds > 0, "no instance took enough rounds to park");
     }
 
-    /// Peacock's rounds on a reversal, driven by hand to read the
-    /// session's work counter afterwards.
-    fn peacock_reversal_work(n: u64) -> u64 {
-        let pair = sdn_topo::gen::reversal(n);
+    /// Peacock's rounds, driven by hand to read the session's work
+    /// counter afterwards.
+    fn peacock_work(pair: sdn_topo::gen::UpdatePair) -> u64 {
         let i = UpdateInstance::new(pair.old, pair.new, None).unwrap();
         let mut base = ConfigState::initial(&i);
         let mut pending = pending_shared(&i);
@@ -406,9 +431,98 @@ mod tests {
     /// reachable switch quadruples it).
     #[test]
     fn oracle_work_grows_linearly_on_reversals() {
-        let (small, large) = (peacock_reversal_work(1024), peacock_reversal_work(2048));
+        let reversal = sdn_topo::gen::reversal;
+        let (small, large) = (peacock_work(reversal(1024)), peacock_work(reversal(2048)));
         assert!(small >= 1024, "the counter counts: {small}");
         assert!(large < 3 * small, "work {small} @1024 -> {large} @2048");
+    }
+
+    /// SLF-greedy's rounds, returning its session's work counter (the
+    /// instances here have no new-only switches, so the scheduler's
+    /// whole job is this engine call).
+    fn slf_greedy_work(pair: sdn_topo::gen::UpdatePair) -> u64 {
+        let i = UpdateInstance::new(pair.old, pair.new, None).unwrap();
+        let mut base = ConfigState::initial(&i);
+        let props = PropertySet::loop_free_strong();
+        let mut session = AdmissionProbe::open(&i, &base, props, OracleMode::Conservative);
+        let ordering = CandidateOrdering::NewRouteReverse;
+        rounds_in_session(
+            &mut session,
+            &i,
+            &mut base,
+            pending_shared(&i),
+            &props,
+            ordering,
+            true,
+        )
+        .unwrap();
+        session.work()
+    }
+
+    /// The work of an SLF-only exact session carried across the
+    /// rounds of SLF-greedy's schedule the way `verify_schedule`
+    /// carries it: push every operation of a round, then advance.
+    fn slf_verify_work(pair: sdn_topo::gen::UpdatePair) -> u64 {
+        use crate::algorithms::{SlfGreedy, UpdateScheduler};
+        use crate::properties::Property;
+        let i = UpdateInstance::new(pair.old, pair.new, None).unwrap();
+        let schedule = SlfGreedy::default().schedule(&i).unwrap();
+        let slf = PropertySet::none().with(Property::StrongLoopFreedom);
+        let base = ConfigState::initial(&i);
+        let mut session = AdmissionProbe::open(&i, &base, slf, OracleMode::Exact);
+        for round in &schedule.rounds {
+            for &op in &round.ops {
+                assert!(session.try_push(op), "SLF-greedy's rounds verify");
+            }
+            session.advance(&round.ops);
+        }
+        session.work()
+    }
+
+    /// Each of a reversal's Θ(n) one-switch rounds under strong loop
+    /// freedom costs what it changes, so doubling the reversal may not
+    /// even triple the session's work — in the scheduler or in the
+    /// verifier. (Entering each round's edge by walking the chain
+    /// built so far made it grow as n²: 17 009 at n = 128, 1 053 681
+    /// at n = 1024.)
+    #[test]
+    fn slf_work_grows_linearly_on_reversals() {
+        use sdn_topo::gen::reversal;
+        for (what, work) in [
+            ("slf-greedy", slf_greedy_work as fn(_) -> u64),
+            ("verify", slf_verify_work),
+        ] {
+            let (small, large) = (work(reversal(1024)), work(reversal(2048)));
+            assert!(small >= 1024, "{what}: the counter counts: {small}");
+            assert!(
+                large < 3 * small,
+                "{what}: work {small} @1024 -> {large} @2048"
+            );
+        }
+    }
+
+    /// On the shapes whose rounds are few and wide the order's work
+    /// may not grow: the pinned values are what the one-sided full
+    /// search it replaced counted (SLF-greedy, then Peacock; the new
+    /// order counts about half).
+    #[test]
+    fn order_work_on_wide_rounds_stays_within_the_one_sided_search() {
+        use sdn_topo::gen::{comb, random_permutation};
+        let mut rng = sdn_types::DetRng::new(0xc0b);
+        let pairs = [
+            ("comb(1024)", comb(1024), [527_871, 529_919]),
+            (
+                "random_permutation(1024)",
+                random_permutation(1024, &mut rng),
+                [167_417, 94_111],
+            ),
+        ];
+        for (what, pair, [slf_before, peacock_before]) in pairs {
+            let slf = slf_greedy_work(pair.clone());
+            assert!(slf <= slf_before, "{what}: slf-greedy work {slf}");
+            let peacock = peacock_work(pair);
+            assert!(peacock <= peacock_before, "{what}: peacock work {peacock}");
+        }
     }
 
     #[test]

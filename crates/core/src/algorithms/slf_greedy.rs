@@ -14,10 +14,11 @@
 //! Admission runs on the greedy engine's
 //! [`AdmissionProbe`](crate::checker::AdmissionProbe) session: the
 //! choice graph's topological order is maintained incrementally across
-//! probes and rounds (Pearce–Kelly), and a candidate blocked by one
-//! uncommitted switch is parked until that switch commits, so a
-//! reversal's Θ(n) rounds take Θ(n) probes and n = 1024 instances
-//! schedule in milliseconds (see `exp_rounds_scaling`).
+//! probes and rounds, an accepted edge moving only the smaller side of
+//! a two-way search, and a candidate blocked by one uncommitted switch
+//! is parked until that switch commits. A reversal's Θ(n) rounds so
+//! take Θ(n) probes of O(1) work each, and n = 4096 instances schedule
+//! in about 3 ms (see `exp_rounds_scaling`).
 
 use crate::config::ConfigState;
 use crate::model::UpdateInstance;

@@ -20,8 +20,11 @@
 //! Every per-switch question indexes the instance's dense switch
 //! index: the round's operations are chained per switch in one table,
 //! "already on the walk" is an O(1) mark, and a walk's switch list and
-//! witness are materialised only when a violation is recorded — a
-//! round costs four allocations, however many leaves it explores.
+//! witness are materialised only when a violation is recorded. The
+//! tables live in `WalkBuffers`, which a caller checking many rounds
+//! of one instance keeps: a round then allocates nothing unless it
+//! records a violation, and resets only the switches its operations
+//! set.
 
 use sdn_types::VersionTag;
 
@@ -50,52 +53,7 @@ pub fn check_round(
     ops: &[RuleOp],
     props: &PropertySet,
 ) -> CheckReport {
-    check_round_with_budget(inst, base, ops, props, DEFAULT_LEAF_BUDGET)
-}
-
-/// [`check_round`] with an explicit leaf budget.
-fn check_round_with_budget(
-    inst: &UpdateInstance,
-    base: &ConfigState<'_>,
-    ops: &[RuleOp],
-    props: &PropertySet,
-    leaf_budget: u64,
-) -> CheckReport {
-    explore(inst, base, ops, props, leaf_budget, false, None)
-}
-
-/// [`check_round_with_budget`] that additionally marks, in `touched`
-/// (indexed by the instance's dense switch index), every switch any
-/// explored branch visited. The stateful
-/// [`super::incremental::AdmissionProbe`] uses this set to skip
-/// re-exploration for candidate operations at switches no walk can
-/// reach: behaviour at unvisited switches cannot influence any branch,
-/// so both the verdict and the touched set are provably unchanged.
-///
-/// With `fail_fast`, exploration stops at the first violating leaf —
-/// the probe session only needs a verdict, not witnesses. The touched
-/// set is then truncated, which is sound for the session's memo: a
-/// failing verdict rejects every further candidate regardless of the
-/// touched set (any superset round still contains the violating
-/// transient subset), and a passing verdict never fails fast.
-pub(crate) fn check_round_collecting(
-    inst: &UpdateInstance,
-    base: &ConfigState<'_>,
-    ops: &[RuleOp],
-    props: &PropertySet,
-    leaf_budget: u64,
-    fail_fast: bool,
-    touched: &mut [bool],
-) -> CheckReport {
-    explore(
-        inst,
-        base,
-        ops,
-        props,
-        leaf_budget,
-        fail_fast,
-        Some(touched),
-    )
+    WalkBuffers::default().check_round(inst, base, ops, props)
 }
 
 /// The round's operations at one switch, and the walk's mark on it.
@@ -111,68 +69,147 @@ struct SwitchOps {
     on_path: bool,
 }
 
-fn explore(
-    inst: &UpdateInstance,
-    base: &ConfigState<'_>,
-    ops: &[RuleOp],
-    props: &PropertySet,
-    leaf_budget: u64,
-    fail_fast: bool,
-    touched: Option<&mut [bool]>,
-) -> CheckReport {
-    let n = inst.node_count();
-    let idx = |v| inst.index(v).expect("route switches participate");
-    let mut at = vec![
-        SwitchOps {
-            first: [NONE; 3],
-            head: NONE,
-            on_path: false,
-        };
-        n
-    ];
-    let mut chain = vec![NONE; ops.len()];
-    // Backwards, so every chain and first-of-kind ends up in round
-    // order. An op at a switch outside the instance is never walked.
-    for (i, op) in ops.iter().enumerate().rev() {
-        let Some((v, bit)) = op.flag() else { continue };
-        let Some(sw) = inst.index(v).map(|s| &mut at[s]) else {
-            continue;
-        };
-        chain[i] = sw.head;
-        sw.head = i as u32;
-        sw.first[bit.trailing_zeros() as usize] = i as u32;
-    }
-    let mut ex = Explorer {
-        inst,
-        base,
-        ops,
-        at,
-        chain,
-        src: idx(inst.src()),
-        dst: idx(inst.dst()),
-        waypoint: inst.waypoint().map(idx),
-        decisions: vec![None; ops.len()],
-        path: Vec::with_capacity(n + 1),
-        props,
-        report: CheckReport::default(),
-        leaves_left: leaf_budget,
-        fail_fast,
-        touched,
+impl SwitchOps {
+    /// No operation at the switch, and the walk is elsewhere.
+    const IDLE: SwitchOps = SwitchOps {
+        first: [NONE; 3],
+        head: NONE,
+        on_path: false,
     };
+}
 
-    // The ingress flip (if pending) is the first decision: it selects
-    // the packet's tag class.
-    match ops.iter().position(|o| matches!(o, RuleOp::FlipIngress)) {
-        Some(fi) if !ex.base.is_flipped() => {
-            for applied in [false, true] {
-                ex.decisions[fi] = Some(applied);
-                ex.start_walk(applied);
-            }
-            ex.decisions[fi] = None;
-        }
-        _ => ex.start_walk(ex.base.is_flipped()),
+/// The explorer's tables, kept across the rounds one caller checks
+/// against one instance: a round resets only the switches its
+/// operations set, so checking a one-switch round costs the walk, not
+/// a table of every switch.
+#[derive(Default)]
+pub(crate) struct WalkBuffers {
+    /// Per participant (dense index); [`SwitchOps::IDLE`] between
+    /// rounds.
+    at: Vec<SwitchOps>,
+    chain: Vec<u32>,
+    decisions: Vec<Option<bool>>,
+    path: Vec<usize>,
+}
+
+impl WalkBuffers {
+    /// [`check_round`] on these buffers.
+    pub(crate) fn check_round(
+        &mut self,
+        inst: &UpdateInstance,
+        base: &ConfigState<'_>,
+        ops: &[RuleOp],
+        props: &PropertySet,
+    ) -> CheckReport {
+        self.explore(inst, base, ops, props, DEFAULT_LEAF_BUDGET, None)
     }
-    ex.report
+
+    /// [`check_round`] that additionally marks, in `touched` (indexed
+    /// by the instance's dense switch index), every switch any
+    /// explored branch visited. The stateful
+    /// [`super::incremental::AdmissionProbe`] uses this set to skip
+    /// re-exploration for candidate operations at switches no walk
+    /// can reach: behaviour at unvisited switches cannot influence any
+    /// branch, so both the verdict and the touched set are provably
+    /// unchanged.
+    ///
+    /// Exploration stops at the first violating leaf — the probe
+    /// session only needs a verdict, not witnesses. The touched set is
+    /// then truncated, which is sound for the session's memo: a
+    /// failing verdict rejects every further candidate regardless of
+    /// the touched set (any superset round still contains the
+    /// violating transient subset), and a passing verdict never stops
+    /// early.
+    pub(crate) fn check_round_collecting(
+        &mut self,
+        inst: &UpdateInstance,
+        base: &ConfigState<'_>,
+        ops: &[RuleOp],
+        props: &PropertySet,
+        touched: &mut [bool],
+    ) -> CheckReport {
+        self.explore(inst, base, ops, props, DEFAULT_LEAF_BUDGET, Some(touched))
+    }
+
+    /// Explore one round's decision tree; collecting a touched set
+    /// also stops at the first violation.
+    fn explore(
+        &mut self,
+        inst: &UpdateInstance,
+        base: &ConfigState<'_>,
+        ops: &[RuleOp],
+        props: &PropertySet,
+        leaf_budget: u64,
+        touched: Option<&mut [bool]>,
+    ) -> CheckReport {
+        let n = inst.node_count();
+        let idx = |v| inst.index(v).expect("route switches participate");
+        let mut at = std::mem::take(&mut self.at);
+        at.resize(n, SwitchOps::IDLE);
+        let mut chain = std::mem::take(&mut self.chain);
+        chain.clear();
+        chain.resize(ops.len(), NONE);
+        // Backwards, so every chain and first-of-kind ends up in round
+        // order. An op at a switch outside the instance is never
+        // walked.
+        for (i, op) in ops.iter().enumerate().rev() {
+            let Some((v, bit)) = op.flag() else { continue };
+            let Some(sw) = inst.index(v).map(|s| &mut at[s]) else {
+                continue;
+            };
+            chain[i] = sw.head;
+            sw.head = i as u32;
+            sw.first[bit.trailing_zeros() as usize] = i as u32;
+        }
+        let mut decisions = std::mem::take(&mut self.decisions);
+        decisions.clear();
+        decisions.resize(ops.len(), None);
+        let mut path = std::mem::take(&mut self.path);
+        path.clear();
+        path.reserve(n + 1);
+        let mut ex = Explorer {
+            inst,
+            base,
+            ops,
+            at,
+            chain,
+            src: idx(inst.src()),
+            dst: idx(inst.dst()),
+            waypoint: inst.waypoint().map(idx),
+            decisions,
+            path,
+            props,
+            report: CheckReport::default(),
+            leaves_left: leaf_budget,
+            fail_fast: touched.is_some(),
+            touched,
+        };
+
+        // The ingress flip (if pending) is the first decision: it
+        // selects the packet's tag class.
+        match ops.iter().position(|o| matches!(o, RuleOp::FlipIngress)) {
+            Some(fi) if !ex.base.is_flipped() => {
+                for applied in [false, true] {
+                    ex.decisions[fi] = Some(applied);
+                    ex.start_walk(applied);
+                }
+                ex.decisions[fi] = None;
+            }
+            _ => ex.start_walk(ex.base.is_flipped()),
+        }
+        // Every walk has unwound (no switch is on a path any more):
+        // only the switches with operations need resetting.
+        for (v, _) in ops.iter().filter_map(RuleOp::flag) {
+            if let Some(s) = inst.index(v) {
+                ex.at[s] = SwitchOps::IDLE;
+            }
+        }
+        self.at = ex.at;
+        self.chain = ex.chain;
+        self.decisions = ex.decisions;
+        self.path = ex.path;
+        ex.report
+    }
 }
 
 struct Explorer<'a, 'b, 'c> {
@@ -456,7 +493,7 @@ mod tests {
             RuleOp::Activate(DpId(3)),
             RuleOp::Activate(DpId(4)),
         ];
-        let rep = check_round_with_budget(&i, &base, &ops, &PropertySet::all(), 1);
+        let rep = WalkBuffers::default().explore(&i, &base, &ops, &PropertySet::all(), 1, None);
         assert!(rep.budget_exhausted);
     }
 
@@ -468,13 +505,11 @@ mod tests {
         let base = ConfigState::initial(&i);
         let ops = [RuleOp::Activate(DpId(4))];
         let mut touched = vec![false; i.node_count()];
-        let rep = check_round_collecting(
+        let rep = WalkBuffers::default().check_round_collecting(
             &i,
             &base,
             &ops,
             &PropertySet::all(),
-            DEFAULT_LEAF_BUDGET,
-            false,
             &mut touched,
         );
         assert!(rep.is_ok());
@@ -482,6 +517,41 @@ mod tests {
         assert!(was_touched(1));
         assert!(was_touched(2));
         assert!(!was_touched(4));
+    }
+
+    /// One set of buffers carried through many rounds of one instance
+    /// reports, round by round, exactly what fresh buffers report.
+    #[test]
+    fn kept_buffers_match_fresh_ones() {
+        use sdn_types::DetRng;
+        let mut rng = DetRng::new(0xb0f);
+        for _ in 0..30 {
+            let n = 4 + rng.index(8) as u64;
+            let pair = sdn_topo::gen::random_permutation(n, &mut rng);
+            let i = UpdateInstance::new(pair.old, pair.new, None).unwrap();
+            let mut base = ConfigState::initial(&i);
+            let mut bufs = WalkBuffers::default();
+            for _ in 0..6 {
+                let mut ops = Vec::new();
+                for (v, _) in i.nodes() {
+                    match rng.index(6) {
+                        0 => ops.push(RuleOp::Activate(v)),
+                        1 => ops.push(RuleOp::RemoveOld(v)),
+                        2 => ops.push(RuleOp::InstallTagged(v)),
+                        _ => {}
+                    }
+                }
+                if rng.chance(0.2) {
+                    ops.push(RuleOp::FlipIngress);
+                }
+                let props = PropertySet::all();
+                let kept = bufs.check_round(&i, &base, &ops, &props);
+                let fresh = check_round(&i, &base, &ops, &props);
+                assert_eq!(format!("{kept:?}"), format!("{fresh:?}"), "{i} {ops:?}");
+                // Advance by part of the round, as a schedule would.
+                base.apply_all(&ops[..ops.len() / 2]);
+            }
+        }
     }
 
     #[test]

@@ -23,13 +23,21 @@
 //!   successors and two predecessors: adjacency is two flat arrays of
 //!   fixed-size cells, and a probe never allocates.
 //! * **Strong loop freedom** — incremental cycle detection by
-//!   topological-order maintenance (Pearce–Kelly): an edge insertion
-//!   that would close a cycle is detected during the discovery phase,
-//!   *before* any mutation, so the common rejection case is O(affected
-//!   region) with nothing to undo; accepted insertions reorder only
-//!   the region between the edge endpoints. Edge deletions never
-//!   invalidate a topological order, so the maintained order survives
-//!   round commits untouched.
+//!   topological-order maintenance over spaced `u64` labels that
+//!   strictly increase along every ordered edge (unrelated switches
+//!   may share one). An edge `x → y` with `ord[x] >= ord[y]` starts a
+//!   *two-way search* (after Haeupler et al., "Incremental cycle
+//!   detection, topological ordering, and strong component
+//!   maintenance", 2012): forward from `y` and backward from `x`, one
+//!   node each in turn, until a node both reach shows a cycle — found
+//!   *before* any mutation, so a rejection has nothing to undo — or
+//!   one side runs out. Only that side moves: the backward set to just
+//!   below `y`, or the forward set to just above `x`. An insertion so
+//!   costs about twice the smaller side, which on the one-switch
+//!   rounds of a reversal is O(1). When the side does not fit, every
+//!   label is respaced by one topological sort (rare, and logged like
+//!   any move). Edge deletions never invalidate a topological order,
+//!   so the maintained order survives round commits untouched.
 //! * **Conservative walk safety** — patched in place, never
 //!   re-traversed. *Within a round the class graph only grows, so the
 //!   reach sets only grow and the reachable order only gains edges;
@@ -40,11 +48,11 @@
 //!   affected region only: the source-reach set grows by a search from
 //!   the switch's *new* targets; blackhole freedom is checked on the
 //!   pushed switch and the newly reached ones; relaxed loop freedom is
-//!   the same Pearce–Kelly order, kept over the *reachable* subgraph —
-//!   an edge between reachable switches is one insertion, newly
-//!   reached switches carried no constraints yet and take a
-//!   topological order among their own slots (a cycle inside the new
-//!   region shows there) before their boundary edges are inserted, and
+//!   the same order, kept over the *reachable* subgraph — an edge
+//!   between reachable switches is one insertion, newly reached
+//!   switches carried no constraints yet and take a topological order
+//!   over their own pooled labels (a cycle inside the new region shows
+//!   there) before their boundary edges are inserted, and
 //!   the structure is not kept at all under strong loop freedom, whose
 //!   whole-graph order implies it; the waypoint-avoiding reach set
 //!   grows like the first and must never reach the destination. Every
@@ -168,11 +176,11 @@ struct Scratch {
     /// Epoch-stamped visit marks.
     mark: Vec<u64>,
     epoch: u64,
-    /// Pearce–Kelly discovery: forward and backward regions and the
-    /// order slots they pool.
+    /// The two-way search's forward and backward sides.
     fwd: Vec<u32>,
     bwd: Vec<u32>,
-    slots: Vec<u32>,
+    /// The labels a newly reached region pools.
+    slots: Vec<u64>,
     /// Search frontier; afterwards, the nodes the search newly marked.
     queue: Vec<u32>,
     /// Topological sort (Kahn): remaining in-degrees and output order.
@@ -180,7 +188,7 @@ struct Scratch {
     topo: Vec<u32>,
     /// Edges leaving a newly reached region.
     boundary: Vec<(u32, u32)>,
-    /// Nodes visited by searches plus order slots moved, ever.
+    /// Nodes visited by searches and labelled, ever.
     work: u64,
 }
 
@@ -194,7 +202,7 @@ impl Scratch {
             slots: Vec::new(),
             queue: Vec::with_capacity(n),
             indeg: vec![0; n],
-            topo: Vec::new(),
+            topo: Vec::with_capacity(n),
             boundary: Vec::new(),
             work: 0,
         }
@@ -234,15 +242,28 @@ fn flood(
     sc.work += qi as u64;
 }
 
-/// Pearce–Kelly incremental topological order over (part of) one class
-/// graph.
-struct Pk {
-    /// Topological position per node (a permutation of 0..n). Only the
-    /// relative positions of *ordered* edges' endpoints mean anything.
-    ord: Vec<u32>,
-    /// Reverse adjacency of the ordered edges (the backward discovery
-    /// pass walks it; it is also the record of which edges are
-    /// ordered).
+/// What [`Order::reorder`] did with an edge that points down the order.
+enum Reorder {
+    /// The edge closes a cycle of ordered edges; nothing changed.
+    Cycle,
+    /// One side of the edge was relabelled next to the other.
+    Moved,
+    /// The side to move does not fit next to the edge; nothing changed.
+    Cramped,
+}
+
+/// Incremental topological order over (part of) one class graph.
+///
+/// Labels are spaced `u64`s: they strictly increase along every
+/// *ordered* edge, and two nodes no ordered path connects may share
+/// one. A fresh labelling spaces consecutive nodes `n + 1` apart, so
+/// any set of nodes fits between two neighbours.
+struct Order {
+    /// Label per node. Only the labels of *ordered* edges' endpoints
+    /// mean anything.
+    ord: Vec<u64>,
+    /// Reverse adjacency of the ordered edges (the backward search
+    /// walks it; it is also the record of which edges are ordered).
     ins: Vec<Adj>,
     /// Which edges are ordered: all of them (strong loop freedom), or
     /// only those leaving source-reachable switches (relaxed loop
@@ -254,10 +275,11 @@ struct Pk {
     poisoned: bool,
 }
 
-impl Pk {
+impl Order {
     fn new(n: usize, whole: bool) -> Self {
-        Pk {
-            ord: (0..n as u32).collect(),
+        let gap = n as u64 + 1;
+        Order {
+            ord: (1..=n as u64).map(|k| k * gap).collect(),
             ins: vec![Adj::default(); n],
             whole,
             poisoned: false,
@@ -268,49 +290,67 @@ impl Pk {
     /// switches when `None`; otherwise a set closed under `out`).
     /// Returns `false` when those edges contain a cycle.
     fn seed(&mut self, out: &[Adj], scope: Option<&[bool]>, sc: &mut Scratch) -> bool {
-        let n = out.len();
         let inside = |v: usize| scope.is_none_or(|s| s[v]);
-        let Scratch { queue, indeg, .. } = sc;
         self.ins.fill(Adj::default());
-        self.ord.fill(u32::MAX);
-        indeg.fill(0);
-        let mut members = 0;
-        for x in (0..n).filter(|&x| inside(x)) {
-            members += 1;
+        for x in (0..out.len()).filter(|&x| inside(x)) {
             for y in out[x].iter() {
-                indeg[y as usize] += 1;
                 self.ins[y as usize].push(x as u32);
             }
         }
-        queue.clear();
-        queue.extend((0..n as u32).filter(|&v| inside(v as usize) && indeg[v as usize] == 0));
+        self.relabel(out, scope, sc)
+    }
+
+    /// Label every node afresh, `n + 1` apart, in a topological order
+    /// of the ordered edges (Kahn) started from the switches of
+    /// `scope`; everything else (outside the scope, or on a cycle)
+    /// takes the labels after them. Returns `false` when the ordered
+    /// edges contain a cycle.
+    fn relabel(&mut self, out: &[Adj], scope: Option<&[bool]>, sc: &mut Scratch) -> bool {
+        let n = out.len();
+        let gap = n as u64 + 1;
+        let inside = |v: usize| scope.is_none_or(|s| s[v]);
+        sc.epoch += 1;
+        let Scratch {
+            mark,
+            epoch,
+            topo,
+            indeg,
+            work,
+            ..
+        } = sc;
+        for (d, ins) in indeg.iter_mut().zip(&self.ins) {
+            *d = u32::from(ins.len);
+        }
+        topo.clear();
+        topo.extend((0..n as u32).filter(|&v| inside(v as usize) && indeg[v as usize] == 0));
         let mut qi = 0;
-        while qi < queue.len() {
-            let v = queue[qi];
-            self.ord[v as usize] = qi as u32;
+        while qi < topo.len() {
+            let v = topo[qi];
             qi += 1;
+            mark[v as usize] = *epoch;
+            self.ord[v as usize] = qi as u64 * gap;
             for t in out[v as usize].iter() {
-                indeg[t as usize] -= 1;
-                if indeg[t as usize] == 0 {
-                    queue.push(t);
+                if self.ins[t as usize].contains(v) {
+                    indeg[t as usize] -= 1;
+                    if indeg[t as usize] == 0 {
+                        topo.push(t);
+                    }
                 }
             }
         }
-        sc.work += qi as u64;
-        // Everything else (outside the scope, or on a cycle) fills the
-        // remaining slots, keeping `ord` a permutation.
-        let unplaced = self.ord.iter_mut().filter(|o| **o == u32::MAX);
-        for (o, next) in unplaced.zip(qi as u32..) {
-            *o = next;
+        *work += qi as u64;
+        let unplaced = (0..n).filter(|&v| mark[v] != *epoch);
+        for (v, k) in unplaced.zip(qi as u64 + 1..) {
+            self.ord[v] = k * gap;
         }
-        qi == members
+        qi == (0..n).filter(|&v| inside(v)).count()
     }
 
-    /// Enter edge `x → y` (already present in `out`) into the order
-    /// (Pearce–Kelly). Returns `false` — mutating nothing — when the
-    /// edge would close a cycle of ordered edges. The new `ins` entry
-    /// and every overwritten topological position are logged in `undo`
-    /// so the caller can roll the insertion back.
+    /// Enter edge `x → y` (already present in `out`) into the order.
+    /// Returns `false` — mutating nothing — when the edge would close a
+    /// cycle of ordered edges. The new `ins` entry and every
+    /// overwritten label are logged in `undo` so the caller can roll
+    /// the insertion back.
     fn insert(
         &mut self,
         out: &[Adj],
@@ -322,81 +362,132 @@ impl Pk {
         if self.poisoned || x == y {
             return false;
         }
-        let (ox, oy) = (self.ord[x as usize], self.ord[y as usize]);
-        if ox > oy {
-            // Discovery. Forward from y over nodes ordered before x; if
-            // x itself is a neighbor anywhere in that region the edge
-            // closes a cycle and we abort with zero mutations —
-            // rejection is free.
-            sc.epoch += 2;
-            let (fm, bm) = (sc.epoch - 1, sc.epoch);
-            let Scratch {
-                mark,
-                fwd,
-                bwd,
-                slots,
-                ..
-            } = sc;
-            fwd.clear();
-            fwd.push(y);
-            mark[y as usize] = fm;
-            let mut qi = 0;
-            while qi < fwd.len() {
-                let z = fwd[qi];
-                qi += 1;
-                for w in out[z as usize].iter() {
-                    if !self.ins[w as usize].contains(z) {
-                        continue; // not ordered (yet)
-                    }
-                    if w == x {
-                        sc.work += qi as u64;
-                        return false;
-                    }
-                    if self.ord[w as usize] < ox && mark[w as usize] != fm {
-                        mark[w as usize] = fm;
-                        fwd.push(w);
-                    }
+        while self.ord[x as usize] >= self.ord[y as usize] {
+            match self.reorder(out, (x, y), sc, ci, undo) {
+                Reorder::Cycle => return false,
+                Reorder::Moved => break,
+                Reorder::Cramped => {
+                    // Rare: respace every label, then search again
+                    // (the edge is known to close no cycle by now).
+                    let old = self.ord.iter().enumerate();
+                    undo.ords.extend(old.map(|(v, &o)| (ci, v as u32, o)));
+                    let acyclic = self.relabel(out, None, sc);
+                    debug_assert!(acyclic, "ordered edges stay acyclic");
                 }
             }
-            // Backward from x over nodes ordered after y.
-            bwd.clear();
-            bwd.push(x);
-            mark[x as usize] = bm;
-            qi = 0;
-            while qi < bwd.len() {
-                let z = bwd[qi];
-                qi += 1;
-                for w in self.ins[z as usize].iter() {
-                    if self.ord[w as usize] > oy && mark[w as usize] != bm {
-                        mark[w as usize] = bm;
-                        bwd.push(w);
-                    }
-                }
-            }
-            // Reorder the affected region: everything reaching x moves
-            // before everything reachable from y, preserving relative
-            // order inside each group.
-            fwd.sort_unstable_by_key(|&z| self.ord[z as usize]);
-            bwd.sort_unstable_by_key(|&z| self.ord[z as usize]);
-            slots.clear();
-            slots.extend(bwd.iter().chain(fwd.iter()).map(|&z| self.ord[z as usize]));
-            slots.sort_unstable();
-            for (k, &z) in bwd.iter().chain(fwd.iter()).enumerate() {
-                undo.ords.push((ci, z, self.ord[z as usize]));
-                self.ord[z as usize] = slots[k];
-            }
-            sc.work += 2 * slots.len() as u64;
         }
         self.ins[y as usize].push(x);
         undo.ordered.push((ci, x, y));
         true
     }
 
+    /// Make room for `x → y` with `ord[x] >= ord[y]`: a two-way search.
+    /// Forward from `y` over nodes labelled at most `ord[x]` and
+    /// backward from `x` over nodes labelled at least `ord[y]` advance
+    /// one node each in turn; a node both sides reach closes a cycle,
+    /// and the first side to run out holds every node that has to
+    /// move, so only that side is relabelled — the backward set to
+    /// just below `y`, or the forward set to just above `x`. Either
+    /// move keeps every ordered edge ascending, and the search costs
+    /// about twice the smaller side, not the whole region between the
+    /// endpoints.
+    fn reorder(
+        &mut self,
+        out: &[Adj],
+        (x, y): (u32, u32),
+        sc: &mut Scratch,
+        ci: usize,
+        undo: &mut Undo,
+    ) -> Reorder {
+        let (ox, oy) = (self.ord[x as usize], self.ord[y as usize]);
+        sc.epoch += 2;
+        let (fm, bm) = (sc.epoch - 1, sc.epoch);
+        let Scratch {
+            mark,
+            fwd,
+            bwd,
+            work,
+            ..
+        } = sc;
+        fwd.clear();
+        fwd.push(y);
+        mark[y as usize] = fm;
+        bwd.clear();
+        bwd.push(x);
+        mark[x as usize] = bm;
+        let (mut fi, mut bi) = (0, 0);
+        let ordered = |z: u32, w: u32| self.ins[w as usize].contains(z);
+        let forward = loop {
+            let Some(&z) = fwd.get(fi) else { break true };
+            fi += 1;
+            for w in out[z as usize].iter().filter(|&w| ordered(z, w)) {
+                if mark[w as usize] == bm {
+                    *work += (fi + bi) as u64;
+                    return Reorder::Cycle;
+                }
+                if mark[w as usize] != fm && self.ord[w as usize] <= ox {
+                    mark[w as usize] = fm;
+                    fwd.push(w);
+                }
+            }
+            let Some(&z) = bwd.get(bi) else { break false };
+            bi += 1;
+            for w in self.ins[z as usize].iter() {
+                if mark[w as usize] == fm {
+                    *work += (fi + bi) as u64;
+                    return Reorder::Cycle;
+                }
+                if mark[w as usize] != bm && self.ord[w as usize] >= oy {
+                    mark[w as usize] = bm;
+                    bwd.push(w);
+                }
+            }
+        };
+        *work += (fi + bi) as u64;
+        // The labels the moving side may take: above x and below its
+        // lowest successor left behind, or below y and above its
+        // highest predecessor left behind.
+        let (side, start) = if forward {
+            let ceil = fwd
+                .iter()
+                .flat_map(|&f| out[f as usize].iter().filter(move |&s| ordered(f, s)))
+                .filter(|&s| mark[s as usize] != fm)
+                .map(|s| self.ord[s as usize] - 1)
+                .min()
+                .unwrap_or(u64::MAX);
+            if ceil - ox < fwd.len() as u64 {
+                return Reorder::Cramped;
+            }
+            (fwd, ox + 1)
+        } else {
+            let floor = bwd
+                .iter()
+                .flat_map(|&b| self.ins[b as usize].iter())
+                .filter(|&p| mark[p as usize] != bm)
+                .map(|p| self.ord[p as usize] + 1)
+                .max()
+                .unwrap_or(0);
+            if oy - floor < bwd.len() as u64 {
+                return Reorder::Cramped;
+            }
+            let start = oy - bwd.len() as u64;
+            (bwd, start)
+        };
+        side.sort_unstable_by_key(|&z| self.ord[z as usize]);
+        for (&z, label) in side.iter().zip(start..) {
+            undo.ords.push((ci, z, self.ord[z as usize]));
+            self.ord[z as usize] = label;
+        }
+        *work += side.len() as u64;
+        Reorder::Moved
+    }
+
     /// Bring a newly reached region (`sc.queue`: switches whose
     /// out-edges were not ordered so far) into the order. None of them
     /// carries a constraint yet, so a topological order of the edges
-    /// *inside* the region, laid over the region's own slots, is
-    /// consistent with everything already ordered; only the edges
+    /// *inside* the region, laid over the region's own labels (made
+    /// strictly increasing), is consistent with everything already
+    /// ordered; only the edges
     /// leaving the region need a real insertion. Returns `false` when
     /// the region's edges close a cycle, inside it or through the
     /// boundary.
@@ -442,9 +533,17 @@ impl Pk {
         if topo.len() < fresh.len() {
             return false; // a cycle inside the new region
         }
+        // The region's own labels, pooled. Sorted they strictly
+        // increase, as the region's edges need: a switch outside the
+        // reach set has no ordered edge, so no search has moved it
+        // since the last seed or respacing gave it a label of its own.
         slots.clear();
         slots.extend(fresh.iter().map(|&f| self.ord[f as usize]));
         slots.sort_unstable();
+        debug_assert!(
+            slots.windows(2).all(|w| w[0] < w[1]),
+            "pooled labels are distinct"
+        );
         boundary.clear();
         for (k, &f) in topo.iter().enumerate() {
             undo.ords.push((ci, f, self.ord[f as usize]));
@@ -480,7 +579,7 @@ struct ClassGraph {
     /// The order behind loop freedom: whole-graph under strong loop
     /// freedom, else over the reachable subgraph when the conservative
     /// oracle checks relaxed loop freedom, else absent.
-    pk: Option<Pk>,
+    order: Option<Order>,
     /// Source-reachable set of the *accepted* state (conservative mode
     /// with walk properties only; empty otherwise).
     reach: Vec<bool>,
@@ -499,7 +598,7 @@ struct Undo {
     ordered: Vec<(usize, u32, u32)>,
     /// Topological positions overwritten this push: `(class, node,
     /// previous ord)`.
-    ords: Vec<(usize, u32, u32)>,
+    ords: Vec<(usize, u32, u64)>,
     /// `may_blackhole` bits set this push.
     blackholes: Vec<(usize, u32)>,
     /// `reach` bits set this push.
@@ -609,6 +708,10 @@ pub struct AdmissionProbe<'a> {
     scratch: Scratch,
     /// The current push's undo log (buffers reused across pushes).
     undo: Undo,
+    /// The exact decision walk's tables, reused across walks.
+    walk: decision_walk::WalkBuffers,
+    /// The switches a committed round touched (reused across rounds).
+    committed: Vec<u32>,
 }
 
 impl<'a> AdmissionProbe<'a> {
@@ -648,6 +751,8 @@ impl<'a> AdmissionProbe<'a> {
             probes: 0,
             scratch: Scratch::new(0),
             undo: Undo::default(),
+            walk: decision_walk::WalkBuffers::default(),
+            committed: Vec::new(),
         };
         // (An exact session without strong loop freedom keeps no class
         // graph and needs no scratch.)
@@ -696,9 +801,9 @@ impl<'a> AdmissionProbe<'a> {
     }
 
     /// Deterministic work counter of the class-graph structures: nodes
-    /// visited by reachability and order-discovery searches plus
-    /// topological-order slots moved, summed over seeding and every
-    /// probe. Unlike a clock it repeats exactly, so scaling can be
+    /// visited by reachability and order searches plus labels written
+    /// (moved, or placed by a topological sort), summed over seeding
+    /// and every probe. Unlike a clock it repeats exactly, so scaling can be
     /// asserted on it.
     pub fn work(&self) -> u64 {
         self.scratch.work
@@ -750,13 +855,13 @@ impl<'a> AdmissionProbe<'a> {
                 bits(&cg.reach),
                 bits(&cg.avoid)
             );
-            if let Some(pk) = &cg.pk {
+            if let Some(order) = &cg.order {
                 let _ = writeln!(
                     s,
                     "  poisoned={} ord={:?} ins={:?}",
-                    pk.poisoned,
-                    pk.ord,
-                    cells(&pk.ins)
+                    order.poisoned,
+                    order.ord,
+                    cells(&order.ins)
                 );
             }
         }
@@ -823,7 +928,8 @@ impl<'a> AdmissionProbe<'a> {
             "advance must cover the accepted set"
         );
         let was_flipped = self.base.is_flipped();
-        let mut touched: Vec<u32> = Vec::with_capacity(ops.len());
+        let mut touched = std::mem::take(&mut self.committed);
+        touched.clear();
         for op in ops {
             self.base.apply(op);
             if let Some(i) = op.switch().and_then(|v| self.inst.index(v)) {
@@ -840,7 +946,7 @@ impl<'a> AdmissionProbe<'a> {
         let poisoned = self
             .classes
             .iter()
-            .any(|c| c.pk.as_ref().is_some_and(|pk| pk.poisoned));
+            .any(|c| c.order.as_ref().is_some_and(|order| order.poisoned));
         if flip_committed || poisoned || self.classes.len() != usize::from(self.need_class_graphs())
         {
             self.rebuild_classes();
@@ -857,6 +963,7 @@ impl<'a> AdmissionProbe<'a> {
                 }
             }
         }
+        self.committed = touched;
         self.reseed();
     }
 
@@ -886,25 +993,25 @@ impl<'a> AdmissionProbe<'a> {
     /// stays valid; a reachable one is about to be re-seeded),
     /// `may_blackhole` is refreshed, and — only when a round was
     /// forced through with inadmissible operations — new edges are
-    /// inserted through Pearce–Kelly. Returns `false` when such an
+    /// entered into the order. Returns `false` when such an
     /// insertion would close a cycle (caller rebuilds).
     fn patch_switch(&mut self, ci: usize, i: u32) -> bool {
         let tag = self.classes[ci].tag;
         let ln = self.local_nexts(i, tag, 0);
         let ClassGraph {
             out,
-            pk,
+            order,
             may_blackhole,
             ..
         } = &mut self.classes[ci];
-        let mut pk = pk.as_mut().filter(|pk| pk.whole);
+        let mut order = order.as_mut().filter(|order| order.whole);
         for t in out[i as usize].iter() {
             if ln.targets.contains(t) {
                 continue;
             }
             out[i as usize].remove(t);
-            if let Some(pk) = pk.as_mut() {
-                let removed = pk.ins[t as usize].remove(i);
+            if let Some(order) = order.as_mut() {
+                let removed = order.ins[t as usize].remove(i);
                 debug_assert!(removed, "ins mirrors out");
             }
         }
@@ -913,9 +1020,9 @@ impl<'a> AdmissionProbe<'a> {
                 continue;
             }
             out[i as usize].push(t);
-            if let Some(pk) = pk.as_mut() {
+            if let Some(order) = order.as_mut() {
                 // Nothing rolls an advance back: the log is a sink.
-                let inserted = pk.insert(out, (i, t), &mut self.scratch, ci, &mut self.undo);
+                let inserted = order.insert(out, (i, t), &mut self.scratch, ci, &mut self.undo);
                 self.undo.clear();
                 if !inserted {
                     return false;
@@ -934,7 +1041,7 @@ impl<'a> AdmissionProbe<'a> {
         self.dead = self
             .classes
             .iter()
-            .any(|c| c.pk.as_ref().is_some_and(|pk| pk.poisoned));
+            .any(|c| c.order.as_ref().is_some_and(|order| order.poisoned));
         if self.walks() {
             for ci in 0..self.classes.len() {
                 // Conservative violations are monotone in the edge set:
@@ -946,13 +1053,11 @@ impl<'a> AdmissionProbe<'a> {
         }
         if self.mode == OracleMode::Exact && !self.walk_props.is_empty() {
             let mut touched = vec![false; self.inst.node_count()];
-            let rep = decision_walk::check_round_collecting(
+            let rep = self.walk.check_round_collecting(
                 self.inst,
                 &self.base,
                 &self.accepted,
                 &self.walk_props,
-                decision_walk::DEFAULT_LEAF_BUDGET,
-                true,
                 &mut touched,
             );
             self.budget_hit |= rep.budget_exhausted;
@@ -979,7 +1084,7 @@ impl<'a> AdmissionProbe<'a> {
                 // full current candidate set.
                 if self.need_class_graphs() {
                     let cg = self.build_class(VersionTag::NEW);
-                    if cg.pk.as_ref().is_some_and(|pk| pk.poisoned) {
+                    if cg.order.as_ref().is_some_and(|order| order.poisoned) {
                         return false;
                     }
                     self.classes.push(cg);
@@ -1058,9 +1163,9 @@ impl<'a> AdmissionProbe<'a> {
             cg.may_blackhole[i as usize] = true;
             undo.blackholes.push((ci, i));
         }
-        if let Some(pk) = cg.pk.as_mut().filter(|pk| pk.whole) {
+        if let Some(order) = cg.order.as_mut().filter(|order| order.whole) {
             for t in added.iter() {
-                if !pk.insert(&cg.out, (i, t), sc, ci, undo) {
+                if !order.insert(&cg.out, (i, t), sc, ci, undo) {
                     self.note_two_cycle(ci, (i, t), bit, before);
                     return false;
                 }
@@ -1084,12 +1189,12 @@ impl<'a> AdmissionProbe<'a> {
         if blackhole_free && sc.queue.iter().any(|&f| cg.may_blackhole[f as usize]) {
             return false;
         }
-        if let Some(pk) = cg.pk.as_mut().filter(|pk| !pk.whole) {
-            if !pk.adopt(&cg.out, sc, ci, undo) {
+        if let Some(order) = cg.order.as_mut().filter(|order| !order.whole) {
+            if !order.adopt(&cg.out, sc, ci, undo) {
                 return false;
             }
             for t in added.iter() {
-                if !pk.insert(&cg.out, (i, t), sc, ci, undo) {
+                if !order.insert(&cg.out, (i, t), sc, ci, undo) {
                     self.note_two_cycle(ci, (i, t), bit, before);
                     return false;
                 }
@@ -1114,14 +1219,14 @@ impl<'a> AdmissionProbe<'a> {
         let [cg] = &self.classes[..] else {
             return None;
         };
-        let pk = cg.pk.as_ref()?;
+        let order = cg.order.as_ref()?;
         self.certs[i as usize].filter(|cert| {
             cert.bit == bit
                 && cert.before == self.flags[i as usize]
                 && cert.base == self.base.flags_at(i as usize)
                 && cert.tag == cg.tag
                 && cg.out[cert.y as usize].contains(i)
-                && (pk.whole || cg.reach[i as usize])
+                && (order.whole || cg.reach[i as usize])
         })
     }
 
@@ -1135,7 +1240,10 @@ impl<'a> AdmissionProbe<'a> {
     /// can change: no blocker is named.)
     pub(crate) fn blocker(&self, v: DpId) -> Option<DpId> {
         let cert = self.certified(self.inst.index(v)? as u32, ACTIVATED)?;
-        let whole = self.classes[0].pk.as_ref().is_some_and(|pk| pk.whole);
+        let whole = self.classes[0]
+            .order
+            .as_ref()
+            .is_some_and(|order| order.whole);
         whole.then(|| self.inst.participants()[cert.y as usize])
     }
 
@@ -1171,13 +1279,11 @@ impl<'a> AdmissionProbe<'a> {
         trial.extend_from_slice(&self.accepted);
         trial.push(op);
         let mut touched = vec![false; self.inst.node_count()];
-        let rep = decision_walk::check_round_collecting(
+        let rep = self.walk.check_round_collecting(
             self.inst,
             &self.base,
             &trial,
             &self.walk_props,
-            decision_walk::DEFAULT_LEAF_BUDGET,
-            true,
             &mut touched,
         );
         self.budget_hit |= rep.budget_exhausted;
@@ -1227,12 +1333,12 @@ impl<'a> AdmissionProbe<'a> {
             may_blackhole[i as usize] = ln.none;
         }
         let walks = self.walks();
-        let pk = if self.props.contains(Property::StrongLoopFreedom) {
-            let mut pk = Pk::new(n, true);
-            pk.poisoned = !pk.seed(&out, None, &mut self.scratch);
-            Some(pk)
+        let order = if self.props.contains(Property::StrongLoopFreedom) {
+            let mut order = Order::new(n, true);
+            order.poisoned = !order.seed(&out, None, &mut self.scratch);
+            Some(order)
         } else if walks && self.walk_props.contains(Property::RelaxedLoopFreedom) {
-            Some(Pk::new(n, false))
+            Some(Order::new(n, false))
         } else {
             None
         };
@@ -1241,7 +1347,7 @@ impl<'a> AdmissionProbe<'a> {
             tag,
             out,
             may_blackhole,
-            pk,
+            order,
             reach: set(walks),
             avoid: set(self.enforced_waypoint().is_some()),
         }
@@ -1258,7 +1364,7 @@ impl<'a> AdmissionProbe<'a> {
         let ClassGraph {
             out,
             may_blackhole,
-            pk,
+            order,
             reach,
             avoid,
             ..
@@ -1278,8 +1384,8 @@ impl<'a> AdmissionProbe<'a> {
 
         // Relaxed loop freedom: no cycle within the reachable part (a
         // whole-graph order has already established more).
-        if let Some(pk) = pk.as_mut().filter(|pk| !pk.whole) {
-            if !pk.seed(out, Some(reach), sc) {
+        if let Some(order) = order.as_mut().filter(|order| !order.whole) {
+            if !order.seed(out, Some(reach), sc) {
                 return false;
             }
         }
@@ -1300,16 +1406,19 @@ impl<'a> AdmissionProbe<'a> {
     fn rollback(&mut self) {
         let undo = &self.undo;
         for &(ci, x, y) in undo.ordered.iter().rev() {
-            let pk = self.classes[ci]
-                .pk
+            let order = self.classes[ci]
+                .order
                 .as_mut()
-                .expect("ordered edge implies pk");
-            let popped = pk.ins[y as usize].pop();
+                .expect("ordered edge implies an order");
+            let popped = order.ins[y as usize].pop();
             debug_assert_eq!(popped, Some(x));
         }
         for &(ci, node, old) in undo.ords.iter().rev() {
-            let pk = self.classes[ci].pk.as_mut().expect("ord undo implies pk");
-            pk.ord[node as usize] = old;
+            let order = self.classes[ci]
+                .order
+                .as_mut()
+                .expect("label undo implies an order");
+            order.ord[node as usize] = old;
         }
         for &(ci, x, y) in undo.edges.iter().rev() {
             let popped = self.classes[ci].out[x as usize].pop();
@@ -1358,14 +1467,17 @@ mod tests {
     /// exactly those leaving reachable switches.
     fn assert_ordered_edges_ascend(probe: &AdmissionProbe<'_>) {
         for cg in &probe.classes {
-            let Some(pk) = cg.pk.as_ref().filter(|pk| !pk.poisoned) else {
+            let Some(order) = cg.order.as_ref().filter(|order| !order.poisoned) else {
                 continue;
             };
             for (x, ts) in cg.out.iter().enumerate() {
                 for y in ts.iter() {
-                    let ordered = pk.ins[y as usize].contains(x as u32);
-                    assert_eq!(ordered, pk.whole || cg.reach[x], "edge {x}->{y}");
-                    assert!(!ordered || pk.ord[x] < pk.ord[y as usize], "edge {x}->{y}");
+                    let ordered = order.ins[y as usize].contains(x as u32);
+                    assert_eq!(ordered, order.whole || cg.reach[x], "edge {x}->{y}");
+                    assert!(
+                        !ordered || order.ord[x] < order.ord[y as usize],
+                        "edge {x}->{y}"
+                    );
                 }
             }
         }
@@ -1653,16 +1765,16 @@ mod tests {
     }
 
     #[test]
-    fn pearce_kelly_matches_naive_cycle_check() {
+    fn two_way_order_matches_naive_cycle_check() {
         // Random edge insertions over a small node set (at most two
         // successors and two predecessors per node, like a class
-        // graph): PK must accept exactly the edges that keep the graph
-        // acyclic, and leave no trace of the ones it refuses.
+        // graph): the order must accept exactly the edges that keep
+        // the graph acyclic, and leave no trace of the ones it refuses.
         let mut rng = DetRng::new(42);
         for trial in 0..50 {
             let n = 8usize;
             let mut out = vec![Adj::default(); n];
-            let mut pk = Pk::new(n, true);
+            let mut order = Order::new(n, true);
             let mut sc = Scratch::new(n);
             let mut undo = Undo::default();
             let mut naive: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -1674,27 +1786,95 @@ mod tests {
                     continue;
                 }
                 out[x as usize].push(y);
-                let before = (pk.ord.clone(), pk.ins.clone());
+                let before = (order.ord.clone(), order.ins.clone());
                 undo.clear();
-                let accepted = pk.insert(&out, (x, y), &mut sc, 0, &mut undo);
+                let accepted = order.insert(&out, (x, y), &mut sc, 0, &mut undo);
                 naive[x as usize].push(y);
                 let cyclic = has_cycle(&naive);
                 assert_eq!(accepted, !cyclic, "trial {trial}: edge {x}->{y}");
                 if !accepted {
                     naive[x as usize].pop();
                     out[x as usize].pop();
-                    assert!(before == (pk.ord.clone(), pk.ins.clone()));
+                    assert!(before == (order.ord.clone(), order.ins.clone()));
                     assert!(undo.ords.is_empty() && undo.ordered.is_empty());
                 }
                 // Invariant: accepted edges respect the order.
                 for (a, ts) in out.iter().enumerate() {
                     for b in ts.iter() {
-                        assert!(pk.ord[a] < pk.ord[b as usize]);
-                        assert!(pk.ins[b as usize].contains(a as u32));
+                        assert!(order.ord[a] < order.ord[b as usize]);
+                        assert!(order.ins[b as usize].contains(a as u32));
                     }
                 }
             }
         }
+    }
+
+    /// A long run of insertions, deletions and rolled-back insertions
+    /// over six nodes: labels only move one way per insertion, so the
+    /// run keeps cramping gaps and respacing every label, and the
+    /// order must still match a naive cycle check, keep every edge
+    /// ascending, and roll a respacing back exactly.
+    #[test]
+    fn respacing_keeps_the_order_exact() {
+        let n = 6usize;
+        let mut rng = DetRng::new(0x5ace);
+        let mut out = vec![Adj::default(); n];
+        let mut order = Order::new(n, true);
+        let mut sc = Scratch::new(n);
+        let mut undo = Undo::default();
+        let mut naive: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let (mut respaced, mut respacings_undone) = (0, 0);
+        for step in 0..4000 {
+            let x = rng.index(n) as u32;
+            let y = rng.index(n) as u32;
+            if out[x as usize].contains(y) {
+                // Deleting an edge never invalidates the order.
+                out[x as usize].remove(y);
+                order.ins[y as usize].remove(x);
+                naive[x as usize].retain(|&t| t != y);
+                continue;
+            }
+            let indeg = naive.iter().filter(|ts| ts.contains(&y)).count();
+            if x == y || out[x as usize].len == 2 || indeg == 2 {
+                continue;
+            }
+            out[x as usize].push(y);
+            naive[x as usize].push(y);
+            // (`Adj` equality would compare popped cells' stale slots.)
+            let snapshot = |o: &Order| (o.ord.clone(), cells(&o.ins));
+            let before = snapshot(&order);
+            undo.clear();
+            let accepted = order.insert(&out, (x, y), &mut sc, 0, &mut undo);
+            assert_eq!(accepted, !has_cycle(&naive), "step {step}: edge {x}->{y}");
+            // Only a respacing logs a label for every node.
+            let respacing = undo.ords.len() >= n;
+            respaced += usize::from(respacing);
+            if !accepted || rng.chance(0.3) {
+                for &(_, a, b) in undo.ordered.iter().rev() {
+                    assert_eq!(order.ins[b as usize].pop(), Some(a));
+                }
+                for &(_, v, o) in undo.ords.iter().rev() {
+                    order.ord[v as usize] = o;
+                }
+                out[x as usize].pop();
+                naive[x as usize].pop();
+                assert!(before == snapshot(&order), "step {step}");
+                respacings_undone += usize::from(respacing);
+            }
+            for (a, ts) in out.iter().enumerate() {
+                for b in ts.iter() {
+                    assert!(order.ord[a] < order.ord[b as usize], "step {step}");
+                }
+            }
+        }
+        assert!(
+            respaced > 0 && respacings_undone > 0,
+            "{respaced} respacings"
+        );
+    }
+
+    fn cells(adj: &[Adj]) -> Vec<Vec<u32>> {
+        adj.iter().map(|a| a.as_slice().to_vec()).collect()
     }
 
     fn has_cycle(adj: &[Vec<u32>]) -> bool {

@@ -180,6 +180,7 @@ pub fn verify_schedule(
         .contains(Property::StrongLoopFreedom)
         .then(|| AdmissionProbe::open(inst, &base, slf, OracleMode::Exact));
     let walk_props = props.without(Property::StrongLoopFreedom);
+    let mut walks = decision_walk::WalkBuffers::default();
     for (ri, round) in schedule.rounds.iter().enumerate() {
         report.rounds_checked += 1;
         let mut merge = |mut sub: CheckReport| {
@@ -195,12 +196,7 @@ pub fn verify_schedule(
             session.advance(&round.ops);
         }
         if !walk_props.is_empty() {
-            merge(decision_walk::check_round(
-                inst,
-                &base,
-                &round.ops,
-                &walk_props,
-            ));
+            merge(walks.check_round(inst, &base, &round.ops, &walk_props));
         }
         base.apply_all(&round.ops);
     }

@@ -6,18 +6,29 @@
 //! schedule of the same reversal.
 //!
 //! A counting global allocator counts the calling thread's allocations
-//! and reallocations. Measured in a release build, beside the ordered-
+//! and reallocations, and the bytes they ask for. Measured in a release build, beside the ordered-
 //! map model the dense switch index replaced (`ec97f94`); the SLF row's
 //! last column is the per-round choice-graph rebuild (`0dcebe9`) that
-//! the cross-round session replaced:
+//! the cross-round session replaced. (At `e42016c`, before the session and
+//! the decision walk kept their per-round buffers across rounds,
+//! Peacock's schedule took 143 and the SLF verification 1321.)
 //!
 //! | stage                            | budget | measured | before  |
 //! |----------------------------------|--------|----------|---------|
 //! | `UpdateInstance::new`            | 16     | 3        | 211     |
 //! | `ConfigState::apply` × 255       | 0      | 0        | 42      |
-//! | `Peacock::schedule`              | 279    | 143      | 279     |
+//! | `Peacock::schedule`              | 279    | 97       | 279     |
 //! | `verify_schedule`, passing       | 64     | 19       | 514     |
-//! | `verify_schedule`, SLF-greedy    | 1600   | 1321     | 220 483 |
+//! | `verify_schedule`, SLF-greedy    | 1600   | 50       | 220 483 |
+//!
+//! Bytes asked for, on SLF-greedy's 126-round schedule of
+//! `gen::reversal(128)` (the `reversal_deep` shape) verified for the
+//! walk properties, beside the per-round tables of every switch that
+//! the decision walk's kept buffers replaced (`e42016c`):
+//!
+//! | stage                            | budget       | measured | before  |
+//! |----------------------------------|--------------|----------|---------|
+//! | `verify_schedule`, 126 rounds    | 128 × rounds | 8200     | 456 827 |
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -32,20 +43,22 @@ use update_core::schedule::RuleOp;
 struct Counting;
 
 thread_local! {
-    // const-initialised and without a destructor: touching it from
+    // const-initialised and without a destructor: touching them from
     // inside the allocator neither allocates nor recurses
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
 }
 
 // SAFETY: a pass-through to the system allocator; counting touches only
 // a const thread-local.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -54,7 +67,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -67,6 +80,14 @@ fn allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// `f`'s result and the bytes the calling thread asked the allocator
+/// for in it (a reallocation counts its new size).
+fn alloc_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
 }
 
 /// Switches of the `reversal_wide` reversal.
@@ -122,4 +143,24 @@ fn verifying_an_slf_schedule_allocates_at_most_1600_times() {
     let (report, n) = allocs(|| verify_schedule(&inst, &schedule, PropertySet::loop_free_strong()));
     assert!(report.is_ok(), "{report}");
     assert!(n <= 1600, "{n} allocations to verify");
+}
+
+/// SLF-greedy's 126 one-switch rounds of `gen::reversal(128)`, the
+/// `reversal_deep` shape, checked for the walk properties: the decision
+/// walk's tables are kept across the rounds, so verification asks for
+/// a few bytes per round (8200 in all) where a table of every switch
+/// per round asked for 456 827.
+#[test]
+fn verifying_one_switch_rounds_allocates_per_round_not_per_switch() {
+    let pair = sdn_topo::gen::reversal(128);
+    let inst = UpdateInstance::new(pair.old, pair.new, None).unwrap();
+    let schedule = SlfGreedy::default().schedule(&inst).unwrap();
+    let rounds = schedule.round_count() as u64;
+    let props = PropertySet::transiently_secure();
+    let (report, bytes) = alloc_bytes(|| verify_schedule(&inst, &schedule, props));
+    assert!(report.is_ok(), "{report}");
+    assert!(
+        bytes <= 128 * rounds,
+        "{bytes} bytes to verify {rounds} rounds"
+    );
 }
