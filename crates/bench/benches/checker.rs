@@ -53,7 +53,7 @@ fn bench_checker(c: &mut Criterion) {
     // rebuild per round.
     let big = sdn_topo::gen::reversal(256);
     let big_inst = UpdateInstance::new(big.old, big.new, None).unwrap();
-    let big_sched = SlfGreedy::default().schedule(&big_inst).unwrap();
+    let big_sched = SlfGreedy.schedule(&big_inst).unwrap();
     c.bench_function("checker/verify_reversal256_slf", |b| {
         b.iter(|| {
             verify_schedule(

@@ -18,7 +18,7 @@ use update_core::properties::PropertySet;
 fn bench_pipeline(c: &mut Criterion) {
     let shapes: [(&str, u64, &dyn UpdateScheduler); 2] = [
         ("reversal_wide", 256, &Peacock::default()),
-        ("reversal_deep", 128, &SlfGreedy::default()),
+        ("reversal_deep", 128, &SlfGreedy),
     ];
     let mut group = c.benchmark_group("pipeline");
     for (name, n, scheduler) in shapes {

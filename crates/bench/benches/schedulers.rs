@@ -35,7 +35,7 @@ fn bench_schedulers(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("slf_greedy_reversal", n),
             &rev_inst,
-            |b, i| b.iter(|| SlfGreedy::default().schedule(black_box(i)).unwrap()),
+            |b, i| b.iter(|| SlfGreedy.schedule(black_box(i)).unwrap()),
         );
         group.bench_with_input(
             BenchmarkId::new("two_phase_reversal", n),
@@ -68,7 +68,7 @@ fn bench_schedulers(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("slf_greedy_reversal", n),
             &rev_inst,
-            |b, i| b.iter(|| SlfGreedy::default().schedule(black_box(i)).unwrap()),
+            |b, i| b.iter(|| SlfGreedy.schedule(black_box(i)).unwrap()),
         );
 
         let mut rng = DetRng::new(n ^ 0xabcd);
@@ -80,7 +80,7 @@ fn bench_schedulers(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("slf_greedy_perm", n),
             &perm_inst,
-            |b, i| b.iter(|| SlfGreedy::default().schedule(black_box(i)).unwrap()),
+            |b, i| b.iter(|| SlfGreedy.schedule(black_box(i)).unwrap()),
         );
     }
     group.finish();

@@ -7,13 +7,14 @@
 //!     meaningless without FIFO ordering, and violations return;
 //! (d) WayUp's loop-freedom strength — relaxed (the demo's pairing)
 //!     vs strong sub-scheduling;
-//! (e) crossing switches — WayUp's fallback rate on crossing workloads.
+//! (e) crossing switches — WayUp's fallback rate on crossing workloads
+//!     and on the HotNets'14 instance, where no replacement exists.
 
 use sdn_bench::stats::Summary;
 use sdn_bench::table::{f2, Table};
 use sdn_channel::config::ChannelConfig;
 use sdn_sim::scenario::{run_scenario, AlgoChoice, Scenario};
-use sdn_types::{DetRng, SimDuration};
+use sdn_types::{DetRng, DpId, SimDuration};
 use update_core::algorithms::{CandidateOrdering, Peacock, UpdateScheduler, WayUp};
 use update_core::model::UpdateInstance;
 
@@ -125,7 +126,6 @@ fn main() {
     for (name, strong) in [("relaxed (demo)", false), ("strong", true)] {
         let wu = WayUp {
             strong_loop_freedom: strong,
-            ..WayUp::default()
         };
         let mut rounds = Vec::new();
         for seed in 0..10u64 {
@@ -140,15 +140,28 @@ fn main() {
 
     // (e) crossing fallback rate -------------------------------------------
     let mut te = Table::new(
-        "(e) WayUp fallback rate (20 workloads each, n=12)",
+        "(e) WayUp fallback rate (20 workloads each, n=12; HotNets'14 instance once)",
         &["workload", "replacement", "2pc fallback"],
     );
-    for (name, crossing) in [("crossing-free", false), ("with crossing", true)] {
+    let generated = |crossing: bool| -> Vec<sdn_topo::gen::UpdatePair> {
+        (0..20u64)
+            .map(|seed| sdn_topo::gen::waypointed(12, crossing, &mut DetRng::new(seed + 400)))
+            .collect()
+    };
+    // old ⟨1,2,3,4,5⟩, new ⟨1,4,3,2,5⟩, waypoint 3: 2 and 4 cross the
+    // waypoint and no replacement order keeps it enforced
+    let hotnets = sdn_topo::gen::UpdatePair {
+        waypoint: Some(DpId(3)),
+        ..sdn_topo::gen::reversal(5)
+    };
+    for (name, pairs) in [
+        ("crossing-free", generated(false)),
+        ("with crossing", generated(true)),
+        ("HotNets'14 crossing", vec![hotnets]),
+    ] {
         let mut repl = 0;
         let mut fall = 0;
-        for seed in 0..20u64 {
-            let mut rng = DetRng::new(seed + 400);
-            let p = sdn_topo::gen::waypointed(12, crossing, &mut rng);
+        for p in pairs {
             let inst = UpdateInstance::new(p.old, p.new, p.waypoint).unwrap();
             let s = WayUp::default().schedule(&inst).unwrap();
             if s.fallback {

@@ -96,7 +96,7 @@ fn run_load(
         let (src, dst) = gen::batch_hosts(if distinct_hosts { i } else { 0 });
         let spec = FlowSpec { src, dst };
         let inst = UpdateInstance::new(pair.old.clone(), pair.new.clone(), pair.waypoint).unwrap();
-        let sched = SlfGreedy::default().schedule(&inst).expect("schedulable");
+        let sched = SlfGreedy.schedule(&inst).expect("schedulable");
         if distinct_hosts || i == 0 {
             world.install_initial(&initial_flowmods(&topo, &pair.old, &spec).unwrap());
         }
@@ -330,7 +330,7 @@ fn main() {
         );
         world.install_initial(&initial_flowmods(&topo, &pairs[0].old, &spec).unwrap());
         let inst = UpdateInstance::new(pairs[0].old.clone(), pairs[0].new.clone(), None).unwrap();
-        let sched = SlfGreedy::default().schedule(&inst).unwrap();
+        let sched = SlfGreedy.schedule(&inst).unwrap();
         world.enqueue_update(compile_schedule(&topo, &inst, &sched, &spec).unwrap());
         let r = world.run(SimTime::ZERO + SimDuration::from_secs(3600));
         assert!(

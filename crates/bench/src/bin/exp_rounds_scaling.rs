@@ -152,7 +152,7 @@ fn main() {
     for &n in &sizes {
         let pair = sdn_topo::gen::reversal(n);
         let inst = UpdateInstance::new(pair.old, pair.new, None).unwrap();
-        let (slf_sched, slf_ms) = timed(&SlfGreedy::default(), &inst);
+        let (slf_sched, slf_ms) = timed(&SlfGreedy, &inst);
         let slf_verify_ms = verified(&inst, &slf_sched, PropertySet::loop_free_strong());
         let (pea_sched, pea_ms) = timed(&Peacock::default(), &inst);
         let pea_verify_ms = verified(&inst, &pea_sched, PropertySet::loop_free_relaxed());
@@ -195,7 +195,7 @@ fn main() {
         }
         let pair = sdn_topo::gen::rotation(n, (n - 2) / 2);
         let inst = UpdateInstance::new(pair.old, pair.new, None).unwrap();
-        let (slf_sched, slf_ms) = timed(&SlfGreedy::default(), &inst);
+        let (slf_sched, slf_ms) = timed(&SlfGreedy, &inst);
         let (pea_sched, pea_ms) = timed(&Peacock::default(), &inst);
         tr.row(vec![
             n.to_string(),
@@ -237,7 +237,7 @@ fn main() {
         }
         let pair = sdn_topo::gen::comb(n);
         let inst = UpdateInstance::new(pair.old, pair.new, None).unwrap();
-        let (slf_sched, slf_ms) = timed(&SlfGreedy::default(), &inst);
+        let (slf_sched, slf_ms) = timed(&SlfGreedy, &inst);
         let (pea_sched, pea_ms) = timed(&Peacock::default(), &inst);
         let (tpc_sched, _) = timed(&TwoPhaseCommit, &inst);
         tc.row(vec![
@@ -287,7 +287,7 @@ fn main() {
             let pair = sdn_topo::gen::random_permutation(n, &mut rng);
             let inst = UpdateInstance::new(pair.old, pair.new, None).unwrap();
             backs.push(Contracted::of(&inst).backward_count() as f64);
-            let (s, ms) = timed(&SlfGreedy::default(), &inst);
+            let (s, ms) = timed(&SlfGreedy, &inst);
             slf_rounds.push(s.round_count() as f64);
             slf_ms.push(ms);
             let (s, ms) = timed(&Peacock::default(), &inst);
@@ -341,7 +341,7 @@ fn main() {
         let start = Instant::now();
         let mut slf_rounds = 0usize;
         for inst in &insts {
-            let s = SlfGreedy::default().schedule(inst).expect("schedulable");
+            let s = SlfGreedy.schedule(inst).expect("schedulable");
             slf_rounds += s.round_count();
         }
         let slf_batch_ms = start.elapsed().as_secs_f64() * 1e3;

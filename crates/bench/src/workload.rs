@@ -80,7 +80,7 @@ pub fn install_and_compile(
             let spec = FlowSpec { src, dst };
             let inst =
                 UpdateInstance::new(pair.old.clone(), pair.new.clone(), pair.waypoint).unwrap();
-            let sched = SlfGreedy::default().schedule(&inst).expect("schedulable");
+            let sched = SlfGreedy.schedule(&inst).expect("schedulable");
             world.install_initial(&initial_flowmods(topo, &pair.old, &spec).unwrap());
             compile_schedule(topo, &inst, &sched, &spec).unwrap()
         })

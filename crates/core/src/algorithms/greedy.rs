@@ -34,9 +34,11 @@
 //! rides committed new rules straight to the destination, and if the
 //! rule is not yet applied the walk is the committed walk, loop-free by
 //! induction. Hence the engine terminates with a complete schedule.
-//! With waypoint enforcement the argument holds per WayUp phase on
-//! crossing-free instances; otherwise the engine reports
-//! [`SchedulerError::Stuck`] and WayUp falls back to two-phase commit.
+//! Waypoint enforcement breaks the argument: the deepest switch may
+//! let packets skip the waypoint, and some instances (HotNets'14's
+//! crossing example) have no safe replacement order at all. Then the
+//! engine reports [`SchedulerError::Stuck`] and WayUp falls back to
+//! two-phase commit.
 
 use sdn_types::DpId;
 
@@ -44,9 +46,9 @@ use crate::checker::{AdmissionProbe, OracleMode};
 use crate::config::ConfigState;
 use crate::model::UpdateInstance;
 use crate::properties::PropertySet;
-use crate::schedule::{Round, RuleOp};
+use crate::schedule::{Round, RuleOp, Schedule};
 
-use super::SchedulerError;
+use super::{assemble, new_only_round, pending_shared, SchedulerError};
 
 /// Candidate orderings for the greedy engine (ablation experiment
 /// E6-a evaluates these).
@@ -146,19 +148,20 @@ pub(crate) fn order_candidates(
     }
 }
 
-/// Run the greedy engine to completion: returns the activation rounds
-/// (not including new-only installs or cleanup) and leaves `base`
-/// advanced past all of them.
-pub(crate) fn greedy_rounds(
+/// Run the greedy engine over one instance: the new-only round, the
+/// activation rounds of every pending shared switch under `props` in
+/// `ordering`, and cleanup. `prefer_conservative` consults the
+/// polynomial oracle first and the exact one only on an empty round.
+pub(crate) fn greedy_schedule(
+    name: &str,
     inst: &UpdateInstance,
-    base: &mut ConfigState<'_>,
-    pending: Vec<DpId>,
-    props: &PropertySet,
+    props: PropertySet,
     ordering: CandidateOrdering,
     prefer_conservative: bool,
-) -> Result<Vec<Round>, SchedulerError> {
-    if pending.is_empty() {
-        return Ok(Vec::new());
+) -> Result<Schedule, SchedulerError> {
+    let mut base = ConfigState::initial(inst);
+    if let Some(r) = new_only_round(inst) {
+        base.apply_all(&r.ops);
     }
     let primary = if prefer_conservative {
         OracleMode::Conservative
@@ -167,29 +170,30 @@ pub(crate) fn greedy_rounds(
     };
     // One session for the whole schedule: `commit_round` re-seeds it
     // from each round's deltas instead of re-opening per round.
-    let mut session = AdmissionProbe::open(inst, base, *props, primary);
-    rounds_in_session(
+    let mut session = AdmissionProbe::open(inst, &base, props, primary);
+    let rounds = rounds_in_session(
         &mut session,
         inst,
         base,
-        pending,
         props,
         ordering,
         prefer_conservative,
-    )
+    )?;
+    Ok(assemble(name, inst, rounds))
 }
 
-/// [`greedy_rounds`]' loop, in a session opened on `base` with `props`
-/// (conservative when `prefer_conservative`, else exact).
+/// [`greedy_schedule`]'s activation rounds, in a session opened on
+/// `base` with `props` (conservative when `prefer_conservative`, else
+/// exact).
 fn rounds_in_session(
     session: &mut AdmissionProbe<'_>,
     inst: &UpdateInstance,
-    base: &mut ConfigState<'_>,
-    mut pending: Vec<DpId>,
-    props: &PropertySet,
+    mut base: ConfigState<'_>,
+    props: PropertySet,
     ordering: CandidateOrdering,
     prefer_conservative: bool,
 ) -> Result<Vec<Round>, SchedulerError> {
+    let mut pending = pending_shared(inst);
     let mut rounds = Vec::new();
     // Base-independent orderings are sorted once and only shrink;
     // walk-dependent orderings are recomputed per round.
@@ -198,7 +202,7 @@ fn rounds_in_session(
         CandidateOrdering::NewRouteReverse | CandidateOrdering::OldRoutePosition
     );
     if static_order {
-        pending = order_candidates(ordering, inst, base, &pending);
+        pending = order_candidates(ordering, inst, &base, &pending);
     }
     // Under a static order, a rejected candidate the session names a
     // blocker for is parked (blocker → candidate; a switch blocks only
@@ -217,7 +221,7 @@ fn rounds_in_session(
     let mut parked_count = 0usize;
     let mut leaving = vec![false; inst.node_count()];
     while !(pending.is_empty() && parked_count == 0) {
-        let reordered = (!static_order).then(|| order_candidates(ordering, inst, base, &pending));
+        let reordered = (!static_order).then(|| order_candidates(ordering, inst, &base, &pending));
         for &v in reordered.as_deref().unwrap_or(&pending) {
             if !session.try_push(RuleOp::Activate(v)) && static_order {
                 if let Some(blocker) = session.blocker(v) {
@@ -234,7 +238,7 @@ fn rounds_in_session(
             if parked_count != 0 {
                 pending.retain(|&v| !std::mem::take(&mut leaving[ix(v)]));
                 pending.extend(parked.iter_mut().filter_map(Option::take));
-                pending = order_candidates(ordering, inst, base, &pending);
+                pending = order_candidates(ordering, inst, &base, &pending);
                 parked_count = 0;
             }
             if !prefer_conservative {
@@ -243,7 +247,7 @@ fn rounds_in_session(
             // Conservative over-rejection emptied the round: retry it
             // with a fresh exact probe, then advance the conservative
             // session past the exactly-decided round.
-            let mut exact = AdmissionProbe::open(inst, base, *props, OracleMode::Exact);
+            let mut exact = AdmissionProbe::open(inst, &base, props, OracleMode::Exact);
             for &v in reordered.as_deref().unwrap_or(&pending) {
                 exact.try_push(RuleOp::Activate(v));
             }
@@ -269,7 +273,7 @@ fn rounds_in_session(
         pending.extend(activated.filter_map(|v| parked[ix(v)].take()));
         parked_count -= pending.len() - before;
         if pending.len() > before {
-            pending = order_candidates(ordering, inst, base, &pending);
+            pending = order_candidates(ordering, inst, &base, &pending);
         }
         base.apply_all(&ops);
         rounds.push(Round::new(ops));
@@ -280,7 +284,6 @@ fn rounds_in_session(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::pending_shared;
     use sdn_topo::route::RoutePath;
 
     fn inst(old: &[u64], new: &[u64], wp: Option<u64>) -> UpdateInstance {
@@ -294,59 +297,59 @@ mod tests {
 
     #[test]
     fn greedy_completes_reversal_under_rlf() {
+        // no new-only or old-only switches: every round activates
         let i = inst(&[1, 2, 3, 4, 5, 6], &[1, 5, 4, 3, 2, 6], None);
-        let mut base = ConfigState::initial(&i);
-        let rounds = greedy_rounds(
+        let s = greedy_schedule(
+            "t",
             &i,
-            &mut base,
-            pending_shared(&i),
-            &PropertySet::loop_free_relaxed(),
+            PropertySet::loop_free_relaxed(),
             CandidateOrdering::OffPathFirst,
             true,
         )
         .unwrap();
         // relaxed loop freedom should need very few rounds
-        assert!(rounds.len() <= 4, "got {} rounds", rounds.len());
+        assert!(s.round_count() <= 4, "got {} rounds", s.round_count());
         // everything activated
-        let total: usize = rounds.iter().map(|r| r.len()).sum();
+        let total: usize = s.rounds.iter().map(|r| r.len()).sum();
         assert_eq!(total, pending_shared(&i).len());
     }
 
     #[test]
     fn greedy_reversal_under_slf_needs_many_rounds() {
         let i = inst(&[1, 2, 3, 4, 5, 6], &[1, 5, 4, 3, 2, 6], None);
-        let mut base = ConfigState::initial(&i);
-        let rounds = greedy_rounds(
+        let s = greedy_schedule(
+            "t",
             &i,
-            &mut base,
-            pending_shared(&i),
-            &PropertySet::loop_free_strong(),
+            PropertySet::loop_free_strong(),
             CandidateOrdering::NewRouteReverse,
             true,
         )
         .unwrap();
         assert!(
-            rounds.len() >= 3,
+            s.round_count() >= 3,
             "SLF should cost rounds, got {}",
-            rounds.len()
+            s.round_count()
         );
     }
 
     /// The engine without its session reuse and parking: every round
     /// opens a fresh probe and offers it every pending candidate.
-    fn rounds_probing_everything(
+    fn schedule_probing_everything(
         i: &UpdateInstance,
-        mut pending: Vec<DpId>,
-        props: &PropertySet,
+        props: PropertySet,
         ordering: CandidateOrdering,
-    ) -> Result<Vec<Round>, SchedulerError> {
+    ) -> Result<Schedule, SchedulerError> {
         let mut base = ConfigState::initial(i);
+        if let Some(r) = new_only_round(i) {
+            base.apply_all(&r.ops);
+        }
+        let mut pending = pending_shared(i);
         let mut rounds = Vec::new();
         while !pending.is_empty() {
             let ordered = order_candidates(ordering, i, &base, &pending);
             let mut ops = Vec::new();
             for mode in [OracleMode::Conservative, OracleMode::Exact] {
-                let mut probe = AdmissionProbe::open(i, &base, *props, mode);
+                let mut probe = AdmissionProbe::open(i, &base, props, mode);
                 for &v in &ordered {
                     probe.try_push(RuleOp::Activate(v));
                 }
@@ -362,7 +365,7 @@ mod tests {
             base.apply_all(&ops);
             rounds.push(Round::new(ops));
         }
-        Ok(rounds)
+        Ok(assemble("t", i, rounds))
     }
 
     /// Parking a candidate until its blocker commits must not change a
@@ -392,12 +395,10 @@ mod tests {
                     CandidateOrdering::NewRouteReverse,
                     CandidateOrdering::OldRoutePosition,
                 ] {
-                    let mut base = ConfigState::initial(&i);
-                    let got =
-                        greedy_rounds(&i, &mut base, pending_shared(&i), &props, ordering, true);
-                    let want = rounds_probing_everything(&i, pending_shared(&i), &props, ordering);
+                    let got = greedy_schedule("t", &i, props, ordering, true);
+                    let want = schedule_probing_everything(&i, props, ordering);
                     assert_eq!(got, want, "{i} {props:?} {ordering:?}");
-                    parked_rounds += got.map_or(0, |r| r.len().saturating_sub(3));
+                    parked_rounds += got.map_or(0, |s| s.round_count().saturating_sub(3));
                 }
             }
         }
@@ -442,20 +443,11 @@ mod tests {
     /// whole job is this engine call).
     fn slf_greedy_work(pair: sdn_topo::gen::UpdatePair) -> u64 {
         let i = UpdateInstance::new(pair.old, pair.new, None).unwrap();
-        let mut base = ConfigState::initial(&i);
+        let base = ConfigState::initial(&i);
         let props = PropertySet::loop_free_strong();
         let mut session = AdmissionProbe::open(&i, &base, props, OracleMode::Conservative);
         let ordering = CandidateOrdering::NewRouteReverse;
-        rounds_in_session(
-            &mut session,
-            &i,
-            &mut base,
-            pending_shared(&i),
-            &props,
-            ordering,
-            true,
-        )
-        .unwrap();
+        rounds_in_session(&mut session, &i, base, props, ordering, true).unwrap();
         session.work()
     }
 
@@ -466,7 +458,7 @@ mod tests {
         use crate::algorithms::{SlfGreedy, UpdateScheduler};
         use crate::properties::Property;
         let i = UpdateInstance::new(pair.old, pair.new, None).unwrap();
-        let schedule = SlfGreedy::default().schedule(&i).unwrap();
+        let schedule = SlfGreedy.schedule(&i).unwrap();
         let slf = PropertySet::none().with(Property::StrongLoopFreedom);
         let base = ConfigState::initial(&i);
         let mut session = AdmissionProbe::open(&i, &base, slf, OracleMode::Exact);
@@ -559,16 +551,14 @@ mod tests {
     #[test]
     fn single_switch_instance_one_round() {
         let i = inst(&[1, 2], &[1, 2], None);
-        let mut base = ConfigState::initial(&i);
-        let rounds = greedy_rounds(
+        let s = greedy_schedule(
+            "t",
             &i,
-            &mut base,
-            pending_shared(&i),
-            &PropertySet::loop_free_relaxed(),
+            PropertySet::loop_free_relaxed(),
             CandidateOrdering::OffPathFirst,
             true,
         )
         .unwrap();
-        assert_eq!(rounds.len(), 1);
+        assert_eq!(s.round_count(), 1);
     }
 }

@@ -4,8 +4,9 @@
 //! schedule out. The demo paper's two headliners are here —
 //!
 //! * [`WayUp`] (HotNets'14): transient **waypoint enforcement** plus
-//!   loop freedom, two waypoint-phases, with an automatic fallback to
-//!   tag-based two-phase commit on instances with crossing switches;
+//!   loop freedom in greedy rounds, with an automatic fallback to
+//!   tag-based two-phase commit where no replacement order exists
+//!   (instances with crossing switches);
 //! * [`Peacock`] (PODC'15): **relaxed loop freedom** in few rounds via
 //!   maximal safe sets, exploiting that switches off the committed path
 //!   can update for free —
@@ -20,8 +21,9 @@
 //!   (always consistent, but doubles rules and ignores rule-space
 //!   cost).
 //!
-//! The greedy schedulers share one admission path: the internal
-//! greedy engine opens a stateful
+//! The greedy schedulers are (properties, candidate ordering)
+//! configurations of one internal engine, and share its admission
+//! path: it opens a stateful
 //! [`AdmissionProbe`](crate::checker::AdmissionProbe) session per
 //! *schedule* and carries it across rounds
 //! ([`AdmissionProbe::commit_round`](crate::checker::AdmissionProbe::commit_round)
@@ -56,9 +58,9 @@ use crate::schedule::{Round, RuleOp, Schedule};
 pub enum SchedulerError {
     /// The algorithm requires a waypoint but the instance has none.
     NoWaypoint,
-    /// No admissible candidate remains although updates are pending —
-    /// for WayUp this signals the HotNets'14 impossibility (crossing
-    /// switches) when the fallback is disabled.
+    /// No admissible candidate remains although updates are pending.
+    /// WayUp never returns it: it answers the HotNets'14 impossibility
+    /// (crossing switches) with its two-phase-commit fallback.
     Stuck {
         /// Switches that could not be scheduled.
         remaining: Vec<DpId>,

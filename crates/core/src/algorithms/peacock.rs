@@ -12,21 +12,20 @@
 //! notes*) realizes the relaxation as a maximal-safe-set greedy:
 //! candidates are proposed off-path first, then forward jumps, then
 //! backward jumps deepest-first, and admitted while the round passes
-//! the relaxed-loop-freedom oracle — one stateful
-//! [`AdmissionProbe`](crate::checker::AdmissionProbe) session per
-//! round, whose cached reachability makes the common case (an
-//! off-path switch no packet reaches) an O(1) admission. On the
+//! the relaxed-loop-freedom oracle — the greedy engine's stateful
+//! [`AdmissionProbe`](crate::checker::AdmissionProbe) session, carried
+//! across the rounds, whose cached reachability makes the common case
+//! (an off-path switch no packet reaches) an O(1) admission. On the
 //! canonical reversal instances it needs 3 activation rounds
 //! independent of n; experiment E3 measures the scaling against the
 //! SLF baseline.
 
-use crate::config::ConfigState;
 use crate::model::UpdateInstance;
 use crate::properties::PropertySet;
 use crate::schedule::Schedule;
 
-use super::greedy::{greedy_rounds, CandidateOrdering};
-use super::{assemble, pending_shared, SchedulerError, UpdateScheduler};
+use super::greedy::{greedy_schedule, CandidateOrdering};
+use super::{SchedulerError, UpdateScheduler};
 
 /// The relaxed-loop-freedom round scheduler.
 #[derive(Debug, Clone, Copy)]
@@ -53,19 +52,13 @@ impl UpdateScheduler for Peacock {
     }
 
     fn schedule(&self, inst: &UpdateInstance) -> Result<Schedule, SchedulerError> {
-        let mut base = ConfigState::initial(inst);
-        if let Some(r) = super::new_only_round(inst) {
-            base.apply_all(&r.ops);
-        }
-        let rounds = greedy_rounds(
+        greedy_schedule(
+            self.name(),
             inst,
-            &mut base,
-            pending_shared(inst),
-            &PropertySet::loop_free_relaxed(),
+            PropertySet::loop_free_relaxed(),
             self.ordering,
             self.prefer_conservative,
-        )?;
-        Ok(assemble(self.name(), inst, rounds))
+        )
     }
 }
 
@@ -114,7 +107,7 @@ mod tests {
         let pair = gen::reversal(16);
         let i = UpdateInstance::new(pair.old, pair.new, None).unwrap();
         let p = Peacock::default().schedule(&i).unwrap();
-        let g = SlfGreedy::default().schedule(&i).unwrap();
+        let g = SlfGreedy.schedule(&i).unwrap();
         assert!(
             p.round_count() < g.round_count(),
             "peacock {} vs slf {}",

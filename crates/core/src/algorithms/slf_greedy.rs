@@ -20,30 +20,19 @@
 //! take Θ(n) probes of O(1) work each, and n = 4096 instances schedule
 //! in about 3 ms (see `exp_rounds_scaling`).
 
-use crate::config::ConfigState;
 use crate::model::UpdateInstance;
 use crate::properties::PropertySet;
 use crate::schedule::Schedule;
 
-use super::greedy::{greedy_rounds, CandidateOrdering};
-use super::{assemble, pending_shared, SchedulerError, UpdateScheduler};
+use super::greedy::{greedy_schedule, CandidateOrdering};
+use super::{SchedulerError, UpdateScheduler};
 
 /// Greedy maximal rounds under blackhole freedom + strong loop
-/// freedom (+ relaxed loop freedom, which strong implies on walks).
-#[derive(Debug, Clone, Copy)]
-pub struct SlfGreedy {
-    /// Candidate ordering (default: reverse new-route order, which is
-    /// always safe and performs well for SLF).
-    pub ordering: CandidateOrdering,
-}
-
-impl Default for SlfGreedy {
-    fn default() -> Self {
-        SlfGreedy {
-            ordering: CandidateOrdering::NewRouteReverse,
-        }
-    }
-}
+/// freedom (+ relaxed loop freedom, which strong implies on walks),
+/// proposing candidates in reverse new-route order — always safe, and
+/// the order whose blocked candidates the engine can park.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SlfGreedy;
 
 impl UpdateScheduler for SlfGreedy {
     fn name(&self) -> &'static str {
@@ -51,19 +40,13 @@ impl UpdateScheduler for SlfGreedy {
     }
 
     fn schedule(&self, inst: &UpdateInstance) -> Result<Schedule, SchedulerError> {
-        let mut base = ConfigState::initial(inst);
-        if let Some(r) = super::new_only_round(inst) {
-            base.apply_all(&r.ops);
-        }
-        let rounds = greedy_rounds(
+        greedy_schedule(
+            self.name(),
             inst,
-            &mut base,
-            pending_shared(inst),
-            &PropertySet::loop_free_strong(),
-            self.ordering,
+            PropertySet::loop_free_strong(),
+            CandidateOrdering::NewRouteReverse,
             true,
-        )?;
-        Ok(assemble(self.name(), inst, rounds))
+        )
     }
 }
 
@@ -86,7 +69,7 @@ mod tests {
     #[test]
     fn schedule_verifies_under_slf() {
         let i = inst(&[1, 2, 3, 4, 5], &[1, 4, 3, 2, 5], None);
-        let s = SlfGreedy::default().schedule(&i).unwrap();
+        let s = SlfGreedy.schedule(&i).unwrap();
         let r = verify_schedule(&i, &s, PropertySet::loop_free_strong());
         assert!(r.is_ok(), "{r}");
     }
@@ -96,7 +79,7 @@ mod tests {
         for n in [6u64, 10, 14] {
             let pair = sdn_topo::gen::reversal(n);
             let i = UpdateInstance::new(pair.old, pair.new, None).unwrap();
-            let s = SlfGreedy::default().schedule(&i).unwrap();
+            let s = SlfGreedy.schedule(&i).unwrap();
             // interior reversal forces ~one backward switch per round
             let expect_min = (n as usize - 2) / 2;
             assert!(
@@ -116,7 +99,7 @@ mod tests {
         let n = 256u64;
         let pair = sdn_topo::gen::reversal(n);
         let i = UpdateInstance::new(pair.old, pair.new, None).unwrap();
-        let s = SlfGreedy::default().schedule(&i).unwrap();
+        let s = SlfGreedy.schedule(&i).unwrap();
         let total: usize = s.rounds.iter().map(|r| r.len()).sum();
         assert_eq!(total, n as usize - 1, "every shared switch activated");
         assert!(
@@ -133,7 +116,7 @@ mod tests {
             let n = 4 + rng.index(8) as u64;
             let pair = sdn_topo::gen::random_permutation(n, &mut rng);
             let i = UpdateInstance::new(pair.old, pair.new, None).unwrap();
-            let s = SlfGreedy::default().schedule(&i).unwrap();
+            let s = SlfGreedy.schedule(&i).unwrap();
             let r = verify_schedule(&i, &s, PropertySet::loop_free_strong());
             assert!(r.is_ok(), "{i}: {r}");
         }
@@ -144,7 +127,7 @@ mod tests {
         let mut rng = DetRng::new(5);
         let pair = sdn_topo::gen::random_subsequence(12, 0.5, &mut rng);
         let i = UpdateInstance::new(pair.old, pair.new, None).unwrap();
-        let s = SlfGreedy::default().schedule(&i).unwrap();
+        let s = SlfGreedy.schedule(&i).unwrap();
         // rounds: [activations] + [cleanup]; forward jumps never
         // conflict under SLF
         assert!(

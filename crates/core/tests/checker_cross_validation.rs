@@ -376,7 +376,7 @@ proptest! {
             (one_shot.clone(), props),
             (one_shot, slf),
             (two_phase, props),
-            (SlfGreedy::default().schedule(&inst).unwrap(), PropertySet::loop_free_strong()),
+            (SlfGreedy.schedule(&inst).unwrap(), PropertySet::loop_free_strong()),
             // Auditing a relaxed schedule under SLF props yields
             // rule-cycle violations: the witness-rebuild path must
             // match too.

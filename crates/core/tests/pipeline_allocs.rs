@@ -139,7 +139,7 @@ fn verifying_a_passing_schedule_allocates_at_most_64_times() {
 #[test]
 fn verifying_an_slf_schedule_allocates_at_most_1600_times() {
     let inst = reversal();
-    let schedule = SlfGreedy::default().schedule(&inst).unwrap();
+    let schedule = SlfGreedy.schedule(&inst).unwrap();
     let (report, n) = allocs(|| verify_schedule(&inst, &schedule, PropertySet::loop_free_strong()));
     assert!(report.is_ok(), "{report}");
     assert!(n <= 1600, "{n} allocations to verify");
@@ -154,7 +154,7 @@ fn verifying_an_slf_schedule_allocates_at_most_1600_times() {
 fn verifying_one_switch_rounds_allocates_per_round_not_per_switch() {
     let pair = sdn_topo::gen::reversal(128);
     let inst = UpdateInstance::new(pair.old, pair.new, None).unwrap();
-    let schedule = SlfGreedy::default().schedule(&inst).unwrap();
+    let schedule = SlfGreedy.schedule(&inst).unwrap();
     let rounds = schedule.round_count() as u64;
     let props = PropertySet::transiently_secure();
     let (report, bytes) = alloc_bytes(|| verify_schedule(&inst, &schedule, props));

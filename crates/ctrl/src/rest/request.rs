@@ -306,11 +306,8 @@ mod tests {
             deadline_ms: None,
         };
         let inst = r.to_instance().unwrap();
-        let schedulers: [&dyn UpdateScheduler; 3] = [
-            &Peacock::default(),
-            &SlfGreedy::default(),
-            &WayUp::default(),
-        ];
+        let schedulers: [&dyn UpdateScheduler; 3] =
+            [&Peacock::default(), &SlfGreedy, &WayUp::default()];
         for s in schedulers {
             let schedule = s.schedule(&inst).unwrap();
             assert!(schedule.round_count() >= 1, "{}", s.name());

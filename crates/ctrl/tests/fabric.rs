@@ -68,7 +68,7 @@ fn compile_flows(pairs: &[UpdatePair], k: usize) -> Vec<CompiledUpdate> {
             let spec = FlowSpec { src, dst };
             let inst =
                 UpdateInstance::new(pair.old.clone(), pair.new.clone(), pair.waypoint).unwrap();
-            let sched = SlfGreedy::default().schedule(&inst).unwrap();
+            let sched = SlfGreedy.schedule(&inst).unwrap();
             let report = verify_schedule(&inst, &sched, PropertySet::loop_free_strong());
             assert!(report.is_ok(), "per-flow schedule must verify: {report}");
             let mut c = compile_schedule(&topo, &inst, &sched, &spec).unwrap();

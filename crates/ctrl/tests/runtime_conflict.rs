@@ -60,7 +60,7 @@ fn compile_flows(pairs: &[UpdatePair]) -> Vec<CompiledUpdate> {
             let spec = FlowSpec { src, dst };
             let inst =
                 UpdateInstance::new(pair.old.clone(), pair.new.clone(), pair.waypoint).unwrap();
-            let sched = SlfGreedy::default().schedule(&inst).unwrap();
+            let sched = SlfGreedy.schedule(&inst).unwrap();
             let report = verify_schedule(&inst, &sched, PropertySet::loop_free_strong());
             assert!(report.is_ok(), "per-flow schedule must verify: {report}");
             compile_schedule(&topo, &inst, &sched, &spec).unwrap()
@@ -209,7 +209,7 @@ proptest! {
             .map(|p| {
                 let inst =
                     UpdateInstance::new(p.old.clone(), p.new.clone(), None).unwrap();
-                let sched = SlfGreedy::default().schedule(&inst).unwrap();
+                let sched = SlfGreedy.schedule(&inst).unwrap();
                 compile_schedule(&topo, &inst, &sched, &spec).unwrap()
             })
             .collect();
@@ -390,7 +390,7 @@ fn footprint_includes_cleanup_round_switches() {
     let (src, dst) = gen::batch_hosts(0);
     let spec = FlowSpec { src, dst };
     let inst = UpdateInstance::new(pair.old.clone(), pair.new.clone(), pair.waypoint).unwrap();
-    let sched = SlfGreedy::default().schedule(&inst).unwrap();
+    let sched = SlfGreedy.schedule(&inst).unwrap();
     let compiled = compile_schedule(&topo, &inst, &sched, &spec).unwrap();
     let fp = Footprint::of(&compiled);
     for dp in [2u64, 4, 5, 6].map(DpId) {

@@ -76,7 +76,7 @@ impl AlgoChoice {
     pub fn scheduler(&self) -> Box<dyn UpdateScheduler> {
         match self {
             AlgoChoice::OneShot => Box::new(OneShot),
-            AlgoChoice::SlfGreedy => Box::new(SlfGreedy::default()),
+            AlgoChoice::SlfGreedy => Box::new(SlfGreedy),
             AlgoChoice::Peacock => Box::new(Peacock::default()),
             AlgoChoice::WayUp => Box::new(WayUp::default()),
             AlgoChoice::TwoPhase => Box::new(TwoPhaseCommit),

@@ -68,7 +68,7 @@ proptest! {
             let inst = UpdateInstance::new(pair.old.clone(), pair.new.clone(), pair.waypoint).unwrap();
             let sched = match pair.waypoint {
                 Some(_) => WayUp::default().schedule(&inst),
-                None => SlfGreedy::default().schedule(&inst),
+                None => SlfGreedy.schedule(&inst),
             };
             w.install_initial(&initial_flowmods(&topo, &pair.old, &spec).unwrap());
             w.enqueue_update(compile_schedule(&topo, &inst, &sched.unwrap(), &spec).unwrap());

@@ -54,7 +54,7 @@ fn chaotic_world(pairs: &[UpdatePair], seed: u64, runtime: ConcurrentRuntime) ->
         let (src, dst) = gen::batch_hosts(i);
         let spec = FlowSpec { src, dst };
         let inst = UpdateInstance::new(pair.old.clone(), pair.new.clone(), pair.waypoint).unwrap();
-        let sched = SlfGreedy::default().schedule(&inst).unwrap();
+        let sched = SlfGreedy.schedule(&inst).unwrap();
         world.install_initial(&initial_flowmods(&topo, &pair.old, &spec).unwrap());
         compiled.push(compile_schedule(&topo, &inst, &sched, &spec).unwrap());
     }

@@ -35,7 +35,7 @@ fn batch_world(
         let (src, dst) = gen::batch_hosts(i);
         let spec = FlowSpec { src, dst };
         let inst = UpdateInstance::new(pair.old.clone(), pair.new.clone(), pair.waypoint).unwrap();
-        let sched = SlfGreedy::default().schedule(&inst).unwrap();
+        let sched = SlfGreedy.schedule(&inst).unwrap();
         world.install_initial(&initial_flowmods(&topo, &pair.old, &spec).unwrap());
         compiled.push(compile_schedule(&topo, &inst, &sched, &spec).unwrap());
     }
@@ -109,7 +109,7 @@ fn conflicting_updates_serialize() {
     world.install_initial(&initial_flowmods(&topo, &a.old, &spec).unwrap());
     for pair in [&a, &b] {
         let inst = UpdateInstance::new(pair.old.clone(), pair.new.clone(), pair.waypoint).unwrap();
-        let sched = SlfGreedy::default().schedule(&inst).unwrap();
+        let sched = SlfGreedy.schedule(&inst).unwrap();
         world.enqueue_update(compile_schedule(&topo, &inst, &sched, &spec).unwrap());
     }
     world.plan_injection(src, dst, SimDuration::from_micros(500), 300, SimTime::ZERO);
@@ -142,7 +142,7 @@ fn bounded_queue_backpressures_under_load() {
         .build();
     world.install_initial(&initial_flowmods(&topo, &a.old, &spec).unwrap());
     let inst = UpdateInstance::new(a.old.clone(), a.new.clone(), None).unwrap();
-    let sched = SlfGreedy::default().schedule(&inst).unwrap();
+    let sched = SlfGreedy.schedule(&inst).unwrap();
     let compiled = compile_schedule(&topo, &inst, &sched, &spec).unwrap();
     let mut accepted = 0;
     let mut rejected = 0;
@@ -193,7 +193,7 @@ fn straggler_run(retrans: RetransMode) -> (u64, bool) {
     );
     world.install_initial(&initial_flowmods(&topo, &pair.old, &spec).unwrap());
     let inst = UpdateInstance::new(pair.old.clone(), pair.new.clone(), None).unwrap();
-    let sched = SlfGreedy::default().schedule(&inst).unwrap();
+    let sched = SlfGreedy.schedule(&inst).unwrap();
     world.enqueue_update(compile_schedule(&topo, &inst, &sched, &spec).unwrap());
     let r = world.run(horizon());
     (

@@ -60,7 +60,7 @@ fn clean_update_leaves_a_full_lifecycle_span() {
         .concurrent(RuntimeConfig::default())
         .obs(obs.clone())
         .build();
-    let c = compiled_for(&mut w, &topo, &pairs[0], &SlfGreedy::default(), 0);
+    let c = compiled_for(&mut w, &topo, &pairs[0], &SlfGreedy, 0);
     let ticket = w.submit(SubmitRequest::new(c)).expect("admitted");
     let job = ticket.job.0;
     let r = w.run(horizon());
@@ -201,7 +201,7 @@ fn chaotic_run() -> (Obs, sdn_sim::report::SimReport, u64, u64) {
         .obs(obs.clone())
         .build();
     for (i, pair) in pairs.iter().enumerate() {
-        let c = compiled_for(&mut w, &topo, pair, &SlfGreedy::default(), i);
+        let c = compiled_for(&mut w, &topo, pair, &SlfGreedy, i);
         w.enqueue_update(c);
     }
     use sdn_sim::chaos::FaultKind;

@@ -21,6 +21,9 @@
 //! all eight digests were re-recorded once, when the label shrank from
 //! both whole routes to `"{algorithm} ({src} -> {dst}, {n} hops)"`;
 //! with the old label restored the `d07a772` digests still match.
+//! The two WayUp digests were re-recorded when WayUp became one greedy
+//! pass: Figure 1 then activates the waypoint and the source in one
+//! round (3 rounds instead of 4); the other six are unchanged.
 
 use sdn_channel::config::ChannelConfig;
 use sdn_ctrl::compile::{compile_schedule, initial_flowmods, FlowSpec};
@@ -132,7 +135,7 @@ fn golden_serial_path_on_lan() {
     check(
         ChannelConfig::lan(),
         [
-            0x28d9_0f59_1950_a21c,
+            0x690d_f648_21b9_c3af,
             0x2c2b_3da4_3a4b_b6fb,
             0x4f74_9ef8_7077_e56f,
             0x341a_4451_4f89_49b1,
@@ -145,7 +148,7 @@ fn golden_serial_path_under_5ms_jitter() {
     check(
         ChannelConfig::jittery(SimDuration::from_millis(5)),
         [
-            0xb35f_15f8_173b_883a,
+            0x5409_7fd1_59cc_7f10,
             0xefe0_521e_83d1_2f0c,
             0xfca9_cb98_2ee5_af40,
             0xbada_593b_08e2_1781,

@@ -43,7 +43,7 @@ fn queued_world(disjoint: bool, cfg: WorldConfig) -> World {
             world.install_initial(&initial_flowmods(&topo, &pair.old, &spec).unwrap());
         }
         let inst = UpdateInstance::new(pair.old.clone(), pair.new.clone(), None).unwrap();
-        let sched = SlfGreedy::default().schedule(&inst).unwrap();
+        let sched = SlfGreedy.schedule(&inst).unwrap();
         let mut update = compile_schedule(&topo, &inst, &sched, &spec).unwrap();
         update.label = format!("job{i}");
         world.enqueue_update(update);

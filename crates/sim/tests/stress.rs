@@ -142,7 +142,7 @@ fn concurrent_fanout_under_duplication_and_jitter() {
         let inst = UpdateInstance::new(pair.old.clone(), pair.new.clone(), pair.waypoint).unwrap();
         // strong loop freedom: zero transient loops even for packets
         // already in flight, so the merged-trace assertion is exact
-        let sched = SlfGreedy::default().schedule(&inst).unwrap();
+        let sched = SlfGreedy.schedule(&inst).unwrap();
         world.enqueue_update(compile_schedule(&topo, &inst, &sched, &spec).unwrap());
         world.plan_injection(src, dst, SimDuration::from_millis(1), 100, SimTime::ZERO);
     }

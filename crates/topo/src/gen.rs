@@ -13,8 +13,8 @@
 //!   forward jumps; the easy case);
 //! * [`waypointed`] — routes sharing a waypoint, optionally with a
 //!   *crossing* switch (before the waypoint on one route, after it on
-//!   the other), which makes pure rule-replacement WayUp infeasible and
-//!   exercises the two-phase-commit fallback;
+//!   the other), which may make pure rule-replacement WayUp infeasible
+//!   and leave it the two-phase-commit fallback;
 //! * [`disjoint_detour`] — new route disjoint from old except at the
 //!   endpoints and waypoint (the Figure 1 shape, parameterized);
 //! * [`fat_tree_flows`] — a *multi-flow batch* of k-ary fat-tree
@@ -107,8 +107,9 @@ pub fn random_subsequence(n: u64, keep: f64, rng: &mut DetRng) -> UpdatePair {
 ///
 /// With `crossing = true`, one switch from before the waypoint (old
 /// order) is moved after it on the new route, creating a crossing
-/// switch; transient waypoint enforcement then requires the tag-based
-/// fallback.
+/// switch; transient waypoint enforcement then may need the tag-based
+/// fallback: HotNets'14's ⟨1,2,3,4,5⟩ → ⟨1,4,3,2,5⟩ with waypoint 3
+/// does, ⟨1,…,7⟩ → ⟨1,3,4,2,6,5,7⟩ with waypoint 4 does not.
 pub fn waypointed(n: u64, crossing: bool, rng: &mut DetRng) -> UpdatePair {
     assert!(n >= 5, "waypointed needs n >= 5");
     let w = n.div_ceil(2);

@@ -39,9 +39,7 @@ fn main() {
     let reversal = sdn_topo::gen::reversal(32);
     let rev_inst = UpdateInstance::new(reversal.old, reversal.new, None).expect("valid");
     let peacock = Peacock::default().schedule(&rev_inst).expect("schedulable");
-    let slf = SlfGreedy::default()
-        .schedule(&rev_inst)
-        .expect("schedulable");
+    let slf = SlfGreedy.schedule(&rev_inst).expect("schedulable");
     println!(
         "\nreversal n=32: peacock {} rounds vs slf-greedy {} rounds",
         peacock.round_count(),

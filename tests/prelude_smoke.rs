@@ -37,7 +37,7 @@ fn prelude_reexports_cover_all_schedulers() {
     let peacock = Peacock::default().schedule(&inst).expect("peacock");
     assert!(verify_schedule(&inst, &peacock, PropertySet::loop_free_relaxed()).is_ok());
 
-    let slf = SlfGreedy::default().schedule(&inst).expect("slf");
+    let slf = SlfGreedy.schedule(&inst).expect("slf");
     assert!(verify_schedule(&inst, &slf, PropertySet::loop_free_strong()).is_ok());
 
     let two_phase = TwoPhaseCommit.schedule(&inst).expect("two-phase");

@@ -30,7 +30,7 @@ proptest! {
         let mut rng = DetRng::new(seed);
         let pair = sdn_topo::gen::random_permutation(n, &mut rng);
         let inst = UpdateInstance::new(pair.old, pair.new, None).unwrap();
-        let s = SlfGreedy::default().schedule(&inst).unwrap();
+        let s = SlfGreedy.schedule(&inst).unwrap();
         let r = verify_schedule(&inst, &s, PropertySet::loop_free_strong());
         prop_assert!(r.is_ok(), "{inst}: {r}");
     }
@@ -83,7 +83,7 @@ proptest! {
         let inst = UpdateInstance::new(pair.old, pair.new, None).unwrap();
         for s in [
             Peacock::default().schedule(&inst).unwrap(),
-            SlfGreedy::default().schedule(&inst).unwrap(),
+            SlfGreedy.schedule(&inst).unwrap(),
         ] {
             let mut activated = BTreeSet::new();
             for (_, op) in s.all_ops() {
@@ -144,13 +144,23 @@ fn peacock_handles_comb_workloads() {
 #[test]
 fn fallback_schedules_are_tagged_kind() {
     let mut rng = DetRng::new(99);
-    for _ in 0..10 {
-        let pair = sdn_topo::gen::waypointed(9, true, &mut rng);
+    let mut pairs: Vec<_> = (0..10)
+        .map(|_| sdn_topo::gen::waypointed(9, true, &mut rng))
+        .collect();
+    // HotNets'14's crossing instance: the one here with no replacement
+    pairs.push(sdn_topo::gen::UpdatePair {
+        waypoint: Some(sdn_types::DpId(3)),
+        ..sdn_topo::gen::reversal(5)
+    });
+    let mut fallbacks = 0;
+    for pair in pairs {
         let inst = UpdateInstance::new(pair.old, pair.new, pair.waypoint).unwrap();
         let s = WayUp::default().schedule(&inst).unwrap();
         if s.fallback {
+            fallbacks += 1;
             assert_eq!(s.kind, update_core::schedule::ScheduleKind::Tagged);
             assert!(s.validate(&inst).is_ok());
         }
     }
+    assert!(fallbacks > 0, "the fallback path ran");
 }
