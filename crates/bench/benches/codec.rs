@@ -2,7 +2,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use sdn_openflow::codec::{decode, encode};
+use sdn_openflow::codec::{decode, encode, try_encode_into, BytesMut};
 use sdn_openflow::flow::{Action, FlowMatch};
 use sdn_openflow::framing::FrameCodec;
 use sdn_openflow::messages::{Envelope, FlowMod, FlowModCommand, OfMessage};
@@ -27,6 +27,15 @@ fn bench_codec(c: &mut Criterion) {
 
     c.bench_function("codec/encode_flowmod", |b| {
         b.iter(|| encode(black_box(&env)))
+    });
+    // the transport's form: into one reused buffer, no allocation
+    c.bench_function("codec/encode_into_flowmod", |b| {
+        let mut buf = BytesMut::with_capacity(256);
+        b.iter(|| {
+            buf.clear();
+            try_encode_into(black_box(&env), &mut buf).unwrap();
+            buf.len()
+        })
     });
     c.bench_function("codec/decode_flowmod", |b| {
         b.iter(|| decode(black_box(&bytes)).unwrap())

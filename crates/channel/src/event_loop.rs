@@ -23,6 +23,14 @@
 //! fire what has been due for at least that long, so nothing waits
 //! `2 × IDLE_PARK`. A receiver that keeps looping leaves them no work.
 //!
+//! **One clock read per call.** `send` reads `Instant::now()` once and
+//! uses that instant for its turn of the loop, for planning the request
+//! and for planning every reply the switch makes to it: a reply is
+//! planned at the instant of the request it answers. `try_recv` reads
+//! the clock only when something waits on the timer path, and
+//! `recv_timeout` only when no reply is queued yet. What falls due
+//! during a call waits for the next one, as the contract allows.
+//!
 //! **Ordering invariant: a delivery never overtakes an earlier one of
 //! its connection and direction.** Every delivery is planned and
 //! either handed over or queued under its connection's lock. The heap
@@ -336,9 +344,11 @@ impl Inner {
 
     /// One turn of the event loop, on whichever thread calls: take the
     /// loop token and hand over, each to completion, every entry that
-    /// has been due for `grace` (zero for the controller's own calls).
-    /// A caller that finds the token taken leaves the loop to its holder.
-    fn turn(&self, grace: Duration) {
+    /// had been due for `grace` (zero for the controller's own calls) at
+    /// `now`, the caller's clock reading. What falls due during the turn
+    /// waits for the next call. A caller that finds the token taken
+    /// leaves the loop to its holder.
+    fn turn(&self, now: Instant, grace: Duration) {
         if self.pending.load(Acquire) == 0 {
             return;
         }
@@ -347,14 +357,14 @@ impl Inner {
             return;
         }
         while let Some(Reverse(next)) = timers.heap.peek() {
-            if Instant::now() < next.due + grace {
+            if now < next.due + grace {
                 break;
             }
             let Reverse(entry) = timers.heap.pop().expect("peeked");
             timers.turning = true;
             self.pending.store(timers.heap.len(), Release);
             drop(timers);
-            let bytes = self.hand_over(entry);
+            let bytes = self.hand_over(entry, now);
             if !grace.is_zero() {
                 self.watchdog_fired.fetch_add(1, Relaxed);
             }
@@ -376,8 +386,8 @@ impl Inner {
     /// lane's in-flight count drops under the connection lock that
     /// covers the hand-over, so a planner that then finds the lane
     /// clear cannot be overtaking it. Bytes stamped with a stale epoch
-    /// died with their connection.
-    fn hand_over(&self, mut entry: TimerEntry) -> Vec<u8> {
+    /// died with their connection. A reply is planned at `now`.
+    fn hand_over(&self, mut entry: TimerEntry, now: Instant) -> Vec<u8> {
         let mut conn = lock(&self.conns[entry.idx]);
         conn.lane_mut(entry.dir).in_flight -= 1;
         if !(conn.connected && conn.epoch == entry.epoch) {
@@ -386,7 +396,7 @@ impl Inner {
             match entry.dir {
                 Direction::ToSwitch => {
                     conn.rx.feed(&entry.bytes);
-                    self.process(entry.idx, &mut conn);
+                    self.process(entry.idx, &mut conn, now);
                 }
                 Direction::ToController => self.deliver_to_controller(entry.idx, &entry.bytes),
             }
@@ -411,12 +421,11 @@ impl Inner {
     }
 
     /// Plan the frame sitting in `conn.wbuf` on the `dir` lane of the
-    /// locked connection `idx`. A copy that is due now, with nothing of
-    /// its lane still on the timer path, is handed over right here;
-    /// every other copy takes the heap. Returns whether any was handed
-    /// over.
-    fn dispatch(&self, idx: usize, dir: Direction, conn: &mut ConnState) -> bool {
-        let now = Instant::now();
+    /// locked connection `idx` at the instant `now`. A copy that is due
+    /// by then, with nothing of its lane still on the timer path, is
+    /// handed over right here; every other copy takes the heap. Returns
+    /// whether any was handed over.
+    fn dispatch(&self, idx: usize, dir: Direction, conn: &mut ConnState, now: Instant) -> bool {
         let frame_len = conn.wbuf.len();
         let copies = self.plan(conn.lane_mut(dir), frame_len, now);
         let mut handed_over = false;
@@ -436,23 +445,25 @@ impl Inner {
         handed_over
     }
 
-    /// Accept one controller→switch message on a locked, established
-    /// connection: encode once into the pooled buffer and dispatch.
-    fn send_locked(&self, idx: usize, conn: &mut ConnState, env: &Envelope) {
+    /// Accept one controller→switch message, sent at `now`, on a
+    /// locked, established connection: encode once into the pooled
+    /// buffer and dispatch.
+    fn send_locked(&self, idx: usize, conn: &mut ConnState, env: &Envelope, now: Instant) {
         conn.wbuf.clear();
         try_encode_into(env, &mut conn.wbuf)
             .expect("model value not representable in OpenFlow 1.0");
         // Process only after every copy is placed: replies reuse `wbuf`.
-        if self.dispatch(idx, Direction::ToSwitch, conn) {
-            self.process(idx, conn);
+        if self.dispatch(idx, Direction::ToSwitch, conn, now) {
+            self.process(idx, conn, now);
         }
     }
 
     /// Drain a locked connection's complete frames, run the switch,
-    /// dispatch the replies. Planning happens under the connection
-    /// lock so reply order fixes delivery order (FIFO per conn). A
-    /// malformed frame is skipped: it costs one message.
-    fn process(&self, idx: usize, conn: &mut ConnState) {
+    /// dispatch the replies, each planned at `now`, the instant of the
+    /// request it answers. Planning happens under the connection lock
+    /// so reply order fixes delivery order (FIFO per conn). A malformed
+    /// frame is skipped: it costs one message.
+    fn process(&self, idx: usize, conn: &mut ConnState, now: Instant) {
         loop {
             let env = match conn.rx.next_frame() {
                 Ok(Some(env)) => env,
@@ -463,7 +474,7 @@ impl Inner {
                 conn.wbuf.clear();
                 try_encode_into(&reply, &mut conn.wbuf)
                     .expect("model value not representable in OpenFlow 1.0");
-                self.dispatch(idx, Direction::ToController, conn);
+                self.dispatch(idx, Direction::ToController, conn, now);
             }
         }
     }
@@ -553,7 +564,7 @@ impl EventLoopTransport {
                     .spawn(move || {
                         while watchdog.running.load(Acquire) {
                             thread::park_timeout(IDLE_PARK);
-                            watchdog.turn(IDLE_PARK);
+                            watchdog.turn(Instant::now(), IDLE_PARK);
                         }
                     })
                     .expect("spawn watchdog")
@@ -732,33 +743,36 @@ impl LiveTransport for EventLoopTransport {
         if !self.inner.running.load(Acquire) {
             return Err(TransportError::ShutDown);
         }
-        self.inner.turn(Duration::ZERO);
+        let now = Instant::now();
+        self.inner.turn(now, Duration::ZERO);
         let mut conn = lock(&self.inner.conns[idx]);
         if !conn.connected {
             return Err(TransportError::Disconnected(dpid));
         }
-        self.inner.send_locked(idx, &mut conn, env);
+        self.inner.send_locked(idx, &mut conn, env, now);
         Ok(())
     }
 
     /// Turn the loop and pop the controller queue, else sleep on the
     /// queue's condvar until a message, the next due time or the
-    /// deadline, whichever comes first.
+    /// deadline, whichever comes first. The deadline is set at the
+    /// first miss, so a reply already queued costs no clock read.
     fn recv_timeout(&self, timeout: Duration) -> Option<FromSwitch> {
-        let deadline = Instant::now() + timeout;
+        let mut deadline = None;
         loop {
             if let Some(msg) = self.try_recv() {
                 return Some(msg);
             }
             let timers = lock(&self.inner.timers);
             let mut ctrl = lock(&self.inner.ctrl);
+            let now = Instant::now();
+            let deadline = *deadline.get_or_insert(now + timeout);
             // A token holder fires what falls due while it is at work,
             // and wakes us as it leaves if more is pending.
             let wake = match timers.heap.peek() {
                 Some(Reverse(next)) if !timers.turning => deadline.min(next.due),
                 _ => deadline,
             };
-            let now = Instant::now();
             if deadline <= now {
                 return None;
             }
@@ -779,8 +793,11 @@ impl LiveTransport for EventLoopTransport {
         }
     }
 
+    /// Reads the clock only when something waits on the timer path.
     fn try_recv(&self) -> Option<FromSwitch> {
-        self.inner.turn(Duration::ZERO);
+        if self.inner.pending.load(Acquire) != 0 {
+            self.inner.turn(Instant::now(), Duration::ZERO);
+        }
         lock(&self.inner.ctrl).msgs.pop_front()
     }
 
@@ -1153,11 +1170,11 @@ mod tests {
         thread::scope(|s| {
             let mut conn = lock(&t.inner.conns[0]);
             conn.lane_mut(dir).cfg = Some(ChannelConfig::ideal(SimDuration::from_millis(2)));
-            t.inner.send_locked(0, &mut conn, &echo(1));
+            t.inner.send_locked(0, &mut conn, &echo(1), Instant::now());
             conn.lane_mut(dir).cfg = None;
             s.spawn(|| {
                 spin_until("the loop fired everything", || {
-                    t.inner.turn(Duration::ZERO);
+                    t.inner.turn(Instant::now(), Duration::ZERO);
                     t.inner.pending.load(Acquire) == 0
                 })
             });
@@ -1165,7 +1182,8 @@ mod tests {
                 lock(&t.inner.timers).heap.is_empty()
             });
             assert_eq!(conn.lane_mut(dir).in_flight, 1, "popped, not handed over");
-            t.inner.send_locked(0, &mut conn, &barrier(9));
+            t.inner
+                .send_locked(0, &mut conn, &barrier(9), Instant::now());
             assert_eq!(conn.lane_mut(dir).in_flight, 2, "the barrier queued behind");
             assert_eq!(conn.to_switch.in_flight + conn.to_ctrl.in_flight, 2);
             assert!(t.try_recv().is_none(), "nothing may be delivered yet");
@@ -1183,6 +1201,29 @@ mod tests {
     #[test]
     fn a_due_now_reply_queues_behind_a_reply_the_token_holder_still_holds() {
         a_due_now_copy_queues_behind_what_the_token_holder_still_holds(Direction::ToController);
+    }
+
+    #[test]
+    fn an_ideal_round_trip_is_handed_over_on_the_sending_thread() {
+        // Zero delay both ways: the FlowMod is applied and the barrier
+        // answered inside `send`, and nothing takes the timer path.
+        let t = zero_delay_transport(1);
+        t.send(DpId(1), &add_rule(1)).unwrap();
+        t.send(DpId(1), &barrier(2)).unwrap();
+        {
+            let timers = lock(&t.inner.timers);
+            assert!(timers.heap.is_empty() && timers.spare.is_empty());
+            assert_eq!(t.inner.pending.load(Acquire), 0);
+            let conn = lock(&t.inner.conns[0]);
+            assert_eq!(conn.to_switch.in_flight + conn.to_ctrl.in_flight, 0);
+        }
+        let reply = t.try_recv().expect("answered on the first try_recv");
+        assert_eq!(reply.env, Envelope::new(Xid(2), OfMessage::BarrierReply));
+        assert!(t.try_recv().is_none());
+        let s = t.transport_stats();
+        assert_eq!((s.sent, s.delivered), (3, 3));
+        let switches = t.shutdown();
+        assert_eq!(switches[0].table().len(), 1);
     }
 
     #[test]

@@ -476,6 +476,9 @@ impl ConcurrentRuntime {
     /// Move finished/failed jobs to the report log and release their
     /// conflict-graph slots and routes.
     fn reap(&mut self, now: SimTime) {
+        if self.wake.finished.is_empty() {
+            return; // most messages finish nothing
+        }
         // ascending id: report order is observable
         let mut done = std::mem::take(&mut self.wake.finished);
         done.sort_unstable();

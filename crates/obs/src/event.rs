@@ -165,6 +165,7 @@ pub const NO_DP: u64 = u64::MAX;
 
 impl Event {
     /// A minimal event; chain the builders for the rest.
+    #[inline]
     pub fn new(at: SimTime, kind: EventKind) -> Self {
         Event {
             at,
@@ -178,30 +179,35 @@ impl Event {
     }
 
     /// Tag the owning update.
+    #[inline]
     pub fn span(mut self, job: u64) -> Self {
         self.span = SpanId(job);
         self
     }
 
     /// Tag the switch.
+    #[inline]
     pub fn dp(mut self, dp: u64) -> Self {
         self.dp = dp;
         self
     }
 
     /// Tag the round index.
+    #[inline]
     pub fn round(mut self, round: usize) -> Self {
         self.round = round as u32;
         self
     }
 
     /// Attach the kind-dependent payload.
+    #[inline]
     pub fn aux(mut self, aux: u64) -> Self {
         self.aux = aux;
         self
     }
 
     /// Route to a shard's ring.
+    #[inline]
     pub fn shard(mut self, shard: u32) -> Self {
         self.shard = shard;
         self

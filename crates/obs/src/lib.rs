@@ -124,11 +124,16 @@ impl Obs {
 
     /// Record one event: count it by kind, push it into its shard's
     /// ring and, when it belongs to a span, into that span's trace.
-    pub fn emit(&self, mut ev: Event) {
-        let inner = match &self.inner {
-            Some(i) => i,
-            None => return,
-        };
+    /// Inlined down to the enabled check, so a disabled handle costs
+    /// its caller neither the call nor building the event.
+    #[inline]
+    pub fn emit(&self, ev: Event) {
+        if let Some(inner) = &self.inner {
+            self.record(inner, ev);
+        }
+    }
+
+    fn record(&self, inner: &Mutex<ObsInner>, mut ev: Event) {
         if ev.shard == 0 {
             ev.shard = self.shard;
         }
@@ -167,6 +172,7 @@ impl Obs {
     }
 
     /// Record a histogram observation.
+    #[inline]
     pub fn observe(&self, h: HistId, v: u64) {
         if let Some(i) = &self.inner {
             i.lock().registry.observe(h, v);

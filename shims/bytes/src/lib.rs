@@ -6,6 +6,10 @@
 //! `put_*` writers from [`BufMut`] and [`Buf::advance`]. Semantics
 //! match the real crate for the covered surface; zero-copy sharing is
 //! intentionally not reproduced (clones copy).
+//!
+//! Like upstream, the writers and accessors are `#[inline]`. The
+//! workspace builds without LTO, so without the hints each `put_u16`
+//! of an encoded frame is an out-of-line call into this crate.
 
 #![forbid(unsafe_code)]
 
@@ -22,11 +26,13 @@ pub struct Bytes {
 
 impl Bytes {
     /// An empty buffer.
+    #[inline]
     pub fn new() -> Self {
         Bytes::default()
     }
 
     /// Copy a slice into a new buffer.
+    #[inline]
     pub fn copy_from_slice(data: &[u8]) -> Self {
         Bytes {
             inner: Arc::new(data.to_vec()),
@@ -34,29 +40,34 @@ impl Bytes {
     }
 
     /// Number of bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.inner.len()
     }
 
     /// Whether the buffer is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
     }
 }
 
 impl From<Vec<u8>> for Bytes {
+    #[inline]
     fn from(v: Vec<u8>) -> Self {
         Bytes { inner: Arc::new(v) }
     }
 }
 
 impl From<&[u8]> for Bytes {
+    #[inline]
     fn from(v: &[u8]) -> Self {
         Bytes::copy_from_slice(v)
     }
 }
 
 impl From<BytesMut> for Bytes {
+    #[inline]
     fn from(b: BytesMut) -> Self {
         Bytes::from(b.inner)
     }
@@ -64,18 +75,21 @@ impl From<BytesMut> for Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.inner
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         &self.inner
     }
 }
 
 impl Borrow<[u8]> for Bytes {
+    #[inline]
     fn borrow(&self) -> &[u8] {
         &self.inner
     }
@@ -99,11 +113,13 @@ pub struct BytesMut {
 
 impl BytesMut {
     /// An empty buffer.
+    #[inline]
     pub fn new() -> Self {
         BytesMut::default()
     }
 
     /// An empty buffer with reserved capacity.
+    #[inline]
     pub fn with_capacity(cap: usize) -> Self {
         BytesMut {
             inner: Vec::with_capacity(cap),
@@ -111,31 +127,37 @@ impl BytesMut {
     }
 
     /// Number of bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.inner.len()
     }
 
     /// Whether the buffer is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
     }
 
     /// Make room for at least `additional` more bytes.
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
         self.inner.reserve(additional);
     }
 
     /// Drop all contents.
+    #[inline]
     pub fn clear(&mut self) {
         self.inner.clear();
     }
 
     /// Append a slice.
+    #[inline]
     pub fn extend_from_slice(&mut self, data: &[u8]) {
         self.inner.extend_from_slice(data);
     }
 
     /// Split off and return the first `at` bytes, leaving the rest.
+    #[inline]
     pub fn split_to(&mut self, at: usize) -> BytesMut {
         let rest = self.inner.split_off(at);
         BytesMut {
@@ -144,6 +166,7 @@ impl BytesMut {
     }
 
     /// Freeze into an immutable [`Bytes`].
+    #[inline]
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.inner)
     }
@@ -151,18 +174,21 @@ impl BytesMut {
 
 impl Deref for BytesMut {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.inner
     }
 }
 
 impl DerefMut for BytesMut {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [u8] {
         &mut self.inner
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         &self.inner
     }
@@ -192,6 +218,7 @@ pub trait Buf {
 impl Buf for BytesMut {
     /// Keeps the allocation (unlike [`BytesMut::split_to`], which in
     /// this stand-in hands it to the returned head).
+    #[inline]
     fn advance(&mut self, cnt: usize) {
         self.inner.drain(..cnt);
     }
@@ -203,33 +230,39 @@ pub trait BufMut {
     fn put_slice(&mut self, src: &[u8]);
 
     /// Append one byte.
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
 
     /// Append a big-endian `u16`.
+    #[inline]
     fn put_u16(&mut self, v: u16) {
         self.put_slice(&v.to_be_bytes());
     }
 
     /// Append a big-endian `u32`.
+    #[inline]
     fn put_u32(&mut self, v: u32) {
         self.put_slice(&v.to_be_bytes());
     }
 
     /// Append a big-endian `u64`.
+    #[inline]
     fn put_u64(&mut self, v: u64) {
         self.put_slice(&v.to_be_bytes());
     }
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.inner.extend_from_slice(src);
     }
 }
 
 impl BufMut for Vec<u8> {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }

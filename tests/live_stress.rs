@@ -40,7 +40,11 @@ fn wide_update(n: u64, rounds: usize) -> CompiledUpdate {
 }
 
 /// Run one update through the serial configuration of the runtime,
-/// wall clock as its time, and hand back its report.
+/// wall clock as its time, and hand back its report. Every queued
+/// reply is handled before the next `poll`: polling between replies
+/// lets a fixed barrier timeout fire for switches whose answers are
+/// already queued, and on a loaded machine those resends outgrow the
+/// replies handled per timeout until a switch's budget runs out.
 fn drive_to_completion(
     transport: &impl LiveTransport,
     update: CompiledUpdate,
@@ -63,8 +67,10 @@ fn drive_to_completion(
             "live execution did not converge within {deadline:?}"
         );
         send(rt.poll(now()));
-        if let Some(reply) = transport.recv_timeout(Duration::from_millis(2)) {
+        let mut next = transport.recv_timeout(Duration::from_millis(2));
+        while let Some(reply) = next {
             send(rt.on_message(now(), reply.dpid, &reply.env));
+            next = transport.try_recv();
         }
     }
     rt.reports()[0].clone()
