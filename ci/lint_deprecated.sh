@@ -4,8 +4,9 @@
 # schedule verifiers nothing called, the codec's second message
 # representation, the admission, scheduler and simulator modes no
 # caller selected, the second counter taxonomy beside the obs events,
-# the unused switch handshake, the channel's scripted fault windows and
-# live seat migration with its rebalance advice.
+# the unused switch handshake, the channel's scripted fault windows,
+# live seat migration with its rebalance advice, and the dependency
+# shims whose jobs sdn_types and std do.
 # No file — not even their former defining sites — may
 # mention these names:
 #
@@ -72,6 +73,11 @@
 #   migrate_error_response, exp_live_rebalance
 #                              -> ShardAssignment::with_overrides, fixed
 #                                 when the fabric is built
+#   rand::, DetRng::inner      -> sdn_types::DetRng (its own xoshiro256++)
+#   crossbeam::                -> the transport's event VecDeque
+#                                 (Mutex<VecDeque<TransportEvent>>)
+#   parking_lot::              -> std::sync::Mutex behind a poison-absorbing
+#                                 lock helper
 #
 # The update model keeps one switch index: the code of
 # crates/core/src/{model,config}.rs (not their tests, which hold ordered
@@ -110,6 +116,7 @@ PATTERN+='|\b(begin_seat_migration|MigrationPauseNs)\b|\.(migrations|migration_a
 PATTERN+='|\b(Migrate(Begin|Committed|Aborted|Fence|Commit|Abort|Seat))\b|\.migrating\b'
 PATTERN+='|\bsdn_migrating_seats\b|\bEndpoint::Rebalance(Apply)?\b|\brebalance_(apply_)?response\b'
 PATTERN+='|\b(parse_rebalance_apply|migrate_error_response|exp_live_rebalance)\b'
+PATTERN+='|\b(rand|crossbeam|parking_lot)::|\bDetRng::inner\b'
 
 hits=$(find . -name '*.rs' -not -path './target/*' -not -path './shims/*' -print0 |
     xargs -0 grep -nE "$PATTERN" || true)

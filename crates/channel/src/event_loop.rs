@@ -57,6 +57,7 @@
 //!
 //! Lock order: connection → planner → timers → controller queue; the
 //! token holder never holds the timers' lock while it takes a connection.
+//! The churn-event queue is taken with no other lock held.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -67,7 +68,6 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use sdn_obs::{Gauge, Obs};
 use sdn_openflow::codec::{decode, try_encode_into};
 use sdn_openflow::framing::FrameCodec;
@@ -288,7 +288,8 @@ struct Inner {
     pending: AtomicUsize,
     ctrl: Mutex<CtrlQueue>,
     ctrl_cv: Condvar,
-    events: Sender<TransportEvent>,
+    /// Connection churn, popped by `try_next_event`; nobody blocks on it.
+    events: Mutex<VecDeque<TransportEvent>>,
     running: AtomicBool,
     /// Deliveries handed over by a watchdog thread (a statistic).
     watchdog_fired: AtomicU64,
@@ -484,7 +485,6 @@ impl Inner {
 /// callers, driving every switch connection.
 pub struct EventLoopTransport {
     inner: Arc<Inner>,
-    events: Receiver<TransportEvent>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -515,7 +515,6 @@ impl EventLoopTransport {
         seed: u64,
         el: EventLoopConfig,
     ) -> Self {
-        let (events, event_rx) = unbounded::<TransportEvent>();
         let mut index = IdMap::default();
         let mut dpids = Vec::with_capacity(switches.len());
         let mut conns = Vec::with_capacity(switches.len());
@@ -548,7 +547,7 @@ impl EventLoopTransport {
             pending: AtomicUsize::new(0),
             ctrl: Mutex::default(),
             ctrl_cv: Condvar::new(),
-            events,
+            events: Mutex::default(),
             running: AtomicBool::new(true),
             watchdog_fired: AtomicU64::new(0),
             churn: Mutex::new(ChurnSink {
@@ -570,11 +569,7 @@ impl EventLoopTransport {
                     .expect("spawn watchdog")
             })
             .collect();
-        EventLoopTransport {
-            inner,
-            events: event_rx,
-            threads,
-        }
+        EventLoopTransport { inner, threads }
     }
 
     /// Connections this transport is driving.
@@ -625,7 +620,7 @@ impl EventLoopTransport {
         lock(&self.inner.planner).stats.disconnects += 1;
         self.record_churn(-1);
         drop(conn);
-        let _ = self.inner.events.send(TransportEvent::Disconnected(dpid));
+        lock(&self.inner.events).push_back(TransportEvent::Disconnected(dpid));
         Ok(())
     }
 
@@ -644,7 +639,7 @@ impl EventLoopTransport {
         lock(&self.inner.planner).stats.reconnects += 1;
         self.record_churn(1);
         drop(conn);
-        let _ = self.inner.events.send(TransportEvent::Reconnected(dpid));
+        lock(&self.inner.events).push_back(TransportEvent::Reconnected(dpid));
         Ok(())
     }
 
@@ -802,7 +797,7 @@ impl LiveTransport for EventLoopTransport {
     }
 
     fn try_next_event(&self) -> Option<TransportEvent> {
-        self.events.try_recv().ok()
+        lock(&self.inner.events).pop_front()
     }
 }
 
@@ -833,6 +828,14 @@ mod tests {
             7,
             0.01,
         )
+    }
+
+    #[test]
+    fn the_transport_is_shareable_across_threads() {
+        // Checked at compile time: threads share one transport by
+        // reference, as the blocking-beside-polling tests below do.
+        fn shareable<T: Send + Sync>() {}
+        shareable::<EventLoopTransport>();
     }
 
     #[test]

@@ -44,9 +44,8 @@ pub use recorder::{Dump, DumpReason, Ring, DEFAULT_RING};
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use sdn_types::{IdMap, SimTime};
 
 /// Cap on spans retained for `GET /v1/trace/{job}`; the span that was
@@ -56,6 +55,13 @@ use sdn_types::{IdMap, SimTime};
 const MAX_SPANS: usize = 1024;
 /// Cap on events retained per span.
 const MAX_SPAN_EVENTS: usize = 4096;
+
+/// Take the sink's lock, absorbing poison: a panicking emitter must not
+/// take every later one down, and no update leaves the registry, rings
+/// or spans unusable part-way (at worst one event is half-recorded).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[derive(Debug)]
 struct ObsInner {
@@ -137,7 +143,7 @@ impl Obs {
         if ev.shard == 0 {
             ev.shard = self.shard;
         }
-        let mut guard = inner.lock();
+        let mut guard = lock(inner);
         let g = &mut *guard;
         g.registry.count(ev.kind);
         let cap = g.ring_cap;
@@ -167,7 +173,7 @@ impl Obs {
     /// Set a gauge.
     pub fn set_gauge(&self, g: Gauge, v: i64) {
         if let Some(i) = &self.inner {
-            i.lock().registry.set(g, v);
+            lock(i).registry.set(g, v);
         }
     }
 
@@ -175,7 +181,7 @@ impl Obs {
     #[inline]
     pub fn observe(&self, h: HistId, v: u64) {
         if let Some(i) = &self.inner {
-            i.lock().registry.observe(h, v);
+            lock(i).registry.observe(h, v);
         }
     }
 
@@ -184,7 +190,7 @@ impl Obs {
     /// or `None` when disabled or the ring has never seen an event.
     pub fn dump_shard(&self, reason: DumpReason, shard: u32, at: SimTime) -> Option<String> {
         let inner = self.inner.as_ref()?;
-        let mut g = inner.lock();
+        let mut g = lock(inner);
         let json = {
             let ring = g.rings.get(&shard)?;
             if ring.is_empty() {
@@ -209,7 +215,7 @@ impl Obs {
     /// All dumps taken so far, in trigger order.
     pub fn dumps(&self) -> Vec<Dump> {
         match &self.inner {
-            Some(i) => i.lock().dumps.clone(),
+            Some(i) => lock(i).dumps.clone(),
             None => Vec::new(),
         }
     }
@@ -218,7 +224,7 @@ impl Obs {
     /// the empty registry).
     pub fn registry(&self) -> Registry {
         match &self.inner {
-            Some(i) => i.lock().registry.clone(),
+            Some(i) => lock(i).registry.clone(),
             None => Registry::default(),
         }
     }
@@ -229,7 +235,7 @@ impl Obs {
     pub fn prometheus_with(&self, extras: &[(&str, &str, &str, u64)]) -> String {
         let (registry, dumps) = match &self.inner {
             Some(i) => {
-                let g = i.lock();
+                let g = lock(i);
                 (g.registry.clone(), g.dumps.len() as u64)
             }
             None => (Registry::default(), 0),
@@ -248,7 +254,7 @@ impl Obs {
     /// The raw event trace of one job, in emission order.
     pub fn span_events(&self, job: u64) -> Vec<Event> {
         match &self.inner {
-            Some(i) => i.lock().spans.get(&job).cloned().unwrap_or_default(),
+            Some(i) => lock(i).spans.get(&job).cloned().unwrap_or_default(),
             None => Vec::new(),
         }
     }
@@ -422,7 +428,7 @@ mod tests {
         let obs = Obs::recording();
         let held = obs.for_shard(3);
         let died = std::thread::spawn(move || {
-            let _sink = held.inner.as_ref().expect("recording").lock();
+            let _sink = lock(held.inner.as_ref().expect("recording"));
             panic!("an emitter dies holding the sink");
         })
         .join();

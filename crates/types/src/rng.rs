@@ -5,19 +5,19 @@
 //! [`DetRng`] seeded explicitly by the experiment configuration. The
 //! same seed always reproduces the same trace, which is essential when
 //! a test asserts that a particular interleaving violates (or upholds)
-//! a transient property.
+//! a transient property. The generator is written out here, not taken
+//! from a crate, so no dependency update can move the stream; a unit
+//! test pins it.
 //!
 //! [`SplitMix64`] provides cheap, well-distributed sub-seed derivation
 //! so independent components (e.g. the per-switch channel and the
 //! packet injector) consume decorrelated streams derived from one
 //! master seed.
 
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
-
-/// The SplitMix64 generator (Steele, Lea, Flood 2014). Used only to
-/// derive decorrelated sub-seeds from a master seed; simulation-quality
-/// sampling goes through [`DetRng`]'s `StdRng`.
+/// The SplitMix64 generator (Steele, Lea, Flood 2014). Used to expand
+/// a seed into [`DetRng`]'s state and to derive decorrelated sub-seeds
+/// from a master seed; simulation-quality sampling goes through
+/// [`DetRng`]'s xoshiro256++.
 #[derive(Clone, Debug)]
 pub struct SplitMix64 {
     state: u64,
@@ -47,19 +47,21 @@ pub(crate) const fn splitmix_finalize(mut z: u64) -> u64 {
 }
 
 /// A deterministic random number generator with explicit seeding and
-/// named sub-stream derivation.
+/// named sub-stream derivation: xoshiro256++ (Blackman, Vigna 2019)
+/// over a state expanded from the seed by [`SplitMix64`].
 #[derive(Clone, Debug)]
 pub struct DetRng {
     seed: u64,
-    inner: StdRng,
+    s: [u64; 4],
 }
 
 impl DetRng {
     /// Create a generator from an explicit experiment seed.
     pub fn new(seed: u64) -> Self {
+        let mut mix = SplitMix64::new(seed);
         DetRng {
             seed,
-            inner: StdRng::seed_from_u64(seed),
+            s: std::array::from_fn(|_| mix.next_u64()),
         }
     }
 
@@ -84,21 +86,40 @@ impl DetRng {
         DetRng::new(a ^ b.rotate_left(23))
     }
 
-    /// Uniform sample in `[0, 1)`.
+    /// Next 64 raw bits: one xoshiro256++ step.
+    fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let out = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        out
+    }
+
+    /// Uniform in `[0, span)` by one multiply-shift (bias O(span / 2⁶⁴)).
+    fn below(&mut self, span: u64) -> u64 {
+        ((self.next_u64() as u128 * span as u128) >> 64) as u64
+    }
+
+    /// Uniform sample in `[0, 1)`: the top 53 bits as a mantissa.
     pub fn unit(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform integer in `[lo, hi)`. Panics if `lo >= hi`.
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "empty range [{lo}, {hi})");
-        self.inner.gen_range(lo..hi)
+        lo + self.below(hi - lo)
     }
 
     /// Uniform usize in `[0, n)`. Panics if `n == 0`.
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "index() on empty domain");
-        self.inner.gen_range(0..n)
+        self.below(n as u64) as usize
     }
 
     /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
@@ -108,7 +129,7 @@ impl DetRng {
         } else if p >= 1.0 {
             true
         } else {
-            self.inner.gen::<f64>() < p
+            self.unit() < p
         }
     }
 
@@ -118,14 +139,14 @@ impl DetRng {
         if mean <= 0.0 {
             return 0.0;
         }
-        let u: f64 = self.inner.gen_range(f64::MIN_POSITIVE..1.0);
+        let u = f64::MIN_POSITIVE + self.unit() * (1.0 - f64::MIN_POSITIVE);
         -mean * u.ln()
     }
 
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
-            let j = self.inner.gen_range(0..=i);
+            let j = self.below(i as u64 + 1) as usize;
             xs.swap(i, j);
         }
     }
@@ -139,26 +160,6 @@ impl DetRng {
             let i = self.index(xs.len());
             Some(&xs[i])
         }
-    }
-
-    /// Access the underlying `rand` generator for APIs that need one.
-    pub fn inner(&mut self) -> &mut StdRng {
-        &mut self.inner
-    }
-}
-
-impl RngCore for DetRng {
-    fn next_u32(&mut self) -> u32 {
-        self.inner.next_u32()
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.inner.fill_bytes(dest)
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.inner.try_fill_bytes(dest)
     }
 }
 
@@ -254,6 +255,35 @@ mod tests {
             let i = r.index(5);
             assert!(i < 5);
         }
+    }
+
+    #[test]
+    fn stream_is_pinned() {
+        // Every seeded trace in the workspace is only as stable as this
+        // stream: fold draws of every sampling method, over several
+        // seeds and derived components, into one recorded digest.
+        let mut digest = 0u64;
+        let mut fold = |x: u64| digest = splitmix_finalize(digest ^ x);
+        for seed in [0, 1, 42, 0xDEAD_BEEF, u64::MAX] {
+            let root = DetRng::new(seed);
+            let derived = ["channel", "injector", "event-loop"].map(|l| root.derive(l, seed % 3));
+            for mut r in [root.clone()].into_iter().chain(derived) {
+                let mut v: Vec<u64> = (0..16).collect();
+                for _ in 0..200 {
+                    fold(r.next_u64());
+                    fold(r.unit().to_bits());
+                    fold(r.range_u64(10, 1_000_003));
+                    fold(r.range_u64(0, u64::MAX));
+                    fold(r.index(7) as u64);
+                    fold(r.chance(0.3) as u64);
+                    fold(r.exponential(2.5).to_bits());
+                    r.shuffle(&mut v);
+                    v.iter().for_each(|&x| fold(x));
+                    fold(*r.choose(&v).expect("non-empty"));
+                }
+            }
+        }
+        assert_eq!(digest, 0x5FC9_780F_FC57_E088);
     }
 
     #[test]
