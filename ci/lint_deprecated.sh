@@ -5,8 +5,10 @@
 # representation, the admission, scheduler and simulator modes no
 # caller selected, the second counter taxonomy beside the obs events,
 # the unused switch handshake, the channel's scripted fault windows,
-# live seat migration with its rebalance advice, and the dependency
-# shims whose jobs sdn_types and std do.
+# live seat migration with its rebalance advice, the dependency
+# shims whose jobs sdn_types and std do, and the exponential walk
+# checker with the oracle modes that chose between it and the choice
+# graph.
 # No file — not even their former defining sites — may
 # mention these names:
 #
@@ -78,6 +80,15 @@
 #                                 (Mutex<VecDeque<TransportEvent>>)
 #   parking_lot::              -> std::sync::Mutex behind a poison-absorbing
 #                                 lock helper
+#   the second walk-safety engine and its modes: OracleMode,
+#   checker::decision_walk, DEFAULT_LEAF_BUDGET, check_round_collecting,
+#   CheckReport::budget_exhausted,
+#   AdmissionProbe::walk_budget_exhausted, Peacock::prefer_conservative,
+#   choice_graph::round_safe_conservative
+#                              -> choice_graph::check_round_walks (exact,
+#                                 polynomial), round_admissible(inst, base,
+#                                 ops, props), AdmissionProbe::open(inst,
+#                                 base, props)
 #
 # The update model keeps one switch index: the code of
 # crates/core/src/{model,config}.rs (not their tests, which hold ordered
@@ -117,6 +128,8 @@ PATTERN+='|\b(Migrate(Begin|Committed|Aborted|Fence|Commit|Abort|Seat))\b|\.migr
 PATTERN+='|\bsdn_migrating_seats\b|\bEndpoint::Rebalance(Apply)?\b|\brebalance_(apply_)?response\b'
 PATTERN+='|\b(parse_rebalance_apply|migrate_error_response|exp_live_rebalance)\b'
 PATTERN+='|\b(rand|crossbeam|parking_lot)::|\bDetRng::inner\b'
+PATTERN+='|\b(OracleMode|decision_walk|DEFAULT_LEAF_BUDGET|check_round_collecting)\b'
+PATTERN+='|\b(walk_)?budget_exhausted\b|\b(prefer_conservative|round_safe_conservative)\b'
 
 hits=$(find . -name '*.rs' -not -path './target/*' -not -path './shims/*' -print0 |
     xargs -0 grep -nE "$PATTERN" || true)

@@ -2,7 +2,8 @@
 //!
 //! (a) Peacock candidate orderings — how much the off-path-first order
 //!     buys over naive orders;
-//! (b) conservative vs exact safety oracle — rounds and admission;
+//! (b) (none: the safety oracle it compared with an exact one is exact
+//!     itself; the letters of the others are kept);
 //! (c) per-connection FIFO vs datagram channel — barriers are
 //!     meaningless without FIFO ordering, and violations return: a
 //!     barrier that overtakes its FlowMod closes round 0 early, and a
@@ -40,10 +41,7 @@ fn main() {
         ("new-route-reverse", CandidateOrdering::NewRouteReverse),
         ("old-route-position", CandidateOrdering::OldRoutePosition),
     ] {
-        let pea = Peacock {
-            ordering: ord,
-            ..Peacock::default()
-        };
+        let pea = Peacock { ordering: ord };
         let rev = {
             let p = sdn_topo::gen::reversal(64);
             let inst = UpdateInstance::new(p.old, p.new, None).unwrap();
@@ -63,27 +61,6 @@ fn main() {
         ]);
     }
     println!("{ta}");
-
-    // (b) oracle ---------------------------------------------------------
-    let mut tb = Table::new(
-        "(b) safety oracle: rounds (mean over 10 random n=32 permutations)",
-        &["oracle", "rounds"],
-    );
-    for (name, conservative) in [("conservative-first", true), ("exact-only", false)] {
-        let pea = Peacock {
-            prefer_conservative: conservative,
-            ..Peacock::default()
-        };
-        let mut rounds = Vec::new();
-        for seed in 0..10u64 {
-            let mut rng = DetRng::new(seed + 100);
-            let p = sdn_topo::gen::random_permutation(32, &mut rng);
-            let inst = UpdateInstance::new(p.old, p.new, None).unwrap();
-            rounds.push(pea.schedule(&inst).unwrap().round_count() as f64);
-        }
-        tb.row(vec![name.to_string(), f2(Summary::of(&rounds).mean)]);
-    }
-    println!("{tb}");
 
     // (c) FIFO vs datagram channel ----------------------------------------
     let mut tc = Table::new(

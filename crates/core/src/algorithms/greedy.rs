@@ -21,12 +21,11 @@
 //! the session's work counter, by `slf_work_grows_linearly_on_reversals`).
 //! The decisions are identical — the stateless
 //! [`round_admissible`](crate::checker::round_admissible) remains the
-//! cross-validation reference. The conservative (polynomial) oracle is
-//! consulted first; if a whole round would come out empty, the engine
-//! retries with a fresh exact-oracle probe before declaring the
-//! instance stuck, then advances the conservative session past the
-//! exact round — so conservative over-rejection can cost rounds,
-//! never correctness or spurious failure.
+//! cross-validation reference — and exact: the session's reachability
+//! over the choice graph is the transient-state check itself (see
+//! [`choice_graph`](crate::checker::choice_graph)), so a round the
+//! session leaves empty has no admissible candidate, and the instance
+//! is stuck.
 //!
 //! Progress argument (no-waypoint case): the *deepest pending switch in
 //! new-route order* is always admissible — all its new-route successors
@@ -42,7 +41,7 @@
 
 use sdn_types::DpId;
 
-use crate::checker::{AdmissionProbe, OracleMode};
+use crate::checker::AdmissionProbe;
 use crate::config::ConfigState;
 use crate::model::UpdateInstance;
 use crate::properties::PropertySet;
@@ -150,48 +149,31 @@ pub(crate) fn order_candidates(
 
 /// Run the greedy engine over one instance: the new-only round, the
 /// activation rounds of every pending shared switch under `props` in
-/// `ordering`, and cleanup. `prefer_conservative` consults the
-/// polynomial oracle first and the exact one only on an empty round.
+/// `ordering`, and cleanup.
 pub(crate) fn greedy_schedule(
     name: &str,
     inst: &UpdateInstance,
     props: PropertySet,
     ordering: CandidateOrdering,
-    prefer_conservative: bool,
 ) -> Result<Schedule, SchedulerError> {
     let mut base = ConfigState::initial(inst);
     if let Some(r) = new_only_round(inst) {
         base.apply_all(&r.ops);
     }
-    let primary = if prefer_conservative {
-        OracleMode::Conservative
-    } else {
-        OracleMode::Exact
-    };
     // One session for the whole schedule: `commit_round` re-seeds it
     // from each round's deltas instead of re-opening per round.
-    let mut session = AdmissionProbe::open(inst, &base, props, primary);
-    let rounds = rounds_in_session(
-        &mut session,
-        inst,
-        base,
-        props,
-        ordering,
-        prefer_conservative,
-    )?;
+    let mut session = AdmissionProbe::open(inst, &base, props);
+    let rounds = rounds_in_session(&mut session, inst, base, ordering)?;
     Ok(assemble(name, inst, rounds))
 }
 
 /// [`greedy_schedule`]'s activation rounds, in a session opened on
-/// `base` with `props` (conservative when `prefer_conservative`, else
-/// exact).
+/// `base`.
 fn rounds_in_session(
     session: &mut AdmissionProbe<'_>,
     inst: &UpdateInstance,
     mut base: ConfigState<'_>,
-    props: PropertySet,
     ordering: CandidateOrdering,
-    prefer_conservative: bool,
 ) -> Result<Vec<Round>, SchedulerError> {
     let mut pending = pending_shared(inst);
     let mut rounds = Vec::new();
@@ -230,34 +212,16 @@ fn rounds_in_session(
                 }
             }
         }
-        let ops = if !session.is_empty() {
-            session.commit_round()
-        } else {
-            // An empty round ends in the exact retry or in `Stuck`;
-            // both speak for every candidate, parked ones included.
+        if session.is_empty() {
+            // `Stuck` speaks for every candidate, parked ones included.
             if parked_count != 0 {
                 pending.retain(|&v| !std::mem::take(&mut leaving[ix(v)]));
                 pending.extend(parked.iter_mut().filter_map(Option::take));
                 pending = order_candidates(ordering, inst, &base, &pending);
-                parked_count = 0;
             }
-            if !prefer_conservative {
-                return Err(SchedulerError::Stuck { remaining: pending });
-            }
-            // Conservative over-rejection emptied the round: retry it
-            // with a fresh exact probe, then advance the conservative
-            // session past the exactly-decided round.
-            let mut exact = AdmissionProbe::open(inst, &base, props, OracleMode::Exact);
-            for &v in reordered.as_deref().unwrap_or(&pending) {
-                exact.try_push(RuleOp::Activate(v));
-            }
-            if exact.is_empty() {
-                return Err(SchedulerError::Stuck { remaining: pending });
-            }
-            let ops = exact.into_ops();
-            session.advance(&ops);
-            ops
-        };
+            return Err(SchedulerError::Stuck { remaining: pending });
+        }
+        let ops = session.commit_round();
         // Remove all of the round's activations in one pass (a retain
         // per activated op made this quadratic per round), then let
         // the candidates they were blocking back in.
@@ -304,7 +268,6 @@ mod tests {
             &i,
             PropertySet::loop_free_relaxed(),
             CandidateOrdering::OffPathFirst,
-            true,
         )
         .unwrap();
         // relaxed loop freedom should need very few rounds
@@ -322,7 +285,6 @@ mod tests {
             &i,
             PropertySet::loop_free_strong(),
             CandidateOrdering::NewRouteReverse,
-            true,
         )
         .unwrap();
         assert!(
@@ -347,17 +309,11 @@ mod tests {
         let mut rounds = Vec::new();
         while !pending.is_empty() {
             let ordered = order_candidates(ordering, i, &base, &pending);
-            let mut ops = Vec::new();
-            for mode in [OracleMode::Conservative, OracleMode::Exact] {
-                let mut probe = AdmissionProbe::open(i, &base, props, mode);
-                for &v in &ordered {
-                    probe.try_push(RuleOp::Activate(v));
-                }
-                ops = probe.into_ops();
-                if !ops.is_empty() {
-                    break;
-                }
+            let mut probe = AdmissionProbe::open(i, &base, props);
+            for &v in &ordered {
+                probe.try_push(RuleOp::Activate(v));
             }
+            let ops = probe.into_ops();
             if ops.is_empty() {
                 return Err(SchedulerError::Stuck { remaining: ordered });
             }
@@ -395,7 +351,7 @@ mod tests {
                     CandidateOrdering::NewRouteReverse,
                     CandidateOrdering::OldRoutePosition,
                 ] {
-                    let got = greedy_schedule("t", &i, props, ordering, true);
+                    let got = greedy_schedule("t", &i, props, ordering);
                     let want = schedule_probing_everything(&i, props, ordering);
                     assert_eq!(got, want, "{i} {props:?} {ordering:?}");
                     parked_rounds += got.map_or(0, |s| s.round_count().saturating_sub(3));
@@ -412,7 +368,7 @@ mod tests {
         let mut base = ConfigState::initial(&i);
         let mut pending = pending_shared(&i);
         let props = PropertySet::loop_free_relaxed();
-        let mut session = AdmissionProbe::open(&i, &base, props, OracleMode::Conservative);
+        let mut session = AdmissionProbe::open(&i, &base, props);
         while !pending.is_empty() {
             let ordering = CandidateOrdering::OffPathFirst;
             for v in order_candidates(ordering, &i, &base, &pending) {
@@ -445,13 +401,13 @@ mod tests {
         let i = UpdateInstance::new(pair.old, pair.new, None).unwrap();
         let base = ConfigState::initial(&i);
         let props = PropertySet::loop_free_strong();
-        let mut session = AdmissionProbe::open(&i, &base, props, OracleMode::Conservative);
+        let mut session = AdmissionProbe::open(&i, &base, props);
         let ordering = CandidateOrdering::NewRouteReverse;
-        rounds_in_session(&mut session, &i, base, props, ordering, true).unwrap();
+        rounds_in_session(&mut session, &i, base, ordering).unwrap();
         session.work()
     }
 
-    /// The work of an SLF-only exact session carried across the
+    /// The work of an SLF-only session carried across the
     /// rounds of SLF-greedy's schedule the way `verify_schedule`
     /// carries it: push every operation of a round, then advance.
     fn slf_verify_work(pair: sdn_topo::gen::UpdatePair) -> u64 {
@@ -461,7 +417,7 @@ mod tests {
         let schedule = SlfGreedy.schedule(&i).unwrap();
         let slf = PropertySet::none().with(Property::StrongLoopFreedom);
         let base = ConfigState::initial(&i);
-        let mut session = AdmissionProbe::open(&i, &base, slf, OracleMode::Exact);
+        let mut session = AdmissionProbe::open(&i, &base, slf);
         for round in &schedule.rounds {
             for &op in &round.ops {
                 assert!(session.try_push(op), "SLF-greedy's rounds verify");
@@ -517,6 +473,34 @@ mod tests {
         }
     }
 
+    /// WayUp's greedy pass on a reversal whose waypoint is its middle
+    /// switch gets stuck (every switch before the waypoint crosses it)
+    /// after at most two probes per switch: an empty round ends the
+    /// pass, where an exact retry of every candidate made it Θ(n²).
+    #[test]
+    fn wayup_pass_on_a_crossing_reversal_stops_within_2n_probes() {
+        use crate::algorithms::{UpdateScheduler, WayUp};
+        for n in [16u64, 128, 1024, 4096] {
+            let pair = sdn_topo::gen::reversal(n);
+            let i = UpdateInstance::new(pair.old, pair.new, Some(DpId(n / 2))).unwrap();
+            let base = ConfigState::initial(&i);
+            let props = PropertySet::transiently_secure();
+            let mut session = AdmissionProbe::open(&i, &base, props);
+            let ordering = CandidateOrdering::OffPathFirst;
+            let rounds = rounds_in_session(&mut session, &i, base, ordering);
+            assert!(
+                matches!(rounds, Err(SchedulerError::Stuck { .. })),
+                "n={n}: {rounds:?}"
+            );
+            assert!(
+                session.probes() <= 2 * n,
+                "n={n}: {} probes",
+                session.probes()
+            );
+            assert!(WayUp::default().schedule(&i).unwrap().fallback, "n={n}");
+        }
+    }
+
     #[test]
     fn ordering_off_path_first_classification() {
         // old 1-2-3-4-5, new 1-4-3-2-5, after committing activate(1):
@@ -556,7 +540,6 @@ mod tests {
             &i,
             PropertySet::loop_free_relaxed(),
             CandidateOrdering::OffPathFirst,
-            true,
         )
         .unwrap();
         assert_eq!(s.round_count(), 1);

@@ -28,22 +28,10 @@ use super::greedy::{greedy_schedule, CandidateOrdering};
 use super::{SchedulerError, UpdateScheduler};
 
 /// The relaxed-loop-freedom round scheduler.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Peacock {
     /// Candidate ordering (default off-path-first; ablation E6-a).
     pub ordering: CandidateOrdering,
-    /// Consult the polynomial conservative oracle before the exact one
-    /// (default true; E6-e measures the admission difference).
-    pub prefer_conservative: bool,
-}
-
-impl Default for Peacock {
-    fn default() -> Self {
-        Peacock {
-            ordering: CandidateOrdering::OffPathFirst,
-            prefer_conservative: true,
-        }
-    }
 }
 
 impl UpdateScheduler for Peacock {
@@ -57,7 +45,6 @@ impl UpdateScheduler for Peacock {
             inst,
             PropertySet::loop_free_relaxed(),
             self.ordering,
-            self.prefer_conservative,
         )
     }
 }
@@ -144,19 +131,6 @@ mod tests {
         let s = Peacock::default().schedule(&i).unwrap();
         // one activation round + cleanup
         assert!(s.round_count() <= 2, "{s}");
-        assert!(verify_schedule(&i, &s, PropertySet::loop_free_relaxed()).is_ok());
-    }
-
-    #[test]
-    fn exact_only_mode_also_works() {
-        let pair = gen::reversal(10);
-        let i = UpdateInstance::new(pair.old, pair.new, None).unwrap();
-        let s = Peacock {
-            prefer_conservative: false,
-            ..Peacock::default()
-        }
-        .schedule(&i)
-        .unwrap();
         assert!(verify_schedule(&i, &s, PropertySet::loop_free_relaxed()).is_ok());
     }
 

@@ -45,7 +45,6 @@ impl UpdateScheduler for SlfGreedy {
             inst,
             PropertySet::loop_free_strong(),
             CandidateOrdering::NewRouteReverse,
-            true,
         )
     }
 }

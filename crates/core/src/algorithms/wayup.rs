@@ -53,7 +53,7 @@ impl UpdateScheduler for WayUp {
             props = props.with(Property::StrongLoopFreedom);
         }
         let ordering = CandidateOrdering::OffPathFirst;
-        match greedy_schedule(self.name(), inst, props, ordering, true) {
+        match greedy_schedule(self.name(), inst, props, ordering) {
             Err(SchedulerError::Stuck { .. }) => {
                 let mut s = TwoPhaseCommit.schedule(inst)?;
                 s.algorithm = "wayup+2pc-fallback".to_string();

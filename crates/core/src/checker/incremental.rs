@@ -38,7 +38,8 @@
 //!   label is respaced by one topological sort (rare, and logged like
 //!   any move). Edge deletions never invalidate a topological order,
 //!   so the maintained order survives round commits untouched.
-//! * **Conservative walk safety** — patched in place, never
+//! * **Walk safety** — reachability in the class graph, exact by the
+//!   simple-path argument of [`super::choice_graph`], patched in place, never
 //!   re-traversed. *Within a round the class graph only grows, so the
 //!   reach sets only grow and the reachable order only gains edges;
 //!   [`AdmissionProbe::advance`] is the only place they shrink, and it
@@ -57,14 +58,8 @@
 //!   whole-graph order implies it; the waypoint-avoiding reach set
 //!   grows like the first and must never reach the destination. Every
 //!   mutation is logged, so a rejected push restores the exact prior
-//!   state. Conservative verdicts are monotone in the edge set, which
-//!   also lets a base configuration that already fails short-circuit
-//!   every probe.
-//! * **Exact decision walks** — memoized by the *touched set*: the
-//!   switches any explored branch visited. A candidate at an untouched
-//!   switch provably cannot change the verdict or the touched set (no
-//!   branch consults its rules), so only candidates on — or newly
-//!   reachable from — the walk frontier pay for re-exploration.
+//!   state. Verdicts are monotone in the edge set, which also lets a
+//!   base configuration that already fails short-circuit every probe.
 //!
 //! Every per-switch array here is indexed by the instance's dense
 //! switch index ([`UpdateInstance::participants`] order): the session
@@ -81,7 +76,7 @@
 //! `crates/core/tests/checker_cross_validation.rs` asserts decision
 //! equality against [`round_admissible`](super::round_admissible) on
 //! randomized permutation, reversal, rotation, comb, waypointed and
-//! fat-tree workloads in both oracle modes, per probe and along full
+//! fat-tree workloads, per probe and along full
 //! greedy trajectories, and that a rejected push leaves no trace in
 //! the patched structures.
 
@@ -89,86 +84,12 @@ use std::fmt::Write as _;
 
 use sdn_types::{DpId, VersionTag};
 
-use crate::config::{forward, ConfigState, ACTIVATED};
+use crate::config::{ConfigState, ACTIVATED};
 use crate::model::UpdateInstance;
 use crate::properties::{Property, PropertySet};
 use crate::schedule::RuleOp;
 
-use super::decision_walk;
-use super::OracleMode;
-
-/// One cell of a flat adjacency array: the neighbours of one switch.
-/// Both routes are simple paths, so a switch has at most one old-route
-/// and one new-route successor, and at most one predecessor on each —
-/// two entries always suffice, in either direction.
-#[derive(Clone, Copy, Default, PartialEq, Eq)]
-struct Adj {
-    t: [u32; 2],
-    len: u8,
-}
-
-impl Adj {
-    fn push(&mut self, t: u32) {
-        self.t[self.len as usize] = t;
-        self.len += 1;
-    }
-
-    fn pop(&mut self) -> Option<u32> {
-        self.len = self.len.checked_sub(1)?;
-        Some(self.t[self.len as usize])
-    }
-
-    /// Remove `t`, keeping the order of what remains.
-    fn remove(&mut self, t: u32) -> bool {
-        match self.as_slice().iter().position(|&x| x == t) {
-            Some(0) => {
-                self.t[0] = self.t[1];
-                self.len -= 1;
-                true
-            }
-            Some(_) => {
-                self.len -= 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn as_slice(&self) -> &[u32] {
-        &self.t[..self.len as usize]
-    }
-
-    fn contains(&self, t: u32) -> bool {
-        self.as_slice().contains(&t)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// By value: the copy lets callers mutate the array the cell came
-    /// from while walking it.
-    fn iter(self) -> impl Iterator<Item = u32> {
-        (0..self.len as usize).map(move |k| self.t[k])
-    }
-}
-
-/// The forwarding targets one switch could expose for a tag class —
-/// at most two distinct successors (old rule, new rule) plus the
-/// possibility of having no rule.
-#[derive(Clone, Copy, Default)]
-struct LocalNexts {
-    targets: Adj,
-    none: bool,
-}
-
-impl LocalNexts {
-    fn push(&mut self, t: u32) {
-        if !self.targets.contains(t) {
-            self.targets.push(t);
-        }
-    }
-}
+use super::choice_graph::{local_nexts, Adj, LocalNexts};
 
 /// Session-owned scratch space, so that neither a probe nor the
 /// per-round seeding allocates.
@@ -319,7 +240,7 @@ impl Order {
             ..
         } = sc;
         for (d, ins) in indeg.iter_mut().zip(&self.ins) {
-            *d = u32::from(ins.len);
+            *d = ins.len() as u32;
         }
         topo.clear();
         topo.extend((0..n as u32).filter(|&v| inside(v as usize) && indeg[v as usize] == 0));
@@ -577,15 +498,15 @@ struct ClassGraph {
     /// Whether a switch could end up with no matching rule.
     may_blackhole: Vec<bool>,
     /// The order behind loop freedom: whole-graph under strong loop
-    /// freedom, else over the reachable subgraph when the conservative
-    /// oracle checks relaxed loop freedom, else absent.
+    /// freedom, else over the reachable subgraph under relaxed loop
+    /// freedom, else absent.
     order: Option<Order>,
-    /// Source-reachable set of the *accepted* state (conservative mode
-    /// with walk properties only; empty otherwise).
+    /// Source-reachable set of the *accepted* state (under walk
+    /// properties only; empty otherwise).
     reach: Vec<bool>,
     /// What the source reaches without entering the waypoint — it must
-    /// never hold the destination (only under conservative waypoint
-    /// enforcement; empty otherwise).
+    /// never hold the destination (only under waypoint enforcement;
+    /// empty otherwise).
     avoid: Vec<bool>,
 }
 
@@ -628,14 +549,6 @@ impl Undo {
     }
 }
 
-/// Memoized exact decision-walk state.
-struct WalkMemo {
-    /// Verdict of the accepted candidate set.
-    ok: bool,
-    /// Every switch some explored branch visited, by dense index.
-    touched: Vec<bool>,
-}
-
 /// A cached rejection certificate for one switch: pushing the `bit`
 /// operation while the switch's flag state was `(base, before)` was
 /// rejected because the new edge to `y` would close a direct 2-cycle
@@ -668,7 +581,7 @@ struct RejectCert {
 /// round against the advanced configuration. Each push decision
 /// equals the stateless
 /// [`round_admissible`](super::round_admissible)`(inst, base, accepted
-/// ∪ {op}, props, mode)` for the session's current base.
+/// ∪ {op}, props)` for the session's current base.
 ///
 /// [`try_push`]: AdmissionProbe::try_push
 /// [`into_ops`]: AdmissionProbe::into_ops
@@ -680,36 +593,25 @@ pub struct AdmissionProbe<'a> {
     base: ConfigState<'a>,
     props: PropertySet,
     walk_props: PropertySet,
-    mode: OracleMode,
     src: u32,
     dst: u32,
     waypoint: Option<u32>,
-    /// Target of the ingress' new rule: always exposable to NEW-tagged
-    /// packets, so the NEW class carries it as an edge of its own. (No
-    /// rule ever points at the ingress, so the edge lies on no cycle
-    /// and strong loop freedom cannot tell it is there.)
-    src_new_edge: Option<u32>,
     /// Per-switch accepted pending-op flags (the [`ConfigState`] bits).
     flags: Vec<u8>,
     flip_pending: bool,
     accepted: Vec<RuleOp>,
     classes: Vec<ClassGraph>,
     /// No candidate set can ever be admissible against the current
-    /// base (cyclic base class graph under SLF, or a conservative base
-    /// violation — conservative verdicts are monotone in the edge
-    /// set). Recomputed when the base advances.
+    /// base (cyclic base class graph under SLF, or a base walk
+    /// violation — verdicts are monotone in the edge set). Recomputed
+    /// when the base advances.
     dead: bool,
-    memo: Option<WalkMemo>,
     /// Per-switch revalidated rejection shortcuts (see [`RejectCert`]).
     certs: Vec<Option<RejectCert>>,
-    /// An exact decision walk hit its leaf budget at least once.
-    budget_hit: bool,
     probes: u64,
     scratch: Scratch,
     /// The current push's undo log (buffers reused across pushes).
     undo: Undo,
-    /// The exact decision walk's tables, reused across walks.
-    walk: decision_walk::WalkBuffers,
     /// The switches a committed round touched (reused across rounds).
     committed: Vec<u32>,
 }
@@ -718,63 +620,42 @@ impl<'a> AdmissionProbe<'a> {
     /// Open a session: `base` is the committed configuration probing
     /// starts from (copied; the session advances its own copy on
     /// [`commit_round`](AdmissionProbe::commit_round)).
-    pub fn open(
-        inst: &'a UpdateInstance,
-        base: &ConfigState<'a>,
-        props: PropertySet,
-        mode: OracleMode,
-    ) -> Self {
+    pub fn open(inst: &'a UpdateInstance, base: &ConfigState<'a>, props: PropertySet) -> Self {
         let n = inst.node_count();
         let idx = |v: DpId| inst.index(v).expect("route switch is a participant") as u32;
         let src = idx(inst.src());
         let waypoint = inst.waypoint().map(idx);
-        let src_new_edge = inst.new_next_at(src as usize).map(|t| t as u32);
         let walk_props = props.without(Property::StrongLoopFreedom);
         let mut probe = AdmissionProbe {
             inst,
             base: base.clone(),
             props,
             walk_props,
-            mode,
             src,
             dst: idx(inst.dst()),
             waypoint,
-            src_new_edge,
             flags: vec![0u8; n],
             flip_pending: false,
             accepted: Vec::new(),
             classes: Vec::new(),
             dead: false,
-            memo: None,
             certs: vec![None; n],
-            budget_hit: false,
             probes: 0,
-            scratch: Scratch::new(0),
+            scratch: Scratch::new(n),
             undo: Undo::default(),
-            walk: decision_walk::WalkBuffers::default(),
             committed: Vec::new(),
         };
-        // (An exact session without strong loop freedom keeps no class
-        // graph and needs no scratch.)
-        if probe.need_class_graphs() {
-            probe.scratch = Scratch::new(n);
-        }
         probe.rebuild_classes();
         probe.reseed();
         probe
     }
 
-    /// Whether the conservative walk-safety state is maintained.
+    /// Whether the walk-safety state is maintained.
     fn walks(&self) -> bool {
-        self.mode == OracleMode::Conservative && !self.walk_props.is_empty()
+        !self.walk_props.is_empty()
     }
 
-    /// Whether any choice-graph class state is needed at all.
-    fn need_class_graphs(&self) -> bool {
-        self.props.contains(Property::StrongLoopFreedom) || self.walks()
-    }
-
-    /// The waypoint the conservative oracle must see enforced, if any.
+    /// The waypoint the session must see enforced, if any.
     fn enforced_waypoint(&self) -> Option<u32> {
         self.waypoint
             .filter(|_| self.walks() && self.walk_props.contains(Property::WaypointEnforcement))
@@ -815,13 +696,6 @@ impl<'a> AdmissionProbe<'a> {
         &self.base
     }
 
-    /// Whether any exact decision walk hit its leaf budget; verdicts
-    /// are then only exact up to the budget (the session-side mirror
-    /// of [`CheckReport::budget_exhausted`](super::CheckReport)).
-    pub fn walk_budget_exhausted(&self) -> bool {
-        self.budget_hit
-    }
-
     /// Consume the session, returning the admitted round operations.
     pub fn into_ops(self) -> Vec<RuleOp> {
         self.accepted
@@ -829,7 +703,7 @@ impl<'a> AdmissionProbe<'a> {
 
     /// Test support: a rendering of everything a push may patch — per
     /// class the adjacency, blackhole bits, reach sets and topological
-    /// order, plus the pending flags and the exact-walk memo. Two
+    /// order, plus the pending flags. Two
     /// sessions in the same state render identically; the counters and
     /// the rejection-certificate cache (which a rejected push
     /// legitimately writes) are left out.
@@ -864,9 +738,6 @@ impl<'a> AdmissionProbe<'a> {
                     cells(&order.ins)
                 );
             }
-        }
-        if let Some(memo) = &self.memo {
-            let _ = writeln!(s, "memo ok={} touched={}", memo.ok, bits(&memo.touched));
         }
         s
     }
@@ -911,15 +782,15 @@ impl<'a> AdmissionProbe<'a> {
     /// tag-class set; a poisoned class possibly healed by deletions; a
     /// forced-through inadmissible round re-introducing edges that
     /// close a cycle) fall back to a full rebuild. Narrowing is also
-    /// the one thing that can shrink the conservative reach sets, so
+    /// the one thing that can shrink the reach sets, so
     /// this is where they — and the reachable order — are re-seeded by
     /// a full traversal.
     ///
     /// `ops` must cover the currently accepted set: use
     /// [`commit_round`](AdmissionProbe::commit_round) to commit what
     /// the session admitted, or call this to advance past a round
-    /// decided elsewhere (the greedy engine's exact-oracle fallback;
-    /// [`verify_schedule`](super::verify_schedule), which pushes a
+    /// decided elsewhere ([`verify_schedule`](super::verify_schedule),
+    /// which pushes a
     /// round's operations until one is rejected, then advances past
     /// all of them).
     pub fn advance(&mut self, ops: &[RuleOp]) {
@@ -947,8 +818,7 @@ impl<'a> AdmissionProbe<'a> {
             .classes
             .iter()
             .any(|c| c.order.as_ref().is_some_and(|order| order.poisoned));
-        if flip_committed || poisoned || self.classes.len() != usize::from(self.need_class_graphs())
-        {
+        if flip_committed || poisoned || self.classes.len() != 1 {
             self.rebuild_classes();
         } else {
             for ci in 0..self.classes.len() {
@@ -971,9 +841,6 @@ impl<'a> AdmissionProbe<'a> {
     /// pending state).
     fn rebuild_classes(&mut self) {
         self.classes.clear();
-        if !self.need_class_graphs() {
-            return;
-        }
         let tag = if self.base.is_flipped() {
             VersionTag::NEW
         } else {
@@ -1033,8 +900,8 @@ impl<'a> AdmissionProbe<'a> {
         true
     }
 
-    /// Recompute the derived caches — dead flag, conservative walk
-    /// state, exact walk memo — for the committed base with no pending
+    /// Recompute the derived caches — dead flag, walk state — for the
+    /// committed base with no pending
     /// operations. Shared by [`open`](AdmissionProbe::open) and
     /// [`advance`](AdmissionProbe::advance).
     fn reseed(&mut self) {
@@ -1044,27 +911,12 @@ impl<'a> AdmissionProbe<'a> {
             .any(|c| c.order.as_ref().is_some_and(|order| order.poisoned));
         if self.walks() {
             for ci in 0..self.classes.len() {
-                // Conservative violations are monotone in the edge set:
-                // if the base already fails, every superset fails too.
+                // Violations are monotone in the edge set: if the base
+                // already fails, every superset fails too.
                 if !self.seed_walk(ci) {
                     self.dead = true;
                 }
             }
-        }
-        if self.mode == OracleMode::Exact && !self.walk_props.is_empty() {
-            let mut touched = vec![false; self.inst.node_count()];
-            let rep = self.walk.check_round_collecting(
-                self.inst,
-                &self.base,
-                &self.accepted,
-                &self.walk_props,
-                &mut touched,
-            );
-            self.budget_hit |= rep.budget_exhausted;
-            self.memo = Some(WalkMemo {
-                ok: rep.is_ok(),
-                touched,
-            });
         }
     }
 
@@ -1075,41 +927,31 @@ impl<'a> AdmissionProbe<'a> {
             RuleOp::FlipIngress => {
                 if self.base.is_flipped() || self.flip_pending {
                     // Duplicate: the candidate set is semantically
-                    // unchanged, so the verdict is the current one.
-                    return self.verdict_unchanged();
+                    // unchanged, and admissible.
+                    return true;
                 }
                 self.flip_pending = true;
                 self.undo.flip_set = true;
                 // The NEW class becomes relevant; build it against the
                 // full current candidate set.
-                if self.need_class_graphs() {
-                    let cg = self.build_class(VersionTag::NEW);
-                    if cg.order.as_ref().is_some_and(|order| order.poisoned) {
-                        return false;
-                    }
-                    self.classes.push(cg);
-                    self.undo.drop_class = true;
-                    if self.walks() && !self.seed_walk(self.classes.len() - 1) {
-                        return false;
-                    }
+                let cg = self.build_class(VersionTag::NEW);
+                if cg.order.as_ref().is_some_and(|order| order.poisoned) {
+                    return false;
                 }
-                if self.mode == OracleMode::Exact && self.memo.is_some() {
-                    // The flip changes the ingress tag class: always
-                    // re-explore.
-                    return self.recompute_walk(op);
-                }
-                true
+                self.classes.push(cg);
+                self.undo.drop_class = true;
+                !self.walks() || self.seed_walk(self.classes.len() - 1)
             }
             RuleOp::Activate(v) | RuleOp::RemoveOld(v) | RuleOp::InstallTagged(v) => {
                 let (Some(i), Some((_, bit))) = (self.inst.index(v), op.flag()) else {
                     // A switch outside the instance never matches any
                     // rule edge or walk step: semantically a no-op.
-                    return self.verdict_unchanged();
+                    return true;
                 };
                 let i = i as u32;
                 let before = self.flags[i as usize];
                 if before & bit != 0 {
-                    return self.verdict_unchanged();
+                    return true; // a duplicate
                 }
                 if self.certified(i, bit).is_some() {
                     return false;
@@ -1120,23 +962,7 @@ impl<'a> AdmissionProbe<'a> {
                 // Structural deltas per relevant class. Adding an
                 // operation only adds exposure combinations, so the
                 // per-switch edge set grows monotonically.
-                for ci in 0..self.classes.len() {
-                    if !self.patch_class(ci, i, bit, before) {
-                        return false;
-                    }
-                }
-
-                if self.mode == OracleMode::Exact {
-                    if let Some(memo) = &self.memo {
-                        if memo.touched[i as usize] {
-                            return self.recompute_walk(op);
-                        }
-                        // No branch consults v: the verdict stays
-                        // whatever it was.
-                        return memo.ok;
-                    }
-                }
-                true
+                (0..self.classes.len()).all(|ci| self.patch_class(ci, i, bit, before))
             }
         }
     }
@@ -1263,63 +1089,12 @@ impl<'a> AdmissionProbe<'a> {
         }
     }
 
-    /// A semantically empty candidate: admissible iff the current
-    /// accepted state is admissible.
-    fn verdict_unchanged(&self) -> bool {
-        // `dead` was already checked; conservative state is safe by
-        // invariant. Only the exact walk memo can carry a negative
-        // verdict forward.
-        self.memo.as_ref().is_none_or(|memo| memo.ok)
-    }
-
-    /// Re-run the exact decision walk over `accepted ∪ {op}`, keeping
-    /// its touched set when the verdict is positive.
-    fn recompute_walk(&mut self, op: RuleOp) -> bool {
-        let mut trial = Vec::with_capacity(self.accepted.len() + 1);
-        trial.extend_from_slice(&self.accepted);
-        trial.push(op);
-        let mut touched = vec![false; self.inst.node_count()];
-        let rep = self.walk.check_round_collecting(
-            self.inst,
-            &self.base,
-            &trial,
-            &self.walk_props,
-            &mut touched,
-        );
-        self.budget_hit |= rep.budget_exhausted;
-        if rep.is_ok() {
-            self.memo = Some(WalkMemo { ok: true, touched });
-        }
-        rep.is_ok()
-    }
-
-    /// All forwarding targets switch `i` could expose for `tag`, under
-    /// base state plus the given pending flags — the dense,
-    /// allocation-free mirror of
-    /// [`choice_graph::possible_nexts`](super::choice_graph), plus the
-    /// ingress' new-rule edge in the NEW class.
+    /// Every edge switch `i` could expose to class `tag` under the
+    /// committed base plus the pending `flags`: the choice graph's
+    /// [`local_nexts`].
     fn local_nexts(&self, i: u32, tag: VersionTag, flags: u8) -> LocalNexts {
-        let mut nexts = LocalNexts::default();
-        if i == self.dst {
-            return nexts;
-        }
-        let base = self.base.flags_at(i as usize);
-        for mask in 0u8..8 {
-            // Enumerate only applied-subsets of the pending flags.
-            if mask & !flags != 0 {
-                continue;
-            }
-            match forward(self.inst, i as usize, base | mask, tag) {
-                Some(t) => nexts.push(t as u32),
-                None => nexts.none = true,
-            }
-        }
-        if tag == VersionTag::NEW && i == self.src {
-            if let Some(t) = self.src_new_edge {
-                nexts.push(t);
-            }
-        }
-        nexts
+        let committed = self.base.flags_at(i as usize);
+        local_nexts(self.inst, (self.src, self.dst), i, tag, committed, flags)
     }
 
     /// Build one class graph from the base plus all current flags.
@@ -1353,11 +1128,11 @@ impl<'a> AdmissionProbe<'a> {
         }
     }
 
-    /// Seed class `ci`'s conservative walk-safety state from its
-    /// current adjacency by full traversal — once per round, and when
-    /// a flip push builds the NEW class. Mirrors
-    /// [`round_safe_conservative`](super::choice_graph::round_safe_conservative)
-    /// exactly; `false` means the class violates a walk property.
+    /// Seed class `ci`'s walk-safety state from its current adjacency
+    /// by full traversal — once per round, and when a flip push builds
+    /// the NEW class. The verdict is
+    /// [`check_round_walks`](super::choice_graph::check_round_walks)'s;
+    /// `false` means the class violates a walk property.
     fn seed_walk(&mut self, ci: usize) -> bool {
         let (src, dst) = (self.src, self.dst);
         let waypoint = self.enforced_waypoint();
@@ -1489,18 +1264,17 @@ mod tests {
         base: &ConfigState<'_>,
         candidates: &[RuleOp],
         props: PropertySet,
-        mode: OracleMode,
     ) {
-        let mut probe = AdmissionProbe::open(inst, base, props, mode);
+        let mut probe = AdmissionProbe::open(inst, base, props);
         let mut accepted: Vec<RuleOp> = Vec::new();
         for &op in candidates {
             let mut trial = accepted.clone();
             trial.push(op);
-            let expect = round_admissible(inst, base, &trial, &props, mode);
+            let expect = round_admissible(inst, base, &trial, &props);
             let got = probe.try_push(op);
             assert_eq!(
                 got, expect,
-                "mode {mode:?} props {props:?}: {inst} accepted={accepted:?} op={op:?}"
+                "props {props:?}: {inst} accepted={accepted:?} op={op:?}"
             );
             assert_ordered_edges_ascend(&probe);
             if got {
@@ -1517,13 +1291,11 @@ mod tests {
             let i = UpdateInstance::new(pair.old, pair.new, None).unwrap();
             let base = ConfigState::initial(&i);
             let cands: Vec<RuleOp> = (1..n).map(|v| RuleOp::Activate(DpId(v))).collect();
-            for mode in [OracleMode::Conservative, OracleMode::Exact] {
-                for props in [
-                    PropertySet::loop_free_relaxed(),
-                    PropertySet::loop_free_strong(),
-                ] {
-                    check_agreement(&i, &base, &cands, props, mode);
-                }
+            for props in [
+                PropertySet::loop_free_relaxed(),
+                PropertySet::loop_free_strong(),
+            ] {
+                check_agreement(&i, &base, &cands, props);
             }
         }
     }
@@ -1533,9 +1305,7 @@ mod tests {
         let i = inst(&[1, 2, 3, 4, 5], &[1, 4, 3, 2, 5], Some(3));
         let base = ConfigState::initial(&i);
         let cands: Vec<RuleOp> = (1..5).map(|v| RuleOp::Activate(DpId(v))).collect();
-        for mode in [OracleMode::Conservative, OracleMode::Exact] {
-            check_agreement(&i, &base, &cands, PropertySet::transiently_secure(), mode);
-        }
+        check_agreement(&i, &base, &cands, PropertySet::transiently_secure());
     }
 
     #[test]
@@ -1556,7 +1326,7 @@ mod tests {
             PropertySet::loop_free_relaxed(),
             PropertySet::loop_free_strong(),
         ] {
-            check_agreement(&i, &base, &cands, props, OracleMode::Conservative);
+            check_agreement(&i, &base, &cands, props);
         }
     }
 
@@ -1568,10 +1338,10 @@ mod tests {
         let i = UpdateInstance::new(pair.old, pair.new, None).unwrap();
         let base = ConfigState::initial(&i);
         let props = PropertySet::loop_free_strong();
-        let mut probe = AdmissionProbe::open(&i, &base, props, OracleMode::Conservative);
+        let mut probe = AdmissionProbe::open(&i, &base, props);
         assert!(probe.try_push(RuleOp::Activate(DpId(2))));
         assert!(!probe.try_push(RuleOp::Activate(DpId(3)))); // SLF cycle with 2
-        let mut fresh = AdmissionProbe::open(&i, &base, props, OracleMode::Conservative);
+        let mut fresh = AdmissionProbe::open(&i, &base, props);
         assert!(fresh.try_push(RuleOp::Activate(DpId(2))));
         for v in 4..8u64 {
             let a = probe.try_push(RuleOp::Activate(DpId(v)));
@@ -1590,10 +1360,8 @@ mod tests {
             RuleOp::FlipIngress,
             RuleOp::InstallTagged(DpId(1)),
         ];
-        for mode in [OracleMode::Conservative, OracleMode::Exact] {
-            for props in [PropertySet::loop_free_relaxed(), PropertySet::all()] {
-                check_agreement(&i, &base, &cands, props, mode);
-            }
+        for props in [PropertySet::loop_free_relaxed(), PropertySet::all()] {
+            check_agreement(&i, &base, &cands, props);
         }
     }
 
@@ -1602,12 +1370,10 @@ mod tests {
         let i = inst(&[1, 2, 3], &[1, 2, 3], None);
         let base = ConfigState::initial(&i);
         let props = PropertySet::loop_free_relaxed();
-        for mode in [OracleMode::Conservative, OracleMode::Exact] {
-            let mut probe = AdmissionProbe::open(&i, &base, props, mode);
-            assert!(probe.try_push(RuleOp::Activate(DpId(1))));
-            assert!(probe.try_push(RuleOp::Activate(DpId(1)))); // duplicate
-            assert!(probe.try_push(RuleOp::Activate(DpId(99)))); // not a participant
-        }
+        let mut probe = AdmissionProbe::open(&i, &base, props);
+        assert!(probe.try_push(RuleOp::Activate(DpId(1))));
+        assert!(probe.try_push(RuleOp::Activate(DpId(1)))); // duplicate
+        assert!(probe.try_push(RuleOp::Activate(DpId(99)))); // not a participant
     }
 
     /// Cross-round: a session advanced with `commit_round` must make
@@ -1621,31 +1387,29 @@ mod tests {
         ] {
             let pair = sdn_topo::gen::reversal(n);
             let i = UpdateInstance::new(pair.old, pair.new, None).unwrap();
-            for mode in [OracleMode::Conservative, OracleMode::Exact] {
-                let mut base = ConfigState::initial(&i);
-                let mut session = AdmissionProbe::open(&i, &base, props, mode);
-                let mut pending: Vec<u64> = (1..n).collect();
-                pending.sort_by_key(|&v| std::cmp::Reverse(i.new_position(DpId(v)).unwrap_or(0)));
-                let mut guard = 0;
-                while !pending.is_empty() {
-                    guard += 1;
-                    assert!(guard <= 2 * n, "schedule did not converge");
-                    let mut fresh = AdmissionProbe::open(&i, &base, props, mode);
-                    for &v in &pending {
-                        let op = RuleOp::Activate(DpId(v));
-                        assert_eq!(
-                            session.try_push(op),
-                            fresh.try_push(op),
-                            "mode {mode:?} round {guard} candidate {v}"
-                        );
-                    }
-                    let ops = session.commit_round();
-                    assert_eq!(ops, fresh.into_ops(), "round {guard} admitted sets differ");
-                    assert!(!ops.is_empty(), "greedy must make progress");
-                    base.apply_all(&ops);
-                    assert_eq!(session.base(), &base);
-                    pending.retain(|&v| !ops.contains(&RuleOp::Activate(DpId(v))));
+            let mut base = ConfigState::initial(&i);
+            let mut session = AdmissionProbe::open(&i, &base, props);
+            let mut pending: Vec<u64> = (1..n).collect();
+            pending.sort_by_key(|&v| std::cmp::Reverse(i.new_position(DpId(v)).unwrap_or(0)));
+            let mut guard = 0;
+            while !pending.is_empty() {
+                guard += 1;
+                assert!(guard <= 2 * n, "schedule did not converge");
+                let mut fresh = AdmissionProbe::open(&i, &base, props);
+                for &v in &pending {
+                    let op = RuleOp::Activate(DpId(v));
+                    assert_eq!(
+                        session.try_push(op),
+                        fresh.try_push(op),
+                        "round {guard} candidate {v}"
+                    );
                 }
+                let ops = session.commit_round();
+                assert_eq!(ops, fresh.into_ops(), "round {guard} admitted sets differ");
+                assert!(!ops.is_empty(), "greedy must make progress");
+                base.apply_all(&ops);
+                assert_eq!(session.base(), &base);
+                pending.retain(|&v| !ops.contains(&RuleOp::Activate(DpId(v))));
             }
         }
     }
@@ -1659,28 +1423,26 @@ mod tests {
         for trial in 0..15 {
             let pair = sdn_topo::gen::random_permutation(9, &mut rng);
             let i = UpdateInstance::new(pair.old, pair.new, None).unwrap();
-            for mode in [OracleMode::Conservative, OracleMode::Exact] {
-                let props = PropertySet::loop_free_relaxed();
-                let base0 = ConfigState::initial(&i);
-                let mut session = AdmissionProbe::open(&i, &base0, props, mode);
-                // Commit two externally-chosen rounds without probing.
-                let mut base = base0.clone();
-                for round in [
-                    vec![RuleOp::Activate(DpId(2)), RuleOp::Activate(DpId(5))],
-                    vec![RuleOp::Activate(DpId(3)), RuleOp::RemoveOld(DpId(4))],
-                ] {
-                    session.advance(&round);
-                    base.apply_all(&round);
-                }
-                let mut fresh = AdmissionProbe::open(&i, &base, props, mode);
-                for v in 1..=9u64 {
-                    let op = RuleOp::Activate(DpId(v));
-                    assert_eq!(
-                        session.try_push(op),
-                        fresh.try_push(op),
-                        "trial {trial} mode {mode:?} candidate {v} after external advance"
-                    );
-                }
+            let props = PropertySet::loop_free_relaxed();
+            let base0 = ConfigState::initial(&i);
+            let mut session = AdmissionProbe::open(&i, &base0, props);
+            // Commit two externally-chosen rounds without probing.
+            let mut base = base0.clone();
+            for round in [
+                vec![RuleOp::Activate(DpId(2)), RuleOp::Activate(DpId(5))],
+                vec![RuleOp::Activate(DpId(3)), RuleOp::RemoveOld(DpId(4))],
+            ] {
+                session.advance(&round);
+                base.apply_all(&round);
+            }
+            let mut fresh = AdmissionProbe::open(&i, &base, props);
+            for v in 1..=9u64 {
+                let op = RuleOp::Activate(DpId(v));
+                assert_eq!(
+                    session.try_push(op),
+                    fresh.try_push(op),
+                    "trial {trial} candidate {v} after external advance"
+                );
             }
         }
     }
@@ -1697,12 +1459,12 @@ mod tests {
         let i = inst(&[1, 2, 3, 4], &[1, 3, 2, 4], None);
         let props = PropertySet::loop_free_strong();
         let base0 = ConfigState::initial(&i);
-        let mut session = AdmissionProbe::open(&i, &base0, props, OracleMode::Conservative);
+        let mut session = AdmissionProbe::open(&i, &base0, props);
         let bad_round = [RuleOp::Activate(DpId(3))];
         session.advance(&bad_round);
         let mut base = base0.clone();
         base.apply_all(&bad_round);
-        let mut fresh = AdmissionProbe::open(&i, &base, props, OracleMode::Conservative);
+        let mut fresh = AdmissionProbe::open(&i, &base, props);
         for v in [1u64, 2] {
             let op = RuleOp::Activate(DpId(v));
             assert_eq!(session.try_push(op), fresh.try_push(op), "on cyclic base");
@@ -1711,7 +1473,7 @@ mod tests {
         let heal = [RuleOp::Activate(DpId(2))];
         session.advance(&heal);
         base.apply_all(&heal);
-        let mut fresh = AdmissionProbe::open(&i, &base, props, OracleMode::Conservative);
+        let mut fresh = AdmissionProbe::open(&i, &base, props);
         let op = RuleOp::Activate(DpId(1));
         assert_eq!(session.try_push(op), fresh.try_push(op), "after healing");
     }
@@ -1734,8 +1496,7 @@ mod tests {
                     _ => {}
                 }
             }
-            let probe =
-                AdmissionProbe::open(&i, &base, PropertySet::all(), OracleMode::Conservative);
+            let probe = AdmissionProbe::open(&i, &base, PropertySet::all());
             for tag in [VersionTag::OLD, VersionTag::NEW] {
                 for (v, _) in i.nodes() {
                     let vi = i.index(v).unwrap() as u32;
@@ -1747,8 +1508,10 @@ mod tests {
                     let ln = probe.local_nexts(vi, tag, flags);
                     let mut reference = possible_nexts(&i, &base, &ops, v, tag);
                     if tag == VersionTag::NEW && v == i.src() {
-                        // the ingress' new-rule edge rides in the class
-                        reference.insert(i.new_next(v));
+                        // a stamped packet leaves the ingress by its
+                        // new rule only (the SLF graphs keep the
+                        // untagged edges of an ingress no rule points at)
+                        reference = BTreeSet::from([i.new_next(v)]);
                     }
                     let mut got: BTreeSet<Option<DpId>> = ln
                         .targets
@@ -1782,7 +1545,8 @@ mod tests {
                 let x = rng.index(n) as u32;
                 let y = rng.index(n) as u32;
                 let indeg = naive.iter().filter(|ts| ts.contains(&y)).count();
-                if x == y || out[x as usize].contains(y) || out[x as usize].len == 2 || indeg == 2 {
+                if x == y || out[x as usize].contains(y) || out[x as usize].len() == 2 || indeg == 2
+                {
                     continue;
                 }
                 out[x as usize].push(y);
@@ -1835,7 +1599,7 @@ mod tests {
                 continue;
             }
             let indeg = naive.iter().filter(|ts| ts.contains(&y)).count();
-            if x == y || out[x as usize].len == 2 || indeg == 2 {
+            if x == y || out[x as usize].len() == 2 || indeg == 2 {
                 continue;
             }
             out[x as usize].push(y);

@@ -6,38 +6,34 @@
 //! correct for a property set iff **every** such configuration
 //! satisfies every property.
 //!
-//! Three verification engines are provided, trading cost for
-//! generality:
+//! One polynomial engine answers that for every property:
 //!
-//! * [`choice_graph`] — polynomial. Exact for strong loop freedom
-//!   (a simple cycle in the "choice graph" uses exactly one out-edge
-//!   per switch, hence always corresponds to a consistent transient
-//!   subset); *conservative* (sound, may over-reject) for the
-//!   walk-based properties.
-//! * [`decision_walk`] — exact for the walk-based properties
-//!   (blackhole, relaxed loop freedom, waypoint enforcement): explores
-//!   both rule states of a pending switch the first time the walk
-//!   reaches it, so the cost is exponential only in the number of
-//!   *choices actually on the walk*.
+//! * [`choice_graph`] — per tag class, the graph of every rule edge a
+//!   switch could expose while the round is in flight. A switch's rule
+//!   state depends only on its own operations, so every simple path,
+//!   lasso and cycle of that graph is a consistent transient state:
+//!   strong loop freedom is acyclicity, and the walk properties
+//!   (blackhole, relaxed loop freedom, waypoint enforcement) are
+//!   reachability from the source — exact, in time linear in the
+//!   switches reached.
 //! * [`exhaustive`] — brute force over all `2^|round|` subsets; the
-//!   reference the other two are cross-validated against in tests.
+//!   reference the choice graph is cross-validated against in tests.
 //!
-//! One whole-schedule verifier, [`verify_schedule`], runs the exact
-//! checks on every round — the walk properties through the decision
-//! walk, strong loop freedom through a cross-round [`AdmissionProbe`]
-//! session that falls back to the choice graph only on the rounds it
-//! rejects, for their witnesses — and the final-configuration check.
-//! [`round_admissible`] exposes the per-round machinery as a
-//! *stateless* safety oracle, and [`incremental::AdmissionProbe`] is
-//! its stateful session form: the greedy schedulers open one probe per
-//! round and grow the candidate set one operation at a time against
-//! incrementally maintained choice-graph, cycle-detection and walk
-//! state — the decisions are identical (cross-validated in
+//! One whole-schedule verifier, [`verify_schedule`], checks every round
+//! — the walk properties through [`choice_graph::check_round_walks`]'s
+//! searches on buffers kept across rounds, strong loop freedom through
+//! a cross-round [`AdmissionProbe`] session that rebuilds the class
+//! graphs only on the rounds it rejects, for their witnesses — and the
+//! final configuration. [`round_admissible`] is the per-round check as
+//! a *stateless* safety oracle, and [`incremental::AdmissionProbe`] is
+//! its stateful session form: the greedy schedulers grow each round's
+//! candidate set one operation at a time against incrementally
+//! maintained class graphs, reach sets and topological orders — the
+//! decisions are identical (cross-validated in
 //! `tests/checker_cross_validation.rs`), the cost per probe drops from
-//! a full re-verification to amortized polylogarithmic work.
+//! a full re-check to the region the candidate affects.
 
 pub mod choice_graph;
-pub mod decision_walk;
 pub mod exhaustive;
 pub mod incremental;
 
@@ -91,18 +87,18 @@ pub struct CheckReport {
     /// Set when the schedule is structurally invalid (duplicate ops,
     /// wrong roles, kind mismatch); no transient analysis is run then.
     pub structural_error: Option<String>,
-    /// Number of concrete configurations examined: the decision walk's
-    /// explored leaves, plus one for the final configuration. Under
-    /// strong loop freedom it also counts one per operation pushed into
-    /// the cross-round session (each push is one probe of a candidate
-    /// set) and one per tag-class choice graph rebuilt on a rejected
-    /// round.
+    /// Number of checks made. The walk properties count one per switch
+    /// a round's searches reached — per tag class, once for blackholes
+    /// and loops and once more avoiding the waypoint; each such switch
+    /// stands for every transient state whose packet gets there — and
+    /// one for the final configuration. Under strong loop freedom it
+    /// also counts one per operation pushed into the cross-round
+    /// session (each push is one probe of a candidate set) and one per
+    /// tag-class choice graph rebuilt on a rejected round. (The
+    /// exhaustive reference counts one per subset.)
     pub configs_checked: u64,
     /// Number of rounds examined.
     pub rounds_checked: usize,
-    /// Set when an exact engine hit its exploration budget; the report
-    /// is then only complete up to the budget.
-    pub budget_exhausted: bool,
 }
 
 impl CheckReport {
@@ -114,7 +110,6 @@ impl CheckReport {
     fn merge(&mut self, other: CheckReport) {
         self.violations.extend(other.violations);
         self.configs_checked += other.configs_checked;
-        self.budget_exhausted |= other.budget_exhausted;
     }
 }
 
@@ -145,12 +140,12 @@ impl fmt::Display for CheckReport {
     }
 }
 
-/// Verify a schedule against a property set, using the exact engines.
+/// Verify a schedule against a property set.
 ///
 /// The walk-based properties are checked round by round with
-/// [`decision_walk`] (exact). Strong loop freedom is checked through
-/// one exact-mode, SLF-only [`AdmissionProbe`] carried across the
-/// whole schedule: each round's operations are pushed into it one by
+/// [`choice_graph::check_round_walks`]'s searches, on buffers kept
+/// across the rounds. Strong loop freedom is checked through one
+/// SLF-only [`AdmissionProbe`] carried across the whole schedule: each round's operations are pushed into it one by
 /// one, and a round whose every push is admitted is safe (the admitted
 /// set *is* the round). A rejected push proves the round unsafe — every
 /// transient state of the pushed prefix is one of the round's — and
@@ -178,9 +173,9 @@ pub fn verify_schedule(
     let slf = PropertySet::none().with(Property::StrongLoopFreedom);
     let mut session = props
         .contains(Property::StrongLoopFreedom)
-        .then(|| AdmissionProbe::open(inst, &base, slf, OracleMode::Exact));
+        .then(|| AdmissionProbe::open(inst, &base, slf));
     let walk_props = props.without(Property::StrongLoopFreedom);
-    let mut walks = decision_walk::WalkBuffers::default();
+    let mut walks = choice_graph::WalkBuffers::default();
     for (ri, round) in schedule.rounds.iter().enumerate() {
         report.rounds_checked += 1;
         let mut merge = |mut sub: CheckReport| {
@@ -227,46 +222,24 @@ pub fn verify_schedule(
     report
 }
 
-/// Oracle mode for the greedy schedulers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OracleMode {
-    /// Polynomial conservative check (sound; may reject safe sets).
-    Conservative,
-    /// Exact check (decision walk + choice graph).
-    #[default]
-    Exact,
-}
-
 /// Would dispatching `candidate_ops` as the next round (after `base`)
-/// preserve `props` in every transient state?
-///
-/// With [`OracleMode::Conservative`] the answer `true` is always
-/// trustworthy, `false` may be spurious. With [`OracleMode::Exact`]
-/// both answers are exact.
+/// preserve `props` in every transient state? Exact: strong loop
+/// freedom through [`choice_graph::check_round_slf`], the walk
+/// properties through [`choice_graph::check_round_walks`].
 pub fn round_admissible(
     inst: &UpdateInstance,
     base: &ConfigState<'_>,
     candidate_ops: &[RuleOp],
     props: &PropertySet,
-    mode: OracleMode,
 ) -> bool {
-    match mode {
-        OracleMode::Conservative => {
-            choice_graph::round_safe_conservative(inst, base, candidate_ops, props)
-        }
-        OracleMode::Exact => {
-            if props.contains(Property::StrongLoopFreedom)
-                && !choice_graph::check_round_slf(inst, base, candidate_ops).is_ok()
-            {
-                return false;
-            }
-            let walk_props = props.without(Property::StrongLoopFreedom);
-            if walk_props.is_empty() {
-                return true;
-            }
-            decision_walk::check_round(inst, base, candidate_ops, &walk_props).is_ok()
-        }
+    if props.contains(Property::StrongLoopFreedom)
+        && !choice_graph::check_round_slf(inst, base, candidate_ops).is_ok()
+    {
+        return false;
     }
+    let walk_props = props.without(Property::StrongLoopFreedom);
+    walk_props.is_empty()
+        || choice_graph::check_round_walks(inst, base, candidate_ops, &walk_props).is_ok()
 }
 
 #[cfg(test)]
@@ -345,34 +318,34 @@ mod tests {
     }
 
     #[test]
-    fn round_admissible_exact_vs_conservative_agree_on_simple() {
+    fn round_admissible_on_simple() {
         let i = inst(&[1, 2, 3], &[1, 4, 3], None);
         let base = ConfigState::initial(&i);
         let ops = [RuleOp::Activate(DpId(4))];
         let props = PropertySet::all();
-        assert!(round_admissible(&i, &base, &ops, &props, OracleMode::Exact));
-        assert!(round_admissible(
-            &i,
-            &base,
-            &ops,
-            &props,
-            OracleMode::Conservative
-        ));
+        assert!(round_admissible(&i, &base, &ops, &props));
         let bad = [RuleOp::Activate(DpId(4)), RuleOp::Activate(DpId(1))];
-        assert!(!round_admissible(
-            &i,
-            &base,
-            &bad,
-            &props,
-            OracleMode::Exact
-        ));
-        assert!(!round_admissible(
-            &i,
-            &base,
-            &bad,
-            &props,
-            OracleMode::Conservative
-        ));
+        assert!(!round_admissible(&i, &base, &bad, &props));
+    }
+
+    /// Two-phase commit's rounds on a reversal leave every switch with
+    /// several pending operations at once; the check reaches each
+    /// switch a bounded number of times per round, so it completes and
+    /// its count grows linearly in n.
+    #[test]
+    fn two_phase_verifies_reversals_in_linear_checks() {
+        use crate::algorithms::{TwoPhaseCommit, UpdateScheduler};
+        let checks = |n: u64| {
+            let pair = sdn_topo::gen::reversal(n);
+            let i = UpdateInstance::new(pair.old, pair.new, None).unwrap();
+            let s = TwoPhaseCommit.schedule(&i).unwrap();
+            let r = verify_schedule(&i, &s, PropertySet::transiently_secure());
+            assert!(r.is_ok(), "n={n}: {r}");
+            r.configs_checked
+        };
+        let (small, large) = (checks(512), checks(1024));
+        assert!(small >= 512, "the count counts: {small}");
+        assert!(large <= 2 * small + 8, "{small} @512 -> {large} @1024");
     }
 
     #[test]
@@ -390,7 +363,7 @@ mod tests {
     }
 
     /// Every scheduler's schedule on two instances, verified: rounds,
-    /// configurations, budget flag and the text of every violation.
+    /// checks and the text of every violation.
     fn golden_report() -> String {
         use crate::algorithms::{
             OneShot, Peacock, SlfGreedy, TwoPhaseCommit, UpdateScheduler, WayUp,
@@ -431,8 +404,8 @@ mod tests {
                     let r = verify_schedule(inst, &s, props);
                     writeln!(
                         out,
-                        "{iname} {sname} {pname}: rounds {} configs {} budget {}",
-                        r.rounds_checked, r.configs_checked, r.budget_exhausted
+                        "{iname} {sname} {pname}: rounds {} configs {}",
+                        r.rounds_checked, r.configs_checked
                     )
                     .unwrap();
                     for v in &r.violations {
@@ -446,11 +419,13 @@ mod tests {
 
     /// Recorded before the checker's entry points were consolidated
     /// (the configuration counts of the SLF rows re-recorded when
-    /// strong loop freedom moved to the cross-round session, and the
-    /// two `waypointed11 wayup` rows when WayUp's single greedy pass
-    /// found a replacement schedule for that crossing instance instead
-    /// of falling back); a refactor of the verifier must leave every
-    /// line alone.
+    /// strong loop freedom moved to the cross-round session, the two
+    /// `waypointed11 wayup` rows when WayUp's single greedy pass found
+    /// a replacement schedule for that crossing instance instead of
+    /// falling back, and every count and walk witness when the choice
+    /// graph's searches replaced the decision tree — one witness per
+    /// tag class and property, over the same (round, property) pairs);
+    /// a refactor of the verifier must leave every line alone.
     #[test]
     fn golden_verifier_counts() {
         let got = golden_report();

@@ -94,6 +94,7 @@ pub(crate) const TAGGED: u8 = 4;
 /// matches an installed tagged rule first; otherwise the new rule once
 /// activated, else the old rule unless removed. The destination has no
 /// rule on either route, so it never forwards.
+#[inline]
 pub(crate) fn forward(
     inst: &UpdateInstance,
     i: usize,

@@ -20,8 +20,9 @@
 //! * the consistency **properties** ([`properties`]): blackhole
 //!   freedom, relaxed ("weak") and strong loop freedom, and waypoint
 //!   enforcement — the "transient security" of the title;
-//! * exact and conservative **checkers** ([`checker`]) that verify a
-//!   schedule against every transient state a round can expose;
+//! * an exact, polynomial **checker** ([`checker`]) that verifies a
+//!   schedule against every transient state a round can expose, with
+//!   brute force as its test reference;
 //! * the **schedulers** ([`algorithms`]): [`algorithms::WayUp`]
 //!   (waypoint enforcement, HotNets'14), [`algorithms::Peacock`]
 //!   (relaxed loop freedom, PODC'15), the strong-loop-freedom greedy

@@ -8,7 +8,7 @@
 //! switches, with the new-only installs applied first, as every
 //! replacement schedule does): a round from set `S` is any non-empty
 //! set `T` of the remaining operations that
-//! [`round_admissible`] accepts in [`OracleMode::Exact`] on top of `S`.
+//! the exact [`round_admissible`] accepts on top of `S`.
 //! Subsets of an admissible round are admissible (each of their
 //! transient states is one of the round's), so the search extends a
 //! candidate round only while it stays admissible.
@@ -31,7 +31,7 @@ use std::collections::VecDeque;
 use sdn_topo::gen::{self, UpdatePair};
 use sdn_types::{DetRng, DpId};
 use update_core::algorithms::{Peacock, SlfGreedy, UpdateScheduler, WayUp};
-use update_core::checker::{round_admissible, OracleMode};
+use update_core::checker::round_admissible;
 use update_core::config::ConfigState;
 use update_core::model::{NodeRole, UpdateInstance};
 use update_core::properties::PropertySet;
@@ -80,7 +80,7 @@ fn rounds_from(inst: &UpdateInstance, ops: &[RuleOp], props: &PropertySet, mask:
                 .filter(|j| next >> j & 1 == 1)
                 .map(|j| ops[j])
                 .collect();
-            if round_admissible(inst, &base, &round_ops, props, OracleMode::Exact) {
+            if round_admissible(inst, &base, &round_ops, props) {
                 out.push(next);
                 stack.push((next, k + 1));
             }
@@ -134,7 +134,7 @@ fn activation_rounds(inst: &UpdateInstance, s: &Schedule, props: &PropertySet) -
         let round_ops: Vec<RuleOp> = ixs.iter().map(|&i| ops[i]).collect();
         let base = config(inst, &ops, mask);
         assert!(
-            round_admissible(inst, &base, &round_ops, props, OracleMode::Exact),
+            round_admissible(inst, &base, &round_ops, props),
             "{}: round {r} of {inst} is not admissible:\n{s}",
             s.algorithm
         );

@@ -10,25 +10,27 @@
 //! map model the dense switch index replaced (`ec97f94`); the SLF row's
 //! last column is the per-round choice-graph rebuild (`0dcebe9`) that
 //! the cross-round session replaced. (At `e42016c`, before the session and
-//! the decision walk kept their per-round buffers across rounds,
-//! Peacock's schedule took 143 and the SLF verification 1321.)
+//! the walk check kept their per-round buffers across rounds,
+//! Peacock's schedule took 143 and the SLF verification 1321.) The
+//! verification rows were re-measured when the choice graph's searches
+//! replaced the decision tree as the walk check.
 //!
 //! | stage                            | budget | measured | before  |
 //! |----------------------------------|--------|----------|---------|
 //! | `UpdateInstance::new`            | 16     | 3        | 211     |
 //! | `ConfigState::apply` × 255       | 0      | 0        | 42      |
 //! | `Peacock::schedule`              | 279    | 97       | 279     |
-//! | `verify_schedule`, passing       | 64     | 19       | 514     |
-//! | `verify_schedule`, SLF-greedy    | 1600   | 50       | 220 483 |
+//! | `verify_schedule`, passing       | 64     | 10       | 514     |
+//! | `verify_schedule`, SLF-greedy    | 1600   | 37       | 220 483 |
 //!
 //! Bytes asked for, on SLF-greedy's 126-round schedule of
 //! `gen::reversal(128)` (the `reversal_deep` shape) verified for the
 //! walk properties, beside the per-round tables of every switch that
-//! the decision walk's kept buffers replaced (`e42016c`):
+//! the walk check's kept buffers replaced (`e42016c`):
 //!
 //! | stage                            | budget       | measured | before  |
 //! |----------------------------------|--------------|----------|---------|
-//! | `verify_schedule`, 126 rounds    | 128 × rounds | 8200     | 456 827 |
+//! | `verify_schedule`, 126 rounds    | 128 × rounds | 7824     | 456 827 |
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -146,9 +148,9 @@ fn verifying_an_slf_schedule_allocates_at_most_1600_times() {
 }
 
 /// SLF-greedy's 126 one-switch rounds of `gen::reversal(128)`, the
-/// `reversal_deep` shape, checked for the walk properties: the decision
-/// walk's tables are kept across the rounds, so verification asks for
-/// a few bytes per round (8200 in all) where a table of every switch
+/// `reversal_deep` shape, checked for the walk properties: the walk
+/// check's tables are kept across the rounds, so verification asks for
+/// a few bytes per round (7824 in all) where a table of every switch
 /// per round asked for 456 827.
 #[test]
 fn verifying_one_switch_rounds_allocates_per_round_not_per_switch() {

@@ -10,7 +10,7 @@
 //!   **Peacock** (relaxed loop freedom, PODC'15) — plus one-shot,
 //!   strong-loop-freedom greedy and tag-based two-phase-commit
 //!   baselines ([`core`]);
-//! * exact and conservative verifiers for every transient state a
+//! * an exact, polynomial verifier for every transient state a
 //!   round-based schedule can expose ([`core::checker`]);
 //! * the substrate the demo ran on: an OpenFlow-style message layer
 //!   with a binary codec ([`openflow`]), software switches with barrier
