@@ -6,9 +6,9 @@
 # caller selected, the second counter taxonomy beside the obs events,
 # the unused switch handshake, the channel's scripted fault windows,
 # live seat migration with its rebalance advice, the dependency
-# shims whose jobs sdn_types and std do, and the exponential walk
+# shims whose jobs sdn_types and std do, the exponential walk
 # checker with the oracle modes that chose between it and the choice
-# graph.
+# graph, and the eight OpenFlow message types nothing sent.
 # No file — not even their former defining sites — may
 # mention these names:
 #
@@ -89,6 +89,15 @@
 #                                 polynomial), round_admissible(inst, base,
 #                                 ops, props), AdmissionProbe::open(inst,
 #                                 base, props)
+#   the OpenFlow messages nothing sent: OfMessage::{Hello,
+#   FeaturesRequest,FeaturesReply,PacketIn,PacketOut,ErrorMsg,
+#   FlowStatsRequest,FlowStatsReply}, CodecError::{TooManyPorts,
+#   BadPacketOutActions,UnknownStatsType}, FlowTable::total_packets,
+#   PortNo::is_physical
+#                              -> none: nothing sent them (the wire is
+#                                 FlowMod, BarrierRequest/Reply and
+#                                 EchoRequest/Reply; any other type byte
+#                                 decodes to CodecError::UnknownType)
 #
 # The update model keeps one switch index: the code of
 # crates/core/src/{model,config}.rs (not their tests, which hold ordered
@@ -130,6 +139,8 @@ PATTERN+='|\b(parse_rebalance_apply|migrate_error_response|exp_live_rebalance)\b
 PATTERN+='|\b(rand|crossbeam|parking_lot)::|\bDetRng::inner\b'
 PATTERN+='|\b(OracleMode|decision_walk|DEFAULT_LEAF_BUDGET|check_round_collecting)\b'
 PATTERN+='|\b(walk_)?budget_exhausted\b|\b(prefer_conservative|round_safe_conservative)\b'
+PATTERN+='|\bOfMessage::(Hello|FeaturesRequest|FeaturesReply|PacketIn|PacketOut|ErrorMsg|FlowStatsRequest|FlowStatsReply)\b'
+PATTERN+='|\b(TooManyPorts|BadPacketOutActions|UnknownStatsType|total_packets|is_physical)\b'
 
 hits=$(find . -name '*.rs' -not -path './target/*' -not -path './shims/*' -print0 |
     xargs -0 grep -nE "$PATTERN" || true)

@@ -1010,7 +1010,7 @@ mod tests {
     fn send_to_unknown_switch_fails() {
         let t = transport(1);
         assert_eq!(
-            t.send(DpId(99), &Envelope::new(Xid(1), OfMessage::Hello)),
+            t.send(DpId(99), &Envelope::new(Xid(1), OfMessage::BarrierRequest)),
             Err(TransportError::UnknownSwitch(DpId(99)))
         );
         t.shutdown();

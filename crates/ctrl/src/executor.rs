@@ -1047,12 +1047,7 @@ mod tests {
     #[test]
     fn a_slot_with_a_message_no_echo_proves_still_waits_for_its_barrier() {
         let mut u = update(vec![vec![1]]);
-        let packet_out = OfMessage::PacketOut {
-            buffer_id: u32::MAX,
-            out_port: sdn_types::PortNo(1),
-            data: vec![0; 4],
-        };
-        u.rounds[0].msgs.push((DpId(1), packet_out));
+        u.rounds[0].msgs.push((DpId(1), OfMessage::BarrierRequest));
         let mut xids = XidAlloc::new();
         let mut ex = RoundExecutor::new(u.clone(), ack_cfg());
         let cmds = start(&mut ex, SimTime::ZERO, &mut xids);
@@ -1066,7 +1061,7 @@ mod tests {
         assert!(fence(&mut ex, SimTime(2), DpId(1), &mut xids).is_empty());
         assert_eq!(ex.state(), ExecState::Done);
 
-        // the other order: the barrier reply fences the PacketOut and
+        // the other order: the barrier reply fences the extra message and
         // resends the overtaken FlowMod behind a fresh barrier, whose
         // route retires when the resent payload's ack completes the slot
         let mut xids = XidAlloc::new();

@@ -762,7 +762,7 @@ impl ConcurrentRuntime {
         let echoed = match &env.msg {
             OfMessage::BarrierReply => None,
             OfMessage::EchoReply(payload) => Some(payload),
-            _ => return, // errors, stats: not routed
+            _ => return, // switch-bound kinds: not routed
         };
         // Digest-probe replies belong to the resync state machine, not
         // to any job. The repair FlowMods come straight from the shadow

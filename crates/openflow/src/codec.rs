@@ -19,10 +19,11 @@
 //! The private `wire` module holds the layouts, the model ↔ wire
 //! mapping and the order in which errors are reported.
 //!
-//! Decoding is strict: unknown types, bad versions, truncated bodies
-//! and trailing bytes all yield a typed [`CodecError`] — corrupted
-//! frames injected by the fault-injecting channel must never panic or
-//! be silently misparsed.
+//! The wire speaks five messages: FlowMod, BarrierRequest,
+//! BarrierReply, EchoRequest and EchoReply. Decoding is strict: any
+//! other type byte, bad versions, truncated bodies and trailing bytes
+//! all yield a typed [`CodecError`] — corrupted frames injected by the
+//! fault-injecting channel must never panic or be silently misparsed.
 
 use bytes::Bytes;
 /// The buffer [`try_encode_into`] appends to.
@@ -65,14 +66,8 @@ pub enum CodecError {
     BadActionLength(usize),
     /// Vendor action from a vendor id we do not speak.
     UnknownVendor(u32),
-    /// Stats request/reply of a type other than OFPST_AGGREGATE.
-    UnknownStatsType(u16),
     /// A 32-bit model port that does not fit the 16-bit 1.0 wire.
     PortOutOfRange(u32),
-    /// Features reply with more ports than a frame can carry.
-    TooManyPorts(u32),
-    /// Packet-out whose action list is not a single output.
-    BadPacketOutActions(usize),
     /// Declared length smaller than the header or larger than
     /// [`MAX_FRAME_LEN`].
     BadLength(usize),
@@ -92,13 +87,8 @@ impl fmt::Display for CodecError {
             CodecError::UnknownAction(a) => write!(f, "unknown action type {a}"),
             CodecError::BadActionLength(l) => write!(f, "invalid action length {l}"),
             CodecError::UnknownVendor(v) => write!(f, "unknown vendor id {v:#x}"),
-            CodecError::UnknownStatsType(s) => write!(f, "unsupported stats type {s}"),
             CodecError::PortOutOfRange(p) => {
                 write!(f, "port {p} not representable on the 1.0 wire")
-            }
-            CodecError::TooManyPorts(n) => write!(f, "{n} ports exceed a features-reply frame"),
-            CodecError::BadPacketOutActions(n) => {
-                write!(f, "packet-out with {n} actions (expected one output)")
             }
             CodecError::BadLength(l) => write!(f, "invalid frame length {l}"),
             CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after body"),
@@ -113,8 +103,8 @@ impl std::error::Error for CodecError {}
 /// # Panics
 ///
 /// Panics if the model value is not representable on the wire (a port
-/// above `OFPP_MAX`, or a features reply with more ports than a frame
-/// holds). Every value the stack produces is representable; use
+/// above `OFPP_MAX`, or a frame over [`MAX_FRAME_LEN`]). Every value
+/// the stack produces is representable; use
 /// [`try_encode_into`] when handling untrusted model values.
 pub fn encode(env: &Envelope) -> Bytes {
     let mut buf = BytesMut::new();
@@ -142,7 +132,7 @@ mod tests {
     use super::*;
     use crate::flow::{Action, FlowMatch};
     use crate::messages::{FlowMod, FlowModCommand, OfMessage};
-    use sdn_types::{DpId, HostId, PortNo, VersionTag, Xid};
+    use sdn_types::{HostId, PortNo, VersionTag, Xid};
 
     fn roundtrip(env: Envelope) {
         let bytes = encode(&env);
@@ -152,13 +142,7 @@ mod tests {
 
     #[test]
     fn roundtrip_simple_messages() {
-        for msg in [
-            OfMessage::Hello,
-            OfMessage::FeaturesRequest,
-            OfMessage::BarrierRequest,
-            OfMessage::BarrierReply,
-            OfMessage::FlowStatsRequest,
-        ] {
+        for msg in [OfMessage::BarrierRequest, OfMessage::BarrierReply] {
             roundtrip(Envelope::new(Xid(42), msg));
         }
     }
@@ -167,44 +151,6 @@ mod tests {
     fn roundtrip_payload_messages() {
         roundtrip(Envelope::new(Xid(1), OfMessage::EchoRequest(vec![1, 2, 3])));
         roundtrip(Envelope::new(Xid(2), OfMessage::EchoReply(vec![])));
-        roundtrip(Envelope::new(
-            Xid(3),
-            OfMessage::FeaturesReply {
-                dpid: DpId(12),
-                n_ports: 48,
-            },
-        ));
-        roundtrip(Envelope::new(
-            Xid(4),
-            OfMessage::PacketIn {
-                buffer_id: 7,
-                in_port: PortNo(3),
-                data: vec![0xde, 0xad],
-            },
-        ));
-        roundtrip(Envelope::new(
-            Xid(5),
-            OfMessage::PacketOut {
-                buffer_id: u32::MAX,
-                out_port: PortNo(1),
-                data: vec![0xbe, 0xef, 0x00],
-            },
-        ));
-        roundtrip(Envelope::new(
-            Xid(6),
-            OfMessage::ErrorMsg {
-                etype: 3,
-                code: 9,
-                data: vec![1, 2, 3, 4],
-            },
-        ));
-        roundtrip(Envelope::new(
-            Xid(7),
-            OfMessage::FlowStatsReply {
-                entries: 10,
-                packets: 12345678901,
-            },
-        ));
     }
 
     #[test]
@@ -254,14 +200,14 @@ mod tests {
 
     #[test]
     fn rejects_bad_version() {
-        let mut bytes = encode(&Envelope::new(Xid(1), OfMessage::Hello)).to_vec();
+        let mut bytes = encode(&Envelope::new(Xid(1), OfMessage::BarrierRequest)).to_vec();
         bytes[0] = 0x04;
         assert_eq!(decode(&bytes), Err(CodecError::BadVersion(0x04)));
     }
 
     #[test]
     fn rejects_unknown_type() {
-        let mut bytes = encode(&Envelope::new(Xid(1), OfMessage::Hello)).to_vec();
+        let mut bytes = encode(&Envelope::new(Xid(1), OfMessage::BarrierRequest)).to_vec();
         bytes[1] = 250;
         assert_eq!(decode(&bytes), Err(CodecError::UnknownType(250)));
     }
@@ -270,10 +216,13 @@ mod tests {
     fn rejects_truncated_body() {
         let bytes = encode(&Envelope::new(
             Xid(1),
-            OfMessage::FeaturesReply {
-                dpid: DpId(1),
-                n_ports: 4,
-            },
+            OfMessage::FlowMod(FlowMod {
+                command: FlowModCommand::Add,
+                priority: 1,
+                matcher: FlowMatch::ANY,
+                actions: vec![Action::Output(PortNo(2))],
+                cookie: 0,
+            }),
         ));
         let cut = &bytes[..bytes.len() - 3];
         assert!(matches!(decode(cut), Err(CodecError::Truncated { .. })));
@@ -281,14 +230,14 @@ mod tests {
 
     #[test]
     fn rejects_length_mismatch() {
-        let mut bytes = encode(&Envelope::new(Xid(1), OfMessage::Hello)).to_vec();
+        let mut bytes = encode(&Envelope::new(Xid(1), OfMessage::BarrierRequest)).to_vec();
         bytes.push(0); // actual frame longer than declared
         assert!(matches!(decode(&bytes), Err(CodecError::Truncated { .. })));
     }
 
     #[test]
     fn rejects_bad_declared_length() {
-        let mut bytes = encode(&Envelope::new(Xid(1), OfMessage::Hello)).to_vec();
+        let mut bytes = encode(&Envelope::new(Xid(1), OfMessage::BarrierRequest)).to_vec();
         bytes[2] = 0;
         bytes[3] = 3; // declared length 3 < header
         assert_eq!(decode(&bytes), Err(CodecError::BadLength(3)));
@@ -338,11 +287,13 @@ mod tests {
     fn try_encode_surfaces_unrepresentable_values() {
         let env = Envelope::new(
             Xid(1),
-            OfMessage::PacketOut {
-                buffer_id: 0,
-                out_port: PortNo(0x1_0000),
-                data: vec![],
-            },
+            OfMessage::FlowMod(FlowMod {
+                command: FlowModCommand::Add,
+                priority: 1,
+                matcher: FlowMatch::ANY,
+                actions: vec![Action::Output(PortNo(0x1_0000))],
+                cookie: 0,
+            }),
         );
         let mut buf = BytesMut::new();
         buf.extend_from_slice(b"kept");
@@ -357,19 +308,16 @@ mod tests {
     fn pseudo_ports_roundtrip() {
         roundtrip(Envelope::new(
             Xid(4),
-            OfMessage::PacketIn {
-                buffer_id: 1,
-                in_port: PortNo::LOCAL,
-                data: vec![],
-            },
-        ));
-        roundtrip(Envelope::new(
-            Xid(4),
-            OfMessage::PacketOut {
-                buffer_id: 1,
-                out_port: PortNo::CONTROLLER,
-                data: vec![1],
-            },
+            OfMessage::FlowMod(FlowMod {
+                command: FlowModCommand::Add,
+                priority: 1,
+                matcher: FlowMatch {
+                    in_port: Some(PortNo::CONTROLLER),
+                    ..FlowMatch::ANY
+                },
+                actions: vec![Action::Output(PortNo::LOCAL)],
+                cookie: 0,
+            }),
         ));
     }
 

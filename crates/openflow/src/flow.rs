@@ -93,7 +93,8 @@ pub enum Action {
     StripTag,
     /// Drop the packet.
     Drop,
-    /// Punt to the controller as a PacketIn.
+    /// Punt to the controller (`OFPP_CONTROLLER`); the switch counts
+    /// it as a packet-in and sends no message.
     ToController,
 }
 

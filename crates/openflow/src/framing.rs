@@ -66,13 +66,6 @@ impl FrameCodec {
         self.resyncs
     }
 
-    /// Drop all buffered state (reconnect).
-    pub fn reset(&mut self) {
-        self.buf.clear();
-        self.errors = 0;
-        self.resyncs = 0;
-    }
-
     /// Whether the first buffered bytes look like a frame start: right
     /// version byte and, once visible, a sane declared length.
     fn head_is_plausible(buf: &[u8], at: usize) -> bool {
@@ -209,7 +202,7 @@ mod tests {
     #[test]
     fn coalesced_frames_split_correctly() {
         let mut c = FrameCodec::new();
-        let e1 = env(1, OfMessage::Hello);
+        let e1 = env(1, OfMessage::BarrierReply);
         let e2 = env(2, OfMessage::BarrierRequest);
         let e3 = env(3, OfMessage::EchoReply(vec![1, 2]));
         let mut all = Vec::new();
@@ -225,7 +218,7 @@ mod tests {
     fn corrupted_version_does_not_poison() {
         let mut c = FrameCodec::new();
         let good = env(2, OfMessage::BarrierRequest);
-        let mut bytes = crate::codec::encode(&env(1, OfMessage::Hello)).to_vec();
+        let mut bytes = crate::codec::encode(&env(1, OfMessage::BarrierRequest)).to_vec();
         bytes[0] = 0xff;
         bytes.extend_from_slice(&crate::codec::encode(&good));
         c.feed(&bytes);
@@ -239,8 +232,8 @@ mod tests {
     #[test]
     fn corrupted_length_does_not_poison() {
         let mut c = FrameCodec::new();
-        let good = env(3, OfMessage::Hello);
-        let mut bytes = crate::codec::encode(&env(1, OfMessage::Hello)).to_vec();
+        let good = env(3, OfMessage::BarrierReply);
+        let mut bytes = crate::codec::encode(&env(1, OfMessage::BarrierRequest)).to_vec();
         bytes[2] = 0xff;
         bytes[3] = 0xff; // declared 65535 > MAX_FRAME_LEN
         bytes.extend_from_slice(&crate::codec::encode(&good));
@@ -253,7 +246,7 @@ mod tests {
     fn body_error_consumes_exactly_one_frame() {
         let mut c = FrameCodec::new();
         // valid header, unknown type code: consumed as one frame
-        let mut bad = crate::codec::encode(&env(1, OfMessage::Hello)).to_vec();
+        let mut bad = crate::codec::encode(&env(1, OfMessage::BarrierRequest)).to_vec();
         bad[1] = 250;
         let good = env(2, OfMessage::BarrierReply);
         c.feed(&bad);
@@ -276,20 +269,11 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_state() {
-        let mut c = FrameCodec::new();
-        c.feed(&[0xff; 16]);
-        let _ = c.next_frame();
-        c.reset();
-        assert_eq!(c.buffered(), 0);
-        assert_eq!(c.errors(), 0);
-        c.feed(&crate::codec::encode(&env(2, OfMessage::Hello)));
-        assert!(c.next_frame().unwrap().is_some());
-    }
-
-    #[test]
     fn encode_to_appends() {
-        let (e1, e2) = (env(1, OfMessage::Hello), env(2, OfMessage::BarrierRequest));
+        let (e1, e2) = (
+            env(1, OfMessage::BarrierReply),
+            env(2, OfMessage::BarrierRequest),
+        );
         let mut out = BytesMut::new();
         try_encode_into(&e1, &mut out).unwrap();
         try_encode_into(&e2, &mut out).unwrap();

@@ -8,14 +8,14 @@
 //! straight into exact OpenFlow 1.0 byte layouts and reads it straight
 //! back.
 //!
-//! The subset mirrors what the demo's controller actually uses —
+//! The subset is the five messages controller and switch exchange —
 //! FlowMod (add/modify/delete), BarrierRequest/BarrierReply for round
-//! synchronization, Echo for liveness, PacketIn/PacketOut and Error —
-//! while the codec exercises the real failure modes of a control
-//! channel: truncated frames, unknown types, corrupted lengths. Fault
-//! injection in `sdn-channel` flips bytes on the wire; every such
-//! corruption must surface as a typed [`codec::CodecError`], never a
-//! panic.
+//! synchronization, and EchoRequest/EchoReply, which carry FlowMod
+//! acknowledgements and the resync digest probe — while the codec
+//! exercises the real failure modes of a control channel: truncated
+//! frames, unknown types, corrupted lengths. Fault injection in
+//! `sdn-channel` flips bytes on the wire; every such corruption must
+//! surface as a typed [`codec::CodecError`], never a panic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

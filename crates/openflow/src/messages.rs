@@ -1,11 +1,12 @@
 //! Control messages.
 //!
-//! The subset of OpenFlow 1.0 the demo controller uses, as typed Rust
-//! values. An [`Envelope`] pairs a message with its transaction id
+//! The subset of OpenFlow 1.0 the controller and its switches
+//! exchange, as typed Rust values: FlowMods, barriers and echoes. An
+//! [`Envelope`] pairs a message with its transaction id
 //! ([`sdn_types::Xid`]); barrier replies echo the xid of their request,
 //! which is how the round executor attributes acknowledgements.
 
-use sdn_types::{DpId, PortNo, Xid};
+use sdn_types::Xid;
 
 use crate::flow::{Action, FlowMatch};
 
@@ -36,24 +37,9 @@ pub struct FlowMod {
     pub cookie: u64,
 }
 
-/// A control message.
+/// A control message: the five a controller and a switch exchange.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OfMessage {
-    /// Version negotiation greeting.
-    Hello,
-    /// Liveness probe.
-    EchoRequest(Vec<u8>),
-    /// Liveness response (echoes the request payload).
-    EchoReply(Vec<u8>),
-    /// Ask the switch for its identity.
-    FeaturesRequest,
-    /// Switch identity answer.
-    FeaturesReply {
-        /// Datapath id of the switch.
-        dpid: DpId,
-        /// Number of physical ports.
-        n_ports: u32,
-    },
     /// Flow table modification.
     FlowMod(FlowMod),
     /// Fence: the switch must finish all earlier messages of this
@@ -61,61 +47,22 @@ pub enum OfMessage {
     BarrierRequest,
     /// Fence acknowledgement (echoes the request xid).
     BarrierReply,
-    /// Data packet punted to the controller.
-    PacketIn {
-        /// Switch buffer reference.
-        buffer_id: u32,
-        /// Port the packet arrived on.
-        in_port: PortNo,
-        /// Raw packet bytes.
-        data: Vec<u8>,
-    },
-    /// Controller-originated packet emission.
-    PacketOut {
-        /// Switch buffer reference (`u32::MAX` = data carried inline).
-        buffer_id: u32,
-        /// Port to emit on.
-        out_port: PortNo,
-        /// Raw packet bytes.
-        data: Vec<u8>,
-    },
-    /// Error report.
-    ErrorMsg {
-        /// Error type (OpenFlow-style numeric class).
-        etype: u16,
-        /// Error code within the class.
-        code: u16,
-        /// Offending message prefix.
-        data: Vec<u8>,
-    },
-    /// Request aggregate flow statistics.
-    FlowStatsRequest,
-    /// Aggregate flow statistics.
-    FlowStatsReply {
-        /// Number of table entries.
-        entries: u32,
-        /// Packets matched by all entries.
-        packets: u64,
-    },
+    /// Liveness probe; in ack mode it carries a FlowMod frame, and it
+    /// carries the resync digest probe.
+    EchoRequest(Vec<u8>),
+    /// Liveness response (echoes the request payload).
+    EchoReply(Vec<u8>),
 }
 
 impl OfMessage {
     /// Short human-readable name (for traces and logs).
     pub fn kind(&self) -> &'static str {
         match self {
-            OfMessage::Hello => "hello",
-            OfMessage::EchoRequest(_) => "echo-request",
-            OfMessage::EchoReply(_) => "echo-reply",
-            OfMessage::FeaturesRequest => "features-request",
-            OfMessage::FeaturesReply { .. } => "features-reply",
             OfMessage::FlowMod(_) => "flow-mod",
             OfMessage::BarrierRequest => "barrier-request",
             OfMessage::BarrierReply => "barrier-reply",
-            OfMessage::PacketIn { .. } => "packet-in",
-            OfMessage::PacketOut { .. } => "packet-out",
-            OfMessage::ErrorMsg { .. } => "error",
-            OfMessage::FlowStatsRequest => "flow-stats-request",
-            OfMessage::FlowStatsReply { .. } => "flow-stats-reply",
+            OfMessage::EchoRequest(_) => "echo-request",
+            OfMessage::EchoReply(_) => "echo-reply",
         }
     }
 }
@@ -143,19 +90,19 @@ mod tests {
     #[test]
     fn kinds_are_distinct_and_stable() {
         let msgs = [
-            OfMessage::Hello,
             OfMessage::BarrierRequest,
             OfMessage::BarrierReply,
-            OfMessage::FeaturesRequest,
+            OfMessage::EchoRequest(vec![]),
+            OfMessage::EchoReply(vec![]),
         ];
         let kinds: Vec<_> = msgs.iter().map(|m| m.kind()).collect();
         assert_eq!(
             kinds,
             vec![
-                "hello",
                 "barrier-request",
                 "barrier-reply",
-                "features-request"
+                "echo-request",
+                "echo-reply"
             ]
         );
     }

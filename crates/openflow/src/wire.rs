@@ -46,10 +46,12 @@
 //! * `FlowModCommand::{Add, Modify, Delete}` →
 //!   `OFPFC_{ADD, MODIFY, DELETE_STRICT}` (the model's delete is
 //!   exact-match + priority, i.e. strict);
-//! * `FeaturesReply{n_ports}` → `ofp_switch_features` with one stub
-//!   48-byte `ofp_phy_port` per port (`port{n}`, MAC
-//!   `02:00:00:00:hi:lo`); `PacketOut` → one `OFPAT_OUTPUT` action;
-//!   `FlowStats*` → `OFPST_AGGREGATE` bodies.
+//! * `BarrierRequest`/`BarrierReply` are header-only frames and
+//!   `EchoRequest`/`EchoReply` carry their payload as the body.
+//!
+//! Those five are the whole wire: a frame of any other `ofp_type`
+//! (hello, features, packet-in/out, error, stats, vendor, …) is
+//! [`CodecError::UnknownType`].
 //!
 //! Ports are `u16` on the 1.0 wire while the model uses 32-bit
 //! [`PortNo`]; physical ports below [`OFPP_MAX`] pass through, the
@@ -58,18 +60,14 @@
 //!
 //! ## Which error wins
 //!
-//! Encoding reports a value the wire cannot carry (`PortOutOfRange`,
-//! `TooManyPorts`) before a frame over `MAX_FRAME_LEN` (`BadLength`).
-//! Decoding reports parse errors first, in byte order; then a FlowMod's
-//! `UnknownCommand`, then its first foreign `UnknownVendor`; a
-//! packet-out whose actions are not one output (a vendor action
-//! included) is `BadPacketOutActions(n)`.
-
-use std::io::Write;
+//! Encoding reports a value the wire cannot carry (`PortOutOfRange`)
+//! before a frame over `MAX_FRAME_LEN` (`BadLength`). Decoding reports
+//! parse errors first, in byte order; then a FlowMod's
+//! `UnknownCommand`, then its first foreign `UnknownVendor`.
 
 use bytes::{BufMut, BytesMut};
 
-use sdn_types::{DpId, HostId, PortNo, VersionTag, Xid};
+use sdn_types::{HostId, PortNo, VersionTag, Xid};
 
 use crate::codec::{CodecError, MAX_FRAME_LEN};
 use crate::flow::{Action, FlowMatch};
@@ -83,9 +81,6 @@ pub const HEADER_LEN: usize = 8;
 
 /// `ofp_match` size in bytes.
 const MATCH_LEN: usize = 40;
-
-/// `ofp_phy_port` size in bytes (features-reply port descriptor).
-const PHY_PORT_LEN: usize = 48;
 
 /// Maximum valid physical port number (`OFPP_MAX`).
 const OFPP_MAX: u16 = 0xff00;
@@ -101,17 +96,9 @@ const VENDOR_ID: u32 = 0x5eed_0f10;
 
 /// `ofp_type` codes (OpenFlow 1.0 numbering, `OFPT_*`).
 mod type_code {
-    pub const HELLO: u8 = 0;
-    pub const ERROR: u8 = 1;
     pub const ECHO_REQUEST: u8 = 2;
     pub const ECHO_REPLY: u8 = 3;
-    pub const FEATURES_REQUEST: u8 = 5;
-    pub const FEATURES_REPLY: u8 = 6;
-    pub const PACKET_IN: u8 = 10;
-    pub const PACKET_OUT: u8 = 13;
     pub const FLOW_MOD: u8 = 14;
-    pub const STATS_REQUEST: u8 = 16;
-    pub const STATS_REPLY: u8 = 17;
     pub const BARRIER_REQUEST: u8 = 18;
     pub const BARRIER_REPLY: u8 = 19;
 }
@@ -150,9 +137,6 @@ mod action_type {
     pub const STRIP_VLAN: u16 = 3;
     pub const VENDOR: u16 = 0xffff;
 }
-
-/// `OFPST_AGGREGATE`, the one `ofp_stats_types` code spoken.
-const STATS_AGGREGATE: u16 = 2;
 
 /// Cursor over a body slice; every read is bounds-checked and yields a
 /// typed [`CodecError`] on underflow.
@@ -248,40 +232,21 @@ fn action_len(a: &Action) -> usize {
 fn frame_len(msg: &OfMessage) -> usize {
     HEADER_LEN
         + match msg {
-            OfMessage::Hello
-            | OfMessage::FeaturesRequest
-            | OfMessage::BarrierRequest
-            | OfMessage::BarrierReply => 0,
-            OfMessage::EchoRequest(p) | OfMessage::EchoReply(p) => p.len(),
-            OfMessage::ErrorMsg { data, .. } => 4 + data.len(),
-            OfMessage::FeaturesReply { n_ports, .. } => {
-                24 + (*n_ports as usize).saturating_mul(PHY_PORT_LEN)
-            }
             OfMessage::FlowMod(fm) => {
                 MATCH_LEN + 24 + fm.actions.iter().map(action_len).sum::<usize>()
             }
-            OfMessage::PacketIn { data, .. } => 10 + data.len(),
-            OfMessage::PacketOut { data, .. } => 16 + data.len(),
-            OfMessage::FlowStatsRequest => 4 + MATCH_LEN + 4,
-            OfMessage::FlowStatsReply { .. } => 4 + 24,
+            OfMessage::BarrierRequest | OfMessage::BarrierReply => 0,
+            OfMessage::EchoRequest(p) | OfMessage::EchoReply(p) => p.len(),
         }
 }
 
 fn type_code(msg: &OfMessage) -> u8 {
     match msg {
-        OfMessage::Hello => type_code::HELLO,
-        OfMessage::ErrorMsg { .. } => type_code::ERROR,
-        OfMessage::EchoRequest(_) => type_code::ECHO_REQUEST,
-        OfMessage::EchoReply(_) => type_code::ECHO_REPLY,
-        OfMessage::FeaturesRequest => type_code::FEATURES_REQUEST,
-        OfMessage::FeaturesReply { .. } => type_code::FEATURES_REPLY,
-        OfMessage::PacketIn { .. } => type_code::PACKET_IN,
-        OfMessage::PacketOut { .. } => type_code::PACKET_OUT,
         OfMessage::FlowMod(_) => type_code::FLOW_MOD,
-        OfMessage::FlowStatsRequest => type_code::STATS_REQUEST,
-        OfMessage::FlowStatsReply { .. } => type_code::STATS_REPLY,
         OfMessage::BarrierRequest => type_code::BARRIER_REQUEST,
         OfMessage::BarrierReply => type_code::BARRIER_REPLY,
+        OfMessage::EchoRequest(_) => type_code::ECHO_REQUEST,
+        OfMessage::EchoReply(_) => type_code::ECHO_REPLY,
     }
 }
 
@@ -311,34 +276,6 @@ pub fn put_frame(env: &Envelope, out: &mut BytesMut) -> Result<(), CodecError> {
 
 fn put_body(msg: &OfMessage, out: &mut BytesMut) -> Result<(), CodecError> {
     match msg {
-        OfMessage::Hello
-        | OfMessage::FeaturesRequest
-        | OfMessage::BarrierRequest
-        | OfMessage::BarrierReply => {}
-        OfMessage::EchoRequest(p) | OfMessage::EchoReply(p) => out.put_slice(p),
-        OfMessage::ErrorMsg { etype, code, data } => {
-            out.put_u16(*etype);
-            out.put_u16(*code);
-            out.put_slice(data);
-        }
-        OfMessage::FeaturesReply { dpid, n_ports } => {
-            if *n_ports > 255 {
-                return Err(CodecError::TooManyPorts(*n_ports));
-            }
-            out.put_u64(dpid.raw());
-            out.put_u32(256); // n_buffers
-            out.put_u8(1); // n_tables
-            out.put_slice(&[0; 3]); // pad
-            out.put_u32(1); // capabilities: OFPC_FLOW_STATS
-            out.put_u32(
-                (1 << action_type::OUTPUT)
-                    | (1 << action_type::SET_VLAN_VID)
-                    | (1 << action_type::STRIP_VLAN),
-            );
-            for n in 1..=*n_ports as u16 {
-                put_phy_port(n, out);
-            }
-        }
         OfMessage::FlowMod(fm) => {
             put_match(&fm.matcher, out)?;
             out.put_u64(fm.cookie);
@@ -356,46 +293,8 @@ fn put_body(msg: &OfMessage, out: &mut BytesMut) -> Result<(), CodecError> {
                 put_action(a, out)?;
             }
         }
-        OfMessage::PacketIn {
-            buffer_id,
-            in_port,
-            data,
-        } => {
-            out.put_u32(*buffer_id);
-            out.put_u16(data.len() as u16); // total_len
-            out.put_u16(port_to_wire(*in_port)?);
-            out.put_u8(0); // reason: OFPR_NO_MATCH
-            out.put_u8(0); // pad
-            out.put_slice(data);
-        }
-        OfMessage::PacketOut {
-            buffer_id,
-            out_port,
-            data,
-        } => {
-            out.put_u32(*buffer_id);
-            out.put_u16(OFPP_NONE); // in_port: controller-sourced
-            out.put_u16(8); // actions_len
-            put_action(&Action::Output(*out_port), out)?;
-            out.put_slice(data);
-        }
-        OfMessage::FlowStatsRequest => {
-            out.put_u16(STATS_AGGREGATE);
-            out.put_u16(0); // flags
-            out.put_u32(wildcards::ALL);
-            out.put_slice(&[0; MATCH_LEN - 4]);
-            out.put_u8(0xff); // table_id: all
-            out.put_u8(0); // pad
-            out.put_u16(OFPP_NONE); // out_port: any
-        }
-        OfMessage::FlowStatsReply { entries, packets } => {
-            out.put_u16(STATS_AGGREGATE);
-            out.put_u16(0); // flags
-            out.put_u64(*packets);
-            out.put_u64(0); // byte_count
-            out.put_u32(*entries);
-            out.put_u32(0); // pad
-        }
+        OfMessage::BarrierRequest | OfMessage::BarrierReply => {}
+        OfMessage::EchoRequest(p) | OfMessage::EchoReply(p) => out.put_slice(p),
     }
     Ok(())
 }
@@ -454,17 +353,6 @@ fn put_action(a: &Action, out: &mut BytesMut) -> Result<(), CodecError> {
     Ok(())
 }
 
-/// A stub descriptor for simulated port `n` (1-based).
-fn put_phy_port(n: u16, out: &mut BytesMut) {
-    out.put_u16(n);
-    out.put_slice(&[0x02, 0, 0, 0]);
-    out.put_u16(n); // hw_addr 02:00:00:00:hi:lo
-    let mut name = [0u8; 16];
-    write!(&mut name[..], "port{n}").expect("a port name fits 16 bytes");
-    out.put_slice(&name);
-    out.put_slice(&[0; 24]); // config, state and the four feature bitmaps
-}
-
 /// Parse exactly one frame, header and body.
 pub fn parse_frame(frame: &[u8]) -> Result<Envelope, CodecError> {
     if frame.len() < HEADER_LEN {
@@ -489,93 +377,15 @@ pub fn parse_frame(frame: &[u8]) -> Result<Envelope, CodecError> {
     let xid = Xid(u32::from_be_bytes([frame[4], frame[5], frame[6], frame[7]]));
     let mut r = Reader::new(&frame[HEADER_LEN..]);
     let msg = match frame[1] {
-        type_code::HELLO => OfMessage::Hello,
-        type_code::FEATURES_REQUEST => OfMessage::FeaturesRequest,
+        type_code::FLOW_MOD => OfMessage::FlowMod(flow_mod(&mut r)?),
         type_code::BARRIER_REQUEST => OfMessage::BarrierRequest,
         type_code::BARRIER_REPLY => OfMessage::BarrierReply,
         type_code::ECHO_REQUEST => OfMessage::EchoRequest(r.rest().to_vec()),
         type_code::ECHO_REPLY => OfMessage::EchoReply(r.rest().to_vec()),
-        type_code::ERROR => OfMessage::ErrorMsg {
-            etype: r.u16()?,
-            code: r.u16()?,
-            data: r.rest().to_vec(),
-        },
-        type_code::FEATURES_REPLY => {
-            let dpid = DpId(r.u64()?);
-            // n_buffers, n_tables, pad, capabilities, actions
-            r.skip(&[4, 1, 3, 4, 4])?;
-            let mut n_ports = 0;
-            while r.remaining() > 0 {
-                // ofp_phy_port: port_no, hw_addr, name, then the config,
-                // state, curr, advertised, supported and peer bitmaps
-                r.skip(&[2, 6, 16, 4, 4, 4, 4, 4, 4])?;
-                n_ports += 1;
-            }
-            OfMessage::FeaturesReply { dpid, n_ports }
-        }
-        type_code::PACKET_IN => {
-            let buffer_id = r.u32()?;
-            let total_len = r.u16()? as usize;
-            let in_port = port_from_wire(r.u16()?);
-            r.skip(&[1, 1])?; // reason, pad
-            let data = r.take(total_len)?.to_vec();
-            OfMessage::PacketIn {
-                buffer_id,
-                in_port,
-                data,
-            }
-        }
-        type_code::PACKET_OUT => {
-            let buffer_id = r.u32()?;
-            r.skip(&[2])?; // in_port
-            let actions_len = r.u16()? as usize;
-            let mut actions = Reader::new(r.take(actions_len)?);
-            let (mut n, mut out_port) = (0, None);
-            while actions.remaining() > 0 {
-                out_port = match action(&mut actions) {
-                    Ok(Action::Output(p)) => Some(p),
-                    Ok(Action::ToController) => Some(PortNo::CONTROLLER),
-                    Ok(_) | Err(CodecError::UnknownVendor(_)) => None,
-                    Err(e) => return Err(e),
-                };
-                n += 1;
-            }
-            match (n, out_port) {
-                (1, Some(out_port)) => OfMessage::PacketOut {
-                    buffer_id,
-                    out_port,
-                    data: r.rest().to_vec(),
-                },
-                _ => return Err(CodecError::BadPacketOutActions(n)),
-            }
-        }
-        type_code::FLOW_MOD => OfMessage::FlowMod(flow_mod(&mut r)?),
-        type_code::STATS_REQUEST => {
-            aggregate_header(&mut r)?;
-            flow_match(&mut r)?;
-            r.skip(&[1, 1, 2])?; // table_id, pad, out_port
-            OfMessage::FlowStatsRequest
-        }
-        type_code::STATS_REPLY => {
-            aggregate_header(&mut r)?;
-            let packets = r.u64()?;
-            r.skip(&[8])?; // byte_count
-            let entries = r.u32()?;
-            r.skip(&[4])?; // pad
-            OfMessage::FlowStatsReply { entries, packets }
-        }
         t => return Err(CodecError::UnknownType(t)),
     };
     r.finish()?;
     Ok(Envelope::new(xid, msg))
-}
-
-/// A stats body's type (which must be `OFPST_AGGREGATE`) and flags.
-fn aggregate_header(r: &mut Reader<'_>) -> Result<(), CodecError> {
-    match r.u16()? {
-        STATS_AGGREGATE => r.skip(&[2]),
-        st => Err(CodecError::UnknownStatsType(st)),
-    }
 }
 
 fn flow_match(r: &mut Reader<'_>) -> Result<FlowMatch, CodecError> {
@@ -717,9 +527,7 @@ mod tests {
     #[test]
     fn header_only_vectors() {
         let cases = [
-            (OfMessage::Hello, 0x00u8),
-            (OfMessage::FeaturesRequest, 0x05),
-            (OfMessage::BarrierRequest, 0x12),
+            (OfMessage::BarrierRequest, 0x12u8),
             (OfMessage::BarrierReply, 0x13),
         ];
         for (msg, code) in cases {
@@ -749,20 +557,23 @@ mod tests {
         );
     }
 
+    /// The wire's surface: of the 256 type bytes on a header-only
+    /// frame, the two barriers and the two echoes decode, a FlowMod
+    /// runs out of body, and every other type is unknown.
     #[test]
-    fn error_vector() {
-        let bytes = encode(&Envelope::new(
-            Xid(1),
-            OfMessage::ErrorMsg {
-                etype: 0x0003,
-                code: 0x0009,
-                data: vec![0xde],
-            },
-        ));
-        assert_eq!(
-            &bytes[..],
-            &[0x01, 0x01, 0x00, 0x0d, 0x00, 0x00, 0x00, 0x01, 0x00, 0x03, 0x00, 0x09, 0xde]
-        );
+    fn only_five_type_bytes_are_spoken() {
+        for t in 0..=u8::MAX {
+            let frame = [OFP_VERSION, t, 0, 8, 0, 0, 0, 1];
+            let got = decode(&frame).map(|e| e.msg);
+            match t {
+                2 => assert_eq!(got, Ok(OfMessage::EchoRequest(vec![]))),
+                3 => assert_eq!(got, Ok(OfMessage::EchoReply(vec![]))),
+                18 => assert_eq!(got, Ok(OfMessage::BarrierRequest)),
+                19 => assert_eq!(got, Ok(OfMessage::BarrierReply)),
+                14 => assert!(matches!(got, Err(CodecError::Truncated { .. })), "{got:?}"),
+                _ => assert_eq!(got, Err(CodecError::UnknownType(t))),
+            }
+        }
     }
 
     #[test]
@@ -880,46 +691,5 @@ mod tests {
             assert_eq!(be32(&bytes, 40), m.dst.map_or(0, |h| h.0));
             assert_eq!(decoded_flow_mod(&bytes).matcher, m);
         }
-    }
-
-    #[test]
-    fn features_reply_carries_ports_as_phy_port_blocks() {
-        let env = Envelope::new(
-            Xid(5),
-            OfMessage::FeaturesReply {
-                dpid: DpId(0x1122),
-                n_ports: 3,
-            },
-        );
-        let bytes = encode(&env);
-        assert_eq!(bytes.len(), HEADER_LEN + 24 + 3 * PHY_PORT_LEN);
-        // datapath_id immediately after the header
-        assert_eq!(
-            &bytes[8..16],
-            &[0, 0, 0, 0, 0, 0, 0x11, 0x22],
-            "dpid big-endian"
-        );
-        // the second port: number, MAC, then its null-padded name
-        let port2 = HEADER_LEN + 24 + PHY_PORT_LEN;
-        assert_eq!(&bytes[port2..port2 + 8], &[0, 2, 0x02, 0, 0, 0, 0, 2]);
-        assert_eq!(
-            &bytes[port2 + 8..port2 + 24],
-            b"port2\0\0\0\0\0\0\0\0\0\0\0"
-        );
-        assert_eq!(decode(&bytes).unwrap(), env);
-    }
-
-    #[test]
-    fn aggregate_stats_bodies_have_spec_sizes() {
-        let req = encode(&Envelope::new(Xid(1), OfMessage::FlowStatsRequest));
-        assert_eq!(req.len(), HEADER_LEN + 4 + MATCH_LEN + 4);
-        let rep = encode(&Envelope::new(
-            Xid(1),
-            OfMessage::FlowStatsReply {
-                entries: 4,
-                packets: 10,
-            },
-        ));
-        assert_eq!(rep.len(), HEADER_LEN + 4 + 24);
     }
 }

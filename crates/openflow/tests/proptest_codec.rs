@@ -5,8 +5,7 @@
 //!
 //! Strategies generate values from the OpenFlow 1.0 wire domain: ports
 //! are 16-bit on the 1.0 wire (`OFPP_MAX` bounds physical ports), and a
-//! features reply carries one 48-byte descriptor per port, so port
-//! counts stay small enough to fit a frame.
+//! match's ingress port may be one of the two pseudo-ports.
 
 use proptest::prelude::*;
 
@@ -14,7 +13,7 @@ use sdn_openflow::codec::{decode, encode};
 use sdn_openflow::flow::{Action, FlowMatch};
 use sdn_openflow::framing::FrameCodec;
 use sdn_openflow::messages::{Envelope, FlowMod, FlowModCommand, OfMessage};
-use sdn_types::{DpId, HostId, PortNo, VersionTag, Xid};
+use sdn_types::{HostId, PortNo, VersionTag, Xid};
 
 /// Physical ports representable on the 1.0 wire (`< OFPP_MAX`), plus
 /// the two pseudo-ports the model names.
@@ -41,13 +40,13 @@ fn arb_action() -> impl Strategy<Value = Action> {
 
 fn arb_match() -> impl Strategy<Value = FlowMatch> {
     (
-        proptest::option::of(0u32..0xff00),
+        proptest::option::of(arb_port()),
         proptest::option::of(any::<u32>()),
         proptest::option::of(any::<u32>()),
         proptest::option::of(any::<u16>()),
     )
         .prop_map(|(p, s, d, t)| FlowMatch {
-            in_port: p.map(PortNo),
+            in_port: p,
             src: s.map(HostId),
             dst: d.map(HostId),
             tag: t.map(VersionTag),
@@ -56,17 +55,10 @@ fn arb_match() -> impl Strategy<Value = FlowMatch> {
 
 fn arb_message() -> impl Strategy<Value = OfMessage> {
     prop_oneof![
-        Just(OfMessage::Hello),
-        Just(OfMessage::FeaturesRequest),
         Just(OfMessage::BarrierRequest),
         Just(OfMessage::BarrierReply),
-        Just(OfMessage::FlowStatsRequest),
         proptest::collection::vec(any::<u8>(), 0..64).prop_map(OfMessage::EchoRequest),
         proptest::collection::vec(any::<u8>(), 0..64).prop_map(OfMessage::EchoReply),
-        (any::<u64>(), 0u32..=64).prop_map(|(d, n)| OfMessage::FeaturesReply {
-            dpid: DpId(d),
-            n_ports: n
-        }),
         (
             prop_oneof![
                 Just(FlowModCommand::Add),
@@ -87,40 +79,6 @@ fn arb_message() -> impl Strategy<Value = OfMessage> {
                     cookie,
                 })
             }),
-        (
-            any::<u32>(),
-            arb_port(),
-            proptest::collection::vec(any::<u8>(), 0..128)
-        )
-            .prop_map(|(b, p, data)| OfMessage::PacketIn {
-                buffer_id: b,
-                in_port: p,
-                data
-            }),
-        (
-            any::<u32>(),
-            arb_port(),
-            proptest::collection::vec(any::<u8>(), 0..128)
-        )
-            .prop_map(|(b, p, data)| OfMessage::PacketOut {
-                buffer_id: b,
-                out_port: p,
-                data
-            }),
-        (
-            any::<u16>(),
-            any::<u16>(),
-            proptest::collection::vec(any::<u8>(), 0..64)
-        )
-            .prop_map(|(t, c, data)| OfMessage::ErrorMsg {
-                etype: t,
-                code: c,
-                data
-            }),
-        (any::<u32>(), any::<u64>()).prop_map(|(e, p)| OfMessage::FlowStatsReply {
-            entries: e,
-            packets: p
-        }),
     ]
 }
 

@@ -111,11 +111,6 @@ impl FlowTable {
         self.entries.iter()
     }
 
-    /// Total packets matched across entries.
-    pub fn total_packets(&self) -> u64 {
-        self.entries.iter().map(|e| e.packets).sum()
-    }
-
     /// Apply a FlowMod.
     pub fn apply(&mut self, fm: &FlowMod) -> TableChange {
         match fm.command {
@@ -272,6 +267,10 @@ mod tests {
         }
     }
 
+    fn packets(t: &FlowTable) -> u64 {
+        t.iter().map(|e| e.packets).sum()
+    }
+
     #[test]
     fn add_and_lookup() {
         let mut t = FlowTable::new();
@@ -286,7 +285,7 @@ mod tests {
             Some(vec![Action::Output(PortNo(3))])
         );
         assert_eq!(t.lookup(&pkt(9, None)), None);
-        assert_eq!(t.total_packets(), 1);
+        assert_eq!(packets(&t), 1);
     }
 
     #[test]
@@ -415,7 +414,7 @@ mod tests {
         let mut t = FlowTable::new();
         t.apply(&fm(FlowModCommand::Add, 10, FlowMatch::ANY, 1));
         assert!(t.peek(&pkt(2, None)).is_some());
-        assert_eq!(t.total_packets(), 0);
+        assert_eq!(packets(&t), 0);
     }
 
     #[test]

@@ -31,7 +31,8 @@ pub struct SwitchStats {
     pub packets_dropped: u64,
     /// Packets punted to the controller.
     pub packet_ins: u64,
-    /// Control messages that produced protocol errors.
+    /// Controller-bound messages (barrier or echo replies) that
+    /// arrived at the switch; each is dropped unanswered.
     pub errors: u64,
 }
 
@@ -44,7 +45,8 @@ pub struct ForwardResult {
     /// Whether the packet was (also) dropped (table miss or explicit
     /// Drop with no prior output).
     pub dropped: bool,
-    /// Whether a PacketIn was generated.
+    /// Whether the packet was punted to the controller (counted in
+    /// [`SwitchStats::packet_ins`]; no message is sent).
     pub to_controller: bool,
 }
 
@@ -101,7 +103,6 @@ impl SoftSwitch {
     pub fn respond(&mut self, env: Envelope) -> Option<Envelope> {
         let Envelope { xid, msg } = env;
         match msg {
-            OfMessage::Hello => Some(Envelope::new(xid, OfMessage::Hello)),
             OfMessage::EchoRequest(payload) => {
                 self.stats.echoes += 1;
                 // Digest probe: answer with the ordered rule-hash list
@@ -129,13 +130,6 @@ impl SoftSwitch {
                 }
                 Some(Envelope::new(xid, OfMessage::EchoReply(payload)))
             }
-            OfMessage::FeaturesRequest => Some(Envelope::new(
-                xid,
-                OfMessage::FeaturesReply {
-                    dpid: self.dpid,
-                    n_ports: self.n_ports,
-                },
-            )),
             OfMessage::FlowMod(fm) => {
                 self.stats.flow_mods += 1;
                 let _: TableChange = self.table.apply(&fm);
@@ -148,47 +142,11 @@ impl SoftSwitch {
                 self.stats.barriers += 1;
                 Some(Envelope::new(xid, OfMessage::BarrierReply))
             }
-            OfMessage::FlowStatsRequest => Some(Envelope::new(
-                xid,
-                OfMessage::FlowStatsReply {
-                    entries: self.table.len() as u32,
-                    packets: self.table.total_packets(),
-                },
-            )),
-            OfMessage::PacketOut { data, out_port, .. } => {
-                // The simulator interprets emissions; the switch only
-                // validates the port.
-                if out_port.is_physical() && out_port.raw() > self.n_ports {
-                    self.stats.errors += 1;
-                    Some(Envelope::new(
-                        xid,
-                        OfMessage::ErrorMsg {
-                            etype: 2, // bad request
-                            code: 4,  // bad port
-                            data,
-                        },
-                    ))
-                } else {
-                    None
-                }
-            }
-            // Switch-to-controller message types arriving at a switch
-            // are protocol errors.
-            other @ (OfMessage::EchoReply(_)
-            | OfMessage::FeaturesReply { .. }
-            | OfMessage::BarrierReply
-            | OfMessage::PacketIn { .. }
-            | OfMessage::ErrorMsg { .. }
-            | OfMessage::FlowStatsReply { .. }) => {
+            // A controller-bound message arriving at a switch is a
+            // protocol error: counted, not answered.
+            OfMessage::BarrierReply | OfMessage::EchoReply(_) => {
                 self.stats.errors += 1;
-                Some(Envelope::new(
-                    xid,
-                    OfMessage::ErrorMsg {
-                        etype: 1, // bad type
-                        code: 0,
-                        data: other.kind().as_bytes().to_vec(),
-                    },
-                ))
+                None
             }
         }
     }
@@ -270,23 +228,8 @@ mod tests {
     fn hello_echo_features() {
         let mut s = sw();
         assert_eq!(
-            s.handle_control(Envelope::new(Xid(5), OfMessage::Hello)),
-            vec![Envelope::new(Xid(5), OfMessage::Hello)]
-        );
-        assert_eq!(
             s.handle_control(Envelope::new(Xid(6), OfMessage::EchoRequest(vec![1]))),
             vec![Envelope::new(Xid(6), OfMessage::EchoReply(vec![1]))]
-        );
-        let f = s.handle_control(Envelope::new(Xid(7), OfMessage::FeaturesRequest));
-        assert_eq!(
-            f,
-            vec![Envelope::new(
-                Xid(7),
-                OfMessage::FeaturesReply {
-                    dpid: DpId(3),
-                    n_ports: 4
-                }
-            )]
         );
         assert_eq!(s.stats().echoes, 1);
     }
@@ -378,57 +321,15 @@ mod tests {
     #[test]
     fn unexpected_message_type_errors() {
         let mut s = sw();
-        let replies = s.handle_control(Envelope::new(Xid(1), OfMessage::BarrierReply));
-        assert_eq!(replies.len(), 1);
-        assert!(matches!(
-            replies[0].msg,
-            OfMessage::ErrorMsg { etype: 1, .. }
-        ));
-        assert_eq!(s.stats().errors, 1);
-    }
-
-    #[test]
-    fn packet_out_bad_port_errors() {
-        let mut s = sw();
-        let replies = s.handle_control(Envelope::new(
-            Xid(1),
-            OfMessage::PacketOut {
-                buffer_id: 0,
-                out_port: PortNo(99),
-                data: vec![],
-            },
-        ));
-        assert!(matches!(
-            replies[0].msg,
-            OfMessage::ErrorMsg {
-                etype: 2,
-                code: 4,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn flow_stats_reflect_table() {
-        let mut s = sw();
-        add_rule(
-            &mut s,
-            10,
-            FlowMatch::dst_host(HostId(2)),
-            vec![Action::Output(PortNo(2))],
-        );
-        s.process_packet(pkt(2, None));
-        let replies = s.handle_control(Envelope::new(Xid(9), OfMessage::FlowStatsRequest));
-        assert_eq!(
-            replies,
-            vec![Envelope::new(
-                Xid(9),
-                OfMessage::FlowStatsReply {
-                    entries: 1,
-                    packets: 1
-                }
-            )]
-        );
+        for (n, msg) in [OfMessage::BarrierReply, OfMessage::EchoReply(vec![1])]
+            .into_iter()
+            .enumerate()
+        {
+            let replies = s.handle_control(Envelope::new(Xid(1), msg));
+            assert!(replies.is_empty(), "{replies:?}");
+            assert_eq!(s.stats().errors, n as u64 + 1);
+        }
+        assert_eq!(s.stats().barriers + s.stats().echoes, 0);
     }
 
     #[test]

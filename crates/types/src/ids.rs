@@ -58,12 +58,6 @@ impl PortNo {
     pub const fn raw(self) -> u32 {
         self.0
     }
-
-    /// Whether this is a real, physical port (not a pseudo-port).
-    #[inline]
-    pub const fn is_physical(self) -> bool {
-        self.0 > 0 && self.0 < 0xffff_ff00
-    }
 }
 
 impl fmt::Debug for PortNo {
@@ -190,15 +184,6 @@ mod tests {
         let mut v = vec![DpId(5), DpId(1), DpId(3)];
         v.sort();
         assert_eq!(v, vec![DpId(1), DpId(3), DpId(5)]);
-    }
-
-    #[test]
-    fn portno_pseudo_ports_are_not_physical() {
-        assert!(!PortNo::CONTROLLER.is_physical());
-        assert!(!PortNo::LOCAL.is_physical());
-        assert!(!PortNo(0).is_physical());
-        assert!(PortNo(1).is_physical());
-        assert!(PortNo(48).is_physical());
     }
 
     #[test]
