@@ -99,6 +99,14 @@
 #                                 EchoRequest/Reply; any other type byte
 #                                 decodes to CodecError::UnknownType)
 #
+# There is one live controller loop. Outside the transport
+# (crates/channel), no Rust file but src/live.rs, the raw-barrier
+# experiment and bench of crates/bench and the wall-clock benchmark/
+# may wait on replies with `recv_timeout(`:
+#
+#   a hand-written poll / recv_timeout / on_message loop
+#                              -> transient_updates::live::turn
+#
 # The update model keeps one switch index: the code of
 # crates/core/src/{model,config}.rs (not their tests, which hold ordered
 # references to compare against) may not key an ordered map or set by
@@ -159,6 +167,12 @@ hits+=$(find crates src -path '*/src/*' -name '*.rs' -print0 |
         /^#\[cfg\(test\)\]/ { live = 0 }
         live { for (i = 1; i <= n; i++) if (index($0, p[i])) {
             printf "\n%s:%d:%s", FILENAME, FNR, $0; break } }')
+
+loops=$(find . -name '*.rs' -not -path './target/*' -not -path './shims/*' \
+    -not -path './crates/channel/*' -not -path './crates/bench/*' \
+    -not -path './benchmark/*' -not -path './src/live.rs' -print0 |
+    xargs -0 grep -n 'recv_timeout(' || true)
+[ -z "$loops" ] || hits+=$'\n'"$loops"
 
 if [ -n "$hits" ]; then
     echo "error: a deleted API must not come back:" >&2

@@ -71,7 +71,9 @@ pub enum TransportEvent {
     /// [`TransportError::Disconnected`].
     Disconnected(DpId),
     /// The switch re-registered under the same dpid with fresh
-    /// buffers; the controller should start a resync.
+    /// buffers; the controller should start a resync
+    /// (`transient_updates::live::turn` hands it to
+    /// `RuntimeHandle::on_reconnect`, which does).
     Reconnected(DpId),
 }
 

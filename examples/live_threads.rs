@@ -7,18 +7,18 @@
 //! cargo run --example live_threads
 //! ```
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sdn_channel::config::ChannelConfig;
-use sdn_channel::{EventLoopTransport, LiveTransport};
+use sdn_channel::EventLoopTransport;
 use sdn_ctrl::compile::{compile_schedule, initial_flowmods, FlowSpec};
 use sdn_ctrl::executor::ExecConfig;
 use sdn_ctrl::runtime::{ConcurrentRuntime, RuntimeConfig, RuntimeHandle, SubmitRequest};
-use sdn_ctrl::CtrlOutput;
+use sdn_openflow::messages::Envelope;
 use sdn_switch::SoftSwitch;
 use sdn_topo::builders::figure1;
-use sdn_types::{SimDuration, SimTime};
-use transient_updates::prelude::*;
+use sdn_types::{SimDuration, SimTime, Xid};
+use transient_updates::{live, prelude::*};
 
 fn main() {
     let f = figure1();
@@ -36,14 +36,9 @@ fn main() {
         .map(|s| SoftSwitch::new(s.dpid, 16))
         .collect();
     for (dp, msg) in initial_flowmods(&f.topo, &f.old_route, &spec).unwrap() {
-        let sw = switches
-            .iter_mut()
-            .find(|s| s.dpid() == dp)
-            .expect("switch exists");
-        sw.handle_control(sdn_openflow::messages::Envelope::new(
-            sdn_types::Xid(0),
-            msg,
-        ));
+        let sw = switches.iter_mut().find(|s| s.dpid() == dp);
+        sw.expect("switch exists")
+            .handle_control(Envelope::new(Xid(0), msg));
     }
     let transport = EventLoopTransport::spawn(
         switches,
@@ -58,33 +53,22 @@ fn main() {
     let compiled = compile_schedule(&f.topo, &inst, &schedule, &spec).unwrap();
     let mut runtime = ConcurrentRuntime::new(RuntimeConfig::serial(ExecConfig::default()));
 
-    let wall_start = std::time::Instant::now();
-    let now = || SimTime(wall_start.elapsed().as_nanos() as u64);
-    let send = |outs: Vec<CtrlOutput>| {
-        for CtrlOutput::Send(dp, env) in outs {
-            transport.send(dp, &env).unwrap();
-        }
-    };
+    let epoch = Instant::now();
     runtime
-        .submit_request(SubmitRequest::new(compiled), now())
+        .submit_request(SubmitRequest::new(compiled), SimTime::ZERO)
         .expect("the serial queue never refuses");
     while runtime.reports().is_empty() {
-        send(runtime.poll(now()));
-        if let Some(reply) = transport.recv_timeout(Duration::from_millis(50)) {
-            println!(
-                "  [{:>9?}] {} from {}",
-                wall_start.elapsed(),
-                reply.env.msg.kind(),
-                reply.dpid
-            );
-            send(runtime.on_message(now(), reply.dpid, &reply.env));
-        }
+        live::turn(&mut runtime, &transport, epoch, Duration::from_millis(50))
+            .expect("the transport is up");
     }
     let report = &runtime.reports()[0];
+    for timing in &report.rounds {
+        println!("  {timing:?}");
+    }
     println!(
         "\nupdate completed: {} after {:?} wall time",
         report.completed.is_some(),
-        wall_start.elapsed()
+        epoch.elapsed()
     );
 
     // Shut the threads down and audit the final flow tables.

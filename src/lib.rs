@@ -18,7 +18,8 @@
 //!   channel ([`channel`]), a Ryu-style controller with the demo's REST
 //!   request format and round executor ([`ctrl`]), and a deterministic
 //!   discrete-event simulator ([`sim`]) over a topology model
-//!   ([`topo`]).
+//!   ([`topo`]);
+//! * the controller loop over a live transport ([`live::turn`]).
 //!
 //! ## Quick start
 //!
@@ -49,6 +50,8 @@ pub use sdn_switch as switch;
 pub use sdn_topo as topo;
 pub use sdn_types as types;
 pub use update_core as core;
+
+pub mod live;
 
 /// Commonly used items, re-exported for examples and downstream users.
 pub mod prelude {
